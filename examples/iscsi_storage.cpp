@@ -145,7 +145,7 @@ RunResult Run(bool optimized) {
   const SimTime warmup = SimTime::FromMillis(200);
   const SimTime end = SimTime::FromMillis(1200);
   bed.loop().RunUntil(warmup);
-  const uint64_t busy_before = bed.cpu().busy_cycles();
+  const uint64_t busy_before = bed.core(0).busy_cycles();
   uint64_t committed_before = 0;
   for (const auto& s : sessions) {
     committed_before += s->committed_bytes();
@@ -162,7 +162,7 @@ RunResult Run(bool optimized) {
   const uint64_t committed = committed_after - committed_before;
   const double seconds = (end - warmup).ToSecondsF();
   result.committed_mbps = static_cast<double>(committed) * 8.0 / seconds / 1e6;
-  result.cpu_utilization = static_cast<double>(bed.cpu().busy_cycles() - busy_before) /
+  result.cpu_utilization = static_cast<double>(bed.core(0).busy_cycles() - busy_before) /
                            (3e9 * seconds);
   return result;
 }

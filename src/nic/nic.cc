@@ -91,12 +91,6 @@ void SimulatedNic::MaybeRaiseInterrupt(size_t queue) {
   });
 }
 
-void SimulatedNic::SetPollMode(bool enabled) {
-  for (size_t q = 0; q < queues_.size(); ++q) {
-    SetQueuePollMode(q, enabled);
-  }
-}
-
 void SimulatedNic::SetQueuePollMode(size_t queue, bool enabled) {
   RxQueue& q = queues_[queue];
   q.poll_mode = enabled;

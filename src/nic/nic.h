@@ -67,24 +67,19 @@ class SimulatedNic {
   void AttachEgress(SimplexLink* link) { egress_ = link; }
 
   // ---- Host (driver) side ---------------------------------------------------------
-  // Per-queue interrupt handlers; the no-queue overloads address queue 0 and keep the
-  // single-queue NIC API unchanged.
-  void set_on_rx_interrupt(std::function<void()> fn) {
-    set_on_rx_interrupt(0, std::move(fn));
-  }
+  // Per-queue interrupt handlers; a single-queue NIC has only queue 0.
   void set_on_rx_interrupt(size_t queue, std::function<void()> fn) {
     queues_[queue].on_interrupt = std::move(fn);
   }
 
   // While a queue is in poll mode it never schedules interrupts; the owning core
   // re-enables them when it has drained the ring.
-  void SetPollMode(bool enabled);  // all queues (legacy single-queue callers)
   void SetQueuePollMode(size_t queue, bool enabled);
-  bool poll_mode(size_t queue = 0) const { return queues_[queue].poll_mode; }
+  bool poll_mode(size_t queue) const { return queues_[queue].poll_mode; }
 
-  PacketPtr PopRx(size_t queue = 0) { return queues_[queue].ring.Pop().value_or(nullptr); }
-  bool RxEmpty(size_t queue = 0) const { return queues_[queue].ring.Empty(); }
-  size_t RxQueued(size_t queue = 0) const { return queues_[queue].ring.Size(); }
+  PacketPtr PopRx(size_t queue) { return queues_[queue].ring.Pop().value_or(nullptr); }
+  bool RxEmpty(size_t queue) const { return queues_[queue].ring.Empty(); }
+  size_t RxQueued(size_t queue) const { return queues_[queue].ring.Size(); }
 
   int id() const { return id_; }
   size_t num_rx_queues() const { return queues_.size(); }

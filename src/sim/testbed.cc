@@ -3,31 +3,24 @@
 #include <algorithm>
 #include <string>
 
-#include "src/util/logging.h"
-
 namespace tcprx {
 
-Testbed::Testbed(const TestbedConfig& config) : config_(config) {
-  const bool multi = config_.smp.num_cores >= 2;
-  auto transmit = [this](int nic_id, std::vector<uint8_t> frame) {
-    nics_[static_cast<size_t>(nic_id)]->Transmit(std::move(frame));
-  };
+Testbed::Testbed(const TestbedConfig& config)
+    : config_(config),
+      host_(config_.stack, config_.smp, loop_, [this](int nic_id, std::vector<uint8_t> frame) {
+        nics_[static_cast<size_t>(nic_id)]->Transmit(std::move(frame));
+      }) {
+  // One RSS queue per core on every NIC, attached to that core's driver. A one-core
+  // host has a single rx queue, which never consults the hasher.
+  config_.nic.num_rx_queues = config_.smp.num_cores;
+  config_.nic.rss = config_.smp.rss;
 
-  if (multi) {
-    // One RSS queue per core on every NIC; per-core stack shards behind them.
-    config_.nic.num_rx_queues = config_.smp.num_cores;
-    config_.nic.rss = config_.smp.rss;
-    host_ = std::make_unique<MulticoreHost>(config_.stack, config_.smp, loop_, transmit);
-  } else {
-    cpu_ = std::make_unique<CpuClock>(config_.stack.costs.cpu_hz);
-    stack_ = std::make_unique<NetworkStack>(config_.stack, loop_, transmit);
-    driver_ = std::make_unique<PollDriver>(loop_, *stack_, *cpu_);
-  }
-  PacketPool& dma_pool = multi ? host_->packet_pool() : stack_->packet_pool();
-
+  nics_.reserve(config_.num_nics);
+  remotes_.reserve(config_.num_nics);
+  links_.reserve(config_.num_nics * 2);
   for (size_t i = 0; i < config_.num_nics; ++i) {
     auto nic = std::make_unique<SimulatedNic>(static_cast<int>(i), config_.nic, loop_,
-                                              dma_pool);
+                                              host_.packet_pool());
     auto remote = std::make_unique<RemoteNode>(
         loop_, [this, i](std::vector<uint8_t> frame) {
           links_[i * 2]->Send(std::move(frame));
@@ -47,15 +40,9 @@ Testbed::Testbed(const TestbedConfig& config) : config_(config) {
         [remote_raw](std::vector<uint8_t> frame) { remote_raw->OnWireFrame(std::move(frame)); }));
     nic->AttachEgress(links_.back().get());
 
-    if (multi) {
-      host_->AttachNic(nic.get());
-      host_->AddLocalAddress(server_ip(i), static_cast<int>(i));
-      host_->AddRoute(client_ip(i), static_cast<int>(i));
-    } else {
-      driver_->AttachNic(nic.get());
-      stack_->AddLocalAddress(server_ip(i), static_cast<int>(i));
-      stack_->AddRoute(client_ip(i), static_cast<int>(i));
-    }
+    host_.AttachNic(nic.get());
+    host_.AddLocalAddress(server_ip(i), static_cast<int>(i));
+    host_.AddRoute(client_ip(i), static_cast<int>(i));
 
     nics_.push_back(std::move(nic));
     remotes_.push_back(std::move(remote));
@@ -65,11 +52,7 @@ Testbed::Testbed(const TestbedConfig& config) : config_(config) {
 Testbed::~Testbed() = default;
 
 void Testbed::ForEachConnection(const std::function<void(TcpConnection&)>& fn) {
-  if (multicore()) {
-    host_->ForEachConnection(fn);
-  } else {
-    stack_->ForEachConnection(fn);
-  }
+  host_.ForEachConnection(fn);
 }
 
 void Testbed::AttachTracer(PacketTracer& tracer) {
@@ -125,31 +108,8 @@ TcpConnectionConfig Testbed::ClientConnectionConfig(size_t nic_index, uint16_t c
   return c;
 }
 
-CycleAccount::Counters Testbed::CountersNow() const {
-  return host_ != nullptr ? host_->SumCounters() : stack_->account().counters();
-}
-
-std::array<uint64_t, kCostCategoryCount> Testbed::CategoriesNow() const {
-  if (host_ != nullptr) {
-    return host_->SumCategories();
-  }
-  std::array<uint64_t, kCostCategoryCount> out{};
-  for (size_t c = 0; c < kCostCategoryCount; ++c) {
-    out[c] = stack_->account().Get(static_cast<CostCategory>(c));
-  }
-  return out;
-}
-
-uint64_t Testbed::BusyCyclesNow() const {
-  return host_ != nullptr ? host_->TotalBusyCycles() : cpu_->busy_cycles();
-}
-
 StreamResult Testbed::RunStream(const StreamOptions& options) {
-  if (multicore()) {
-    host_->Listen(options.server_port, [](TcpConnection&) {});
-  } else {
-    stack_->Listen(options.server_port, [](TcpConnection&) {});
-  }
+  host_.Listen(options.server_port, [](TcpConnection&) {});
 
   // Stagger connection establishment a little so the five links do not run in
   // lockstep.
@@ -173,9 +133,9 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
   loop_.RunUntil(window_start);
 
   // Snapshot at the start of the measurement window.
-  const CycleAccount::Counters before = CountersNow();
-  const std::array<uint64_t, kCostCategoryCount> categories_before = CategoriesNow();
-  const uint64_t busy_before = BusyCyclesNow();
+  const CycleAccount::Counters before = host_.SumCounters();
+  const std::array<uint64_t, kCostCategoryCount> categories_before = host_.SumCategories();
+  const uint64_t busy_before = host_.TotalBusyCycles();
   uint64_t drops_before = 0;
   for (const auto& nic : nics_) {
     drops_before += nic->stats().rx_dropped;
@@ -189,15 +149,15 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
 
   loop_.RunUntil(window_end);
 
-  const CycleAccount::Counters after = CountersNow();
-  const std::array<uint64_t, kCostCategoryCount> categories_after = CategoriesNow();
+  const CycleAccount::Counters after = host_.SumCounters();
+  const std::array<uint64_t, kCostCategoryCount> categories_after = host_.SumCategories();
   const double seconds = options.measure.ToSecondsF();
 
   StreamResult result;
   const uint64_t bytes = after.payload_bytes - before.payload_bytes;
   result.throughput_mbps = static_cast<double>(bytes) * 8.0 / seconds / 1e6;
 
-  const uint64_t busy = BusyCyclesNow() - busy_before;
+  const uint64_t busy = host_.TotalBusyCycles() - busy_before;
   result.cpu_utilization =
       static_cast<double>(busy) /
       (static_cast<double>(config_.stack.costs.cpu_hz) * seconds *
@@ -235,14 +195,10 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
   // Per-core utilization of the exact measurement window (busy regions clipped to
   // the window; work charged before the window but still executing inside it counts
   // where it actually ran).
-  if (multicore()) {
-    result.per_core_utilization = host_->topology().Utilizations(window_start, window_end);
-    result.intercore_transfers = host_->intercore().transfers();
-    result.misdirected_packets = host_->misdirected_packets();
-    result.backlog_drops = host_->backlog_drops();
-  } else {
-    result.per_core_utilization = {cpu_->Utilization(window_start, window_end)};
-  }
+  result.per_core_utilization = host_.topology().Utilizations(window_start, window_end);
+  result.intercore_transfers = host_.intercore().transfers();
+  result.misdirected_packets = host_.misdirected_packets();
+  result.backlog_drops = host_.backlog_drops();
   result.load_imbalance = LoadImbalance(result.per_core_utilization);
 
   uint64_t drops_after = 0;
@@ -273,12 +229,8 @@ LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
       });
     };
   };
-  if (multicore()) {
-    for (size_t c = 0; c < host_->num_cores(); ++c) {
-      host_->stack(c).Listen(options.server_port, install_echo(host_->stack(c)));
-    }
-  } else {
-    stack_->Listen(options.server_port, install_echo(*stack_));
+  for (size_t c = 0; c < host_.num_cores(); ++c) {
+    host_.stack(c).Listen(options.server_port, install_echo(host_.stack(c)));
   }
 
   // Client: one transaction outstanding at all times; per-transaction round-trip

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/cpu/cpu_clock.h"
-#include "src/driver/poll_driver.h"
 #include "src/nic/link.h"
 #include "src/nic/nic.h"
 #include "src/sim/remote_node.h"
@@ -39,9 +38,8 @@ struct TestbedConfig {
   // Override for the client->server (data) direction, e.g. to inject loss on the
   // path the aggregator sees without corrupting the ACK path.
   std::optional<LinkConfig> client_to_server_link;
-  // Multi-core receive host (src/smp/). num_cores = 1 is the paper-faithful
-  // serialized host and reproduces every existing figure exactly; more cores give
-  // each NIC one RSS queue per core and one stack shard + poll driver per core.
+  // The receive host (src/smp/): each NIC gets one rx queue per core, and each core
+  // one stack shard + poll driver. num_cores = 1 is the paper's serialized host.
   SmpHostConfig smp;
 };
 
@@ -91,21 +89,16 @@ class Testbed {
   Testbed& operator=(const Testbed&) = delete;
 
   EventLoop& loop() { return loop_; }
-  // Single-core accessors; in multi-core mode they address core 0's shard.
-  NetworkStack& stack() { return multicore() ? host_->stack(0) : *stack_; }
-  CpuClock& cpu() { return multicore() ? host_->cpu(0) : *cpu_; }
-  PollDriver& driver() { return multicore() ? host_->driver(0) : *driver_; }
+  // Core 0's stack shard: the whole stack on a one-core host.
+  NetworkStack& stack() { return host_.stack(0); }
   RemoteNode& remote(size_t i) { return *remotes_[i]; }
   SimulatedNic& nic(size_t i) { return *nics_[i]; }
   size_t num_nics() const { return nics_.size(); }
 
-  // ---- Multi-core view --------------------------------------------------------------
-  bool multicore() const { return host_ != nullptr; }
-  size_t num_cores() const { return multicore() ? host_->num_cores() : 1; }
-  // Valid only in multi-core mode.
-  MulticoreHost& host() { return *host_; }
-  NetworkStack& stack_shard(size_t core) { return multicore() ? host_->stack(core) : *stack_; }
-  CpuClock& core(size_t c) { return multicore() ? host_->cpu(c) : *cpu_; }
+  // ---- Per-core view ----------------------------------------------------------------
+  size_t num_cores() const { return host_.num_cores(); }
+  NetworkStack& stack_shard(size_t core) { return host_.stack(core); }
+  CpuClock& core(size_t c) { return host_.cpu(c); }
 
   // Iterates the server's connections across all shards.
   void ForEachConnection(const std::function<void(TcpConnection&)>& fn);
@@ -147,19 +140,9 @@ class Testbed {
   LatencyResult RunLatency(const LatencyOptions& options);
 
  private:
-  // Aggregated accounting snapshots, uniform across single- and multi-core modes.
-  CycleAccount::Counters CountersNow() const;
-  std::array<uint64_t, kCostCategoryCount> CategoriesNow() const;
-  uint64_t BusyCyclesNow() const;
-
   TestbedConfig config_;
   EventLoop loop_;
-  // Single-core host (num_cores == 1): the paper-faithful serialized receive path.
-  std::unique_ptr<NetworkStack> stack_;
-  std::unique_ptr<CpuClock> cpu_;
-  std::unique_ptr<PollDriver> driver_;
-  // Multi-core host (num_cores >= 2): per-core shards behind RSS queues.
-  std::unique_ptr<MulticoreHost> host_;
+  MulticoreHost host_;
   std::vector<std::unique_ptr<SimulatedNic>> nics_;
   std::vector<std::unique_ptr<RemoteNode>> remotes_;
   // Links: [i*2] client->server, [i*2+1] server->client.

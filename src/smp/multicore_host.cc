@@ -10,18 +10,20 @@ MulticoreHost::MulticoreHost(const StackConfig& stack_config, const SmpHostConfi
     : config_(config),
       topology_(config.num_cores, stack_config.costs.cpu_hz),
       intercore_(config.intercore) {
-  TCPRX_CHECK_MSG(config.num_cores >= 2,
-                  "MulticoreHost requires >= 2 cores; use the single-core testbed path");
   shards_.reserve(config.num_cores);
   drivers_.reserve(config.num_cores);
   for (size_t c = 0; c < config.num_cores; ++c) {
     shards_.push_back(std::make_unique<NetworkStack>(stack_config, loop, transmit));
     drivers_.push_back(std::make_unique<PollDriver>(loop, *shards_[c], topology_.core(c)));
   }
-  for (size_t c = 0; c < config.num_cores; ++c) {
-    drivers_[c]->set_steer([this, c](const Packet& frame, Charger& charger) {
-      return SteerFrame(c, frame, charger);
-    });
+  // With one core no shared line can change owner and no frame can be misdirected,
+  // so the steering hook could only add host time per frame.
+  if (config.num_cores >= 2) {
+    for (size_t c = 0; c < config.num_cores; ++c) {
+      drivers_[c]->set_steer([this, c](const Packet& frame, Charger& charger) {
+        return SteerFrame(c, frame, charger);
+      });
+    }
   }
 }
 

@@ -1,5 +1,5 @@
-// The multi-core receive host: N per-core shards, each one PollDriver + NetworkStack
-// on its own CpuClock, fed by one RSS queue per NIC.
+// The receive host: N >= 1 per-core shards, each one PollDriver + NetworkStack on its
+// own CpuClock, fed by one RSS queue per NIC. Testbed builds it for every core count.
 //
 // Flow affinity is the organizing principle (FlexTOE-style pipeline locality): a
 // connection lives on exactly one core — steered there by the NIC's Toeplitz hash —
@@ -13,8 +13,8 @@
 // software steering (Linux RPS): the polling core looks the flow up in the shared
 // director, pays the cross-core enqueue, and hands the frame to the owner's backlog.
 //
-// num_cores == 1 must never construct this class; the single-core testbed path is the
-// paper-faithful serialized host and is preserved bit-for-bit.
+// num_cores == 1 is the paper's serialized host: one shard, one driver, one clock, and
+// no steering hook, since a lone core owns every shared line and every flow.
 
 #ifndef SRC_SMP_MULTICORE_HOST_H_
 #define SRC_SMP_MULTICORE_HOST_H_
@@ -36,7 +36,8 @@
 namespace tcprx {
 
 struct SmpHostConfig {
-  // 1 = the classic serialized host (the multi-core subsystem stays out of the way).
+  // Receive cores, >= 1. One core is the paper's serialized host; the inter-core
+  // costs and software steering only engage from two cores on.
   size_t num_cores = 1;
   RssConfig rss;
   InterCoreCostParams intercore;

@@ -1,7 +1,6 @@
 // Tests for the multi-core receive subsystem (src/smp/): the inter-core cost model,
-// the software flow director, topology/imbalance arithmetic, and — most importantly —
-// the regression guarantee that num_cores == 1 reproduces the paper-faithful
-// serialized host bit-for-bit.
+// the software flow director, topology/imbalance arithmetic, and how the host scales
+// with cores. host_matrix_test pins the exact results of one- and four-core hosts.
 
 #include <gtest/gtest.h>
 
@@ -101,48 +100,6 @@ TEST(LoadImbalance, ZeroWhenBalancedOrEmpty) {
 TEST(LoadImbalance, MaxOverMeanMinusOne) {
   const std::vector<double> skewed = {1.0, 0.5, 0.5, 0.0};  // mean 0.5, max 1.0
   EXPECT_NEAR(LoadImbalance(skewed), 1.0, 1e-9);
-}
-
-// ---------------------------------------------------------------------------
-// Single-core regression: the multi-core subsystem must not perturb the paper's
-// serialized host in any way.
-// ---------------------------------------------------------------------------
-
-TEST(MulticoreRegression, OneCoreReproducesTheSerializedHostExactly) {
-  Testbed::StreamOptions options;
-  options.connections_per_nic = 4;
-  options.warmup = SimDuration::FromMillis(100);
-  options.measure = SimDuration::FromMillis(200);
-
-  TestbedConfig default_config;
-  default_config.stack = StackConfig::Baseline(SystemType::kNativeSmp);
-  default_config.stack.fill_tcp_checksums = false;
-  TestbedConfig one_core = default_config;
-  one_core.smp.num_cores = 1;  // explicit, but must change nothing
-
-  Testbed a(default_config);
-  Testbed b(one_core);
-  const StreamResult ra = a.RunStream(options);
-  const StreamResult rb = b.RunStream(options);
-
-  EXPECT_FALSE(a.multicore());
-  EXPECT_FALSE(b.multicore());
-  // Bit-for-bit: identical event sequences must give identical doubles.
-  EXPECT_EQ(ra.throughput_mbps, rb.throughput_mbps);
-  EXPECT_EQ(ra.cpu_utilization, rb.cpu_utilization);
-  EXPECT_EQ(ra.total_cycles_per_packet, rb.total_cycles_per_packet);
-  EXPECT_EQ(ra.data_packets, rb.data_packets);
-  EXPECT_EQ(ra.host_packets, rb.host_packets);
-  EXPECT_EQ(ra.acks_on_wire, rb.acks_on_wire);
-  for (size_t c = 0; c < kCostCategoryCount; ++c) {
-    EXPECT_EQ(ra.cycles_per_packet[c], rb.cycles_per_packet[c]) << "category " << c;
-  }
-  // Single-core results carry exactly one per-core utilization entry and no
-  // inter-core traffic.
-  ASSERT_EQ(ra.per_core_utilization.size(), 1u);
-  EXPECT_EQ(ra.load_imbalance, 0.0);
-  EXPECT_EQ(ra.intercore_transfers, 0u);
-  EXPECT_EQ(ra.misdirected_packets, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ TEST(Link, DeterministicForSameSeed) {
 class NicTest : public ::testing::Test {
  protected:
   NicTest() : nic_(0, NicConfig{}, loop_, pool_) {
-    nic_.set_on_rx_interrupt([this] { ++interrupts_; });
+    nic_.set_on_rx_interrupt(0, [this] { ++interrupts_; });
   }
 
   EventLoop loop_;
@@ -147,7 +147,7 @@ class NicTest : public ::testing::Test {
 
 TEST_F(NicTest, ChecksumOffloadVerifiesGoodFrame) {
   nic_.DeliverFromWire(MakeFrame(FrameOptions{}, 100));
-  PacketPtr p = nic_.PopRx();
+  PacketPtr p = nic_.PopRx(0);
   ASSERT_NE(p, nullptr);
   EXPECT_TRUE(p->nic_checksum_verified);
   EXPECT_EQ(nic_.stats().rx_csum_good, 1u);
@@ -157,7 +157,7 @@ TEST_F(NicTest, ChecksumOffloadFlagsCorruptFrame) {
   auto frame = MakeFrame(FrameOptions{}, 100);
   frame[frame.size() - 1] ^= 0xff;  // corrupt payload
   nic_.DeliverFromWire(std::move(frame));
-  PacketPtr p = nic_.PopRx();
+  PacketPtr p = nic_.PopRx(0);
   ASSERT_NE(p, nullptr);
   EXPECT_FALSE(p->nic_checksum_verified);
   EXPECT_EQ(nic_.stats().rx_csum_bad, 1u);
@@ -167,7 +167,7 @@ TEST_F(NicTest, ZeroChecksumTrustedAsTxOffload) {
   FrameOptions options;
   options.fill_checksum = false;
   nic_.DeliverFromWire(MakeFrame(options, 100));
-  PacketPtr p = nic_.PopRx();
+  PacketPtr p = nic_.PopRx(0);
   ASSERT_NE(p, nullptr);
   EXPECT_TRUE(p->nic_checksum_verified);
 }
@@ -181,7 +181,7 @@ TEST_F(NicTest, RingOverflowDrops) {
   }
   EXPECT_EQ(small.stats().rx_frames, 6u);
   EXPECT_EQ(small.stats().rx_dropped, 2u);
-  EXPECT_EQ(small.RxQueued(), 4u);
+  EXPECT_EQ(small.RxQueued(0), 4u);
 }
 
 TEST_F(NicTest, InterruptFiresAfterDelay) {
@@ -192,12 +192,12 @@ TEST_F(NicTest, InterruptFiresAfterDelay) {
 }
 
 TEST_F(NicTest, NoInterruptInPollMode) {
-  nic_.SetPollMode(true);
+  nic_.SetQueuePollMode(0, true);
   nic_.DeliverFromWire(MakeFrame(FrameOptions{}, 10));
   loop_.RunUntil(SimTime::FromMillis(1));
   EXPECT_EQ(interrupts_, 0);
   // Leaving poll mode with a queued frame re-raises the interrupt.
-  nic_.SetPollMode(false);
+  nic_.SetQueuePollMode(0, false);
   loop_.RunUntil(SimTime::FromMillis(2));
   EXPECT_EQ(interrupts_, 1);
 }
@@ -209,14 +209,14 @@ TEST_F(NicTest, ModerationDefersInterruptForBusyLink) {
   nic_.DeliverFromWire(MakeFrame(FrameOptions{}, 10));
   loop_.RunUntil(SimTime::FromMicros(10));
   ASSERT_EQ(interrupts_, 1);
-  while (!nic_.RxEmpty()) {
-    nic_.PopRx();
+  while (!nic_.RxEmpty(0)) {
+    nic_.PopRx(0);
   }
   // Burst: two arrivals 1 us apart.
   nic_.DeliverFromWire(MakeFrame(FrameOptions{}, 10));
   loop_.RunUntil(SimTime::FromMicros(11));
-  while (!nic_.RxEmpty()) {
-    nic_.PopRx();
+  while (!nic_.RxEmpty(0)) {
+    nic_.PopRx(0);
   }
   const int before = interrupts_;
   nic_.DeliverFromWire(MakeFrame(FrameOptions{}, 10));  // gap ~1 us -> moderated

@@ -54,7 +54,7 @@ TEST_F(PollDriverTest, InterruptDrainsSingleFrame) {
   loop_.RunUntil(SimTime::FromMillis(1));
   EXPECT_EQ(driver_->stats().wakeups, 1u);
   EXPECT_EQ(driver_->stats().frames_polled, 1u);
-  EXPECT_TRUE(nics_[0]->RxEmpty());
+  EXPECT_TRUE(nics_[0]->RxEmpty(0));
   EXPECT_FALSE(driver_->polling());
   // The SYN produced a SYN-ACK, transmitted after the processing time.
   ASSERT_EQ(sent_.size(), 1u);
@@ -74,7 +74,7 @@ TEST_F(PollDriverTest, DrainsAllNicsRoundRobin) {
   loop_.RunUntil(SimTime::FromMillis(2));
   EXPECT_EQ(driver_->stats().frames_polled, 3u);
   for (auto& nic : nics_) {
-    EXPECT_TRUE(nic->RxEmpty());
+    EXPECT_TRUE(nic->RxEmpty(0));
   }
 }
 

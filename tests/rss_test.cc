@@ -134,7 +134,7 @@ TEST(RssEndToEnd, EveryFlowStaysOnOneQueueAndCore) {
   std::set<uint64_t> seen;
   size_t total = 0;
   for (size_t c = 0; c < bed.num_cores(); ++c) {
-    bed.host().stack(c).ForEachConnection([&](TcpConnection& conn) {
+    bed.stack_shard(c).ForEachConnection([&](TcpConnection& conn) {
       ++total;
       const uint64_t id = (static_cast<uint64_t>(conn.config().remote_port) << 32) |
                           conn.config().remote_ip.value;

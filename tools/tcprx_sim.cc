@@ -266,6 +266,11 @@ int main(int argc, char** argv) {
   if (flags.positional().size() != 1) {
     return tcprx::Usage();
   }
+  // Bad configuration is rejected here with a message, not by a check deep in the host.
+  if (flags.GetUint("cores", 1) < 1) {
+    std::fprintf(stderr, "--cores must be >= 1\n");
+    return 2;
+  }
   const std::string& command = flags.positional()[0];
   if (command == "stream") {
     return tcprx::RunStream(flags);
