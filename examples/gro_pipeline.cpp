@@ -101,15 +101,13 @@ int main() {
   first_ack_spec.tcp.ack = 2897;
   first_ack_spec.tcp.flags = kTcpAck;
   first_ack_spec.tcp.window = 65535;
-  const std::vector<uint8_t> first_ack = BuildTcpFrame(first_ack_spec);
-
-  const std::vector<uint32_t> extra_acks = {5793, 8689};
-  SkBuffPtr tmpl = BuildTemplateAck(skbs, packets, first_ack, extra_acks);
+  TcpOutputItem tmpl;
+  tmpl.frame = BuildTcpFrame(first_ack_spec);
+  tmpl.extra_acks = {5793, 8689};
   std::printf("template: 1 stack traversal stands for %zu ACKs\n",
-              1 + tmpl->template_ack_seqs.size());
-  const auto expanded = ExpandTemplateAck(*tmpl, packets);
-  for (const auto& frame : expanded) {
-    std::printf("  driver emits: %s\n", FormatTcpFrame(frame->Bytes()).c_str());
-  }
+              1 + tmpl.extra_acks.size());
+  ExpandTemplateAck(std::move(tmpl), [](std::vector<uint8_t> frame) {
+    std::printf("  driver emits: %s\n", FormatTcpFrame(frame).c_str());
+  });
   return 0;
 }

@@ -7,10 +7,6 @@
 // metadata the modified TCP layer needs (ack numbers for congestion control, segment
 // boundaries for ACK generation) rides in `fragment_info`, exactly as the paper stores
 // it "in the packet metadata structure (sk_buff)".
-//
-// An SkBuff also represents a template ACK on the transmit path (section 4.2): the
-// head frame is the first ACK of the run and `template_ack_seqs` holds the ack numbers
-// of the ACKs the driver must re-generate from it.
 
 #ifndef SRC_BUFFER_SKBUFF_H_
 #define SRC_BUFFER_SKBUFF_H_
@@ -60,10 +56,6 @@ struct SkBuff {
   // Aggregation metadata: one entry per constituent network packet, including the
   // head. Empty for non-aggregated packets.
   std::vector<FragmentInfo> fragment_info;
-
-  // ACK-offload metadata: ack numbers of the ACKs to re-generate from this template,
-  // *excluding* the head's own ack number. Empty for ordinary transmits.
-  std::vector<uint32_t> template_ack_seqs;
 
   // Number of network TCP segments this host packet stands for.
   size_t SegmentCount() const { return fragment_info.empty() ? 1 : fragment_info.size(); }

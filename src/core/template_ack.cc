@@ -5,16 +5,36 @@
 #include "src/util/logging.h"
 
 namespace tcprx {
+namespace {
 
-SkBuffPtr BuildTemplateAck(SkBuffPool& skb_pool, PacketPool& packet_pool,
-                           std::span<const uint8_t> first_ack_frame,
-                           std::span<const uint32_t> extra_acks) {
-  PacketPtr frame = packet_pool.Allocate(first_ack_frame);
-  SkBuffPtr skb = skb_pool.Wrap(std::move(frame));
-  TCPRX_CHECK_MSG(skb != nullptr, "template ACK frame must be a valid TCP frame");
-  TCPRX_CHECK_MSG(skb->view.payload_size == 0, "template ACK must be a pure ACK");
-  skb->template_ack_seqs.assign(extra_acks.begin(), extra_acks.end());
-  return skb;
+// The TCP layer always builds a 20-byte IP header, so the TCP header sits at a fixed
+// offset in every output frame.
+constexpr size_t kTcpOffset = kEthernetHeaderSize + kIpv4MinHeaderSize;
+
+}  // namespace
+
+bool IsPureAck(const TcpOutputItem& item) {
+  const size_t flags_offset = kTcpOffset + 13;
+  return item.payload_size == 0 && item.frame.size() > flags_offset &&
+         item.frame[flags_offset] == kTcpAck;
+}
+
+void ExpandTemplateAck(TcpOutputItem item,
+                       const std::function<void(std::vector<uint8_t>)>& emit) {
+  if (item.extra_acks.empty()) {
+    emit(std::move(item.frame));
+    return;
+  }
+  TCPRX_CHECK_MSG(IsPureAck(item), "template ACK must be a pure ACK");
+  emit(item.frame);
+  for (size_t i = 0; i + 1 < item.extra_acks.size(); ++i) {
+    std::vector<uint8_t> copy = item.frame;
+    RewriteAckNumber(copy, kTcpOffset, item.extra_acks[i]);
+    emit(std::move(copy));
+  }
+  // The last ACK of the run reuses the template's own buffer.
+  RewriteAckNumber(item.frame, kTcpOffset, item.extra_acks.back());
+  emit(std::move(item.frame));
 }
 
 void RewriteAckNumber(std::span<uint8_t> frame, size_t tcp_offset, uint32_t new_ack) {
@@ -29,19 +49,6 @@ void RewriteAckNumber(std::span<uint8_t> frame, size_t tcp_offset, uint32_t new_
     // of the packet. A zero checksum means tx checksum offload; leave it zero.
     StoreBe16(csum_field, ChecksumUpdateDword(old_csum, old_ack, new_ack));
   }
-}
-
-std::vector<PacketPtr> ExpandTemplateAck(const SkBuff& tmpl, PacketPool& packet_pool) {
-  std::vector<PacketPtr> out;
-  out.reserve(1 + tmpl.template_ack_seqs.size());
-
-  out.push_back(packet_pool.Allocate(tmpl.head->Bytes()));
-  for (const uint32_t ack : tmpl.template_ack_seqs) {
-    PacketPtr copy = packet_pool.Allocate(tmpl.head->Bytes());
-    RewriteAckNumber(copy->MutableBytes(), tmpl.view.tcp_offset, ack);
-    out.push_back(std::move(copy));
-  }
-  return out;
 }
 
 }  // namespace tcprx

@@ -15,20 +15,8 @@ TcpConnection* RemoteNode::CreateConnection(const TcpConnectionConfig& config) {
 }
 
 void RemoteNode::HandleOutput(TcpOutputItem item) {
-  // Remotes have no ACK offload: expand any batch into individual frames, first ACK
-  // first so ack numbers stay non-decreasing on the wire.
-  std::vector<uint8_t> first = std::move(item.frame);
-  std::vector<std::vector<uint8_t>> extras;
-  extras.reserve(item.extra_acks.size());
-  for (const uint32_t ack : item.extra_acks) {
-    std::vector<uint8_t> copy = first;
-    RewriteAckNumber(copy, kEthernetHeaderSize + kIpv4MinHeaderSize, ack);
-    extras.push_back(std::move(copy));
-  }
-  transmit_(std::move(first));
-  for (auto& frame : extras) {
-    transmit_(std::move(frame));
-  }
+  // Remotes have no ACK offload: every ACK of a run goes on the wire as its own frame.
+  ExpandTemplateAck(std::move(item), transmit_);
 }
 
 void RemoteNode::OnWireFrame(std::vector<uint8_t> frame) {

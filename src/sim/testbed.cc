@@ -49,7 +49,11 @@ Testbed::Testbed(const TestbedConfig& config)
   }
 }
 
-Testbed::~Testbed() = default;
+Testbed::~Testbed() {
+  // Pending events may hold frames from the host's pool (a cross-core hand-off, say),
+  // and loop_ outlives host_: release them while the pool still exists.
+  loop_.Clear();
+}
 
 void Testbed::ForEachConnection(const std::function<void(TcpConnection&)>& fn) {
   host_.ForEachConnection(fn);

@@ -269,9 +269,9 @@ void NetworkStack::SendReset(const SkBuff& skb) {
   }
 
   // A RST is a transmit-path packet like any other.
-  ChargeTxStackPass(/*has_payload=*/false, 0, /*is_template=*/false);
+  ChargeTxStackPass(0, /*is_template=*/false);
   charger_.Charge(CostCategory::kDriver, config_.costs.driver_tx_per_packet);
-  TransmitBuiltFrame(BuildTcpFrame(spec));
+  TransmitBuiltFrame(spec.dst_ip, BuildTcpFrame(spec));
 }
 
 TcpConnection* NetworkStack::Demux(const SkBuff& skb) {
@@ -382,7 +382,7 @@ void NetworkStack::Listen(uint16_t port, AcceptFn on_accept) {
 // Transmit path
 // ---------------------------------------------------------------------------
 
-void NetworkStack::ChargeTxStackPass(bool has_payload, size_t payload_size, bool is_template) {
+void NetworkStack::ChargeTxStackPass(size_t payload_size, bool is_template) {
   const CostParams& costs = config_.costs;
   charger_.Charge(CostCategory::kTx, costs.tcp_tx_per_ack, "tcp_send_ack");
   charger_.Charge(CostCategory::kTx, costs.ip_tx_per_packet, "ip_queue_xmit");
@@ -396,7 +396,7 @@ void NetworkStack::ChargeTxStackPass(bool has_payload, size_t payload_size, bool
   charger_.Charge(CostCategory::kBuffer,
                   costs.skb_alloc + costs.skb_free + costs.pkt_buf_alloc + costs.pkt_buf_free,
                   "__alloc_skb(tx)");
-  if (has_payload) {
+  if (payload_size > 0) {
     // Application-to-kernel copy on the send side.
     charger_.Charge(CostCategory::kPerByte, cache_.CopyCycles(payload_size));
   }
@@ -406,77 +406,40 @@ void NetworkStack::ChargeTxStackPass(bool has_payload, size_t payload_size, bool
 }
 
 void NetworkStack::HandleConnectionOutput(TcpConnection& conn, TcpOutputItem item) {
-  (void)conn;
   const CostParams& costs = config_.costs;
   auto& counters = account_.counters();
-
-  // Identify a pure-ACK frame: flags byte is exactly ACK and no payload. Our frames
-  // always use a 20-byte IP header, so the flags byte sits at a fixed offset.
-  const size_t flags_offset = kEthernetHeaderSize + kIpv4MinHeaderSize + 13;
-  const bool pure_ack = !item.has_payload && item.frame.size() > flags_offset &&
-                        item.frame[flags_offset] == kTcpAck;
   const size_t n_acks = 1 + item.extra_acks.size();
 
-  if (pure_ack) {
+  if (IsPureAck(item)) {
     counters.acks_generated += n_acks;
   }
 
-  if (pure_ack && config_.ack_offload && n_acks > 1) {
+  if (config_.ack_offload && n_acks > 1) {
     // Acknowledgment Offload: one template traverses the stack; the driver expands it
     // into the individual ACK packets (section 4).
     ++counters.ack_templates;
-    ChargeTxStackPass(/*has_payload=*/false, 0, /*is_template=*/true);
-
-    SkBuffPtr tmpl =
-        BuildTemplateAck(skb_pool_, packet_pool_, item.frame, item.extra_acks);
-    std::vector<PacketPtr> frames = ExpandTemplateAck(*tmpl, packet_pool_);
+    ChargeTxStackPass(0, /*is_template=*/true);
     charger_.Charge(CostCategory::kDriver,
                     n_acks * (costs.ack_expand_per_ack + costs.driver_tx_per_packet),
                     "driver_expand_template_ack");
-    for (PacketPtr& frame : frames) {
-      TransmitBuiltFrame(std::vector<uint8_t>(frame->Bytes().begin(), frame->Bytes().end()));
+  } else {
+    // Baseline: every packet (each ACK of a run included) takes a full stack pass.
+    for (size_t i = 0; i < n_acks; ++i) {
+      ChargeTxStackPass(i == 0 ? item.payload_size : 0, /*is_template=*/false);
+      charger_.Charge(CostCategory::kDriver, costs.driver_tx_per_packet, "e1000_xmit_frame");
     }
-    return;
   }
 
-  // Baseline: every packet (each ACK of a run included) takes a full stack pass.
-  size_t payload_size = 0;
-  if (item.has_payload) {
-    const size_t tcp_off = kEthernetHeaderSize + kIpv4MinHeaderSize;
-    const size_t tcp_hdr = static_cast<size_t>(item.frame[tcp_off + 12] >> 4) * 4;
-    payload_size = item.frame.size() - tcp_off - tcp_hdr;
-  }
-
-  // First frame.
-  ChargeTxStackPass(item.has_payload, payload_size, /*is_template=*/false);
-  charger_.Charge(CostCategory::kDriver, costs.driver_tx_per_packet, "e1000_xmit_frame");
-  std::vector<uint8_t> first = std::move(item.frame);
-
-  // Materialize the rest of an ACK run by rewriting the ack number — byte-identical
-  // to what the TCP layer would have emitted for each ACK individually.
-  std::vector<std::vector<uint8_t>> rest;
-  rest.reserve(item.extra_acks.size());
-  for (const uint32_t ack : item.extra_acks) {
-    std::vector<uint8_t> copy = first;
-    RewriteAckNumber(copy, kEthernetHeaderSize + kIpv4MinHeaderSize, ack);
-    ChargeTxStackPass(/*has_payload=*/false, 0, /*is_template=*/false);
-    charger_.Charge(CostCategory::kDriver, costs.driver_tx_per_packet, "e1000_xmit_frame");
-    rest.push_back(std::move(copy));
-  }
-
-  TransmitBuiltFrame(std::move(first));
-  for (auto& frame : rest) {
-    TransmitBuiltFrame(std::move(frame));
-  }
+  // Either way the wire carries every ACK of a run, byte-identical to what the TCP
+  // layer would have emitted for each ACK individually.
+  const Ipv4Address dst = conn.config().remote_ip;
+  ExpandTemplateAck(std::move(item), [this, dst](std::vector<uint8_t> frame) {
+    TransmitBuiltFrame(dst, std::move(frame));
+  });
 }
 
-void NetworkStack::TransmitBuiltFrame(std::vector<uint8_t> frame) {
-  // Route by destination IP (fixed offset: 20-byte IP header).
-  TCPRX_CHECK(frame.size() >= kEthernetHeaderSize + kIpv4MinHeaderSize);
-  const uint32_t dst = (static_cast<uint32_t>(frame[30]) << 24) |
-                       (static_cast<uint32_t>(frame[31]) << 16) |
-                       (static_cast<uint32_t>(frame[32]) << 8) | frame[33];
-  const int nic = routes_.Lookup(Ipv4Address{dst});
+void NetworkStack::TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t> frame) {
+  const int nic = routes_.Lookup(dst);
   TCPRX_CHECK_MSG(nic >= 0, "no route for destination");
   if (in_driver_batch_) {
     staged_tx_.emplace_back(nic, std::move(frame));

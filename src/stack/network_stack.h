@@ -146,8 +146,8 @@ class NetworkStack : public RxSink {
   bool VerifyHostPacketChecksum(const SkBuff& skb) const;
   void SendReset(const SkBuff& skb);
   void HandleConnectionOutput(TcpConnection& conn, TcpOutputItem item);
-  void ChargeTxStackPass(bool has_payload, size_t payload_size, bool is_template);
-  void TransmitBuiltFrame(std::vector<uint8_t> frame);
+  void ChargeTxStackPass(size_t payload_size, bool is_template);
+  void TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t> frame);
   TcpConnection* Demux(const SkBuff& skb);
   TcpConnection* AcceptNew(const SkBuff& skb);
   ConnectionEntry& EntryFor(TcpConnection& conn);

@@ -166,22 +166,7 @@ void TcpConnection::ProcessListen(const SkBuff& skb) {
   if (!h.Has(kTcpSyn) || h.Has(kTcpAck) || h.Has(kTcpRst)) {
     return;
   }
-  irs_ = h.seq;
-  rcv_nxt_ = irs_ + 1;
-  if (h.mss.has_value()) {
-    peer_mss_ = *h.mss;
-  }
-  peer_uses_timestamps_ = h.timestamp.has_value() && config_.use_timestamps;
-  if (h.timestamp.has_value()) {
-    ts_recent_ = h.timestamp->value;
-  }
-  if (h.window_scale.has_value() && config_.window_scale > 0) {
-    window_scaling_active_ = true;
-    peer_window_scale_ = *h.window_scale;
-  }
-  peer_sack_ = h.sack_permitted && config_.sack;
-  snd_wnd_ = h.window;  // windows in SYN segments are never scaled (RFC 7323)
-  snd_wl1_ = irs_;
+  AdoptPeerSyn(h);
   snd_wl2_ = iss_;
   SetState(TcpState::kSynReceived);
   EmitSyn(/*with_ack=*/true);
@@ -201,6 +186,19 @@ void TcpConnection::ProcessSynSent(const SkBuff& skb) {
   if (ack != iss_ + 1) {
     return;  // not acking our SYN
   }
+  AdoptPeerSyn(h);
+  snd_una_ = ack;
+  snd_wl2_ = ack;
+  CancelRto();
+  SetState(TcpState::kEstablished);
+  EmitPureAcks({static_cast<uint32_t>(rcv_nxt_)});
+  if (on_established_) {
+    on_established_();
+  }
+  TrySendData();
+}
+
+void TcpConnection::AdoptPeerSyn(const TcpHeader& h) {
   irs_ = h.seq;
   rcv_nxt_ = irs_ + 1;
   if (h.mss.has_value()) {
@@ -215,17 +213,8 @@ void TcpConnection::ProcessSynSent(const SkBuff& skb) {
     peer_window_scale_ = *h.window_scale;
   }
   peer_sack_ = h.sack_permitted && config_.sack;
-  snd_una_ = ack;
-  snd_wnd_ = h.window;
+  snd_wnd_ = h.window;  // windows in SYN segments are never scaled (RFC 7323)
   snd_wl1_ = irs_;
-  snd_wl2_ = ack;
-  CancelRto();
-  SetState(TcpState::kEstablished);
-  EmitPureAcks({static_cast<uint32_t>(rcv_nxt_)});
-  if (on_established_) {
-    on_established_();
-  }
-  TrySendData();
 }
 
 void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
@@ -665,8 +654,7 @@ void TcpConnection::EmitDataSegment(uint64_t seq, uint32_t len, bool fin, bool r
   TcpOutputItem item;
   item.frame = BuildSegment(static_cast<uint32_t>(seq), static_cast<uint32_t>(rcv_nxt_), flags,
                             payload);
-  item.has_payload = len > 0;
-  item.is_retransmit = retransmit;
+  item.payload_size = len;
   if (!retransmit && !rtt_probe_armed_) {
     rtt_probe_armed_ = true;
     rtt_probe_seq_ = seq + len + (fin ? 1 : 0);

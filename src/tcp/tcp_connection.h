@@ -98,12 +98,13 @@ struct TcpConnectionConfig {
 // One unit of transmission handed to the stack. `extra_acks` is non-empty only for a
 // batch of consecutive pure ACKs: `frame` is the first ACK of the run and each entry
 // in `extra_acks` names the ack number of a follow-up ACK that is otherwise identical
-// (the precondition for Acknowledgment Offload).
+// (the precondition for Acknowledgment Offload). Such an item is the template ACK of
+// section 4.2; ExpandTemplateAck (src/core/template_ack.h) turns any item into the
+// frames it stands for.
 struct TcpOutputItem {
   std::vector<uint8_t> frame;
   std::vector<uint32_t> extra_acks;
-  bool has_payload = false;
-  bool is_retransmit = false;
+  size_t payload_size = 0;  // TCP payload bytes in `frame`
 };
 
 class TcpConnection {
@@ -195,6 +196,9 @@ class TcpConnection {
 
   void ProcessListen(const SkBuff& skb);
   void ProcessSynSent(const SkBuff& skb);
+  // Takes the peer's initial sequence number, initial window and negotiated options
+  // (MSS, timestamps, window scale, SACK-permitted) from its SYN or SYN-ACK.
+  void AdoptPeerSyn(const TcpHeader& h);
   void ProcessSegmentCommon(const SkBuff& skb);
   void ProcessAckField(uint64_t ack, uint32_t window, uint64_t seg_seq, bool has_payload);
   void DeliverPayload(const SkBuff& skb, uint64_t seg_seq);

@@ -35,6 +35,10 @@ class EventLoop {
   // Runs until the queue is drained completely.
   uint64_t RunToCompletion();
 
+  // Drops every pending event unrun, destroying its callback and whatever the
+  // callback holds. Owners call it before tearing down what those callbacks hold.
+  void Clear() { queue_ = {}; }
+
   bool Empty() const { return queue_.empty(); }
   size_t PendingEvents() const { return queue_.size(); }
 

@@ -118,23 +118,24 @@ TEST(SequenceWrap, AggregatorChainsAcrossWrap) {
 
 TEST(SequenceWrap, AckNumbersWrapInTemplates) {
   // A batch of ACKs whose ack numbers straddle the wrap expand correctly.
-  PacketPool pool;
-  SkBuffPool skbs;
   FrameOptions options;
   options.seq = 5000;
   options.ack = 0xfffffa00u;
-  const auto first = MakeFrame(options, 0);
-  const std::vector<uint32_t> extras = {0xfffffa00u + 2896, 0xfffffa00u + 5792};  // wraps
-  SkBuffPtr tmpl = BuildTemplateAck(skbs, pool, first, extras);
-  const auto frames = ExpandTemplateAck(*tmpl, pool);
+  TcpOutputItem item;
+  item.frame = MakeFrame(options, 0);
+  item.extra_acks = {0xfffffa00u + 2896, 0xfffffa00u + 5792};  // wraps
+  std::vector<std::vector<uint8_t>> frames;
+  ExpandTemplateAck(std::move(item),
+                    [&frames](std::vector<uint8_t> frame) { frames.push_back(std::move(frame)); });
   ASSERT_EQ(frames.size(), 3u);
-  auto last = ParseTcpFrame(frames[2]->Bytes());
+  auto last = ParseTcpFrame(frames[2]);
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->tcp.ack, static_cast<uint32_t>(0xfffffa00u + 5792));
   // Checksums stay valid across the wrap rewrite.
   const size_t seg_len = last->ip.total_length - last->ip.HeaderSize();
   EXPECT_TRUE(VerifyTcpChecksum(last->ip.src, last->ip.dst,
-                                frames[2]->Bytes().subspan(last->tcp_offset, seg_len)));
+                                std::span<const uint8_t>(frames[2]).subspan(last->tcp_offset,
+                                                                            seg_len)));
 }
 
 }  // namespace

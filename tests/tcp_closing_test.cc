@@ -48,16 +48,9 @@ struct ClosePair {
   void Run(uint64_t ms) { loop.RunUntil(loop.Now() + SimDuration::FromMillis(ms)); }
 
   void Cross(bool from_client, TcpOutputItem item) {
-    std::vector<std::vector<uint8_t>> frames;
-    frames.push_back(std::move(item.frame));
-    for (const uint32_t ack : item.extra_acks) {
-      std::vector<uint8_t> copy = frames.front();
-      RewriteAckNumber(copy, kEthernetHeaderSize + kIpv4MinHeaderSize, ack);
-      frames.push_back(std::move(copy));
-    }
-    for (auto& frame : frames) {
+    ExpandTemplateAck(std::move(item), [this, from_client](std::vector<uint8_t> frame) {
       if (filter && !filter(from_client, frame)) {
-        continue;
+        return;
       }
       loop.ScheduleAfter(SimDuration::FromMicros(10),
                          [this, from_client, f = std::move(frame)]() mutable {
@@ -67,7 +60,7 @@ struct ClosePair {
                            ASSERT_NE(skb, nullptr);
                            (from_client ? *server : *client).OnHostPacket(*skb);
                          });
-    }
+    });
   }
 
   EventLoop loop;

@@ -271,6 +271,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--cores must be >= 1\n");
     return 2;
   }
+  if (flags.GetUint("limit", 20) < 1) {
+    std::fprintf(stderr, "--limit must be >= 1\n");
+    return 2;
+  }
   const std::string& command = flags.positional()[0];
   if (command == "stream") {
     return tcprx::RunStream(flags);
