@@ -76,11 +76,10 @@ BENCHMARK(BM_IncrementalChecksumUpdate);
 void BM_AggregatorPushChain(benchmark::State& state) {
   const size_t limit = static_cast<size_t>(state.range(0));
   PacketPool pool;
-  SkBuffPool skb_pool;
   AggregatorConfig config;
   config.aggregation_limit = limit;
   uint64_t delivered = 0;
-  Aggregator aggregator(config, skb_pool, [&](SkBuffPtr skb) {
+  Aggregator aggregator(config, [&](SkBuffPtr skb) {
     delivered += skb->SegmentCount();
   });
   uint32_t seq = 1;

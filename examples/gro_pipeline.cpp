@@ -46,14 +46,13 @@ std::vector<uint8_t> MakeSegment(uint16_t src_port, uint32_t seq, uint32_t ack,
 
 int main() {
   PacketPool packets;
-  SkBuffPool skbs;
 
   std::printf("=== Receive Aggregation as a standalone library ===\n\n");
 
   AggregatorConfig config;
   config.aggregation_limit = 8;
   size_t host_packets = 0;
-  Aggregator aggregator(config, skbs, [&](SkBuffPtr skb) {
+  Aggregator aggregator(config, [&](SkBuffPtr skb) {
     ++host_packets;
     std::printf("  out[%zu]: %zu segment(s), %5zu payload bytes, flow :%u  %s\n",
                 host_packets, skb->SegmentCount(), skb->PayloadSize(),

@@ -34,12 +34,11 @@ void SkBuff::ReparseHead() {
   }
 }
 
-SkBuffPtr SkBuffPool::Wrap(PacketPtr frame) {
+SkBuffPtr SkBuff::Wrap(PacketPtr frame) {
   auto parsed = ParseTcpFrame(frame->Bytes());
   if (!parsed.has_value()) {
     return nullptr;
   }
-  ++stats_.allocations;
   auto skb = std::make_unique<SkBuff>();
   skb->csum_verified = frame->nic_checksum_verified;
   skb->head = std::move(frame);

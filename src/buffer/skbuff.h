@@ -69,31 +69,13 @@ struct SkBuff {
   // Re-parses the head frame after an in-place rewrite; aborts if the head no longer
   // parses (that would be an aggregation-engine bug).
   void ReparseHead();
-};
-
-using SkBuffPtr = std::unique_ptr<SkBuff>;
-
-// Freelist allocator for SkBuff metadata. Linux spends a significant share of its
-// buffer-management cycles on sk_buff alloc/free (section 2.2); the pool's counters
-// let the cost model charge that per operation.
-class SkBuffPool {
- public:
-  SkBuffPool() = default;
-  SkBuffPool(const SkBuffPool&) = delete;
-  SkBuffPool& operator=(const SkBuffPool&) = delete;
 
   // Builds an SkBuff around `frame`, parsing it. Returns nullptr when the frame is not
   // a TCP/IPv4 packet (the caller then routes it off the TCP path).
-  SkBuffPtr Wrap(PacketPtr frame);
-
-  struct Stats {
-    uint64_t allocations = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
- private:
-  Stats stats_;
+  static std::unique_ptr<SkBuff> Wrap(PacketPtr frame);
 };
+
+using SkBuffPtr = std::unique_ptr<SkBuff>;
 
 }  // namespace tcprx
 

@@ -42,8 +42,8 @@ int FindTimestampOption(std::span<const uint8_t> options) {
 
 }  // namespace
 
-Aggregator::Aggregator(const AggregatorConfig& config, SkBuffPool& skb_pool, DeliverFn deliver)
-    : config_(config), skb_pool_(skb_pool), deliver_(std::move(deliver)) {
+Aggregator::Aggregator(const AggregatorConfig& config, DeliverFn deliver)
+    : config_(config), deliver_(std::move(deliver)) {
   TCPRX_CHECK(config_.aggregation_limit >= 1);
 }
 
@@ -103,7 +103,7 @@ void Aggregator::Push(PacketPtr frame) {
     // Never let a bypassing packet overtake its flow's partial aggregate.
     FlushFlow(key);
     ++stats_.passthrough;
-    SkBuffPtr skb = skb_pool_.Wrap(std::move(frame));
+    SkBuffPtr skb = SkBuff::Wrap(std::move(frame));
     TCPRX_CHECK(skb != nullptr);  // it parsed above
     DeliverSkb(std::move(skb));
     return;
@@ -143,7 +143,7 @@ void Aggregator::StartPartial(const FlowKey& key, PacketPtr frame, TcpFrameView 
   partial.ttl = view.ip.ttl;
   partial.total_payload = view.payload_size;
 
-  SkBuffPtr skb = skb_pool_.Wrap(std::move(frame));
+  SkBuffPtr skb = SkBuff::Wrap(std::move(frame));
   TCPRX_CHECK(skb != nullptr);
   skb->fragment_info.push_back(FragmentInfo{view.tcp.seq, view.tcp.ack, view.tcp.window,
                                             static_cast<uint32_t>(view.payload_size)});

@@ -63,7 +63,7 @@ class Aggregator {
   using DeliverFn = std::function<void(SkBuffPtr)>;
   using DeliverRawFn = std::function<void(PacketPtr)>;
 
-  Aggregator(const AggregatorConfig& config, SkBuffPool& skb_pool, DeliverFn deliver);
+  Aggregator(const AggregatorConfig& config, DeliverFn deliver);
 
   void set_deliver_raw(DeliverRawFn fn) { deliver_raw_ = std::move(fn); }
 
@@ -122,7 +122,6 @@ class Aggregator {
   void DeliverSkb(SkBuffPtr skb);
 
   AggregatorConfig config_;
-  SkBuffPool& skb_pool_;
   DeliverFn deliver_;
   DeliverRawFn deliver_raw_;
   std::unordered_map<FlowKey, Partial, FlowKeyHash> table_;

@@ -1,17 +1,15 @@
 // Cycle-charging sink shared by every stage of the receive path.
 //
-// A Charger binds the cost parameters, the cache model, and (optionally) a
-// CycleAccount. The host under test charges into its account; traffic-generator peers
-// run with a null account and everything they "charge" vanishes — the same protocol
-// code serves both. The per-batch counter lets the host convert a processing pass into
-// CPU busy time.
+// A Charger binds the cost parameters and the CycleAccount of one host stack. Only the
+// host under test charges: the traffic-generator peers (RemoteNode) run the same
+// protocol code with no Charger, because TcpConnection itself charges nothing. The
+// per-batch counter lets the host convert a processing pass into CPU busy time.
 
 #ifndef SRC_CPU_CHARGER_H_
 #define SRC_CPU_CHARGER_H_
 
 #include <cstdint>
 
-#include "src/cpu/cache_model.h"
 #include "src/cpu/cost_params.h"
 #include "src/cpu/cycle_account.h"
 
@@ -19,33 +17,24 @@ namespace tcprx {
 
 class Charger {
  public:
-  Charger(const CostParams& costs, const CacheModel& cache, CycleAccount* account, bool smp)
-      : costs_(costs), cache_(cache), account_(account), smp_(smp) {}
+  Charger(const CostParams& costs, CycleAccount& account, bool smp)
+      : costs_(costs), account_(account), smp_(smp) {}
 
   void Charge(CostCategory category, uint64_t cycles) {
     batch_cycles_ += cycles;
-    if (account_ != nullptr) {
-      account_->Charge(category, cycles);
-    }
+    account_.Charge(category, cycles);
   }
 
   // Variant that also attributes the cycles to a named routine (flat profile).
   void Charge(CostCategory category, uint64_t cycles, const char* routine) {
     batch_cycles_ += cycles;
-    if (account_ != nullptr) {
-      account_->Charge(category, cycles, routine);
-    }
+    account_.Charge(category, cycles, routine);
   }
 
   // Charges `sites` lock acquisitions to `category` at the UP or SMP price.
   void ChargeLocks(CostCategory category, uint32_t sites) {
     Charge(category, static_cast<uint64_t>(sites) * LockSiteCycles(costs_, smp_));
   }
-
-  const CostParams& costs() const { return costs_; }
-  const CacheModel& cache() const { return cache_; }
-  bool smp() const { return smp_; }
-  CycleAccount* account() { return account_; }
 
   // Cycles charged since the last TakeBatchCycles(); the host turns this into CPU
   // busy time.
@@ -57,8 +46,7 @@ class Charger {
 
  private:
   const CostParams& costs_;
-  const CacheModel& cache_;
-  CycleAccount* account_;
+  CycleAccount& account_;
   bool smp_;
   uint64_t batch_cycles_ = 0;
 };

@@ -23,7 +23,7 @@ void RemoteNode::OnWireFrame(std::vector<uint8_t> frame) {
   ++frames_received_;
   PacketPtr packet = pool_.AllocateMoved(std::move(frame));
   packet->arrival_time = loop_.Now();
-  SkBuffPtr skb = skb_pool_.Wrap(std::move(packet));
+  SkBuffPtr skb = SkBuff::Wrap(std::move(packet));
   if (skb == nullptr) {
     return;
   }

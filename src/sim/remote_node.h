@@ -47,7 +47,6 @@ class RemoteNode {
   EventLoop& loop_;
   TransmitFn transmit_;
   PacketPool pool_;
-  SkBuffPool skb_pool_;
   std::unordered_map<FlowKey, TcpConnection*, FlowKeyHash> demux_;
   std::vector<std::unique_ptr<TcpConnection>> connections_;
   uint64_t frames_received_ = 0;

@@ -23,13 +23,13 @@ NetworkStack::NetworkStack(const StackConfig& config, EventLoop& loop, TransmitF
       loop_(loop),
       transmit_(std::move(transmit)),
       cache_(config.cache, config.prefetch),
-      charger_(config_.costs, cache_, &account_, config_.smp()),
+      charger_(config_.costs, account_, config_.smp()),
       xen_path_(config_.costs, cache_) {
   if (config_.receive_aggregation) {
     AggregatorConfig aggr_config;
     aggr_config.aggregation_limit = config_.aggregation_limit;
     aggregator_ = std::make_unique<Aggregator>(
-        aggr_config, skb_pool_, [this](SkBuffPtr skb) {
+        aggr_config, [this](SkBuffPtr skb) {
           const CostParams& costs = config_.costs;
           if (config_.hardware_lro) {
             // The NIC delivered a pre-aggregated packet: the driver and softirq
@@ -113,7 +113,7 @@ void NetworkStack::ReceiveFrame(PacketPtr frame) {
   // just-DMA'd header) and allocates the sk_buff before netif_rx.
   charger_.Charge(CostCategory::kDriver, costs.driver_mac_processing, "eth_type_trans");
   charger_.Charge(CostCategory::kBuffer, costs.skb_alloc, "__alloc_skb");
-  SkBuffPtr skb = skb_pool_.Wrap(std::move(frame));
+  SkBuffPtr skb = SkBuff::Wrap(std::move(frame));
   if (skb == nullptr) {
     ++stats_.frames_dropped_unparseable;
     charger_.Charge(CostCategory::kBuffer, costs.skb_free + costs.pkt_buf_free, "kfree_skb");

@@ -121,7 +121,6 @@ class NetworkStack : public RxSink {
   const Aggregator* aggregator() const { return aggregator_.get(); }
   const Ipv4Layer& ip_layer() const { return ip_; }
   PacketPool& packet_pool() { return packet_pool_; }
-  SkBuffPool& skb_pool() { return skb_pool_; }
   uint64_t TakeBatchCycles() override { return charger_.TakeBatchCycles(); }
 
   struct Stats {
@@ -163,7 +162,6 @@ class NetworkStack : public RxSink {
   XenPathModel xen_path_;
 
   PacketPool packet_pool_;
-  SkBuffPool skb_pool_;
   Ipv4Layer ip_;
   RoutingTable routes_;
   std::unique_ptr<Aggregator> aggregator_;

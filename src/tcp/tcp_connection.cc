@@ -43,7 +43,11 @@ TcpConnection::TcpConnection(const TcpConnectionConfig& config, EventLoop& loop,
     : config_(config),
       loop_(loop),
       output_(std::move(output)),
-      reno_(config.mss) {
+      reno_(config.mss),
+      rto_timer_(loop, [this] { OnRtoFired(); }),
+      delack_timer_(loop, [this] { OnDelayedAckFired(); }),
+      persist_timer_(loop, [this] { OnPersistFired(); }),
+      time_wait_timer_(loop, [this] { SetState(TcpState::kClosed); }) {
   iss_ = config_.initial_seq;
   snd_una_ = iss_;
   snd_nxt_ = iss_;
@@ -52,8 +56,12 @@ TcpConnection::TcpConnection(const TcpConnectionConfig& config, EventLoop& loop,
 
 void TcpConnection::SetState(TcpState s) {
   state_ = s;
-  if (s == TcpState::kClosed && on_closed_) {
-    on_closed_();
+  if (s == TcpState::kClosed) {
+    rto_timer_.Cancel();
+    time_wait_timer_.Cancel();
+    if (on_closed_) {
+      on_closed_();
+    }
   }
 }
 
@@ -175,7 +183,6 @@ void TcpConnection::ProcessListen(const SkBuff& skb) {
 void TcpConnection::ProcessSynSent(const SkBuff& skb) {
   const TcpHeader& h = skb.view.tcp;
   if (h.Has(kTcpRst)) {
-    CancelRto();
     SetState(TcpState::kClosed);
     return;
   }
@@ -189,7 +196,7 @@ void TcpConnection::ProcessSynSent(const SkBuff& skb) {
   AdoptPeerSyn(h);
   snd_una_ = ack;
   snd_wl2_ = ack;
-  CancelRto();
+  rto_timer_.Cancel();
   SetState(TcpState::kEstablished);
   EmitPureAcks({static_cast<uint32_t>(rcv_nxt_)});
   if (on_established_) {
@@ -204,7 +211,7 @@ void TcpConnection::AdoptPeerSyn(const TcpHeader& h) {
   if (h.mss.has_value()) {
     peer_mss_ = *h.mss;
   }
-  peer_uses_timestamps_ = h.timestamp.has_value() && config_.use_timestamps;
+  peer_uses_timestamps_ = h.timestamp.has_value();
   if (h.timestamp.has_value()) {
     ts_recent_ = h.timestamp->value;
   }
@@ -220,7 +227,6 @@ void TcpConnection::AdoptPeerSyn(const TcpHeader& h) {
 void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
   const TcpHeader& h = skb.view.tcp;
   if (h.Has(kTcpRst)) {
-    CancelRto();
     SetState(TcpState::kClosed);
     return;
   }
@@ -229,7 +235,7 @@ void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
 
   // RFC 7323 PAWS: a segment whose timestamp is strictly older than ts_recent is a
   // stale duplicate from a previous sequence-number epoch; drop it and re-ack.
-  if (config_.paws && peer_uses_timestamps_ && h.timestamp.has_value() &&
+  if (peer_uses_timestamps_ && h.timestamp.has_value() &&
       ts_recent_ != 0 &&
       static_cast<int32_t>(h.timestamp->value - ts_recent_) < 0) {
     ++paws_rejected_;
@@ -300,7 +306,7 @@ void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
   TrySendData();
 
   if (segs_since_ack_ > 0 && !data_sent_in_pass_) {
-    ArmDelayedAck();
+    delack_timer_.Arm(kDelayedAckTimeout);
   }
 }
 
@@ -354,7 +360,6 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint32_t window, uint64_t seg_
           EnterTimeWait();
           break;
         case TcpState::kLastAck:
-          CancelRto();
           SetState(TcpState::kClosed);
           break;
         default:
@@ -363,7 +368,7 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint32_t window, uint64_t seg_
     }
 
     if (snd_una_ == snd_nxt_) {
-      CancelRto();
+      rto_timer_.Cancel();
     } else {
       ArmRto();
     }
@@ -544,13 +549,9 @@ void TcpConnection::HandleFin(uint64_t fin_seq) {
 }
 
 void TcpConnection::EnterTimeWait() {
-  CancelRto();
+  rto_timer_.Cancel();
   SetState(TcpState::kTimeWait);
-  loop_.ScheduleAfter(kTimeWaitDuration, [this] {
-    if (state_ == TcpState::kTimeWait) {
-      SetState(TcpState::kClosed);
-    }
-  });
+  time_wait_timer_.Arm(kTimeWaitDuration);
 }
 
 // ---------------------------------------------------------------------------
@@ -577,7 +578,7 @@ std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uin
   h.window = CurrentWindow();
 
   const bool syn = (flags & kTcpSyn) != 0;
-  const bool want_ts = syn ? config_.use_timestamps : peer_uses_timestamps_;
+  const bool want_ts = syn || peer_uses_timestamps_;
   if (syn) {
     // MSS option.
     h.raw_options.push_back(kTcpOptMss);
@@ -635,7 +636,7 @@ void TcpConnection::EmitPureAcks(const std::vector<uint32_t>& ack_values) {
   // NOTE: segs_since_ack_ is deliberately NOT reset here. A batch of boundary ACKs
   // from an aggregated packet may leave a trailing odd segment still owed an ACK;
   // the callers reset the counter exactly where a cumulative ACK covers it.
-  ++delack_epoch_;  // cancel any pending delayed-ack timer
+  delack_timer_.Cancel();
   output_(std::move(item));
 }
 
@@ -664,7 +665,7 @@ void TcpConnection::EmitDataSegment(uint64_t seq, uint32_t len, bool fin, bool r
     rtt_probe_armed_ = false;  // Karn: never sample a retransmitted range
   }
   segs_since_ack_ = 0;
-  ++delack_epoch_;
+  delack_timer_.Cancel();
   data_sent_in_pass_ = true;
   output_(std::move(item));
 }
@@ -729,21 +730,18 @@ void TcpConnection::TrySendData() {
 }
 
 void TcpConnection::ArmPersist() {
-  if (persist_armed_) {
+  if (persist_timer_.armed()) {
     return;
   }
-  persist_armed_ = true;
-  const uint64_t epoch = ++persist_epoch_;
   SimDuration delay = SimDuration::FromMillis(500);
   for (uint32_t i = 0; i < persist_backoff_ && delay < SimDuration::FromSeconds(60); ++i) {
     delay = SimDuration::FromNanos(delay.nanos() * 2);
   }
-  loop_.ScheduleAfter(delay, [this, epoch] { OnPersistFired(epoch); });
+  persist_timer_.Arm(delay);
 }
 
-void TcpConnection::OnPersistFired(uint64_t epoch) {
-  persist_armed_ = false;
-  if (epoch != persist_epoch_ || snd_wnd_ > 0 || snd_una_ != snd_nxt_) {
+void TcpConnection::OnPersistFired() {
+  if (snd_wnd_ > 0 || snd_una_ != snd_nxt_) {
     persist_backoff_ = 0;
     TrySendData();
     return;
@@ -829,29 +827,17 @@ void TcpConnection::SackRetransmit() {
 // ---------------------------------------------------------------------------
 
 void TcpConnection::ArmRto() {
-  ++rto_epoch_;
-  rto_armed_ = true;
-  const uint64_t epoch = rto_epoch_;
   SimDuration rto = rtt_.Rto();
   for (uint32_t i = 0; i < rto_backoff_ && rto < RttEstimator::kMaxRto; ++i) {
     rto = SimDuration::FromNanos(rto.nanos() * 2);
   }
-  loop_.ScheduleAfter(rto, [this, epoch] { OnRtoFired(epoch); });
+  rto_timer_.Arm(rto);
 }
 
-void TcpConnection::CancelRto() {
-  ++rto_epoch_;
-  rto_armed_ = false;
-}
-
-void TcpConnection::OnRtoFired(uint64_t epoch) {
-  if (!rto_armed_ || epoch != rto_epoch_) {
-    return;
-  }
+void TcpConnection::OnRtoFired() {
   const bool handshake =
       state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived;
   if (!handshake && snd_una_ == snd_nxt_) {
-    rto_armed_ = false;
     return;
   }
   ++rto_backoff_;
@@ -866,13 +852,8 @@ void TcpConnection::OnRtoFired(uint64_t epoch) {
   ArmRto();
 }
 
-void TcpConnection::ArmDelayedAck() {
-  const uint64_t epoch = ++delack_epoch_;
-  loop_.ScheduleAfter(kDelayedAckTimeout, [this, epoch] { OnDelayedAckFired(epoch); });
-}
-
-void TcpConnection::OnDelayedAckFired(uint64_t epoch) {
-  if (epoch != delack_epoch_ || segs_since_ack_ == 0) {
+void TcpConnection::OnDelayedAckFired() {
+  if (segs_since_ack_ == 0) {
     return;
   }
   segs_since_ack_ = 0;

@@ -67,7 +67,6 @@ struct TcpConnectionConfig {
   MacAddress local_mac;
   MacAddress remote_mac;
   uint32_t mss = static_cast<uint32_t>(kMssWithTimestamps);
-  bool use_timestamps = true;
   uint32_t recv_window = 65535;
   uint32_t initial_seq = 10000;
   bool delayed_acks = true;  // ACK every second full segment (RFC 1122)
@@ -75,9 +74,6 @@ struct TcpConnectionConfig {
   // option not sent). Effective only when both sides negotiate it. Allows receive
   // windows above 64 KiB (recv_window may then exceed 65535).
   uint8_t window_scale = 0;
-  // RFC 7323 PAWS: drop segments whose timestamp is older than the last in-window
-  // timestamp (protection against wrapped sequence numbers / stale duplicates).
-  bool paws = true;
   // RFC 2018 selective acknowledgments. Off by default (the paper's receive-path
   // experiments predate widespread SACK deployment); when both endpoints enable it,
   // the receiver reports reassembly holes in dup ACKs and the sender retransmits
@@ -219,12 +215,10 @@ class TcpConnection {
 
   // --- timers ---
   void ArmRto();
-  void CancelRto();
-  void OnRtoFired(uint64_t epoch);
-  void ArmDelayedAck();
-  void OnDelayedAckFired(uint64_t epoch);
+  void OnRtoFired();
+  void OnDelayedAckFired();
   void ArmPersist();
-  void OnPersistFired(uint64_t epoch);
+  void OnPersistFired();
   void EnterTimeWait();
 
   void RetransmitHead();
@@ -275,8 +269,6 @@ class TcpConnection {
   std::function<void()> on_readable_;
   uint16_t last_advertised_window_ = 0;
   uint64_t out_of_window_dropped_bytes_ = 0;
-  uint64_t persist_epoch_ = 0;
-  bool persist_armed_ = false;
   uint32_t persist_backoff_ = 0;
   uint64_t window_probes_sent_ = 0;
 
@@ -289,9 +281,11 @@ class TcpConnection {
   uint32_t segs_since_ack_ = 0;
   std::vector<uint32_t>* pending_acks_ = nullptr;
   bool data_sent_in_pass_ = false;
-  uint64_t delack_epoch_ = 0;
-  uint64_t rto_epoch_ = 0;
-  bool rto_armed_ = false;
+  // TCP timers. SetState(kClosed) cancels the RTO and TIME_WAIT ones.
+  EventLoop::Timer rto_timer_;
+  EventLoop::Timer delack_timer_;
+  EventLoop::Timer persist_timer_;
+  EventLoop::Timer time_wait_timer_;
 
   // Karn-style single-sample RTT probe.
   bool rtt_probe_armed_ = false;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/util/sim_time.h"
@@ -19,6 +20,35 @@ namespace tcprx {
 class EventLoop {
  public:
   using Callback = std::function<void()>;
+
+  // One re-armable deadline: fires `on_fire` `delay` after the last Arm unless
+  // cancelled first. It fires in the (time, seq) slot a ScheduleAfter at that Arm
+  // would take, yet keeps one wakeup queued: a wakeup that finds the deadline moved
+  // later re-queues itself in that slot, and an earlier deadline queues a new wakeup
+  // that the old one defers to. It must outlive its wakeups and not move.
+  class Timer {
+   public:
+    Timer(EventLoop& loop, Callback on_fire) : loop_(loop), on_fire_(std::move(on_fire)) {}
+    Timer(const Timer&) = delete;
+    Timer& operator=(const Timer&) = delete;
+
+    void Arm(SimDuration delay);
+    void Cancel() { armed_ = false; }
+    bool armed() const { return armed_; }
+
+   private:
+    void QueueWakeup();
+    void Wake(uint64_t seq);
+
+    EventLoop& loop_;
+    Callback on_fire_;
+    bool armed_ = false;
+    SimTime deadline_;
+    uint64_t seq_ = 0;
+    bool queued_ = false;  // the live wakeup is queued at (queued_at_, queued_seq_)
+    SimTime queued_at_;
+    uint64_t queued_seq_ = 0;
+  };
 
   SimTime Now() const { return now_; }
 
@@ -37,6 +67,7 @@ class EventLoop {
 
   // Drops every pending event unrun, destroying its callback and whatever the
   // callback holds. Owners call it before tearing down what those callbacks hold.
+  // Teardown only: a Timer whose wakeup was cleared never fires again.
   void Clear() { queue_ = {}; }
 
   bool Empty() const { return queue_.empty(); }

@@ -22,7 +22,7 @@ using testutil::ToPacket;
 
 class AggregatorTest : public ::testing::Test {
  protected:
-  explicit AggregatorTest(size_t limit = 20) : aggregator_(MakeConfig(limit), skbs_, Sink()) {}
+  explicit AggregatorTest(size_t limit = 20) : aggregator_(MakeConfig(limit), Sink()) {}
 
   static AggregatorConfig MakeConfig(size_t limit) {
     AggregatorConfig config;
@@ -46,7 +46,6 @@ class AggregatorTest : public ::testing::Test {
   }
 
   PacketPool pool_;
-  SkBuffPool skbs_;
   std::deque<SkBuffPtr> delivered_;
   Aggregator aggregator_;
 };
@@ -404,7 +403,7 @@ TEST_F(AggregatorLimit1Test, LimitOneDeliversImmediatelyUnmodified) {
 
 TEST_F(AggregatorTest, AggregateStopsBeforeIpLengthOverflow) {
   // 45 * 1448 + 52 would exceed the 16-bit IP total length; chain must break first.
-  Aggregator big(MakeConfig(64), skbs_, Sink());
+  Aggregator big(MakeConfig(64), Sink());
   for (uint32_t i = 0; i < 50; ++i) {
     FrameOptions options;
     options.seq = 1 + i * 1448;

@@ -57,42 +57,37 @@ TEST(PacketPool, ResetsReceiveMetadataOnReuse) {
   EXPECT_EQ(q->ingress_nic, -1);
 }
 
-TEST(SkBuffPool, WrapParsesTcpFrame) {
+TEST(SkBuff, WrapParsesTcpFrame) {
   PacketPool pool;
-  SkBuffPool skbs;
   FrameOptions options;
   options.seq = 42;
-  SkBuffPtr skb = skbs.Wrap(pool.AllocateMoved(MakeFrame(options, 64)));
+  SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(options, 64)));
   ASSERT_NE(skb, nullptr);
   EXPECT_EQ(skb->view.tcp.seq, 42u);
   EXPECT_EQ(skb->PayloadSize(), 64u);
   EXPECT_EQ(skb->SegmentCount(), 1u);
-  EXPECT_EQ(skbs.stats().allocations, 1u);
 }
 
-TEST(SkBuffPool, WrapRejectsGarbage) {
+TEST(SkBuff, WrapRejectsGarbage) {
   PacketPool pool;
-  SkBuffPool skbs;
   const std::vector<uint8_t> garbage(64, 0xff);
-  EXPECT_EQ(skbs.Wrap(pool.Allocate(garbage)), nullptr);
+  EXPECT_EQ(SkBuff::Wrap(pool.Allocate(garbage)), nullptr);
 }
 
 TEST(SkBuff, CarriesNicChecksumVerdict) {
   PacketPool pool;
-  SkBuffPool skbs;
   PacketPtr p = pool.AllocateMoved(MakeFrame(FrameOptions{}, 8));
   p->nic_checksum_verified = true;
-  SkBuffPtr skb = skbs.Wrap(std::move(p));
+  SkBuffPtr skb = SkBuff::Wrap(std::move(p));
   ASSERT_NE(skb, nullptr);
   EXPECT_TRUE(skb->csum_verified);
 }
 
 TEST(SkBuff, FragmentChainPayload) {
   PacketPool pool;
-  SkBuffPool skbs;
   FrameOptions head_options;
   head_options.seq = 1;
-  SkBuffPtr skb = skbs.Wrap(pool.AllocateMoved(MakeFrame(head_options, 100)));
+  SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(head_options, 100)));
   ASSERT_NE(skb, nullptr);
 
   // Chain two payload fragments from other frames.
@@ -122,8 +117,7 @@ TEST(SkBuff, FragmentChainPayload) {
 
 TEST(SkBuff, SegmentCountFollowsFragmentInfo) {
   PacketPool pool;
-  SkBuffPool skbs;
-  SkBuffPtr skb = skbs.Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 10)));
+  SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 10)));
   ASSERT_NE(skb, nullptr);
   EXPECT_EQ(skb->SegmentCount(), 1u);
   skb->fragment_info.push_back(FragmentInfo{1, 1, 100, 10});
@@ -134,8 +128,7 @@ TEST(SkBuff, SegmentCountFollowsFragmentInfo) {
 
 TEST(SkBuff, ReparseHeadReflectsInPlaceRewrite) {
   PacketPool pool;
-  SkBuffPool skbs;
-  SkBuffPtr skb = skbs.Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 20)));
+  SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 20)));
   ASSERT_NE(skb, nullptr);
   // Rewrite the ack number in place.
   StoreBe32(skb->head->MutableBytes().data() + skb->view.tcp_offset + 8, 0x11223344);
@@ -145,8 +138,7 @@ TEST(SkBuff, ReparseHeadReflectsInPlaceRewrite) {
 
 TEST(SkBuff, ReparseClampsLogicalPayloadToPhysicalHead) {
   PacketPool pool;
-  SkBuffPool skbs;
-  SkBuffPtr skb = skbs.Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 100)));
+  SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 100)));
   ASSERT_NE(skb, nullptr);
   // Pretend the aggregate spans 300 payload bytes (head has only 100).
   auto bytes = skb->head->MutableBytes();

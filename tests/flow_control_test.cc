@@ -4,9 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "src/core/template_ack.h"
 #include "src/tcp/tcp_connection.h"
 #include "src/util/event_loop.h"
 #include "tests/test_util.h"
@@ -14,93 +11,45 @@
 namespace tcprx {
 namespace {
 
+using testutil::ConnectionPair;
 using testutil::FrameOptions;
 using testutil::MakeFrame;
 
-// Loopback pair where the server uses manual-consume mode with a small buffer.
-struct FlowPair {
-  explicit FlowPair(uint32_t server_buffer) {
-    TcpConnectionConfig client_config;
-    client_config.local_ip = testutil::ClientIp();
-    client_config.remote_ip = testutil::ServerIp();
-    client_config.local_port = 10000;
-    client_config.remote_port = 5001;
-    client_config.local_mac = testutil::ClientMac();
-    client_config.remote_mac = testutil::ServerMac();
-    client_config.initial_seq = 1000;
+// Config hook: the server consumes by Read() from a receive buffer of `bytes`.
+ConnectionPair::ConfigHook ServerBuffer(uint32_t bytes) {
+  return [bytes](TcpConnectionConfig& config, bool client) {
+    if (!client) {
+      config.auto_consume = false;
+      config.recv_window = bytes;
+    }
+  };
+}
 
-    TcpConnectionConfig server_config = client_config;
-    server_config.local_ip = testutil::ServerIp();
-    server_config.remote_ip = testutil::ClientIp();
-    server_config.local_port = 5001;
-    server_config.remote_port = 10000;
-    server_config.local_mac = testutil::ServerMac();
-    server_config.remote_mac = testutil::ClientMac();
-    server_config.initial_seq = 77000;
-    server_config.auto_consume = false;
-    server_config.recv_window = server_buffer;
-
-    client = std::make_unique<TcpConnection>(
-        client_config, loop, [this](TcpOutputItem item) { Cross(true, std::move(item)); });
-    server = std::make_unique<TcpConnection>(
-        server_config, loop, [this](TcpOutputItem item) { Cross(false, std::move(item)); });
+// The window the server advertised in the last frame it sent (0 before any).
+uint16_t LastServerWindow(const ConnectionPair& pair) {
+  for (auto it = pair.wire_log.rbegin(); it != pair.wire_log.rend(); ++it) {
+    if (!it->first) {
+      auto view = ParseTcpFrame(it->second);
+      return view.has_value() ? view->tcp.window : 0;
+    }
   }
-
-  void Establish() {
-    server->Listen();
-    client->Connect();
-    loop.RunUntil(loop.Now() + SimDuration::FromMillis(5));
-    ASSERT_EQ(client->state(), TcpState::kEstablished);
-    ASSERT_EQ(server->state(), TcpState::kEstablished);
-  }
-
-  void Run(uint64_t ms) { loop.RunUntil(loop.Now() + SimDuration::FromMillis(ms)); }
-
-  void Cross(bool from_client, TcpOutputItem item) {
-    ExpandTemplateAck(std::move(item), [this, from_client](std::vector<uint8_t> frame) {
-      last_window[from_client ? 1 : 0] = CurrentWindowOf(frame);
-      if (filter && !filter(from_client, frame)) {
-        return;
-      }
-      loop.ScheduleAfter(SimDuration::FromMicros(10),
-                         [this, from_client, f = std::move(frame)]() mutable {
-                           PacketPtr p = pool.AllocateMoved(std::move(f));
-                           p->nic_checksum_verified = true;
-                           SkBuffPtr skb = skbs.Wrap(std::move(p));
-                           ASSERT_NE(skb, nullptr);
-                           (from_client ? *server : *client).OnHostPacket(*skb);
-                         });
-    });
-  }
-
-  static uint16_t CurrentWindowOf(const std::vector<uint8_t>& frame) {
-    auto view = ParseTcpFrame(frame);
-    return view.has_value() ? view->tcp.window : 0;
-  }
-
-  EventLoop loop;
-  PacketPool pool;
-  SkBuffPool skbs;
-  std::unique_ptr<TcpConnection> client;
-  std::unique_ptr<TcpConnection> server;
-  std::function<bool(bool, const std::vector<uint8_t>&)> filter;
-  uint16_t last_window[2] = {0, 0};  // [0]=server->client frames, [1]=client->server
-};
+  return 0;
+}
 
 TEST(FlowControl, StalledAppClosesWindowAndStopsSender) {
-  FlowPair pair(/*server_buffer=*/8 * 1448);
+  ConnectionPair pair(ServerBuffer(8 * 1448));
   pair.Establish();
   pair.client->SendSynthetic(100 * 1448);
   pair.Run(300);
   // Sender filled the buffer and stopped; the advertised window went to zero.
   EXPECT_EQ(pair.server->ReceiveBufferedBytes(), 8u * 1448);
-  EXPECT_EQ(pair.last_window[0], 0);  // server's last advertisement
+  EXPECT_EQ(LastServerWindow(pair), 0);  // server's last advertisement
   const uint64_t in_flight = pair.client->snd_nxt_ext() - pair.client->snd_una_ext();
   EXPECT_LE(in_flight, 1u);  // at most a window probe outstanding
 }
 
 TEST(FlowControl, ReadReopensWindowAndTransferCompletes) {
-  FlowPair pair(/*server_buffer=*/8 * 1448);
+  ConnectionPair pair(ServerBuffer(8 * 1448));
   pair.Establish();
   constexpr uint64_t kTotal = 60 * 1448;
   pair.client->SendSynthetic(kTotal);
@@ -120,7 +69,7 @@ TEST(FlowControl, ReadReopensWindowAndTransferCompletes) {
 }
 
 TEST(FlowControl, ReadReturnsExactStreamBytes) {
-  FlowPair pair(16 * 1448);
+  ConnectionPair pair(ServerBuffer(16 * 1448));
   pair.Establish();
   pair.client->SendSynthetic(4 * 1448);
   pair.Run(50);
@@ -134,7 +83,7 @@ TEST(FlowControl, ReadReturnsExactStreamBytes) {
 }
 
 TEST(FlowControl, SwsAvoidanceNeverAdvertisesDribbles) {
-  FlowPair pair(/*server_buffer=*/4 * 1448);
+  ConnectionPair pair(ServerBuffer(4 * 1448));
   pair.Establish();
   pair.client->SendSynthetic(50 * 1448);
 
@@ -144,7 +93,7 @@ TEST(FlowControl, SwsAvoidanceNeverAdvertisesDribbles) {
   std::function<void()> sip = [&] {
     std::vector<uint8_t> buf(100);
     pair.server->Read(buf);
-    advertisements.push_back(pair.last_window[0]);
+    advertisements.push_back(LastServerWindow(pair));
     pair.loop.ScheduleAfter(SimDuration::FromMillis(5), sip);
   };
   pair.loop.ScheduleAfter(SimDuration::FromMillis(30), sip);
@@ -155,7 +104,7 @@ TEST(FlowControl, SwsAvoidanceNeverAdvertisesDribbles) {
 }
 
 TEST(FlowControl, PersistProbeSurvivesLostWindowUpdate) {
-  FlowPair pair(/*server_buffer=*/4 * 1448);
+  ConnectionPair pair(ServerBuffer(4 * 1448));
   pair.Establish();
   pair.client->SendSynthetic(20 * 1448);
   pair.Run(200);  // buffer full, window closed
@@ -189,7 +138,7 @@ TEST(FlowControl, PersistProbeSurvivesLostWindowUpdate) {
 }
 
 TEST(FlowControl, OutOfWindowDataIsTrimmedNotBuffered) {
-  FlowPair pair(/*server_buffer=*/2 * 1448);
+  ConnectionPair pair(ServerBuffer(2 * 1448));
   pair.Establish();
   pair.client->SendSynthetic(10 * 1448);
   pair.Run(100);

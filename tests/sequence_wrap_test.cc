@@ -90,11 +90,10 @@ TEST(SequenceWrap, WrapWithLossRecovers) {
 
 TEST(SequenceWrap, AggregatorChainsAcrossWrap) {
   PacketPool pool;
-  SkBuffPool skbs;
   AggregatorConfig config;
   config.aggregation_limit = 8;
   std::vector<SkBuffPtr> delivered;
-  Aggregator aggregator(config, skbs, [&](SkBuffPtr skb) {
+  Aggregator aggregator(config, [&](SkBuffPtr skb) {
     delivered.push_back(std::move(skb));
   });
 

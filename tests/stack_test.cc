@@ -259,16 +259,15 @@ TEST_F(StackTest, AggregationFactorReportedInCounters) {
 
 TEST(Ipv4Layer, VerdictsForGoodAndBadPackets) {
   PacketPool pool;
-  SkBuffPool skbs;
   Ipv4Layer layer;
   layer.AddLocalAddress(testutil::ServerIp());
 
-  SkBuffPtr good = skbs.Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 100)));
+  SkBuffPtr good = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 100)));
   ASSERT_NE(good, nullptr);
   EXPECT_EQ(layer.ValidateAndCount(*good), IpVerdict::kAccept);
 
   // Corrupt the checksum.
-  SkBuffPtr bad = skbs.Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 100)));
+  SkBuffPtr bad = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 100)));
   bad->head->MutableBytes()[14 + 10] ^= 0xff;
   EXPECT_EQ(layer.Validate(*bad), IpVerdict::kBadChecksum);
 
@@ -278,9 +277,8 @@ TEST(Ipv4Layer, VerdictsForGoodAndBadPackets) {
 
 TEST(Ipv4Layer, EmptyLocalSetAcceptsAnyDestination) {
   PacketPool pool;
-  SkBuffPool skbs;
   Ipv4Layer layer;  // no local addresses registered
-  SkBuffPtr skb = skbs.Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 10)));
+  SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 10)));
   EXPECT_EQ(layer.Validate(*skb), IpVerdict::kAccept);
 }
 
@@ -301,10 +299,9 @@ TEST(XenPath, PerFragmentCostsScaleWithChainLength) {
   const XenPathModel xen(costs, cache);
 
   PacketPool pool;
-  SkBuffPool skbs;
 
   auto charge_for = [&](size_t frags) {
-    SkBuffPtr skb = skbs.Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 1448)));
+    SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 1448)));
     for (size_t i = 0; i < frags; ++i) {
       auto frame = MakeFrame(FrameOptions{}, 1448);
       auto view = ParseTcpFrame(frame);
@@ -312,7 +309,7 @@ TEST(XenPath, PerFragmentCostsScaleWithChainLength) {
                                             view->payload_offset, view->payload_size});
     }
     CycleAccount account;
-    Charger charger(costs, cache, &account, false);
+    Charger charger(costs, account, false);
     xen.ChargeGuestRx(charger, *skb);
     return account.Get(CostCategory::kNetback);
   };
@@ -372,7 +369,7 @@ TEST(XenPath, TxChargesAllStagesOnce) {
   const CacheModel cache(CacheParams{}, PrefetchMode::kFull);
   const XenPathModel xen(costs, cache);
   CycleAccount account;
-  Charger charger(costs, cache, &account, false);
+  Charger charger(costs, account, false);
   xen.ChargeGuestTx(charger);
   EXPECT_EQ(account.Get(CostCategory::kNetback),
             costs.netback_per_packet + costs.netback_per_fragment);

@@ -3,9 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "src/core/template_ack.h"
 #include "src/tcp/tcp_connection.h"
 #include "src/util/event_loop.h"
 #include "tests/test_util.h"
@@ -13,66 +10,13 @@
 namespace tcprx {
 namespace {
 
+using testutil::ConnectionPair;
 using testutil::FrameOptions;
 using testutil::MakeFrame;
 
-struct ClosePair {
-  ClosePair() {
-    TcpConnectionConfig client_config;
-    client_config.local_ip = testutil::ClientIp();
-    client_config.remote_ip = testutil::ServerIp();
-    client_config.local_port = 10000;
-    client_config.remote_port = 5001;
-    client_config.local_mac = testutil::ClientMac();
-    client_config.remote_mac = testutil::ServerMac();
-    client_config.initial_seq = 1000;
-
-    TcpConnectionConfig server_config = client_config;
-    server_config.local_ip = testutil::ServerIp();
-    server_config.remote_ip = testutil::ClientIp();
-    server_config.local_port = 5001;
-    server_config.remote_port = 10000;
-    server_config.local_mac = testutil::ServerMac();
-    server_config.remote_mac = testutil::ClientMac();
-    server_config.initial_seq = 77000;
-
-    client = std::make_unique<TcpConnection>(
-        client_config, loop, [this](TcpOutputItem item) { Cross(true, std::move(item)); });
-    server = std::make_unique<TcpConnection>(
-        server_config, loop, [this](TcpOutputItem item) { Cross(false, std::move(item)); });
-    server->Listen();
-    client->Connect();
-    loop.RunUntil(loop.Now() + SimDuration::FromMillis(5));
-  }
-
-  void Run(uint64_t ms) { loop.RunUntil(loop.Now() + SimDuration::FromMillis(ms)); }
-
-  void Cross(bool from_client, TcpOutputItem item) {
-    ExpandTemplateAck(std::move(item), [this, from_client](std::vector<uint8_t> frame) {
-      if (filter && !filter(from_client, frame)) {
-        return;
-      }
-      loop.ScheduleAfter(SimDuration::FromMicros(10),
-                         [this, from_client, f = std::move(frame)]() mutable {
-                           PacketPtr p = pool.AllocateMoved(std::move(f));
-                           p->nic_checksum_verified = true;
-                           SkBuffPtr skb = skbs.Wrap(std::move(p));
-                           ASSERT_NE(skb, nullptr);
-                           (from_client ? *server : *client).OnHostPacket(*skb);
-                         });
-    });
-  }
-
-  EventLoop loop;
-  PacketPool pool;
-  SkBuffPool skbs;
-  std::unique_ptr<TcpConnection> client;
-  std::unique_ptr<TcpConnection> server;
-  std::function<bool(bool, const std::vector<uint8_t>&)> filter;
-};
-
 TEST(TcpClosing, SimultaneousCloseReachesClosedBothSides) {
-  ClosePair pair;
+  ConnectionPair pair;
+  pair.Establish();
   ASSERT_EQ(pair.client->state(), TcpState::kEstablished);
   // Both close before seeing the other's FIN.
   pair.client->Close();
@@ -87,7 +31,8 @@ TEST(TcpClosing, SimultaneousCloseReachesClosedBothSides) {
 }
 
 TEST(TcpClosing, LostFinIsRetransmitted) {
-  ClosePair pair;
+  ConnectionPair pair;
+  pair.Establish();
   int fin_drops = 1;
   pair.filter = [&](bool from_client, const std::vector<uint8_t>& frame) {
     if (from_client && fin_drops > 0) {
@@ -110,7 +55,8 @@ TEST(TcpClosing, LostFinIsRetransmitted) {
 }
 
 TEST(TcpClosing, DataBeforeFinAllDeliveredThenClosed) {
-  ClosePair pair;
+  ConnectionPair pair;
+  pair.Establish();
   std::vector<uint8_t> received;
   pair.server->set_on_data([&](std::span<const uint8_t> data) {
     received.insert(received.end(), data.begin(), data.end());
@@ -124,7 +70,8 @@ TEST(TcpClosing, DataBeforeFinAllDeliveredThenClosed) {
 }
 
 TEST(TcpClosing, ServerRespondsAfterClientHalfClose) {
-  ClosePair pair;
+  ConnectionPair pair;
+  pair.Establish();
   pair.client->Close();
   pair.Run(10);
   ASSERT_EQ(pair.server->state(), TcpState::kCloseWait);
@@ -142,7 +89,8 @@ TEST(TcpClosing, ServerRespondsAfterClientHalfClose) {
 }
 
 TEST(TcpClosing, CloseDuringBulkTransferFinishesCleanly) {
-  ClosePair pair;
+  ConnectionPair pair;
+  pair.Establish();
   uint64_t received = 0;
   pair.server->set_on_data([&](std::span<const uint8_t> data) { received += data.size(); });
   pair.client->SendSynthetic(50 * 1448);
@@ -153,7 +101,8 @@ TEST(TcpClosing, CloseDuringBulkTransferFinishesCleanly) {
 }
 
 TEST(TcpClosing, CloseIsIdempotent) {
-  ClosePair pair;
+  ConnectionPair pair;
+  pair.Establish();
   pair.client->Close();
   pair.client->Close();
   pair.client->Close();
@@ -164,7 +113,8 @@ TEST(TcpClosing, CloseIsIdempotent) {
 }
 
 TEST(TcpClosing, FinAckRaceToTimeWaitExpires) {
-  ClosePair pair;
+  ConnectionPair pair;
+  pair.Establish();
   pair.client->Close();
   pair.Run(10);
   pair.server->Close();

@@ -5,12 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <functional>
-
 #include "src/buffer/packet.h"
 #include "src/buffer/skbuff.h"
-#include "src/core/template_ack.h"
 #include "src/util/byte_order.h"
 #include "src/util/checksum.h"
 #include "src/tcp/tcp_connection.h"
@@ -20,78 +16,10 @@
 namespace tcprx {
 namespace {
 
-// Two directly wired connections. Frames cross with a small fixed delay; a filter
-// hook may drop or record them.
-class TcpPair {
- public:
-  // frame filter: return false to drop. Called with (from_client, frame bytes).
-  using Filter = std::function<bool(bool, const std::vector<uint8_t>&)>;
-
-  TcpPair() {
-    TcpConnectionConfig client_config;
-    client_config.local_ip = testutil::ClientIp();
-    client_config.remote_ip = testutil::ServerIp();
-    client_config.local_port = 10000;
-    client_config.remote_port = 5001;
-    client_config.local_mac = testutil::ClientMac();
-    client_config.remote_mac = testutil::ServerMac();
-    client_config.initial_seq = 1000;
-
-    TcpConnectionConfig server_config;
-    server_config.local_ip = testutil::ServerIp();
-    server_config.remote_ip = testutil::ClientIp();
-    server_config.local_port = 5001;
-    server_config.remote_port = 10000;
-    server_config.local_mac = testutil::ServerMac();
-    server_config.remote_mac = testutil::ClientMac();
-    server_config.initial_seq = 77000;
-
-    client = std::make_unique<TcpConnection>(
-        client_config, loop, [this](TcpOutputItem item) { Cross(true, std::move(item)); });
-    server = std::make_unique<TcpConnection>(
-        server_config, loop, [this](TcpOutputItem item) { Cross(false, std::move(item)); });
-  }
-
-  void Establish() {
-    server->Listen();
-    client->Connect();
-    loop.RunUntil(loop.Now() + SimDuration::FromMillis(5));
-    ASSERT_EQ(client->state(), TcpState::kEstablished);
-    ASSERT_EQ(server->state(), TcpState::kEstablished);
-  }
-
-  void Run(uint64_t millis) { loop.RunUntil(loop.Now() + SimDuration::FromMillis(millis)); }
-
-  EventLoop loop;
-  PacketPool pool;
-  SkBuffPool skbs;
-  std::unique_ptr<TcpConnection> client;
-  std::unique_ptr<TcpConnection> server;
-  Filter filter;
-  // Every frame that crossed, with direction (true = client->server).
-  std::vector<std::pair<bool, std::vector<uint8_t>>> wire_log;
-
- private:
-  void Cross(bool from_client, TcpOutputItem item) {
-    ExpandTemplateAck(std::move(item), [this, from_client](std::vector<uint8_t> frame) {
-      wire_log.emplace_back(from_client, frame);
-      if (filter && !filter(from_client, frame)) {
-        return;  // dropped
-      }
-      loop.ScheduleAfter(SimDuration::FromMicros(10),
-                         [this, from_client, f = std::move(frame)]() mutable {
-                           PacketPtr p = pool.AllocateMoved(std::move(f));
-                           p->nic_checksum_verified = true;
-                           SkBuffPtr skb = skbs.Wrap(std::move(p));
-                           ASSERT_NE(skb, nullptr);
-                           (from_client ? *server : *client).OnHostPacket(*skb);
-                         });
-    });
-  }
-};
+using testutil::ConnectionPair;
 
 TEST(TcpConnection, ThreeWayHandshake) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.server->Listen();
   EXPECT_EQ(pair.server->state(), TcpState::kListen);
   pair.client->Connect();
@@ -113,7 +41,7 @@ TEST(TcpConnection, ThreeWayHandshake) {
 }
 
 TEST(TcpConnection, EstablishedCallbacksFire) {
-  TcpPair pair;
+  ConnectionPair pair;
   int client_up = 0;
   int server_up = 0;
   pair.client->set_on_established([&] { ++client_up; });
@@ -124,7 +52,7 @@ TEST(TcpConnection, EstablishedCallbacksFire) {
 }
 
 TEST(TcpConnection, DataTransferDeliversExactBytes) {
-  TcpPair pair;
+  ConnectionPair pair;
   std::vector<uint8_t> received;
   pair.server->set_on_data([&](std::span<const uint8_t> data) {
     received.insert(received.end(), data.begin(), data.end());
@@ -141,7 +69,7 @@ TEST(TcpConnection, DataTransferDeliversExactBytes) {
 }
 
 TEST(TcpConnection, DelayedAckEverySecondSegment) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   pair.wire_log.clear();
   // Send exactly 4 MSS of data: expect 2 pure ACKs (one per two full segments).
@@ -161,7 +89,7 @@ TEST(TcpConnection, DelayedAckEverySecondSegment) {
 }
 
 TEST(TcpConnection, LoneSegmentAckedByDelayedAckTimer) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   pair.client->Send(std::vector<uint8_t>(100, 1));
   pair.Run(2);
@@ -172,7 +100,7 @@ TEST(TcpConnection, LoneSegmentAckedByDelayedAckTimer) {
 }
 
 TEST(TcpConnection, LostSegmentRecoveredByRto) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   int drops_remaining = 1;
   pair.filter = [&](bool from_client, const std::vector<uint8_t>& frame) {
@@ -197,7 +125,7 @@ TEST(TcpConnection, LostSegmentRecoveredByRto) {
 }
 
 TEST(TcpConnection, FastRetransmitOnTripleDupAck) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   std::vector<uint8_t> received;
   pair.server->set_on_data([&](std::span<const uint8_t> data) {
@@ -228,7 +156,7 @@ TEST(TcpConnection, FastRetransmitOnTripleDupAck) {
 }
 
 TEST(TcpConnection, OutOfOrderDeliveryStillInOrderToApp) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   // Reorder: hold back one data segment and deliver it after its successors.
   std::vector<uint8_t> held;
@@ -254,7 +182,7 @@ TEST(TcpConnection, OutOfOrderDeliveryStillInOrderToApp) {
   ASSERT_FALSE(held.empty());
   PacketPtr p = pair.pool.Allocate(held);
   p->nic_checksum_verified = true;
-  SkBuffPtr skb = pair.skbs.Wrap(std::move(p));
+  SkBuffPtr skb = SkBuff::Wrap(std::move(p));
   pair.server->OnHostPacket(*skb);
   pair.Run(200);
   ASSERT_EQ(received.size(), 6u * 1448);
@@ -264,7 +192,7 @@ TEST(TcpConnection, OutOfOrderDeliveryStillInOrderToApp) {
 }
 
 TEST(TcpConnection, DuplicateSegmentIsAckedNotRedelivered) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   std::vector<uint8_t> first_data_frame;
   pair.filter = [&](bool from_client, const std::vector<uint8_t>& frame) {
@@ -284,7 +212,7 @@ TEST(TcpConnection, DuplicateSegmentIsAckedNotRedelivered) {
   // Replay the captured data frame.
   PacketPtr p = pair.pool.Allocate(first_data_frame);
   p->nic_checksum_verified = true;
-  SkBuffPtr skb = pair.skbs.Wrap(std::move(p));
+  SkBuffPtr skb = SkBuff::Wrap(std::move(p));
   pair.server->OnHostPacket(*skb);
   pair.Run(10);
   EXPECT_EQ(delivered, 300u);  // not redelivered
@@ -292,7 +220,7 @@ TEST(TcpConnection, DuplicateSegmentIsAckedNotRedelivered) {
 }
 
 TEST(TcpConnection, GracefulCloseBothDirections) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   pair.client->Send(std::vector<uint8_t>(100, 1));
   pair.client->Close();
@@ -314,7 +242,7 @@ TEST(TcpConnection, GracefulCloseBothDirections) {
 }
 
 TEST(TcpConnection, SynRetransmittedWhenLost) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.server->Listen();
   int syn_drops = 1;
   pair.filter = [&](bool from_client, const std::vector<uint8_t>& frame) {
@@ -336,7 +264,7 @@ TEST(TcpConnection, SynRetransmittedWhenLost) {
 }
 
 TEST(TcpConnection, RstClosesImmediately) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   // Craft a RST from the client's identity.
   testutil::FrameOptions options;
@@ -344,7 +272,7 @@ TEST(TcpConnection, RstClosesImmediately) {
   options.seq = static_cast<uint32_t>(pair.client->snd_nxt_ext());
   PacketPtr p = pair.pool.AllocateMoved(testutil::MakeFrame(options, 0));
   p->nic_checksum_verified = true;
-  SkBuffPtr skb = pair.skbs.Wrap(std::move(p));
+  SkBuffPtr skb = SkBuff::Wrap(std::move(p));
   bool closed = false;
   pair.server->set_on_closed([&] { closed = true; });
   pair.server->OnHostPacket(*skb);
@@ -353,7 +281,7 @@ TEST(TcpConnection, RstClosesImmediately) {
 }
 
 TEST(TcpConnection, CwndGrowsDuringTransfer) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   const uint32_t initial = pair.client->congestion().cwnd();
   pair.client->SendSynthetic(100 * 1448);
@@ -363,7 +291,7 @@ TEST(TcpConnection, CwndGrowsDuringTransfer) {
 }
 
 TEST(TcpConnection, PiggybackAckOnEchoResponse) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   pair.server->set_on_data([&](std::span<const uint8_t> data) {
     pair.server->Send(std::vector<uint8_t>(data.size(), 0x42));
@@ -392,7 +320,7 @@ TEST(TcpConnection, PiggybackAckOnEchoResponse) {
 }
 
 TEST(TcpConnection, WindowLimitsInFlightData) {
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   // Freeze the server (no ACKs processed): simply don't run the loop after sending.
   pair.client->SendSynthetic(1'000'000);
@@ -404,7 +332,7 @@ TEST(TcpConnection, WindowLimitsInFlightData) {
 TEST(TcpConnection, AggregatedHostPacketDeliveredAsOneUnit) {
   // Hand-build an aggregated SkBuff (three segments) and feed it to an established
   // server connection directly.
-  TcpPair pair;
+  ConnectionPair pair;
   pair.Establish();
   std::vector<uint8_t> received;
   pair.server->set_on_data([&](std::span<const uint8_t> data) {
@@ -417,7 +345,7 @@ TEST(TcpConnection, AggregatedHostPacketDeliveredAsOneUnit) {
   options.ack = static_cast<uint32_t>(pair.server->snd_nxt_ext());
   PacketPtr head = pair.pool.AllocateMoved(testutil::MakeFrame(options, 100));
   head->nic_checksum_verified = true;
-  SkBuffPtr skb = pair.skbs.Wrap(std::move(head));
+  SkBuffPtr skb = SkBuff::Wrap(std::move(head));
   ASSERT_NE(skb, nullptr);
   skb->csum_verified = true;
   skb->fragment_info.push_back(FragmentInfo{base, options.ack, 65535, 100});

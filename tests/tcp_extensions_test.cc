@@ -4,9 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "src/core/template_ack.h"
 #include "src/stack/network_stack.h"
 #include "src/tcp/sack.h"
 #include "src/tcp/tcp_connection.h"
@@ -97,89 +94,35 @@ TEST(SackWire, CapsAtThreeBlocks) {
 // End-to-end via a loopback pair (with SACK / wscale enabled)
 // ---------------------------------------------------------------------------
 
-struct ExtPair {
-  using Filter = std::function<bool(bool, const std::vector<uint8_t>&)>;
+using testutil::ConnectionPair;
 
-  explicit ExtPair(bool enable_sack, uint8_t wscale = 0, uint32_t recv_window = 65535) {
-    TcpConnectionConfig client_config;
-    client_config.local_ip = testutil::ClientIp();
-    client_config.remote_ip = testutil::ServerIp();
-    client_config.local_port = 10000;
-    client_config.remote_port = 5001;
-    client_config.local_mac = testutil::ClientMac();
-    client_config.remote_mac = testutil::ServerMac();
-    client_config.initial_seq = 1000;
-    client_config.sack = enable_sack;
-    client_config.window_scale = wscale;
-    client_config.recv_window = recv_window;
-
-    TcpConnectionConfig server_config = client_config;
-    server_config.local_ip = testutil::ServerIp();
-    server_config.remote_ip = testutil::ClientIp();
-    server_config.local_port = 5001;
-    server_config.remote_port = 10000;
-    server_config.local_mac = testutil::ServerMac();
-    server_config.remote_mac = testutil::ClientMac();
-    server_config.initial_seq = 77000;
-
-    client = std::make_unique<TcpConnection>(
-        client_config, loop, [this](TcpOutputItem item) { Cross(true, std::move(item)); });
-    server = std::make_unique<TcpConnection>(
-        server_config, loop, [this](TcpOutputItem item) { Cross(false, std::move(item)); });
-  }
-
-  void Establish() {
-    server->Listen();
-    client->Connect();
-    loop.RunUntil(loop.Now() + SimDuration::FromMillis(5));
-    ASSERT_EQ(client->state(), TcpState::kEstablished);
-    ASSERT_EQ(server->state(), TcpState::kEstablished);
-  }
-
-  void Run(uint64_t ms) { loop.RunUntil(loop.Now() + SimDuration::FromMillis(ms)); }
-
-  void Cross(bool from_client, TcpOutputItem item) {
-    ExpandTemplateAck(std::move(item), [this, from_client](std::vector<uint8_t> frame) {
-      wire_log.emplace_back(from_client, frame);
-      if (filter && !filter(from_client, frame)) {
-        return;
-      }
-      loop.ScheduleAfter(SimDuration::FromMicros(10),
-                         [this, from_client, f = std::move(frame)]() mutable {
-                           PacketPtr p = pool.AllocateMoved(std::move(f));
-                           p->nic_checksum_verified = true;
-                           SkBuffPtr skb = skbs.Wrap(std::move(p));
-                           ASSERT_NE(skb, nullptr);
-                           (from_client ? *server : *client).OnHostPacket(*skb);
-                         });
-    });
-  }
-
-  EventLoop loop;
-  PacketPool pool;
-  SkBuffPool skbs;
-  std::unique_ptr<TcpConnection> client;
-  std::unique_ptr<TcpConnection> server;
-  Filter filter;
-  std::vector<std::pair<bool, std::vector<uint8_t>>> wire_log;
-};
+// Config hook: both sides enable SACK as given, advertise window scale `wscale`, and
+// offer a receive window of `recv_window`.
+ConnectionPair::ConfigHook Extensions(bool enable_sack, uint8_t wscale = 0,
+                                      uint32_t recv_window = 65535) {
+  return [=](TcpConnectionConfig& config, bool) {
+    config.sack = enable_sack;
+    config.window_scale = wscale;
+    config.recv_window = recv_window;
+  };
+}
 
 TEST(SackEndToEnd, NegotiatedOnHandshake) {
-  ExtPair pair(/*enable_sack=*/true);
+  ConnectionPair pair(Extensions(/*enable_sack=*/true));
   pair.Establish();
   EXPECT_TRUE(pair.client->sack_active());
   EXPECT_TRUE(pair.server->sack_active());
 }
 
 TEST(SackEndToEnd, NotActiveWhenOneSideDisables) {
-  ExtPair pair(/*enable_sack=*/false);
+  ConnectionPair pair(Extensions(/*enable_sack=*/false));
   pair.Establish();
   EXPECT_FALSE(pair.client->sack_active());
   EXPECT_FALSE(pair.server->sack_active());
 }
 
 TEST(SackEndToEnd, DupAcksCarryBlocksAndSenderLearns) {
-  ExtPair pair(/*enable_sack=*/true);
+  ConnectionPair pair(Extensions(/*enable_sack=*/true));
   pair.Establish();
   // Drop one mid-window segment once cwnd has grown.
   int drops = 1;
@@ -216,7 +159,7 @@ TEST(SackEndToEnd, DupAcksCarryBlocksAndSenderLearns) {
 }
 
 TEST(SackEndToEnd, RetransmissionTargetsTheHoleOnly) {
-  ExtPair pair(/*enable_sack=*/true);
+  ConnectionPair pair(Extensions(/*enable_sack=*/true));
   pair.Establish();
   // Count client payload bytes put on the wire; with SACK the retransmission volume
   // should be roughly one segment, not a whole window.
@@ -240,7 +183,7 @@ TEST(SackEndToEnd, RetransmissionTargetsTheHoleOnly) {
 }
 
 TEST(WindowScale, NegotiationAndLargeWindow) {
-  ExtPair pair(/*enable_sack=*/false, /*wscale=*/3, /*recv_window=*/256 * 1024);
+  ConnectionPair pair(Extensions(/*enable_sack=*/false, /*wscale=*/3, /*recv_window=*/256 * 1024));
   pair.Establish();
   EXPECT_TRUE(pair.client->window_scaling_active());
   EXPECT_EQ(pair.server->peer_window_scale(), 3);
@@ -255,7 +198,7 @@ TEST(WindowScale, FastRetransmitStillWorksWithScaling) {
   // Regression test: dup-ACK detection must compare the *scaled* window, otherwise a
   // wscale>0 connection can never fast-retransmit (every ACK looks like a window
   // update) and stalls into RTOs.
-  ExtPair pair(/*enable_sack=*/false, /*wscale=*/3, /*recv_window=*/256 * 1024);
+  ConnectionPair pair(Extensions(/*enable_sack=*/false, /*wscale=*/3, /*recv_window=*/256 * 1024));
   pair.Establish();
   std::vector<uint8_t> received;
   pair.server->set_on_data([&](std::span<const uint8_t> data) {
@@ -281,7 +224,7 @@ TEST(WindowScale, FastRetransmitStillWorksWithScaling) {
 }
 
 TEST(WindowScale, InactiveWithoutBothSides) {
-  ExtPair pair(/*enable_sack=*/false, /*wscale=*/0);
+  ConnectionPair pair(Extensions(/*enable_sack=*/false, /*wscale=*/0));
   pair.Establish();
   EXPECT_FALSE(pair.client->window_scaling_active());
   // In-flight data never exceeds the unscaled 64 KiB window.
@@ -291,7 +234,7 @@ TEST(WindowScale, InactiveWithoutBothSides) {
 }
 
 TEST(Paws, StaleTimestampRejected) {
-  ExtPair pair(/*enable_sack=*/false);
+  ConnectionPair pair(Extensions(/*enable_sack=*/false));
   pair.Establish();
   // Deliver a normal segment with a fresh timestamp.
   FrameOptions fresh;
@@ -300,7 +243,7 @@ TEST(Paws, StaleTimestampRejected) {
   fresh.ts_value = 5000;
   PacketPtr p1 = pair.pool.AllocateMoved(MakeFrame(fresh, 100));
   p1->nic_checksum_verified = true;
-  pair.server->OnHostPacket(*pair.skbs.Wrap(std::move(p1)));
+  pair.server->OnHostPacket(*SkBuff::Wrap(std::move(p1)));
   EXPECT_EQ(pair.server->bytes_received(), 100u);
 
   // A segment from a "previous epoch": older timestamp.
@@ -309,13 +252,13 @@ TEST(Paws, StaleTimestampRejected) {
   stale.ts_value = 4000;
   PacketPtr p2 = pair.pool.AllocateMoved(MakeFrame(stale, 100));
   p2->nic_checksum_verified = true;
-  pair.server->OnHostPacket(*pair.skbs.Wrap(std::move(p2)));
+  pair.server->OnHostPacket(*SkBuff::Wrap(std::move(p2)));
   EXPECT_EQ(pair.server->bytes_received(), 100u);  // not delivered
   EXPECT_EQ(pair.server->paws_rejected(), 1u);
 }
 
 TEST(Paws, EqualTimestampAccepted) {
-  ExtPair pair(/*enable_sack=*/false);
+  ConnectionPair pair(Extensions(/*enable_sack=*/false));
   pair.Establish();
   FrameOptions a;
   a.seq = 1001;
@@ -323,12 +266,12 @@ TEST(Paws, EqualTimestampAccepted) {
   a.ts_value = 5000;
   PacketPtr p1 = pair.pool.AllocateMoved(MakeFrame(a, 100));
   p1->nic_checksum_verified = true;
-  pair.server->OnHostPacket(*pair.skbs.Wrap(std::move(p1)));
+  pair.server->OnHostPacket(*SkBuff::Wrap(std::move(p1)));
   FrameOptions b = a;
   b.seq = 1101;
   PacketPtr p2 = pair.pool.AllocateMoved(MakeFrame(b, 100));
   p2->nic_checksum_verified = true;
-  pair.server->OnHostPacket(*pair.skbs.Wrap(std::move(p2)));
+  pair.server->OnHostPacket(*SkBuff::Wrap(std::move(p2)));
   EXPECT_EQ(pair.server->bytes_received(), 200u);
   EXPECT_EQ(pair.server->paws_rejected(), 0u);
 }
@@ -340,7 +283,7 @@ TEST(Paws, AggregatedTimestampFromLastFragmentInterplay) {
   // PAWS-rejected and recovered by retransmission — the documented cost of combining
   // the two mechanisms. Equal timestamps, the common case the paper argues for, are
   // unaffected.
-  ExtPair pair(/*enable_sack=*/false);
+  ConnectionPair pair(Extensions(/*enable_sack=*/false));
   pair.Establish();
 
   // Build an aggregated SkBuff by hand: two fragments with ts 5000 and 5001.
@@ -350,7 +293,7 @@ TEST(Paws, AggregatedTimestampFromLastFragmentInterplay) {
   head_options.ts_value = 5001;  // the aggregator would have taken the last ts
   PacketPtr head = pair.pool.AllocateMoved(MakeFrame(head_options, 100));
   head->nic_checksum_verified = true;
-  SkBuffPtr skb = pair.skbs.Wrap(std::move(head));
+  SkBuffPtr skb = SkBuff::Wrap(std::move(head));
   skb->csum_verified = true;
   pair.server->OnHostPacket(*skb);
   EXPECT_EQ(pair.server->bytes_received(), 100u);
@@ -362,7 +305,7 @@ TEST(Paws, AggregatedTimestampFromLastFragmentInterplay) {
   stale.ts_value = 5000;
   PacketPtr p = pair.pool.AllocateMoved(MakeFrame(stale, 100));
   p->nic_checksum_verified = true;
-  pair.server->OnHostPacket(*pair.skbs.Wrap(std::move(p)));
+  pair.server->OnHostPacket(*SkBuff::Wrap(std::move(p)));
   EXPECT_EQ(pair.server->bytes_received(), 100u);
   EXPECT_EQ(pair.server->paws_rejected(), 1u);
 
@@ -371,7 +314,7 @@ TEST(Paws, AggregatedTimestampFromLastFragmentInterplay) {
   retrans.ts_value = 5002;
   PacketPtr p2 = pair.pool.AllocateMoved(MakeFrame(retrans, 100));
   p2->nic_checksum_verified = true;
-  pair.server->OnHostPacket(*pair.skbs.Wrap(std::move(p2)));
+  pair.server->OnHostPacket(*SkBuff::Wrap(std::move(p2)));
   EXPECT_EQ(pair.server->bytes_received(), 200u);
 }
 
@@ -448,7 +391,7 @@ TEST(StackRst, NeverResetsARst) {
 
 TEST(StackRst, ClientConnectToClosedPortFails) {
   // Through the full testbed: a RST answer moves the client to CLOSED.
-  ExtPair pair(false);
+  ConnectionPair pair(Extensions(false));
   // Directly: feed the client a RST as ProcessSynSent would see it; covered in the
   // stack-level tests above and tcp_connection_test's RstClosesImmediately.
   pair.server->Listen();

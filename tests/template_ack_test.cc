@@ -62,9 +62,8 @@ TEST(TemplateAck, BuildCarriesExtraAcks) {
   TcpConnection server(config, loop,
                        [&out](TcpOutputItem item) { out.push_back(std::move(item)); });
   PacketPool pool;
-  SkBuffPool skbs;
   const auto deliver = [&](std::vector<uint8_t> frame) {
-    SkBuffPtr skb = skbs.Wrap(ToPacket(pool, std::move(frame)));
+    SkBuffPtr skb = SkBuff::Wrap(ToPacket(pool, std::move(frame)));
     ASSERT_NE(skb, nullptr);
     server.OnHostPacket(*skb);
   };
@@ -81,7 +80,7 @@ TEST(TemplateAck, BuildCarriesExtraAcks) {
   deliver(MakeFrame(ack, 0));
   ASSERT_EQ(server.state(), TcpState::kEstablished);
 
-  Aggregator aggregator(AggregatorConfig{}, skbs,
+  Aggregator aggregator(AggregatorConfig{},
                         [&server](SkBuffPtr skb) { server.OnHostPacket(*skb); });
   for (uint32_t i = 0; i < 4; ++i) {
     FrameOptions data = ack;

@@ -1,15 +1,24 @@
 // Shared helpers for the unit and property tests: canonical frame builders and a
-// direct-drive harness around NetworkStack that bypasses NICs/links for fully
-// deterministic packet-by-packet tests.
+// directly wired pair of TCP connections that bypasses NICs, links and the cost model
+// for fully deterministic packet-by-packet tests.
 
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/buffer/packet.h"
+#include "src/buffer/skbuff.h"
+#include "src/core/template_ack.h"
+#include "src/tcp/tcp_connection.h"
+#include "src/util/event_loop.h"
 #include "src/wire/frame.h"
 
 namespace tcprx {
@@ -83,6 +92,85 @@ inline std::vector<uint8_t> ExpectedPayload(uint32_t seq, size_t len) {
   }
   return out;
 }
+
+// Two directly wired connections: client 10.0.0.2:10000 (initial seq 1000) and
+// server 10.0.0.1:5001 (initial seq 77000). Every frame a side emits is logged, then
+// offered to `filter`, and if kept it reaches the other side 10 us later.
+class ConnectionPair {
+ public:
+  // Adjusts a side's config before its connection is built.
+  using ConfigHook = std::function<void(TcpConnectionConfig& config, bool client)>;
+  // Returns false to drop the frame.
+  using Filter = std::function<bool(bool from_client, const std::vector<uint8_t>& frame)>;
+
+  explicit ConnectionPair(const ConfigHook& hook = {}) {
+    TcpConnectionConfig client_config;
+    client_config.local_ip = ClientIp();
+    client_config.remote_ip = ServerIp();
+    client_config.local_port = 10000;
+    client_config.remote_port = 5001;
+    client_config.local_mac = ClientMac();
+    client_config.remote_mac = ServerMac();
+    client_config.initial_seq = 1000;
+
+    TcpConnectionConfig server_config = client_config;
+    server_config.local_ip = ServerIp();
+    server_config.remote_ip = ClientIp();
+    server_config.local_port = 5001;
+    server_config.remote_port = 10000;
+    server_config.local_mac = ServerMac();
+    server_config.remote_mac = ClientMac();
+    server_config.initial_seq = 77000;
+
+    if (hook) {
+      hook(client_config, true);
+      hook(server_config, false);
+    }
+    client = std::make_unique<TcpConnection>(
+        client_config, loop, [this](TcpOutputItem item) { Cross(true, std::move(item)); });
+    server = std::make_unique<TcpConnection>(
+        server_config, loop, [this](TcpOutputItem item) { Cross(false, std::move(item)); });
+  }
+  ConnectionPair(const ConnectionPair&) = delete;
+  ConnectionPair& operator=(const ConnectionPair&) = delete;
+
+  void Establish() {
+    server->Listen();
+    client->Connect();
+    Run(5);
+    ASSERT_EQ(client->state(), TcpState::kEstablished);
+    ASSERT_EQ(server->state(), TcpState::kEstablished);
+  }
+
+  void Run(uint64_t millis) { loop.RunUntil(loop.Now() + SimDuration::FromMillis(millis)); }
+
+  EventLoop loop;
+  PacketPool pool;
+  std::unique_ptr<TcpConnection> client;
+  std::unique_ptr<TcpConnection> server;
+  Filter filter;
+  // Every frame either side emitted, dropped ones included, with its direction (true =
+  // client->server).
+  std::vector<std::pair<bool, std::vector<uint8_t>>> wire_log;
+
+ private:
+  void Cross(bool from_client, TcpOutputItem item) {
+    ExpandTemplateAck(std::move(item), [this, from_client](std::vector<uint8_t> frame) {
+      wire_log.emplace_back(from_client, frame);
+      if (filter && !filter(from_client, frame)) {
+        return;
+      }
+      loop.ScheduleAfter(SimDuration::FromMicros(10),
+                         [this, from_client, f = std::move(frame)]() mutable {
+                           PacketPtr p = pool.AllocateMoved(std::move(f));
+                           p->nic_checksum_verified = true;
+                           SkBuffPtr skb = SkBuff::Wrap(std::move(p));
+                           ASSERT_NE(skb, nullptr);
+                           (from_client ? *server : *client).OnHostPacket(*skb);
+                         });
+    });
+  }
+};
 
 }  // namespace testutil
 }  // namespace tcprx

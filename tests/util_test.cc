@@ -82,6 +82,66 @@ TEST(EventLoop, RunUntilAdvancesTimeEvenWhenEmpty) {
 }
 
 // ---------------------------------------------------------------------------
+// EventLoop::Timer
+// ---------------------------------------------------------------------------
+
+TEST(EventLoopTimer, ReArmedLaterFiresOnceAtLastDeadline) {
+  EventLoop loop;
+  std::vector<SimTime> fired;
+  EventLoop::Timer timer(loop, [&] { fired.push_back(loop.Now()); });
+  timer.Arm(SimDuration::FromNanos(10));
+  loop.ScheduleAt(SimTime::FromNanos(5), [&] { timer.Arm(SimDuration::FromNanos(10)); });
+  loop.ScheduleAt(SimTime::FromNanos(12), [&] { timer.Arm(SimDuration::FromNanos(10)); });
+  loop.RunToCompletion();
+  EXPECT_EQ(fired, (std::vector<SimTime>{SimTime::FromNanos(22)}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(EventLoopTimer, ReArmedEarlierFiresEarlyAndSupersededWakeupStaysSilent) {
+  EventLoop loop;
+  std::vector<SimTime> fired;
+  EventLoop::Timer timer(loop, [&] {
+    fired.push_back(loop.Now());
+    if (fired.size() == 1) {
+      timer.Arm(SimDuration::FromNanos(200));  // outlives the superseded wakeup at 100
+    }
+  });
+  timer.Arm(SimDuration::FromNanos(100));
+  timer.Arm(SimDuration::FromNanos(10));
+  EXPECT_TRUE(timer.armed());
+  loop.RunToCompletion();
+  EXPECT_EQ(fired, (std::vector<SimTime>{SimTime::FromNanos(10), SimTime::FromNanos(210)}));
+}
+
+TEST(EventLoopTimer, CancelledNeverFires) {
+  EventLoop loop;
+  int fired = 0;
+  EventLoop::Timer timer(loop, [&] { ++fired; });
+  timer.Arm(SimDuration::FromNanos(10));
+  timer.Cancel();
+  EXPECT_FALSE(timer.armed());
+  loop.RunToCompletion();
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(EventLoopTimer, KeepsItsArmOrderAmongSameInstantEvents) {
+  EventLoop loop;
+  std::vector<std::string> order;
+  EventLoop::Timer before(loop, [&] { order.push_back("before"); });
+  EventLoop::Timer after(loop, [&] { order.push_back("after"); });
+  EventLoop::Timer requeued(loop, [&] { order.push_back("requeued"); });
+  // `requeued` first wakes at 50 and must queue itself again at 100 in the slot its
+  // last Arm reserved: ahead of the event scheduled after that Arm.
+  requeued.Arm(SimDuration::FromNanos(50));
+  requeued.Arm(SimDuration::FromNanos(100));
+  before.Arm(SimDuration::FromNanos(100));
+  loop.ScheduleAt(SimTime::FromNanos(100), [&] { order.push_back("event"); });
+  after.Arm(SimDuration::FromNanos(100));
+  loop.RunToCompletion();
+  EXPECT_EQ(order, (std::vector<std::string>{"requeued", "before", "event", "after"}));
+}
+
+// ---------------------------------------------------------------------------
 // SpscRing
 // ---------------------------------------------------------------------------
 

@@ -21,9 +21,9 @@
 //   tcprx_sim stream --drop=0.01 --optimized --json
 
 #include <cstdio>
-#include <string>
-
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "src/sim/pcap.h"
 #include "src/sim/report.h"
@@ -47,29 +47,35 @@ int Usage() {
   return 2;
 }
 
-SystemType ParseSystem(const std::string& name) {
+std::optional<SystemType> ParseSystem(const std::string& name) {
+  if (name == "up") {
+    return SystemType::kNativeUp;
+  }
   if (name == "smp") {
     return SystemType::kNativeSmp;
   }
   if (name == "xen") {
     return SystemType::kXenGuest;
   }
-  return SystemType::kNativeUp;
+  return std::nullopt;
 }
 
-PrefetchMode ParsePrefetch(const std::string& name) {
+std::optional<PrefetchMode> ParsePrefetch(const std::string& name) {
   if (name == "none") {
     return PrefetchMode::kNone;
   }
   if (name == "partial") {
     return PrefetchMode::kAdjacent;
   }
-  return PrefetchMode::kFull;
+  if (name == "full") {
+    return PrefetchMode::kFull;
+  }
+  return std::nullopt;
 }
 
 TestbedConfig BuildConfig(FlagParser& flags) {
   TestbedConfig config;
-  const SystemType system = ParseSystem(flags.GetString("system", "up"));
+  const SystemType system = *ParseSystem(flags.GetString("system", "up"));
   if (flags.GetBool("optimized")) {
     config.stack = StackConfig::Optimized(system);
   } else {
@@ -79,7 +85,7 @@ TestbedConfig BuildConfig(FlagParser& flags) {
   }
   config.stack.aggregation_limit = flags.GetUint("limit", 20);
   config.stack.hardware_lro = flags.GetBool("hardware-lro");
-  config.stack.prefetch = ParsePrefetch(flags.GetString("prefetch", "full"));
+  config.stack.prefetch = *ParsePrefetch(flags.GetString("prefetch", "full"));
   config.stack.fill_tcp_checksums = flags.GetBool("fill-checksums", false);
   config.num_nics = flags.GetUint("nics", 5);
   config.nic.rx_checksum_offload = !flags.GetBool("no-rx-csum-offload");
@@ -273,6 +279,14 @@ int main(int argc, char** argv) {
   }
   if (flags.GetUint("limit", 20) < 1) {
     std::fprintf(stderr, "--limit must be >= 1\n");
+    return 2;
+  }
+  if (!tcprx::ParseSystem(flags.GetString("system", "up"))) {
+    std::fprintf(stderr, "--system must be up, smp or xen\n");
+    return 2;
+  }
+  if (!tcprx::ParsePrefetch(flags.GetString("prefetch", "full"))) {
+    std::fprintf(stderr, "--prefetch must be none, partial or full\n");
     return 2;
   }
   const std::string& command = flags.positional()[0];
