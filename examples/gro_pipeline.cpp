@@ -56,7 +56,7 @@ int main() {
     ++host_packets;
     std::printf("  out[%zu]: %zu segment(s), %5zu payload bytes, flow :%u  %s\n",
                 host_packets, skb->SegmentCount(), skb->PayloadSize(),
-                skb->view.tcp.src_port,
+                skb->view().tcp.src_port,
                 skb->fragment_info.empty() ? "(passthrough)" : "(aggregated)");
   });
 

@@ -33,27 +33,21 @@ PacketPtr PacketPool::Take() {
   }
   ++stats_.allocations;
   ++stats_.live;
-  p->arrival_time = SimTime();
   p->nic_checksum_verified = false;
-  p->ingress_nic = -1;
   return PacketPtr(p);
 }
 
 PacketPtr PacketPool::Allocate(std::span<const uint8_t> frame) {
   PacketPtr p = Take();
   p->data.assign(frame.begin(), frame.end());
+  p->view = ParseTcpFrame(p->Bytes());
   return p;
 }
 
 PacketPtr PacketPool::AllocateMoved(std::vector<uint8_t>&& frame) {
   PacketPtr p = Take();
   p->data = std::move(frame);
-  return p;
-}
-
-PacketPtr PacketPool::AllocateZeroed(size_t size) {
-  PacketPtr p = Take();
-  p->data.assign(size, 0);
+  p->view = ParseTcpFrame(p->Bytes());
   return p;
 }
 

@@ -36,18 +36,8 @@ struct SkBuff {
   PacketPtr head;
 
   // Payload-bearing continuation frames of an aggregated packet, in sequence order.
-  // Each fragment's payload location is recorded alongside; header bytes of the
-  // fragment frames are dead weight, never reparsed.
-  struct Fragment {
-    PacketPtr frame;
-    size_t payload_offset = 0;
-    size_t payload_size = 0;
-  };
-  std::vector<Fragment> frags;
-
-  // Parsed view of the head frame. Must be refreshed (ReparseHead) after any in-place
-  // header rewrite.
-  TcpFrameView view;
+  // Each fragment's own view locates its payload; its header bytes are dead weight.
+  std::vector<PacketPtr> frags;
 
   // True when the TCP checksum is known-good without software verification (NIC rx
   // checksum offload, or an aggregate assembled from offload-verified fragments).
@@ -56,6 +46,10 @@ struct SkBuff {
   // Aggregation metadata: one entry per constituent network packet, including the
   // head. Empty for non-aggregated packets.
   std::vector<FragmentInfo> fragment_info;
+
+  // The head frame's parse. After an in-place header rewrite it is stale until
+  // ReparseHead.
+  const TcpFrameView& view() const { return *head->view; }
 
   // Number of network TCP segments this host packet stands for.
   size_t SegmentCount() const { return fragment_info.empty() ? 1 : fragment_info.size(); }
@@ -70,8 +64,8 @@ struct SkBuff {
   // parses (that would be an aggregation-engine bug).
   void ReparseHead();
 
-  // Builds an SkBuff around `frame`, parsing it. Returns nullptr when the frame is not
-  // a TCP/IPv4 packet (the caller then routes it off the TCP path).
+  // Builds an SkBuff around `frame`. Returns nullptr when the frame is not a TCP/IPv4
+  // packet (the caller then routes it off the TCP path).
   static std::unique_ptr<SkBuff> Wrap(PacketPtr frame);
 };
 

@@ -47,8 +47,8 @@ Aggregator::Aggregator(const AggregatorConfig& config, DeliverFn deliver)
   TCPRX_CHECK(config_.aggregation_limit >= 1);
 }
 
-Aggregator::Eligibility Aggregator::CheckEligibility(const Packet& frame,
-                                                     const TcpFrameView& view) const {
+Aggregator::Eligibility Aggregator::CheckEligibility(const Packet& frame) const {
+  const TcpFrameView& view = *frame.view;
   if (view.ip.HasOptions()) {
     return {false, AggrBypassReason::kIpOptions};
   }
@@ -81,10 +81,7 @@ Aggregator::Eligibility Aggregator::CheckEligibility(const Packet& frame,
 
 void Aggregator::Push(PacketPtr frame) {
   ++stats_.pushed;
-  // tcprx-check: allow(charge) -- NetworkStack charges aggr_early_demux +
-  // aggr_match per frame immediately before Push; this parse is that demux work.
-  auto parsed = ParseTcpFrame(frame->Bytes());
-  if (!parsed.has_value()) {
+  if (!frame->view.has_value()) {
     ++stats_.bypass[static_cast<size_t>(AggrBypassReason::kNotTcp)];
     if (deliver_raw_) {
       ++stats_.raw_delivered;
@@ -94,24 +91,22 @@ void Aggregator::Push(PacketPtr frame) {
     }
     return;
   }
-  TcpFrameView view = std::move(*parsed);
+  const TcpFrameView& view = *frame->view;
   const FlowKey key{view.ip.src, view.ip.dst, view.tcp.src_port, view.tcp.dst_port};
 
-  const Eligibility elig = CheckEligibility(*frame, view);
+  const Eligibility elig = CheckEligibility(*frame);
   if (!elig.eligible) {
     ++stats_.bypass[static_cast<size_t>(elig.reason)];
     // Never let a bypassing packet overtake its flow's partial aggregate.
     FlushFlow(key);
     ++stats_.passthrough;
-    SkBuffPtr skb = SkBuff::Wrap(std::move(frame));
-    TCPRX_CHECK(skb != nullptr);  // it parsed above
-    DeliverSkb(std::move(skb));
+    DeliverSkb(SkBuff::Wrap(std::move(frame)));
     return;
   }
 
   auto it = table_.find(key);
   if (it != table_.end()) {
-    if (TryAppend(it->second, frame, view)) {
+    if (TryAppend(it->second, frame)) {
       if (it->second.skb->fragment_info.size() >= config_.aggregation_limit) {
         ++stats_.limit_flushes;
         Finalize(key, /*by_limit=*/true);
@@ -122,84 +117,70 @@ void Aggregator::Push(PacketPtr frame) {
     ++stats_.mismatch_flushes;
     Finalize(key, /*by_limit=*/false);
   }
-  StartPartial(key, std::move(frame), std::move(view));
+  StartPartial(key, std::move(frame));
   if (config_.aggregation_limit == 1) {
     ++stats_.limit_flushes;
     Finalize(key, /*by_limit=*/true);
   }
 }
 
-void Aggregator::StartPartial(const FlowKey& key, PacketPtr frame, TcpFrameView view) {
+void Aggregator::StartPartial(const FlowKey& key, PacketPtr frame) {
+  const TcpFrameView& view = *frame->view;
   Partial partial;
-  partial.next_seq = view.tcp.seq + static_cast<uint32_t>(view.payload_size);
-  partial.last_ack = view.tcp.ack;
-  partial.last_window = view.tcp.window;
-  partial.has_timestamp = view.tcp.timestamp.has_value();
-  if (partial.has_timestamp) {
-    partial.last_ts = *view.tcp.timestamp;
-  }
-  partial.last_flags = view.tcp.flags;
-  partial.tos = view.ip.tos;
-  partial.ttl = view.ip.ttl;
   partial.total_payload = view.payload_size;
-
-  SkBuffPtr skb = SkBuff::Wrap(std::move(frame));
-  TCPRX_CHECK(skb != nullptr);
-  skb->fragment_info.push_back(FragmentInfo{view.tcp.seq, view.tcp.ack, view.tcp.window,
-                                            static_cast<uint32_t>(view.payload_size)});
-  partial.skb = std::move(skb);
+  partial.skb = SkBuff::Wrap(std::move(frame));
+  partial.skb->fragment_info.push_back(FragmentInfo{
+      view.tcp.seq, view.tcp.ack, view.tcp.window, static_cast<uint32_t>(view.payload_size)});
 
   table_.emplace(key, std::move(partial));
   flow_order_.push_back(key);
 }
 
-bool Aggregator::TryAppend(Partial& partial, PacketPtr& frame, const TcpFrameView& view) {
+bool Aggregator::TryAppend(Partial& partial, PacketPtr& frame) {
+  const TcpFrameView& view = *frame->view;
+  const TcpFrameView& head = partial.skb->view();
+  const FragmentInfo& last = partial.skb->fragment_info.back();
   // In-sequence by sequence number (section 3.1).
-  if (view.tcp.seq != partial.next_seq) {
+  if (view.tcp.seq != last.seq + last.payload_len) {
     return false;
   }
   // In-sequence by acknowledgment number: never decreasing.
-  if (!SeqGe(view.tcp.ack, partial.last_ack)) {
+  if (!SeqGe(view.tcp.ack, last.ack)) {
     return false;
   }
   // Identical option structure: both with timestamps or both without.
-  if (view.tcp.timestamp.has_value() != partial.has_timestamp) {
+  if (view.tcp.timestamp.has_value() != head.tcp.timestamp.has_value()) {
     return false;
   }
   // Identical IP TOS and TTL: differing values would be lost by coalescing (the same
   // rule Linux GRO applies).
-  if (view.ip.tos != partial.tos || view.ip.ttl != partial.ttl) {
+  if (view.ip.tos != head.ip.tos || view.ip.ttl != head.ip.ttl) {
     return false;
   }
   // The aggregate must stay within one IP datagram.
-  const size_t head_headers = partial.skb->view.payload_offset - partial.skb->view.ip_offset;
+  const size_t head_headers = head.payload_offset - head.ip_offset;
   if (head_headers + partial.total_payload + view.payload_size > kMaxAggregateDatagram) {
     return false;
   }
 
-  partial.skb->frags.push_back(
-      SkBuff::Fragment{std::move(frame), view.payload_offset, view.payload_size});
-  partial.skb->fragment_info.push_back(FragmentInfo{view.tcp.seq, view.tcp.ack, view.tcp.window,
-                                                    static_cast<uint32_t>(view.payload_size)});
-  partial.next_seq = view.tcp.seq + static_cast<uint32_t>(view.payload_size);
-  partial.last_ack = view.tcp.ack;
-  partial.last_window = view.tcp.window;
-  if (view.tcp.timestamp.has_value()) {
-    partial.last_ts = *view.tcp.timestamp;
-  }
-  partial.last_flags = view.tcp.flags;
+  partial.skb->fragment_info.push_back(FragmentInfo{
+      view.tcp.seq, view.tcp.ack, view.tcp.window, static_cast<uint32_t>(view.payload_size)});
   partial.total_payload += view.payload_size;
+  partial.skb->frags.push_back(std::move(frame));
   ++stats_.aggregated_segments;
   return true;
 }
 
 void Aggregator::RewriteAggregateHeader(Partial& partial) {
   SkBuff& skb = *partial.skb;
+  const TcpFrameView& head = skb.view();
+  const TcpHeader& last_tcp = skb.frags.back()->view->tcp;
+  const FragmentInfo& last = skb.fragment_info.back();
   std::span<uint8_t> bytes = skb.head->MutableBytes();
-  const size_t ip_off = skb.view.ip_offset;
-  const size_t tcp_off = skb.view.tcp_offset;
-  const size_t ip_hsize = skb.view.ip.HeaderSize();
-  const size_t tcp_hsize = skb.view.tcp.HeaderSize();
+  const size_t ip_off = head.ip_offset;
+  const size_t tcp_off = head.tcp_offset;
+  const size_t ip_hsize = head.ip.HeaderSize();
+  const size_t tcp_hsize = head.tcp.HeaderSize();
 
   // IP total length covers the whole aggregate; fresh header checksum (the paper
   // recomputes the IP checksum of the aggregated packet). TryAppend bounds every
@@ -217,20 +198,20 @@ void Aggregator::RewriteAggregateHeader(Partial& partial) {
 
   // TCP: ack number and window from the last fragment; sequence number stays the
   // first fragment's (already in place).
-  StoreBe32(bytes.data() + tcp_off + 8, partial.last_ack);
-  StoreBe16(bytes.data() + tcp_off + 14, partial.last_window);
+  StoreBe32(bytes.data() + tcp_off + 8, last.ack);
+  StoreBe16(bytes.data() + tcp_off + 14, last.window);
   // Propagate the last fragment's PSH bit.
-  if ((partial.last_flags & kTcpPsh) != 0) {
+  if (last_tcp.Has(kTcpPsh)) {
     bytes[tcp_off + 13] |= kTcpPsh;
   }
   // Timestamp copied from the last fragment (section 3.2).
-  if (partial.has_timestamp) {
+  if (last_tcp.timestamp.has_value()) {
     const std::span<uint8_t> options =
         bytes.subspan(tcp_off + kTcpMinHeaderSize, tcp_hsize - kTcpMinHeaderSize);
     const int ts_at = FindTimestampOption(options);
     TCPRX_CHECK_MSG(ts_at >= 0, "timestamp option vanished from aggregate head");
-    StoreBe32(options.data() + ts_at + 2, partial.last_ts.value);
-    StoreBe32(options.data() + ts_at + 6, partial.last_ts.echo_reply);
+    StoreBe32(options.data() + ts_at + 2, last_tcp.timestamp->value);
+    StoreBe32(options.data() + ts_at + 6, last_tcp.timestamp->echo_reply);
   }
   // The TCP checksum is NOT recomputed: every constituent was verified by the NIC, so
   // the aggregate is marked pre-verified instead (section 3.2).

@@ -95,16 +95,10 @@ class Aggregator {
   size_t PendingFlows() const { return table_.size(); }
 
  private:
+  // A flow's aggregate under construction. Everything TryAppend and the header rewrite
+  // need comes from `skb->fragment_info` and the head's and last fragment's views.
   struct Partial {
     SkBuffPtr skb;
-    uint32_t next_seq = 0;   // wire seq the next in-chain segment must carry
-    uint32_t last_ack = 0;
-    uint16_t last_window = 0;
-    bool has_timestamp = false;
-    TcpTimestampOption last_ts;
-    uint8_t last_flags = 0;
-    uint8_t tos = 0;   // IP TOS/DSCP: must match across fragments (as in Linux GRO)
-    uint8_t ttl = 0;   // IP TTL: ditto — a TTL change means a different network path
     size_t total_payload = 0;
   };
 
@@ -113,10 +107,10 @@ class Aggregator {
     bool eligible = false;
     AggrBypassReason reason = AggrBypassReason::kCount;
   };
-  Eligibility CheckEligibility(const Packet& frame, const TcpFrameView& view) const;
+  Eligibility CheckEligibility(const Packet& frame) const;
 
-  void StartPartial(const FlowKey& key, PacketPtr frame, TcpFrameView view);
-  bool TryAppend(Partial& partial, PacketPtr& frame, const TcpFrameView& view);
+  void StartPartial(const FlowKey& key, PacketPtr frame);
+  bool TryAppend(Partial& partial, PacketPtr& frame);
   void Finalize(const FlowKey& key, bool by_limit);
   void RewriteAggregateHeader(Partial& partial);
   void DeliverSkb(SkBuffPtr skb);

@@ -173,18 +173,17 @@ class DirectHarness {
       });
     });
     stack_->set_host_packet_tap([this](const SkBuff& skb) {
-      if (skb.view.tcp.dst_port != kServerPort) {
+      const TcpFrameView& view = skb.view();
+      if (view.tcp.dst_port != kServerPort) {
         return;
       }
-      const size_t flow =
-          static_cast<size_t>(skb.view.tcp.src_port - kClientPortBase);
+      const size_t flow = static_cast<size_t>(view.tcp.src_port - kClientPortBase);
       if (flow >= tap_.size()) {
         return;
       }
       if (skb.fragment_info.empty()) {
-        if (skb.view.payload_size > 0) {
-          tap_[flow].emplace_back(skb.view.tcp.seq,
-                                  static_cast<uint32_t>(skb.view.payload_size));
+        if (view.payload_size > 0) {
+          tap_[flow].emplace_back(view.tcp.seq, static_cast<uint32_t>(view.payload_size));
         }
       } else {
         for (const FragmentInfo& fi : skb.fragment_info) {

@@ -19,7 +19,7 @@ const char* IpVerdictName(IpVerdict v) {
 }
 
 IpVerdict Ipv4Layer::Validate(const SkBuff& skb) const {
-  const TcpFrameView& view = skb.view;
+  const TcpFrameView& view = skb.view();
   // tcprx-check: allow(charge) -- Validate is pure protocol logic; NetworkStack
   // charges ip_rx_per_packet ("ip_rcv") right before calling ValidateAndCount.
   if (!VerifyIpv4Checksum(skb.head->Bytes().subspan(view.ip_offset, view.ip.HeaderSize()))) {

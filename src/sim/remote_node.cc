@@ -21,14 +21,12 @@ void RemoteNode::HandleOutput(TcpOutputItem item) {
 
 void RemoteNode::OnWireFrame(std::vector<uint8_t> frame) {
   ++frames_received_;
-  PacketPtr packet = pool_.AllocateMoved(std::move(frame));
-  packet->arrival_time = loop_.Now();
-  SkBuffPtr skb = SkBuff::Wrap(std::move(packet));
+  SkBuffPtr skb = SkBuff::Wrap(pool_.AllocateMoved(std::move(frame)));
   if (skb == nullptr) {
     return;
   }
-  const FlowKey key{skb->view.ip.src, skb->view.ip.dst, skb->view.tcp.src_port,
-                    skb->view.tcp.dst_port};
+  const TcpFrameView& view = skb->view();
+  const FlowKey key{view.ip.src, view.ip.dst, view.tcp.src_port, view.tcp.dst_port};
   auto it = demux_.find(key);
   if (it == demux_.end()) {
     return;

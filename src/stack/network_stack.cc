@@ -141,7 +141,7 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   // Network-level data segments this host packet stands for (for per-packet
   // normalization of the profiles, as in the paper's figures).
   if (skb->fragment_info.empty()) {
-    if (skb->view.payload_size > 0) {
+    if (skb->view().payload_size > 0) {
       ++counters.net_data_packets;
     }
   } else {
@@ -180,7 +180,7 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   // verify the TCP checksum in software — a per-byte pass over the segment, exactly
   // the cost the paper's checksum-offload assumption avoids (section 3.1).
   if (!skb->csum_verified) {
-    const size_t segment_bytes = skb->view.tcp.HeaderSize() + skb->PayloadSize();
+    const size_t segment_bytes = skb->view().tcp.HeaderSize() + skb->PayloadSize();
     charger_.Charge(CostCategory::kPerByte, cache_.ChecksumCycles(segment_bytes),
                     "csum_partial");
     if (!VerifyHostPacketChecksum(*skb)) {
@@ -228,7 +228,7 @@ bool NetworkStack::VerifyHostPacketChecksum(const SkBuff& skb) const {
   if (!skb.frags.empty()) {
     return true;
   }
-  const TcpFrameView& view = skb.view;
+  const TcpFrameView& view = skb.view();
   const uint16_t wire_csum = LoadBe16(skb.head->Bytes().data() + view.tcp_offset + 16);
   if (wire_csum == 0) {
     return true;  // tx checksum offload on the sender side: field not filled in sim
@@ -244,17 +244,18 @@ void NetworkStack::SendReset(const SkBuff& skb) {
   // RFC 793: a segment that matches no connection is answered with a RST (never in
   // response to another RST). If the offender carried an ACK, the RST takes its ack
   // as our sequence number; otherwise we ACK everything it sent.
-  const TcpHeader& in = skb.view.tcp;
+  const TcpFrameView& view = skb.view();
+  const TcpHeader& in = view.tcp;
   if (in.Has(kTcpRst)) {
     return;
   }
   ++stats_.rsts_sent;
 
   TcpFrameSpec spec;
-  spec.src_mac = skb.view.eth.dst;
-  spec.dst_mac = skb.view.eth.src;
-  spec.src_ip = skb.view.ip.dst;
-  spec.dst_ip = skb.view.ip.src;
+  spec.src_mac = view.eth.dst;
+  spec.dst_mac = view.eth.src;
+  spec.src_ip = view.ip.dst;
+  spec.dst_ip = view.ip.src;
   spec.fill_tcp_checksum = config_.fill_tcp_checksums;
   spec.tcp.src_port = in.dst_port;
   spec.tcp.dst_port = in.src_port;
@@ -275,14 +276,15 @@ void NetworkStack::SendReset(const SkBuff& skb) {
 }
 
 TcpConnection* NetworkStack::Demux(const SkBuff& skb) {
-  const FlowKey key{skb.view.ip.src, skb.view.ip.dst, skb.view.tcp.src_port,
-                    skb.view.tcp.dst_port};
+  const TcpFrameView& view = skb.view();
+  const FlowKey key{view.ip.src, view.ip.dst, view.tcp.src_port, view.tcp.dst_port};
   auto it = demux_.find(key);
   return it == demux_.end() ? nullptr : it->second;
 }
 
 TcpConnection* NetworkStack::AcceptNew(const SkBuff& skb) {
-  const TcpHeader& h = skb.view.tcp;
+  const TcpFrameView& view = skb.view();
+  const TcpHeader& h = view.tcp;
   if (!h.Has(kTcpSyn) || h.Has(kTcpAck)) {
     return nullptr;
   }
@@ -291,12 +293,12 @@ TcpConnection* NetworkStack::AcceptNew(const SkBuff& skb) {
     return nullptr;
   }
   TcpConnectionConfig conn_config;
-  conn_config.local_ip = skb.view.ip.dst;
-  conn_config.remote_ip = skb.view.ip.src;
+  conn_config.local_ip = view.ip.dst;
+  conn_config.remote_ip = view.ip.src;
   conn_config.local_port = h.dst_port;
   conn_config.remote_port = h.src_port;
-  conn_config.local_mac = skb.view.eth.dst;
-  conn_config.remote_mac = skb.view.eth.src;
+  conn_config.local_mac = view.eth.dst;
+  conn_config.remote_mac = view.eth.src;
   conn_config.recv_window = config_.recv_window;
   conn_config.delayed_acks = config_.delayed_acks;
   conn_config.sack = config_.sack;

@@ -170,7 +170,7 @@ void TcpConnection::OnHostPacket(const SkBuff& skb) {
 }
 
 void TcpConnection::ProcessListen(const SkBuff& skb) {
-  const TcpHeader& h = skb.view.tcp;
+  const TcpHeader& h = skb.view().tcp;
   if (!h.Has(kTcpSyn) || h.Has(kTcpAck) || h.Has(kTcpRst)) {
     return;
   }
@@ -181,7 +181,7 @@ void TcpConnection::ProcessListen(const SkBuff& skb) {
 }
 
 void TcpConnection::ProcessSynSent(const SkBuff& skb) {
-  const TcpHeader& h = skb.view.tcp;
+  const TcpHeader& h = skb.view().tcp;
   if (h.Has(kTcpRst)) {
     SetState(TcpState::kClosed);
     return;
@@ -225,7 +225,7 @@ void TcpConnection::AdoptPeerSyn(const TcpHeader& h) {
 }
 
 void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
-  const TcpHeader& h = skb.view.tcp;
+  const TcpHeader& h = skb.view().tcp;
   if (h.Has(kTcpRst)) {
     SetState(TcpState::kClosed);
     return;
@@ -398,9 +398,8 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint32_t window, uint64_t seg_
 
 void TcpConnection::DeliverPayload(const SkBuff& skb, uint64_t seg_seq) {
   if (skb.fragment_info.empty()) {
-    if (skb.view.payload_size > 0) {
-      DeliverSegment(skb.head->Bytes().subspan(skb.view.payload_offset, skb.view.payload_size),
-                     seg_seq);
+    if (skb.view().payload_size > 0) {
+      DeliverSegment(skb.head->Payload(), seg_seq);
     }
     return;
   }
@@ -412,22 +411,16 @@ void TcpConnection::DeliverPayload(const SkBuff& skb, uint64_t seg_seq) {
   // e.g. a retransmitted segment chained onto a hole-filling one must still draw
   // both the hole-fill ACK and the duplicate ACK the unaggregated stack emits.
   uint64_t fseq = seg_seq;
-  size_t frag_index = 0;
-  for (const FragmentInfo& fi : skb.fragment_info) {
-    std::span<const uint8_t> payload;
-    if (frag_index == 0) {
-      payload = skb.head->Bytes().subspan(skb.view.payload_offset, skb.view.payload_size);
-    } else {
-      const SkBuff::Fragment& frag = skb.frags[frag_index - 1];
-      payload = frag.frame->Bytes().subspan(frag.payload_offset, frag.payload_size);
-    }
+  for (size_t i = 0; i < skb.fragment_info.size(); ++i) {
+    const FragmentInfo& fi = skb.fragment_info[i];
+    const std::span<const uint8_t> payload =
+        i == 0 ? skb.head->Payload() : skb.frags[i - 1]->Payload();
     TCPRX_CHECK_MSG(payload.size() == fi.payload_len,
                     "aggregate fragment metadata disagrees with payload layout");
     if (fi.payload_len > 0) {
       DeliverSegment(payload, fseq);
     }
     fseq += fi.payload_len;
-    ++frag_index;
   }
 }
 

@@ -1,11 +1,11 @@
 // Zero-copy raw wire fields: opaque big-endian field types and the bounds-checked
 // flow-tuple peek used by NIC-level steering.
 //
-// ParseTcpFrame fully decodes every header (including a heap-allocated copy of the
-// TCP option bytes) — the right tool once a frame has been accepted into the stack,
-// but far too heavy for the NIC's RSS hash or the RPS steering lookup, which need
-// exactly six fields at fixed offsets. PeekFlowKey reads just those fields, the way
-// RSS hardware does, without allocating or touching the option block.
+// Every received Packet already carries its ParseTcpFrame view, so steering could read
+// the tuple from there. It does not, for RSS semantics: hardware hashes six fields at
+// fixed offsets and steers frames the full parse rejects (a corrupted TCP data offset,
+// say) by their tuple, where a view-based lookup would send them to queue 0.
+// PeekFlowKey reads just those fields, the way RSS hardware does.
 //
 // Byte-order discipline (enforced by tools/tcprx_check, rule `byteorder`): the
 // `be16`/`be32` wire-field types are opaque everywhere except this header — their

@@ -34,7 +34,7 @@ void XenPathModel::ChargeGuestRx(Charger& charger, const SkBuff& skb) const {
     copy_cycles += cache_.CopyCycles(span.size());
   });
   // Headers are copied too.
-  copy_cycles += cache_.CopyCycles(skb.view.payload_offset);
+  copy_cycles += cache_.CopyCycles(skb.view().payload_offset);
   copy_cycles = copy_cycles * costs_.xen_copy_factor_percent / 100;
   charger.Charge(CostCategory::kPerByte, copy_cycles, "grant_copy_data");
 

@@ -65,7 +65,7 @@ TEST_F(AggregatorTest, ChainsInSequencePackets) {
   EXPECT_EQ(skb.SegmentCount(), 3u);
   EXPECT_EQ(skb.PayloadSize(), 3u * 1448);
   EXPECT_EQ(skb.frags.size(), 2u);
-  EXPECT_EQ(skb.view.tcp.seq, 1000u);
+  EXPECT_EQ(skb.view().tcp.seq, 1000u);
 }
 
 TEST_F(AggregatorTest, LimitClosesAggregate) {
@@ -124,13 +124,13 @@ TEST_F(AggregatorTest, RewritesHeaderFromLastFragment) {
   aggregator_.FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
   const SkBuff& skb = *delivered_.front();
-  EXPECT_EQ(skb.view.tcp.seq, 1u);            // first fragment's seq
-  EXPECT_EQ(skb.view.tcp.ack, 300u);          // last fragment's ack
-  EXPECT_EQ(skb.view.tcp.window, 7000);       // last fragment's window
-  ASSERT_TRUE(skb.view.tcp.timestamp.has_value());
-  EXPECT_EQ(skb.view.tcp.timestamp->value, 79u);  // last fragment's timestamp
+  EXPECT_EQ(skb.view().tcp.seq, 1u);            // first fragment's seq
+  EXPECT_EQ(skb.view().tcp.ack, 300u);          // last fragment's ack
+  EXPECT_EQ(skb.view().tcp.window, 7000);       // last fragment's window
+  ASSERT_TRUE(skb.view().tcp.timestamp.has_value());
+  EXPECT_EQ(skb.view().tcp.timestamp->value, 79u);  // last fragment's timestamp
   // IP total length covers the whole aggregate.
-  EXPECT_EQ(skb.view.ip.total_length, 20 + 32 + 3 * 1448);
+  EXPECT_EQ(skb.view().ip.total_length, 20 + 32 + 3 * 1448);
 }
 
 TEST_F(AggregatorTest, AggregateIpChecksumIsValid) {
@@ -140,7 +140,7 @@ TEST_F(AggregatorTest, AggregateIpChecksumIsValid) {
   ASSERT_EQ(delivered_.size(), 1u);
   const SkBuff& skb = *delivered_.front();
   EXPECT_TRUE(VerifyIpv4Checksum(
-      skb.head->Bytes().subspan(skb.view.ip_offset, skb.view.ip.HeaderSize())));
+      skb.head->Bytes().subspan(skb.view().ip_offset, skb.view().ip.HeaderSize())));
 }
 
 TEST_F(AggregatorTest, AggregateMarkedChecksumVerified) {
@@ -172,7 +172,7 @@ TEST_F(AggregatorTest, PshOfLastFragmentPropagates) {
   options.flags = kTcpAck | kTcpPsh;
   aggregator_.Push(ToPacket(pool_, MakeFrame(options, 1448)));
   aggregator_.FlushAll();
-  EXPECT_TRUE(delivered_.front()->view.tcp.Has(kTcpPsh));
+  EXPECT_TRUE(delivered_.front()->view().tcp.Has(kTcpPsh));
 }
 
 // ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ TEST_F(AggregatorTest, OutOfSequenceStartsNewAggregate) {
   EXPECT_EQ(aggregator_.stats().mismatch_flushes, 1u);
   aggregator_.FlushAll();
   ASSERT_EQ(delivered_.size(), 2u);
-  EXPECT_EQ(delivered_[1]->view.tcp.seq, 1u + 5 * 1448);
+  EXPECT_EQ(delivered_[1]->view().tcp.seq, 1u + 5 * 1448);
 }
 
 TEST_F(AggregatorTest, DecreasingAckBreaksChain) {
@@ -322,7 +322,7 @@ TEST_F(AggregatorTest, TtlChangeBreaksChain) {
   ASSERT_EQ(delivered_.size(), 1u);  // chain broken, first aggregate delivered
   aggregator_.FlushAll();
   ASSERT_EQ(delivered_.size(), 2u);
-  EXPECT_EQ(delivered_[1]->view.ip.ttl, 63);
+  EXPECT_EQ(delivered_[1]->view().ip.ttl, 63);
 }
 
 TEST_F(AggregatorTest, DuplicatePacketDoesNotChain) {
@@ -351,8 +351,8 @@ TEST_F(AggregatorTest, FlowsAggregateIndependently) {
   EXPECT_EQ(delivered_[0]->SegmentCount(), 2u);
   EXPECT_EQ(delivered_[1]->SegmentCount(), 2u);
   // Flush order follows flow creation order.
-  EXPECT_EQ(delivered_[0]->view.tcp.src_port, 10000);
-  EXPECT_EQ(delivered_[1]->view.tcp.src_port, 2222);
+  EXPECT_EQ(delivered_[0]->view().tcp.src_port, 10000);
+  EXPECT_EQ(delivered_[1]->view().tcp.src_port, 2222);
 }
 
 TEST_F(AggregatorTest, BypassingPacketNeverOvertakesItsFlow) {
@@ -365,7 +365,7 @@ TEST_F(AggregatorTest, BypassingPacketNeverOvertakesItsFlow) {
   aggregator_.Push(ToPacket(pool_, MakeFrame(fin, 5)));
   ASSERT_EQ(delivered_.size(), 2u);
   EXPECT_EQ(delivered_[0]->SegmentCount(), 2u);            // partial first
-  EXPECT_TRUE(delivered_[1]->view.tcp.Has(kTcpFin));        // then the FIN
+  EXPECT_TRUE(delivered_[1]->view().tcp.Has(kTcpFin));        // then the FIN
 }
 
 TEST_F(AggregatorTest, BypassingPacketLeavesOtherFlowsPending) {
@@ -377,7 +377,7 @@ TEST_F(AggregatorTest, BypassingPacketLeavesOtherFlowsPending) {
   aggregator_.Push(ToPacket(pool_, MakeFrame(other, 0)));  // flow B RST
   // Flow A's partial must NOT be flushed by flow B's bypass.
   ASSERT_EQ(delivered_.size(), 1u);
-  EXPECT_TRUE(delivered_[0]->view.tcp.Has(kTcpRst));
+  EXPECT_TRUE(delivered_[0]->view().tcp.Has(kTcpRst));
   EXPECT_EQ(aggregator_.PendingFlows(), 1u);
 }
 
@@ -413,7 +413,7 @@ TEST_F(AggregatorTest, AggregateStopsBeforeIpLengthOverflow) {
   for (const auto& skb : delivered_) {
     EXPECT_LE(skb->PayloadSize() + 52, 0xffffu);
     // The rewritten header must still parse with a valid length.
-    EXPECT_EQ(skb->view.ip.total_length, 52 + skb->PayloadSize());
+    EXPECT_EQ(skb->view().ip.total_length, 52 + skb->PayloadSize());
   }
 }
 
@@ -464,9 +464,9 @@ TEST_F(AggregatorTest, DatagramBoundedAtExactly16BitTotalLength) {
   EXPECT_EQ(skb.SegmentCount(), 2u);
   EXPECT_EQ(skb.PayloadSize(), kFirst + kSecond);
   const auto bytes = skb.head->Bytes();
-  EXPECT_EQ(LoadBe16(bytes.data() + skb.view.ip_offset + 2), 0xffff);
+  EXPECT_EQ(LoadBe16(bytes.data() + skb.view().ip_offset + 2), 0xffff);
   EXPECT_TRUE(
-      VerifyIpv4Checksum(bytes.subspan(skb.view.ip_offset, skb.view.ip.HeaderSize())));
+      VerifyIpv4Checksum(bytes.subspan(skb.view().ip_offset, skb.view().ip.HeaderSize())));
   EXPECT_EQ(aggregator_.PendingFlows(), 1u);  // the 100-byte tail is a new partial
 }
 
@@ -505,7 +505,7 @@ TEST_F(AggregatorTest, RandomizedPerFlowStreamIntegrity) {
 
   std::vector<uint8_t> actual[kFlows];
   for (const auto& skb : delivered_) {
-    const int f = skb->view.tcp.src_port - 10000;
+    const int f = skb->view().tcp.src_port - 10000;
     ASSERT_GE(f, 0);
     ASSERT_LT(f, kFlows);
     skb->ForEachPayload([&](std::span<const uint8_t> span) {

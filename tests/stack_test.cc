@@ -303,10 +303,7 @@ TEST(XenPath, PerFragmentCostsScaleWithChainLength) {
   auto charge_for = [&](size_t frags) {
     SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 1448)));
     for (size_t i = 0; i < frags; ++i) {
-      auto frame = MakeFrame(FrameOptions{}, 1448);
-      auto view = ParseTcpFrame(frame);
-      skb->frags.push_back(SkBuff::Fragment{pool.AllocateMoved(std::move(frame)),
-                                            view->payload_offset, view->payload_size});
+      skb->frags.push_back(pool.AllocateMoved(MakeFrame(FrameOptions{}, 1448)));
     }
     CycleAccount account;
     Charger charger(costs, account, false);

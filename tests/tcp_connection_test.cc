@@ -353,22 +353,18 @@ TEST(TcpConnection, AggregatedHostPacketDeliveredAsOneUnit) {
     testutil::FrameOptions frag_options;
     frag_options.seq = base + 100 + i * 100;
     frag_options.ack = options.ack;
-    auto frame = testutil::MakeFrame(frag_options, 100);
-    auto view = ParseTcpFrame(frame);
-    ASSERT_TRUE(view.has_value());
-    skb->frags.push_back(SkBuff::Fragment{pair.pool.AllocateMoved(std::move(frame)),
-                                          view->payload_offset, view->payload_size});
+    skb->frags.push_back(pair.pool.AllocateMoved(testutil::MakeFrame(frag_options, 100)));
     skb->fragment_info.push_back(
         FragmentInfo{frag_options.seq, frag_options.ack, 65535, 100});
   }
   // Patch the head's IP length to cover all 300 payload bytes (as the aggregator
   // would) so the logical view is consistent.
   auto bytes = skb->head->MutableBytes();
-  StoreBe16(bytes.data() + skb->view.ip_offset + 2,
+  StoreBe16(bytes.data() + skb->view().ip_offset + 2,
             static_cast<uint16_t>(20 + 32 + 300));
-  StoreBe16(bytes.data() + skb->view.ip_offset + 10, 0);
-  const uint16_t csum = InternetChecksum(bytes.subspan(skb->view.ip_offset, 20));
-  StoreBe16(bytes.data() + skb->view.ip_offset + 10, csum);
+  StoreBe16(bytes.data() + skb->view().ip_offset + 10, 0);
+  const uint16_t csum = InternetChecksum(bytes.subspan(skb->view().ip_offset, 20));
+  StoreBe16(bytes.data() + skb->view().ip_offset + 10, csum);
   skb->ReparseHead();
 
   const uint64_t bytes_before = pair.server->bytes_received();

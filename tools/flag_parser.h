@@ -2,11 +2,15 @@
 //
 // Deliberately tiny: positional commands, long flags only, typed getters with
 // defaults, unknown-flag detection. Header-only so the tools stay one file each.
+// A numeric getter refuses a value that is not wholly a number: it prints a message
+// and ends the tool with exit status 2, so `--nics=5x` never reads as 5.
 
 #ifndef TOOLS_FLAG_PARSER_H_
 #define TOOLS_FLAG_PARSER_H_
 
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -46,15 +50,11 @@ class FlagParser {
   }
 
   uint64_t GetUint(const std::string& name, uint64_t default_value) {
-    MarkUsed(name);
-    auto it = flags_.find(name);
-    return it == flags_.end() ? default_value : std::strtoull(it->second.c_str(), nullptr, 10);
+    return GetNumber(name, default_value, "a whole number");
   }
 
   double GetDouble(const std::string& name, double default_value) {
-    MarkUsed(name);
-    auto it = flags_.find(name);
-    return it == flags_.end() ? default_value : std::strtod(it->second.c_str(), nullptr);
+    return GetNumber(name, default_value, "a number");
   }
 
   std::string GetString(const std::string& name, const std::string& default_value) {
@@ -75,6 +75,23 @@ class FlagParser {
   }
 
  private:
+  template <typename T>
+  T GetNumber(const std::string& name, T default_value, const char* what) {
+    MarkUsed(name);
+    auto it = flags_.find(name);
+    if (it == flags_.end()) {
+      return default_value;
+    }
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size()) {
+      std::fprintf(stderr, "--%s must be %s, not '%s'\n", name.c_str(), what, text.c_str());
+      std::exit(2);
+    }
+    return value;
+  }
+
   void MarkUsed(const std::string& name) { used_[name] = true; }
 
   std::map<std::string, std::string> flags_;

@@ -12,7 +12,10 @@
 # ack-offload + aggregation at limit 8} x {1 core, 4 cores, 4 cores without RSS} x
 # {no loss, random drop, reorder + duplicate + corrupt, burst drop}. Besides it: a
 # latency run per system and stack, the text report with --profile, a --trace run, an
-# 80-connection SMP run, and a --fill-checksums run with its --pcap capture.
+# 80-connection SMP run, a --fill-checksums run with its --pcap capture, and the
+# receive checksum paths: corrupted frames with real checksums at 1 and 4 cores (the NIC
+# flags them, the aggregator bypasses them, the stack's software verify drops them),
+# and aggregation without rx checksum offload.
 
 set -eu
 
@@ -74,3 +77,10 @@ run trace-up-agg stream --aggregation --limit=8 --nics=2 --measure-ms=5 --trace
 run smp-80conn stream --system=smp --optimized --cores=4 --conns-per-nic=16 $window --json
 run pcap-fill-checksums stream --optimized --fill-checksums --nics=1 --warmup-ms=5 \
   --measure-ms=5 --pcap=capture.pcap --json
+# shellcheck disable=SC2086
+run csum-corrupt-1 stream --optimized --fill-checksums --corrupt=0.002 --seed=7 $window --json
+# shellcheck disable=SC2086
+run csum-corrupt-4 stream --optimized --fill-checksums --corrupt=0.002 --seed=7 --cores=4 \
+  $window --json
+# shellcheck disable=SC2086
+run agg-no-rx-csum-offload stream --aggregation --no-rx-csum-offload $window --json

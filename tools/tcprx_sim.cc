@@ -29,6 +29,7 @@
 #include "src/sim/report.h"
 #include "src/sim/testbed.h"
 #include "src/sim/trace.h"
+#include "src/wire/ipv4.h"
 #include "tools/flag_parser.h"
 
 namespace tcprx {
@@ -272,14 +273,33 @@ int main(int argc, char** argv) {
   if (flags.positional().size() != 1) {
     return tcprx::Usage();
   }
-  // Bad configuration is rejected here with a message, not by a check deep in the host.
-  if (flags.GetUint("cores", 1) < 1) {
-    std::fprintf(stderr, "--cores must be >= 1\n");
+  // Bad configuration is rejected here with a message, not by a check deep in the host
+  // and not by a run that reports a plausible-looking wrong result.
+  for (const char* name : {"cores", "limit", "conns-per-nic", "measure-ms"}) {
+    if (flags.GetUint(name, 1) < 1) {
+      std::fprintf(stderr, "--%s must be >= 1\n", name);
+      return 2;
+    }
+  }
+  // One segment plus its IP header and the largest TCP header (data offset 15, 60
+  // bytes) must fit one IP datagram.
+  constexpr uint64_t kMaxMss = 0xffff - tcprx::kIpv4MinHeaderSize - 60;
+  if (const uint64_t mss = flags.GetUint("mss", 1448); mss < 1 || mss > kMaxMss) {
+    std::fprintf(stderr, "--mss must be between 1 and %llu\n",
+                 static_cast<unsigned long long>(kMaxMss));
     return 2;
   }
-  if (flags.GetUint("limit", 20) < 1) {
-    std::fprintf(stderr, "--limit must be >= 1\n");
+  // NIC i is addressed 10.0.i.x, so the index must fit one octet.
+  if (const uint64_t nics = flags.GetUint("nics", 5); nics < 1 || nics > 256) {
+    std::fprintf(stderr, "--nics must be between 1 and 256\n");
     return 2;
+  }
+  for (const char* name : {"drop", "reorder", "duplicate", "corrupt"}) {
+    const double p = flags.GetDouble(name, 0.0);
+    if (!(p >= 0.0 && p <= 1.0)) {
+      std::fprintf(stderr, "--%s must be between 0 and 1\n", name);
+      return 2;
+    }
   }
   if (!tcprx::ParseSystem(flags.GetString("system", "up"))) {
     std::fprintf(stderr, "--system must be up, smp or xen\n");
