@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
 #include "src/buffer/packet.h"
@@ -19,6 +20,7 @@
 #include "src/sim/trace.h"
 #include "src/tcp/reassembly.h"
 #include "src/tcp/sack.h"
+#include "src/tcp/send_stream.h"
 #include "src/util/rng.h"
 #include "src/wire/frame.h"
 
@@ -167,6 +169,47 @@ void BM_FormatTcpFrame(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FormatTcpFrame);
+
+// The remote sender's per-byte work: one MSS of synthetic payload, by reference.
+void BM_SendStreamView(benchmark::State& state) {
+  SendStream stream;
+  stream.SetSynthetic(UINT64_MAX / 2);
+  uint64_t offset = 0;
+  for (auto _ : state) {
+    const std::span<const uint8_t> payload = stream.View(offset, kMssWithTimestamps);
+    benchmark::DoNotOptimize(payload.data());
+    offset += kMssWithTimestamps;
+  }
+}
+BENCHMARK(BM_SendStreamView);
+
+// The remote sender's per-frame work: a timestamped MSS data segment built from the
+// synthetic stream, its TCP checksum left to the (modelled) NIC.
+void BM_BuildDataSegment(benchmark::State& state) {
+  SendStream stream;
+  stream.SetSynthetic(UINT64_MAX / 2);
+  TcpFrameSpec spec;
+  spec.src_mac = MacAddress::FromHostId(1);
+  spec.dst_mac = MacAddress::FromHostId(2);
+  spec.src_ip = Ipv4Address::FromOctets(10, 0, 0, 2);
+  spec.dst_ip = Ipv4Address::FromOctets(10, 0, 0, 1);
+  spec.fill_tcp_checksum = false;
+  spec.tcp.src_port = 10000;
+  spec.tcp.dst_port = 5001;
+  spec.tcp.flags = kTcpAck | kTcpPsh;
+  spec.tcp.window = 65535;
+  uint64_t offset = 0;
+  for (auto _ : state) {
+    spec.tcp.seq = static_cast<uint32_t>(offset);
+    uint8_t ts[kTcpTimestampOptionSize];
+    WriteTimestampOption(TcpTimestampOption{static_cast<uint32_t>(offset), 0}, ts);
+    spec.tcp.raw_options.assign(ts, ts + kTcpTimestampOptionSize);
+    spec.payload = stream.View(offset, kMssWithTimestamps);
+    benchmark::DoNotOptimize(BuildTcpFrame(spec));
+    offset += kMssWithTimestamps;
+  }
+}
+BENCHMARK(BM_BuildDataSegment);
 
 }  // namespace
 }  // namespace tcprx

@@ -50,12 +50,26 @@ void SimplexLink::Send(std::vector<uint8_t> frame) {
   if (config_.duplicate_probability > 0 &&
       fault_rng_.NextBool(config_.duplicate_probability)) {
     ++frames_duplicated_;
-    std::vector<uint8_t> copy = frame;
-    loop_.ScheduleAt(arrival + SimDuration::FromNanos(1),
-                     [this, f = std::move(copy)]() mutable { deliver_(std::move(f)); });
+    ScheduleDelivery(arrival + SimDuration::FromNanos(1), frame);
   }
-  loop_.ScheduleAt(arrival,
-                   [this, f = std::move(frame)]() mutable { deliver_(std::move(f)); });
+  ScheduleDelivery(arrival, std::move(frame));
+}
+
+void SimplexLink::ScheduleDelivery(SimTime when, std::vector<uint8_t> frame) {
+  uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(in_flight_.size());
+    in_flight_.push_back(std::move(frame));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = std::move(frame);
+  }
+  loop_.ScheduleAt(when, [this, slot] {
+    std::vector<uint8_t> arrived = std::move(in_flight_[slot]);
+    free_slots_.push_back(slot);
+    deliver_(std::move(arrived));
+  });
 }
 
 }  // namespace tcprx

@@ -47,6 +47,8 @@ struct LinkConfig {
 
 // One direction of a link. Frames queue behind the transmitter when offered faster
 // than line rate (an infinite tx queue: senders are paced by TCP, not by this queue).
+// A frame in flight waits in a recycled slot, and its arrival event holds only the
+// slot index, so a hop boxes nothing on the heap. The link must outlive its events.
 class SimplexLink {
  public:
   using DeliverFn = std::function<void(std::vector<uint8_t>)>;
@@ -73,10 +75,15 @@ class SimplexLink {
   SimTime busy_until() const { return busy_until_; }
 
  private:
+  // Parks `frame` in a free slot and delivers it from there at `when`.
+  void ScheduleDelivery(SimTime when, std::vector<uint8_t> frame);
+
   LinkConfig config_;
   EventLoop& loop_;
   DeliverFn deliver_;
   std::vector<TapFn> taps_;
+  std::vector<std::vector<uint8_t>> in_flight_;  // slots, indexed by the events
+  std::vector<uint32_t> free_slots_;
   SimTime busy_until_;
   Rng fault_rng_;
   uint64_t frames_offered_ = 0;

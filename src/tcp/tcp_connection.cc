@@ -634,10 +634,8 @@ void TcpConnection::EmitPureAcks(const std::vector<uint32_t>& ack_values) {
 }
 
 void TcpConnection::EmitDataSegment(uint64_t seq, uint32_t len, bool fin, bool retransmit) {
-  std::vector<uint8_t> payload(len);
-  if (len > 0) {
-    send_stream_.CopyOut(seq - (iss_ + 1), payload);
-  }
+  const std::span<const uint8_t> payload =
+      len > 0 ? send_stream_.View(seq - (iss_ + 1), len) : std::span<const uint8_t>();
   uint8_t flags = kTcpAck;
   if (len > 0) {
     flags |= kTcpPsh;

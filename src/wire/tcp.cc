@@ -179,7 +179,7 @@ std::vector<SackBlock> ParseSackBlocks(std::span<const uint8_t> options) {
   return blocks;
 }
 
-void AppendSackOption(std::span<const SackBlock> blocks, std::vector<uint8_t>& options) {
+void AppendSackOption(std::span<const SackBlock> blocks, TcpOptionBytes& options) {
   const size_t n = blocks.size() < 3 ? blocks.size() : 3;
   if (n == 0) {
     return;

@@ -8,11 +8,16 @@
 #ifndef SRC_WIRE_TCP_H_
 #define SRC_WIRE_TCP_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "src/util/logging.h"
 #include "src/wire/ipv4.h"
 
 namespace tcprx {
@@ -43,6 +48,67 @@ enum TcpOptionKind : uint8_t {
   kTcpOptTimestamp = 8,
 };
 
+// A data offset of 15 words leaves 40 bytes for options.
+inline constexpr size_t kTcpMaxOptionBytes = 40;
+
+// The option bytes of one TCP header, held inline so that parsing or building a
+// header never allocates. It keeps the subset of std::vector<uint8_t> the code uses;
+// growing past kTcpMaxOptionBytes aborts.
+class TcpOptionBytes {
+ public:
+  TcpOptionBytes() = default;
+  TcpOptionBytes(std::initializer_list<uint8_t> bytes) { assign(bytes.begin(), bytes.end()); }
+
+  size_t size() const { return size_; }
+  uint8_t* data() { return bytes_.data(); }
+  const uint8_t* data() const { return bytes_.data(); }
+  uint8_t* begin() { return data(); }
+  uint8_t* end() { return data() + size_; }
+  const uint8_t* begin() const { return data(); }
+  const uint8_t* end() const { return data() + size_; }
+
+  void clear() { size_ = 0; }
+  void push_back(uint8_t b) { *Grow(1) = b; }
+  // New bytes are zero.
+  void resize(size_t n) {
+    if (n > size_) {
+      uint8_t* first = Grow(n - size_);
+      std::fill(first, end(), uint8_t{0});
+    } else {
+      size_ = static_cast<uint8_t>(n);
+    }
+  }
+  template <typename It>
+  void assign(It first, It last) {
+    clear();
+    insert(end(), first, last);
+  }
+  template <typename It>
+  void insert(const uint8_t* pos, It first, It last) {
+    const size_t at = static_cast<size_t>(pos - begin());
+    const size_t n = static_cast<size_t>(std::distance(first, last));
+    Grow(n);
+    std::copy_backward(begin() + at, end() - n, end());
+    std::copy(first, last, begin() + at);
+  }
+
+  friend bool operator==(const TcpOptionBytes& a, const TcpOptionBytes& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  // Extends the size by `n` and returns the first new byte.
+  uint8_t* Grow(size_t n) {
+    TCPRX_CHECK_MSG(size_t{size_} + n <= kTcpMaxOptionBytes, "TCP options exceed 40 bytes");
+    uint8_t* first = end();
+    size_ = static_cast<uint8_t>(size_ + n);
+    return first;
+  }
+
+  std::array<uint8_t, kTcpMaxOptionBytes> bytes_{};
+  uint8_t size_ = 0;
+};
+
 struct TcpTimestampOption {
   uint32_t value = 0;
   uint32_t echo_reply = 0;
@@ -67,7 +133,7 @@ struct TcpHeader {
   bool sack_permitted = false;
   bool has_sack_blocks = false;
   bool has_unknown_option = false;
-  std::vector<uint8_t> raw_options;
+  TcpOptionBytes raw_options;
 
   size_t HeaderSize() const { return static_cast<size_t>(data_offset_words) * 4; }
   bool Has(TcpFlag f) const { return (flags & f) != 0; }
@@ -111,7 +177,7 @@ struct SackBlock {
 std::vector<SackBlock> ParseSackBlocks(std::span<const uint8_t> options);
 
 // Appends a padded SACK option (NOP NOP kind len blocks...) for up to 3 blocks.
-void AppendSackOption(std::span<const SackBlock> blocks, std::vector<uint8_t>& options);
+void AppendSackOption(std::span<const SackBlock> blocks, TcpOptionBytes& options);
 
 }  // namespace tcprx
 

@@ -74,7 +74,7 @@ TEST(SackScoreboard, HoleEndStopsAtNextRange) {
 // ---------------------------------------------------------------------------
 
 TEST(SackWire, AppendAndParseRoundTrip) {
-  std::vector<uint8_t> options;
+  TcpOptionBytes options;
   const SackBlock blocks[] = {{1000, 2000}, {3000, 4000}};
   AppendSackOption(blocks, options);
   const auto parsed = ParseSackBlocks(options);
@@ -84,7 +84,7 @@ TEST(SackWire, AppendAndParseRoundTrip) {
 }
 
 TEST(SackWire, CapsAtThreeBlocks) {
-  std::vector<uint8_t> options;
+  TcpOptionBytes options;
   const SackBlock blocks[] = {{1, 2}, {3, 4}, {5, 6}, {7, 8}};
   AppendSackOption(blocks, options);
   EXPECT_EQ(ParseSackBlocks(options).size(), 3u);

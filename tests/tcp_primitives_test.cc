@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "src/tcp/congestion.h"
 #include "src/tcp/reassembly.h"
 #include "src/tcp/rtt.h"
@@ -379,6 +383,103 @@ TEST(SendStream, PatternByteCoversAllValues) {
     }
   }
   EXPECT_EQ(distinct, 256);
+}
+
+// The hash the pattern used before it became periodic; the first period still
+// holds exactly these bytes.
+uint8_t UnperiodicPatternByte(uint64_t offset) {
+  uint64_t x = offset * 0x9e3779b97f4a7c15ull;
+  x ^= x >> 32;
+  return static_cast<uint8_t>(x);
+}
+
+TEST(SendStreamPattern, FirstPeriodIsTheHashAndRepeats) {
+  for (uint64_t o = 0; o < kPatternPeriod; ++o) {
+    ASSERT_EQ(SendStream::PatternByte(o), UnperiodicPatternByte(o)) << o;
+    ASSERT_EQ(SendStream::PatternByte(o + kPatternPeriod), SendStream::PatternByte(o)) << o;
+  }
+}
+
+// Shifts d for which the `window` bytes at `at` equal the bytes at `at + d`, over every
+// shift up to 4 x 64 KiB and a 32-bit sequence wrap.
+std::vector<uint64_t> AliasingShifts(uint64_t at, size_t window) {
+  SendStream s;
+  s.SetSynthetic(UINT64_MAX / 2);
+  std::vector<uint64_t> shifts;
+  for (uint64_t d = 1; d <= 4 * 65536; ++d) {
+    shifts.push_back(d);
+  }
+  shifts.push_back(uint64_t{1} << 32);
+  const std::span<const uint8_t> bytes = s.View(at, window);
+  std::vector<uint64_t> aliasing;
+  for (const uint64_t d : shifts) {
+    const std::span<const uint8_t> shifted = s.View(at + d, window);
+    if (std::equal(bytes.begin(), bytes.end(), shifted.begin())) {
+      aliasing.push_back(d);
+    }
+  }
+  return aliasing;
+}
+
+TEST(SendStreamPattern, ShiftedWindowsDiffer) {
+  // The oracles catch a delivery shifted by d only if the shifted bytes differ. The
+  // period keeps every shift below 4 x 64 KiB apart from the unshifted bytes; the
+  // hash itself (unchanged from the unperiodic pattern) lets a 64-byte window alias
+  // at two shifts at offset 10^9, as the unperiodic hash does at two other shifts
+  // there. A 256-byte window, shorter than an MTU segment, never aliases.
+  constexpr uint64_t kFar = 1'000'000'000;
+  EXPECT_EQ(AliasingShifts(0, 64), std::vector<uint64_t>{});
+  EXPECT_EQ(AliasingShifts(kPatternPeriod - 32, 64), std::vector<uint64_t>{});
+  EXPECT_EQ(AliasingShifts(kFar, 64), (std::vector<uint64_t>{23168, 100483}));
+  for (const uint64_t at : {uint64_t{0}, kPatternPeriod - 32, kFar}) {
+    EXPECT_EQ(AliasingShifts(at, 256), std::vector<uint64_t>{}) << "offset " << at;
+  }
+}
+
+TEST(SendStreamPattern, ViewAndCopyOutCrossThePeriod) {
+  SendStream s;
+  s.SetSynthetic(UINT64_MAX / 2);
+  for (const size_t len : {size_t{1}, size_t{1448}, size_t{8948}, size_t{65535}}) {
+    for (const uint64_t at : {kPatternPeriod - len / 2, kPatternPeriod - 1,
+                              3 * kPatternPeriod - len, (uint64_t{1} << 32) - 7}) {
+      const std::span<const uint8_t> view = s.View(at, len);
+      std::vector<uint8_t> copy(len);
+      s.CopyOut(at, copy);
+      for (size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(view[i], SendStream::PatternByte(at + i)) << at << "+" << i;
+        ASSERT_EQ(copy[i], view[i]) << at << "+" << i;
+      }
+    }
+  }
+}
+
+TEST(SendStreamDeathTest, SyntheticViewLongerThanTheTableAborts) {
+  SendStream s;
+  s.SetSynthetic(UINT64_MAX / 2);
+  EXPECT_DEATH(s.View(0, kMaxPatternView + 1), "kMaxPatternView");
+}
+
+TEST(SendStream, ExplicitReadsSurviveCompaction) {
+  SendStream s;
+  std::vector<uint8_t> data(1000);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7);
+  }
+  s.Append(data);
+  s.ReleaseThrough(100);  // a small release keeps the prefix
+  s.ReleaseThrough(600);  // past half: the released prefix is erased
+  s.Append(data);
+  s.ReleaseThrough(1100);
+  const std::span<const uint8_t> view = s.View(1100, 900);
+  std::vector<uint8_t> copy(900);
+  s.CopyOut(1100, copy);
+  for (uint64_t o = 1100; o < 2000; ++o) {
+    const uint8_t want = static_cast<uint8_t>((o % 1000) * 7);
+    ASSERT_EQ(view[o - 1100], want) << o;
+    ASSERT_EQ(copy[o - 1100], want) << o;
+  }
+  s.ReleaseThrough(2000);
+  EXPECT_EQ(s.AvailableFrom(2000), 0u);
 }
 
 }  // namespace

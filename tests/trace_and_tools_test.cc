@@ -45,10 +45,10 @@ TEST(Trace, FormatsSynWithMss) {
 
 TEST(Trace, FormatsSackBlocks) {
   FrameOptions options;
-  std::vector<uint8_t> sack;
+  TcpOptionBytes sack;
   const SackBlock blocks[] = {{5000, 6448}};
   AppendSackOption(blocks, sack);
-  options.extra_options = sack;
+  options.extra_options.assign(sack.begin(), sack.end());
   const std::string line = FormatTcpFrame(MakeFrame(options, 0));
   EXPECT_NE(line.find("sack 5000:6448"), std::string::npos) << line;
 }

@@ -229,6 +229,51 @@ TEST(Tcp, MalformedOptionLengthRejected) {
   EXPECT_FALSE(ParseTcp(buf).has_value());
 }
 
+TEST(Tcp, FullOptionBlockRoundTripsThroughAFrame) {
+  // Timestamp plus three SACK blocks fill the 40 option bytes a header can carry.
+  TcpFrameSpec spec;
+  spec.src_ip = Ipv4Address::FromOctets(10, 0, 0, 2);
+  spec.dst_ip = Ipv4Address::FromOctets(10, 0, 0, 1);
+  spec.tcp.src_port = 10000;
+  spec.tcp.dst_port = 5001;
+  spec.tcp.seq = 7;
+  spec.tcp.ack = 9;
+  spec.tcp.flags = kTcpAck;
+  uint8_t ts[kTcpTimestampOptionSize];
+  WriteTimestampOption(TcpTimestampOption{111, 222}, ts);
+  spec.tcp.raw_options.assign(ts, ts + kTcpTimestampOptionSize);
+  const SackBlock blocks[] = {{1000, 2000}, {3000, 4000}, {5000, 6000}};
+  AppendSackOption(blocks, spec.tcp.raw_options);
+  ASSERT_EQ(spec.tcp.raw_options.size(), kTcpMaxOptionBytes);
+
+  const std::vector<uint8_t> frame = BuildTcpFrame(spec);
+  const auto view = ParseTcpFrame(frame);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->tcp.data_offset_words, 15);
+  EXPECT_EQ(view->tcp.raw_options, spec.tcp.raw_options);
+  ASSERT_TRUE(view->tcp.timestamp.has_value());
+  EXPECT_EQ(view->tcp.timestamp->value, 111u);
+  EXPECT_EQ(view->tcp.timestamp->echo_reply, 222u);
+  EXPECT_EQ(ParseSackBlocks(view->tcp.raw_options),
+            (std::vector<SackBlock>{{1000, 2000}, {3000, 4000}, {5000, 6000}}));
+}
+
+TEST(Tcp, OptionBytesResizeZeroFillsAndInsertShifts) {
+  TcpOptionBytes options = {1, 2, 3};
+  options.resize(1);
+  options.resize(3);
+  EXPECT_EQ(options, (TcpOptionBytes{1, 0, 0}));
+  const uint8_t mid[] = {7, 8};
+  options.insert(options.begin() + 1, mid, mid + 2);
+  EXPECT_EQ(options, (TcpOptionBytes{1, 7, 8, 0, 0}));
+}
+
+TEST(TcpDeathTest, FortyFirstOptionByteAborts) {
+  TcpOptionBytes options;
+  options.resize(kTcpMaxOptionBytes);
+  EXPECT_DEATH(options.push_back(kTcpOptNop), "TCP options exceed 40 bytes");
+}
+
 TEST(Tcp, OptionOverrunRejected) {
   TcpHeader h;
   h.raw_options = {kTcpOptTimestamp, 10, 0, 0};  // claims 10, only 4 present
