@@ -32,6 +32,7 @@ struct CacheParams {
   // Fixed-point ALU cost of moving/checksumming one byte, in 1/100 cycle units
   // (e.g. 20 = 0.20 cycles/byte, roughly rep-movs throughput).
   uint32_t alu_centicycles_per_byte = 20;
+  bool operator==(const CacheParams&) const = default;
 };
 
 // Pure cost calculator: given an access pattern, how many cycles does it take.

@@ -97,6 +97,7 @@ struct CostParams {
 
   // CPU frequency of the receive host (the paper's server is a 3.0 GHz Xeon).
   uint64_t cpu_hz = 3'000'000'000;
+  bool operator==(const CostParams&) const = default;
 
   // Defaults reproduce the paper's native-Linux server. Presets only differ in
   // documentation intent; SMP/Xen behaviour is selected by StackConfig.

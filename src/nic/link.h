@@ -43,6 +43,7 @@ struct LinkConfig {
   double reorder_probability = 0.0;           // frame held back by reorder_delay
   SimDuration reorder_delay = SimDuration::FromMicros(40);
   uint64_t fault_seed = 0x7c9;
+  bool operator==(const LinkConfig&) const = default;
 };
 
 // One direction of a link. Frames queue behind the transmitter when offered faster

@@ -49,6 +49,7 @@ struct NicConfig {
   // (latency-sensitive) traffic still gets the fast interrupt path.
   SimDuration moderation_delay = SimDuration::FromMicros(120);
   SimDuration moderation_gap = SimDuration::FromMicros(50);
+  bool operator==(const NicConfig&) const = default;
 };
 
 class SimulatedNic {

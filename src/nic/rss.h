@@ -30,6 +30,7 @@ struct RssConfig {
   // Number of indirection-table entries (rounded up to a power of two). Real NICs use
   // 128; more entries give the OS finer rebalancing granularity.
   size_t indirection_entries = 128;
+  bool operator==(const RssConfig&) const = default;
 };
 
 // Toeplitz hash over the IPv4 4-tuple plus queue-indirection lookup, as implemented by

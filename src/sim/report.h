@@ -1,6 +1,6 @@
-// Text-report helpers shared by the benchmark binaries: fixed-width tables of the
-// per-category cycles/packet breakdowns and throughput summaries, formatted to read
-// side by side with the paper's figures.
+// Text-report helpers shared by the figure printers (bench/figures.cc) and tcprx_sim:
+// fixed-width tables of the per-category cycles/packet breakdowns and throughput
+// summaries, formatted to read side by side with the paper's figures.
 
 #ifndef SRC_SIM_REPORT_H_
 #define SRC_SIM_REPORT_H_

@@ -41,6 +41,7 @@ struct TestbedConfig {
   // The receive host (src/smp/): each NIC gets one rx queue per core, and each core
   // one stack shard + poll driver. num_cores = 1 is the paper's serialized host.
   SmpHostConfig smp;
+  bool operator==(const TestbedConfig&) const = default;
 };
 
 // Per-category profile plus headline metrics for one measurement window.
@@ -128,6 +129,7 @@ class Testbed {
     // a 9000-byte jumbo-frame LAN (the alternative the paper's related-work section
     // discusses).
     uint32_t client_mss = 1448;
+    bool operator==(const StreamOptions&) const = default;
   };
   StreamResult RunStream(const StreamOptions& options);
 
@@ -136,6 +138,7 @@ class Testbed {
     SimDuration measure = SimDuration::FromMillis(1000);
     size_t message_size = 1;
     uint16_t server_port = 5999;
+    bool operator==(const LatencyOptions&) const = default;
   };
   LatencyResult RunLatency(const LatencyOptions& options);
 

@@ -31,6 +31,7 @@ struct InterCoreCostParams {
   // Extra cost of a contended lock acquisition beyond the uncontended lock-prefixed
   // RMW, charged when the lock's line has to move between cores.
   uint32_t lock_contention_cycles = 60;
+  bool operator==(const InterCoreCostParams&) const = default;
 };
 
 // Ownership tracker for the cache lines the shards share. Deterministic: a touch by

@@ -41,6 +41,7 @@ struct SmpHostConfig {
   size_t num_cores = 1;
   RssConfig rss;
   InterCoreCostParams intercore;
+  bool operator==(const SmpHostConfig&) const = default;
 };
 
 class MulticoreHost {

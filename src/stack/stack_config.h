@@ -57,6 +57,7 @@ struct StackConfig {
   // Build real TCP checksums on transmit (strong end-to-end checking, slower
   // simulation). Benchmarks disable this to model tx checksum offload.
   bool fill_tcp_checksums = true;
+  bool operator==(const StackConfig&) const = default;
 
   static StackConfig Baseline(SystemType s) {
     StackConfig c;

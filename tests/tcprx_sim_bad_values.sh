@@ -28,6 +28,20 @@ expect() {
   fi
 }
 
+# expect_unknown <flag> <tcprx_sim args...>: refused as an unknown flag, exit status 2.
+expect_unknown() {
+  flag=$1
+  shift
+  out=$("$sim" "$@" 2>&1)
+  status=$?
+  if [ "$status" -ne 2 ] || [ "$(echo "$out" | head -n 1)" != "unknown flag: --$flag" ]; then
+    echo "FAIL: tcprx_sim $*"
+    echo "  want exit 2: unknown flag: --$flag"
+    echo "  got exit $status: $(echo "$out" | head -n 1)"
+    failures=$((failures + 1))
+  fi
+}
+
 expect "--mss must be between 1 and 65455" stream --mss=0
 expect "--mss must be between 1 and 65455" stream --mss=65456
 expect "--mss must be between 1 and 65455" stream --mss=100000
@@ -41,6 +55,11 @@ for fault in drop reorder duplicate corrupt; do
   expect "--$fault must be between 0 and 1" stream --$fault=-0.1
 done
 expect "--corrupt must be between 0 and 1" stream --corrupt=nan
+
+# Stream-only flags are unknown to latency, which would otherwise ignore them.
+expect_unknown mss latency --mss=9000 --json
+expect_unknown conns-per-nic latency --conns-per-nic=7 --json
+expect_unknown nics latency --nics=3 --json
 
 # A value that is not wholly a number is refused, not read up to its first bad char.
 expect "--nics must be a whole number, not '5x'" stream --nics=5x

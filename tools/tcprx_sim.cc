@@ -88,7 +88,6 @@ TestbedConfig BuildConfig(FlagParser& flags) {
   config.stack.hardware_lro = flags.GetBool("hardware-lro");
   config.stack.prefetch = *ParsePrefetch(flags.GetString("prefetch", "full"));
   config.stack.fill_tcp_checksums = flags.GetBool("fill-checksums", false);
-  config.num_nics = flags.GetUint("nics", 5);
   config.nic.rx_checksum_offload = !flags.GetBool("no-rx-csum-offload");
   config.smp.num_cores = flags.GetUint("cores", 1);
   config.smp.rss.enabled = !flags.GetBool("no-rss");
@@ -169,6 +168,31 @@ void PrintStreamJson(const StreamResult& r, const TestbedConfig& config) {
 
 int RunStream(FlagParser& flags) {
   TestbedConfig config = BuildConfig(flags);
+  // NIC i is addressed 10.0.i.x, so the index must fit one octet.
+  config.num_nics = flags.GetUint("nics", 5);
+  if (config.num_nics < 1 || config.num_nics > 256) {
+    std::fprintf(stderr, "--nics must be between 1 and 256\n");
+    return 2;
+  }
+  Testbed::StreamOptions options;
+  options.connections_per_nic = flags.GetUint("conns-per-nic", 1);
+  if (options.connections_per_nic < 1) {
+    std::fprintf(stderr, "--conns-per-nic must be >= 1\n");
+    return 2;
+  }
+  // One segment plus its IP header and the largest TCP header (data offset 15, 60
+  // bytes) must fit one IP datagram.
+  constexpr uint64_t kMaxMss = 0xffff - kIpv4MinHeaderSize - 60;
+  const uint64_t mss = flags.GetUint("mss", 1448);
+  if (mss < 1 || mss > kMaxMss) {
+    std::fprintf(stderr, "--mss must be between 1 and %llu\n",
+                 static_cast<unsigned long long>(kMaxMss));
+    return 2;
+  }
+  options.client_mss = static_cast<uint32_t>(mss);
+  options.warmup = SimDuration::FromMillis(flags.GetUint("warmup-ms", 300));
+  options.measure = SimDuration::FromMillis(flags.GetUint("measure-ms", 1000));
+
   Testbed bed(config);
 
   PacketTracer tracer(bed.loop(), flags.GetUint("trace-limit", 200));
@@ -177,11 +201,6 @@ int RunStream(FlagParser& flags) {
     bed.AttachTracer(tracer);
   }
 
-  Testbed::StreamOptions options;
-  options.connections_per_nic = flags.GetUint("conns-per-nic", 1);
-  options.warmup = SimDuration::FromMillis(flags.GetUint("warmup-ms", 300));
-  options.measure = SimDuration::FromMillis(flags.GetUint("measure-ms", 1000));
-  options.client_mss = static_cast<uint32_t>(flags.GetUint("mss", 1448));
   const bool want_json = flags.GetBool("json");
   const bool want_profile = flags.GetBool("profile");
   const bool want_connections = flags.GetBool("connections");
@@ -241,7 +260,7 @@ int RunStream(FlagParser& flags) {
 
 int RunLatency(FlagParser& flags) {
   TestbedConfig config = BuildConfig(flags);
-  config.num_nics = 1;
+  config.num_nics = 1;  // one client, one transaction outstanding
   Testbed bed(config);
   Testbed::LatencyOptions options;
   options.warmup = SimDuration::FromMillis(flags.GetUint("warmup-ms", 200));
@@ -273,26 +292,15 @@ int main(int argc, char** argv) {
   if (flags.positional().size() != 1) {
     return tcprx::Usage();
   }
-  // Bad configuration is rejected here with a message, not by a check deep in the host
-  // and not by a run that reports a plausible-looking wrong result.
-  for (const char* name : {"cores", "limit", "conns-per-nic", "measure-ms"}) {
+  // Bad configuration is rejected with a message, not by a check deep in the host and
+  // not by a run that reports a plausible-looking wrong result. Flags both commands
+  // take are checked here; stream-only flags where RunStream reads them, so that
+  // `latency` reports them as unknown.
+  for (const char* name : {"cores", "limit", "measure-ms"}) {
     if (flags.GetUint(name, 1) < 1) {
       std::fprintf(stderr, "--%s must be >= 1\n", name);
       return 2;
     }
-  }
-  // One segment plus its IP header and the largest TCP header (data offset 15, 60
-  // bytes) must fit one IP datagram.
-  constexpr uint64_t kMaxMss = 0xffff - tcprx::kIpv4MinHeaderSize - 60;
-  if (const uint64_t mss = flags.GetUint("mss", 1448); mss < 1 || mss > kMaxMss) {
-    std::fprintf(stderr, "--mss must be between 1 and %llu\n",
-                 static_cast<unsigned long long>(kMaxMss));
-    return 2;
-  }
-  // NIC i is addressed 10.0.i.x, so the index must fit one octet.
-  if (const uint64_t nics = flags.GetUint("nics", 5); nics < 1 || nics > 256) {
-    std::fprintf(stderr, "--nics must be between 1 and 256\n");
-    return 2;
   }
   for (const char* name : {"drop", "reorder", "duplicate", "corrupt"}) {
     const double p = flags.GetDouble(name, 0.0);
