@@ -315,9 +315,10 @@ Figure Fig07() {
 }
 
 // Figures 8, 9 and 10: cycles per network data packet by category, Original vs
-// Optimized, and how far the per-packet `routines` in `group` shrink.
+// Optimized, and how far the per-packet categories in `group` (printed as
+// `group_label`) shrink.
 Figure OptimizedBreakdown(const char* name, const char* title, SystemType system,
-                          const char* table, const char* routines,
+                          const char* table, const char* group_label,
                           std::span<const CostCategory> group, double paper_factor) {
   Figure f(name, title);
   f.points = {Stream(BenchConfig(system, false)), Stream(BenchConfig(system, true))};
@@ -329,8 +330,8 @@ Figure OptimizedBreakdown(const char* name, const char* title, SystemType system
         {"Original", "Optimized"}, {&original, &optimized});
     const double before = GroupCycles(original, group);
     const double after = GroupCycles(optimized, group);
-    std::printf("\n%s: %.0f -> %.0f cycles/packet (factor %.1f; paper %.1f)\n", routines, before,
-                after, before / after, paper_factor);
+    std::printf("\n%s: %.0f -> %.0f cycles/packet (factor %.1f; paper %.1f)\n", group_label,
+                before, after, before / after, paper_factor);
     if (system == SystemType::kNativeUp) {
       std::printf("driver reduction: %.0f cycles/packet (paper ~681 minus ACK-expansion cost)\n",
                   original.cycles_per_packet[static_cast<size_t>(CostCategory::kDriver)] -

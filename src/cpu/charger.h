@@ -20,20 +20,14 @@ class Charger {
   Charger(const CostParams& costs, CycleAccount& account, bool smp)
       : costs_(costs), account_(account), smp_(smp) {}
 
-  void Charge(CostCategory category, uint64_t cycles) {
+  void Charge(Routine routine, uint64_t cycles) {
     batch_cycles_ += cycles;
-    account_.Charge(category, cycles);
+    account_.Charge(routine, cycles);
   }
 
-  // Variant that also attributes the cycles to a named routine (flat profile).
-  void Charge(CostCategory category, uint64_t cycles, const char* routine) {
-    batch_cycles_ += cycles;
-    account_.Charge(category, cycles, routine);
-  }
-
-  // Charges `sites` lock acquisitions to `category` at the UP or SMP price.
-  void ChargeLocks(CostCategory category, uint32_t sites) {
-    Charge(category, static_cast<uint64_t>(sites) * LockSiteCycles(costs_, smp_));
+  // Charges `sites` lock acquisitions to `routine` at the UP or SMP price.
+  void ChargeLocks(Routine routine, uint32_t sites) {
+    Charge(routine, static_cast<uint64_t>(sites) * LockSiteCycles(costs_, smp_));
   }
 
   // Cycles charged since the last TakeBatchCycles(); the host turns this into CPU

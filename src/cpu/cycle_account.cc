@@ -30,4 +30,24 @@ const char* CostCategoryName(CostCategory c) {
   return "?";
 }
 
+CategoryCycles FoldCategories(const RoutineCycles& routines) {
+  CategoryCycles sum{};
+  for (size_t r = 0; r < kRoutineCount; ++r) {
+    sum[static_cast<size_t>(kRoutineTable[r].category)] += routines[r];
+  }
+  return sum;
+}
+
+uint64_t CycleAccount::Get(CostCategory category) const {
+  return FoldCategories(routines_)[static_cast<size_t>(category)];
+}
+
+uint64_t CycleAccount::Total() const {
+  uint64_t total = 0;
+  for (const uint64_t cycles : routines_) {
+    total += cycles;
+  }
+  return total;
+}
+
 }  // namespace tcprx

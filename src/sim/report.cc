@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 namespace tcprx {
@@ -74,31 +74,44 @@ void PrintPerCoreSummary(const StreamResult& result) {
               static_cast<unsigned long long>(result.backlog_drops));
 }
 
-void PrintFlatProfile(const CycleAccount& account, double min_percent) {
-  std::vector<std::pair<std::string, uint64_t>> rows(account.routines().begin(),
-                                                     account.routines().end());
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  const double total = static_cast<double>(account.Total());
-  if (total <= 0) {
+void PrintFlatProfile(const StreamResult& result) {
+  constexpr double kMinPercent = 0.5;
+  uint64_t window_total = 0;
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < kRoutineCount; ++r) {
+    window_total += result.routine_cycles[r];
+    if (result.routine_cycles[r] > 0) {
+      rows.push_back(r);
+    }
+  }
+  if (window_total == 0) {
     std::printf("(no samples)\n");
     return;
   }
+  // Most cycles first; equal counts in name order, so the report is deterministic.
+  std::sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
+    if (result.routine_cycles[a] != result.routine_cycles[b]) {
+      return result.routine_cycles[a] > result.routine_cycles[b];
+    }
+    return kRoutineTable[a].name < kRoutineTable[b].name;
+  });
+  const double total = static_cast<double>(window_total);
   std::printf("%-32s %14s %8s\n", "routine", "cycles", "%");
   uint64_t shown = 0;
-  for (const auto& [name, cycles] : rows) {
+  for (const size_t r : rows) {
+    const uint64_t cycles = result.routine_cycles[r];
     const double pct = static_cast<double>(cycles) / total * 100.0;
-    if (pct < min_percent) {
+    if (pct < kMinPercent) {
       continue;
     }
     shown += cycles;
-    std::printf("%-32s %14llu %7.2f%%\n", name.c_str(),
+    const std::string_view name = kRoutineTable[r].name;
+    std::printf("%-32.*s %14llu %7.2f%%\n", static_cast<int>(name.size()), name.data(),
                 static_cast<unsigned long long>(cycles), pct);
   }
-  const uint64_t rest = account.Total() - shown;
+  const uint64_t rest = window_total - shown;
   if (rest > 0) {
-    std::printf("%-32s %14llu %7.2f%%\n", "(other)",
-                static_cast<unsigned long long>(rest),
+    std::printf("%-32s %14llu %7.2f%%\n", "(other)", static_cast<unsigned long long>(rest),
                 static_cast<double>(rest) / total * 100.0);
   }
 }

@@ -35,9 +35,10 @@ void PrintPerCoreSummary(const StreamResult& result);
 // Percentage share of a category group within a result's total.
 double CategoryShare(const StreamResult& result, std::span<const CostCategory> group);
 
-// OProfile-style flat profile: routines sorted by cycles, with percentage of the
-// account's total. Rows below `min_percent` are folded into "(other)".
-void PrintFlatProfile(const CycleAccount& account, double min_percent = 0.5);
+// OProfile-style flat profile of a result's measurement window, summed over all
+// cores: routines sorted by cycles, with percentage of the window's total. Rows below
+// 0.5% are folded into "(other)".
+void PrintFlatProfile(const StreamResult& result);
 
 }  // namespace tcprx
 

@@ -138,7 +138,7 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
 
   // Snapshot at the start of the measurement window.
   const CycleAccount::Counters before = host_.SumCounters();
-  const std::array<uint64_t, kCostCategoryCount> categories_before = host_.SumCategories();
+  const RoutineCycles routines_before = host_.SumRoutines();
   const uint64_t busy_before = host_.TotalBusyCycles();
   uint64_t drops_before = 0;
   for (const auto& nic : nics_) {
@@ -154,7 +154,7 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
   loop_.RunUntil(window_end);
 
   const CycleAccount::Counters after = host_.SumCounters();
-  const std::array<uint64_t, kCostCategoryCount> categories_after = host_.SumCategories();
+  const RoutineCycles routines_after = host_.SumRoutines();
   const double seconds = options.measure.ToSecondsF();
 
   StreamResult result;
@@ -182,13 +182,16 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
   result.acks_on_wire = after.acks_generated - before.acks_generated;
   result.ack_templates = after.ack_templates - before.ack_templates;
 
+  for (size_t r = 0; r < kRoutineCount; ++r) {
+    result.routine_cycles[r] = routines_after[r] - routines_before[r];
+  }
+  const CategoryCycles categories = FoldCategories(result.routine_cycles);
   uint64_t total_cycles = 0;
   for (size_t c = 0; c < kCostCategoryCount; ++c) {
-    const uint64_t cycles = categories_after[c] - categories_before[c];
-    total_cycles += cycles;
+    total_cycles += categories[c];
     result.cycles_per_packet[c] =
         result.data_packets > 0
-            ? static_cast<double>(cycles) / static_cast<double>(result.data_packets)
+            ? static_cast<double>(categories[c]) / static_cast<double>(result.data_packets)
             : 0;
   }
   result.total_cycles_per_packet =

@@ -52,6 +52,9 @@ struct StreamResult {
   // "CPU-scaled" number (throughput / utilization).
   double cpu_scaled_mbps = 0;
   std::array<double, kCostCategoryCount> cycles_per_packet{};
+  // Cycles each routine charged in the window, summed over all cores: the flat
+  // profile. Folded by category and divided by data_packets, it is cycles_per_packet.
+  RoutineCycles routine_cycles{};
   double total_cycles_per_packet = 0;
   uint64_t data_packets = 0;
   uint64_t host_packets = 0;

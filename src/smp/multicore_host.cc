@@ -70,8 +70,7 @@ void MulticoreHost::ForEachConnection(const std::function<void(TcpConnection&)>&
 }
 
 void MulticoreHost::ChargeSharedLine(Charger& charger, size_t core,
-                                     InterCoreModel::SharedLine line, CostCategory category,
-                                     const char* routine) {
+                                     InterCoreModel::SharedLine line, Routine routine) {
   uint64_t cycles = intercore_.TouchCycles(core, line);
   if (cycles == 0) {
     return;
@@ -79,7 +78,7 @@ void MulticoreHost::ChargeSharedLine(Charger& charger, size_t core,
   // The line's spinlock moved with it: the acquisition is contended, not just
   // lock-prefixed (the base SMP lock model already charged the uncontended RMW).
   cycles += intercore_.costs().lock_contention_cycles;
-  charger.Charge(category, cycles, routine);
+  charger.Charge(routine, cycles);
 }
 
 PollDriver* MulticoreHost::SteerFrame(size_t core, const Packet& frame, Charger& charger) {
@@ -88,9 +87,8 @@ PollDriver* MulticoreHost::SteerFrame(size_t core, const Packet& frame, Charger&
   // (the ACK transmit path). Flow-affine traffic still pays transfers here whenever
   // frames of different cores interleave — the irreducible multi-core friction.
   ChargeSharedLine(charger, core, InterCoreModel::SharedLine::kPoolCounters,
-                   CostCategory::kBuffer, "pool_counters");
-  ChargeSharedLine(charger, core, InterCoreModel::SharedLine::kRoutingTable,
-                   CostCategory::kNonProto, "fib_table");
+                   Routine::kPoolCounters);
+  ChargeSharedLine(charger, core, InterCoreModel::SharedLine::kRoutingTable, Routine::kFibTable);
 
   if (config_.rss.enabled) {
     // Hardware steering already put the frame on its flow's core; no software lookup.
@@ -104,18 +102,17 @@ PollDriver* MulticoreHost::SteerFrame(size_t core, const Packet& frame, Charger&
     return nullptr;
   }
   ChargeSharedLine(charger, core, InterCoreModel::SharedLine::kFlowDirector,
-                   CostCategory::kDriver, "rps_flow_table");
+                   Routine::kRpsFlowTable);
   if (peek->syn) {
     ChargeSharedLine(charger, core, InterCoreModel::SharedLine::kListenerTable,
-                     CostCategory::kNonProto, "listener_table");
+                     Routine::kListenerTable);
   }
   const size_t owner = director_.OwnerFor(peek->key, core);
   if (owner == core) {
     return nullptr;
   }
   ++misdirected_;
-  charger.Charge(CostCategory::kDriver, intercore_.costs().cross_core_enqueue_cycles,
-                 "rps_enqueue");
+  charger.Charge(Routine::kRpsEnqueue, intercore_.costs().cross_core_enqueue_cycles);
   return drivers_[owner].get();
 }
 
@@ -134,15 +131,18 @@ CycleAccount::Counters MulticoreHost::SumCounters() const {
   return sum;
 }
 
-std::array<uint64_t, kCostCategoryCount> MulticoreHost::SumCategories() const {
-  std::array<uint64_t, kCostCategoryCount> sum{};
+RoutineCycles MulticoreHost::SumRoutines() const {
+  RoutineCycles sum{};
   for (const auto& shard : shards_) {
-    for (size_t c = 0; c < kCostCategoryCount; ++c) {
-      sum[c] += shard->account().Get(static_cast<CostCategory>(c));
+    const RoutineCycles& cycles = shard->account().routine_cycles();
+    for (size_t r = 0; r < kRoutineCount; ++r) {
+      sum[r] += cycles[r];
     }
   }
   return sum;
 }
+
+CategoryCycles MulticoreHost::SumCategories() const { return FoldCategories(SumRoutines()); }
 
 uint64_t MulticoreHost::backlog_drops() const {
   uint64_t drops = 0;

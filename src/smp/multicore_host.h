@@ -74,7 +74,8 @@ class MulticoreHost {
 
   // ---- Aggregated accounting across shards -----------------------------------------
   CycleAccount::Counters SumCounters() const;
-  std::array<uint64_t, kCostCategoryCount> SumCategories() const;
+  RoutineCycles SumRoutines() const;
+  CategoryCycles SumCategories() const;
   uint64_t TotalBusyCycles() const { return topology_.TotalBusyCycles(); }
 
   uint64_t misdirected_packets() const { return misdirected_; }
@@ -83,7 +84,7 @@ class MulticoreHost {
  private:
   PollDriver* SteerFrame(size_t core, const Packet& frame, Charger& charger);
   void ChargeSharedLine(Charger& charger, size_t core, InterCoreModel::SharedLine line,
-                        CostCategory category, const char* routine);
+                        Routine routine);
 
   SmpHostConfig config_;
   CpuTopology topology_;

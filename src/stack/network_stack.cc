@@ -34,24 +34,20 @@ NetworkStack::NetworkStack(const StackConfig& config, EventLoop& loop, TransmitF
           if (config_.hardware_lro) {
             // The NIC delivered a pre-aggregated packet: the driver and softirq
             // plumbing run once per *host* packet.
-            charger_.Charge(CostCategory::kDriver,
-                            costs.driver_rx_per_packet + costs.driver_mac_processing,
-                            "s2io_lro_rx");
-            charger_.Charge(CostCategory::kBuffer,
-                            costs.skb_alloc + costs.pkt_buf_alloc, "__alloc_skb");
-            charger_.Charge(CostCategory::kMisc, costs.misc_rx_per_packet, "__do_softirq");
+            charger_.Charge(Routine::kS2ioLroRx,
+                            costs.driver_rx_per_packet + costs.driver_mac_processing);
+            charger_.Charge(Routine::kAllocSkb, costs.skb_alloc + costs.pkt_buf_alloc);
+            charger_.Charge(Routine::kDoSoftirq, costs.misc_rx_per_packet);
             DeliverHostPacket(std::move(skb));
             return;
           }
           // Per-host-packet aggregation epilogue: the sk_buff allocation that
           // happened in the aggregator, plus — for genuine aggregates — the header
           // rewrite with incremental checksums and the fragment-chain attachment.
-          charger_.Charge(CostCategory::kBuffer, costs.skb_alloc, "__alloc_skb");
+          charger_.Charge(Routine::kAllocSkb, costs.skb_alloc);
           if (!skb->fragment_info.empty()) {
-            charger_.Charge(CostCategory::kAggr, costs.aggr_flush_per_host_packet, "aggr_flush");
-            charger_.Charge(CostCategory::kBuffer,
-                            skb->frags.size() * costs.skb_frag_attach,
-                            "skb_fill_page_desc");
+            charger_.Charge(Routine::kAggrFlush, costs.aggr_flush_per_host_packet);
+            charger_.Charge(Routine::kSkbFillPageDesc, skb->frags.size() * costs.skb_frag_attach);
           }
           DeliverHostPacket(std::move(skb));
         });
@@ -66,7 +62,7 @@ void NetworkStack::AddLocalAddress(Ipv4Address local, int nic_id) {
 void NetworkStack::AddRoute(Ipv4Address dst, int nic_id) { routes_.AddRoute(dst, nic_id); }
 
 void NetworkStack::ChargeWakeup() {
-  charger_.Charge(CostCategory::kMisc, config_.costs.misc_fixed_per_wakeup, "irq_entry");
+  charger_.Charge(Routine::kIrqEntry, config_.costs.misc_fixed_per_wakeup);
   if (config_.xen()) {
     xen_path_.ChargeWakeup(charger_);
   }
@@ -89,34 +85,34 @@ void NetworkStack::ReceiveFrame(PacketPtr frame) {
   }
 
   // Device driver work common to both paths: descriptor handling, ring refill.
-  charger_.Charge(CostCategory::kDriver, costs.driver_rx_per_packet, "e1000_clean_rx_irq");
-  charger_.Charge(CostCategory::kBuffer, costs.pkt_buf_alloc, "e1000_alloc_rx_buffers");
+  charger_.Charge(Routine::kE1000CleanRxIrq, costs.driver_rx_per_packet);
+  charger_.Charge(Routine::kE1000AllocRxBuffers, costs.pkt_buf_alloc);
   // Scheduling / softirq / timer overhead scales with wire packets, not host packets:
   // the paper's figures show the misc component essentially unchanged by aggregation
   // (Figure 8), so it is charged here, per network packet.
-  charger_.Charge(CostCategory::kMisc, costs.misc_rx_per_packet, "__do_softirq");
+  charger_.Charge(Routine::kDoSoftirq, costs.misc_rx_per_packet);
   if (config_.xen()) {
-    charger_.Charge(CostCategory::kMisc, costs.misc_xen_extra_per_packet, "xen_sched_misc");
+    charger_.Charge(Routine::kXenSchedMisc, costs.misc_xen_extra_per_packet);
   }
 
   if (aggregator_ != nullptr) {
     // Optimized path: the driver drops the *raw* packet into the aggregation queue.
     // No sk_buff yet, no MAC processing in the driver (both move into the
     // aggregation routine; the early demux pays the compulsory header cache miss).
-    charger_.Charge(CostCategory::kAggr, costs.aggr_demux_per_packet, "aggr_early_demux");
-    charger_.Charge(CostCategory::kAggr, costs.aggr_match_per_packet, "aggr_match");
+    charger_.Charge(Routine::kAggrEarlyDemux, costs.aggr_demux_per_packet);
+    charger_.Charge(Routine::kAggrMatch, costs.aggr_match_per_packet);
     aggregator_->Push(std::move(frame));
     return;
   }
 
   // Baseline path: the driver performs MAC processing (compulsory cache miss on the
   // just-DMA'd header) and allocates the sk_buff before netif_rx.
-  charger_.Charge(CostCategory::kDriver, costs.driver_mac_processing, "eth_type_trans");
-  charger_.Charge(CostCategory::kBuffer, costs.skb_alloc, "__alloc_skb");
+  charger_.Charge(Routine::kEthTypeTrans, costs.driver_mac_processing);
+  charger_.Charge(Routine::kAllocSkb, costs.skb_alloc);
   SkBuffPtr skb = SkBuff::Wrap(std::move(frame));
   if (skb == nullptr) {
     ++stats_.frames_dropped_unparseable;
-    charger_.Charge(CostCategory::kBuffer, costs.skb_free + costs.pkt_buf_free, "kfree_skb");
+    charger_.Charge(Routine::kKfreeSkb, costs.skb_free + costs.pkt_buf_free);
     return;
   }
   DeliverHostPacket(std::move(skb));
@@ -158,21 +154,18 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   // Virtualization path between the driver domain and the guest stack.
   if (config_.xen()) {
     xen_path_.ChargeGuestRx(charger_, *skb);
-    charger_.Charge(CostCategory::kNonProto, costs.guest_nonproto_per_packet,
-                    "netif_receive_skb(guest)");
+    charger_.Charge(Routine::kNetifReceiveSkbGuest, costs.guest_nonproto_per_packet);
   } else {
-    charger_.Charge(CostCategory::kNonProto, costs.nonproto_rx_per_packet,
-                    "netif_receive_skb");
+    charger_.Charge(Routine::kNetifReceiveSkb, costs.nonproto_rx_per_packet);
   }
 
   // IP layer.
-  charger_.Charge(CostCategory::kRx, costs.ip_rx_per_packet, "ip_rcv");
+  charger_.Charge(Routine::kIpRcv, costs.ip_rx_per_packet);
   const IpVerdict verdict = ip_.ValidateAndCount(*skb);
   const size_t fragment_frames = 1 + skb->frags.size();
   if (verdict != IpVerdict::kAccept) {
     ++stats_.frames_dropped_ip;
-    charger_.Charge(CostCategory::kBuffer,
-                    costs.skb_free + fragment_frames * costs.pkt_buf_free, "kfree_skb");
+    charger_.Charge(Routine::kKfreeSkb, costs.skb_free + fragment_frames * costs.pkt_buf_free);
     return;
   }
 
@@ -181,12 +174,10 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   // the cost the paper's checksum-offload assumption avoids (section 3.1).
   if (!skb->csum_verified) {
     const size_t segment_bytes = skb->view().tcp.HeaderSize() + skb->PayloadSize();
-    charger_.Charge(CostCategory::kPerByte, cache_.ChecksumCycles(segment_bytes),
-                    "csum_partial");
+    charger_.Charge(Routine::kCsumPartial, cache_.ChecksumCycles(segment_bytes));
     if (!VerifyHostPacketChecksum(*skb)) {
       ++stats_.frames_dropped_bad_checksum;
-      charger_.Charge(CostCategory::kBuffer,
-                      costs.skb_free + fragment_frames * costs.pkt_buf_free);
+      charger_.Charge(Routine::kKfreeSkb, costs.skb_free + fragment_frames * costs.pkt_buf_free);
       return;
     }
     skb->csum_verified = true;
@@ -200,15 +191,13 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   if (conn == nullptr) {
     ++stats_.frames_dropped_no_connection;
     SendReset(*skb);
-    charger_.Charge(CostCategory::kBuffer,
-                    costs.skb_free + fragment_frames * costs.pkt_buf_free, "kfree_skb");
+    charger_.Charge(Routine::kKfreeSkb, costs.skb_free + fragment_frames * costs.pkt_buf_free);
     return;
   }
 
-  charger_.Charge(CostCategory::kRx, costs.tcp_rx_per_packet, "tcp_v4_rcv");
-  charger_.Charge(CostCategory::kRx, skb->SegmentCount() * costs.tcp_rx_per_segment,
-                  "tcp_rcv_established");
-  charger_.ChargeLocks(CostCategory::kRx, costs.tcp_rx_lock_sites);
+  charger_.Charge(Routine::kTcpV4Rcv, costs.tcp_rx_per_packet);
+  charger_.Charge(Routine::kTcpRcvEstablished, skb->SegmentCount() * costs.tcp_rx_per_segment);
+  charger_.ChargeLocks(Routine::kSpinLock, costs.tcp_rx_lock_sites);
 
   if (config_.debug_coalesce_fragment_acks) {
     // Mutation: present the aggregate as one opaque segment, losing the
@@ -217,8 +206,7 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   }
   conn->OnHostPacket(*skb);
 
-  charger_.Charge(CostCategory::kBuffer,
-                  costs.skb_free + fragment_frames * costs.pkt_buf_free, "kfree_skb");
+  charger_.Charge(Routine::kKfreeSkb, costs.skb_free + fragment_frames * costs.pkt_buf_free);
 }
 
 bool NetworkStack::VerifyHostPacketChecksum(const SkBuff& skb) const {
@@ -271,7 +259,7 @@ void NetworkStack::SendReset(const SkBuff& skb) {
 
   // A RST is a transmit-path packet like any other.
   ChargeTxStackPass(0, /*is_template=*/false);
-  charger_.Charge(CostCategory::kDriver, config_.costs.driver_tx_per_packet);
+  charger_.Charge(Routine::kE1000XmitFrame, config_.costs.driver_tx_per_packet);
   TransmitBuiltFrame(spec.dst_ip, BuildTcpFrame(spec));
 }
 
@@ -349,8 +337,7 @@ void NetworkStack::WireConnection(ConnectionEntry& entry) {
     // The kernel-to-application copy: the canonical per-byte operation. Charged per
     // delivered span so an aggregated packet's fragment chain costs the same streamed
     // bytes it would cost unaggregated.
-    charger_.Charge(CostCategory::kPerByte, cache_.CopyCycles(data.size()),
-                    "copy_to_user");
+    charger_.Charge(Routine::kCopyToUser, cache_.CopyCycles(data.size()));
     account_.counters().payload_bytes += data.size();
     if (raw_entry->app_on_data) {
       raw_entry->app_on_data(data);
@@ -386,21 +373,18 @@ void NetworkStack::Listen(uint16_t port, AcceptFn on_accept) {
 
 void NetworkStack::ChargeTxStackPass(size_t payload_size, bool is_template) {
   const CostParams& costs = config_.costs;
-  charger_.Charge(CostCategory::kTx, costs.tcp_tx_per_ack, "tcp_send_ack");
-  charger_.Charge(CostCategory::kTx, costs.ip_tx_per_packet, "ip_queue_xmit");
+  charger_.Charge(Routine::kTcpSendAck, costs.tcp_tx_per_ack);
+  charger_.Charge(Routine::kIpQueueXmit, costs.ip_tx_per_packet);
   if (is_template) {
-    charger_.Charge(CostCategory::kTx, costs.ack_template_build_extra,
-                    "tcp_build_ack_template");
+    charger_.Charge(Routine::kTcpBuildAckTemplate, costs.ack_template_build_extra);
   }
-  charger_.ChargeLocks(CostCategory::kTx, costs.tcp_tx_lock_sites);
-  charger_.Charge(CostCategory::kNonProto, costs.nonproto_tx_per_packet,
-                  "dev_queue_xmit");
-  charger_.Charge(CostCategory::kBuffer,
-                  costs.skb_alloc + costs.skb_free + costs.pkt_buf_alloc + costs.pkt_buf_free,
-                  "__alloc_skb(tx)");
+  charger_.ChargeLocks(Routine::kSpinLockTx, costs.tcp_tx_lock_sites);
+  charger_.Charge(Routine::kDevQueueXmit, costs.nonproto_tx_per_packet);
+  charger_.Charge(Routine::kAllocSkbTx,
+                  costs.skb_alloc + costs.skb_free + costs.pkt_buf_alloc + costs.pkt_buf_free);
   if (payload_size > 0) {
     // Application-to-kernel copy on the send side.
-    charger_.Charge(CostCategory::kPerByte, cache_.CopyCycles(payload_size));
+    charger_.Charge(Routine::kCopyFromUser, cache_.CopyCycles(payload_size));
   }
   if (config_.xen()) {
     xen_path_.ChargeGuestTx(charger_);
@@ -421,14 +405,13 @@ void NetworkStack::HandleConnectionOutput(TcpConnection& conn, TcpOutputItem ite
     // into the individual ACK packets (section 4).
     ++counters.ack_templates;
     ChargeTxStackPass(0, /*is_template=*/true);
-    charger_.Charge(CostCategory::kDriver,
-                    n_acks * (costs.ack_expand_per_ack + costs.driver_tx_per_packet),
-                    "driver_expand_template_ack");
+    charger_.Charge(Routine::kDriverExpandTemplateAck,
+                    n_acks * (costs.ack_expand_per_ack + costs.driver_tx_per_packet));
   } else {
     // Baseline: every packet (each ACK of a run included) takes a full stack pass.
     for (size_t i = 0; i < n_acks; ++i) {
       ChargeTxStackPass(i == 0 ? item.payload_size : 0, /*is_template=*/false);
-      charger_.Charge(CostCategory::kDriver, costs.driver_tx_per_packet, "e1000_xmit_frame");
+      charger_.Charge(Routine::kE1000XmitFrame, costs.driver_tx_per_packet);
     }
   }
 

@@ -8,22 +8,18 @@ void XenPathModel::ChargeGuestRx(Charger& charger, const SkBuff& skb) const {
   const uint64_t fragments = 1 + skb.frags.size();
 
   // Driver-domain bridge + netfilter: purely per host packet.
-  charger.Charge(CostCategory::kNonProto, costs_.bridge_per_packet, "br_handle_frame");
+  charger.Charge(Routine::kBrHandleFrame, costs_.bridge_per_packet);
 
   // Netback: per host packet plus per transferred fragment.
-  charger.Charge(CostCategory::kNetback,
-                 costs_.netback_per_packet + fragments * costs_.netback_per_fragment,
-                 "netbk_rx_action");
+  charger.Charge(Routine::kNetbkRxAction,
+                 costs_.netback_per_packet + fragments * costs_.netback_per_fragment);
 
   // Hypervisor: grant validation / copy setup per fragment plus fixed work.
-  charger.Charge(CostCategory::kXen,
-                 costs_.xen_per_packet + fragments * costs_.xen_per_fragment,
-                 "gnttab_copy");
+  charger.Charge(Routine::kGnttabCopy, costs_.xen_per_packet + fragments * costs_.xen_per_fragment);
 
   // Driver-domain buffer management for the packet (sk_buff handling on the backend
   // side), once per host packet.
-  charger.Charge(CostCategory::kBuffer, costs_.xen_backend_buffer_per_packet,
-                 "__alloc_skb(dom0)");
+  charger.Charge(Routine::kAllocSkbDom0, costs_.xen_backend_buffer_per_packet);
 
   // The I/O channel copies the packet data from the driver domain into the guest:
   // the first of the two per-byte copies on the Xen receive path (section 2.4). Grant
@@ -36,29 +32,24 @@ void XenPathModel::ChargeGuestRx(Charger& charger, const SkBuff& skb) const {
   // Headers are copied too.
   copy_cycles += cache_.CopyCycles(skb.view().payload_offset);
   copy_cycles = copy_cycles * costs_.xen_copy_factor_percent / 100;
-  charger.Charge(CostCategory::kPerByte, copy_cycles, "grant_copy_data");
+  charger.Charge(Routine::kGrantCopyData, copy_cycles);
 
   // Netfront: per host packet plus per accepted fragment.
-  charger.Charge(CostCategory::kNetfront,
-                 costs_.netfront_per_packet + fragments * costs_.netfront_per_fragment,
-                 "xennet_poll");
+  charger.Charge(Routine::kXennetPoll,
+                 costs_.netfront_per_packet + fragments * costs_.netfront_per_fragment);
 }
 
 void XenPathModel::ChargeGuestTx(Charger& charger) const {
   // Transmit traverses the same stages in reverse; single-fragment frames.
-  charger.Charge(CostCategory::kNetfront,
-                 costs_.netfront_per_packet + costs_.netfront_per_fragment,
-                 "xennet_start_xmit");
-  charger.Charge(CostCategory::kXen, costs_.xen_per_packet + costs_.xen_per_fragment,
-                 "gnttab_copy(tx)");
-  charger.Charge(CostCategory::kNetback,
-                 costs_.netback_per_packet + costs_.netback_per_fragment,
-                 "netbk_tx_action");
-  charger.Charge(CostCategory::kNonProto, costs_.bridge_per_packet, "br_handle_frame(tx)");
+  charger.Charge(Routine::kXennetStartXmit,
+                 costs_.netfront_per_packet + costs_.netfront_per_fragment);
+  charger.Charge(Routine::kGnttabCopyTx, costs_.xen_per_packet + costs_.xen_per_fragment);
+  charger.Charge(Routine::kNetbkTxAction, costs_.netback_per_packet + costs_.netback_per_fragment);
+  charger.Charge(Routine::kBrHandleFrameTx, costs_.bridge_per_packet);
 }
 
 void XenPathModel::ChargeWakeup(Charger& charger) const {
-  charger.Charge(CostCategory::kXen, costs_.xen_per_domain_switch, "xen_domain_switch");
+  charger.Charge(Routine::kXenDomainSwitch, costs_.xen_per_domain_switch);
 }
 
 }  // namespace tcprx

@@ -23,7 +23,7 @@ uint64_t LinkFrames(Testbed& bed) {
   return frames;
 }
 
-TEST(AllocGate, OptimizedStreamAllocatesAtMostSixTimesPerLinkFrame) {
+TEST(AllocGate, OptimizedStreamAllocatesAtMostThreeTimesPerLinkFrame) {
   TestbedConfig config;  // as `tcprx_sim stream --optimized`
   config.stack = StackConfig::Optimized(SystemType::kNativeUp);
   config.stack.fill_tcp_checksums = false;
@@ -44,7 +44,7 @@ TEST(AllocGate, OptimizedStreamAllocatesAtMostSixTimesPerLinkFrame) {
   ASSERT_GT(frames, 1000u);
   const double per_frame = static_cast<double>(allocs) / static_cast<double>(frames);
   RecordProperty("allocs_per_link_frame", std::to_string(per_frame));
-  EXPECT_LE(per_frame, 6.0) << allocs << " allocations over " << frames << " link frames";
+  EXPECT_LE(per_frame, 3.0) << allocs << " allocations over " << frames << " link frames";
 }
 
 }  // namespace

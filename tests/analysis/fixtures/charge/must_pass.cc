@@ -7,7 +7,7 @@
 namespace tcprx {
 
 inline void ChargedCopy(Charger& charger, uint8_t* dst, const uint8_t* src, size_t n) {
-  charger.Charge(CostCategory::kPerByte, n, "copy_fixture");
+  charger.Charge(Routine::kCopyToUser, n);
   memcpy(dst, src, n);
 }
 

@@ -1,7 +1,8 @@
 // Golden host matrix: short stream, lossy-stream and latency runs of every system
 // preset ({up, smp, xen} x {baseline, optimized}) plus the multi-core steering cases
 // (4 cores with RSS, 4 cores without, 1 core without), every StreamResult and
-// LatencyResult field compared exactly against tests/golden/host_matrix.txt.
+// LatencyResult field (of routine_cycles, every non-zero routine) compared exactly
+// against tests/golden/host_matrix.txt.
 //
 // The file pins the receive host's simulated behaviour, so a refactor of the host
 // (how Testbed wires cores, drivers, NIC queues and stack shards) must leave every
@@ -52,6 +53,11 @@ void AddStream(const std::string& run, const StreamResult& r, Fields& out) {
         Num(r.cycles_per_packet[c]));
   }
   add("total_cycles_per_packet", Num(r.total_cycles_per_packet));
+  for (size_t i = 0; i < kRoutineCount; ++i) {
+    if (r.routine_cycles[i] > 0) {
+      add("routine_cycles." + std::string(kRoutineTable[i].name), Num(r.routine_cycles[i]));
+    }
+  }
   add("data_packets", Num(r.data_packets));
   add("host_packets", Num(r.host_packets));
   add("avg_aggregation", Num(r.avg_aggregation));

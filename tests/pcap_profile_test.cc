@@ -1,8 +1,9 @@
 // Tests for the capture/profiling observability layer: pcap file format round-trip
-// and flat-profile routine attribution.
+// and the per-routine flat profile.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -97,40 +98,69 @@ TEST(Pcap, UnwritablePathReportsNotOk) {
 
 TEST(FlatProfile, RoutinesAttributeCycles) {
   CycleAccount account;
-  account.Charge(CostCategory::kRx, 100, "tcp_v4_rcv");
-  account.Charge(CostCategory::kRx, 50, "tcp_v4_rcv");
-  account.Charge(CostCategory::kDriver, 10, "e1000_clean_rx_irq");
-  account.Charge(CostCategory::kMisc, 5);  // unattributed
-  ASSERT_EQ(account.routines().size(), 2u);
-  EXPECT_EQ(account.routines().at("tcp_v4_rcv"), 150u);
-  EXPECT_EQ(account.routines().at("e1000_clean_rx_irq"), 10u);
+  account.Charge(Routine::kTcpV4Rcv, 100);
+  account.Charge(Routine::kTcpV4Rcv, 50);
+  account.Charge(Routine::kE1000CleanRxIrq, 10);
+  account.Charge(Routine::kSpinLock, 5);
+  const RoutineCycles& routines = account.routine_cycles();
+  EXPECT_EQ(routines[static_cast<size_t>(Routine::kTcpV4Rcv)], 150u);
+  EXPECT_EQ(routines[static_cast<size_t>(Routine::kE1000CleanRxIrq)], 10u);
+  EXPECT_EQ(routines[static_cast<size_t>(Routine::kSpinLock)], 5u);
+  EXPECT_EQ(account.Get(CostCategory::kRx), 155u);  // the lock sites bill rx
   EXPECT_EQ(account.Total(), 165u);
-  account.Reset();
-  EXPECT_TRUE(account.routines().empty());
 }
 
-TEST(FlatProfile, StreamRunAttributesMostCyclesToNamedRoutines) {
-  TestbedConfig config;
-  config.stack = StackConfig::Optimized(SystemType::kNativeUp);
-  config.stack.fill_tcp_checksums = false;
-  config.num_nics = 1;
-  Testbed bed(config);
+uint64_t CyclesOf(const StreamResult& r, Routine routine) {
+  return r.routine_cycles[static_cast<size_t>(routine)];
+}
+
+// The windowed, all-core flat profile and the category breakdown are one snapshot:
+// every category's cycles/packet times the window's data packets is exactly the sum of
+// the routines that bill that category.
+void ExpectProfileFoldsIntoBreakdown(const StreamResult& r) {
+  ASSERT_GT(r.data_packets, 0u);
+  const CategoryCycles categories = FoldCategories(r.routine_cycles);
+  uint64_t routine_total = 0;
+  for (const uint64_t cycles : r.routine_cycles) {
+    routine_total += cycles;
+  }
+  uint64_t category_total = 0;
+  for (size_t c = 0; c < kCostCategoryCount; ++c) {
+    const auto from_breakdown = static_cast<uint64_t>(
+        std::llround(r.cycles_per_packet[c] * static_cast<double>(r.data_packets)));
+    EXPECT_EQ(from_breakdown, categories[c]) << CostCategoryName(static_cast<CostCategory>(c));
+    category_total += from_breakdown;
+  }
+  EXPECT_EQ(routine_total, category_total);
+  EXPECT_GT(CyclesOf(r, Routine::kAggrEarlyDemux), 0u);
+  EXPECT_GT(CyclesOf(r, Routine::kCopyToUser), 0u);
+  EXPECT_GT(CyclesOf(r, Routine::kDriverExpandTemplateAck), 0u);
+}
+
+TEST(FlatProfile, WindowedAllCoreProfileFoldsIntoBreakdown) {
   Testbed::StreamOptions options;
   options.warmup = SimDuration::FromMillis(50);
-  options.measure = SimDuration::FromMillis(100);
-  bed.RunStream(options);
-
-  const CycleAccount& account = bed.stack().account();
-  uint64_t attributed = 0;
-  for (const auto& [name, cycles] : account.routines()) {
-    attributed += cycles;
+  options.measure = SimDuration::FromMillis(50);
+  {
+    TestbedConfig config;
+    config.stack = StackConfig::Optimized(SystemType::kNativeUp);
+    config.num_nics = 1;
+    Testbed bed(config);
+    ExpectProfileFoldsIntoBreakdown(bed.RunStream(options));
   }
-  // Lock sites are the only unattributed charges: the named routines must cover the
-  // overwhelming majority of all cycles.
-  EXPECT_GT(static_cast<double>(attributed), 0.95 * static_cast<double>(account.Total()));
-  EXPECT_GT(account.routines().count("aggr_early_demux"), 0u);
-  EXPECT_GT(account.routines().count("copy_to_user"), 0u);
-  EXPECT_GT(account.routines().count("driver_expand_template_ack"), 0u);
+  {
+    TestbedConfig config;
+    config.stack = StackConfig::Optimized(SystemType::kNativeSmp);
+    config.num_nics = 2;
+    config.smp.num_cores = 4;
+    options.connections_per_nic = 4;
+    Testbed bed(config);
+    const StreamResult r = bed.RunStream(options);
+    ExpectProfileFoldsIntoBreakdown(r);
+    // The shards contend for shared lines; the fold above ties the profile to the
+    // breakdown, which sums every core.
+    EXPECT_GT(CyclesOf(r, Routine::kPoolCounters) + CyclesOf(r, Routine::kFibTable), 0u);
+  }
 }
 
 }  // namespace

@@ -61,6 +61,12 @@ expect_unknown mss latency --mss=9000 --json
 expect_unknown conns-per-nic latency --conns-per-nic=7 --json
 expect_unknown nics latency --nics=3 --json
 
+# --json's stdout is one JSON object, so the text reports are refused with it.
+for report in trace connections profile; do
+  expect "--$report is a text report and cannot be combined with --json" \
+    stream --json --$report
+done
+
 # A value that is not wholly a number is refused, not read up to its first bad char.
 expect "--nics must be a whole number, not '5x'" stream --nics=5x
 expect "--limit must be a whole number, not 'abc'" stream --optimized --limit=abc

@@ -11,8 +11,13 @@
 //                     [--drop=P] [--reorder=P] [--duplicate=P] [--corrupt=P]
 //                     [--seed=N] [--burst-drop-period=N] [--burst-drop-length=N]
 //                     [--reorder-delay-us=N]
-//                     [--trace] [--trace-limit=N] [--json]
+//                     [--fill-checksums] [--pcap=FILE]
+//                     [--trace] [--trace-limit=N] [--connections] [--profile] [--json]
 //   tcprx_sim latency [--system=...] [--optimized] [--measure-ms=N] [--json]
+//
+// --trace, --connections and --profile are text reports; each is refused with --json,
+// whose stdout is one JSON object. --profile is the flat profile of the measurement
+// window, summed over all cores.
 //
 // Examples:
 //   tcprx_sim stream --system=xen --optimized
@@ -24,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/sim/pcap.h"
 #include "src/sim/report.h"
@@ -39,12 +45,15 @@ int Usage() {
   std::printf(
       "usage: tcprx_sim <stream|latency> [flags]\n"
       "  common: --system=up|smp|xen  --optimized  --aggregation  --ack-offload\n"
-      "          --limit=N  --hardware-lro  --prefetch=none|partial|full  --json\n"
+      "          --limit=N  --hardware-lro  --prefetch=none|partial|full  --fill-checksums\n"
+      "          --json\n"
       "  stream: --nics=N  --conns-per-nic=N  --mss=N  --warmup-ms=N  --measure-ms=N\n"
       "          --cores=N (multi-core receive host, RSS on by default)  --no-rss\n"
       "          --no-rx-csum-offload  --drop=P  --reorder=P  --duplicate=P  --corrupt=P\n"
       "          --seed=N  --burst-drop-period=N  --burst-drop-length=N  --reorder-delay-us=N\n"
-      "          --trace  --trace-limit=N\n");
+      "          --pcap=FILE  --trace  --trace-limit=N  --connections\n"
+      "          --profile (flat profile of the window, all cores)\n"
+      "  --trace, --connections and --profile cannot be combined with --json\n");
   return 2;
 }
 
@@ -193,17 +202,27 @@ int RunStream(FlagParser& flags) {
   options.warmup = SimDuration::FromMillis(flags.GetUint("warmup-ms", 300));
   options.measure = SimDuration::FromMillis(flags.GetUint("measure-ms", 1000));
 
+  const bool want_json = flags.GetBool("json");
+  const bool trace = flags.GetBool("trace");
+  const bool want_connections = flags.GetBool("connections");
+  const bool want_profile = flags.GetBool("profile");
+  // --json's stdout is one JSON object: a text report can neither precede nor replace it.
+  const std::pair<const char*, bool> text_reports[] = {
+      {"trace", trace}, {"connections", want_connections}, {"profile", want_profile}};
+  for (const auto& [name, wanted] : text_reports) {
+    if (want_json && wanted) {
+      std::fprintf(stderr, "--%s is a text report and cannot be combined with --json\n", name);
+      return 2;
+    }
+  }
+
   Testbed bed(config);
 
   PacketTracer tracer(bed.loop(), flags.GetUint("trace-limit", 200));
-  const bool trace = flags.GetBool("trace");
   if (trace) {
     bed.AttachTracer(tracer);
   }
 
-  const bool want_json = flags.GetBool("json");
-  const bool want_profile = flags.GetBool("profile");
-  const bool want_connections = flags.GetBool("connections");
   const std::string pcap_path = flags.GetString("pcap", "");
   std::unique_ptr<PcapWriter> pcap;
   if (!pcap_path.empty()) {
@@ -247,7 +266,7 @@ int RunStream(FlagParser& flags) {
                         {"measured"}, {&result});
     if (want_profile) {
       std::printf("\nflat profile (OProfile-style):\n");
-      PrintFlatProfile(bed.stack().account());
+      PrintFlatProfile(result);
     }
   }
   if (pcap) {
