@@ -3,8 +3,9 @@
 // These measure the *simulator's* real cost of the operations the paper's design
 // keeps cheap: frame parsing (the aggregator's early demux), aggregation push/flush,
 // template-ACK expansion, the incremental checksum updates that make header rewrites
-// O(1), and the full checksum they avoid. Useful for keeping the testbed fast and for
-// sanity-checking that the engineered fast paths really are fast.
+// O(1), and the full checksum they avoid; plus the event loop that runs them all.
+// Useful for keeping the testbed fast and for sanity-checking that the engineered fast
+// paths really are fast.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include "src/core/aggregator.h"
 #include "src/core/template_ack.h"
 #include "src/util/checksum.h"
+#include "src/util/event_loop.h"
 #include "src/cpu/cache_model.h"
 #include "src/sim/trace.h"
 #include "src/tcp/reassembly.h"
@@ -210,6 +212,38 @@ void BM_BuildDataSegment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildDataSegment);
+
+// The event loop under a steady population of N pending events: each event that runs
+// queues its successor a pseudo-random time later, as link, NIC and CPU events do.
+// Items are events executed.
+class EventChurn {
+ public:
+  explicit EventChurn(int64_t pending) {
+    for (int64_t i = 0; i < pending; ++i) {
+      Next();
+    }
+  }
+  EventLoop& loop() { return loop_; }
+
+ private:
+  void Next() {
+    loop_.ScheduleAfter(SimDuration::FromNanos(1 + rng_.NextBelow(20'000)), [this] { Next(); });
+  }
+
+  EventLoop loop_;
+  Rng rng_{7};
+};
+
+void BM_EventLoopChurn(benchmark::State& state) {
+  EventChurn churn(state.range(0));
+  EventLoop& loop = churn.loop();
+  uint64_t events = 0;
+  for (auto _ : state) {
+    events += loop.RunUntil(loop.Now() + SimDuration::FromMicros(10));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+BENCHMARK(BM_EventLoopChurn)->Arg(4)->Arg(32)->Arg(256);
 
 }  // namespace
 }  // namespace tcprx

@@ -13,6 +13,9 @@ namespace {
 // Largest IP datagram we allow an aggregate to grow to.
 constexpr size_t kMaxAggregateDatagram = 0xffff;
 
+// MSS-sized segments in one such datagram: 45.
+constexpr size_t kMaxMssSegmentsPerDatagram = kMaxAggregateDatagram / kMssWithTimestamps;
+
 // Finds the offset of the timestamp option's kind byte within `options`, or -1.
 int FindTimestampOption(std::span<const uint8_t> options) {
   size_t i = 0;
@@ -163,6 +166,13 @@ bool Aggregator::TryAppend(Partial& partial, PacketPtr& frame) {
     return false;
   }
 
+  if (partial.skb->frags.empty()) {
+    // The first segment to chain: size the metadata for a whole aggregate now rather
+    // than growing it 1, 2, 4, 8... Lone packets never get here.
+    const size_t entries = std::min(config_.aggregation_limit, kMaxMssSegmentsPerDatagram);
+    partial.skb->fragment_info.reserve(entries);
+    partial.skb->frags.reserve(entries - 1);
+  }
   partial.skb->fragment_info.push_back(FragmentInfo{
       view.tcp.seq, view.tcp.ack, view.tcp.window, static_cast<uint32_t>(view.payload_size)});
   partial.total_payload += view.payload_size;

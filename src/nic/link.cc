@@ -1,5 +1,8 @@
 #include "src/nic/link.h"
 
+#include <cstddef>
+#include <utility>
+
 namespace tcprx {
 
 void SimplexLink::Send(std::vector<uint8_t> frame) {
@@ -50,26 +53,51 @@ void SimplexLink::Send(std::vector<uint8_t> frame) {
   if (config_.duplicate_probability > 0 &&
       fault_rng_.NextBool(config_.duplicate_probability)) {
     ++frames_duplicated_;
-    ScheduleDelivery(arrival + SimDuration::FromNanos(1), frame);
+    // The copy reserves its slot first, as when it was sent first; the original, due
+    // 1 ns earlier, goes on the wire first so it is the one a wakeup waits for.
+    const EventLoop::Slot copy_slot = loop_.Reserve(arrival + SimDuration::FromNanos(1));
+    std::vector<uint8_t> copy = frame;
+    Enqueue(loop_.Reserve(arrival), std::move(frame));
+    Enqueue(copy_slot, std::move(copy));
+    return;
   }
-  ScheduleDelivery(arrival, std::move(frame));
+  Enqueue(loop_.Reserve(arrival), std::move(frame));
 }
 
-void SimplexLink::ScheduleDelivery(SimTime when, std::vector<uint8_t> frame) {
-  uint32_t slot = 0;
-  if (free_slots_.empty()) {
-    slot = static_cast<uint32_t>(in_flight_.size());
-    in_flight_.push_back(std::move(frame));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    in_flight_[slot] = std::move(frame);
+void SimplexLink::Enqueue(EventLoop::Slot slot, std::vector<uint8_t> frame) {
+  size_t at = wire_.size();
+  while (at > head_ && slot < wire_[at - 1].slot) {
+    --at;
   }
-  loop_.ScheduleAt(when, [this, slot] {
-    std::vector<uint8_t> arrived = std::move(in_flight_[slot]);
-    free_slots_.push_back(slot);
-    deliver_(std::move(arrived));
-  });
+  wire_.insert(wire_.begin() + static_cast<std::ptrdiff_t>(at),
+               InFlight{slot, false, std::move(frame)});
+  if (at == head_) {
+    QueueWakeup(wire_[at]);  // a new head; an overtaken head keeps its own wakeup
+  }
+}
+
+void SimplexLink::QueueWakeup(InFlight& frame) {
+  frame.wakeup_queued = true;
+  loop_.QueueAt(frame.slot, [this] { DeliverHead(); });
+}
+
+void SimplexLink::DeliverHead() {
+  std::vector<uint8_t> frame = std::move(wire_[head_].bytes);
+  ++head_;
+  if (head_ == wire_.size()) {
+    wire_.clear();
+    head_ = 0;
+  } else {
+    if (!wire_[head_].wakeup_queued) {
+      QueueWakeup(wire_[head_]);
+    }
+    constexpr size_t kCompactAfter = 32;
+    if (head_ >= kCompactAfter && head_ * 2 >= wire_.size()) {
+      wire_.erase(wire_.begin(), wire_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+  deliver_(std::move(frame));
 }
 
 }  // namespace tcprx

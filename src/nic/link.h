@@ -48,8 +48,12 @@ struct LinkConfig {
 
 // One direction of a link. Frames queue behind the transmitter when offered faster
 // than line rate (an infinite tx queue: senders are paced by TCP, not by this queue).
-// A frame in flight waits in a recycled slot, and its arrival event holds only the
-// slot index, so a hop boxes nothing on the heap. The link must outlive its events.
+// Frames in flight wait in one wire queue sorted by arrival. Each frame reserves, when
+// sent, the event-order slot its own arrival event would take, and the link keeps one
+// wakeup queued, in its head frame's slot; delivering the head queues the next one.
+// A frame that overtakes the head (a reordered or duplicated frame landing early)
+// queues a wakeup of its own, so every wakeup delivers exactly one frame, in exactly
+// the order per-frame events would. The link must outlive its wakeups.
 class SimplexLink {
  public:
   using DeliverFn = std::function<void(std::vector<uint8_t>)>;
@@ -72,19 +76,32 @@ class SimplexLink {
   uint64_t frames_duplicated() const { return frames_duplicated_; }
   uint64_t frames_reordered() const { return frames_reordered_; }
 
+  // Frames sent but not yet delivered.
+  size_t frames_in_flight() const { return wire_.size() - head_; }
+
   // Time the transmitter frees up; useful for utilization assertions in tests.
   SimTime busy_until() const { return busy_until_; }
 
  private:
-  // Parks `frame` in a free slot and delivers it from there at `when`.
-  void ScheduleDelivery(SimTime when, std::vector<uint8_t> frame);
+  struct InFlight {
+    EventLoop::Slot slot;  // where its arrival falls in the event order
+    bool wakeup_queued = false;
+    std::vector<uint8_t> bytes;
+  };
+
+  // Puts `frame` on the wire in `slot`'s place, searching from the back: only a
+  // reordered or duplicated frame ever lands ahead of another.
+  void Enqueue(EventLoop::Slot slot, std::vector<uint8_t> frame);
+  void QueueWakeup(InFlight& frame);
+  // The wakeup: delivers the head frame.
+  void DeliverHead();
 
   LinkConfig config_;
   EventLoop& loop_;
   DeliverFn deliver_;
   std::vector<TapFn> taps_;
-  std::vector<std::vector<uint8_t>> in_flight_;  // slots, indexed by the events
-  std::vector<uint32_t> free_slots_;
+  std::vector<InFlight> wire_;  // sorted by slot; the head is wire_[head_]
+  size_t head_ = 0;             // delivered frames before it are compacted away
   SimTime busy_until_;
   Rng fault_rng_;
   uint64_t frames_offered_ = 0;

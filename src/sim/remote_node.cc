@@ -21,17 +21,21 @@ void RemoteNode::HandleOutput(TcpOutputItem item) {
 
 void RemoteNode::OnWireFrame(std::vector<uint8_t> frame) {
   ++frames_received_;
-  SkBuffPtr skb = SkBuff::Wrap(pool_.AllocateMoved(std::move(frame)));
-  if (skb == nullptr) {
+  PacketPtr packet = pool_.AllocateMoved(std::move(frame));
+  if (!packet->view.has_value()) {
     return;
   }
-  const TcpFrameView& view = skb->view();
+  const TcpFrameView& view = *packet->view;
   const FlowKey key{view.ip.src, view.ip.dst, view.tcp.src_port, view.tcp.dst_port};
   auto it = demux_.find(key);
   if (it == demux_.end()) {
     return;
   }
-  it->second->OnHostPacket(*skb);
+  // On the stack: the connection reads the packet and keeps nothing of the wrapper.
+  SkBuff skb;
+  skb.csum_verified = packet->nic_checksum_verified;
+  skb.head = std::move(packet);
+  it->second->OnHostPacket(skb);
 }
 
 }  // namespace tcprx

@@ -440,14 +440,26 @@ void NetworkStack::FlushDriverBatch(SimTime done) {
   if (staged_tx_.empty()) {
     return;
   }
-  auto staged = std::make_shared<std::vector<std::pair<int, std::vector<uint8_t>>>>(
-      std::move(staged_tx_));
-  staged_tx_.clear();
-  loop_.ScheduleAt(done, [this, staged] {
-    for (auto& [nic, frame] : *staged) {
-      transmit_(nic, std::move(frame));
-    }
-  });
+  uint32_t batch = 0;
+  if (free_tx_batches_.empty()) {
+    batch = static_cast<uint32_t>(tx_batches_.size());
+    tx_batches_.emplace_back();
+  } else {
+    batch = free_tx_batches_.back();
+    free_tx_batches_.pop_back();
+  }
+  tx_batches_[batch].swap(staged_tx_);
+  loop_.ScheduleAt(done, [this, batch] { TransmitBatch(batch); });
+}
+
+void NetworkStack::TransmitBatch(uint32_t batch) {
+  TxBatch frames = std::move(tx_batches_[batch]);
+  for (auto& [nic, frame] : frames) {
+    transmit_(nic, std::move(frame));
+  }
+  frames.clear();
+  tx_batches_[batch] = std::move(frames);
+  free_tx_batches_.push_back(batch);
 }
 
 }  // namespace tcprx

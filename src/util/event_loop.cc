@@ -2,37 +2,90 @@
 
 #include <utility>
 
+#include "src/util/logging.h"
+
 namespace tcprx {
 
-void EventLoop::ScheduleAt(SimTime when, Callback cb) {
-  if (when < now_) {
-    when = now_;
+void EventLoop::QueueAt(Slot slot, Callback cb) {
+  TCPRX_CHECK(slot.when >= now_);
+  uint32_t index = 0;
+  if (free_callbacks_.empty()) {
+    index = static_cast<uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(cb));
+  } else {
+    index = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    callbacks_[index] = std::move(cb);
   }
-  queue_.push(Event{when, next_seq_++, std::move(cb)});
+  // Sift up: move parents down into the hole until the key fits.
+  const Key key{slot.when, slot.seq, index};
+  size_t hole = heap_.size();
+  heap_.emplace_back();
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 4;
+    if (!Before(key, heap_[parent])) {
+      break;
+    }
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = key;
+}
+
+void EventLoop::RunNext() {
+  const Key top = heap_.front();
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const size_t size = heap_.size();
+  if (size > 0) {
+    // Sift `last` down from the root: move the earliest child up into the hole.
+    size_t hole = 0;
+    for (;;) {
+      const size_t first = 4 * hole + 1;
+      if (first >= size) {
+        break;
+      }
+      const size_t end = first + 4 < size ? first + 4 : size;
+      size_t best = first;
+      for (size_t child = first + 1; child < end; ++child) {
+        best = Before(heap_[child], heap_[best]) ? child : best;
+      }
+      if (!Before(heap_[best], last)) {
+        break;
+      }
+      heap_[hole] = heap_[best];
+      hole = best;
+    }
+    heap_[hole] = last;
+  }
+
+  now_ = top.when;
+  // Moved out first: the callback may queue events, which can grow the slab.
+  Callback cb = std::move(callbacks_[top.cb]);
+  free_callbacks_.push_back(top.cb);
+  cb();
 }
 
 void EventLoop::Timer::Arm(SimDuration delay) {
-  deadline_ = loop_.now_ + delay;
-  seq_ = loop_.next_seq_++;
+  deadline_ = loop_.Reserve(loop_.now_ + delay);
   armed_ = true;
-  if (!queued_ || deadline_ < queued_at_) {
+  if (!queued_ || deadline_.when < queued_slot_.when) {
     QueueWakeup();
   }
 }
 
 void EventLoop::Timer::QueueWakeup() {
   queued_ = true;
-  queued_at_ = deadline_;
-  queued_seq_ = seq_;
-  loop_.queue_.push(Event{deadline_, seq_, [this, seq = seq_] { Wake(seq); }});
+  queued_slot_ = deadline_;
+  loop_.QueueAt(deadline_, [this, seq = deadline_.seq] { Wake(seq); });
 }
 
 void EventLoop::Timer::Wake(uint64_t seq) {
-  if (seq != queued_seq_) {
+  if (seq != queued_slot_.seq) {
     return;  // superseded by a wakeup for an earlier deadline
   }
   queued_ = false;
-  if (armed_ && seq != seq_) {
+  if (armed_ && seq != deadline_.seq) {
     QueueWakeup();  // re-armed since, for a later deadline
   } else if (armed_) {
     armed_ = false;
@@ -42,13 +95,8 @@ void EventLoop::Timer::Wake(uint64_t seq) {
 
 uint64_t EventLoop::RunUntil(SimTime deadline) {
   uint64_t executed = 0;
-  while (!queue_.empty() && queue_.top().when <= deadline) {
-    // priority_queue::top returns const&; moving the callback out requires the pop
-    // dance below to stay well-defined.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = ev.when;
-    ev.cb();
+  while (!heap_.empty() && heap_.front().when <= deadline) {
+    RunNext();
     ++executed;
   }
   if (now_ < deadline) {
@@ -59,14 +107,17 @@ uint64_t EventLoop::RunUntil(SimTime deadline) {
 
 uint64_t EventLoop::RunToCompletion() {
   uint64_t executed = 0;
-  while (!queue_.empty()) {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = ev.when;
-    ev.cb();
+  while (!heap_.empty()) {
+    RunNext();
     ++executed;
   }
   return executed;
+}
+
+void EventLoop::Clear() {
+  heap_.clear();
+  free_callbacks_.clear();
+  callbacks_.clear();
 }
 
 }  // namespace tcprx

@@ -1,15 +1,19 @@
 // Discrete-event scheduler.
 //
-// A single-threaded priority queue of timestamped callbacks. Ties are broken by
-// insertion order so runs are fully deterministic. Everything in the testbed — link
-// serialization, NIC interrupts, CPU batch completion, TCP timers — is an event here.
+// A single-threaded queue of timestamped callbacks. Ties are broken by insertion order
+// so runs are fully deterministic. Everything in the testbed — link serialization, NIC
+// interrupts, CPU batch completion, TCP timers — is an event here.
+//
+// The queue is a 4-ary min-heap of small {when, seq, callback index} keys; the
+// callbacks wait in a recycled slab, so reordering the heap moves keys, never
+// callbacks.
 
 #ifndef SRC_UTIL_EVENT_LOOP_H_
 #define SRC_UTIL_EVENT_LOOP_H_
 
+#include <compare>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -21,11 +25,23 @@ class EventLoop {
  public:
   using Callback = std::function<void()>;
 
+  // A place in the event order: events run by time, then by seq. Reserve takes one
+  // now, exactly as ScheduleAt would, and QueueAt later queues a callback in it, which
+  // then runs where a ScheduleAt at reservation time would have run. This lets an
+  // owner of many deadlines (a Timer, a SimplexLink's frames in flight) keep a single
+  // wakeup queued for the earliest of them.
+  struct Slot {
+    SimTime when;
+    uint64_t seq = 0;
+    auto operator<=>(const Slot&) const = default;
+  };
+
   // One re-armable deadline: fires `on_fire` `delay` after the last Arm unless
-  // cancelled first. It fires in the (time, seq) slot a ScheduleAfter at that Arm
-  // would take, yet keeps one wakeup queued: a wakeup that finds the deadline moved
-  // later re-queues itself in that slot, and an earlier deadline queues a new wakeup
-  // that the old one defers to. It must outlive its wakeups and not move.
+  // cancelled first. Each Arm reserves a slot, so the timer fires where a
+  // ScheduleAfter at that Arm would, yet keeps one wakeup queued: a wakeup that finds
+  // the deadline moved later re-queues itself in the new slot, and an earlier deadline
+  // queues a new wakeup that the old one defers to. It must outlive its wakeups and
+  // not move.
   class Timer {
    public:
     Timer(EventLoop& loop, Callback on_fire) : loop_(loop), on_fire_(std::move(on_fire)) {}
@@ -43,17 +59,21 @@ class EventLoop {
     EventLoop& loop_;
     Callback on_fire_;
     bool armed_ = false;
-    SimTime deadline_;
-    uint64_t seq_ = 0;
-    bool queued_ = false;  // the live wakeup is queued at (queued_at_, queued_seq_)
-    SimTime queued_at_;
-    uint64_t queued_seq_ = 0;
+    Slot deadline_;        // reserved by the last Arm
+    bool queued_ = false;  // the live wakeup is queued in `queued_slot_`
+    Slot queued_slot_;
   };
 
   SimTime Now() const { return now_; }
 
+  // Takes the next place in the event order at `when` (clamped to now if in the past).
+  Slot Reserve(SimTime when) { return Slot{when < now_ ? now_ : when, next_seq_++}; }
+
+  // Queues `cb` in `slot`, a reservation that must not be in the past.
+  void QueueAt(Slot slot, Callback cb);
+
   // Schedules `cb` at absolute time `when` (clamped to now if in the past).
-  void ScheduleAt(SimTime when, Callback cb);
+  void ScheduleAt(SimTime when, Callback cb) { QueueAt(Reserve(when), std::move(cb)); }
 
   // Schedules `cb` `delay` after the current time.
   void ScheduleAfter(SimDuration delay, Callback cb) { ScheduleAt(now_ + delay, std::move(cb)); }
@@ -68,29 +88,33 @@ class EventLoop {
   // Drops every pending event unrun, destroying its callback and whatever the
   // callback holds. Owners call it before tearing down what those callbacks hold.
   // Teardown only: a Timer whose wakeup was cleared never fires again.
-  void Clear() { queue_ = {}; }
+  void Clear();
 
-  bool Empty() const { return queue_.empty(); }
-  size_t PendingEvents() const { return queue_.size(); }
+  bool Empty() const { return heap_.empty(); }
+  size_t PendingEvents() const { return heap_.size(); }
 
  private:
-  struct Event {
+  // A queued event: its slot and the slab index of its callback.
+  struct Key {
     SimTime when;
-    uint64_t seq;  // FIFO among same-time events
-    Callback cb;
+    uint64_t seq;
+    uint32_t cb;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
+  // One 128-bit compare, free of branches: the order of two random keys is a coin
+  // flip that a branch would mispredict half the time.
+  static bool Before(const Key& a, const Key& b) {
+    using Order = unsigned __int128;
+    return ((Order{a.when.nanos()} << 64) | a.seq) < ((Order{b.when.nanos()} << 64) | b.seq);
+  }
+
+  // Pops the earliest event and runs it.
+  void RunNext();
 
   SimTime now_;
   uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Key> heap_;            // 4-ary min-heap: the children of i are 4i+1..4i+4
+  std::vector<Callback> callbacks_;  // slab, indexed by Key::cb
+  std::vector<uint32_t> free_callbacks_;
 };
 
 }  // namespace tcprx

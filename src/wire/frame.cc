@@ -50,7 +50,11 @@ std::vector<uint8_t> BuildTcpFrame(const TcpFrameSpec& spec) {
   TCPRX_CHECK_MSG(ip_size + tcp_size + spec.payload.size() <= 0xffff,
                   "IP datagram exceeds 64KiB");
 
-  std::vector<uint8_t> frame(total, 0);
+  const size_t tcp_offset = kEthernetHeaderSize + ip_size;
+  // Zero only the headers; the payload is appended, not written over zeros.
+  std::vector<uint8_t> frame;
+  frame.reserve(total);
+  frame.resize(tcp_offset + tcp_size);
 
   SerializeEthernet(EthernetHeader{spec.dst_mac, spec.src_mac, kEtherTypeIpv4},
                     std::span<uint8_t>(frame));
@@ -64,10 +68,9 @@ std::vector<uint8_t> BuildTcpFrame(const TcpFrameSpec& spec) {
   ip.dst = spec.dst_ip;
   SerializeIpv4(ip, std::span<uint8_t>(frame).subspan(kEthernetHeaderSize));
 
-  const size_t tcp_offset = kEthernetHeaderSize + ip_size;
   tcp.checksum = 0;
   SerializeTcp(tcp, std::span<uint8_t>(frame).subspan(tcp_offset));
-  std::copy(spec.payload.begin(), spec.payload.end(), frame.begin() + static_cast<long>(tcp_offset + tcp_size));
+  frame.insert(frame.end(), spec.payload.begin(), spec.payload.end());
 
   if (spec.fill_tcp_checksum) {
     const std::span<const uint8_t> header_bytes =

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "src/buffer/packet.h"
 #include "src/nic/link.h"
 #include "src/nic/nic.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace tcprx {
@@ -183,9 +187,9 @@ FaultyLinkTrace RunFaultyLink() {
 }
 
 TEST(Link, FaultyDeliverySequenceIsPinned) {
-  // Frames in flight wait in recycled slots; the arrival times, the order (a duplicate
-  // lands 1 ns after its original) and the bytes must match the sequence a link that
-  // boxed each frame into its event delivered.
+  // Frames in flight wait in the link's wire queue behind one wakeup; the arrival
+  // times, the order (a duplicate lands 1 ns after its original) and the bytes must
+  // match the sequence a link that boxed each frame into its own event delivered.
   const FaultyLinkTrace trace = RunFaultyLink();
   EXPECT_EQ(trace.delivered, 404u);
   EXPECT_EQ(trace.hash, 12544534075700755838ull);
@@ -193,6 +197,94 @@ TEST(Link, FaultyDeliverySequenceIsPinned) {
   EXPECT_EQ(trace.duplicated, 19u);
   EXPECT_EQ(trace.reordered, 40u);
   EXPECT_EQ(trace.corrupted, 19u);
+}
+
+TEST(Link, ReorderAndDuplicationKeepPerFrameEventOrder) {
+  // Most frames are held back or duplicated, so frames keep overtaking the head of the
+  // wire queue. Each must still run in the event-order slot its own arrival event
+  // would have taken when it was sent. Right after each Send, probes are scheduled at
+  // every time that frame could arrive; per-frame events would run the frame before
+  // a probe at its time, and both in (time, send order) among everything else.
+  constexpr uint64_t kFrames = 600;
+  const SimDuration reorder_delay = SimDuration::FromMicros(30);
+  const SimDuration one_ns = SimDuration::FromNanos(1);
+  EventLoop loop;
+  LinkConfig config;
+  config.reorder_probability = 0.5;
+  config.duplicate_probability = 0.5;
+  config.reorder_delay = reorder_delay;
+  config.fault_seed = 99;
+
+  // One record per callback run. `rank` orders the slots one Send takes: the copy of
+  // a duplicated frame reserves first (0), then the frame (1), then its probes (2-5).
+  struct Run {
+    SimTime at;
+    uint64_t frame;
+    int rank;
+  };
+  std::vector<Run> runs;
+  std::vector<SimTime> base(kFrames);  // arrival without a reorder delay
+  SimplexLink link(config, loop, [&](std::vector<uint8_t> bytes) {
+    runs.push_back(Run{loop.Now(), bytes[0] | (uint64_t{bytes[1]} << 8), -1});
+  });
+  Rng rng(5);
+  SimTime send_at;
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    // A third of the frames go out at the same instant as the one before.
+    if (rng.NextBelow(3) != 0) {
+      send_at += SimDuration::FromNanos(rng.NextBelow(20000));
+    }
+    loop.ScheduleAt(send_at, [&, i] {
+      std::vector<uint8_t> bytes(64 + (i * 97) % 1400);
+      bytes[0] = static_cast<uint8_t>(i);
+      bytes[1] = static_cast<uint8_t>(i >> 8);
+      link.Send(std::move(bytes));
+      base[i] = link.busy_until() + config.propagation_delay;
+      const SimTime probes[] = {base[i], base[i] + one_ns, base[i] + reorder_delay,
+                                base[i] + reorder_delay + one_ns};
+      for (int k = 0; k < 4; ++k) {
+        loop.ScheduleAt(probes[k],
+                        [&runs, &loop, i, k] { runs.push_back(Run{loop.Now(), i, 2 + k}); });
+      }
+    });
+  }
+  loop.RunToCompletion();
+  EXPECT_GT(link.frames_reordered(), kFrames / 3);
+  EXPECT_GT(link.frames_duplicated(), kFrames / 3);
+
+  // Every frame arrives at its base time or one reorder delay later; a copy 1 ns after.
+  std::vector<int> deliveries(kFrames, 0);
+  uint64_t overtaken = 0;
+  uint64_t last_frame = 0;
+  for (Run& run : runs) {
+    if (run.rank != -1) {
+      continue;
+    }
+    ASSERT_LT(run.frame, kFrames);
+    const SimTime b = base[run.frame];
+    const bool is_copy = ++deliveries[run.frame] == 2;
+    const SimDuration shift = is_copy ? one_ns : SimDuration::FromNanos(0);
+    EXPECT_TRUE(run.at == b + shift || run.at == b + reorder_delay + shift) << run.frame;
+    run.rank = is_copy ? 0 : 1;
+    overtaken += run.frame < last_frame ? 1 : 0;
+    last_frame = run.frame;
+  }
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    EXPECT_GE(deliveries[i], 1) << i;
+  }
+  EXPECT_GT(overtaken, kFrames / 10);
+
+  std::vector<Run> expected = runs;
+  std::stable_sort(expected.begin(), expected.end(), [](const Run& a, const Run& b) {
+    return std::tie(a.at, a.frame, a.rank) < std::tie(b.at, b.frame, b.rank);
+  });
+  for (size_t i = 0; i < runs.size(); ++i) {
+    ASSERT_TRUE(runs[i].at == expected[i].at && runs[i].frame == expected[i].frame &&
+                runs[i].rank == expected[i].rank)
+        << "run " << i << ": frame " << runs[i].frame << " rank " << runs[i].rank << " at "
+        << runs[i].at.nanos() << " ns, expected frame " << expected[i].frame << " rank "
+        << expected[i].rank << " at " << expected[i].at.nanos() << " ns";
+  }
 }
 
 TEST(Link, TeardownWithFramesInFlightFreesThem) {
@@ -206,7 +298,9 @@ TEST(Link, TeardownWithFramesInFlightFreesThem) {
     for (int i = 0; i < 50; ++i) {
       link.Send(frame);
     }
-    EXPECT_GE(loop.PendingEvents(), 50u);
+    // Duplicates land behind their originals, so only the head's wakeup is queued.
+    EXPECT_EQ(loop.PendingEvents(), 1u);
+    EXPECT_GE(link.frames_in_flight(), 50u);
   }  // the link goes first, then the loop with its events
   {
     auto loop = std::make_unique<EventLoop>();

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -139,6 +141,184 @@ TEST(EventLoopTimer, KeepsItsArmOrderAmongSameInstantEvents) {
   after.Arm(SimDuration::FromNanos(100));
   loop.RunToCompletion();
   EXPECT_EQ(order, (std::vector<std::string>{"requeued", "before", "event", "after"}));
+}
+
+// ---------------------------------------------------------------------------
+// EventLoop against a reference queue
+// ---------------------------------------------------------------------------
+
+// Drives an EventLoop with random work and checks each callback, as it runs, against
+// a plain priority queue over the (when, seq) it took. Every ScheduleAt, Reserve and
+// Timer::Arm takes the next seq, so the driver numbers them the same way. The work:
+// events at tied, past (clamped) and future times; timers re-armed earlier and later,
+// and cancelled; slots reserved now and queued immediately or by a later event.
+class ReferenceOrderDriver {
+ public:
+  explicit ReferenceOrderDriver(uint64_t seed) : rng_(seed) {
+    for (size_t k = 0; k < kTimers; ++k) {
+      timers_.push_back(std::make_unique<EventLoop::Timer>(loop_, [this, k] {
+        const uint64_t id = timer_entry_[k];
+        timer_entry_[k] = kNone;
+        Ran(id);
+      }));
+    }
+  }
+
+  // Runs until the loop drains; returns the first mismatch, or "" if none.
+  std::string Run() {
+    for (int i = 0; i < 64; ++i) {
+      Schedule();
+    }
+    while (!loop_.Empty()) {
+      loop_.RunUntil(loop_.Now() + SimDuration::FromNanos(1 + rng_.NextBelow(2000)));
+    }
+    while (!reference_.empty() && !live_[reference_.top().id]) {
+      reference_.pop();
+    }
+    if (mismatch_.empty() && !reference_.empty()) {
+      mismatch_ = "entry " + std::to_string(reference_.top().id) + " never ran";
+    }
+    return mismatch_;
+  }
+
+  uint64_t callbacks_run() const { return ran_; }
+
+ private:
+  static constexpr size_t kTimers = 6;
+  static constexpr uint64_t kNone = ~uint64_t{0};
+
+  struct Entry {
+    SimTime when;
+    uint64_t seq;
+    uint64_t id;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
+
+  // Takes the next (when, seq) as the loop does, and expects a callback in it.
+  Entry Take(SimTime when) {
+    const Entry entry{when < loop_.Now() ? loop_.Now() : when, next_seq_++, live_.size()};
+    live_.push_back(true);
+    reference_.push(entry);
+    --budget_;
+    return entry;
+  }
+
+  void Ran(uint64_t id) {
+    ++ran_;
+    while (!reference_.empty() && !live_[reference_.top().id]) {
+      reference_.pop();
+    }
+    if (mismatch_.empty() &&
+        (reference_.empty() || reference_.top().id != id || reference_.top().when != loop_.Now())) {
+      mismatch_ = "entry " + std::to_string(id) + " ran at " + std::to_string(loop_.Now().nanos()) +
+                  " ns, before entry " +
+                  (reference_.empty() ? std::string("none") : std::to_string(reference_.top().id));
+    }
+    if (!reference_.empty() && reference_.top().id == id) {
+      reference_.pop();
+    }
+    live_[id] = false;
+    const uint64_t actions = budget_ > 0 ? rng_.NextBelow(4) : 0;
+    for (uint64_t i = 0; i < actions; ++i) {
+      Act();
+    }
+  }
+
+  SimTime RandomTime() {
+    const uint64_t now = loop_.Now().nanos();
+    switch (rng_.NextBelow(4)) {
+      case 0:
+        return loop_.Now();  // a tie with whatever else runs now
+      case 1:
+        return SimTime::FromNanos(now - rng_.NextBelow(now + 1));  // clamped to now
+      case 2:
+        return SimTime::FromNanos(now + rng_.NextBelow(10));
+      default:
+        return SimTime::FromNanos(now + rng_.NextBelow(1000));
+    }
+  }
+
+  void Schedule() {
+    const Entry entry = Take(RandomTime());
+    loop_.ScheduleAt(entry.when, [this, id = entry.id] { Ran(id); });
+  }
+
+  void Act() {
+    switch (rng_.NextBelow(5)) {
+      case 0:
+      case 1:
+        Schedule();
+        break;
+      case 2: {  // (re-)arm: the new deadline may fall before or after the old one
+        const size_t k = rng_.NextBelow(kTimers);
+        const SimDuration delay = SimDuration::FromNanos(rng_.NextBelow(2) ? rng_.NextBelow(10)
+                                                                           : rng_.NextBelow(1000));
+        if (timer_entry_[k] != kNone) {
+          live_[timer_entry_[k]] = false;
+        }
+        timer_entry_[k] = Take(loop_.Now() + delay).id;
+        timers_[k]->Arm(delay);
+        break;
+      }
+      case 3: {
+        const size_t k = rng_.NextBelow(kTimers);
+        if (timer_entry_[k] != kNone) {
+          live_[timer_entry_[k]] = false;
+          timer_entry_[k] = kNone;
+        }
+        timers_[k]->Cancel();
+        break;
+      }
+      default:
+        Reserve();
+        break;
+    }
+  }
+
+  // Reserves a slot and queues it now, or from an event that runs before its time.
+  void Reserve() {
+    const SimTime when = RandomTime();
+    const EventLoop::Slot slot = loop_.Reserve(when);
+    const Entry entry = Take(when);
+    if (slot.when != entry.when || slot.seq != entry.seq) {
+      mismatch_ = "the driver's seq count drifted from the loop's";
+      return;
+    }
+    auto queue = [this, slot, id = entry.id] { loop_.QueueAt(slot, [this, id] { Ran(id); }); };
+    if (slot.when == loop_.Now() || rng_.NextBelow(2) == 0) {
+      queue();
+      return;
+    }
+    const uint64_t lead = rng_.NextBelow((slot.when - loop_.Now()).nanos());
+    const Entry queuer = Take(loop_.Now() + SimDuration::FromNanos(lead));
+    loop_.ScheduleAt(queuer.when, [this, queue, id = queuer.id] {
+      queue();
+      Ran(id);
+    });
+  }
+
+  EventLoop loop_;
+  Rng rng_;
+  std::vector<std::unique_ptr<EventLoop::Timer>> timers_;
+  std::vector<uint64_t> timer_entry_ = std::vector<uint64_t>(kTimers, kNone);  // live arm
+  std::priority_queue<Entry, std::vector<Entry>, Later> reference_;
+  std::vector<bool> live_;  // by entry id: still expected to run
+  uint64_t next_seq_ = 0;
+  int64_t budget_ = 4000;  // entries left to take
+  uint64_t ran_ = 0;
+  std::string mismatch_;
+};
+
+TEST(EventLoop, RunsInReferenceOrderUnderRandomWork) {
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    ReferenceOrderDriver driver(seed);
+    EXPECT_EQ(driver.Run(), "") << "seed " << seed;
+    EXPECT_GT(driver.callbacks_run(), 1000u) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------
