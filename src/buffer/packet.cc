@@ -40,15 +40,24 @@ PacketPtr PacketPool::Take() {
 PacketPtr PacketPool::Allocate(std::span<const uint8_t> frame) {
   PacketPtr p = Take();
   p->data.assign(frame.begin(), frame.end());
-  p->view = ParseTcpFrame(p->Bytes());
+  p->Parse();
   return p;
 }
 
 PacketPtr PacketPool::AllocateMoved(std::vector<uint8_t>&& frame) {
   PacketPtr p = Take();
   p->data = std::move(frame);
-  p->view = ParseTcpFrame(p->Bytes());
+  p->Parse();
   return p;
+}
+
+void Packet::Parse(bool allow_logical_length) {
+  if (!view.has_value()) {
+    view.emplace();
+  }
+  if (!ParseTcpFrame(Bytes(), *view, allow_logical_length)) {
+    view.reset();
+  }
 }
 
 void PacketPool::Return(Packet* p) {

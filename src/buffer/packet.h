@@ -32,6 +32,10 @@ struct Packet {
   // (SkBuff::ReparseHead).
   std::optional<TcpFrameView> view;
 
+  // Parses `data` into `view` in place, reusing the view a recycled packet already
+  // holds; a frame that does not parse as TCP/IPv4 leaves it empty.
+  void Parse(bool allow_logical_length = false);
+
   bool nic_checksum_verified = false;  // rx checksum offload says the TCP csum is good
 
   std::span<const uint8_t> Bytes() const { return data; }

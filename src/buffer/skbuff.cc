@@ -22,7 +22,7 @@ void SkBuff::ForEachPayload(const std::function<void(std::span<const uint8_t>)>&
 }
 
 void SkBuff::ReparseHead() {
-  head->view = ParseTcpFrame(head->Bytes(), /*allow_logical_length=*/true);
+  head->Parse(/*allow_logical_length=*/true);
   TCPRX_CHECK_MSG(head->view.has_value(), "SkBuff head frame unparseable after rewrite");
   // The IP total length of an aggregated head describes the whole host packet, but the
   // head frame physically holds only its own payload; clamp the view's payload size to

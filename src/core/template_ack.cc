@@ -5,16 +5,12 @@
 #include "src/util/logging.h"
 
 namespace tcprx {
-namespace {
 
-// The TCP layer always builds a 20-byte IP header, so the TCP header sits at a fixed
-// offset in every output frame.
-constexpr size_t kTcpOffset = kEthernetHeaderSize + kIpv4MinHeaderSize;
-
-}  // namespace
+// The TCP layer writes every output frame with WriteTcpFrame, so the TCP header sits at
+// kTcpFrameHeaderOffset in each.
 
 bool IsPureAck(const TcpOutputItem& item) {
-  const size_t flags_offset = kTcpOffset + 13;
+  const size_t flags_offset = kTcpFrameHeaderOffset + 13;
   return item.payload_size == 0 && item.frame.size() > flags_offset &&
          item.frame[flags_offset] == kTcpAck;
 }
@@ -29,11 +25,11 @@ void ExpandTemplateAck(TcpOutputItem item,
   emit(item.frame);
   for (size_t i = 0; i + 1 < item.extra_acks.size(); ++i) {
     std::vector<uint8_t> copy = item.frame;
-    RewriteAckNumber(copy, kTcpOffset, item.extra_acks[i]);
+    RewriteAckNumber(copy, kTcpFrameHeaderOffset, item.extra_acks[i]);
     emit(std::move(copy));
   }
   // The last ACK of the run reuses the template's own buffer.
-  RewriteAckNumber(item.frame, kTcpOffset, item.extra_acks.back());
+  RewriteAckNumber(item.frame, kTcpFrameHeaderOffset, item.extra_acks.back());
   emit(std::move(item.frame));
 }
 

@@ -27,10 +27,16 @@ void PollDriver::OnInterrupt() {
 }
 
 PollDriver::NicQueue* PollDriver::NextNonEmptyQueue() {
-  for (size_t i = 0; i < queues_.size(); ++i) {
-    NicQueue& q = queues_[(rr_next_ + i) % queues_.size()];
+  // Round robin from rr_next_ (always below queues_.size()), wrapping by compare.
+  const size_t n = queues_.size();
+  size_t next = rr_next_;
+  for (size_t i = 0; i < n; ++i) {
+    NicQueue& q = queues_[next];
+    if (++next == n) {
+      next = 0;
+    }
     if (!q.nic->RxEmpty(q.queue)) {
-      rr_next_ = (rr_next_ + i + 1) % queues_.size();
+      rr_next_ = next;
       return &q;
     }
   }

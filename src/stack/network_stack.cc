@@ -239,28 +239,24 @@ void NetworkStack::SendReset(const SkBuff& skb) {
   }
   ++stats_.rsts_sent;
 
-  TcpFrameSpec spec;
-  spec.src_mac = view.eth.dst;
-  spec.dst_mac = view.eth.src;
-  spec.src_ip = view.ip.dst;
-  spec.dst_ip = view.ip.src;
-  spec.fill_tcp_checksum = config_.fill_tcp_checksums;
-  spec.tcp.src_port = in.dst_port;
-  spec.tcp.dst_port = in.src_port;
+  const TcpFrameTemplate tmpl = MakeTcpFrameTemplate(
+      view.eth.dst, view.eth.src, view.ip.dst, view.ip.src, in.dst_port, in.src_port);
+  TcpSegmentFields rst;
   if (in.Has(kTcpAck)) {
-    spec.tcp.seq = in.ack;
-    spec.tcp.flags = kTcpRst;
+    rst.seq = in.ack;
+    rst.flags = kTcpRst;
   } else {
-    spec.tcp.seq = 0;
-    spec.tcp.flags = kTcpRst | kTcpAck;
-    spec.tcp.ack = in.seq + static_cast<uint32_t>(skb.PayloadSize()) +
-                   (in.Has(kTcpSyn) ? 1 : 0) + (in.Has(kTcpFin) ? 1 : 0);
+    rst.seq = 0;
+    rst.flags = kTcpRst | kTcpAck;
+    rst.ack = in.seq + static_cast<uint32_t>(skb.PayloadSize()) +
+              (in.Has(kTcpSyn) ? 1 : 0) + (in.Has(kTcpFin) ? 1 : 0);
   }
 
   // A RST is a transmit-path packet like any other.
   ChargeTxStackPass(0, /*is_template=*/false);
   charger_.Charge(Routine::kE1000XmitFrame, config_.costs.driver_tx_per_packet);
-  TransmitBuiltFrame(spec.dst_ip, BuildTcpFrame(spec));
+  TransmitBuiltFrame(tmpl.dst_ip, WriteTcpFrame(tmpl, /*ip_id=*/0, rst, {}, {},
+                                                config_.fill_tcp_checksums));
 }
 
 TcpConnection* NetworkStack::Demux(const SkBuff& skb) {

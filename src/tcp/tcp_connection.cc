@@ -47,7 +47,10 @@ TcpConnection::TcpConnection(const TcpConnectionConfig& config, EventLoop& loop,
       rto_timer_(loop, [this] { OnRtoFired(); }),
       delack_timer_(loop, [this] { OnDelayedAckFired(); }),
       persist_timer_(loop, [this] { OnPersistFired(); }),
-      time_wait_timer_(loop, [this] { SetState(TcpState::kClosed); }) {
+      time_wait_timer_(loop, [this] { SetState(TcpState::kClosed); }),
+      frame_template_(MakeTcpFrameTemplate(config.local_mac, config.remote_mac,
+                                           config.local_ip, config.remote_ip,
+                                           config.local_port, config.remote_port)) {
   iss_ = config_.initial_seq;
   snd_una_ = iss_;
   snd_nxt_ = iss_;
@@ -553,45 +556,29 @@ void TcpConnection::EnterTimeWait() {
 
 std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uint8_t flags,
                                                  std::span<const uint8_t> payload) {
-  TcpFrameSpec spec;
-  spec.src_mac = config_.local_mac;
-  spec.dst_mac = config_.remote_mac;
-  spec.src_ip = config_.local_ip;
-  spec.dst_ip = config_.remote_ip;
-  spec.ip_id = next_ip_id_++;
-  spec.payload = payload;
-  spec.fill_tcp_checksum = config_.fill_tcp_checksum;
-
-  TcpHeader& h = spec.tcp;
-  h.src_port = config_.local_port;
-  h.dst_port = config_.remote_port;
-  h.seq = seq;
-  h.ack = ack;
-  h.flags = flags;
-  h.window = CurrentWindow();
-
+  TcpOptionBytes options;
   const bool syn = (flags & kTcpSyn) != 0;
   const bool want_ts = syn || peer_uses_timestamps_;
   if (syn) {
     // MSS option.
-    h.raw_options.push_back(kTcpOptMss);
-    h.raw_options.push_back(4);
-    h.raw_options.push_back(static_cast<uint8_t>(config_.mss >> 8));
-    h.raw_options.push_back(static_cast<uint8_t>(config_.mss & 0xff));
+    options.push_back(kTcpOptMss);
+    options.push_back(4);
+    options.push_back(static_cast<uint8_t>(config_.mss >> 8));
+    options.push_back(static_cast<uint8_t>(config_.mss & 0xff));
     if (config_.window_scale > 0) {
-      h.raw_options.push_back(kTcpOptWindowScale);
-      h.raw_options.push_back(3);
-      h.raw_options.push_back(config_.window_scale);
+      options.push_back(kTcpOptWindowScale);
+      options.push_back(3);
+      options.push_back(config_.window_scale);
     }
     if (config_.sack) {
-      h.raw_options.push_back(kTcpOptSackPermitted);
-      h.raw_options.push_back(2);
+      options.push_back(kTcpOptSackPermitted);
+      options.push_back(2);
     }
   }
   if (want_ts) {
     uint8_t ts_block[kTcpTimestampOptionSize];
     WriteTimestampOption(TcpTimestampOption{NowTsMs(), ts_recent_}, ts_block);
-    h.raw_options.insert(h.raw_options.end(), ts_block, ts_block + kTcpTimestampOptionSize);
+    options.insert(options.end(), ts_block, ts_block + kTcpTimestampOptionSize);
   }
   // SACK blocks ride on pure ACKs when the receiver is holding out-of-order data.
   if (peer_sack_ && flags == kTcpAck && payload.empty() && !reassembly_.Empty()) {
@@ -599,11 +586,13 @@ std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uin
     for (const auto& [start, end] : reassembly_.SackRanges(3)) {
       blocks.push_back(SackBlock{static_cast<uint32_t>(start), static_cast<uint32_t>(end)});
     }
-    AppendSackOption(blocks, h.raw_options);
+    AppendSackOption(blocks, options);
   }
+  const uint16_t ip_id = next_ip_id_++;
   // tcprx-check: allow(charge) -- transmit-side serialization; the stack bills the
   // whole tx pass via ChargeTxStackPass when the output item is emitted.
-  return BuildTcpFrame(spec);
+  return WriteTcpFrame(frame_template_, ip_id, {seq, ack, flags, CurrentWindow()}, options,
+                       payload, config_.fill_tcp_checksum);
 }
 
 void TcpConnection::EmitSyn(bool with_ack) {

@@ -286,6 +286,9 @@ class TcpConnection {
   EventLoop::Timer delack_timer_;
   EventLoop::Timer persist_timer_;
   EventLoop::Timer time_wait_timer_;
+  // Addresses and ports are fixed for the connection's life: every segment is written
+  // from this one header template.
+  const TcpFrameTemplate frame_template_;
 
   // Karn-style single-sample RTT probe.
   bool rtt_probe_armed_ = false;

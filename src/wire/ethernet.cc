@@ -14,15 +14,14 @@ std::string MacAddress::ToString() const {
   return buf;
 }
 
-std::optional<EthernetHeader> ParseEthernet(std::span<const uint8_t> frame) {
+bool ParseEthernet(std::span<const uint8_t> frame, EthernetHeader& out) {
   if (frame.size() < kEthernetHeaderSize) {
-    return std::nullopt;
+    return false;
   }
-  EthernetHeader h;
-  std::copy(frame.begin(), frame.begin() + 6, h.dst.bytes.begin());
-  std::copy(frame.begin() + 6, frame.begin() + 12, h.src.bytes.begin());
-  h.ether_type = LoadBe16(frame.data() + 12);
-  return h;
+  std::copy(frame.begin(), frame.begin() + 6, out.dst.bytes.begin());
+  std::copy(frame.begin() + 6, frame.begin() + 12, out.src.bytes.begin());
+  out.ether_type = LoadBe16(frame.data() + 12);
+  return true;
 }
 
 void SerializeEthernet(const EthernetHeader& header, std::span<uint8_t> out) {

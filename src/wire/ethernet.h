@@ -39,9 +39,15 @@ struct EthernetHeader {
   uint16_t ether_type = kEtherTypeIpv4;
 };
 
-// Parses the 14-byte Ethernet header at the start of `frame`. Returns nullopt when the
-// frame is too short.
-std::optional<EthernetHeader> ParseEthernet(std::span<const uint8_t> frame);
+// Parses the 14-byte Ethernet header at the start of `frame` into `out`. Returns false
+// when the frame is too short.
+bool ParseEthernet(std::span<const uint8_t> frame, EthernetHeader& out);
+
+// The same parse for tests and cold callers: nullopt when the frame is too short.
+inline std::optional<EthernetHeader> ParseEthernet(std::span<const uint8_t> frame) {
+  EthernetHeader h;
+  return ParseEthernet(frame, h) ? std::optional<EthernetHeader>(h) : std::nullopt;
+}
 
 // Serializes `header` into the first 14 bytes of `out` (which must be large enough).
 void SerializeEthernet(const EthernetHeader& header, std::span<uint8_t> out);

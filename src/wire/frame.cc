@@ -7,80 +7,112 @@
 
 namespace tcprx {
 
-std::optional<TcpFrameView> ParseTcpFrame(std::span<const uint8_t> frame,
-                                          bool allow_logical_length) {
-  auto eth = ParseEthernet(frame);
-  if (!eth || eth->ether_type != kEtherTypeIpv4) {
-    return std::nullopt;
+bool ParseTcpFrame(std::span<const uint8_t> frame, TcpFrameView& view,
+                   bool allow_logical_length) {
+  if (!ParseEthernet(frame, view.eth) || view.eth.ether_type != kEtherTypeIpv4) {
+    return false;
   }
-  const size_t ip_offset = kEthernetHeaderSize;
-  auto ip = ParseIpv4(frame.subspan(ip_offset));
-  if (!ip || ip->protocol != kIpProtoTcp) {
-    return std::nullopt;
+  view.ip_offset = kEthernetHeaderSize;
+  const Ipv4Header& ip = view.ip;
+  if (!ParseIpv4(frame.subspan(view.ip_offset), view.ip) || ip.protocol != kIpProtoTcp) {
+    return false;
   }
-  if (!allow_logical_length && ip_offset + ip->total_length > frame.size()) {
-    return std::nullopt;  // truncated datagram
+  if (!allow_logical_length && view.ip_offset + ip.total_length > frame.size()) {
+    return false;  // truncated datagram
   }
-  const size_t tcp_offset = ip_offset + ip->HeaderSize();
-  const size_t tcp_segment_size = ip->total_length - ip->HeaderSize();
+  view.tcp_offset = view.ip_offset + ip.HeaderSize();
+  const size_t tcp_segment_size = ip.total_length - ip.HeaderSize();
   const size_t physically_present =
-      std::min<size_t>(tcp_segment_size, frame.size() - tcp_offset);
-  auto tcp = ParseTcp(frame.subspan(tcp_offset, physically_present));
-  if (!tcp) {
-    return std::nullopt;
+      std::min<size_t>(tcp_segment_size, frame.size() - view.tcp_offset);
+  if (!ParseTcp(frame.subspan(view.tcp_offset, physically_present), view.tcp)) {
+    return false;
   }
-  TcpFrameView view;
-  view.eth = *eth;
-  view.ip = *ip;
-  view.tcp = std::move(*tcp);
-  view.ip_offset = ip_offset;
-  view.tcp_offset = tcp_offset;
-  view.payload_offset = tcp_offset + view.tcp.HeaderSize();
+  view.payload_offset = view.tcp_offset + view.tcp.HeaderSize();
   view.payload_size = tcp_segment_size - view.tcp.HeaderSize();
-  return view;
+  return true;
+}
+
+TcpFrameTemplate MakeTcpFrameTemplate(const MacAddress& src_mac, const MacAddress& dst_mac,
+                                      Ipv4Address src_ip, Ipv4Address dst_ip,
+                                      uint16_t src_port, uint16_t dst_port, uint8_t ttl) {
+  TcpFrameTemplate t;
+  t.src_ip = src_ip;
+  t.dst_ip = dst_ip;
+  t.src_port = src_port;
+  t.dst_port = dst_port;
+  SerializeEthernet(EthernetHeader{dst_mac, src_mac, kEtherTypeIpv4}, t.prefix);
+  Ipv4Header ip;
+  ip.ttl = ttl;
+  ip.protocol = kIpProtoTcp;
+  ip.src = src_ip;
+  ip.dst = dst_ip;
+  const std::span<uint8_t> ip_bytes = std::span<uint8_t>(t.prefix).subspan(kEthernetHeaderSize);
+  SerializeIpv4(ip, ip_bytes);
+  StoreBe16(ip_bytes.data() + 10, 0);
+  for (size_t i = 0; i < kIpv4MinHeaderSize; i += 2) {
+    t.ip_partial_sum += LoadBe16(ip_bytes.data() + i);
+  }
+  return t;
+}
+
+std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
+                                   const TcpSegmentFields& tcp,
+                                   std::span<const uint8_t> options,
+                                   std::span<const uint8_t> payload, bool fill_tcp_checksum) {
+  TCPRX_CHECK_MSG(options.size() <= kTcpMaxOptionBytes, "TCP options exceed 40 bytes");
+  const size_t tcp_size = kTcpMinHeaderSize + ((options.size() + 3) & ~size_t{3});
+  const size_t ip_total = kIpv4MinHeaderSize + tcp_size + payload.size();
+  TCPRX_CHECK_MSG(ip_total <= 0xffff, "IP datagram exceeds 64KiB");
+
+  // The headers are composed on the stack and land in the frame with one copy; every
+  // byte up to the end of the TCP header is written before it is copied.
+  uint8_t head[kTcpFrameHeaderOffset + kTcpMinHeaderSize + kTcpMaxOptionBytes];
+  std::copy(tmpl.prefix.begin(), tmpl.prefix.end(), head);
+  uint8_t* ip = head + kEthernetHeaderSize;
+  StoreBe16(ip + 2, static_cast<uint16_t>(ip_total));
+  StoreBe16(ip + 4, ip_id);
+  uint32_t sum = tmpl.ip_partial_sum + static_cast<uint32_t>(ip_total) + ip_id;
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  StoreBe16(ip + 10, static_cast<uint16_t>(~sum));
+
+  uint8_t* th = head + kTcpFrameHeaderOffset;
+  StoreBe16(th, tmpl.src_port);
+  StoreBe16(th + 2, tmpl.dst_port);
+  StoreBe32(th + 4, tcp.seq);
+  StoreBe32(th + 8, tcp.ack);
+  th[12] = static_cast<uint8_t>((tcp_size / 4) << 4);
+  th[13] = tcp.flags;
+  StoreBe16(th + 14, tcp.window);
+  StoreBe16(th + 16, 0);
+  StoreBe16(th + 18, tcp.urgent_pointer);
+  uint8_t* options_end = std::copy(options.begin(), options.end(), th + kTcpMinHeaderSize);
+  std::fill(options_end, th + tcp_size, uint8_t{kTcpOptEnd});
+
+  std::vector<uint8_t> frame;
+  frame.reserve(kTcpFrameHeaderOffset + tcp_size + payload.size());
+  frame.assign(head, th + tcp_size);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+
+  if (fill_tcp_checksum) {
+    const std::span<const uint8_t> bytes(frame);
+    const std::span<const uint8_t> fragments[] = {bytes.subspan(kTcpFrameHeaderOffset + tcp_size)};
+    const uint16_t csum = TcpChecksum(tmpl.src_ip, tmpl.dst_ip,
+                                      bytes.subspan(kTcpFrameHeaderOffset, tcp_size), fragments);
+    StoreBe16(frame.data() + kTcpFrameHeaderOffset + 16, csum);
+  }
+  return frame;
 }
 
 std::vector<uint8_t> BuildTcpFrame(const TcpFrameSpec& spec) {
-  TcpHeader tcp = spec.tcp;
-  const size_t options_padded = (tcp.raw_options.size() + 3) & ~size_t{3};
-  tcp.data_offset_words = static_cast<uint8_t>((kTcpMinHeaderSize + options_padded) / 4);
-  const size_t tcp_size = tcp.HeaderSize();
-  const size_t ip_size = kIpv4MinHeaderSize;
-  const size_t total = kEthernetHeaderSize + ip_size + tcp_size + spec.payload.size();
-  TCPRX_CHECK_MSG(ip_size + tcp_size + spec.payload.size() <= 0xffff,
-                  "IP datagram exceeds 64KiB");
-
-  const size_t tcp_offset = kEthernetHeaderSize + ip_size;
-  // Zero only the headers; the payload is appended, not written over zeros.
-  std::vector<uint8_t> frame;
-  frame.reserve(total);
-  frame.resize(tcp_offset + tcp_size);
-
-  SerializeEthernet(EthernetHeader{spec.dst_mac, spec.src_mac, kEtherTypeIpv4},
-                    std::span<uint8_t>(frame));
-
-  Ipv4Header ip;
-  ip.total_length = static_cast<uint16_t>(ip_size + tcp_size + spec.payload.size());
-  ip.identification = spec.ip_id;
-  ip.ttl = spec.ttl;
-  ip.protocol = kIpProtoTcp;
-  ip.src = spec.src_ip;
-  ip.dst = spec.dst_ip;
-  SerializeIpv4(ip, std::span<uint8_t>(frame).subspan(kEthernetHeaderSize));
-
-  tcp.checksum = 0;
-  SerializeTcp(tcp, std::span<uint8_t>(frame).subspan(tcp_offset));
-  frame.insert(frame.end(), spec.payload.begin(), spec.payload.end());
-
-  if (spec.fill_tcp_checksum) {
-    const std::span<const uint8_t> header_bytes =
-        std::span<const uint8_t>(frame).subspan(tcp_offset, tcp_size);
-    const std::span<const uint8_t> fragments[] = {
-        std::span<const uint8_t>(frame).subspan(tcp_offset + tcp_size)};
-    const uint16_t csum = TcpChecksum(spec.src_ip, spec.dst_ip, header_bytes, fragments);
-    StoreBe16(frame.data() + tcp_offset + 16, csum);
-  }
-  return frame;
+  const TcpFrameTemplate tmpl =
+      MakeTcpFrameTemplate(spec.src_mac, spec.dst_mac, spec.src_ip, spec.dst_ip,
+                           spec.tcp.src_port, spec.tcp.dst_port, spec.ttl);
+  const TcpSegmentFields fields{spec.tcp.seq, spec.tcp.ack, spec.tcp.flags, spec.tcp.window,
+                                spec.tcp.urgent_pointer};
+  return WriteTcpFrame(tmpl, spec.ip_id, fields, spec.tcp.raw_options, spec.payload,
+                       spec.fill_tcp_checksum);
 }
 
 }  // namespace tcprx

@@ -15,36 +15,29 @@ std::string Ipv4Address::ToString() const {
   return buf;
 }
 
-std::optional<Ipv4Header> ParseIpv4(std::span<const uint8_t> data) {
+bool ParseIpv4(std::span<const uint8_t> data, Ipv4Header& out) {
   if (data.size() < kIpv4MinHeaderSize) {
-    return std::nullopt;
+    return false;
   }
   const uint8_t version = data[0] >> 4;
   const uint8_t ihl = data[0] & 0x0f;
-  if (version != 4 || ihl < 5) {
-    return std::nullopt;
+  if (version != 4 || ihl < 5 || data.size() < static_cast<size_t>(ihl) * 4) {
+    return false;
   }
-  if (data.size() < static_cast<size_t>(ihl) * 4) {
-    return std::nullopt;
-  }
-  Ipv4Header h;
-  h.ihl_words = ihl;
-  h.tos = data[1];
-  h.total_length = LoadBe16(data.data() + 2);
-  h.identification = LoadBe16(data.data() + 4);
+  out.ihl_words = ihl;
+  out.tos = data[1];
+  out.total_length = LoadBe16(data.data() + 2);
+  out.identification = LoadBe16(data.data() + 4);
   const uint16_t flags_frag = LoadBe16(data.data() + 6);
-  h.dont_fragment = (flags_frag & 0x4000) != 0;
-  h.more_fragments = (flags_frag & 0x2000) != 0;
-  h.fragment_offset = flags_frag & 0x1fff;
-  h.ttl = data[8];
-  h.protocol = data[9];
-  h.checksum = LoadBe16(data.data() + 10);
-  h.src.value = LoadBe32(data.data() + 12);
-  h.dst.value = LoadBe32(data.data() + 16);
-  if (h.total_length < h.HeaderSize()) {
-    return std::nullopt;
-  }
-  return h;
+  out.dont_fragment = (flags_frag & 0x4000) != 0;
+  out.more_fragments = (flags_frag & 0x2000) != 0;
+  out.fragment_offset = flags_frag & 0x1fff;
+  out.ttl = data[8];
+  out.protocol = data[9];
+  out.checksum = LoadBe16(data.data() + 10);
+  out.src.value = LoadBe32(data.data() + 12);
+  out.dst.value = LoadBe32(data.data() + 16);
+  return out.total_length >= out.HeaderSize();
 }
 
 void SerializeIpv4(const Ipv4Header& header, std::span<uint8_t> out) {

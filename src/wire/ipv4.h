@@ -49,10 +49,17 @@ struct Ipv4Header {
   bool IsFragmented() const { return more_fragments || fragment_offset != 0; }
 };
 
-// Parses an IPv4 header at the start of `data` (the IP datagram). Returns nullopt for
-// truncated input, wrong version, or an ihl below the minimum. Does NOT verify the
-// checksum; call VerifyIpv4Checksum for that, so the cost can be accounted separately.
-std::optional<Ipv4Header> ParseIpv4(std::span<const uint8_t> data);
+// Parses an IPv4 header at the start of `data` (the IP datagram) into `out`. Returns
+// false for truncated input, wrong version, an ihl below the minimum, or a total length
+// shorter than the header. Does NOT verify the checksum; call VerifyIpv4Checksum for
+// that, so the cost can be accounted separately.
+bool ParseIpv4(std::span<const uint8_t> data, Ipv4Header& out);
+
+// The same parse for tests and cold callers: nullopt where the above returns false.
+inline std::optional<Ipv4Header> ParseIpv4(std::span<const uint8_t> data) {
+  Ipv4Header h;
+  return ParseIpv4(data, h) ? std::optional<Ipv4Header>(h) : std::nullopt;
+}
 
 // Serializes `header` into `out` (>= HeaderSize() bytes) and writes a freshly computed
 // header checksum. Option bytes beyond the fixed 20 are zero-filled.

@@ -8,9 +8,15 @@ namespace tcprx {
 
 namespace {
 
-// Walks the option block, filling the parsed-option fields. Returns false on a
-// malformed block (bad lengths).
+// Resets the parsed-option fields, then walks the option block filling them. Returns
+// false on a malformed block (bad lengths).
 bool ParseOptions(std::span<const uint8_t> options, TcpHeader& h) {
+  h.timestamp.reset();
+  h.mss.reset();
+  h.window_scale.reset();
+  h.sack_permitted = false;
+  h.has_sack_blocks = false;
+  h.has_unknown_option = false;
   size_t i = 0;
   while (i < options.size()) {
     const uint8_t kind = options[i];
@@ -68,30 +74,26 @@ bool ParseOptions(std::span<const uint8_t> options, TcpHeader& h) {
 
 }  // namespace
 
-std::optional<TcpHeader> ParseTcp(std::span<const uint8_t> segment) {
+bool ParseTcp(std::span<const uint8_t> segment, TcpHeader& out) {
   if (segment.size() < kTcpMinHeaderSize) {
-    return std::nullopt;
+    return false;
   }
-  TcpHeader h;
-  h.src_port = LoadBe16(segment.data());
-  h.dst_port = LoadBe16(segment.data() + 2);
-  h.seq = LoadBe32(segment.data() + 4);
-  h.ack = LoadBe32(segment.data() + 8);
-  h.data_offset_words = segment[12] >> 4;
-  h.flags = segment[13] & 0x3f;
-  h.window = LoadBe16(segment.data() + 14);
-  h.checksum = LoadBe16(segment.data() + 16);
-  h.urgent_pointer = LoadBe16(segment.data() + 18);
-  const size_t hsize = h.HeaderSize();
+  out.data_offset_words = segment[12] >> 4;
+  const size_t hsize = out.HeaderSize();
   if (hsize < kTcpMinHeaderSize || hsize > segment.size()) {
-    return std::nullopt;
+    return false;
   }
+  out.src_port = LoadBe16(segment.data());
+  out.dst_port = LoadBe16(segment.data() + 2);
+  out.seq = LoadBe32(segment.data() + 4);
+  out.ack = LoadBe32(segment.data() + 8);
+  out.flags = segment[13] & 0x3f;
+  out.window = LoadBe16(segment.data() + 14);
+  out.checksum = LoadBe16(segment.data() + 16);
+  out.urgent_pointer = LoadBe16(segment.data() + 18);
   const auto options = segment.subspan(kTcpMinHeaderSize, hsize - kTcpMinHeaderSize);
-  h.raw_options.assign(options.begin(), options.end());
-  if (!ParseOptions(options, h)) {
-    return std::nullopt;
-  }
-  return h;
+  out.raw_options.assign(options.begin(), options.end());
+  return ParseOptions(options, out);
 }
 
 void SerializeTcp(const TcpHeader& header, std::span<uint8_t> out) {

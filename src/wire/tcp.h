@@ -146,9 +146,17 @@ struct TcpHeader {
   }
 };
 
-// Parses a TCP header (with options) at the start of `segment`. Returns nullopt for
-// truncated input or a data offset below the minimum / beyond the segment.
-std::optional<TcpHeader> ParseTcp(std::span<const uint8_t> segment);
+// Parses a TCP header (with options) at the start of `segment` into `out`. Returns
+// false for truncated input, a data offset below the minimum / beyond the segment, or
+// a malformed option block. Every option field is reset before the option walk, so a
+// header parsed into again keeps nothing of the previous segment's options.
+bool ParseTcp(std::span<const uint8_t> segment, TcpHeader& out);
+
+// The same parse for tests and cold callers: nullopt where the above returns false.
+inline std::optional<TcpHeader> ParseTcp(std::span<const uint8_t> segment) {
+  TcpHeader h;
+  return ParseTcp(segment, h) ? std::optional<TcpHeader>(h) : std::nullopt;
+}
 
 // Serializes `header` into `out` (>= HeaderSize() bytes). The checksum field is
 // written as-is from `header.checksum`; compute it first via TcpChecksum when needed.

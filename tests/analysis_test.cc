@@ -60,6 +60,7 @@ const FixtureCase kCases[] = {
     {"byteorder", "byteorder", "must_flag.cc", "must_pass.cc",
      "src/tcp/fixture.cc", 3},
     {"charge", "charge", "must_flag.cc", "must_pass.cc", "src/tcp/fixture.cc", 2},
+    {"charge", "charge-writer", "must_flag.cc", "must_pass.cc", "src/tcp/fixture.cc", 1},
     {"smp-share", "smp-share", "must_flag.h", "must_pass.h",
      "src/smp/fixture.h", 2},
 };

@@ -124,6 +124,36 @@ TEST(PacketPool, RecycledPacketNeverKeepsStaleView) {
   ExpectSameView(*again->view, *fresh);
 }
 
+TEST(PacketPool, RecycledViewEmptiesOnTruncatedOrNonTcpFrame) {
+  PacketPool pool;
+  Packet* first;
+  {
+    PacketPtr p = pool.AllocateMoved(MakeFrame(FrameOptions{}, 100));
+    ASSERT_TRUE(p->view.has_value());
+    first = p.get();
+  }
+  {
+    // Cut inside the TCP header: Ethernet and IPv4 parse, TCP does not.
+    std::vector<uint8_t> truncated = MakeFrame(FrameOptions{}, 100);
+    truncated.resize(14 + 20 + 10);
+    PacketPtr p = pool.Allocate(truncated);
+    ASSERT_EQ(p.get(), first);
+    EXPECT_FALSE(p->view.has_value());
+  }
+  {
+    PacketPtr p = pool.AllocateMoved(MakeFrame(FrameOptions{}, 100));
+    ASSERT_EQ(p.get(), first);
+    ASSERT_TRUE(p->view.has_value());
+  }
+  {
+    std::vector<uint8_t> udp = MakeFrame(FrameOptions{}, 100);
+    udp[14 + 9] = 17;
+    PacketPtr p = pool.AllocateMoved(std::move(udp));
+    ASSERT_EQ(p.get(), first);
+    EXPECT_FALSE(p->view.has_value());
+  }
+}
+
 TEST(SkBuff, WrapParsesTcpFrame) {
   PacketPool pool;
   FrameOptions options;

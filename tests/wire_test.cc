@@ -423,5 +423,179 @@ TEST(Frame, RandomizedRoundTripProperty) {
   }
 }
 
+TEST(Frame, ReusedViewKeepsNothingOfThePreviousFrame) {
+  // A SYN with every option the stack sends, then a bare ACK parsed into the same view.
+  FrameOptions syn;
+  syn.flags = kTcpSyn;
+  syn.extra_options = {kTcpOptMss, 4, 0x05, 0xa8, kTcpOptWindowScale, 3, 7,
+                       kTcpOptSackPermitted, 2};
+  const auto syn_frame = MakeFrame(syn, 0);
+  TcpFrameView view;
+  ASSERT_TRUE(ParseTcpFrame(syn_frame, view));
+  ASSERT_TRUE(view.tcp.timestamp.has_value());
+  ASSERT_TRUE(view.tcp.mss.has_value());
+  ASSERT_TRUE(view.tcp.window_scale.has_value());
+  ASSERT_TRUE(view.tcp.sack_permitted);
+  EXPECT_EQ(view.tcp.raw_options.size(), 24u);  // 12 + 9, padded to 24
+
+  FrameOptions ack;
+  ack.with_timestamp = false;
+  ack.seq = 9000;
+  const auto ack_frame = MakeFrame(ack, 10);
+  ASSERT_TRUE(ParseTcpFrame(ack_frame, view));
+  EXPECT_FALSE(view.tcp.timestamp.has_value());
+  EXPECT_FALSE(view.tcp.mss.has_value());
+  EXPECT_FALSE(view.tcp.window_scale.has_value());
+  EXPECT_FALSE(view.tcp.sack_permitted);
+  EXPECT_FALSE(view.tcp.has_sack_blocks);
+  EXPECT_FALSE(view.tcp.has_unknown_option);
+  EXPECT_EQ(view.tcp.raw_options.size(), 0u);
+  EXPECT_EQ(view.tcp.data_offset_words, 5);
+  EXPECT_EQ(view.tcp.flags, kTcpAck);
+  EXPECT_EQ(view.tcp.seq, 9000u);
+  EXPECT_EQ(view.tcp_offset, 14u + 20u);
+  EXPECT_EQ(view.payload_offset, 14u + 20u + 20u);
+  EXPECT_EQ(view.payload_size, 10u);
+
+  // Sack and unknown-option flags clear too.
+  FrameOptions odd;
+  odd.extra_options = {kTcpOptSack, 10, 0, 0, 0, 1, 0, 0, 0, 2, 42, 2};
+  ASSERT_TRUE(ParseTcpFrame(MakeFrame(odd, 0), view));
+  ASSERT_TRUE(view.tcp.has_sack_blocks);
+  ASSERT_TRUE(view.tcp.has_unknown_option);
+  ASSERT_TRUE(ParseTcpFrame(ack_frame, view));
+  EXPECT_FALSE(view.tcp.has_sack_blocks);
+  EXPECT_FALSE(view.tcp.has_unknown_option);
+  EXPECT_TRUE(view.tcp.OptionsOnlyTimestamp());
+}
+
+// ---------------------------------------------------------------------------
+// Frame writer against the field-by-field serializers
+// ---------------------------------------------------------------------------
+
+struct WriterCase {
+  const char* name;
+  TcpSegmentFields fields;
+  TcpOptionBytes options;
+  size_t payload_size = 0;
+};
+
+// The frame the writer must reproduce, composed from SerializeEthernet, SerializeIpv4
+// and SerializeTcp.
+std::vector<uint8_t> ReferenceFrame(const WriterCase& c, uint16_t ip_id,
+                                    std::span<const uint8_t> payload, bool fill_checksum) {
+  TcpHeader tcp;
+  tcp.src_port = 5001;
+  tcp.dst_port = 10000;
+  tcp.seq = c.fields.seq;
+  tcp.ack = c.fields.ack;
+  tcp.flags = c.fields.flags;
+  tcp.window = c.fields.window;
+  tcp.raw_options = c.options;
+  tcp.data_offset_words = static_cast<uint8_t>(5 + (c.options.size() + 3) / 4);
+  const size_t tcp_offset = kTcpFrameHeaderOffset;
+  std::vector<uint8_t> frame(tcp_offset + tcp.HeaderSize());
+  SerializeEthernet(EthernetHeader{testutil::ClientMac(), testutil::ServerMac(), kEtherTypeIpv4},
+                    frame);
+  Ipv4Header ip;
+  ip.total_length = static_cast<uint16_t>(kIpv4MinHeaderSize + tcp.HeaderSize() + payload.size());
+  ip.identification = ip_id;
+  ip.src = testutil::ServerIp();
+  ip.dst = testutil::ClientIp();
+  SerializeIpv4(ip, std::span<uint8_t>(frame).subspan(kEthernetHeaderSize));
+  SerializeTcp(tcp, std::span<uint8_t>(frame).subspan(tcp_offset));
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  if (fill_checksum) {
+    const std::span<const uint8_t> fragments[] = {payload};
+    StoreBe16(frame.data() + tcp_offset + 16,
+              TcpChecksum(ip.src, ip.dst,
+                          std::span<const uint8_t>(frame).subspan(tcp_offset, tcp.HeaderSize()),
+                          fragments));
+  }
+  return frame;
+}
+
+TcpOptionBytes TimestampOption(uint32_t value, uint32_t echo) {
+  uint8_t ts[kTcpTimestampOptionSize];
+  WriteTimestampOption(TcpTimestampOption{value, echo}, ts);
+  TcpOptionBytes options;
+  options.assign(ts, ts + kTcpTimestampOptionSize);
+  return options;
+}
+
+std::vector<WriterCase> WriterCases() {
+  const TcpOptionBytes handshake = {kTcpOptMss, 4, 0x05, 0xa8, kTcpOptWindowScale, 3, 7,
+                                    kTcpOptSackPermitted, 2};
+  TcpOptionBytes syn_options = handshake;
+  const TcpOptionBytes ts = TimestampOption(0x01020304, 0);
+  syn_options.insert(syn_options.end(), ts.begin(), ts.end());
+  TcpOptionBytes sack_options = TimestampOption(777, 0xfffffff0);
+  const SackBlock blocks[] = {{5000, 6448}, {8000, 9448}, {0xffff0000, 0x10}};
+  AppendSackOption(blocks, sack_options);
+  return {
+      {"syn", {0x10000000, 0, kTcpSyn, 65535}, syn_options, 0},
+      {"syn-ack", {0xfffffff0, 0x10000001, kTcpSyn | kTcpAck, 65535}, syn_options, 0},
+      {"data", {0x10000001, 0xfffffff1, kTcpAck | kTcpPsh, 512},
+       TimestampOption(0xdeadbeef, 0x12345678), kMssWithTimestamps},
+      {"ack-sack", {0xfffffff1, 0x10001000, kTcpAck, 0xffff}, sack_options, 0},
+      {"fin", {0x10002000, 0xfffffff1, kTcpFin | kTcpAck, 4096}, TimestampOption(1, 2), 0},
+      {"rst", {0x10002001, 0, kTcpRst, 0}, {}, 0},
+      {"rst-ack", {0, 0x10002002, kTcpRst | kTcpAck, 0}, {}, 0},
+  };
+}
+
+TEST(FrameWriter, MatchesTheSerializersByteForByte) {
+  const TcpFrameTemplate tmpl =
+      MakeTcpFrameTemplate(testutil::ServerMac(), testutil::ClientMac(), testutil::ServerIp(),
+                           testutil::ClientIp(), 5001, 10000);
+  std::vector<uint8_t> payload(kMssWithTimestamps);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  for (const WriterCase& c : WriterCases()) {
+    const std::span<const uint8_t> body = std::span<const uint8_t>(payload).first(c.payload_size);
+    for (const bool fill : {true, false}) {
+      // ip_id wraps 0xfffe -> 0x0001 so the checksum's end-around carries run.
+      for (uint16_t ip_id = 0xfffe; ip_id != 0x0002; ++ip_id) {
+        SCOPED_TRACE(testing::Message() << c.name << " fill=" << fill << " ip_id=" << ip_id);
+        const std::vector<uint8_t> written = WriteTcpFrame(tmpl, ip_id, c.fields, c.options, body,
+                                                           fill);
+        EXPECT_EQ(written, ReferenceFrame(c, ip_id, body, fill));
+        const auto ip_header = std::span<const uint8_t>(written).subspan(kEthernetHeaderSize,
+                                                                         kIpv4MinHeaderSize);
+        EXPECT_TRUE(VerifyIpv4Checksum(ip_header));
+        const auto segment = std::span<const uint8_t>(written).subspan(kTcpFrameHeaderOffset);
+        if (fill) {
+          EXPECT_TRUE(VerifyTcpChecksum(testutil::ServerIp(), testutil::ClientIp(), segment));
+        } else {
+          EXPECT_EQ(LoadBe16(segment.data() + 16), 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(FrameWriter, BuildTcpFrameWritesFromTheSpecsTemplate) {
+  FrameOptions options;
+  options.ttl = 9;
+  options.ip_id = 0xffff;
+  const auto frame = MakeFrame(options, 100);
+  const auto view = ParseTcpFrame(frame);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->ip.ttl, 9);
+  EXPECT_EQ(view->ip.identification, 0xffff);
+  EXPECT_EQ(view->eth.src, testutil::ClientMac());
+  EXPECT_EQ(view->eth.dst, testutil::ServerMac());
+  EXPECT_TRUE(VerifyIpv4Checksum(std::span<const uint8_t>(frame).subspan(14, 20)));
+}
+
+TEST(FrameWriterDeathTest, TooManyOptionBytesAbort) {
+  const TcpFrameTemplate tmpl =
+      MakeTcpFrameTemplate(testutil::ServerMac(), testutil::ClientMac(), testutil::ServerIp(),
+                           testutil::ClientIp(), 5001, 10000);
+  const std::vector<uint8_t> options(kTcpMaxOptionBytes + 1, kTcpOptNop);
+  EXPECT_DEATH(WriteTcpFrame(tmpl, 1, {}, options, {}, false), "TCP options exceed 40 bytes");
+}
+
 }  // namespace
 }  // namespace tcprx
