@@ -1,7 +1,6 @@
 #include "src/fuzz/differ.h"
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <span>
 #include <utility>
@@ -18,7 +17,9 @@ namespace fuzz {
 namespace {
 
 constexpr uint16_t kServerPort = 5001;
-constexpr uint16_t kClientPortBase = 10000;
+constexpr uint16_t kClientPortBase = Testbed::kFirstClientPort;
+// Every flow's first data byte, stream offset 0, has this sequence number.
+constexpr uint32_t kFirstDataSeq = 1000;
 
 Ipv4Address ClientIp() { return Ipv4Address::FromOctets(10, 0, 0, 2); }
 Ipv4Address ServerIp() { return Ipv4Address::FromOctets(10, 0, 0, 1); }
@@ -50,11 +51,8 @@ std::vector<uint8_t> BuildClientFrame(size_t flow, uint32_t seq, uint32_t ack,
   uint8_t ts[kTcpTimestampOptionSize];
   WriteTimestampOption(TcpTimestampOption{ts_value, 50}, ts);
   spec.tcp.raw_options.assign(ts, ts + kTcpTimestampOptionSize);
-  std::vector<uint8_t> payload(payload_len);
-  for (uint32_t i = 0; i < payload_len; ++i) {
-    payload[i] = static_cast<uint8_t>(seq + i);
-  }
-  spec.payload = payload;
+  // The synthetic stream's bytes, so the receiver checks them as a testbed receiver does.
+  spec.payload = SendStream::PatternView(seq - kFirstDataSeq, payload_len);
   return BuildTcpFrame(spec);
 }
 
@@ -63,7 +61,7 @@ std::vector<uint8_t> BuildClientFrame(size_t flow, uint32_t seq, uint32_t ack,
 // never changes the underlying traffic.
 std::vector<WireFrame> BuildSchedule(const Scenario& s) {
   Rng rng(s.seed ^ 0x5851f42d4c957f2dull);
-  std::vector<uint32_t> next_seq(s.flows, 1000);
+  std::vector<uint32_t> next_seq(s.flows, kFirstDataSeq);
   std::vector<uint32_t> count(s.flows, 0);
   std::vector<WireFrame> schedule;
   schedule.reserve(s.frames);
@@ -131,18 +129,6 @@ void ApplyFaults(const std::vector<FaultEvent>& faults, std::vector<WireFrame>* 
     }
   }
 }
-
-// FNV-1a over the delivered byte stream of one flow.
-struct FlowObservation {
-  uint64_t digest = 1469598103934665603ull;
-  uint64_t bytes = 0;
-  void Feed(std::span<const uint8_t> data) {
-    for (const uint8_t b : data) {
-      digest = (digest ^ b) * 1099511628211ull;
-    }
-    bytes += data.size();
-  }
-};
 
 // Drives one NetworkStack frame by frame: no NICs, no links, no CPU clock, and the
 // event loop advanced only at explicit points, so two harnesses fed the same
@@ -220,7 +206,8 @@ class DirectHarness {
   std::vector<uint32_t> HandshakeAll(size_t flows) {
     std::vector<uint32_t> iss(flows, 0);
     for (size_t f = 0; f < flows; ++f) {
-      Feed(WireFrame{f, 999, 0, true, BuildClientFrame(f, 999, 0, kTcpSyn, 0, 100)});
+      Feed(WireFrame{f, kFirstDataSeq - 1, 0, true,
+                     BuildClientFrame(f, kFirstDataSeq - 1, 0, kTcpSyn, 0, 100)});
       Idle();
       if (sent_.empty()) {
         continue;
@@ -230,8 +217,8 @@ class DirectHarness {
         continue;
       }
       iss[f] = synack->tcp.seq;
-      Feed(WireFrame{f, 1000, 0, true,
-                     BuildClientFrame(f, 1000, iss[f] + 1, kTcpAck, 0, 100)});
+      Feed(WireFrame{f, kFirstDataSeq, 0, true,
+                     BuildClientFrame(f, kFirstDataSeq, iss[f] + 1, kTcpAck, 0, 100)});
       Idle();
     }
     sent_.clear();
@@ -258,7 +245,7 @@ class DirectHarness {
   EventLoop& loop() { return loop_; }
   TcpConnection* conn(size_t flow) { return conns_[flow]; }
   const std::vector<std::vector<uint8_t>>& sent() const { return sent_; }
-  const FlowObservation& delivered(size_t flow) const { return delivered_[flow]; }
+  const PatternCheck& delivered(size_t flow) const { return delivered_[flow]; }
   const std::vector<std::pair<uint32_t, uint32_t>>& tap(size_t flow) const {
     return tap_[flow];
   }
@@ -270,7 +257,7 @@ class DirectHarness {
   std::unique_ptr<NetworkStack> stack_;
   std::vector<std::vector<uint8_t>> sent_;
   std::vector<TcpConnection*> conns_;
-  std::vector<FlowObservation> delivered_;
+  std::vector<PatternCheck> delivered_;
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> tap_;
   size_t work_violations_ = 0;
 };
@@ -293,6 +280,26 @@ void CompareSeq(const char* oracle, const std::string& label, const std::vector<
   std::snprintf(buf, sizeof(buf), "%s sizes %zu vs %zu, first divergence at %zu",
                 label.c_str(), a.size(), b.size(), i);
   failures->push_back(Fail(oracle, buf));
+}
+
+// "offset N" of a stream's first byte off the pattern, or "none".
+std::string FirstMismatch(const PatternCheck& check) {
+  return check.first_mismatch ? "offset " + std::to_string(*check.first_mismatch) : "none";
+}
+
+// Both runs deliver the synthetic pattern, and the same number of bytes of it.
+void CompareStreams(const std::string& label, const PatternCheck& baseline,
+                    const PatternCheck& optimized, std::vector<std::string>* failures) {
+  if (!baseline.first_mismatch && !optimized.first_mismatch &&
+      baseline.bytes == optimized.bytes) {
+    return;
+  }
+  char buf[192];
+  std::snprintf(buf, sizeof(buf), "%s delivered %llu bytes vs %llu, first mismatch %s vs %s",
+                label.c_str(), static_cast<unsigned long long>(baseline.bytes),
+                static_cast<unsigned long long>(optimized.bytes),
+                FirstMismatch(baseline).c_str(), FirstMismatch(optimized).c_str());
+  failures->push_back(Fail("stream-pattern", buf));
 }
 
 StackConfig MakeStackConfig(const Scenario& s, bool optimized, size_t limit_override,
@@ -318,8 +325,7 @@ StackConfig MakeStackConfig(const Scenario& s, bool optimized, size_t limit_over
 
 struct UniObservation {
   std::vector<uint32_t> iss;
-  std::vector<uint64_t> digests;
-  std::vector<uint64_t> bytes;
+  std::vector<PatternCheck> delivered;
   std::vector<std::vector<uint32_t>> wire_acks;
   std::vector<std::vector<uint32_t>> hook_acks;
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> tap;
@@ -346,8 +352,7 @@ UniObservation RunUni(const StackConfig& config, const Scenario& s,
 
   obs.wire_acks = h.SentAcksPerFlow(s.flows);
   for (size_t f = 0; f < s.flows; ++f) {
-    obs.digests.push_back(h.delivered(f).digest);
-    obs.bytes.push_back(h.delivered(f).bytes);
+    obs.delivered.push_back(h.delivered(f));
     obs.hook_acks.push_back(h.conn(f) != nullptr ? h.conn(f)->ack_trace()
                                                  : std::vector<uint32_t>{});
     obs.tap.push_back(h.tap(f));
@@ -386,15 +391,7 @@ void DiffUnidirectional(const Scenario& s, const DiffOptions& options,
       failures->push_back(Fail("iss", flow_label + " server ISS diverged between runs"));
       return;  // ack numbers are incomparable from here on
     }
-    if (baseline.digests[f] != optimized.digests[f] ||
-        baseline.bytes[f] != optimized.bytes[f]) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "%s delivered %llu bytes vs %llu",
-                    flow_label.c_str(),
-                    static_cast<unsigned long long>(baseline.bytes[f]),
-                    static_cast<unsigned long long>(optimized.bytes[f]));
-      failures->push_back(Fail("stream-digest", buf));
-    }
+    CompareStreams(flow_label, baseline.delivered[f], optimized.delivered[f], failures);
     CompareSeq("ack-trace", flow_label + " baseline-vs-optimized wire ACKs",
                baseline.wire_acks[f], optimized.wire_acks[f], failures);
     // The connection-level hook must agree with the wire within each run.
@@ -442,8 +439,7 @@ void DiffUnidirectional(const Scenario& s, const DiffOptions& options,
 
 struct BidirObservation {
   std::vector<uint32_t> cwnd_trace;
-  uint64_t digest = 0;
-  uint64_t bytes = 0;
+  PatternCheck delivered;
   size_t work_violations = 0;
 };
 
@@ -461,7 +457,7 @@ BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
   h.Advance(SimDuration::FromMillis(1));
 
   const size_t rounds = 2 + s.frames / (s.batch == 0 ? 1 : s.batch);
-  uint32_t client_seq = 1000;
+  uint32_t client_seq = kFirstDataSeq;
   uint32_t acked = 0;
   uint32_t generated = 0;
   for (size_t round = 0; round < rounds; ++round) {
@@ -502,8 +498,7 @@ BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
     h.Advance(SimDuration::FromMicros(100));
   }
   obs.cwnd_trace = server->congestion().trace();
-  obs.digest = h.delivered(0).digest;
-  obs.bytes = h.delivered(0).bytes;
+  obs.delivered = h.delivered(0);
   obs.work_violations = h.work_violations();
   return obs;
 }
@@ -521,13 +516,7 @@ void DiffBidirectional(const Scenario& s, const DiffOptions& options,
 
   CompareSeq("cwnd-trace", "baseline-vs-optimized", baseline.cwnd_trace,
              optimized.cwnd_trace, failures);
-  if (baseline.digest != optimized.digest || baseline.bytes != optimized.bytes) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "delivered %llu bytes vs %llu",
-                  static_cast<unsigned long long>(baseline.bytes),
-                  static_cast<unsigned long long>(optimized.bytes));
-    failures->push_back(Fail("stream-digest", buf));
-  }
+  CompareStreams("flow 0", baseline.delivered, optimized.delivered, failures);
   if (optimized.work_violations != 0) {
     failures->push_back(Fail("work-conservation",
                              std::to_string(optimized.work_violations) +
@@ -556,23 +545,11 @@ LinkConfig ScenarioLink(const Scenario& s) {
 void TestbedCompleteness(const Scenario& s, std::vector<std::string>* failures) {
   constexpr uint64_t kTotal = 400'000;
   for (const bool optimized : {false, true}) {
-    TestbedConfig config;
-    config.stack = MakeStackConfig(s, optimized, 0, DiffOptions{}, false);
-    config.num_nics = 1;
-    config.client_to_server_link = ScenarioLink(s);
-
-    Testbed bed(config);
-    uint64_t verified = 0;
-    bool mismatch = false;
+    Testbed bed(CompletenessConfig(s, optimized));
+    PatternCheck delivered;
     bed.stack().Listen(kServerPort, [&](TcpConnection& conn) {
-      bed.stack().SetConnectionDataHandler(conn, [&](std::span<const uint8_t> data) {
-        for (const uint8_t b : data) {
-          if (b != SendStream::PatternByte(verified)) {
-            mismatch = true;
-          }
-          ++verified;
-        }
-      });
+      bed.stack().SetConnectionDataHandler(
+          conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
     });
     TcpConnectionConfig conn_config =
         bed.ClientConnectionConfig(0, kClientPortBase, kServerPort);
@@ -582,88 +559,86 @@ void TestbedCompleteness(const Scenario& s, std::vector<std::string>* failures) 
     client->SendSynthetic(kTotal);
     bed.loop().RunUntil(SimTime::FromSeconds(25));
 
-    if (mismatch || verified != kTotal) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "[%s] delivered %llu/%llu bytes, mismatch=%d",
+    if (delivered.first_mismatch || delivered.bytes != kTotal) {
+      char buf[160];
+      std::snprintf(buf, sizeof(buf), "[%s] delivered %llu/%llu bytes, first mismatch %s",
                     optimized ? "optimized" : "baseline",
-                    static_cast<unsigned long long>(verified),
-                    static_cast<unsigned long long>(kTotal), mismatch ? 1 : 0);
+                    static_cast<unsigned long long>(delivered.bytes),
+                    static_cast<unsigned long long>(kTotal), FirstMismatch(delivered).c_str());
       failures->push_back(Fail("testbed-completeness", buf));
     }
   }
 }
 
-// 1-core vs N-core RSS: per-flow delivered byte counts and pattern digests must
-// match exactly (clean links: RSS flow affinity must not reorder within a flow).
-void TestbedRssDigest(const Scenario& s, std::vector<std::string>* failures) {
+// 1-core vs N-core RSS: every flow delivers its whole pattern stream at both core
+// counts (clean links: RSS flow affinity must not reorder within a flow).
+void TestbedRssStreams(const Scenario& s, std::vector<std::string>* failures) {
   if (s.cores < 2) {
     return;
   }
   constexpr uint64_t kPerFlow = 150'000;
   auto run = [&](size_t cores) {
-    TestbedConfig config;
-    config.stack = MakeStackConfig(s, true, 0, DiffOptions{}, false);
-    config.stack.system = SystemType::kNativeSmp;
-    config.num_nics = 1;
-    config.smp.num_cores = cores;
-    config.smp.rss.enabled = true;
-
-    auto bed = std::make_unique<Testbed>(config);
-    auto verified = std::make_shared<std::map<uint16_t, uint64_t>>();
-    auto mismatch = std::make_shared<bool>(false);
-    for (size_t core = 0; core < bed->num_cores(); ++core) {
-      NetworkStack& shard = bed->stack_shard(core);
-      shard.Listen(kServerPort, [&shard, verified, mismatch](TcpConnection& conn) {
-        const uint16_t port = conn.config().remote_port;
+    std::vector<PatternCheck> delivered(s.flows);
+    Testbed bed(RssConfig(s, cores));
+    for (size_t core = 0; core < bed.num_cores(); ++core) {
+      NetworkStack& shard = bed.stack_shard(core);
+      shard.Listen(kServerPort, [&shard, &delivered](TcpConnection& conn) {
+        PatternCheck& flow =
+            delivered[static_cast<size_t>(conn.config().remote_port - kClientPortBase)];
         shard.SetConnectionDataHandler(
-            conn, [verified, mismatch, port](std::span<const uint8_t> data) {
-              uint64_t& n = (*verified)[port];
-              for (const uint8_t b : data) {
-                if (b != SendStream::PatternByte(n)) {
-                  *mismatch = true;
-                }
-                ++n;
-              }
-            });
+            conn, [&flow](std::span<const uint8_t> data) { flow.Feed(data); });
       });
     }
     for (size_t f = 0; f < s.flows; ++f) {
-      TcpConnectionConfig conn_config = bed->ClientConnectionConfig(
+      TcpConnectionConfig conn_config = bed.ClientConnectionConfig(
           0, static_cast<uint16_t>(kClientPortBase + f), kServerPort);
       conn_config.mss = s.mss;
-      TcpConnection* client = bed->remote(0).CreateConnection(conn_config);
+      TcpConnection* client = bed.remote(0).CreateConnection(conn_config);
       client->Connect();
       client->SendSynthetic(kPerFlow);
     }
-    bed->loop().RunUntil(SimTime::FromSeconds(20));
-    return std::make_pair(*verified, *mismatch);
+    bed.loop().RunUntil(SimTime::FromSeconds(20));
+    return delivered;
   };
 
-  const auto [one_core, mismatch_one] = run(1);
-  const auto [n_core, mismatch_n] = run(s.cores);
-  if (mismatch_one || mismatch_n) {
-    failures->push_back(Fail("rss-digest", "pattern mismatch in delivered stream"));
-  }
+  const std::vector<PatternCheck> one_core = run(1);
+  const std::vector<PatternCheck> n_core = run(s.cores);
   for (size_t f = 0; f < s.flows; ++f) {
-    const uint16_t port = static_cast<uint16_t>(kClientPortBase + f);
-    const auto a = one_core.find(port);
-    const auto b = n_core.find(port);
-    const uint64_t bytes_a = a == one_core.end() ? 0 : a->second;
-    const uint64_t bytes_b = b == n_core.end() ? 0 : b->second;
-    if (bytes_a != kPerFlow || bytes_b != kPerFlow) {
-      char buf[128];
+    const PatternCheck& a = one_core[f];
+    const PatternCheck& b = n_core[f];
+    if (a.first_mismatch || b.first_mismatch || a.bytes != kPerFlow || b.bytes != kPerFlow) {
+      char buf[192];
       std::snprintf(buf, sizeof(buf),
-                    "flow %u delivered %llu bytes at 1 core vs %llu at %zu cores "
-                    "(expected %llu)",
-                    port, static_cast<unsigned long long>(bytes_a),
-                    static_cast<unsigned long long>(bytes_b), s.cores,
-                    static_cast<unsigned long long>(kPerFlow));
-      failures->push_back(Fail("rss-digest", buf));
+                    "flow %zu delivered %llu bytes at 1 core vs %llu at %zu cores "
+                    "(expected %llu), first mismatch %s vs %s",
+                    f, static_cast<unsigned long long>(a.bytes),
+                    static_cast<unsigned long long>(b.bytes), s.cores,
+                    static_cast<unsigned long long>(kPerFlow), FirstMismatch(a).c_str(),
+                    FirstMismatch(b).c_str());
+      failures->push_back(Fail("rss-pattern", buf));
     }
   }
 }
 
 }  // namespace
+
+TestbedConfig CompletenessConfig(const Scenario& scenario, bool optimized) {
+  TestbedConfig config;
+  config.stack = MakeStackConfig(scenario, optimized, 0, DiffOptions{}, false);
+  config.num_nics = 1;
+  config.client_to_server_link = ScenarioLink(scenario);
+  return config;
+}
+
+TestbedConfig RssConfig(const Scenario& scenario, size_t cores) {
+  TestbedConfig config;
+  config.stack = MakeStackConfig(scenario, true, 0, DiffOptions{}, false);
+  config.stack.system = SystemType::kNativeSmp;
+  config.num_nics = 1;
+  config.smp.num_cores = cores;
+  config.smp.rss.enabled = true;
+  return config;
+}
 
 DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options) {
   DiffResult result;
@@ -674,7 +649,7 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options) {
   }
   if (options.run_testbed) {
     TestbedCompleteness(scenario, &result.failures);
-    TestbedRssDigest(scenario, &result.failures);
+    TestbedRssStreams(scenario, &result.failures);
   }
   return result;
 }

@@ -7,15 +7,18 @@
 //    baseline stack, an optimized stack, and an optimized stack with aggregation
 //    limit 1. Timing is fully controlled (identical Idle() flush points, identical
 //    event-loop advancement), so the DESIGN.md section 5 invariants are checked
-//    exactly: per-flow stream digests, per-flow ACK traces, congestion-window
+//    exactly: per-flow delivered streams, per-flow ACK traces, congestion-window
 //    traces (bidirectional scenarios), limit-1 byte-identical output, the
 //    work-conserving flush, and aggregation conservation/bypass ordering via the
 //    stack's host-packet tap.
 //
 //  * Testbed (optional, slower): the full simulator with probabilistic link faults
 //    checks end-to-end stream completeness baseline-vs-optimized, and a 1-core vs
-//    N-core RSS pair checks per-flow delivery digests under flow steering. Timing
-//    differs legitimately here, so only completeness/digest oracles apply.
+//    N-core RSS pair checks every flow's delivered stream under flow steering. Timing
+//    differs legitimately here, so only the stream oracles apply.
+//
+// Every delivered stream, in both tiers, is the sender's synthetic pattern, checked
+// chunk by chunk by a PatternCheck (src/tcp/send_stream.h).
 //
 // Every failure is reported as a one-line string naming the oracle; RunScenario
 // never asserts, so the shrinker can re-run candidate scenarios cheaply.
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "src/fuzz/scenario.h"
+#include "src/sim/testbed.h"
 
 namespace tcprx {
 namespace fuzz {
@@ -50,6 +54,11 @@ struct DiffResult {
 };
 
 DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options = {});
+
+// The full-testbed tier's beds for `scenario`: the lossy single-NIC bed of the
+// completeness pair, and the clean RSS bed of the 1-core vs N-core pair.
+TestbedConfig CompletenessConfig(const Scenario& scenario, bool optimized);
+TestbedConfig RssConfig(const Scenario& scenario, size_t cores);
 
 }  // namespace fuzz
 }  // namespace tcprx

@@ -1,12 +1,115 @@
 #include "src/sim/testbed.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
+#include <utility>
+
+#include "src/tcp/send_stream.h"
+#include "src/util/logging.h"
+#include "src/wire/ipv4.h"
+#include "src/wire/tcp.h"
 
 namespace tcprx {
+namespace {
+
+// NIC i is addressed 10.0.i.x, so the index must fit one octet.
+constexpr size_t kMaxNics = size_t{std::numeric_limits<uint8_t>::max()} + 1;
+
+// Client ports kFirstClientPort + c must stay nonzero and distinct in 16 bits.
+constexpr size_t kMaxConnectionsPerNic =
+    size_t{std::numeric_limits<uint16_t>::max()} - Testbed::kFirstClientPort + 1;
+
+// One segment plus its IP header and the longest TCP header (data offset 15) must fit
+// one IP datagram, whose total length is 16 bits; the sender serves a segment that
+// long from the pattern table.
+constexpr size_t kMaxMss = size_t{std::numeric_limits<uint16_t>::max()} - kIpv4MinHeaderSize -
+                           kTcpMinHeaderSize - kTcpMaxOptionBytes;
+static_assert(kMaxMss <= kMaxPatternView);
+
+void AddLinkErrors(const LinkConfig& link, std::vector<std::string>& errors) {
+  const std::pair<double, const char*> probabilities[] = {
+      {link.drop_probability, "--drop must be between 0 and 1"},
+      {link.reorder_probability, "--reorder must be between 0 and 1"},
+      {link.duplicate_probability, "--duplicate must be between 0 and 1"},
+      {link.corrupt_probability, "--corrupt must be between 0 and 1"}};
+  for (const auto& [p, message] : probabilities) {
+    if (!(p >= 0.0 && p <= 1.0)) {  // NaN fails both
+      errors.emplace_back(message);
+    }
+  }
+  // SimplexLink drops the last burst_drop_length frames of each period.
+  if (link.burst_drop_length > link.burst_drop_period) {
+    errors.push_back("--burst-drop-length must be at most --burst-drop-period");
+  }
+}
+
+void AddWindowErrors(SimDuration warmup, SimDuration measure,
+                     std::vector<std::string>& errors) {
+  if (measure.nanos() == 0) {
+    errors.push_back("--measure-ms must be >= 1");
+  }
+  if (warmup.nanos() > std::numeric_limits<uint64_t>::max() - measure.nanos()) {
+    errors.push_back("--warmup-ms plus --measure-ms must fit 64 bits of nanoseconds");
+  }
+}
+
+// Stops with the first of `errors`, a ConfigErrors result.
+void CheckValid(const std::vector<std::string>& errors) {
+  TCPRX_CHECK_MSG(errors.empty(), errors.front());
+}
+
+const TestbedConfig& ValidConfig(const TestbedConfig& config) {
+  CheckValid(ConfigErrors(config));
+  return config;
+}
+
+}  // namespace
+
+std::vector<std::string> ConfigErrors(const TestbedConfig& config) {
+  std::vector<std::string> errors;
+  if (config.smp.num_cores < 1) {
+    errors.push_back("--cores must be >= 1");
+  }
+  if (config.stack.aggregation_limit < 1) {
+    errors.push_back("--limit must be >= 1");
+  }
+  AddLinkErrors(config.link, errors);
+  if (config.client_to_server_link) {
+    AddLinkErrors(*config.client_to_server_link, errors);
+  }
+  if (config.num_nics < 1 || config.num_nics > kMaxNics) {
+    errors.push_back("--nics must be between 1 and " + std::to_string(kMaxNics));
+  }
+  return errors;
+}
+
+std::vector<std::string> ConfigErrors(const TestbedConfig& config,
+                                      const Testbed::StreamOptions& options) {
+  std::vector<std::string> errors = ConfigErrors(config);
+  if (options.connections_per_nic < 1) {
+    errors.push_back("--conns-per-nic must be >= 1");
+  }
+  if (options.connections_per_nic > kMaxConnectionsPerNic) {
+    errors.push_back("--conns-per-nic must be at most " +
+                     std::to_string(kMaxConnectionsPerNic));
+  }
+  if (options.client_mss < 1 || options.client_mss > kMaxMss) {
+    errors.push_back("--mss must be between 1 and " + std::to_string(kMaxMss));
+  }
+  AddWindowErrors(options.warmup, options.measure, errors);
+  return errors;
+}
+
+std::vector<std::string> ConfigErrors(const TestbedConfig& config,
+                                      const Testbed::LatencyOptions& options) {
+  std::vector<std::string> errors = ConfigErrors(config);
+  AddWindowErrors(options.warmup, options.measure, errors);
+  return errors;
+}
 
 Testbed::Testbed(const TestbedConfig& config)
-    : config_(config),
+    : config_(ValidConfig(config)),
       host_(config_.stack, config_.smp, loop_, [this](int nic_id, std::vector<uint8_t> frame) {
         nics_[static_cast<size_t>(nic_id)]->Transmit(std::move(frame));
       }) {
@@ -113,6 +216,7 @@ TcpConnectionConfig Testbed::ClientConnectionConfig(size_t nic_index, uint16_t c
 }
 
 StreamResult Testbed::RunStream(const StreamOptions& options) {
+  CheckValid(ConfigErrors(config_, options));
   host_.Listen(options.server_port, [](TcpConnection&) {});
 
   // Stagger connection establishment a little so the five links do not run in
@@ -121,7 +225,8 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
   for (size_t i = 0; i < nics_.size(); ++i) {
     for (size_t c = 0; c < options.connections_per_nic; ++c) {
       TcpConnectionConfig conn_config =
-          ClientConnectionConfig(i, static_cast<uint16_t>(10000 + c), options.server_port);
+          ClientConnectionConfig(i, static_cast<uint16_t>(kFirstClientPort + c),
+                                 options.server_port);
       conn_config.mss = options.client_mss;
       TcpConnection* conn = remotes_[i]->CreateConnection(conn_config);
       loop_.ScheduleAt(SimTime::FromNanos(stagger_ns), [conn] {
@@ -225,6 +330,7 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
 }
 
 LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
+  CheckValid(ConfigErrors(config_, options));
   // Echo server: respond to every delivered byte with an equal-sized reply. Each
   // shard installs the handler through itself so the charge lands on the owning
   // core's account.

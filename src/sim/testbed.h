@@ -16,6 +16,7 @@
 #include <optional>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cpu/cpu_clock.h"
@@ -123,6 +124,9 @@ class Testbed {
   // Captures every frame on every link into a Wireshark-readable .pcap file.
   void AttachPcap(PcapWriter& pcap);
 
+  // Client c of a stream connects from port kFirstClientPort + c.
+  static constexpr uint16_t kFirstClientPort = 10000;
+
   struct StreamOptions {
     size_t connections_per_nic = 1;
     SimDuration warmup = SimDuration::FromMillis(300);
@@ -154,6 +158,18 @@ class Testbed {
   // Links: [i*2] client->server, [i*2+1] server->client.
   std::vector<std::unique_ptr<SimplexLink>> links_;
 };
+
+// Every bound that a Testbed, or a part it builds, imposes on its configuration,
+// checked in one place. Returns one line per violation, worded with the tcprx_sim flag
+// that sets the field ("--mss must be between 1 and 65455"), and an empty list,
+// without allocating, when there is none. The constructor refuses a config that fails
+// the first overload, and RunStream and RunLatency refuse options that fail the
+// others, each stopping with the first message.
+std::vector<std::string> ConfigErrors(const TestbedConfig& config);
+std::vector<std::string> ConfigErrors(const TestbedConfig& config,
+                                      const Testbed::StreamOptions& options);
+std::vector<std::string> ConfigErrors(const TestbedConfig& config,
+                                      const Testbed::LatencyOptions& options);
 
 }  // namespace tcprx
 

@@ -1,5 +1,6 @@
 #include "src/tcp/send_stream.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/util/logging.h"
@@ -46,7 +47,7 @@ std::span<const uint8_t> SendStream::View(uint64_t offset, size_t len) const {
   TCPRX_CHECK_MSG(offset >= released_offset_, "read of already-released bytes");
   if (synthetic_) {
     TCPRX_CHECK_MSG(len <= kMaxPatternView, "synthetic read longer than kMaxPatternView");
-    return {kPatternTable.bytes + offset % kPatternPeriod, len};
+    return PatternView(offset, len);
   }
   return std::span<const uint8_t>(buffer_).subspan(static_cast<size_t>(offset - buffer_base_),
                                                    len);
@@ -77,6 +78,22 @@ void SendStream::ReleaseThrough(uint64_t offset) {
     buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(released));
     buffer_base_ = offset;
   }
+}
+
+void PatternCheck::Feed(std::span<const uint8_t> chunk) {
+  for (size_t at = 0; at < chunk.size() && !first_mismatch;) {
+    const size_t len = std::min(chunk.size() - at, kMaxPatternView);
+    const std::span<const uint8_t> want = SendStream::PatternView(bytes + at, len);
+    if (std::memcmp(chunk.data() + at, want.data(), len) != 0) {
+      size_t i = 0;
+      while (chunk[at + i] == want[i]) {
+        ++i;
+      }
+      first_mismatch = bytes + at + i;
+    }
+    at += len;
+  }
+  bytes += chunk.size();
 }
 
 }  // namespace tcprx

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -73,6 +74,11 @@ class SendStream {
     return kPatternTable.bytes[offset % kPatternPeriod];
   }
 
+  // The pattern bytes [offset, offset+len), len at most kMaxPatternView.
+  static std::span<const uint8_t> PatternView(uint64_t offset, size_t len) {
+    return {kPatternTable.bytes + offset % kPatternPeriod, len};
+  }
+
  private:
   bool synthetic_ = false;
   uint64_t end_offset_ = 0;
@@ -81,6 +87,15 @@ class SendStream {
   // once it is at least half the buffer, so a release costs amortized O(1).
   uint64_t buffer_base_ = 0;
   std::vector<uint8_t> buffer_;
+};
+
+// The receiver's oracle for a synthetic stream: Feed each delivered chunk in order,
+// from stream offset 0, and the check compares it with the pattern.
+struct PatternCheck {
+  void Feed(std::span<const uint8_t> chunk);
+
+  uint64_t bytes = 0;  // bytes fed, so the stream offset of the next one
+  std::optional<uint64_t> first_mismatch;  // offset of the first byte off the pattern
 };
 
 }  // namespace tcprx

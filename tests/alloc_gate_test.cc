@@ -47,5 +47,20 @@ TEST(AllocGate, OptimizedStreamAllocatesAtMostTwicePerLinkFrame) {
   EXPECT_LE(per_frame, 2.0) << allocs << " allocations over " << frames << " link frames";
 }
 
+TEST(AllocGate, AValidConfigurationIsCheckedWithoutAllocating) {
+  // ConfigErrors runs in every Testbed's construction, so its clean path stays free.
+  TestbedConfig config;
+  config.client_to_server_link = LinkConfig{};
+  config.client_to_server_link->drop_probability = 0.01;
+  const perfbench::AllocCounts before = perfbench::AllocCountsNow();
+  perfbench::SetAllocCounting(true);
+  const bool clean = ConfigErrors(config).empty() &&
+                     ConfigErrors(config, Testbed::StreamOptions{}).empty() &&
+                     ConfigErrors(config, Testbed::LatencyOptions{}).empty();
+  perfbench::SetAllocCounting(false);
+  EXPECT_TRUE(clean);
+  EXPECT_EQ(perfbench::AllocCountsNow().calls, before.calls);
+}
+
 }  // namespace
 }  // namespace tcprx

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "src/sim/testbed.h"
 #include "src/stack/network_stack.h"
@@ -272,17 +273,10 @@ TEST(Equivalence, StreamTransparentUnderLossReorderDuplication) {
     config.client_to_server_link = lossy;
 
     Testbed bed(config);
-    uint64_t verified = 0;
-    bool mismatch = false;
+    PatternCheck delivered;
     bed.stack().Listen(5001, [&](TcpConnection& conn) {
-      bed.stack().SetConnectionDataHandler(conn, [&](std::span<const uint8_t> data) {
-        for (const uint8_t b : data) {
-          if (b != SendStream::PatternByte(verified)) {
-            mismatch = true;
-          }
-          ++verified;
-        }
-      });
+      bed.stack().SetConnectionDataHandler(
+          conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
     });
     TcpConnection* client =
         bed.remote(0).CreateConnection(bed.ClientConnectionConfig(0, 10000, 5001));
@@ -291,8 +285,8 @@ TEST(Equivalence, StreamTransparentUnderLossReorderDuplication) {
     client->SendSynthetic(kTotal);
     bed.loop().RunUntil(SimTime::FromSeconds(20));
 
-    EXPECT_FALSE(mismatch) << (optimized ? "optimized" : "baseline");
-    EXPECT_EQ(verified, kTotal) << (optimized ? "optimized" : "baseline");
+    EXPECT_EQ(delivered.first_mismatch, std::nullopt) << (optimized ? "optimized" : "baseline");
+    EXPECT_EQ(delivered.bytes, kTotal) << (optimized ? "optimized" : "baseline");
     EXPECT_GT(client->segments_retransmitted(), 0u) << "loss was actually exercised";
   }
 }

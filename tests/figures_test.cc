@@ -8,6 +8,8 @@
 #include <set>
 #include <string>
 #include <sys/wait.h>
+#include <variant>
+#include <vector>
 
 #include "bench/figures.h"
 
@@ -57,6 +59,18 @@ TEST(Figures, PointsDifferingInOneFieldAreBothKept) {
   EXPECT_EQ(plan.points.size(), 4u);
   EXPECT_EQ(plan.index[0], (std::vector<size_t>{0, 1, 2, 3}));
   EXPECT_EQ(plan.index[1], (std::vector<size_t>{2, 0}));
+}
+
+TEST(Figures, EveryPointIsAValidConfiguration) {
+  for (const Figure& f : Figures()) {
+    for (size_t p = 0; p < f.points.size(); ++p) {
+      const Point& point = f.points[p];
+      const std::vector<std::string> errors = std::visit(
+          [&](const auto& options) { return ConfigErrors(point.config, options); },
+          point.options);
+      EXPECT_EQ(errors, std::vector<std::string>{}) << f.name << " point " << p;
+    }
+  }
 }
 
 TEST(Figures, NamesAreUnique) {

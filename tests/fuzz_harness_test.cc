@@ -163,6 +163,22 @@ TEST(FuzzScenario, FromSeedIsDeterministic) {
   }
 }
 
+TEST(FuzzScenario, TestbedTierConfigsAreValid) {
+  // Every generated testbed-tier bed passes the testbed's boundary, with the
+  // scenario's MSS and flow count as a stream would carry them.
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    const Scenario s = Scenario::FromSeed(seed);
+    Testbed::StreamOptions options;
+    options.client_mss = s.mss;
+    options.connections_per_nic = s.flows;
+    const TestbedConfig beds[] = {CompletenessConfig(s, false), CompletenessConfig(s, true),
+                                  RssConfig(s, 1), RssConfig(s, s.cores)};
+    for (const TestbedConfig& config : beds) {
+      ASSERT_EQ(ConfigErrors(config, options), std::vector<std::string>{}) << s.Describe();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shrinker
 // ---------------------------------------------------------------------------

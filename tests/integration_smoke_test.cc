@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/sim/testbed.h"
 #include "src/tcp/send_stream.h"
 
@@ -46,17 +48,10 @@ TEST(IntegrationSmoke, DeliveredBytesMatchSyntheticPattern) {
   config.stack.fill_tcp_checksums = true;
   Testbed bed(config);
 
-  uint64_t verified = 0;
-  bool mismatch = false;
+  PatternCheck delivered;
   bed.stack().Listen(5001, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(conn, [&](std::span<const uint8_t> data) {
-      for (const uint8_t b : data) {
-        if (b != SendStream::PatternByte(verified)) {
-          mismatch = true;
-        }
-        ++verified;
-      }
-    });
+    bed.stack().SetConnectionDataHandler(
+        conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
   });
 
   TcpConnection* client = bed.remote(0).CreateConnection(
@@ -65,8 +60,8 @@ TEST(IntegrationSmoke, DeliveredBytesMatchSyntheticPattern) {
   client->SendSynthetic(2'000'000);
 
   bed.loop().RunUntil(SimTime::FromMillis(300));
-  EXPECT_FALSE(mismatch);
-  EXPECT_EQ(verified, 2'000'000u);
+  EXPECT_EQ(delivered.first_mismatch, std::nullopt);
+  EXPECT_EQ(delivered.bytes, 2'000'000u);
 }
 
 TEST(IntegrationSmoke, LatencyWorkloadCompletesTransactions) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/buffer/packet.h"
@@ -82,6 +83,25 @@ TEST(Link, DropInjectionDropsApproximatelyTheConfiguredFraction) {
   loop.RunToCompletion();
   EXPECT_EQ(delivered + link.frames_dropped(), 10000u);
   EXPECT_NEAR(static_cast<double>(link.frames_dropped()), 1000.0, 150.0);
+}
+
+TEST(Link, BurstDropsTheLastFramesOfEachPeriod) {
+  // A burst as long as its period drops every frame; a shorter one the period's tail.
+  for (const auto& [length, delivered_frames] :
+       {std::pair<uint64_t, uint64_t>{3, 0}, std::pair<uint64_t, uint64_t>{2, 4}}) {
+    EventLoop loop;
+    uint64_t delivered = 0;
+    LinkConfig config;
+    config.burst_drop_period = 3;
+    config.burst_drop_length = length;
+    SimplexLink link(config, loop, [&](std::vector<uint8_t>) { ++delivered; });
+    for (int i = 0; i < 12; ++i) {
+      link.Send(std::vector<uint8_t>(100, 0));
+    }
+    loop.RunToCompletion();
+    EXPECT_EQ(delivered, delivered_frames) << "length " << length;
+    EXPECT_EQ(link.frames_dropped(), 12 - delivered_frames) << "length " << length;
+  }
 }
 
 TEST(Link, DuplicationDeliversTwice) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <tuple>
 
@@ -25,14 +26,24 @@ struct FaultCase {
   uint64_t burst_length = 0;
 };
 
+// gtest prints a FaultCase as its raw bytes, the first of which is the low byte of
+// the name pointer, and gtest_discover_tests puts that print into each ctest name. The
+// names therefore sit in 16-byte slots of one 256-byte-aligned block, so that low byte
+// is the same in every build rather than wherever the linker puts a string literal.
+// Slot 0 stays empty: "clean", at low byte 0x10, keeps the leading hex digit 1 its
+// names were registered with.
+alignas(256) constexpr char kFaultNames[][16] = {
+    "", "clean", "drop2pct", "reorder3pct", "duplicate2pct", "corrupt1pct", "burst4per500",
+    "everything"};
+
 constexpr FaultCase kFaults[] = {
-    {"clean"},
-    {"drop2pct", 0.02},
-    {"reorder3pct", 0, 0.03},
-    {"duplicate2pct", 0, 0, 0.02},
-    {"corrupt1pct", 0, 0, 0, 0.01},
-    {"burst4per500", 0, 0, 0, 0, 500, 4},
-    {"everything", 0.01, 0.01, 0.01, 0.005, 800, 3},
+    {kFaultNames[1]},
+    {kFaultNames[2], 0.02},
+    {kFaultNames[3], 0, 0.03},
+    {kFaultNames[4], 0, 0, 0.02},
+    {kFaultNames[5], 0, 0, 0, 0.01},
+    {kFaultNames[6], 0, 0, 0, 0, 500, 4},
+    {kFaultNames[7], 0.01, 0.01, 0.01, 0.005, 800, 3},
 };
 
 class RobustnessMatrixTest
@@ -57,17 +68,10 @@ TEST_P(RobustnessMatrixTest, StreamStaysByteExact) {
   config.client_to_server_link = faulty;
 
   Testbed bed(config);
-  uint64_t verified = 0;
-  uint64_t mismatches = 0;
+  PatternCheck delivered;
   bed.stack().Listen(5001, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(conn, [&](std::span<const uint8_t> data) {
-      for (const uint8_t b : data) {
-        if (b != SendStream::PatternByte(verified)) {
-          ++mismatches;
-        }
-        ++verified;
-      }
-    });
+    bed.stack().SetConnectionDataHandler(
+        conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
   });
   TcpConnection* client =
       bed.remote(0).CreateConnection(bed.ClientConnectionConfig(0, 10000, 5001));
@@ -76,8 +80,8 @@ TEST_P(RobustnessMatrixTest, StreamStaysByteExact) {
   client->SendSynthetic(kTotal);
   bed.loop().RunUntil(SimTime::FromSeconds(30));
 
-  EXPECT_EQ(mismatches, 0u);
-  EXPECT_EQ(verified, kTotal);
+  EXPECT_EQ(delivered.first_mismatch, std::nullopt);
+  EXPECT_EQ(delivered.bytes, kTotal);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "src/core/aggregator.h"
 #include "src/core/template_ack.h"
@@ -27,17 +28,10 @@ TEST(SequenceWrap, BulkTransferCrossesWrapCleanly) {
   config.num_nics = 1;
   Testbed bed(config);
 
-  uint64_t verified = 0;
-  bool mismatch = false;
+  PatternCheck delivered;
   bed.stack().Listen(5001, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(conn, [&](std::span<const uint8_t> data) {
-      for (const uint8_t b : data) {
-        if (b != SendStream::PatternByte(verified)) {
-          mismatch = true;
-        }
-        ++verified;
-      }
-    });
+    bed.stack().SetConnectionDataHandler(
+        conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
   });
 
   TcpConnectionConfig client_config = bed.ClientConnectionConfig(0, 10000, 5001);
@@ -48,8 +42,8 @@ TEST(SequenceWrap, BulkTransferCrossesWrapCleanly) {
   client->SendSynthetic(kTotal);
   bed.loop().RunUntil(SimTime::FromMillis(300));
 
-  EXPECT_FALSE(mismatch);
-  EXPECT_EQ(verified, kTotal);
+  EXPECT_EQ(delivered.first_mismatch, std::nullopt);
+  EXPECT_EQ(delivered.bytes, kTotal);
   // The extended sequence space really crossed 2^32.
   EXPECT_GT(client->snd_una_ext(), uint64_t{1} << 32);
 }
@@ -65,15 +59,10 @@ TEST(SequenceWrap, WrapWithLossRecovers) {
   config.client_to_server_link = lossy;
   Testbed bed(config);
 
-  uint64_t verified = 0;
-  bool mismatch = false;
+  PatternCheck delivered;
   bed.stack().Listen(5001, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(conn, [&](std::span<const uint8_t> data) {
-      for (const uint8_t b : data) {
-        mismatch |= b != SendStream::PatternByte(verified);
-        ++verified;
-      }
-    });
+    bed.stack().SetConnectionDataHandler(
+        conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
   });
   TcpConnectionConfig client_config = bed.ClientConnectionConfig(0, 10000, 5001);
   client_config.initial_seq = 0xfffffff0u;  // wraps almost immediately
@@ -83,8 +72,8 @@ TEST(SequenceWrap, WrapWithLossRecovers) {
   client->SendSynthetic(kTotal);
   bed.loop().RunUntil(SimTime::FromSeconds(20));
 
-  EXPECT_FALSE(mismatch);
-  EXPECT_EQ(verified, kTotal);
+  EXPECT_EQ(delivered.first_mismatch, std::nullopt);
+  EXPECT_EQ(delivered.bytes, kTotal);
   EXPECT_GT(client->segments_retransmitted(), 0u);
 }
 

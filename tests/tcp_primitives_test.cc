@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -451,6 +453,55 @@ TEST(SendStreamPattern, ViewAndCopyOutCrossThePeriod) {
       }
     }
   }
+}
+
+// The pattern bytes [offset, offset+len), byte by byte.
+std::vector<uint8_t> PatternBytes(uint64_t offset, size_t len) {
+  std::vector<uint8_t> bytes(len);
+  for (size_t i = 0; i < len; ++i) {
+    bytes[i] = SendStream::PatternByte(offset + i);
+  }
+  return bytes;
+}
+
+// Feeds chunks of these sizes in order (one longer than a table view, one a whole
+// period) after flipping byte `flip_at` of chunk `flip_chunk`, and of the last chunk.
+PatternCheck FeedChunks(size_t flip_chunk, size_t flip_at) {
+  const size_t sizes[] = {1448, 70000, 3, kPatternPeriod};
+  PatternCheck check;
+  for (size_t c = 0; c < std::size(sizes); ++c) {
+    std::vector<uint8_t> chunk = PatternBytes(check.bytes, sizes[c]);
+    if (c == flip_chunk) {
+      chunk[flip_at] ^= 0x10;
+    }
+    if (c + 1 == std::size(sizes)) {
+      chunk[7] ^= 0x01;
+    }
+    check.Feed(chunk);
+  }
+  return check;
+}
+
+TEST(PatternCheck, ReportsTheOffsetOfTheFirstFlippedByte) {
+  constexpr uint64_t kTotal = 1448 + 70000 + 3 + kPatternPeriod;
+  // In the second table view of the long chunk, in the short chunk, and in the last
+  // chunk before its own flip.
+  const PatternCheck late = FeedChunks(1, 68000);
+  EXPECT_EQ(late.bytes, kTotal);
+  EXPECT_EQ(late.first_mismatch, 1448u + 68000u);
+  EXPECT_EQ(FeedChunks(2, 2).first_mismatch, 1448u + 70000u + 2u);
+  EXPECT_EQ(FeedChunks(3, 3).first_mismatch, 1448u + 70000u + 3u + 3u);
+  // Only the last chunk's flip.
+  EXPECT_EQ(FeedChunks(99, 0).first_mismatch, 1448u + 70000u + 3u + 7u);
+}
+
+TEST(PatternCheck, AcceptsThePatternInAnyChunking) {
+  PatternCheck check;
+  for (const size_t len : {size_t{1}, size_t{65536}, size_t{65537}, size_t{kPatternPeriod}}) {
+    check.Feed(PatternBytes(check.bytes, len));
+  }
+  EXPECT_EQ(check.bytes, 1u + 65536u + 65537u + kPatternPeriod);
+  EXPECT_EQ(check.first_mismatch, std::nullopt);
 }
 
 TEST(SendStreamDeathTest, SyntheticViewLongerThanTheTableAborts) {

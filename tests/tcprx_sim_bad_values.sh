@@ -1,7 +1,8 @@
 #!/bin/sh
 # Checks that tcprx_sim refuses each bad value at the command line with exactly the
 # expected message and exit status 2, rather than aborting in the stack or printing a
-# plausible-looking result.
+# plausible-looking result. The range messages are the testbed's (ConfigErrors in
+# src/sim/testbed.h); the name and number messages are the tool's own.
 #
 #   tests/tcprx_sim_bad_values.sh build/tools/tcprx_sim
 
@@ -42,6 +43,7 @@ expect_unknown() {
   fi
 }
 
+expect "--cores must be >= 1" latency --cores=0
 expect "--mss must be between 1 and 65455" stream --mss=0
 expect "--mss must be between 1 and 65455" stream --mss=65456
 expect "--mss must be between 1 and 65455" stream --mss=100000
@@ -55,6 +57,27 @@ for fault in drop reorder duplicate corrupt; do
   expect "--$fault must be between 0 and 1" stream --$fault=-0.1
 done
 expect "--corrupt must be between 0 and 1" stream --corrupt=nan
+expect "--drop must be between 0 and 1" latency --drop=2
+
+# Burst loss drops the last --burst-drop-length frames of each period, so a longer
+# burst, or a length with no period, would silently run lossless.
+expect "--burst-drop-length must be at most --burst-drop-period" \
+  stream --nics=1 --burst-drop-period=3 --burst-drop-length=5 --json
+expect "--burst-drop-length must be at most --burst-drop-period" \
+  stream --burst-drop-length=5
+
+# A time whose nanoseconds do not fit 64 bits would wrap to a short window.
+expect "--measure-ms must be at most 18446744073709, not 18446744073710" \
+  stream --nics=1 --warmup-ms=10 --measure-ms=18446744073710 --json
+expect "--warmup-ms must be at most 18446744073709, not 18446744073710" \
+  latency --warmup-ms=18446744073710
+expect "--reorder-delay-us must be at most 18446744073709551, not 18446744073709552" \
+  stream --reorder=0.1 --reorder-delay-us=18446744073709552
+expect "--warmup-ms plus --measure-ms must fit 64 bits of nanoseconds" \
+  stream --warmup-ms=10 --measure-ms=18446744073709
+
+# Client c connects from port 10000 + c, which must fit 16 bits.
+expect "--conns-per-nic must be at most 55536" stream --conns-per-nic=55537
 
 # Stream-only flags are unknown to latency, which would otherwise ignore them.
 expect_unknown mss latency --mss=9000 --json

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/sim/testbed.h"
 #include "src/sim/trace.h"
 #include "src/tcp/send_stream.h"
@@ -144,17 +146,10 @@ TEST(TestbedFeatures, CorruptionIsDetectedAndRecovered) {
   config.client_to_server_link = dirty;
   Testbed bed(config);
 
-  uint64_t verified = 0;
-  bool mismatch = false;
+  PatternCheck delivered;
   bed.stack().Listen(5001, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(conn, [&](std::span<const uint8_t> data) {
-      for (const uint8_t b : data) {
-        if (b != SendStream::PatternByte(verified)) {
-          mismatch = true;
-        }
-        ++verified;
-      }
-    });
+    bed.stack().SetConnectionDataHandler(
+        conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
   });
   TcpConnection* client =
       bed.remote(0).CreateConnection(bed.ClientConnectionConfig(0, 10000, 5001));
@@ -162,8 +157,8 @@ TEST(TestbedFeatures, CorruptionIsDetectedAndRecovered) {
   client->SendSynthetic(2'000'000);
   bed.loop().RunUntil(SimTime::FromSeconds(15));
 
-  EXPECT_FALSE(mismatch);
-  EXPECT_EQ(verified, 2'000'000u);
+  EXPECT_EQ(delivered.first_mismatch, std::nullopt);
+  EXPECT_EQ(delivered.bytes, 2'000'000u);
   EXPECT_GT(bed.nic(0).stats().rx_csum_bad, 0u) << "corruption was actually injected";
   EXPECT_GT(client->segments_retransmitted(), 0u);
 }

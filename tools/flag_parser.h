@@ -3,7 +3,8 @@
 // Deliberately tiny: positional commands, long flags only, typed getters with
 // defaults, unknown-flag detection. Header-only so the tools stay one file each.
 // A numeric getter refuses a value that is not wholly a number: it prints a message
-// and ends the tool with exit status 2, so `--nics=5x` never reads as 5.
+// and ends the tool with exit status 2, so `--nics=5x` never reads as 5. A duration
+// getter refuses in the same way a count whose nanoseconds overflow 64 bits.
 
 #ifndef TOOLS_FLAG_PARSER_H_
 #define TOOLS_FLAG_PARSER_H_
@@ -12,9 +13,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "src/util/sim_time.h"
 
 namespace tcprx {
 
@@ -55,6 +59,19 @@ class FlagParser {
 
   double GetDouble(const std::string& name, double default_value) {
     return GetNumber(name, default_value, "a number");
+  }
+
+  // A count of `unit`s, e.g. GetDuration("measure-ms", 1000, SimDuration::FromMillis(1)).
+  SimDuration GetDuration(const std::string& name, uint64_t default_count, SimDuration unit) {
+    const uint64_t count = GetUint(name, default_count);
+    const uint64_t max_count = std::numeric_limits<uint64_t>::max() / unit.nanos();
+    if (count > max_count) {
+      std::fprintf(stderr, "--%s must be at most %llu, not %llu\n", name.c_str(),
+                   static_cast<unsigned long long>(max_count),
+                   static_cast<unsigned long long>(count));
+      std::exit(2);
+    }
+    return SimDuration::FromNanos(count * unit.nanos());
   }
 
   std::string GetString(const std::string& name, const std::string& default_value) {

@@ -19,23 +19,28 @@
 // whose stdout is one JSON object. --profile is the flat profile of the measurement
 // window, summed over all cores.
 //
+// The tool only parses: the testbed's ConfigErrors says which values are out of
+// range, and each of its messages is printed before the tool exits with status 2.
+//
 // Examples:
 //   tcprx_sim stream --system=xen --optimized
 //   tcprx_sim stream --aggregation --limit=8 --nics=2 --trace --measure-ms=5
 //   tcprx_sim stream --system=smp --optimized --cores=4 --conns-per-nic=80
 //   tcprx_sim stream --drop=0.01 --optimized --json
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/sim/pcap.h"
 #include "src/sim/report.h"
 #include "src/sim/testbed.h"
 #include "src/sim/trace.h"
-#include "src/wire/ipv4.h"
 #include "tools/flag_parser.h"
 
 namespace tcprx {
@@ -108,18 +113,25 @@ TestbedConfig BuildConfig(FlagParser& flags) {
   lossy.corrupt_probability = flags.GetDouble("corrupt", 0.0);
   lossy.burst_drop_period = flags.GetUint("burst-drop-period", 0);
   lossy.burst_drop_length = flags.GetUint("burst-drop-length", lossy.burst_drop_period > 0 ? 2 : 0);
-  lossy.reorder_delay = SimDuration::FromMicros(flags.GetUint("reorder-delay-us", 40));
-  if (flags.Has("seed")) {
-    lossy.fault_seed = flags.GetUint("seed", lossy.fault_seed);
-  } else {
-    flags.GetUint("seed", 0);  // mark used so --seed never trips the unknown-flag check
-  }
-  if (lossy.drop_probability > 0 || lossy.reorder_probability > 0 ||
-      lossy.duplicate_probability > 0 || lossy.corrupt_probability > 0 ||
-      lossy.burst_drop_period > 0) {
+  lossy.reorder_delay =
+      flags.GetDuration("reorder-delay-us", 40, SimDuration::FromMicros(1));
+  lossy.fault_seed = flags.GetUint("seed", lossy.fault_seed);
+  // Any fault value but zero installs the link, a bad one (a negative or NaN
+  // probability, a burst length alone) included, so that ConfigErrors sees it.
+  if (lossy.drop_probability != 0 || lossy.reorder_probability != 0 ||
+      lossy.duplicate_probability != 0 || lossy.corrupt_probability != 0 ||
+      lossy.burst_drop_period != 0 || lossy.burst_drop_length != 0) {
     config.client_to_server_link = lossy;
   }
   return config;
+}
+
+// Prints each of `errors`, a ConfigErrors result; true when there is none.
+bool Valid(const std::vector<std::string>& errors) {
+  for (const std::string& error : errors) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+  }
+  return errors.empty();
 }
 
 // Echoes the fault schedule (and the seed that drives it) so a JSON result is
@@ -177,30 +189,17 @@ void PrintStreamJson(const StreamResult& r, const TestbedConfig& config) {
 
 int RunStream(FlagParser& flags) {
   TestbedConfig config = BuildConfig(flags);
-  // NIC i is addressed 10.0.i.x, so the index must fit one octet.
   config.num_nics = flags.GetUint("nics", 5);
-  if (config.num_nics < 1 || config.num_nics > 256) {
-    std::fprintf(stderr, "--nics must be between 1 and 256\n");
-    return 2;
-  }
   Testbed::StreamOptions options;
   options.connections_per_nic = flags.GetUint("conns-per-nic", 1);
-  if (options.connections_per_nic < 1) {
-    std::fprintf(stderr, "--conns-per-nic must be >= 1\n");
+  // Saturated, so that a value past 32 bits is refused as out of range, not wrapped.
+  options.client_mss =
+      static_cast<uint32_t>(std::min<uint64_t>(flags.GetUint("mss", 1448), UINT32_MAX));
+  options.warmup = flags.GetDuration("warmup-ms", 300, SimDuration::FromMillis(1));
+  options.measure = flags.GetDuration("measure-ms", 1000, SimDuration::FromMillis(1));
+  if (!Valid(ConfigErrors(config, options))) {
     return 2;
   }
-  // One segment plus its IP header and the largest TCP header (data offset 15, 60
-  // bytes) must fit one IP datagram.
-  constexpr uint64_t kMaxMss = 0xffff - kIpv4MinHeaderSize - 60;
-  const uint64_t mss = flags.GetUint("mss", 1448);
-  if (mss < 1 || mss > kMaxMss) {
-    std::fprintf(stderr, "--mss must be between 1 and %llu\n",
-                 static_cast<unsigned long long>(kMaxMss));
-    return 2;
-  }
-  options.client_mss = static_cast<uint32_t>(mss);
-  options.warmup = SimDuration::FromMillis(flags.GetUint("warmup-ms", 300));
-  options.measure = SimDuration::FromMillis(flags.GetUint("measure-ms", 1000));
 
   const bool want_json = flags.GetBool("json");
   const bool trace = flags.GetBool("trace");
@@ -280,10 +279,12 @@ int RunStream(FlagParser& flags) {
 int RunLatency(FlagParser& flags) {
   TestbedConfig config = BuildConfig(flags);
   config.num_nics = 1;  // one client, one transaction outstanding
-  Testbed bed(config);
   Testbed::LatencyOptions options;
-  options.warmup = SimDuration::FromMillis(flags.GetUint("warmup-ms", 200));
-  options.measure = SimDuration::FromMillis(flags.GetUint("measure-ms", 1000));
+  options.warmup = flags.GetDuration("warmup-ms", 200, SimDuration::FromMillis(1));
+  options.measure = flags.GetDuration("measure-ms", 1000, SimDuration::FromMillis(1));
+  if (!Valid(ConfigErrors(config, options))) {
+    return 2;
+  }
   const bool want_json = flags.GetBool("json");
 
   for (const auto& unknown : flags.UnusedFlags()) {
@@ -291,6 +292,7 @@ int RunLatency(FlagParser& flags) {
     return Usage();
   }
 
+  Testbed bed(config);
   const LatencyResult result = bed.RunLatency(options);
   if (want_json) {
     std::printf("{\n");
@@ -311,23 +313,9 @@ int main(int argc, char** argv) {
   if (flags.positional().size() != 1) {
     return tcprx::Usage();
   }
-  // Bad configuration is rejected with a message, not by a check deep in the host and
-  // not by a run that reports a plausible-looking wrong result. Flags both commands
-  // take are checked here; stream-only flags where RunStream reads them, so that
-  // `latency` reports them as unknown.
-  for (const char* name : {"cores", "limit", "measure-ms"}) {
-    if (flags.GetUint(name, 1) < 1) {
-      std::fprintf(stderr, "--%s must be >= 1\n", name);
-      return 2;
-    }
-  }
-  for (const char* name : {"drop", "reorder", "duplicate", "corrupt"}) {
-    const double p = flags.GetDouble(name, 0.0);
-    if (!(p >= 0.0 && p <= 1.0)) {
-      std::fprintf(stderr, "--%s must be between 0 and 1\n", name);
-      return 2;
-    }
-  }
+  // Names are parsed here; every other value is judged by ConfigErrors once the
+  // command has built its config. Stream-only flags are read only by RunStream, so
+  // that `latency` reports them as unknown.
   if (!tcprx::ParseSystem(flags.GetString("system", "up"))) {
     std::fprintf(stderr, "--system must be up, smp or xen\n");
     return 2;
