@@ -112,18 +112,18 @@ void Aggregator::Push(PacketPtr frame) {
     if (TryAppend(it->second, frame)) {
       if (it->second.skb->fragment_info.size() >= config_.aggregation_limit) {
         ++stats_.limit_flushes;
-        Finalize(key, /*by_limit=*/true);
+        Finalize(key);
       }
       return;
     }
     // Doesn't chain: deliver the partial, then start fresh with this packet.
     ++stats_.mismatch_flushes;
-    Finalize(key, /*by_limit=*/false);
+    Finalize(key);
   }
   StartPartial(key, std::move(frame));
   if (config_.aggregation_limit == 1) {
     ++stats_.limit_flushes;
-    Finalize(key, /*by_limit=*/true);
+    Finalize(key);
   }
 }
 
@@ -229,7 +229,7 @@ void Aggregator::RewriteAggregateHeader(Partial& partial) {
   skb.ReparseHead();
 }
 
-void Aggregator::Finalize(const FlowKey& key, bool /*by_limit*/) {
+void Aggregator::Finalize(const FlowKey& key) {
   auto it = table_.find(key);
   if (it == table_.end()) {
     return;
@@ -260,14 +260,14 @@ void Aggregator::DeliverSkb(SkBuffPtr skb) {
 void Aggregator::FlushFlow(const FlowKey& key) {
   if (table_.find(key) != table_.end()) {
     ++stats_.idle_flushes;
-    Finalize(key, /*by_limit=*/false);
+    Finalize(key);
   }
 }
 
 void Aggregator::FlushAll() {
   while (!flow_order_.empty()) {
     ++stats_.idle_flushes;
-    Finalize(flow_order_.front(), /*by_limit=*/false);
+    Finalize(flow_order_.front());
   }
 }
 

@@ -111,7 +111,7 @@ class Aggregator {
 
   void StartPartial(const FlowKey& key, PacketPtr frame);
   bool TryAppend(Partial& partial, PacketPtr& frame);
-  void Finalize(const FlowKey& key, bool by_limit);
+  void Finalize(const FlowKey& key);
   void RewriteAggregateHeader(Partial& partial);
   void DeliverSkb(SkBuffPtr skb);
 

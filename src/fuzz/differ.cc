@@ -1,60 +1,16 @@
 #include "src/fuzz/differ.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <span>
 #include <utility>
 
-#include "src/sim/pcap.h"
-#include "src/sim/testbed.h"
-#include "src/stack/network_stack.h"
-#include "src/tcp/send_stream.h"
+#include "src/fuzz/direct_harness.h"
 #include "src/util/rng.h"
-#include "src/wire/frame.h"
 
 namespace tcprx {
 namespace fuzz {
 namespace {
-
-constexpr uint16_t kServerPort = 5001;
-constexpr uint16_t kClientPortBase = Testbed::kFirstClientPort;
-// Every flow's first data byte, stream offset 0, has this sequence number.
-constexpr uint32_t kFirstDataSeq = 1000;
-
-Ipv4Address ClientIp() { return Ipv4Address::FromOctets(10, 0, 0, 2); }
-Ipv4Address ServerIp() { return Ipv4Address::FromOctets(10, 0, 0, 1); }
-
-// One frame of the direct-drive schedule, after fault application.
-struct WireFrame {
-  size_t flow = 0;
-  uint32_t seq = 0;
-  uint32_t payload_len = 0;
-  bool csum_ok = true;  // false models a NIC that flagged the frame as corrupt
-  std::vector<uint8_t> bytes;
-};
-
-std::vector<uint8_t> BuildClientFrame(size_t flow, uint32_t seq, uint32_t ack,
-                                      uint8_t flags, uint32_t payload_len,
-                                      uint32_t ts_value) {
-  TcpFrameSpec spec;
-  spec.src_mac = MacAddress::FromHostId(2);
-  spec.dst_mac = MacAddress::FromHostId(1);
-  spec.src_ip = ClientIp();
-  spec.dst_ip = ServerIp();
-  spec.fill_tcp_checksum = true;
-  spec.tcp.src_port = static_cast<uint16_t>(kClientPortBase + flow);
-  spec.tcp.dst_port = kServerPort;
-  spec.tcp.seq = seq;
-  spec.tcp.ack = ack;
-  spec.tcp.flags = flags;
-  spec.tcp.window = 65535;
-  uint8_t ts[kTcpTimestampOptionSize];
-  WriteTimestampOption(TcpTimestampOption{ts_value, 50}, ts);
-  spec.tcp.raw_options.assign(ts, ts + kTcpTimestampOptionSize);
-  // The synthetic stream's bytes, so the receiver checks them as a testbed receiver does.
-  spec.payload = SendStream::PatternView(seq - kFirstDataSeq, payload_len);
-  return BuildTcpFrame(spec);
-}
 
 // The pre-fault schedule: per-flow in-sequence data segments, interleaved across
 // flows by a seed-derived (fault-independent) stream so shrinking the fault plan
@@ -66,21 +22,17 @@ std::vector<WireFrame> BuildSchedule(const Scenario& s) {
   std::vector<WireFrame> schedule;
   schedule.reserve(s.frames);
   for (size_t i = 0; i < s.frames; ++i) {
-    WireFrame f;
-    f.flow = rng.NextBelow(s.flows);
-    f.seq = next_seq[f.flow];
+    const size_t flow = rng.NextBelow(s.flows);
     // Mostly full-MSS segments; occasional short ones exercise the odd-segment
     // delayed-ACK accounting.
-    f.payload_len = rng.NextBool(0.85)
-                        ? s.mss
-                        : 1 + static_cast<uint32_t>(rng.NextBelow(s.mss));
+    const uint32_t payload_len =
+        rng.NextBool(0.85) ? s.mss : 1 + static_cast<uint32_t>(rng.NextBelow(s.mss));
     // Non-decreasing per flow in generation order, so aggregation chains (which
     // are seq-continuous by construction) never carry a decreasing timestamp.
-    const uint32_t ts_value = 500 + count[f.flow] / 4;
-    f.bytes = BuildClientFrame(f.flow, f.seq, 0, kTcpAck, f.payload_len, ts_value);
-    next_seq[f.flow] += f.payload_len;
-    ++count[f.flow];
-    schedule.push_back(std::move(f));
+    const uint32_t ts_value = 500 + count[flow] / 4;
+    schedule.push_back(DataFrame(flow, next_seq[flow], 0, payload_len, ts_value));
+    next_seq[flow] += payload_len;
+    ++count[flow];
   }
   return schedule;
 }
@@ -129,138 +81,6 @@ void ApplyFaults(const std::vector<FaultEvent>& faults, std::vector<WireFrame>* 
     }
   }
 }
-
-// Drives one NetworkStack frame by frame: no NICs, no links, no CPU clock, and the
-// event loop advanced only at explicit points, so two harnesses fed the same
-// schedule see byte-identical timelines.
-class DirectHarness {
- public:
-  DirectHarness(const StackConfig& config, size_t flows, PcapWriter* pcap)
-      : pcap_(pcap), conns_(flows), delivered_(flows), tap_(flows) {
-    stack_ = std::make_unique<NetworkStack>(
-        config, loop_, [this](int, std::vector<uint8_t> frame) {
-          if (pcap_ != nullptr) {
-            pcap_->Record(loop_.Now(), frame);
-          }
-          sent_.push_back(std::move(frame));
-        });
-    stack_->AddLocalAddress(ServerIp(), 0);
-    stack_->AddRoute(ClientIp(), 0);
-    stack_->Listen(kServerPort, [this](TcpConnection& conn) {
-      const size_t flow =
-          static_cast<size_t>(conn.config().remote_port - kClientPortBase);
-      if (flow >= conns_.size()) {
-        return;
-      }
-      conns_[flow] = &conn;
-      conn.EnableAckTrace();
-      stack_->SetConnectionDataHandler(conn, [this, flow](std::span<const uint8_t> d) {
-        delivered_[flow].Feed(d);
-      });
-    });
-    stack_->set_host_packet_tap([this](const SkBuff& skb) {
-      const TcpFrameView& view = skb.view();
-      if (view.tcp.dst_port != kServerPort) {
-        return;
-      }
-      const size_t flow = static_cast<size_t>(view.tcp.src_port - kClientPortBase);
-      if (flow >= tap_.size()) {
-        return;
-      }
-      if (skb.fragment_info.empty()) {
-        if (view.payload_size > 0) {
-          tap_[flow].emplace_back(view.tcp.seq, static_cast<uint32_t>(view.payload_size));
-        }
-      } else {
-        for (const FragmentInfo& fi : skb.fragment_info) {
-          if (fi.payload_len > 0) {
-            tap_[flow].emplace_back(fi.seq, fi.payload_len);
-          }
-        }
-      }
-    });
-  }
-
-  void Feed(const WireFrame& f) {
-    if (pcap_ != nullptr) {
-      pcap_->Record(loop_.Now(), f.bytes);
-    }
-    PacketPtr p = stack_->packet_pool().Allocate(f.bytes);
-    p->nic_checksum_verified = f.csum_ok;
-    stack_->ReceiveFrame(std::move(p));
-  }
-
-  // Work-conserving flush point; records a violation if the aggregator still holds
-  // a partial afterwards.
-  void Idle() {
-    stack_->OnReceiveQueueEmpty();
-    const Aggregator* aggregator = stack_->aggregator();
-    if (aggregator != nullptr && aggregator->PendingFlows() != 0) {
-      ++work_violations_;
-    }
-  }
-
-  void Advance(SimDuration d) { loop_.RunUntil(loop_.Now() + d); }
-
-  // Server side of the handshake for every flow; returns per-flow server ISS.
-  std::vector<uint32_t> HandshakeAll(size_t flows) {
-    std::vector<uint32_t> iss(flows, 0);
-    for (size_t f = 0; f < flows; ++f) {
-      Feed(WireFrame{f, kFirstDataSeq - 1, 0, true,
-                     BuildClientFrame(f, kFirstDataSeq - 1, 0, kTcpSyn, 0, 100)});
-      Idle();
-      if (sent_.empty()) {
-        continue;
-      }
-      auto synack = ParseTcpFrame(sent_.back());
-      if (!synack.has_value()) {
-        continue;
-      }
-      iss[f] = synack->tcp.seq;
-      Feed(WireFrame{f, kFirstDataSeq, 0, true,
-                     BuildClientFrame(f, kFirstDataSeq, iss[f] + 1, kTcpAck, 0, 100)});
-      Idle();
-    }
-    sent_.clear();
-    return iss;
-  }
-
-  // Pure-ACK ack numbers transmitted so far, grouped by destination (client) flow.
-  std::vector<std::vector<uint32_t>> SentAcksPerFlow(size_t flows) const {
-    std::vector<std::vector<uint32_t>> out(flows);
-    for (const auto& frame : sent_) {
-      auto view = ParseTcpFrame(frame);
-      if (!view.has_value() || view->payload_size != 0 || view->tcp.flags != kTcpAck) {
-        continue;
-      }
-      const size_t flow = static_cast<size_t>(view->tcp.dst_port - kClientPortBase);
-      if (flow < flows) {
-        out[flow].push_back(view->tcp.ack);
-      }
-    }
-    return out;
-  }
-
-  NetworkStack& stack() { return *stack_; }
-  EventLoop& loop() { return loop_; }
-  TcpConnection* conn(size_t flow) { return conns_[flow]; }
-  const std::vector<std::vector<uint8_t>>& sent() const { return sent_; }
-  const PatternCheck& delivered(size_t flow) const { return delivered_[flow]; }
-  const std::vector<std::pair<uint32_t, uint32_t>>& tap(size_t flow) const {
-    return tap_[flow];
-  }
-  size_t work_violations() const { return work_violations_; }
-
- private:
-  EventLoop loop_;
-  PcapWriter* pcap_;
-  std::unique_ptr<NetworkStack> stack_;
-  std::vector<std::vector<uint8_t>> sent_;
-  std::vector<TcpConnection*> conns_;
-  std::vector<PatternCheck> delivered_;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> tap_;
-  size_t work_violations_ = 0;
-};
 
 std::string Fail(const char* oracle, const std::string& detail) {
   return std::string(oracle) + ": " + detail;
@@ -319,11 +139,22 @@ StackConfig MakeStackConfig(const Scenario& s, bool optimized, size_t limit_over
   return config;
 }
 
+// A flow that never connected leaves empty, and so equal, streams and traces in
+// every run, which the other oracles would pass: each run must accept every flow.
+void CheckAccepted(const char* run, const std::vector<size_t>& unaccepted,
+                   std::vector<std::string>* failures) {
+  for (const size_t flow : unaccepted) {
+    failures->push_back(Fail("handshake", "flow " + std::to_string(flow) +
+                                              " never accepted in the " + run + " run"));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Direct-drive tier, unidirectional
 // ---------------------------------------------------------------------------
 
 struct UniObservation {
+  std::vector<size_t> unaccepted;
   std::vector<uint32_t> iss;
   std::vector<PatternCheck> delivered;
   std::vector<std::vector<uint32_t>> wire_acks;
@@ -337,20 +168,14 @@ UniObservation RunUni(const StackConfig& config, const Scenario& s,
                       const std::vector<WireFrame>& schedule, PcapWriter* pcap) {
   DirectHarness h(config, s.flows, pcap);
   UniObservation obs;
-  obs.iss = h.HandshakeAll(s.flows);
-  size_t fed = 0;
-  while (fed < schedule.size()) {
-    for (size_t i = 0; i < s.batch && fed < schedule.size(); ++i, ++fed) {
-      h.Feed(schedule[fed]);
-    }
-    h.Idle();
-    h.Advance(SimDuration::FromMicros(150));
-  }
+  obs.iss = h.HandshakeAll();
+  obs.unaccepted = h.Unaccepted();
+  h.Drive(schedule, s.batch);
   h.Idle();
   // Drain delayed-ACK timers (40 ms) at an identical point in both runs.
   h.Advance(SimDuration::FromMillis(100));
 
-  obs.wire_acks = h.SentAcksPerFlow(s.flows);
+  obs.wire_acks = h.SentAcksPerFlow();
   for (size_t f = 0; f < s.flows; ++f) {
     obs.delivered.push_back(h.delivered(f));
     obs.hook_acks.push_back(h.conn(f) != nullptr ? h.conn(f)->ack_trace()
@@ -384,6 +209,13 @@ void DiffUnidirectional(const Scenario& s, const DiffOptions& options,
       RunUni(MakeStackConfig(s, true, 0, options, true), s, schedule, pcap.get());
   const UniObservation limit1 =
       RunUni(MakeStackConfig(s, true, 1, options, false), s, schedule, nullptr);
+  const size_t failed_before = failures->size();
+  CheckAccepted("baseline", baseline.unaccepted, failures);
+  CheckAccepted("optimized", optimized.unaccepted, failures);
+  CheckAccepted("limit-1", limit1.unaccepted, failures);
+  if (failures->size() != failed_before) {
+    return;
+  }
 
   for (size_t f = 0; f < s.flows; ++f) {
     const std::string flow_label = "flow " + std::to_string(f);
@@ -438,6 +270,7 @@ void DiffUnidirectional(const Scenario& s, const DiffOptions& options,
 // ---------------------------------------------------------------------------
 
 struct BidirObservation {
+  std::vector<size_t> unaccepted;
   std::vector<uint32_t> cwnd_trace;
   PatternCheck delivered;
   size_t work_violations = 0;
@@ -447,7 +280,8 @@ BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
                           PcapWriter* pcap) {
   DirectHarness h(config, 1, pcap);
   BidirObservation obs;
-  const std::vector<uint32_t> iss = h.HandshakeAll(1);
+  const std::vector<uint32_t> iss = h.HandshakeAll();
+  obs.unaccepted = h.Unaccepted();
   TcpConnection* server = h.conn(0);
   if (server == nullptr) {
     return obs;
@@ -457,6 +291,11 @@ BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
   h.Advance(SimDuration::FromMillis(1));
 
   const size_t rounds = 2 + s.frames / (s.batch == 0 ? 1 : s.batch);
+  // The client acknowledges in steps of its MSS, but never more than the server's
+  // first flight at once: a larger step would never be outstanding, and the window
+  // would never move.
+  const uint32_t ack_step = static_cast<uint32_t>(
+      std::min<uint64_t>(s.mss, server->snd_nxt_ext() - (iss[0] + 1)));
   uint32_t client_seq = kFirstDataSeq;
   uint32_t acked = 0;
   uint32_t generated = 0;
@@ -466,19 +305,13 @@ BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
     const uint64_t outstanding = server->snd_nxt_ext() - (iss[0] + 1);
     std::vector<WireFrame> local;
     for (size_t i = 0; i < s.batch; ++i) {
-      if (acked + s.mss <= outstanding) {
-        acked += s.mss;
+      if (acked + ack_step <= outstanding) {
+        acked += ack_step;
       }
-      WireFrame f;
-      f.flow = 0;
-      f.seq = client_seq;
-      f.payload_len = s.mss;
       const uint32_t ts_value = 600 + generated / 4;
-      f.bytes = BuildClientFrame(0, client_seq, iss[0] + 1 + acked, kTcpAck, s.mss,
-                                 ts_value);
+      local.push_back(DataFrame(0, client_seq, iss[0] + 1 + acked, s.mss, ts_value));
       client_seq += s.mss;
       ++generated;
-      local.push_back(std::move(f));
     }
     // Apply the slice of the fault plan that falls into this round.
     const uint32_t base = static_cast<uint32_t>(round) * static_cast<uint32_t>(s.batch);
@@ -513,6 +346,18 @@ void DiffBidirectional(const Scenario& s, const DiffOptions& options,
       RunBidir(MakeStackConfig(s, false, 0, options, false), s, nullptr);
   const BidirObservation optimized =
       RunBidir(MakeStackConfig(s, true, 0, options, true), s, pcap.get());
+  const size_t failed_before = failures->size();
+  CheckAccepted("baseline", baseline.unaccepted, failures);
+  CheckAccepted("optimized", optimized.unaccepted, failures);
+  if (failures->size() != failed_before) {
+    return;
+  }
+  // A trace of fewer than two windows records no growth to compare.
+  if (baseline.cwnd_trace.size() < 2) {
+    failures->push_back(Fail("cwnd-trace", "baseline trace has " +
+                                               std::to_string(baseline.cwnd_trace.size()) +
+                                               " entries"));
+  }
 
   CompareSeq("cwnd-trace", "baseline-vs-optimized", baseline.cwnd_trace,
              optimized.cwnd_trace, failures);
@@ -543,28 +388,20 @@ LinkConfig ScenarioLink(const Scenario& s) {
 // Baseline vs optimized under probabilistic link faults: the byte stream must
 // arrive complete and exact in both.
 void TestbedCompleteness(const Scenario& s, std::vector<std::string>* failures) {
-  constexpr uint64_t kTotal = 400'000;
+  Testbed::TransferOptions transfer;
+  transfer.bytes_per_flow = 400'000;
+  transfer.client_mss = s.mss;
+  transfer.deadline = SimTime::FromSeconds(25);
   for (const bool optimized : {false, true}) {
-    Testbed bed(CompletenessConfig(s, optimized));
-    PatternCheck delivered;
-    bed.stack().Listen(kServerPort, [&](TcpConnection& conn) {
-      bed.stack().SetConnectionDataHandler(
-          conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
-    });
-    TcpConnectionConfig conn_config =
-        bed.ClientConnectionConfig(0, kClientPortBase, kServerPort);
-    conn_config.mss = s.mss;
-    TcpConnection* client = bed.remote(0).CreateConnection(conn_config);
-    client->Connect();
-    client->SendSynthetic(kTotal);
-    bed.loop().RunUntil(SimTime::FromSeconds(25));
-
-    if (delivered.first_mismatch || delivered.bytes != kTotal) {
+    const PatternCheck delivered =
+        Testbed(CompletenessConfig(s, optimized)).RunTransfer(transfer)[0];
+    if (delivered.first_mismatch || delivered.bytes != transfer.bytes_per_flow) {
       char buf[160];
       std::snprintf(buf, sizeof(buf), "[%s] delivered %llu/%llu bytes, first mismatch %s",
                     optimized ? "optimized" : "baseline",
                     static_cast<unsigned long long>(delivered.bytes),
-                    static_cast<unsigned long long>(kTotal), FirstMismatch(delivered).c_str());
+                    static_cast<unsigned long long>(transfer.bytes_per_flow),
+                    FirstMismatch(delivered).c_str());
       failures->push_back(Fail("testbed-completeness", buf));
     }
   }
@@ -576,44 +413,26 @@ void TestbedRssStreams(const Scenario& s, std::vector<std::string>* failures) {
   if (s.cores < 2) {
     return;
   }
-  constexpr uint64_t kPerFlow = 150'000;
-  auto run = [&](size_t cores) {
-    std::vector<PatternCheck> delivered(s.flows);
-    Testbed bed(RssConfig(s, cores));
-    for (size_t core = 0; core < bed.num_cores(); ++core) {
-      NetworkStack& shard = bed.stack_shard(core);
-      shard.Listen(kServerPort, [&shard, &delivered](TcpConnection& conn) {
-        PatternCheck& flow =
-            delivered[static_cast<size_t>(conn.config().remote_port - kClientPortBase)];
-        shard.SetConnectionDataHandler(
-            conn, [&flow](std::span<const uint8_t> data) { flow.Feed(data); });
-      });
-    }
-    for (size_t f = 0; f < s.flows; ++f) {
-      TcpConnectionConfig conn_config = bed.ClientConnectionConfig(
-          0, static_cast<uint16_t>(kClientPortBase + f), kServerPort);
-      conn_config.mss = s.mss;
-      TcpConnection* client = bed.remote(0).CreateConnection(conn_config);
-      client->Connect();
-      client->SendSynthetic(kPerFlow);
-    }
-    bed.loop().RunUntil(SimTime::FromSeconds(20));
-    return delivered;
-  };
-
-  const std::vector<PatternCheck> one_core = run(1);
-  const std::vector<PatternCheck> n_core = run(s.cores);
+  Testbed::TransferOptions transfer;
+  transfer.flows = s.flows;
+  transfer.bytes_per_flow = 150'000;
+  transfer.client_mss = s.mss;
+  transfer.deadline = SimTime::FromSeconds(20);
+  const uint64_t per_flow = transfer.bytes_per_flow;
+  const std::vector<PatternCheck> one_core = Testbed(RssConfig(s, 1)).RunTransfer(transfer);
+  const std::vector<PatternCheck> n_core =
+      Testbed(RssConfig(s, s.cores)).RunTransfer(transfer);
   for (size_t f = 0; f < s.flows; ++f) {
     const PatternCheck& a = one_core[f];
     const PatternCheck& b = n_core[f];
-    if (a.first_mismatch || b.first_mismatch || a.bytes != kPerFlow || b.bytes != kPerFlow) {
+    if (a.first_mismatch || b.first_mismatch || a.bytes != per_flow || b.bytes != per_flow) {
       char buf[192];
       std::snprintf(buf, sizeof(buf),
                     "flow %zu delivered %llu bytes at 1 core vs %llu at %zu cores "
                     "(expected %llu), first mismatch %s vs %s",
                     f, static_cast<unsigned long long>(a.bytes),
                     static_cast<unsigned long long>(b.bytes), s.cores,
-                    static_cast<unsigned long long>(kPerFlow), FirstMismatch(a).c_str(),
+                    static_cast<unsigned long long>(per_flow), FirstMismatch(a).c_str(),
                     FirstMismatch(b).c_str());
       failures->push_back(Fail("rss-pattern", buf));
     }

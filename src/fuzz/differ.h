@@ -1,21 +1,22 @@
 // Differential execution of one fuzz Scenario.
 //
-// Two tiers, mirroring tests/equivalence_test.cc but generated instead of
-// hand-picked:
+// Two tiers, the one implementation of the DESIGN.md section 5 checks. Their inputs
+// are generated from a seed or, in tests/equivalence_test.cc, written by hand:
 //
-//  * Direct drive: the same post-fault frame schedule is fed, frame by frame, to a
-//    baseline stack, an optimized stack, and an optimized stack with aggregation
-//    limit 1. Timing is fully controlled (identical Idle() flush points, identical
-//    event-loop advancement), so the DESIGN.md section 5 invariants are checked
-//    exactly: per-flow delivered streams, per-flow ACK traces, congestion-window
-//    traces (bidirectional scenarios), limit-1 byte-identical output, the
-//    work-conserving flush, and aggregation conservation/bypass ordering via the
-//    stack's host-packet tap.
+//  * Direct drive (src/fuzz/direct_harness.h): the same post-fault frame schedule is
+//    fed, frame by frame, to a baseline stack, an optimized stack, and an optimized
+//    stack with aggregation limit 1. Timing is fully controlled (identical Idle()
+//    flush points, identical event-loop advancement), so the invariants are checked
+//    exactly: every run accepted every flow, per-flow delivered streams, per-flow ACK
+//    traces, congestion-window traces (bidirectional scenarios), limit-1
+//    byte-identical output, the work-conserving flush, and aggregation
+//    conservation/bypass ordering via the stack's host-packet tap.
 //
-//  * Testbed (optional, slower): the full simulator with probabilistic link faults
-//    checks end-to-end stream completeness baseline-vs-optimized, and a 1-core vs
-//    N-core RSS pair checks every flow's delivered stream under flow steering. Timing
-//    differs legitimately here, so only the stream oracles apply.
+//  * Testbed (optional, slower): Testbed::RunTransfer on the full simulator with
+//    probabilistic link faults checks end-to-end stream completeness
+//    baseline-vs-optimized, and a 1-core vs N-core RSS pair checks every flow's
+//    delivered stream under flow steering. Timing differs legitimately here, so only
+//    the stream oracles apply.
 //
 // Every delivered stream, in both tiers, is the sender's synthetic pattern, checked
 // chunk by chunk by a PatternCheck (src/tcp/send_stream.h).

@@ -2,26 +2,10 @@
 
 namespace tcprx {
 
-const char* IpVerdictName(IpVerdict v) {
-  switch (v) {
-    case IpVerdict::kAccept:
-      return "accept";
-    case IpVerdict::kBadChecksum:
-      return "bad-checksum";
-    case IpVerdict::kTruncated:
-      return "truncated";
-    case IpVerdict::kNotLocal:
-      return "not-local";
-    case IpVerdict::kNotTcp:
-      return "not-tcp";
-  }
-  return "?";
-}
-
 IpVerdict Ipv4Layer::Validate(const SkBuff& skb) const {
   const TcpFrameView& view = skb.view();
   // tcprx-check: allow(charge) -- Validate is pure protocol logic; NetworkStack
-  // charges ip_rx_per_packet ("ip_rcv") right before calling ValidateAndCount.
+  // charges ip_rx_per_packet ("ip_rcv") right before calling Validate.
   if (!VerifyIpv4Checksum(skb.head->Bytes().subspan(view.ip_offset, view.ip.HeaderSize()))) {
     return IpVerdict::kBadChecksum;
   }
@@ -41,16 +25,6 @@ IpVerdict Ipv4Layer::Validate(const SkBuff& skb) const {
     return IpVerdict::kNotLocal;
   }
   return IpVerdict::kAccept;
-}
-
-IpVerdict Ipv4Layer::ValidateAndCount(const SkBuff& skb) {
-  const IpVerdict v = Validate(skb);
-  if (v == IpVerdict::kAccept) {
-    ++stats_.accepted;
-  } else {
-    ++stats_.rejected;
-  }
-  return v;
 }
 
 }  // namespace tcprx

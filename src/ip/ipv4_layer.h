@@ -22,8 +22,6 @@ enum class IpVerdict {
   kNotTcp,
 };
 
-const char* IpVerdictName(IpVerdict v);
-
 class Ipv4Layer {
  public:
   // Registers an address as local (one per NIC, typically).
@@ -33,16 +31,8 @@ class Ipv4Layer {
   // re-checksummed IP header, so they pass the same checks).
   IpVerdict Validate(const SkBuff& skb) const;
 
-  struct Stats {
-    uint64_t accepted = 0;
-    uint64_t rejected = 0;
-  };
-  IpVerdict ValidateAndCount(const SkBuff& skb);
-  const Stats& stats() const { return stats_; }
-
  private:
   std::unordered_map<uint32_t, bool> local_;
-  Stats stats_;
 };
 
 // Destination-address → NIC index map.

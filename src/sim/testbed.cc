@@ -27,7 +27,14 @@ constexpr size_t kMaxMss = size_t{std::numeric_limits<uint16_t>::max()} - kIpv4M
                            kTcpMinHeaderSize - kTcpMaxOptionBytes;
 static_assert(kMaxMss <= kMaxPatternView);
 
-void AddLinkErrors(const LinkConfig& link, std::vector<std::string>& errors) {
+bool MssInRange(uint32_t mss) { return mss >= 1 && mss <= kMaxMss; }
+
+// `name` is the TestbedConfig field holding `link`; no flag sets its rate.
+void AddLinkErrors(const LinkConfig& link, const char* name,
+                   std::vector<std::string>& errors) {
+  if (link.bits_per_second < 1) {
+    errors.push_back(std::string(name) + ".bits_per_second must be >= 1");
+  }
   const std::pair<double, const char*> probabilities[] = {
       {link.drop_probability, "--drop must be between 0 and 1"},
       {link.reorder_probability, "--reorder must be between 0 and 1"},
@@ -74,9 +81,10 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config) {
   if (config.stack.aggregation_limit < 1) {
     errors.push_back("--limit must be >= 1");
   }
-  AddLinkErrors(config.link, errors);
+  AddLinkErrors(config.link, "TestbedConfig.link", errors);
   if (config.client_to_server_link) {
-    AddLinkErrors(*config.client_to_server_link, errors);
+    AddLinkErrors(*config.client_to_server_link, "TestbedConfig.client_to_server_link",
+                  errors);
   }
   if (config.num_nics < 1 || config.num_nics > kMaxNics) {
     errors.push_back("--nics must be between 1 and " + std::to_string(kMaxNics));
@@ -94,7 +102,7 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config,
     errors.push_back("--conns-per-nic must be at most " +
                      std::to_string(kMaxConnectionsPerNic));
   }
-  if (options.client_mss < 1 || options.client_mss > kMaxMss) {
+  if (!MssInRange(options.client_mss)) {
     errors.push_back("--mss must be between 1 and " + std::to_string(kMaxMss));
   }
   AddWindowErrors(options.warmup, options.measure, errors);
@@ -105,6 +113,23 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config,
                                       const Testbed::LatencyOptions& options) {
   std::vector<std::string> errors = ConfigErrors(config);
   AddWindowErrors(options.warmup, options.measure, errors);
+  if (options.message_size < 1) {
+    errors.push_back("LatencyOptions.message_size must be >= 1");
+  }
+  return errors;
+}
+
+std::vector<std::string> ConfigErrors(const TestbedConfig& config,
+                                      const Testbed::TransferOptions& options) {
+  std::vector<std::string> errors = ConfigErrors(config);
+  if (options.flows < 1 || options.flows > kMaxConnectionsPerNic) {
+    errors.push_back("TransferOptions.flows must be between 1 and " +
+                     std::to_string(kMaxConnectionsPerNic));
+  }
+  if (!MssInRange(options.client_mss)) {
+    errors.push_back("TransferOptions.client_mss must be between 1 and " +
+                     std::to_string(kMaxMss));
+  }
   return errors;
 }
 
@@ -213,6 +238,14 @@ TcpConnectionConfig Testbed::ClientConnectionConfig(size_t nic_index, uint16_t c
   c.delayed_acks = config_.stack.delayed_acks;
   c.initial_seq = static_cast<uint32_t>(1000 + nic_index * 77777 + client_port * 131);
   return c;
+}
+
+void Testbed::ListenOnEveryShard(
+    uint16_t port, const std::function<void(NetworkStack&, TcpConnection&)>& on_accept) {
+  for (size_t c = 0; c < host_.num_cores(); ++c) {
+    NetworkStack& shard = host_.stack(c);
+    shard.Listen(port, [&shard, on_accept](TcpConnection& conn) { on_accept(shard, conn); });
+  }
 }
 
 StreamResult Testbed::RunStream(const StreamOptions& options) {
@@ -331,20 +364,13 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
 
 LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
   CheckValid(ConfigErrors(config_, options));
-  // Echo server: respond to every delivered byte with an equal-sized reply. Each
-  // shard installs the handler through itself so the charge lands on the owning
-  // core's account.
-  const auto install_echo = [](NetworkStack& shard) {
-    return [&shard](TcpConnection& conn) {
-      shard.SetConnectionDataHandler(conn, [&conn](std::span<const uint8_t> data) {
-        std::vector<uint8_t> reply(data.size(), 0x42);
-        conn.Send(reply);
-      });
-    };
-  };
-  for (size_t c = 0; c < host_.num_cores(); ++c) {
-    host_.stack(c).Listen(options.server_port, install_echo(host_.stack(c)));
-  }
+  // Echo server: respond to every delivered byte with an equal-sized reply.
+  ListenOnEveryShard(options.server_port, [](NetworkStack& shard, TcpConnection& conn) {
+    shard.SetConnectionDataHandler(conn, [&conn](std::span<const uint8_t> data) {
+      std::vector<uint8_t> reply(data.size(), 0x42);
+      conn.Send(reply);
+    });
+  });
 
   // Client: one transaction outstanding at all times; per-transaction round-trip
   // times are sampled for the latency distribution.
@@ -393,6 +419,27 @@ LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
     result.max_us = samples->back();
   }
   return result;
+}
+
+std::vector<PatternCheck> Testbed::RunTransfer(const TransferOptions& options) {
+  CheckValid(ConfigErrors(config_, options));
+  // Shared with the data handlers, which outlive this call.
+  auto delivered = std::make_shared<std::vector<PatternCheck>>(options.flows);
+  ListenOnEveryShard(kTransferPort, [delivered](NetworkStack& shard, TcpConnection& conn) {
+    PatternCheck& flow = delivered->at(conn.config().remote_port - kFirstClientPort);
+    shard.SetConnectionDataHandler(
+        conn, [&flow](std::span<const uint8_t> data) { flow.Feed(data); });
+  });
+  for (size_t f = 0; f < options.flows; ++f) {
+    TcpConnectionConfig conn_config = ClientConnectionConfig(
+        0, static_cast<uint16_t>(kFirstClientPort + f), kTransferPort);
+    conn_config.mss = options.client_mss;
+    TcpConnection* client = remotes_[0]->CreateConnection(conn_config);
+    client->Connect();
+    client->SendSynthetic(options.bytes_per_flow);
+  }
+  loop_.RunUntil(options.deadline);
+  return *delivered;
 }
 
 }  // namespace tcprx

@@ -27,6 +27,7 @@
 #include "src/sim/trace.h"
 #include "src/smp/multicore_host.h"
 #include "src/stack/network_stack.h"
+#include "src/tcp/send_stream.h"
 #include "src/util/event_loop.h"
 
 namespace tcprx {
@@ -149,7 +150,25 @@ class Testbed {
   };
   LatencyResult RunLatency(const LatencyOptions& options);
 
+  // A bulk transfer on NIC 0: client f sends `bytes_per_flow` bytes of the synthetic
+  // pattern from port kFirstClientPort + f to kTransferPort, and the loop runs until
+  // `deadline`. Every shard listens, so any core count works. Returns each flow's
+  // delivered stream, by flow; the clients stay readable through remote(0).
+  static constexpr uint16_t kTransferPort = 5001;
+  struct TransferOptions {
+    size_t flows = 1;
+    uint64_t bytes_per_flow = 1'000'000;
+    uint32_t client_mss = 1448;
+    SimTime deadline = SimTime::FromSeconds(20);
+  };
+  std::vector<PatternCheck> RunTransfer(const TransferOptions& options);
+
  private:
+  // Every shard listens on `port` and hands each connection it accepts to
+  // `on_accept` with itself, so what the handler installs charges the owning core.
+  void ListenOnEveryShard(
+      uint16_t port, const std::function<void(NetworkStack&, TcpConnection&)>& on_accept);
+
   TestbedConfig config_;
   EventLoop loop_;
   MulticoreHost host_;
@@ -161,15 +180,18 @@ class Testbed {
 
 // Every bound that a Testbed, or a part it builds, imposes on its configuration,
 // checked in one place. Returns one line per violation, worded with the tcprx_sim flag
-// that sets the field ("--mss must be between 1 and 65455"), and an empty list,
-// without allocating, when there is none. The constructor refuses a config that fails
-// the first overload, and RunStream and RunLatency refuse options that fail the
-// others, each stopping with the first message.
+// that sets the field ("--mss must be between 1 and 65455"), or with the field's name
+// where no flag sets it, and an empty list, without allocating, when there is none.
+// The constructor refuses a config that fails the first overload, and RunStream,
+// RunLatency and RunTransfer refuse options that fail the others, each stopping with
+// the first message.
 std::vector<std::string> ConfigErrors(const TestbedConfig& config);
 std::vector<std::string> ConfigErrors(const TestbedConfig& config,
                                       const Testbed::StreamOptions& options);
 std::vector<std::string> ConfigErrors(const TestbedConfig& config,
                                       const Testbed::LatencyOptions& options);
+std::vector<std::string> ConfigErrors(const TestbedConfig& config,
+                                      const Testbed::TransferOptions& options);
 
 }  // namespace tcprx
 

@@ -161,7 +161,7 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
 
   // IP layer.
   charger_.Charge(Routine::kIpRcv, costs.ip_rx_per_packet);
-  const IpVerdict verdict = ip_.ValidateAndCount(*skb);
+  const IpVerdict verdict = ip_.Validate(*skb);
   const size_t fragment_frames = 1 + skb->frags.size();
   if (verdict != IpVerdict::kAccept) {
     ++stats_.frames_dropped_ip;

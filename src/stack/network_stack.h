@@ -119,7 +119,6 @@ class NetworkStack : public RxSink {
   Charger& charger() override { return charger_; }
   const CacheModel& cache_model() const { return cache_; }
   const Aggregator* aggregator() const { return aggregator_.get(); }
-  const Ipv4Layer& ip_layer() const { return ip_; }
   PacketPool& packet_pool() { return packet_pool_; }
   uint64_t TakeBatchCycles() override { return charger_.TakeBatchCycles(); }
 

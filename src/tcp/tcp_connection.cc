@@ -477,16 +477,12 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
                       static_cast<size_t>(deliver_end - rcv_nxt_));
   rcv_nxt_ = deliver_end;
   bytes_received_ += deliver_end - old_rcv_nxt;
-  const bool was_empty = rcv_buffer_.empty();
   if (config_.auto_consume) {
     if (on_data_ && !usable.empty()) {
       on_data_(usable);
     }
   } else {
     rcv_buffer_.insert(rcv_buffer_.end(), usable.begin(), usable.end());
-  }
-  if (!config_.auto_consume && was_empty && !rcv_buffer_.empty() && on_readable_) {
-    on_readable_();
   }
 
   // ACK accounting: one ACK per `ack_every` segments (2 with delayed ACKs per
@@ -510,11 +506,7 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
           on_data_(filled);
         }
       } else {
-        const bool empty_before = rcv_buffer_.empty();
         rcv_buffer_.insert(rcv_buffer_.end(), filled.begin(), filled.end());
-        if (empty_before && on_readable_) {
-          on_readable_();
-        }
       }
       // Filling a hole triggers an immediate ACK (RFC 5681 section 4.2).
       pending_acks_->push_back(static_cast<uint32_t>(rcv_nxt_));

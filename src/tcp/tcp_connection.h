@@ -129,8 +129,6 @@ class TcpConnection {
   // bytes, returns the count, and re-opens the advertised window as space frees up.
   size_t Read(std::span<uint8_t> out);
   size_t ReceiveBufferedBytes() const { return rcv_buffer_.size(); }
-  // Invoked when the receive buffer transitions from empty to non-empty.
-  void set_on_readable(std::function<void()> fn) { on_readable_ = std::move(fn); }
 
   // Delivered-in-order payload callback.
   void set_on_data(DataFn fn) { on_data_ = std::move(fn); }
@@ -171,7 +169,6 @@ class TcpConnection {
   RenoController& congestion() { return reno_; }
   const RenoController& congestion() const { return reno_; }
   const RttEstimator& rtt() const { return rtt_; }
-  uint32_t rcv_nxt_wire() const { return static_cast<uint32_t>(rcv_nxt_); }
   // Oracle hook for the differential fuzzer: record the ack number of every pure
   // ACK this connection emits (batched runs flattened), in emission order.
   void EnableAckTrace() { ack_trace_enabled_ = true; }
@@ -266,7 +263,6 @@ class TcpConnection {
 
   // Manual-consume receive buffer and flow-control state.
   std::deque<uint8_t> rcv_buffer_;
-  std::function<void()> on_readable_;
   uint16_t last_advertised_window_ = 0;
   uint64_t out_of_window_dropped_bytes_ = 0;
   uint32_t persist_backoff_ = 0;

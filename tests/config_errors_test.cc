@@ -22,6 +22,7 @@ TEST(ConfigErrors, DefaultsAreValid) {
   EXPECT_EQ(ConfigErrors(config), Errors{});
   EXPECT_EQ(ConfigErrors(config, Testbed::StreamOptions{}), Errors{});
   EXPECT_EQ(ConfigErrors(config, Testbed::LatencyOptions{}), Errors{});
+  EXPECT_EQ(ConfigErrors(config, Testbed::TransferOptions{}), Errors{});
 }
 
 LinkConfig& DataLink(TestbedConfig& config) {
@@ -62,6 +63,10 @@ TEST(ConfigErrors, EachBadFieldGivesItsMessage) {
        }},
       {"--burst-drop-length must be at most --burst-drop-period",
        [](TestbedConfig& c, Options&) { c.link.burst_drop_length = 2; }},
+      {"TestbedConfig.link.bits_per_second must be >= 1",
+       [](TestbedConfig& c, Options&) { c.link.bits_per_second = 0; }},
+      {"TestbedConfig.client_to_server_link.bits_per_second must be >= 1",
+       [](TestbedConfig& c, Options&) { DataLink(c).bits_per_second = 0; }},
       {"--conns-per-nic must be >= 1",
        [](TestbedConfig&, Options& o) { o.connections_per_nic = 0; }},
       {"--conns-per-nic must be at most 55536",
@@ -112,6 +117,25 @@ TEST(ConfigErrors, EveryViolationIsListedConfigFirst) {
             (Errors{"--cores must be >= 1", "--mss must be between 1 and 65455"}));
 }
 
+TEST(ConfigErrors, LatencyRefusesAnEmptyMessage) {
+  Testbed::LatencyOptions options;
+  options.message_size = 0;
+  EXPECT_EQ(ConfigErrors(TestbedConfig{}, options),
+            Errors{"LatencyOptions.message_size must be >= 1"});
+}
+
+TEST(ConfigErrors, TransferBoundsFlowsAndMss) {
+  Testbed::TransferOptions options;
+  options.flows = 0;
+  options.client_mss = 65456;
+  EXPECT_EQ(ConfigErrors(TestbedConfig{}, options),
+            (Errors{"TransferOptions.flows must be between 1 and 55536",
+                    "TransferOptions.client_mss must be between 1 and 65455"}));
+  options.flows = 55536;
+  options.client_mss = 65455;
+  EXPECT_EQ(ConfigErrors(TestbedConfig{}, options), Errors{});
+}
+
 TEST(TestbedDeathTest, RefusesABadConfigWithItsMessage) {
   TestbedConfig config;
   config.num_nics = 300;
@@ -125,6 +149,16 @@ TEST(TestbedDeathTest, RefusesBadOptionsWithTheirMessage) {
   Testbed::StreamOptions options;
   options.client_mss = 70000;
   EXPECT_DEATH(bed.RunStream(options), "--mss must be between 1 and 65455");
+}
+
+TEST(TestbedDeathTest, TransferRefusesABadMss) {
+  TestbedConfig config;
+  config.num_nics = 1;
+  Testbed bed(config);
+  Testbed::TransferOptions options;
+  options.client_mss = 0;
+  EXPECT_DEATH(bed.RunTransfer(options),
+               "TransferOptions.client_mss must be between 1 and 65455");
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// The flagship correctness properties of the paper's optimizations, tested as
-// equivalences between a baseline stack and an optimized stack fed *identical* input:
+// The flagship correctness properties of the paper's optimizations (DESIGN.md
+// section 5), as hand-picked inputs to the differential fuzzer's oracles
+// (src/fuzz/differ.h): each equivalence is a Scenario with an empty fault plan, run
+// through RunScenario like any generated one.
 //
-//  1. ACK-sequence equivalence (sections 3.4.2 + 4.2): same number of ACKs, same ack
-//     numbers, same wire bytes — whether ACKs are generated one by one, batched by
-//     aggregation, or expanded from templates by the driver.
+//  1. ACK-sequence equivalence (sections 3.4.2 + 4.2): same ACKs with and without
+//     aggregation and offload, for any batching pattern.
 //  2. Congestion-window equivalence (section 3.4.1): a sender whose inbound
 //     (piggybacked) ACKs pass through an aggregating receiver sees the exact same
 //     cwnd trace as without aggregation.
@@ -11,126 +12,50 @@
 //     output to the baseline stack.
 //  4. Stream transparency under loss/reordering/duplication (section 3.6), at full
 //     testbed scale with real recovery dynamics.
+//
+// The exact counts behind them (ACKs per segment, dup ACKs per fragment, aggregates
+// per batch) run on the fuzzer's direct-drive harness.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "src/fuzz/differ.h"
+#include "src/fuzz/direct_harness.h"
 #include "src/sim/testbed.h"
-#include "src/stack/network_stack.h"
-#include "src/tcp/send_stream.h"
-#include "tests/test_util.h"
 
 namespace tcprx {
+namespace fuzz {
 namespace {
 
-using testutil::FrameOptions;
-using testutil::MakeFrame;
+constexpr uint32_t kMss = 1448;
 
-// Drives one NetworkStack directly, frame by frame, capturing everything it
-// transmits. Deterministic: no NICs, no links, no CPU clock.
-class StackHarness {
- public:
-  explicit StackHarness(const StackConfig& config)
-      : stack_(std::make_unique<NetworkStack>(
-            config, loop_, [this](int, std::vector<uint8_t> frame) {
-              sent_.push_back(std::move(frame));
-            })) {
-    stack_->AddLocalAddress(testutil::ServerIp(), 0);
-    stack_->AddRoute(testutil::ClientIp(), 0);
-    stack_->Listen(5001, [this](TcpConnection& conn) { server_conn_ = &conn; });
-  }
-
-  void Feed(std::vector<uint8_t> frame) {
-    PacketPtr p = stack_->packet_pool().AllocateMoved(std::move(frame));
-    p->nic_checksum_verified = true;
-    stack_->ReceiveFrame(std::move(p));
-  }
-
-  // Marks the rx queue as drained: work-conserving flush point.
-  void Idle() { stack_->OnReceiveQueueEmpty(); }
-
-  // Performs the server side of the handshake; returns the server's ISS.
-  uint32_t Handshake() {
-    FrameOptions syn;
-    syn.flags = kTcpSyn;
-    syn.seq = 999;  // client ISS
-    syn.ack = 0;
-    Feed(MakeFrame(syn, 0));
-    Idle();
-    // SYN-ACK is the first transmitted frame.
-    EXPECT_EQ(sent_.size(), 1u);
-    auto synack = ParseTcpFrame(sent_.back());
-    EXPECT_TRUE(synack.has_value());
-    const uint32_t server_iss = synack->tcp.seq;
-    FrameOptions ack;
-    ack.seq = 1000;
-    ack.ack = server_iss + 1;
-    Feed(MakeFrame(ack, 0));
-    Idle();
-    sent_.clear();
-    return server_iss;
-  }
-
-  // All pure-ACK ack numbers transmitted so far, in order.
-  std::vector<uint32_t> SentAckNumbers() const {
-    std::vector<uint32_t> acks;
-    for (const auto& frame : sent_) {
-      auto view = ParseTcpFrame(frame);
-      EXPECT_TRUE(view.has_value());
-      if (view->payload_size == 0 && view->tcp.flags == kTcpAck) {
-        acks.push_back(view->tcp.ack);
-      }
-    }
-    return acks;
-  }
-
-  NetworkStack& stack() { return *stack_; }
-  EventLoop& loop() { return loop_; }
-  TcpConnection* server_conn() { return server_conn_; }
-  const std::vector<std::vector<uint8_t>>& sent() const { return sent_; }
-  std::vector<std::vector<uint8_t>>& sent() { return sent_; }
-
- private:
-  EventLoop loop_;
-  std::unique_ptr<NetworkStack> stack_;
-  std::vector<std::vector<uint8_t>> sent_;
-  TcpConnection* server_conn_ = nullptr;
-};
-
-StackConfig BaselineConfig() {
-  StackConfig config = StackConfig::Baseline(SystemType::kNativeUp);
-  return config;
+Scenario Pinned(size_t limit, bool offload, size_t batch, size_t frames) {
+  Scenario scenario;
+  scenario.aggregation_limit = limit;
+  scenario.ack_offload = offload;
+  scenario.batch = batch;
+  scenario.frames = frames;
+  return scenario;
 }
 
-StackConfig OptimizedConfig(size_t limit, bool offload) {
-  StackConfig config = StackConfig::Optimized(SystemType::kNativeUp);
-  config.aggregation_limit = limit;
-  config.ack_offload = offload;
-  return config;
-}
-
-void Feed(StackHarness& harness, const FrameOptions& options) {
-  harness.Feed(MakeFrame(options, 1448));
-}
-
-// Feeds `total` in-sequence MTU data frames in batches of `batch`, calling Idle()
-// between batches (the aggregator's flush points).
-void FeedDataFrames(StackHarness& harness, uint32_t server_iss, size_t total, size_t batch) {
-  uint32_t seq = 1000;
-  size_t fed = 0;
-  while (fed < total) {
-    for (size_t i = 0; i < batch && fed < total; ++i, ++fed) {
-      FrameOptions options;
-      options.seq = seq;
-      options.ack = server_iss + 1;
-      options.ts_value = 500 + static_cast<uint32_t>(fed / 50);
-      Feed(harness, options);
-      seq += 1448;
-    }
-    harness.Idle();
+void ExpectPasses(const Scenario& scenario) {
+  for (const std::string& failure : RunScenario(scenario).failures) {
+    ADD_FAILURE() << scenario.Describe() << ": " << failure;
   }
+}
+
+// `count` full segments of flow 0 from stream offset `offset`.
+std::vector<WireFrame> FullSegments(uint32_t offset, size_t count, uint32_t ts_value) {
+  std::vector<WireFrame> frames;
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t seq = kFirstDataSeq + offset + static_cast<uint32_t>(i) * kMss;
+    frames.push_back(DataFrame(0, seq, 0, kMss, ts_value));
+  }
+  return frames;
 }
 
 class AckEquivalenceTest : public ::testing::TestWithParam<std::tuple<size_t, bool, size_t>> {
@@ -138,22 +63,7 @@ class AckEquivalenceTest : public ::testing::TestWithParam<std::tuple<size_t, bo
 
 TEST_P(AckEquivalenceTest, AckSequencesMatchBaseline) {
   const auto [limit, offload, batch] = GetParam();
-
-  StackHarness baseline(BaselineConfig());
-  const uint32_t iss_a = baseline.Handshake();
-  FeedDataFrames(baseline, iss_a, 60, /*batch=*/1);
-
-  StackHarness optimized(OptimizedConfig(limit, offload));
-  const uint32_t iss_b = optimized.Handshake();
-  FeedDataFrames(optimized, iss_b, 60, batch);
-
-  // Same server ISS generator => ack numbers are directly comparable.
-  ASSERT_EQ(iss_a, iss_b);
-  const auto acks_a = baseline.SentAckNumbers();
-  const auto acks_b = optimized.SentAckNumbers();
-  EXPECT_EQ(acks_a, acks_b);
-  // 60 full segments, delayed ACK every second one: exactly 30 ACKs.
-  EXPECT_EQ(acks_a.size(), 30u);
+  ExpectPasses(Pinned(limit, offload, batch, 60));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -169,90 +79,50 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Equivalence, LimitOneIsByteIdenticalToBaseline) {
-  StackHarness baseline(BaselineConfig());
-  const uint32_t iss_a = baseline.Handshake();
-  FeedDataFrames(baseline, iss_a, 40, 1);
-
-  StackHarness limit1(OptimizedConfig(1, true));
-  const uint32_t iss_b = limit1.Handshake();
-  FeedDataFrames(limit1, iss_b, 40, 5);
-
-  ASSERT_EQ(iss_a, iss_b);
-  ASSERT_EQ(baseline.sent().size(), limit1.sent().size());
-  for (size_t i = 0; i < baseline.sent().size(); ++i) {
-    EXPECT_EQ(baseline.sent()[i], limit1.sent()[i]) << "frame " << i;
-  }
+  ExpectPasses(Pinned(1, true, 5, 40));
 }
 
 TEST(Equivalence, CwndTraceIdenticalUnderAggregation) {
-  // Bidirectional case: the server sends bulk data; the client's data segments carry
-  // piggybacked ACKs for it. With aggregation those segments coalesce, and only the
-  // per-fragment ACK replay of section 3.4.1 keeps the server's congestion window
-  // evolution identical.
-  auto run = [](const StackConfig& config, size_t batch) {
-    StackHarness harness(config);
-    const uint32_t server_iss = harness.Handshake();
-    TcpConnection* server = harness.server_conn();
-    EXPECT_NE(server, nullptr);
-    server->congestion().EnableTrace();
-    server->SendSynthetic(UINT64_MAX / 4);
-    harness.loop().RunUntil(harness.loop().Now() + SimDuration::FromMillis(1));
-
-    uint32_t client_seq = 1000;
-    uint32_t acked = 0;
-    for (int round = 0; round < 30; ++round) {
-      // Ack whatever the server has sent so far, in 1448-byte steps spread over the
-      // batch of data frames we feed back.
-      const uint64_t outstanding = server->snd_nxt_ext() - (server_iss + 1);
-      for (size_t i = 0; i < batch; ++i) {
-        if (acked + 1448 <= outstanding) {
-          acked += 1448;
-        }
-        FrameOptions options;
-        options.seq = client_seq;
-        options.ack = server_iss + 1 + acked;
-        options.ts_value = 600 + static_cast<uint32_t>(round);
-        client_seq += 1448;
-        harness.Feed(MakeFrame(options, 1448));
-      }
-      harness.Idle();
-      harness.loop().RunUntil(harness.loop().Now() + SimDuration::FromMicros(100));
-    }
-    return server->congestion().trace();
-  };
-
+  // The server sends bulk data; the client's data segments carry piggybacked ACKs for
+  // it. With aggregation those segments coalesce, and only the per-fragment ACK replay
+  // of section 3.4.1 keeps the server's congestion window evolution identical. 28
+  // batches of frames make 30 rounds.
   for (const size_t batch : {4u, 10u, 20u}) {
-    const auto baseline_trace = run(BaselineConfig(), batch);
-    const auto optimized_trace = run(OptimizedConfig(20, true), batch);
-    EXPECT_EQ(baseline_trace, optimized_trace) << "batch " << batch;
-    EXPECT_GT(baseline_trace.size(), 20u);  // the trace actually recorded growth
+    Scenario scenario = Pinned(20, true, batch, 28 * batch);
+    scenario.bidirectional = true;
+    ExpectPasses(scenario);
+  }
+}
+
+TEST(Equivalence, SixtyFullSegmentsDrawThirtyAcks) {
+  // Delayed ACKs: one ACK per second full segment, however the segments aggregate.
+  for (const bool optimized : {false, true}) {
+    DirectHarness harness(optimized ? StackConfig::Optimized(SystemType::kNativeUp)
+                                    : StackConfig::Baseline(SystemType::kNativeUp),
+                          1);
+    harness.HandshakeAll();
+    harness.Drive(FullSegments(0, 60, 500), optimized ? 20 : 1);
+    EXPECT_EQ(harness.SentAcksPerFlow()[0].size(), 30u)
+        << (optimized ? "optimized" : "baseline");
   }
 }
 
 TEST(Equivalence, DuplicateAcksPreservedPerFragmentForFastRetransmit) {
   // An out-of-order aggregated packet must produce one dup ACK per constituent
   // fragment (so the sender's 3-dup-ack threshold fires as without aggregation).
-  StackHarness optimized(OptimizedConfig(20, true));
-  const uint32_t iss = optimized.Handshake();
+  DirectHarness optimized(StackConfig::Optimized(SystemType::kNativeUp), 1);
+  optimized.HandshakeAll();
 
   // First 2 in-order frames, then skip one MSS and feed 4 in-sequence frames beyond
-  // the hole in one batch.
-  FeedDataFrames(optimized, iss, 2, 2);
-  optimized.sent().clear();
-  uint32_t seq = 1000 + 2 * 1448 + 1448;  // hole of one MSS
-  for (int i = 0; i < 4; ++i) {
-    FrameOptions options;
-    options.seq = seq;
-    options.ack = iss + 1;
-    options.ts_value = 600;  // not older than the in-order data (PAWS would drop)
-    optimized.Feed(MakeFrame(options, 1448));
-    seq += 1448;
-  }
-  optimized.Idle();
-  const auto acks = optimized.SentAckNumbers();
-  ASSERT_EQ(acks.size(), 4u);  // one dup ACK per fragment
-  for (const uint32_t ack : acks) {
-    EXPECT_EQ(ack, 1000u + 2 * 1448);  // all pointing at the hole
+  // the hole in one batch (timestamps not older than the in-order data, or PAWS
+  // would drop them).
+  optimized.Drive(FullSegments(0, 2, 500), 2);
+  const size_t acks_before = optimized.SentAcksPerFlow()[0].size();
+  optimized.Drive(FullSegments(3 * kMss, 4, 600), 4);
+  const std::vector<uint32_t> acks = optimized.SentAcksPerFlow()[0];
+  ASSERT_EQ(acks.size() - acks_before, 4u);  // one dup ACK per fragment
+  for (size_t i = acks_before; i < acks.size(); ++i) {
+    EXPECT_EQ(acks[i], kFirstDataSeq + 2 * kMss);  // all pointing at the hole
   }
 }
 
@@ -273,28 +143,22 @@ TEST(Equivalence, StreamTransparentUnderLossReorderDuplication) {
     config.client_to_server_link = lossy;
 
     Testbed bed(config);
-    PatternCheck delivered;
-    bed.stack().Listen(5001, [&](TcpConnection& conn) {
-      bed.stack().SetConnectionDataHandler(
-          conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
-    });
-    TcpConnection* client =
-        bed.remote(0).CreateConnection(bed.ClientConnectionConfig(0, 10000, 5001));
-    client->Connect();
-    constexpr uint64_t kTotal = 3'000'000;
-    client->SendSynthetic(kTotal);
-    bed.loop().RunUntil(SimTime::FromSeconds(20));
+    Testbed::TransferOptions transfer;
+    transfer.bytes_per_flow = 3'000'000;
+    const PatternCheck delivered = bed.RunTransfer(transfer)[0];
 
     EXPECT_EQ(delivered.first_mismatch, std::nullopt) << (optimized ? "optimized" : "baseline");
-    EXPECT_EQ(delivered.bytes, kTotal) << (optimized ? "optimized" : "baseline");
-    EXPECT_GT(client->segments_retransmitted(), 0u) << "loss was actually exercised";
+    EXPECT_EQ(delivered.bytes, transfer.bytes_per_flow)
+        << (optimized ? "optimized" : "baseline");
+    EXPECT_GT(bed.remote(0).connections()[0]->segments_retransmitted(), 0u)
+        << "loss was actually exercised";
   }
 }
 
 TEST(Equivalence, AggregationStatsShowRealCoalescingInBatches) {
-  StackHarness optimized(OptimizedConfig(20, true));
-  const uint32_t iss = optimized.Handshake();
-  FeedDataFrames(optimized, iss, 100, 20);
+  DirectHarness optimized(StackConfig::Optimized(SystemType::kNativeUp), 1);
+  optimized.HandshakeAll();
+  optimized.Drive(FullSegments(0, 100, 500), 20);
   const Aggregator* aggregator = optimized.stack().aggregator();
   ASSERT_NE(aggregator, nullptr);
   EXPECT_EQ(aggregator->stats().aggregates_delivered, 5u);
@@ -304,4 +168,5 @@ TEST(Equivalence, AggregationStatsShowRealCoalescingInBatches) {
 }
 
 }  // namespace
+}  // namespace fuzz
 }  // namespace tcprx

@@ -46,22 +46,29 @@ TEST(IntegrationSmoke, DeliveredBytesMatchSyntheticPattern) {
   // deterministic pattern — with aggregation enabled.
   TestbedConfig config = SmallConfig(true);
   config.stack.fill_tcp_checksums = true;
-  Testbed bed(config);
-
-  PatternCheck delivered;
-  bed.stack().Listen(5001, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(
-        conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
-  });
-
-  TcpConnection* client = bed.remote(0).CreateConnection(
-      bed.ClientConnectionConfig(0, 10000, 5001));
-  client->Connect();
-  client->SendSynthetic(2'000'000);
-
-  bed.loop().RunUntil(SimTime::FromMillis(300));
+  Testbed::TransferOptions transfer;
+  transfer.bytes_per_flow = 2'000'000;
+  transfer.deadline = SimTime::FromMillis(300);
+  const PatternCheck delivered = Testbed(config).RunTransfer(transfer)[0];
   EXPECT_EQ(delivered.first_mismatch, std::nullopt);
   EXPECT_EQ(delivered.bytes, 2'000'000u);
+}
+
+TEST(IntegrationSmoke, TransferDeliversEveryFlowAtFourCoresWithRss) {
+  TestbedConfig config = SmallConfig(true);
+  config.stack.system = SystemType::kNativeSmp;
+  config.smp.num_cores = 4;
+  config.smp.rss.enabled = true;
+  Testbed::TransferOptions transfer;
+  transfer.flows = 8;
+  transfer.bytes_per_flow = 300'000;
+  transfer.deadline = SimTime::FromSeconds(5);
+  const std::vector<PatternCheck> delivered = Testbed(config).RunTransfer(transfer);
+  ASSERT_EQ(delivered.size(), 8u);
+  for (size_t f = 0; f < delivered.size(); ++f) {
+    EXPECT_EQ(delivered[f].first_mismatch, std::nullopt) << "flow " << f;
+    EXPECT_EQ(delivered[f].bytes, 300'000u) << "flow " << f;
+  }
 }
 
 TEST(IntegrationSmoke, LatencyWorkloadCompletesTransactions) {

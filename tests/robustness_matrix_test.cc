@@ -67,21 +67,12 @@ TEST_P(RobustnessMatrixTest, StreamStaysByteExact) {
   faulty.fault_seed = 4242;
   config.client_to_server_link = faulty;
 
-  Testbed bed(config);
-  PatternCheck delivered;
-  bed.stack().Listen(5001, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(
-        conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
-  });
-  TcpConnection* client =
-      bed.remote(0).CreateConnection(bed.ClientConnectionConfig(0, 10000, 5001));
-  client->Connect();
-  constexpr uint64_t kTotal = 1'000'000;
-  client->SendSynthetic(kTotal);
-  bed.loop().RunUntil(SimTime::FromSeconds(30));
+  Testbed::TransferOptions transfer;
+  transfer.deadline = SimTime::FromSeconds(30);
+  const PatternCheck delivered = Testbed(config).RunTransfer(transfer)[0];
 
   EXPECT_EQ(delivered.first_mismatch, std::nullopt);
-  EXPECT_EQ(delivered.bytes, kTotal);
+  EXPECT_EQ(delivered.bytes, transfer.bytes_per_flow);
 }
 
 INSTANTIATE_TEST_SUITE_P(

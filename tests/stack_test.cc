@@ -264,15 +264,12 @@ TEST(Ipv4Layer, VerdictsForGoodAndBadPackets) {
 
   SkBuffPtr good = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 100)));
   ASSERT_NE(good, nullptr);
-  EXPECT_EQ(layer.ValidateAndCount(*good), IpVerdict::kAccept);
+  EXPECT_EQ(layer.Validate(*good), IpVerdict::kAccept);
 
   // Corrupt the checksum.
   SkBuffPtr bad = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 100)));
   bad->head->MutableBytes()[14 + 10] ^= 0xff;
   EXPECT_EQ(layer.Validate(*bad), IpVerdict::kBadChecksum);
-
-  EXPECT_EQ(layer.stats().accepted, 1u);
-  EXPECT_EQ(layer.stats().rejected, 0u);  // Validate (non-counting) used for bad
 }
 
 TEST(Ipv4Layer, EmptyLocalSetAcceptsAnyDestination) {

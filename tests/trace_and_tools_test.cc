@@ -145,22 +145,15 @@ TEST(TestbedFeatures, CorruptionIsDetectedAndRecovered) {
   dirty.fault_seed = 99;
   config.client_to_server_link = dirty;
   Testbed bed(config);
-
-  PatternCheck delivered;
-  bed.stack().Listen(5001, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(
-        conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
-  });
-  TcpConnection* client =
-      bed.remote(0).CreateConnection(bed.ClientConnectionConfig(0, 10000, 5001));
-  client->Connect();
-  client->SendSynthetic(2'000'000);
-  bed.loop().RunUntil(SimTime::FromSeconds(15));
+  Testbed::TransferOptions transfer;
+  transfer.bytes_per_flow = 2'000'000;
+  transfer.deadline = SimTime::FromSeconds(15);
+  const PatternCheck delivered = bed.RunTransfer(transfer)[0];
 
   EXPECT_EQ(delivered.first_mismatch, std::nullopt);
   EXPECT_EQ(delivered.bytes, 2'000'000u);
   EXPECT_GT(bed.nic(0).stats().rx_csum_bad, 0u) << "corruption was actually injected";
-  EXPECT_GT(client->segments_retransmitted(), 0u);
+  EXPECT_GT(bed.remote(0).connections()[0]->segments_retransmitted(), 0u);
 }
 
 TEST(TestbedFeatures, HardwareLroAmortizesDriver) {
