@@ -104,11 +104,13 @@ BENCHMARK(BM_AggregatorPushChain)->Arg(1)->Arg(4)->Arg(20);
 
 void BM_TemplateAckExpand(benchmark::State& state) {
   const size_t n_acks = static_cast<size_t>(state.range(0));
+  std::vector<uint32_t> extra_acks;
+  for (size_t i = 1; i < n_acks; ++i) {
+    extra_acks.push_back(100000 + static_cast<uint32_t>(i) * 2896);
+  }
   TcpOutputItem tmpl;
   tmpl.frame = MakeDataFrame(1, 100000, 0);
-  for (size_t i = 1; i < n_acks; ++i) {
-    tmpl.extra_acks.push_back(100000 + static_cast<uint32_t>(i) * 2896);
-  }
+  tmpl.extra_acks = extra_acks;
   for (auto _ : state) {
     // The expander consumes its item, so each pass starts from a copy of the template.
     ExpandTemplateAck(tmpl, [](std::vector<uint8_t> frame) { benchmark::DoNotOptimize(frame); });

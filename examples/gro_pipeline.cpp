@@ -100,9 +100,10 @@ int main() {
   first_ack_spec.tcp.ack = 2897;
   first_ack_spec.tcp.flags = kTcpAck;
   first_ack_spec.tcp.window = 65535;
+  const uint32_t extra_acks[] = {5793, 8689};
   TcpOutputItem tmpl;
   tmpl.frame = BuildTcpFrame(first_ack_spec);
-  tmpl.extra_acks = {5793, 8689};
+  tmpl.extra_acks = extra_acks;
   std::printf("template: 1 stack traversal stands for %zu ACKs\n",
               1 + tmpl.extra_acks.size());
   ExpandTemplateAck(std::move(tmpl), [](std::vector<uint8_t> frame) {

@@ -1,6 +1,9 @@
 #include "src/buffer/packet.h"
 
+#include <utility>
+
 #include "src/util/logging.h"
+#include "src/wire/frame_buffer.h"
 
 namespace tcprx {
 
@@ -46,7 +49,10 @@ PacketPtr PacketPool::Allocate(std::span<const uint8_t> frame) {
 
 PacketPtr PacketPool::AllocateMoved(std::vector<uint8_t>&& frame) {
   PacketPtr p = Take();
-  p->data = std::move(frame);
+  // The packet keeps the frame's bytes; the buffer it held before goes back to be
+  // written again.
+  std::swap(p->data, frame);
+  RecycleFrameBuffer(std::move(frame));
   p->Parse();
   return p;
 }

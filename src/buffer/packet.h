@@ -71,7 +71,8 @@ class PacketPool {
   // Returns a packet whose data holds a copy of `frame`.
   PacketPtr Allocate(std::span<const uint8_t> frame);
 
-  // Returns a packet that takes ownership of `frame` without copying.
+  // Returns a packet that takes ownership of `frame` without copying. The buffer the
+  // recycled packet held before goes back to the frame-buffer free list.
   PacketPtr AllocateMoved(std::vector<uint8_t>&& frame);
 
   struct Stats {

@@ -1,8 +1,57 @@
 #include "src/buffer/skbuff.h"
 
 #include "src/util/logging.h"
+#include "src/util/poison.h"
 
 namespace tcprx {
+
+namespace {
+
+// More than the SkBuffs a host keeps in its aggregation tables and backlog queues at once.
+constexpr size_t kMaxCachedSkBuffs = 256;
+
+// A recycled SkBuff and the storage of its two vectors are poisoned while they wait.
+void Poison(SkBuff* skb) {
+  PoisonRecycled(skb->frags.data(), skb->frags.capacity() * sizeof(PacketPtr));
+  PoisonRecycled(skb->fragment_info.data(), skb->fragment_info.capacity() * sizeof(FragmentInfo));
+  PoisonRecycled(skb, sizeof(SkBuff));
+}
+
+void Unpoison(SkBuff* skb) {
+  UnpoisonRecycled(skb, sizeof(SkBuff));
+  UnpoisonRecycled(skb->frags.data(), skb->frags.capacity() * sizeof(PacketPtr));
+  UnpoisonRecycled(skb->fragment_info.data(),
+                   skb->fragment_info.capacity() * sizeof(FragmentInfo));
+}
+
+struct FreeList {
+  FreeList() { skbs.reserve(kMaxCachedSkBuffs); }
+  ~FreeList() {
+    for (SkBuff* skb : skbs) {
+      Unpoison(skb);
+      delete skb;
+    }
+  }
+  std::vector<SkBuff*> skbs;
+};
+
+// tcprx_bench runs its points on worker threads: each keeps its own list.
+thread_local FreeList free_list;
+
+}  // namespace
+
+void SkBuffRecycler::operator()(SkBuff* skb) const {
+  if (free_list.skbs.size() == kMaxCachedSkBuffs) {
+    delete skb;
+    return;
+  }
+  skb->fragment_info.clear();
+  skb->csum_verified = false;
+  skb->frags.clear();
+  skb->head.reset();
+  Poison(skb);
+  free_list.skbs.push_back(skb);
+}
 
 size_t SkBuff::PayloadSize() const {
   size_t total = view().payload_size;
@@ -38,7 +87,14 @@ SkBuffPtr SkBuff::Wrap(PacketPtr frame) {
   if (!frame->view.has_value()) {
     return nullptr;
   }
-  auto skb = std::make_unique<SkBuff>();
+  SkBuffPtr skb;
+  if (free_list.skbs.empty()) {
+    skb.reset(new SkBuff());
+  } else {
+    skb.reset(free_list.skbs.back());
+    free_list.skbs.pop_back();
+    Unpoison(skb.get());
+  }
   skb->csum_verified = frame->nic_checksum_verified;
   skb->head = std::move(frame);
   return skb;

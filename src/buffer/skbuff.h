@@ -7,6 +7,10 @@
 // metadata the modified TCP layer needs (ack numbers for congestion control, segment
 // boundaries for ACK generation) rides in `fragment_info`, exactly as the paper stores
 // it "in the packet metadata structure (sk_buff)".
+//
+// SkBuffs are recycled: SkBuffPtr's deleter clears one and keeps it, with the capacity
+// of its vectors, for the next Wrap on the same thread, the way Linux keeps sk_buff heads
+// in a slab cache.
 
 #ifndef SRC_BUFFER_SKBUFF_H_
 #define SRC_BUFFER_SKBUFF_H_
@@ -29,6 +33,16 @@ struct FragmentInfo {
   uint16_t window = 0;       // the fragment's advertised window
   uint32_t payload_len = 0;  // payload bytes in this fragment
 };
+
+struct SkBuff;
+
+// Deleter of SkBuffPtr: returns the SkBuff to this thread's free list (or frees it when
+// the list is full).
+struct SkBuffRecycler {
+  void operator()(SkBuff* skb) const;
+};
+
+using SkBuffPtr = std::unique_ptr<SkBuff, SkBuffRecycler>;
 
 struct SkBuff {
   // The frame whose headers describe this host packet. For aggregated packets the
@@ -64,12 +78,10 @@ struct SkBuff {
   // parses (that would be an aggregation-engine bug).
   void ReparseHead();
 
-  // Builds an SkBuff around `frame`. Returns nullptr when the frame is not a TCP/IPv4
-  // packet (the caller then routes it off the TCP path).
-  static std::unique_ptr<SkBuff> Wrap(PacketPtr frame);
+  // Builds an SkBuff around `frame`, reusing a recycled one. Returns nullptr when the
+  // frame is not a TCP/IPv4 packet (the caller then routes it off the TCP path).
+  static SkBuffPtr Wrap(PacketPtr frame);
 };
-
-using SkBuffPtr = std::unique_ptr<SkBuff>;
 
 }  // namespace tcprx
 

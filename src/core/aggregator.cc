@@ -107,24 +107,33 @@ void Aggregator::Push(PacketPtr frame) {
     return;
   }
 
-  auto it = table_.find(key);
-  if (it != table_.end()) {
-    if (TryAppend(it->second, frame)) {
-      if (it->second.skb->fragment_info.size() >= config_.aggregation_limit) {
+  const size_t at = Find(key);
+  if (at < table_.size()) {
+    Partial& partial = table_[at].second;
+    if (TryAppend(partial, frame)) {
+      if (partial.skb->fragment_info.size() >= config_.aggregation_limit) {
         ++stats_.limit_flushes;
-        Finalize(key);
+        Finalize(at);
       }
       return;
     }
     // Doesn't chain: deliver the partial, then start fresh with this packet.
     ++stats_.mismatch_flushes;
-    Finalize(key);
+    Finalize(at);
   }
   StartPartial(key, std::move(frame));
   if (config_.aggregation_limit == 1) {
     ++stats_.limit_flushes;
-    Finalize(key);
+    Finalize(table_.size() - 1);
   }
+}
+
+size_t Aggregator::Find(const FlowKey& key) const {
+  size_t at = 0;
+  while (at < table_.size() && table_[at].first != key) {
+    ++at;
+  }
+  return at;
 }
 
 void Aggregator::StartPartial(const FlowKey& key, PacketPtr frame) {
@@ -135,8 +144,7 @@ void Aggregator::StartPartial(const FlowKey& key, PacketPtr frame) {
   partial.skb->fragment_info.push_back(FragmentInfo{
       view.tcp.seq, view.tcp.ack, view.tcp.window, static_cast<uint32_t>(view.payload_size)});
 
-  table_.emplace(key, std::move(partial));
-  flow_order_.push_back(key);
+  table_.emplace_back(key, std::move(partial));
 }
 
 bool Aggregator::TryAppend(Partial& partial, PacketPtr& frame) {
@@ -229,16 +237,9 @@ void Aggregator::RewriteAggregateHeader(Partial& partial) {
   skb.ReparseHead();
 }
 
-void Aggregator::Finalize(const FlowKey& key) {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    return;
-  }
-  Partial partial = std::move(it->second);
-  table_.erase(it);
-  auto pos = std::find(flow_order_.begin(), flow_order_.end(), key);
-  TCPRX_CHECK(pos != flow_order_.end());
-  flow_order_.erase(pos);
+void Aggregator::Finalize(size_t at) {
+  Partial partial = std::move(table_[at].second);
+  table_.erase(table_.begin() + static_cast<std::ptrdiff_t>(at));
 
   if (partial.skb->fragment_info.size() == 1) {
     // A lone packet is delivered unmodified; drop the metadata so the TCP layer treats
@@ -258,16 +259,17 @@ void Aggregator::DeliverSkb(SkBuffPtr skb) {
 }
 
 void Aggregator::FlushFlow(const FlowKey& key) {
-  if (table_.find(key) != table_.end()) {
+  const size_t at = Find(key);
+  if (at < table_.size()) {
     ++stats_.idle_flushes;
-    Finalize(key);
+    Finalize(at);
   }
 }
 
 void Aggregator::FlushAll() {
-  while (!flow_order_.empty()) {
+  while (!table_.empty()) {
     ++stats_.idle_flushes;
-    Finalize(flow_order_.front());
+    Finalize(0);
   }
 }
 

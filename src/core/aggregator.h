@@ -27,7 +27,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/buffer/packet.h"
@@ -109,17 +109,22 @@ class Aggregator {
   };
   Eligibility CheckEligibility(const Packet& frame) const;
 
+  // The table index of `key`'s partial aggregate, or table_.size() when it has none.
+  size_t Find(const FlowKey& key) const;
   void StartPartial(const FlowKey& key, PacketPtr frame);
   bool TryAppend(Partial& partial, PacketPtr& frame);
-  void Finalize(const FlowKey& key);
+  // Removes the partial at table index `at` and delivers it.
+  void Finalize(size_t at);
   void RewriteAggregateHeader(Partial& partial);
   void DeliverSkb(SkBuffPtr skb);
 
   AggregatorConfig config_;
   DeliverFn deliver_;
   DeliverRawFn deliver_raw_;
-  std::unordered_map<FlowKey, Partial, FlowKeyHash> table_;
-  std::vector<FlowKey> flow_order_;  // insertion order, for deterministic flushes
+  // One entry per flow with a partial aggregate, in insertion order, so flushes are
+  // deterministic. Only flows seen since the last flush are here, a handful at a time:
+  // a linear search beats hashing, and the table's storage is reused from flush to flush.
+  std::vector<std::pair<FlowKey, Partial>> table_;
   Stats stats_;
 };
 

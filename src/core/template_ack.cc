@@ -3,6 +3,7 @@
 #include "src/util/byte_order.h"
 #include "src/util/checksum.h"
 #include "src/util/logging.h"
+#include "src/wire/frame_buffer.h"
 
 namespace tcprx {
 
@@ -22,9 +23,9 @@ void ExpandTemplateAck(TcpOutputItem item,
     return;
   }
   TCPRX_CHECK_MSG(IsPureAck(item), "template ACK must be a pure ACK");
-  emit(item.frame);
+  emit(CopyFrame(item.frame));
   for (size_t i = 0; i + 1 < item.extra_acks.size(); ++i) {
-    std::vector<uint8_t> copy = item.frame;
+    std::vector<uint8_t> copy = CopyFrame(item.frame);
     RewriteAckNumber(copy, kTcpFrameHeaderOffset, item.extra_acks[i]);
     emit(std::move(copy));
   }

@@ -33,7 +33,8 @@ bool IsPureAck(const TcpOutputItem& item);
 // Emits the frames an output item stands for, in ack order: first the item's own
 // frame byte for byte, then one copy per `extra_acks` entry with the TCP ack number
 // rewritten and the checksum patched incrementally (zero checksums — tx offload — stay
-// zero). Aborts if an item with extra acks is not a pure ACK.
+// zero). Copies are made in recycled frame buffers, and the last frame of a run is the
+// item's own. Aborts if an item with extra acks is not a pure ACK.
 void ExpandTemplateAck(TcpOutputItem item,
                        const std::function<void(std::vector<uint8_t>)>& emit);
 

@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <utility>
 
+#include "src/wire/frame_buffer.h"
+
 namespace tcprx {
 
 void SimplexLink::Send(std::vector<uint8_t> frame) {
@@ -18,10 +20,12 @@ void SimplexLink::Send(std::vector<uint8_t> frame) {
           config_.burst_drop_period - config_.burst_drop_length) {
     // Bursts land at the end of each period so connection setup always survives.
     ++frames_dropped_;
+    RecycleFrameBuffer(std::move(frame));
     return;
   }
   if (config_.drop_probability > 0 && fault_rng_.NextBool(config_.drop_probability)) {
     ++frames_dropped_;
+    RecycleFrameBuffer(std::move(frame));
     return;
   }
   uint64_t wire_bytes = frame.size();
@@ -56,7 +60,7 @@ void SimplexLink::Send(std::vector<uint8_t> frame) {
     // The copy reserves its slot first, as when it was sent first; the original, due
     // 1 ns earlier, goes on the wire first so it is the one a wakeup waits for.
     const EventLoop::Slot copy_slot = loop_.Reserve(arrival + SimDuration::FromNanos(1));
-    std::vector<uint8_t> copy = frame;
+    std::vector<uint8_t> copy = CopyFrame(frame);
     Enqueue(loop_.Reserve(arrival), std::move(frame));
     Enqueue(copy_slot, std::move(copy));
     return;

@@ -364,49 +364,54 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
 
 LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
   CheckValid(ConfigErrors(config_, options));
-  // Echo server: respond to every delivered byte with an equal-sized reply.
+  // Echo server: respond to every delivered byte with an equal-sized reply, written
+  // from one buffer per connection.
   ListenOnEveryShard(options.server_port, [](NetworkStack& shard, TcpConnection& conn) {
-    shard.SetConnectionDataHandler(conn, [&conn](std::span<const uint8_t> data) {
-      std::vector<uint8_t> reply(data.size(), 0x42);
-      conn.Send(reply);
-    });
+    shard.SetConnectionDataHandler(
+        conn, [&conn, reply = std::vector<uint8_t>()](std::span<const uint8_t> data) mutable {
+          reply.assign(data.size(), 0x42);
+          conn.Send(reply);
+        });
   });
 
-  // Client: one transaction outstanding at all times; per-transaction round-trip
-  // times are sampled for the latency distribution.
+  // Client: one transaction outstanding at all times, every request sent from one
+  // buffer; the round-trip times of the measurement window are sampled for the latency
+  // distribution.
   TcpConnection* client = remotes_[0]->CreateConnection(
       ClientConnectionConfig(0, 20001, options.server_port));
   const size_t message_size = options.message_size;
+  const auto request = std::make_shared<const std::vector<uint8_t>>(message_size, 0x21);
   auto transactions = std::make_shared<uint64_t>(0);
   auto pending_bytes = std::make_shared<size_t>(0);
   auto sent_at = std::make_shared<SimTime>();
+  auto measuring = std::make_shared<bool>(false);
   auto samples = std::make_shared<std::vector<double>>();
   EventLoop* loop = &loop_;
 
-  client->set_on_data([client, transactions, pending_bytes, sent_at, samples, loop,
-                       message_size](std::span<const uint8_t> data) {
+  client->set_on_data([client, request, transactions, pending_bytes, sent_at, measuring,
+                       samples, loop, message_size](std::span<const uint8_t> data) {
     *pending_bytes += data.size();
     while (*pending_bytes >= message_size) {
       *pending_bytes -= message_size;
       ++*transactions;
-      samples->push_back(
-          static_cast<double>((loop->Now() - *sent_at).nanos()) / 1000.0);
-      const std::vector<uint8_t> request(message_size, 0x21);
+      if (*measuring) {
+        samples->push_back(static_cast<double>((loop->Now() - *sent_at).nanos()) / 1000.0);
+      }
       *sent_at = loop->Now();
-      client->Send(request);
+      client->Send(*request);
     }
   });
-  client->set_on_established([client, sent_at, loop, message_size] {
-    const std::vector<uint8_t> request(message_size, 0x21);
+  client->set_on_established([client, request, sent_at, loop] {
     *sent_at = loop->Now();
-    client->Send(request);
+    client->Send(*request);
   });
   client->Connect();
 
   loop_.RunUntil(options.warmup);
   const uint64_t before = *transactions;
-  samples->clear();
+  *measuring = true;
   loop_.RunUntil(options.warmup + options.measure);
+  *measuring = false;
 
   LatencyResult result;
   result.transactions = *transactions - before;

@@ -139,7 +139,7 @@ size_t TcpConnection::Read(std::span<uint8_t> out) {
   if (n > 0 && CurrentWindow() > window_before &&
       (state_ == TcpState::kEstablished || state_ == TcpState::kFinWait1 ||
        state_ == TcpState::kFinWait2)) {
-    EmitPureAcks({static_cast<uint32_t>(rcv_nxt_)});
+    EmitAck();
   }
   return n;
 }
@@ -157,6 +157,9 @@ void TcpConnection::Close() {
 // ---------------------------------------------------------------------------
 
 void TcpConnection::OnHostPacket(const SkBuff& skb) {
+  // An open batch is what an output item's extra_acks views: a packet delivered from
+  // inside the output call would overwrite it.
+  TCPRX_CHECK_MSG(pending_acks_.empty(), "OnHostPacket re-entered while an ACK batch is open");
   switch (state_) {
     case TcpState::kClosed:
       return;  // drop silently
@@ -201,7 +204,7 @@ void TcpConnection::ProcessSynSent(const SkBuff& skb) {
   snd_wl2_ = ack;
   rto_timer_.Cancel();
   SetState(TcpState::kEstablished);
-  EmitPureAcks({static_cast<uint32_t>(rcv_nxt_)});
+  EmitAck();
   if (on_established_) {
     on_established_();
   }
@@ -242,7 +245,7 @@ void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
       ts_recent_ != 0 &&
       static_cast<int32_t>(h.timestamp->value - ts_recent_) < 0) {
     ++paws_rejected_;
-    EmitPureAcks({static_cast<uint32_t>(rcv_nxt_)});
+    EmitAck();
     return;
   }
 
@@ -253,7 +256,6 @@ void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
     ts_recent_ = h.timestamp->value;
   }
 
-  std::vector<uint32_t> pending_acks;
   data_sent_in_pass_ = false;
 
   // ---- ACK field processing, per network segment --------------------------------
@@ -288,22 +290,21 @@ void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
 
   // ---- Payload delivery + ACK generation ------------------------------------------
   if (payload_len > 0) {
-    pending_acks_ = &pending_acks;
     DeliverPayload(skb, seg_seq);
-    pending_acks_ = nullptr;
   }
 
   if (h.Has(kTcpFin)) {
     HandleFin(seg_seq + payload_len);
     // A FIN forces an immediate ACK.
     if (rcv_nxt_ == seg_seq + payload_len + 1) {
-      pending_acks.push_back(static_cast<uint32_t>(rcv_nxt_));
+      pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
       segs_since_ack_ = 0;
     }
   }
 
-  if (!pending_acks.empty()) {
-    EmitPureAcks(pending_acks);
+  if (!pending_acks_.empty()) {
+    EmitPureAcks(pending_acks_);
+    pending_acks_.clear();
   }
 
   TrySendData();
@@ -435,7 +436,7 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
     // Entirely duplicate data (a retransmission we already have): ack immediately.
     // The cumulative ACK also covers any odd segment awaiting a delayed ACK.
     ++duplicate_segments_received_;
-    pending_acks_->push_back(static_cast<uint32_t>(rcv_nxt_));
+    pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
     segs_since_ack_ = 0;
     return;
   }
@@ -445,7 +446,7 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
     // fast-retransmit threshold behaves as without aggregation.
     reassembly_.Insert(seg_seq, std::vector<uint8_t>(payload.begin(), payload.end()));
     ++ooo_segments_received_;
-    pending_acks_->push_back(static_cast<uint32_t>(rcv_nxt_));
+    pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
     segs_since_ack_ = 0;  // the dup ACK is cumulative
     return;
   }
@@ -466,7 +467,7 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
     if (deliver_end <= rcv_nxt_) {
       // Nothing fits (zero window): ack with the current (closed) window so the
       // prober learns the state.
-      pending_acks_->push_back(static_cast<uint32_t>(rcv_nxt_));
+      pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
       segs_since_ack_ = 0;
       return;
     }
@@ -490,7 +491,7 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
   const uint32_t ack_every = config_.delayed_acks ? 2 : 1;
   ++segs_since_ack_;
   if (segs_since_ack_ >= ack_every) {
-    pending_acks_->push_back(static_cast<uint32_t>(rcv_nxt_));
+    pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
     segs_since_ack_ = 0;
   }
 
@@ -509,7 +510,7 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
         rcv_buffer_.insert(rcv_buffer_.end(), filled.begin(), filled.end());
       }
       // Filling a hole triggers an immediate ACK (RFC 5681 section 4.2).
-      pending_acks_->push_back(static_cast<uint32_t>(rcv_nxt_));
+      pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
       segs_since_ack_ = 0;
     }
   }
@@ -597,12 +598,17 @@ void TcpConnection::EmitSyn(bool with_ack) {
   ArmRto();
 }
 
-void TcpConnection::EmitPureAcks(const std::vector<uint32_t>& ack_values) {
+void TcpConnection::EmitAck() {
+  const uint32_t ack = static_cast<uint32_t>(rcv_nxt_);
+  EmitPureAcks({&ack, 1});
+}
+
+void TcpConnection::EmitPureAcks(std::span<const uint32_t> ack_values) {
   TCPRX_CHECK(!ack_values.empty());
   TcpOutputItem item;
   item.frame =
       BuildSegment(static_cast<uint32_t>(snd_nxt_), ack_values.front(), kTcpAck, {});
-  item.extra_acks.assign(ack_values.begin() + 1, ack_values.end());
+  item.extra_acks = ack_values.subspan(1);
   acks_emitted_ += ack_values.size();
   if (ack_trace_enabled_) {
     ack_trace_.insert(ack_trace_.end(), ack_values.begin(), ack_values.end());
@@ -829,7 +835,7 @@ void TcpConnection::OnDelayedAckFired() {
     return;
   }
   segs_since_ack_ = 0;
-  EmitPureAcks({static_cast<uint32_t>(rcv_nxt_)});
+  EmitAck();
 }
 
 }  // namespace tcprx

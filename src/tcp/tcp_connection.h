@@ -97,9 +97,13 @@ struct TcpConnectionConfig {
 // (the precondition for Acknowledgment Offload). Such an item is the template ACK of
 // section 4.2; ExpandTemplateAck (src/core/template_ack.h) turns any item into the
 // frames it stands for.
+//
+// `extra_acks` views the connection's own ACK batch and is valid only during the
+// OutputFn call that receives the item: expand the item inside that call, or copy the
+// ack numbers out. The batch is reused by the connection's next receive pass.
 struct TcpOutputItem {
   std::vector<uint8_t> frame;
-  std::vector<uint32_t> extra_acks;
+  std::span<const uint32_t> extra_acks;
   size_t payload_size = 0;  // TCP payload bytes in `frame`
 };
 
@@ -203,7 +207,11 @@ class TcpConnection {
 
   // --- output helpers ---
   void EmitSyn(bool with_ack);
-  void EmitPureAcks(const std::vector<uint32_t>& ack_values);
+  // Emits one pure ACK of rcv_nxt_.
+  void EmitAck();
+  // Emits a run of pure ACKs as one output item, whose extra_acks view `ack_values`
+  // past the first.
+  void EmitPureAcks(std::span<const uint32_t> ack_values);
   void EmitDataSegment(uint64_t seq, uint32_t len, bool fin, bool retransmit);
   std::vector<uint8_t> BuildSegment(uint32_t seq, uint32_t ack, uint8_t flags,
                                     std::span<const uint8_t> payload);
@@ -272,10 +280,10 @@ class TcpConnection {
   RttEstimator rtt_;
   uint32_t rto_backoff_ = 0;
 
-  // ACK bookkeeping. `pending_acks_` points to the per-pass batch being assembled
-  // while DeliverPayload runs.
+  // ACK bookkeeping. `pending_acks_` is the batch one receive pass assembles; it is
+  // emitted as one output item and cleared at the end of the pass, keeping its storage.
   uint32_t segs_since_ack_ = 0;
-  std::vector<uint32_t>* pending_acks_ = nullptr;
+  std::vector<uint32_t> pending_acks_;
   bool data_sent_in_pass_ = false;
   // TCP timers. SetState(kClosed) cancels the RTO and TIME_WAIT ones.
   EventLoop::Timer rto_timer_;

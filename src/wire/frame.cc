@@ -4,6 +4,7 @@
 
 #include "src/util/byte_order.h"
 #include "src/util/logging.h"
+#include "src/wire/frame_buffer.h"
 
 namespace tcprx {
 
@@ -90,8 +91,7 @@ std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
   uint8_t* options_end = std::copy(options.begin(), options.end(), th + kTcpMinHeaderSize);
   std::fill(options_end, th + tcp_size, uint8_t{kTcpOptEnd});
 
-  std::vector<uint8_t> frame;
-  frame.reserve(kTcpFrameHeaderOffset + tcp_size + payload.size());
+  std::vector<uint8_t> frame = TakeFrameBuffer(kTcpFrameHeaderOffset + tcp_size + payload.size());
   frame.assign(head, th + tcp_size);
   frame.insert(frame.end(), payload.begin(), payload.end());
 

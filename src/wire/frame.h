@@ -88,11 +88,12 @@ struct TcpSegmentFields {
   uint16_t urgent_pointer = 0;
 };
 
-// Writes one frame from `tmpl`: copies the prefix, patches the IPv4 total length and
-// `ip_id`, finishes the IPv4 checksum from the template's partial sum, stores the TCP
-// fields and `options` (padded with END bytes to a 4-byte boundary, which sets the data
-// offset) and appends `payload`. The TCP checksum is computed when `fill_tcp_checksum`
-// is set and left zero otherwise, modelling a sender whose NIC would fill it in.
+// Writes one frame from `tmpl` into a recycled buffer (src/wire/frame_buffer.h): copies
+// the prefix, patches the IPv4 total length and `ip_id`, finishes the IPv4 checksum from
+// the template's partial sum, stores the TCP fields and `options` (padded with END bytes
+// to a 4-byte boundary, which sets the data offset) and appends `payload`. The TCP
+// checksum is computed when `fill_tcp_checksum` is set and left zero otherwise,
+// modelling a sender whose NIC would fill it in.
 std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
                                    const TcpSegmentFields& tcp,
                                    std::span<const uint8_t> options,

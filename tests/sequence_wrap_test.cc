@@ -109,9 +109,10 @@ TEST(SequenceWrap, AckNumbersWrapInTemplates) {
   FrameOptions options;
   options.seq = 5000;
   options.ack = 0xfffffa00u;
+  const uint32_t extra_acks[] = {0xfffffa00u + 2896, 0xfffffa00u + 5792};  // wraps
   TcpOutputItem item;
   item.frame = MakeFrame(options, 0);
-  item.extra_acks = {0xfffffa00u + 2896, 0xfffffa00u + 5792};  // wraps
+  item.extra_acks = extra_acks;
   std::vector<std::vector<uint8_t>> frames;
   ExpandTemplateAck(std::move(item),
                     [&frames](std::vector<uint8_t> frame) { frames.push_back(std::move(frame)); });

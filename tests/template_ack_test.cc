@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "src/core/aggregator.h"
 #include "src/core/template_ack.h"
 #include "src/util/byte_order.h"
 #include "src/wire/frame.h"
+#include "src/wire/frame_buffer.h"
 #include "tests/test_util.h"
 
 namespace tcprx {
@@ -29,16 +33,6 @@ std::vector<uint8_t> MakeAckFrame(uint32_t ack, bool fill_checksum = true) {
   return MakeFrame(options, 0);
 }
 
-// A template ACK as the TCP layer hands it down: the first ACK fully built plus the
-// ack numbers of the rest of the run.
-TcpOutputItem MakeTemplate(uint32_t first_ack, std::vector<uint32_t> extras,
-                           bool fill_checksum = true) {
-  TcpOutputItem item;
-  item.frame = MakeAckFrame(first_ack, fill_checksum);
-  item.extra_acks = std::move(extras);
-  return item;
-}
-
 // The frames the driver puts on the wire for `item`, in order.
 std::vector<std::vector<uint8_t>> Expand(TcpOutputItem item) {
   std::vector<std::vector<uint8_t>> frames;
@@ -47,48 +41,86 @@ std::vector<std::vector<uint8_t>> Expand(TcpOutputItem item) {
   return frames;
 }
 
+// Expands a template ACK as the TCP layer hands it down: the first ACK fully built plus
+// the ack numbers of the rest of the run, which the item views.
+std::vector<std::vector<uint8_t>> ExpandTemplate(uint32_t first_ack,
+                                                 const std::vector<uint32_t>& extras,
+                                                 bool fill_checksum = true) {
+  TcpOutputItem item;
+  item.frame = MakeAckFrame(first_ack, fill_checksum);
+  item.extra_acks = extras;
+  return Expand(std::move(item));
+}
+
+// A server connection past its handshake, fed host packets directly. Its output items
+// go to `on_output`.
+struct EstablishedServer {
+  EstablishedServer()
+      : server(Config(), loop, [this](TcpOutputItem item) { on_output(std::move(item)); }) {
+    server.Listen();
+    FrameOptions syn;
+    syn.seq = 999;
+    syn.ack = 0;
+    syn.flags = kTcpSyn;
+    Deliver(MakeFrame(syn, 0));
+    Deliver(MakeFrame(Data(0), 0));
+  }
+
+  static TcpConnectionConfig Config() {
+    TcpConnectionConfig config;
+    config.local_ip = ServerIp();
+    config.remote_ip = ClientIp();
+    config.local_port = 5001;
+    config.remote_port = 10000;
+    config.local_mac = ServerMac();
+    config.remote_mac = ClientMac();
+    return config;
+  }
+
+  // The client's segment `index`, 1448 bytes each after the handshake.
+  FrameOptions Data(uint32_t index) const {
+    FrameOptions options;
+    options.seq = 1000 + index * 1448;
+    options.ack = Config().initial_seq + 1;
+    return options;
+  }
+
+  void Deliver(std::vector<uint8_t> frame) {
+    SkBuffPtr skb = SkBuff::Wrap(ToPacket(pool, std::move(frame)));
+    TCPRX_CHECK(skb != nullptr);
+    server.OnHostPacket(*skb);
+  }
+
+  // Four in-sequence segments as one aggregate: the connection owes two ACKs.
+  void DeliverAggregateOfFour() {
+    Aggregator aggregator(AggregatorConfig{},
+                          [this](SkBuffPtr skb) { server.OnHostPacket(*skb); });
+    for (uint32_t i = 0; i < 4; ++i) {
+      aggregator.Push(ToPacket(pool, MakeFrame(Data(i), 1448)));
+    }
+    aggregator.FlushAll();
+  }
+
+  EventLoop loop;
+  PacketPool pool;
+  std::function<void(TcpOutputItem)> on_output = [](TcpOutputItem) {};
+  TcpConnection server;
+};
+
 TEST(TemplateAck, BuildCarriesExtraAcks) {
   // The TCP layer builds the template: an aggregated packet of four segments owes two
   // ACKs (one per two segments), and they leave the connection as one output item.
-  EventLoop loop;
-  TcpConnectionConfig config;
-  config.local_ip = ServerIp();
-  config.remote_ip = ClientIp();
-  config.local_port = 5001;
-  config.remote_port = 10000;
-  config.local_mac = ServerMac();
-  config.remote_mac = ClientMac();
+  EstablishedServer t;
+  ASSERT_EQ(t.server.state(), TcpState::kEstablished);
+  // An item's extra_acks live only for the output call: keep a copy of them.
   std::vector<TcpOutputItem> out;
-  TcpConnection server(config, loop,
-                       [&out](TcpOutputItem item) { out.push_back(std::move(item)); });
-  PacketPool pool;
-  const auto deliver = [&](std::vector<uint8_t> frame) {
-    SkBuffPtr skb = SkBuff::Wrap(ToPacket(pool, std::move(frame)));
-    ASSERT_NE(skb, nullptr);
-    server.OnHostPacket(*skb);
+  std::vector<std::vector<uint32_t>> out_extra_acks;
+  t.on_output = [&](TcpOutputItem item) {
+    out_extra_acks.emplace_back(item.extra_acks.begin(), item.extra_acks.end());
+    item.extra_acks = {};
+    out.push_back(std::move(item));
   };
-
-  server.Listen();
-  FrameOptions syn;
-  syn.seq = 999;
-  syn.ack = 0;
-  syn.flags = kTcpSyn;
-  deliver(MakeFrame(syn, 0));
-  FrameOptions ack;
-  ack.seq = 1000;
-  ack.ack = config.initial_seq + 1;
-  deliver(MakeFrame(ack, 0));
-  ASSERT_EQ(server.state(), TcpState::kEstablished);
-
-  Aggregator aggregator(AggregatorConfig{},
-                        [&server](SkBuffPtr skb) { server.OnHostPacket(*skb); });
-  for (uint32_t i = 0; i < 4; ++i) {
-    FrameOptions data = ack;
-    data.seq = 1000 + i * 1448;
-    aggregator.Push(ToPacket(pool, MakeFrame(data, 1448)));
-  }
-  out.clear();
-  aggregator.FlushAll();
+  t.DeliverAggregateOfFour();
 
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].payload_size, 0u);
@@ -96,11 +128,27 @@ TEST(TemplateAck, BuildCarriesExtraAcks) {
   auto view = ParseTcpFrame(out[0].frame);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->tcp.ack, 1000u + 2 * 1448);
-  EXPECT_EQ(out[0].extra_acks, std::vector<uint32_t>{1000u + 4 * 1448});
+  EXPECT_EQ(out_extra_acks[0], std::vector<uint32_t>{1000u + 4 * 1448});
+}
+
+TEST(TemplateAckDeathTest, OutputMayNotReenterTheConnection) {
+  // extra_acks views the connection's ACK batch: a packet delivered to the connection
+  // from inside the output call would overwrite the batch the item still reads.
+  EXPECT_DEATH(
+      {
+        EstablishedServer t;
+        t.on_output = [&t](TcpOutputItem item) {
+          if (!item.extra_acks.empty()) {
+            t.Deliver(MakeFrame(t.Data(4), 1448));
+          }
+        };
+        t.DeliverAggregateOfFour();
+      },
+      "OnHostPacket re-entered while an ACK batch is open");
 }
 
 TEST(TemplateAck, ExpansionCountAndOrder) {
-  const auto frames = Expand(MakeTemplate(1000, {2000, 3000}));
+  const auto frames = ExpandTemplate(1000, {2000, 3000});
   ASSERT_EQ(frames.size(), 3u);
   const uint32_t expected[] = {1000, 2000, 3000};
   for (size_t i = 0; i < frames.size(); ++i) {
@@ -113,7 +161,7 @@ TEST(TemplateAck, ExpansionCountAndOrder) {
 TEST(TemplateAck, ExpandedAcksAreByteIdenticalToIndividuallyBuiltOnes) {
   // The central correctness property of Acknowledgment Offload: the driver-expanded
   // ACKs must be indistinguishable from ACKs the TCP layer would have built itself.
-  const auto expanded = Expand(MakeTemplate(5552, {7000, 8448, 9896}));
+  const auto expanded = ExpandTemplate(5552, {7000, 8448, 9896});
   ASSERT_EQ(expanded.size(), 4u);
 
   const uint32_t all_acks[] = {5552, 7000, 8448, 9896};
@@ -123,8 +171,31 @@ TEST(TemplateAck, ExpandedAcksAreByteIdenticalToIndividuallyBuiltOnes) {
   }
 }
 
+TEST(TemplateAck, ExpansionIntoRecycledBuffersIsByteIdentical) {
+  // The template and its copies are written into recycled buffers that last held full
+  // data frames; none of their old bytes may survive into an ACK.
+  std::vector<std::vector<uint8_t>> stale(4);
+  std::vector<const uint8_t*> recycled;
+  for (std::vector<uint8_t>& buffer : stale) {
+    buffer = TakeFrameBuffer();
+    buffer.assign(kFrameBufferCapacity, 0xab);
+    recycled.push_back(buffer.data());
+  }
+  for (std::vector<uint8_t>& buffer : stale) {
+    RecycleFrameBuffer(std::move(buffer));
+  }
+  const auto expanded = ExpandTemplate(5552, {7000, 8448, 9896});
+  ASSERT_EQ(expanded.size(), 4u);
+  const uint32_t all_acks[] = {5552, 7000, 8448, 9896};
+  for (size_t i = 0; i < expanded.size(); ++i) {
+    EXPECT_EQ(expanded[i], MakeAckFrame(all_acks[i])) << "ack #" << i;
+    EXPECT_NE(std::find(recycled.begin(), recycled.end(), expanded[i].data()), recycled.end())
+        << "ack #" << i << " is not in a recycled buffer";
+  }
+}
+
 TEST(TemplateAck, ExpandedChecksumsVerify) {
-  for (const auto& frame : Expand(MakeTemplate(1, {123456, 999999}))) {
+  for (const auto& frame : ExpandTemplate(1, {123456, 999999})) {
     auto view = ParseTcpFrame(frame);
     ASSERT_TRUE(view.has_value());
     const size_t seg_len = view->ip.total_length - view->ip.HeaderSize();
@@ -136,7 +207,7 @@ TEST(TemplateAck, ExpandedChecksumsVerify) {
 
 TEST(TemplateAck, ZeroChecksumStaysZero) {
   // Tx checksum offload: the driver leaves the field for the NIC.
-  const auto frames = Expand(MakeTemplate(100, {200}, /*fill_checksum=*/false));
+  const auto frames = ExpandTemplate(100, {200}, /*fill_checksum=*/false);
   ASSERT_EQ(frames.size(), 2u);
   for (const auto& frame : frames) {
     auto view = ParseTcpFrame(frame);
@@ -146,7 +217,7 @@ TEST(TemplateAck, ZeroChecksumStaysZero) {
 }
 
 TEST(TemplateAck, EmptyExtrasExpandsToJustTheTemplate) {
-  const auto frames = Expand(MakeTemplate(42, {}));
+  const auto frames = ExpandTemplate(42, {});
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0], MakeAckFrame(42));
 
@@ -197,17 +268,18 @@ TEST(TemplateAck, RepeatedRewritesStayValid) {
 
 TEST(TemplateAckDeathTest, RejectsNonAckTemplate) {
   // Only a run of pure ACKs differs in nothing but the ack number.
+  const uint32_t one_more[] = {1};
   TcpOutputItem data;
   data.frame = MakeFrame(FrameOptions{}, 100);
   data.payload_size = 100;
-  data.extra_acks = {1};
+  data.extra_acks = one_more;
   EXPECT_DEATH(Expand(data), "pure ACK");
 
   FrameOptions fin_options;
   fin_options.flags = kTcpAck | kTcpFin;
   TcpOutputItem fin;
   fin.frame = MakeFrame(fin_options, 0);
-  fin.extra_acks = {1};
+  fin.extra_acks = one_more;
   EXPECT_DEATH(Expand(fin), "pure ACK");
 }
 

@@ -9,6 +9,7 @@
 #include "src/util/rng.h"
 #include "src/wire/ethernet.h"
 #include "src/wire/frame.h"
+#include "src/wire/frame_buffer.h"
 #include "src/wire/ipv4.h"
 #include "src/wire/tcp.h"
 #include "tests/test_util.h"
@@ -573,6 +574,35 @@ TEST(FrameWriter, MatchesTheSerializersByteForByte) {
       }
     }
   }
+}
+
+TEST(FrameWriter, WritesIntoRecycledBuffersAsIntoFreshOnes) {
+  const TcpFrameTemplate tmpl =
+      MakeTcpFrameTemplate(testutil::ServerMac(), testutil::ClientMac(), testutil::ServerIp(),
+                           testutil::ClientIp(), 5001, 10000);
+  const WriterCase ack{"ack", {0x10000001, 0xfffffff1, kTcpAck, 512},
+                       TimestampOption(0x01020304, 0x05060708), 0};
+  const std::vector<uint8_t> fresh = ReferenceFrame(ack, 7, {}, true);
+  ASSERT_EQ(fresh.size(), 66u);
+
+  // A full-MTU data frame whose bytes the ACK written after it must not inherit.
+  const std::vector<uint8_t> payload(kMssWithTimestamps, 0xab);
+  std::vector<uint8_t> data = WriteTcpFrame(tmpl, 6, ack.fields, ack.options, payload, true);
+  ASSERT_EQ(data.size(), kFrameBufferCapacity);
+  const uint8_t* data_storage = data.data();
+  RecycleFrameBuffer(std::move(data));
+
+  std::vector<uint8_t> written = WriteTcpFrame(tmpl, 7, ack.fields, ack.options, {}, true);
+  EXPECT_EQ(written.data(), data_storage);  // the writer took the recycled buffer
+  EXPECT_EQ(written, fresh);
+
+  // And a buffer that last held an ACK takes a full-MTU frame without growing.
+  EXPECT_GE(written.capacity(), kFrameBufferCapacity);
+  const uint8_t* ack_storage = written.data();
+  RecycleFrameBuffer(std::move(written));
+  data = WriteTcpFrame(tmpl, 8, ack.fields, ack.options, payload, true);
+  EXPECT_EQ(data.data(), ack_storage);
+  EXPECT_EQ(data.size(), kFrameBufferCapacity);
 }
 
 TEST(FrameWriter, BuildTcpFrameWritesFromTheSpecsTemplate) {
