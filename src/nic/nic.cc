@@ -1,6 +1,5 @@
 #include "src/nic/nic.h"
 
-#include "src/util/byte_order.h"
 #include "src/util/logging.h"
 #include "src/wire/raw_view.h"
 
@@ -20,17 +19,8 @@ void SimulatedNic::DeliverFromWire(std::vector<uint8_t> frame) {
   PacketPtr p = pool_.AllocateMoved(std::move(frame));
 
   if (config_.rx_checksum_offload && p->view.has_value()) {
-    // The offload engine verifies the TCP checksum in hardware. A zero checksum field
-    // models a sender whose own NIC filled it on the wire (tx offload); the simulation
-    // skips materializing it and trusts the frame.
-    const TcpFrameView& view = *p->view;
-    const uint16_t wire_csum = LoadBe16(p->Bytes().data() + view.tcp_offset + 16);
-    bool good = true;
-    if (wire_csum != 0) {
-      const size_t seg_len = view.ip.total_length - view.ip.HeaderSize();
-      good = VerifyTcpChecksum(view.ip.src, view.ip.dst,
-                               p->Bytes().subspan(view.tcp_offset, seg_len));
-    }
+    // The offload engine verifies the TCP checksum in hardware.
+    const bool good = VerifyFrameTcpChecksum(p->Bytes(), *p->view);
     p->nic_checksum_verified = good;
     if (good) {
       ++stats_.rx_csum_good;

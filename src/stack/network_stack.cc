@@ -1,7 +1,6 @@
 #include "src/stack/network_stack.h"
 
 #include "src/core/template_ack.h"
-#include "src/util/byte_order.h"
 #include "src/util/logging.h"
 
 namespace tcprx {
@@ -216,16 +215,9 @@ bool NetworkStack::VerifyHostPacketChecksum(const SkBuff& skb) const {
   if (!skb.frags.empty()) {
     return true;
   }
-  const TcpFrameView& view = skb.view();
-  const uint16_t wire_csum = LoadBe16(skb.head->Bytes().data() + view.tcp_offset + 16);
-  if (wire_csum == 0) {
-    return true;  // tx checksum offload on the sender side: field not filled in sim
-  }
-  const size_t seg_len = view.ip.total_length - view.ip.HeaderSize();
   // tcprx-check: allow(charge) -- the per-byte cost is billed by the caller, which
   // charges cache_.ChecksumCycles(segment_bytes) ("csum_partial") for this verify.
-  return VerifyTcpChecksum(view.ip.src, view.ip.dst,
-                           skb.head->Bytes().subspan(view.tcp_offset, seg_len));
+  return VerifyFrameTcpChecksum(skb.head->Bytes(), skb.view());
 }
 
 void NetworkStack::SendReset(const SkBuff& skb) {
@@ -283,7 +275,6 @@ TcpConnection* NetworkStack::AcceptNew(const SkBuff& skb) {
   conn_config.remote_port = h.src_port;
   conn_config.local_mac = view.eth.dst;
   conn_config.remote_mac = view.eth.src;
-  conn_config.recv_window = config_.recv_window;
   conn_config.delayed_acks = config_.delayed_acks;
   conn_config.sack = config_.sack;
   conn_config.initial_seq = next_iss_;

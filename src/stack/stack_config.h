@@ -50,7 +50,6 @@ struct StackConfig {
   bool debug_coalesce_fragment_acks = false;  // drop per-fragment ACK replay metadata
   bool debug_skip_idle_flush = false;         // break the work-conserving flush (3.5)
 
-  uint32_t recv_window = 65535;
   // Applied to accepted (passive-open) connections.
   bool delayed_acks = true;
   bool sack = false;

@@ -9,6 +9,11 @@ namespace tcprx {
 namespace {
 constexpr SimDuration kDelayedAckTimeout = SimDuration::FromMillis(40);
 constexpr SimDuration kTimeWaitDuration = SimDuration::FromMillis(1000);
+// The window every segment advertises: the largest an unscaled 16-bit field holds.
+// Delivered data is consumed at once, so the window is always fully open, and no
+// workload needs a larger one: window scaling is never offered, and a peer's offer
+// gets the unscaled answer RFC 7323 requires.
+constexpr uint16_t kReceiveWindow = 65535;
 }  // namespace
 
 const char* TcpStateName(TcpState s) {
@@ -46,7 +51,6 @@ TcpConnection::TcpConnection(const TcpConnectionConfig& config, EventLoop& loop,
       reno_(config.mss),
       rto_timer_(loop, [this] { OnRtoFired(); }),
       delack_timer_(loop, [this] { OnDelayedAckFired(); }),
-      persist_timer_(loop, [this] { OnPersistFired(); }),
       time_wait_timer_(loop, [this] { SetState(TcpState::kClosed); }),
       frame_template_(MakeTcpFrameTemplate(config.local_mac, config.remote_mac,
                                            config.local_ip, config.remote_ip,
@@ -82,25 +86,6 @@ uint32_t TcpConnection::NowTsMs() const {
   return static_cast<uint32_t>(loop_.Now().nanos() / 1'000'000) + 1;
 }
 
-uint16_t TcpConnection::CurrentWindow() const {
-  // In auto-consume mode (the benchmark behaviour) the window stays fully open; in
-  // manual-consume mode it tracks free buffer space, with receiver-side silly-window
-  // avoidance (RFC 1122 4.2.3.3): never advertise a dribble, advertise zero until at
-  // least min(MSS, buffer/2) opens up. With negotiated window scaling the field
-  // carries the window right-shifted by our own scale factor (RFC 7323).
-  uint32_t avail = config_.recv_window;
-  if (!config_.auto_consume) {
-    const uint32_t buffered = static_cast<uint32_t>(rcv_buffer_.size());
-    avail = buffered >= config_.recv_window ? 0 : config_.recv_window - buffered;
-    const uint32_t sws_floor = std::min<uint32_t>(config_.mss, config_.recv_window / 2);
-    if (avail < sws_floor) {
-      avail = 0;
-    }
-  }
-  const uint8_t shift = window_scaling_active_ ? config_.window_scale : 0;
-  return static_cast<uint16_t>(std::min<uint32_t>(avail >> shift, 0xffff));
-}
-
 // ---------------------------------------------------------------------------
 // Application interface
 // ---------------------------------------------------------------------------
@@ -124,24 +109,6 @@ void TcpConnection::Send(std::span<const uint8_t> data) {
 void TcpConnection::SendSynthetic(uint64_t total_bytes) {
   send_stream_.SetSynthetic(total_bytes);
   TrySendData();
-}
-
-size_t TcpConnection::Read(std::span<uint8_t> out) {
-  TCPRX_CHECK_MSG(!config_.auto_consume, "Read() requires auto_consume = false");
-  const uint16_t window_before = CurrentWindow();
-  const size_t n = std::min(out.size(), rcv_buffer_.size());
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = rcv_buffer_.front();
-    rcv_buffer_.pop_front();
-  }
-  // Window-update ACK when reading re-opened a window the peer believes is smaller
-  // (in particular after advertising zero).
-  if (n > 0 && CurrentWindow() > window_before &&
-      (state_ == TcpState::kEstablished || state_ == TcpState::kFinWait1 ||
-       state_ == TcpState::kFinWait2)) {
-    EmitAck();
-  }
-  return n;
 }
 
 void TcpConnection::Close() {
@@ -214,19 +181,12 @@ void TcpConnection::ProcessSynSent(const SkBuff& skb) {
 void TcpConnection::AdoptPeerSyn(const TcpHeader& h) {
   irs_ = h.seq;
   rcv_nxt_ = irs_ + 1;
-  if (h.mss.has_value()) {
-    peer_mss_ = *h.mss;
-  }
   peer_uses_timestamps_ = h.timestamp.has_value();
   if (h.timestamp.has_value()) {
     ts_recent_ = h.timestamp->value;
   }
-  if (h.window_scale.has_value() && config_.window_scale > 0) {
-    window_scaling_active_ = true;
-    peer_window_scale_ = *h.window_scale;
-  }
   peer_sack_ = h.sack_permitted && config_.sack;
-  snd_wnd_ = h.window;  // windows in SYN segments are never scaled (RFC 7323)
+  snd_wnd_ = h.window;
   snd_wl1_ = irs_;
 }
 
@@ -314,15 +274,11 @@ void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
   }
 }
 
-void TcpConnection::ProcessAckField(uint64_t ack, uint32_t window, uint64_t seg_seq,
+void TcpConnection::ProcessAckField(uint64_t ack, uint16_t window, uint64_t seg_seq,
                                     bool has_payload) {
   if (ack > snd_nxt_) {
     return;  // acks data we never sent; ignore
   }
-  // The wire window field is scaled when RFC 7323 window scaling was negotiated; all
-  // comparisons below are against the scaled value.
-  const uint64_t scaled_window = static_cast<uint64_t>(window)
-                                 << (window_scaling_active_ ? peer_window_scale_ : 0);
   if (ack > snd_una_) {
     const uint64_t newly = ack - snd_una_;
     snd_una_ = ack;
@@ -333,7 +289,6 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint32_t window, uint64_t seg_
     }
     scoreboard_.ClearBelow(snd_una_);
     rto_backoff_ = 0;
-    persist_backoff_ = 0;
 
     // Karn-sampled RTT measurement.
     if (rtt_probe_armed_ && ack >= rtt_probe_seq_) {
@@ -378,7 +333,7 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint32_t window, uint64_t seg_
     }
   } else if (ack == snd_una_) {
     // Duplicate ACK per RFC 5681: no payload, outstanding data, window unchanged.
-    if (!has_payload && snd_nxt_ > snd_una_ && scaled_window == snd_wnd_) {
+    if (!has_payload && snd_nxt_ > snd_una_ && window == snd_wnd_) {
       ++dup_acks_received_;
       if (reno_.OnDupAck()) {
         recover_ = snd_nxt_;
@@ -392,9 +347,9 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint32_t window, uint64_t seg_
     }
   }
 
-  // RFC 793 window update rule (scaled per RFC 7323 when negotiated).
+  // RFC 793 window update rule. Neither side scales, so the field is the window.
   if (snd_wl1_ < seg_seq || (snd_wl1_ == seg_seq && snd_wl2_ <= ack)) {
-    snd_wnd_ = scaled_window;
+    snd_wnd_ = window;
     snd_wl1_ = seg_seq;
     snd_wl2_ = ack;
   }
@@ -430,7 +385,6 @@ void TcpConnection::DeliverPayload(const SkBuff& skb, uint64_t seg_seq) {
 
 void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t seg_seq) {
   const uint64_t seg_end = seg_seq + payload.size();
-  const uint64_t old_rcv_nxt = rcv_nxt_;
 
   if (seg_end <= rcv_nxt_) {
     // Entirely duplicate data (a retransmission we already have): ack immediately.
@@ -451,39 +405,12 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
     return;
   }
 
-  // In-order (possibly overlapping the left edge). In manual-consume mode, trim the
-  // segment to the space the advertised window allows (a correct peer never exceeds
-  // it; window probes deliberately do).
-  uint64_t deliver_end = seg_end;
-  if (!config_.auto_consume) {
-    const uint64_t window_limit =
-        rcv_nxt_ + (config_.recv_window > rcv_buffer_.size()
-                        ? config_.recv_window - rcv_buffer_.size()
-                        : 0);
-    if (deliver_end > window_limit) {
-      out_of_window_dropped_bytes_ += deliver_end - window_limit;
-      deliver_end = window_limit;
-    }
-    if (deliver_end <= rcv_nxt_) {
-      // Nothing fits (zero window): ack with the current (closed) window so the
-      // prober learns the state.
-      pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
-      segs_since_ack_ = 0;
-      return;
-    }
-  }
-  const uint64_t skip = rcv_nxt_ - seg_seq;
-  std::span<const uint8_t> usable =
-      payload.subspan(static_cast<size_t>(skip),
-                      static_cast<size_t>(deliver_end - rcv_nxt_));
-  rcv_nxt_ = deliver_end;
-  bytes_received_ += deliver_end - old_rcv_nxt;
-  if (config_.auto_consume) {
-    if (on_data_ && !usable.empty()) {
-      on_data_(usable);
-    }
-  } else {
-    rcv_buffer_.insert(rcv_buffer_.end(), usable.begin(), usable.end());
+  // In order, possibly overlapping the left edge: deliver the new bytes at once.
+  const std::span<const uint8_t> usable = payload.subspan(static_cast<size_t>(rcv_nxt_ - seg_seq));
+  rcv_nxt_ = seg_end;
+  bytes_received_ += usable.size();
+  if (on_data_) {
+    on_data_(usable);
   }
 
   // ACK accounting: one ACK per `ack_every` segments (2 with delayed ACKs per
@@ -502,12 +429,8 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
     if (popped > 0) {
       rcv_nxt_ += popped;
       bytes_received_ += popped;
-      if (config_.auto_consume) {
-        if (on_data_) {
-          on_data_(filled);
-        }
-      } else {
-        rcv_buffer_.insert(rcv_buffer_.end(), filled.begin(), filled.end());
+      if (on_data_) {
+        on_data_(filled);
       }
       // Filling a hole triggers an immediate ACK (RFC 5681 section 4.2).
       pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
@@ -558,11 +481,6 @@ std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uin
     options.push_back(4);
     options.push_back(static_cast<uint8_t>(config_.mss >> 8));
     options.push_back(static_cast<uint8_t>(config_.mss & 0xff));
-    if (config_.window_scale > 0) {
-      options.push_back(kTcpOptWindowScale);
-      options.push_back(3);
-      options.push_back(config_.window_scale);
-    }
     if (config_.sack) {
       options.push_back(kTcpOptSackPermitted);
       options.push_back(2);
@@ -584,7 +502,7 @@ std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uin
   const uint16_t ip_id = next_ip_id_++;
   // tcprx-check: allow(charge) -- transmit-side serialization; the stack bills the
   // whole tx pass via ChargeTxStackPass when the output item is emitted.
-  return WriteTcpFrame(frame_template_, ip_id, {seq, ack, flags, CurrentWindow()}, options,
+  return WriteTcpFrame(frame_template_, ip_id, {seq, ack, flags, kReceiveWindow}, options,
                        payload, config_.fill_tcp_checksum);
 }
 
@@ -697,44 +615,7 @@ void TcpConnection::TrySendData() {
 
   if (sent) {
     ArmRto();
-  } else if (snd_wnd_ == 0 && snd_una_ == snd_nxt_ &&
-             send_stream_.AvailableFrom(snd_nxt_ - (iss_ + 1)) > 0 &&
-             (state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait)) {
-    // Zero-window deadlock risk: the reopening ACK may never come (it could be
-    // lost, and pure ACKs are not retransmitted). Probe periodically (RFC 1122
-    // 4.2.2.17).
-    ArmPersist();
   }
-}
-
-void TcpConnection::ArmPersist() {
-  if (persist_timer_.armed()) {
-    return;
-  }
-  SimDuration delay = SimDuration::FromMillis(500);
-  for (uint32_t i = 0; i < persist_backoff_ && delay < SimDuration::FromSeconds(60); ++i) {
-    delay = SimDuration::FromNanos(delay.nanos() * 2);
-  }
-  persist_timer_.Arm(delay);
-}
-
-void TcpConnection::OnPersistFired() {
-  if (snd_wnd_ > 0 || snd_una_ != snd_nxt_) {
-    persist_backoff_ = 0;
-    TrySendData();
-    return;
-  }
-  if (send_stream_.AvailableFrom(snd_nxt_ - (iss_ + 1)) == 0 ||
-      (state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait)) {
-    return;
-  }
-  // Send a one-byte window probe beyond the (zero) window. The receiver trims it but
-  // answers with its current window; if the window has opened, the ack releases us.
-  ++window_probes_sent_;
-  ++persist_backoff_;
-  EmitDataSegment(snd_nxt_, 1, /*fin=*/false, /*retransmit=*/false);
-  snd_nxt_ += 1;
-  ArmPersist();
 }
 
 void TcpConnection::RetransmitHead() {

@@ -3,6 +3,8 @@
 // A full (if compact) TCP endpoint: three-way handshake, sliding-window data transfer
 // with Reno congestion control, delayed ACKs, out-of-order reassembly, fast
 // retransmit/recovery, RTO with exponential backoff, timestamps, and FIN teardown.
+// The receiver hands in-order data straight to the application callback, so the
+// window it advertises is a constant 64 KiB that never closes.
 //
 // Two aspects exist specifically to support the paper's optimizations:
 //
@@ -25,7 +27,6 @@
 #define SRC_TCP_TCP_CONNECTION_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -67,25 +68,13 @@ struct TcpConnectionConfig {
   MacAddress local_mac;
   MacAddress remote_mac;
   uint32_t mss = static_cast<uint32_t>(kMssWithTimestamps);
-  uint32_t recv_window = 65535;
   uint32_t initial_seq = 10000;
   bool delayed_acks = true;  // ACK every second full segment (RFC 1122)
-  // RFC 7323 window scaling: the shift this endpoint advertises on its SYN (0 =
-  // option not sent). Effective only when both sides negotiate it. Allows receive
-  // windows above 64 KiB (recv_window may then exceed 65535).
-  uint8_t window_scale = 0;
   // RFC 2018 selective acknowledgments. Off by default (the paper's receive-path
   // experiments predate widespread SACK deployment); when both endpoints enable it,
   // the receiver reports reassembly holes in dup ACKs and the sender retransmits
   // into actual holes. SACK-bearing segments always bypass Receive Aggregation.
   bool sack = false;
-  // When true (default, the benchmark behaviour) delivered data goes straight to the
-  // on_data callback and the advertised window never closes. When false, delivered
-  // data accumulates in an internal receive buffer the application drains with
-  // Read(); the advertised window tracks free buffer space (with receiver-side SWS
-  // avoidance), out-of-window data is trimmed, and a stalled application exerts real
-  // backpressure on the sender.
-  bool auto_consume = true;
   // When false the TCP checksum of transmitted frames is left zero, modelling tx
   // checksum offload; the simulated NICs then fill/verify it implicitly.
   bool fill_tcp_checksum = true;
@@ -129,12 +118,8 @@ class TcpConnection {
   // Graceful close: FIN is sent once all queued data has been transmitted.
   void Close();
 
-  // Manual-consume mode (auto_consume = false): reads up to out.size() buffered
-  // bytes, returns the count, and re-opens the advertised window as space frees up.
-  size_t Read(std::span<uint8_t> out);
-  size_t ReceiveBufferedBytes() const { return rcv_buffer_.size(); }
-
-  // Delivered-in-order payload callback.
+  // Delivered-in-order payload callback: the one delivery path. Each byte is handed
+  // over exactly once, as soon as it is in order.
   void set_on_data(DataFn fn) { on_data_ = std::move(fn); }
   void set_on_established(std::function<void()> fn) { on_established_ = std::move(fn); }
   void set_on_closed(std::function<void()> fn) { on_closed_ = std::move(fn); }
@@ -143,10 +128,6 @@ class TcpConnection {
 
   // Processes one host packet (possibly aggregated). This is the only input path.
   void OnHostPacket(const SkBuff& skb);
-
-  // Re-evaluates whether more data can be sent (used after window/cwnd changes made
-  // outside OnHostPacket, e.g. by the application).
-  void TrySendData();
 
   // ---- Introspection ----------------------------------------------------------------
 
@@ -162,12 +143,8 @@ class TcpConnection {
   uint64_t dup_acks_received() const { return dup_acks_received_; }
   uint64_t duplicate_segments_received() const { return duplicate_segments_received_; }
   uint64_t paws_rejected() const { return paws_rejected_; }
-  uint64_t out_of_window_dropped_bytes() const { return out_of_window_dropped_bytes_; }
-  uint64_t window_probes_sent() const { return window_probes_sent_; }
   bool sack_active() const { return peer_sack_; }
   const SackScoreboard& scoreboard() const { return scoreboard_; }
-  uint8_t peer_window_scale() const { return peer_window_scale_; }
-  bool window_scaling_active() const { return window_scaling_active_; }
   uint64_t ooo_segments_received() const { return ooo_segments_received_; }
   uint64_t rto_events() const { return rto_events_; }
   RenoController& congestion() { return reno_; }
@@ -194,10 +171,12 @@ class TcpConnection {
   void ProcessListen(const SkBuff& skb);
   void ProcessSynSent(const SkBuff& skb);
   // Takes the peer's initial sequence number, initial window and negotiated options
-  // (MSS, timestamps, window scale, SACK-permitted) from its SYN or SYN-ACK.
+  // (timestamps, SACK-permitted) from its SYN or SYN-ACK. Segments are sized by
+  // config.mss, so the peer's MSS option is not kept. A window-scale offer is ignored:
+  // this endpoint never offers one, so neither side scales (RFC 7323).
   void AdoptPeerSyn(const TcpHeader& h);
   void ProcessSegmentCommon(const SkBuff& skb);
-  void ProcessAckField(uint64_t ack, uint32_t window, uint64_t seg_seq, bool has_payload);
+  void ProcessAckField(uint64_t ack, uint16_t window, uint64_t seg_seq, bool has_payload);
   void DeliverPayload(const SkBuff& skb, uint64_t seg_seq);
   // One network segment through the receive machine: duplicate / out-of-order /
   // in-order handling, ACK accounting, reassembly pops. Aggregated host packets
@@ -213,17 +192,17 @@ class TcpConnection {
   // past the first.
   void EmitPureAcks(std::span<const uint32_t> ack_values);
   void EmitDataSegment(uint64_t seq, uint32_t len, bool fin, bool retransmit);
+  // Sends what the peer's window, cwnd and sender-side SWS avoidance allow, then the
+  // FIN once it is queued and all data is out.
+  void TrySendData();
   std::vector<uint8_t> BuildSegment(uint32_t seq, uint32_t ack, uint8_t flags,
                                     std::span<const uint8_t> payload);
-  uint16_t CurrentWindow() const;
   uint32_t NowTsMs() const;
 
   // --- timers ---
   void ArmRto();
   void OnRtoFired();
   void OnDelayedAckFired();
-  void ArmPersist();
-  void OnPersistFired();
   void EnterTimeWait();
 
   void RetransmitHead();
@@ -259,22 +238,12 @@ class TcpConnection {
   uint64_t irs_ = 0;
   uint64_t rcv_nxt_ = 0;
   ReassemblyQueue reassembly_;
-  uint32_t peer_mss_ = 536;
   bool peer_uses_timestamps_ = false;
   uint32_t ts_recent_ = 0;
-  uint8_t peer_window_scale_ = 0;
-  bool window_scaling_active_ = false;
   uint64_t paws_rejected_ = 0;
   bool peer_sack_ = false;
   SackScoreboard scoreboard_;
   uint64_t rtx_high_ = 0;  // highest sequence retransmitted in this recovery episode
-
-  // Manual-consume receive buffer and flow-control state.
-  std::deque<uint8_t> rcv_buffer_;
-  uint16_t last_advertised_window_ = 0;
-  uint64_t out_of_window_dropped_bytes_ = 0;
-  uint32_t persist_backoff_ = 0;
-  uint64_t window_probes_sent_ = 0;
 
   RenoController reno_;
   RttEstimator rtt_;
@@ -288,7 +257,6 @@ class TcpConnection {
   // TCP timers. SetState(kClosed) cancels the RTO and TIME_WAIT ones.
   EventLoop::Timer rto_timer_;
   EventLoop::Timer delack_timer_;
-  EventLoop::Timer persist_timer_;
   EventLoop::Timer time_wait_timer_;
   // Addresses and ports are fixed for the connection's life: every segment is written
   // from this one header template.

@@ -33,6 +33,14 @@ bool ParseTcpFrame(std::span<const uint8_t> frame, TcpFrameView& view,
   return true;
 }
 
+bool VerifyFrameTcpChecksum(std::span<const uint8_t> frame, const TcpFrameView& view) {
+  if (LoadBe16(frame.data() + view.tcp_offset + 16) == 0) {
+    return true;
+  }
+  const size_t seg_len = view.ip.total_length - view.ip.HeaderSize();
+  return VerifyTcpChecksum(view.ip.src, view.ip.dst, frame.subspan(view.tcp_offset, seg_len));
+}
+
 TcpFrameTemplate MakeTcpFrameTemplate(const MacAddress& src_mac, const MacAddress& dst_mac,
                                       Ipv4Address src_ip, Ipv4Address dst_ip,
                                       uint16_t src_port, uint16_t dst_port, uint8_t ttl) {

@@ -57,6 +57,12 @@ inline std::optional<TcpFrameView> ParseTcpFrame(std::span<const uint8_t> frame,
   return view;
 }
 
+// The receive-side TCP checksum check of a parsed frame: true when the checksum field
+// is zero, modelling a sender whose NIC fills it on the wire (tx offload; the simulation
+// does not materialize it and trusts the frame), or when the segment the IP total
+// length delimits checks out against its pseudo-header.
+bool VerifyFrameTcpChecksum(std::span<const uint8_t> frame, const TcpFrameView& view);
+
 // The TCP header starts at the same offset in every frame the writer builds.
 inline constexpr size_t kTcpFrameHeaderOffset = kEthernetHeaderSize + kIpv4MinHeaderSize;
 

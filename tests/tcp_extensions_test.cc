@@ -1,6 +1,6 @@
 // Tests for the protocol extensions around the paper's bypass rules: SACK
-// (scoreboard, block generation, SACK-aware retransmission), window scaling, PAWS,
-// and the stack's RST generation for unknown flows.
+// (scoreboard, block generation, SACK-aware retransmission), the unscaled answer to a
+// window-scale offer, PAWS, and the stack's RST generation for unknown flows.
 
 #include <gtest/gtest.h>
 
@@ -91,20 +91,14 @@ TEST(SackWire, CapsAtThreeBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end via a loopback pair (with SACK / wscale enabled)
+// End-to-end via a loopback pair (with SACK enabled)
 // ---------------------------------------------------------------------------
 
 using testutil::ConnectionPair;
 
-// Config hook: both sides enable SACK as given, advertise window scale `wscale`, and
-// offer a receive window of `recv_window`.
-ConnectionPair::ConfigHook Extensions(bool enable_sack, uint8_t wscale = 0,
-                                      uint32_t recv_window = 65535) {
-  return [=](TcpConnectionConfig& config, bool) {
-    config.sack = enable_sack;
-    config.window_scale = wscale;
-    config.recv_window = recv_window;
-  };
+// Config hook: both sides enable SACK as given.
+ConnectionPair::ConfigHook Extensions(bool enable_sack) {
+  return [=](TcpConnectionConfig& config, bool) { config.sack = enable_sack; };
 }
 
 TEST(SackEndToEnd, NegotiatedOnHandshake) {
@@ -182,55 +176,53 @@ TEST(SackEndToEnd, RetransmissionTargetsTheHoleOnly) {
   EXPECT_EQ(pair.server->duplicate_segments_received(), 0u);
 }
 
-TEST(WindowScale, NegotiationAndLargeWindow) {
-  ConnectionPair pair(Extensions(/*enable_sack=*/false, /*wscale=*/3, /*recv_window=*/256 * 1024));
-  pair.Establish();
-  EXPECT_TRUE(pair.client->window_scaling_active());
-  EXPECT_EQ(pair.server->peer_window_scale(), 3);
-  // The client may now keep more than 64 KiB in flight (cwnd permitting).
-  pair.client->SendSynthetic(500 * 1448);
-  pair.Run(1000);
-  EXPECT_EQ(pair.server->bytes_received(), 500u * 1448);
-  EXPECT_GT(pair.client->congestion().cwnd(), 65535u);
-}
-
-TEST(WindowScale, FastRetransmitStillWorksWithScaling) {
-  // Regression test: dup-ACK detection must compare the *scaled* window, otherwise a
-  // wscale>0 connection can never fast-retransmit (every ACK looks like a window
-  // update) and stalls into RTOs.
-  ConnectionPair pair(Extensions(/*enable_sack=*/false, /*wscale=*/3, /*recv_window=*/256 * 1024));
-  pair.Establish();
-  std::vector<uint8_t> received;
-  pair.server->set_on_data([&](std::span<const uint8_t> data) {
-    received.insert(received.end(), data.begin(), data.end());
+TEST(WindowScale, PeerOfferGetsAnUnscaledAnswer) {
+  // A connection never offers window scaling, so a peer that does gets a SYN-ACK
+  // without the option, and neither side scales its window field (RFC 7323).
+  EventLoop loop;
+  PacketPool pool;
+  std::vector<std::vector<uint8_t>> sent;
+  TcpConnectionConfig config;
+  config.local_ip = testutil::ServerIp();
+  config.remote_ip = testutil::ClientIp();
+  config.local_port = 5001;
+  config.remote_port = 10000;
+  config.local_mac = testutil::ServerMac();
+  config.remote_mac = testutil::ClientMac();
+  TcpConnection server(config, loop, [&](TcpOutputItem item) {
+    sent.push_back(std::move(item.frame));
   });
-  int drops = 1;
-  pair.filter = [&](bool from_client, const std::vector<uint8_t>& frame) {
-    if (from_client && drops > 0 && pair.client->congestion().cwnd() > 8 * 1448) {
-      auto view = ParseTcpFrame(frame);
-      if (view.has_value() && view->payload_size == 1448) {
-        --drops;
-        return false;
-      }
-    }
-    return true;
+  server.Listen();
+  const auto deliver = [&](const FrameOptions& options) {
+    server.OnHostPacket(*SkBuff::Wrap(testutil::ToPacket(pool, MakeFrame(options, 0))));
   };
-  pair.client->SendSynthetic(200 * 1448);
-  pair.Run(700);
-  EXPECT_EQ(received.size(), 200u * 1448);
-  EXPECT_EQ(drops, 0);
-  EXPECT_GE(pair.client->segments_retransmitted(), 1u);
-  EXPECT_EQ(pair.client->rto_events(), 0u) << "must recover via fast retransmit";
-}
 
-TEST(WindowScale, InactiveWithoutBothSides) {
-  ConnectionPair pair(Extensions(/*enable_sack=*/false, /*wscale=*/0));
-  pair.Establish();
-  EXPECT_FALSE(pair.client->window_scaling_active());
-  // In-flight data never exceeds the unscaled 64 KiB window.
-  pair.client->SendSynthetic(1'000'000);
-  const uint64_t in_flight = pair.client->snd_nxt_ext() - pair.client->snd_una_ext();
-  EXPECT_LE(in_flight, 65535u);
+  FrameOptions syn;
+  syn.flags = kTcpSyn;
+  syn.seq = 1000;
+  syn.ack = 0;
+  syn.extra_options = {kTcpOptNop, kTcpOptWindowScale, 3, 7};
+  deliver(syn);
+  ASSERT_EQ(sent.size(), 1u);
+  const auto syn_ack = ParseTcpFrame(sent[0]);
+  ASSERT_TRUE(syn_ack.has_value());
+  EXPECT_TRUE(syn_ack->tcp.Has(kTcpSyn));
+  EXPECT_TRUE(syn_ack->tcp.Has(kTcpAck));
+  EXPECT_FALSE(syn_ack->tcp.window_scale.has_value());
+  EXPECT_EQ(syn_ack->tcp.window, 65535);
+
+  // The handshake's last ACK advertises one segment's worth, unscaled: the connection
+  // may then keep exactly 1448 bytes in flight, though its cwnd allows two segments
+  // and the window scaled by 7 would allow far more.
+  FrameOptions ack;
+  ack.seq = 1001;
+  ack.ack = syn_ack->tcp.seq + 1;
+  ack.window = 1448;
+  deliver(ack);
+  ASSERT_EQ(server.state(), TcpState::kEstablished);
+  ASSERT_GT(server.congestion().cwnd(), 1448u);
+  server.SendSynthetic(1'000'000);
+  EXPECT_EQ(server.snd_nxt_ext() - server.snd_una_ext(), 1448u);
 }
 
 TEST(Paws, StaleTimestampRejected) {

@@ -361,6 +361,28 @@ TEST(Frame, PayloadCorruptionFailsTcpChecksum) {
                                                                          seg_len)));
 }
 
+TEST(Frame, ReceiveChecksumCheckTrustsOnlyAZeroField) {
+  // The one check the NIC and the stack's software verify share.
+  auto frame = MakeFrame(FrameOptions{}, 64);
+  auto view = ParseTcpFrame(frame);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(VerifyFrameTcpChecksum(frame, *view));
+  // Ethernet padding past the IP total length is not part of the segment.
+  frame.insert(frame.end(), 6, 0xee);
+  EXPECT_TRUE(VerifyFrameTcpChecksum(frame, *view));
+  frame[view->payload_offset + 10] ^= 0xff;
+  EXPECT_FALSE(VerifyFrameTcpChecksum(frame, *view));
+
+  // A zero field models tx checksum offload: the frame is trusted as it stands.
+  FrameOptions offloaded;
+  offloaded.fill_checksum = false;
+  auto unfilled = MakeFrame(offloaded, 64);
+  auto unfilled_view = ParseTcpFrame(unfilled);
+  ASSERT_TRUE(unfilled_view.has_value());
+  unfilled[unfilled_view->payload_offset + 10] ^= 0xff;
+  EXPECT_TRUE(VerifyFrameTcpChecksum(unfilled, *unfilled_view));
+}
+
 TEST(Frame, NonIpv4EtherTypeRejected) {
   auto frame = MakeFrame(FrameOptions{}, 10);
   StoreBe16(frame.data() + 12, 0x0806);  // ARP

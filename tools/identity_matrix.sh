@@ -11,7 +11,8 @@
 # The stream matrix is {up, smp, xen} x {baseline, optimized, aggregation,
 # ack-offload + aggregation at limit 8} x {1 core, 4 cores, 4 cores without RSS} x
 # {no loss, random drop, reorder + duplicate + corrupt, burst drop}. Besides it: a
-# latency run per system and stack, the text report with --profile, a --trace run, an
+# latency run per system and stack, the text reports (--profile, --connections with its
+# per-connection TCP states, and one latency report without --json), a --trace run, an
 # 80-connection SMP run, a --fill-checksums run with its --pcap capture, an optimized
 # lossy run (drop + reorder) with its --pcap capture and the default zero TCP checksums
 # (the bytes of SYNs, data, retransmits and template ACKs as the frame writer lays them
@@ -74,6 +75,10 @@ done
 
 # shellcheck disable=SC2086
 run profile-up-opt stream --optimized --drop=0.01 --seed=3 $window --profile
+# shellcheck disable=SC2086
+run connections-smp-4 stream --system=smp --optimized --cores=4 --conns-per-nic=2 $window \
+  --connections
+run latency-xen-opt-text latency --system=xen --optimized
 run trace-up-agg stream --aggregation --limit=8 --nics=2 --measure-ms=5 --trace
 # shellcheck disable=SC2086
 run smp-80conn stream --system=smp --optimized --cores=4 --conns-per-nic=16 $window --json
