@@ -133,10 +133,11 @@ BENCHMARK(BM_RewriteAckNumber);
 void BM_ReassemblyInsertPop(benchmark::State& state) {
   // Worst-ish case: segments inserted in reverse order, then drained.
   const size_t segments = static_cast<size_t>(state.range(0));
+  const std::vector<uint8_t> payload(1448, 0xaa);
   for (auto _ : state) {
     ReassemblyQueue q;
     for (size_t i = segments; i-- > 0;) {
-      q.Insert(1000 + i * 1448, std::vector<uint8_t>(1448, 0xaa));
+      q.Insert(1000 + i * 1448, payload);
     }
     std::vector<uint8_t> out;
     benchmark::DoNotOptimize(q.PopInOrder(1000, out));

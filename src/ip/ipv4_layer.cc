@@ -21,7 +21,7 @@ IpVerdict Ipv4Layer::Validate(const SkBuff& skb) const {
   if (view.ip.protocol != kIpProtoTcp) {
     return IpVerdict::kNotTcp;
   }
-  if (!local_.empty() && local_.find(view.ip.dst.value) == local_.end()) {
+  if (!local_.empty() && local_.Find(view.ip.dst.value) == nullptr) {
     return IpVerdict::kNotLocal;
   }
   return IpVerdict::kAccept;

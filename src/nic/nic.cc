@@ -6,12 +6,14 @@
 namespace tcprx {
 
 SimulatedNic::SimulatedNic(int id, const NicConfig& config, EventLoop& loop, PacketPool& pool)
-    : id_(id), config_(config), loop_(loop), pool_(pool),
-      rss_(config.rss, config.num_rx_queues == 0 ? 1 : config.num_rx_queues) {
+    : id_(id), config_(config), loop_(loop), pool_(pool) {
   const size_t num_queues = config_.num_rx_queues == 0 ? 1 : config_.num_rx_queues;
   queues_.reserve(num_queues);
   for (size_t q = 0; q < num_queues; ++q) {
     queues_.emplace_back(config_.rx_ring_entries);
+  }
+  if (num_queues > 1 && config_.rss.enabled) {
+    rss_.emplace(config_.rss, num_queues);
   }
 }
 
@@ -47,7 +49,7 @@ size_t SimulatedNic::SteerQueue(const Packet& p) {
   if (queues_.size() == 1) {
     return 0;
   }
-  if (!config_.rss.enabled) {
+  if (!rss_) {
     // Per-packet round-robin spray: flows land on arbitrary cores, forcing the
     // software cross-core handoff path.
     rr_next_queue_ = (rr_next_queue_ + 1) % queues_.size();
@@ -58,7 +60,7 @@ size_t SimulatedNic::SteerQueue(const Packet& p) {
   if (!peek.has_value()) {
     return 0;  // non-TCP frames funnel to queue 0, as real RSS does
   }
-  return rss_.QueueFor(peek->key);
+  return rss_->QueueFor(peek->key);
 }
 
 void SimulatedNic::MaybeRaiseInterrupt(size_t queue) {

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "src/buffer/packet.h"
@@ -114,7 +115,7 @@ class SimulatedNic {
   EventLoop& loop_;
   PacketPool& pool_;
   std::vector<RxQueue> queues_;
-  RssHasher rss_;
+  std::optional<RssHasher> rss_;  // only with several rx queues and RSS on
   size_t rr_next_queue_ = 0;  // round-robin spray when RSS is off
   SimplexLink* egress_ = nullptr;
   bool link_busy_ = false;  // recent arrivals closer than moderation_gap

@@ -15,16 +15,42 @@ size_t RoundUpPow2(size_t v) {
 
 }  // namespace
 
-RssHasher::RssHasher(const RssConfig& config, size_t num_queues) : num_queues_(num_queues) {
-  TCPRX_CHECK(num_queues >= 1);
+RssKey RssSecretKey(const RssConfig& config) {
   // Derive the 40-byte secret key from the seed with an xorshift stream, the way a
   // driver would load random key material at probe time.
+  RssKey key{};
   uint64_t state = (static_cast<uint64_t>(config.key_seed) << 32) | 0x9e3779b9u;
-  for (auto& byte : key_) {
+  for (auto& byte : key) {
     state ^= state << 13;
     state ^= state >> 7;
     state ^= state << 17;
     byte = static_cast<uint8_t>(state >> 24);
+  }
+  return key;
+}
+
+RssHasher::RssHasher(const RssConfig& config, size_t num_queues) {
+  TCPRX_CHECK(num_queues >= 1);
+  TCPRX_CHECK_MSG(num_queues <= size_t{1} << 8, "RSS queue ids are stored in one byte");
+
+  // Toeplitz XORs in, for each set input bit i, the 32-bit key window starting at key
+  // bit i. Input bit 4n + j (j = 0 the nibble's first bit) is bit 3 - j of nibble n's
+  // value. Each table is filled by doubling from its low bit up: the entries below a
+  // bit are complete, and setting that bit adds its window.
+  const RssKey key = RssSecretKey(config);
+  for (size_t n = 0; n < kInputNibbles; ++n) {
+    uint64_t bits = 0;  // the 64 key bits from the start of the nibble's byte
+    for (size_t b = 0; b < 8; ++b) {
+      bits = (bits << 8) | key[n / 2 + b];
+    }
+    std::array<uint32_t, 16>& t = nibble_xor_[n];  // t[0] stays 0
+    for (size_t j = 4; j-- > 0;) {
+      const auto window = static_cast<uint32_t>((bits << ((4 * n + j) % 8)) >> 32);
+      const size_t value_bit = size_t{8} >> j;
+      for (size_t v = 0; v < value_bit; ++v) {
+        t[v | value_bit] = t[v] ^ window;
+      }
+    }
   }
 
   const size_t entries = RoundUpPow2(config.indirection_entries == 0 ? 1 : config.indirection_entries);
@@ -36,54 +62,23 @@ RssHasher::RssHasher(const RssConfig& config, size_t num_queues) : num_queues_(n
   size_t queue = 0;
   for (uint8_t& entry : table_) {
     entry = static_cast<uint8_t>(queue);
-    queue = queue + 1 == num_queues_ ? 0 : queue + 1;
+    queue = queue + 1 == num_queues ? 0 : queue + 1;
   }
 }
 
 uint32_t RssHasher::Hash(const FlowKey& key) const {
-  // Input in RSS order: src addr, dst addr, src port, dst port, big-endian.
-  std::array<uint8_t, 12> input;
-  input[0] = static_cast<uint8_t>(key.src_ip.value >> 24);
-  input[1] = static_cast<uint8_t>(key.src_ip.value >> 16);
-  input[2] = static_cast<uint8_t>(key.src_ip.value >> 8);
-  input[3] = static_cast<uint8_t>(key.src_ip.value);
-  input[4] = static_cast<uint8_t>(key.dst_ip.value >> 24);
-  input[5] = static_cast<uint8_t>(key.dst_ip.value >> 16);
-  input[6] = static_cast<uint8_t>(key.dst_ip.value >> 8);
-  input[7] = static_cast<uint8_t>(key.dst_ip.value);
-  input[8] = static_cast<uint8_t>(key.src_port >> 8);
-  input[9] = static_cast<uint8_t>(key.src_port);
-  input[10] = static_cast<uint8_t>(key.dst_port >> 8);
-  input[11] = static_cast<uint8_t>(key.dst_port);
-
-  // Toeplitz: for every set bit of the input, XOR in the 32-bit key window starting
-  // at that bit position.
+  // Input in RSS order: src addr, dst addr, src port, dst port, big-endian, read a
+  // nibble at a time from the top.
+  const uint32_t words[3] = {key.src_ip.value, key.dst_ip.value,
+                             static_cast<uint32_t>(key.src_port) << 16 | key.dst_port};
   uint32_t result = 0;
-  uint32_t window = (static_cast<uint32_t>(key_[0]) << 24) | (static_cast<uint32_t>(key_[1]) << 16) |
-                    (static_cast<uint32_t>(key_[2]) << 8) | key_[3];
-  size_t next_key_byte = 4;
-  for (const uint8_t byte : input) {
-    for (int bit = 7; bit >= 0; --bit) {
-      if ((byte >> bit) & 1) {
-        result ^= window;
-      }
-      // Slide the window one bit, pulling the next key bit in from the right.
-      const uint8_t next = key_[next_key_byte % key_.size()];
-      const uint32_t incoming = (next >> bit) & 1;
-      window = (window << 1) | incoming;
-      if (bit == 0) {
-        ++next_key_byte;
-      }
+  size_t n = 0;
+  for (const uint32_t word : words) {
+    for (int shift = 28; shift >= 0; shift -= 4, ++n) {
+      result ^= nibble_xor_[n][(word >> shift) & 0xf];
     }
   }
   return result;
-}
-
-size_t RssHasher::QueueFor(const FlowKey& key) const {
-  if (num_queues_ == 1) {
-    return 0;
-  }
-  return table_[Hash(key) & mask_];
 }
 
 }  // namespace tcprx

@@ -9,7 +9,7 @@ TcpConnection* RemoteNode::CreateConnection(const TcpConnectionConfig& config) {
   auto conn = std::make_unique<TcpConnection>(
       config, loop_, [this](TcpOutputItem item) { HandleOutput(std::move(item)); });
   TcpConnection* raw = conn.get();
-  demux_[raw->IncomingFlowKey()] = raw;
+  demux_.InsertOrAssign(raw->IncomingFlowKey(), raw);
   connections_.push_back(std::move(conn));
   return raw;
 }
@@ -27,15 +27,15 @@ void RemoteNode::OnWireFrame(std::vector<uint8_t> frame) {
   }
   const TcpFrameView& view = *packet->view;
   const FlowKey key{view.ip.src, view.ip.dst, view.tcp.src_port, view.tcp.dst_port};
-  auto it = demux_.find(key);
-  if (it == demux_.end()) {
+  TcpConnection* const* conn = demux_.Find(key);
+  if (conn == nullptr) {
     return;
   }
   // On the stack: the connection reads the packet and keeps nothing of the wrapper.
   SkBuff skb;
   skb.csum_verified = packet->nic_checksum_verified;
   skb.head = std::move(packet);
-  it->second->OnHostPacket(skb);
+  (*conn)->OnHostPacket(skb);
 }
 
 }  // namespace tcprx

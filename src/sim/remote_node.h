@@ -11,12 +11,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/buffer/packet.h"
 #include "src/buffer/skbuff.h"
 #include "src/tcp/tcp_connection.h"
+#include "src/util/flat_map.h"
 #include "src/util/event_loop.h"
 
 namespace tcprx {
@@ -47,7 +47,7 @@ class RemoteNode {
   EventLoop& loop_;
   TransmitFn transmit_;
   PacketPool pool_;
-  std::unordered_map<FlowKey, TcpConnection*, FlowKeyHash> demux_;
+  FlatMap<FlowKey, TcpConnection*, FlowKeyHash> demux_;
   std::vector<std::unique_ptr<TcpConnection>> connections_;
   uint64_t frames_received_ = 0;
 };

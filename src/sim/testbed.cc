@@ -16,6 +16,10 @@ namespace {
 // NIC i is addressed 10.0.i.x, so the index must fit one octet.
 constexpr size_t kMaxNics = size_t{std::numeric_limits<uint8_t>::max()} + 1;
 
+// Each core owns one RSS queue, and every queue needs an entry in the NIC's 128-entry
+// indirection table (RssConfig::indirection_entries) to receive a flow.
+constexpr size_t kMaxCores = 128;
+
 // Client ports kFirstClientPort + c must stay nonzero and distinct in 16 bits.
 constexpr size_t kMaxConnectionsPerNic =
     size_t{std::numeric_limits<uint16_t>::max()} - Testbed::kFirstClientPort + 1;
@@ -75,8 +79,8 @@ const TestbedConfig& ValidConfig(const TestbedConfig& config) {
 
 std::vector<std::string> ConfigErrors(const TestbedConfig& config) {
   std::vector<std::string> errors;
-  if (config.smp.num_cores < 1) {
-    errors.push_back("--cores must be >= 1");
+  if (config.smp.num_cores < 1 || config.smp.num_cores > kMaxCores) {
+    errors.push_back("--cores must be between 1 and " + std::to_string(kMaxCores));
   }
   if (config.stack.aggregation_limit < 1) {
     errors.push_back("--limit must be >= 1");
@@ -139,7 +143,7 @@ Testbed::Testbed(const TestbedConfig& config)
         nics_[static_cast<size_t>(nic_id)]->Transmit(std::move(frame));
       }) {
   // One RSS queue per core on every NIC, attached to that core's driver. A one-core
-  // host has a single rx queue, which never consults the hasher.
+  // host has a single rx queue and builds no hasher.
   config_.nic.num_rx_queues = config_.smp.num_cores;
   config_.nic.rss = config_.smp.rss;
 

@@ -15,10 +15,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
 #include "src/tcp/tcp_types.h"
 #include "src/util/annotations.h"
+#include "src/util/flat_map.h"
 
 namespace tcprx {
 
@@ -83,18 +83,16 @@ class FlowDirector {
   // Returns the owning core for `key`, registering `fallback` as owner on first
   // sight.
   size_t OwnerFor(const FlowKey& key, size_t fallback) {
-    auto [it, inserted] = owners_.try_emplace(key, fallback);
-    (void)inserted;
-    return it->second;
+    return *owners_.TryEmplace(key, fallback).first;
   }
 
-  void Forget(const FlowKey& key) { owners_.erase(key); }
+  void Forget(const FlowKey& key) { owners_.Erase(key); }
 
   size_t flows() const { return owners_.size(); }
 
  private:
   // First-toucher registration from any shard; serialized by the event loop.
-  std::unordered_map<FlowKey, size_t, FlowKeyHash> owners_ TCPRX_GUARDED_BY(event_loop);
+  FlatMap<FlowKey, size_t, FlowKeyHash> owners_ TCPRX_GUARDED_BY(event_loop);
 };
 
 }  // namespace tcprx

@@ -254,8 +254,8 @@ void NetworkStack::SendReset(const SkBuff& skb) {
 TcpConnection* NetworkStack::Demux(const SkBuff& skb) {
   const TcpFrameView& view = skb.view();
   const FlowKey key{view.ip.src, view.ip.dst, view.tcp.src_port, view.tcp.dst_port};
-  auto it = demux_.find(key);
-  return it == demux_.end() ? nullptr : it->second;
+  TcpConnection* const* conn = demux_.Find(key);
+  return conn == nullptr ? nullptr : *conn;
 }
 
 TcpConnection* NetworkStack::AcceptNew(const SkBuff& skb) {
@@ -301,7 +301,7 @@ TcpConnection* NetworkStack::CreateConnection(const TcpConnectionConfig& config)
       });
   TcpConnection* conn = entry->conn.get();
   WireConnection(*entry);
-  demux_[conn->IncomingFlowKey()] = conn;
+  demux_.InsertOrAssign(conn->IncomingFlowKey(), conn);
   connections_.push_back(std::move(entry));
   return conn;
 }
@@ -312,9 +312,9 @@ void NetworkStack::WireConnection(ConnectionEntry& entry) {
   conn->set_on_closed([this, conn, raw_entry] {
     // Free the 4-tuple: a later connection may legitimately reuse it. The entry (and
     // the connection object) stay alive so held pointers remain valid.
-    auto it = demux_.find(conn->IncomingFlowKey());
-    if (it != demux_.end() && it->second == conn) {
-      demux_.erase(it);
+    TcpConnection* const* mapped = demux_.Find(conn->IncomingFlowKey());
+    if (mapped != nullptr && *mapped == conn) {
+      demux_.Erase(conn->IncomingFlowKey());
     }
     if (raw_entry->app_on_closed) {
       raw_entry->app_on_closed();

@@ -41,6 +41,7 @@
 #include "src/stack/stack_config.h"
 #include "src/tcp/tcp_connection.h"
 #include "src/util/event_loop.h"
+#include "src/util/flat_map.h"
 #include "src/xen/xen_path.h"
 
 namespace tcprx {
@@ -166,7 +167,7 @@ class NetworkStack : public RxSink {
   RoutingTable routes_;
   std::unique_ptr<Aggregator> aggregator_;
 
-  std::unordered_map<FlowKey, TcpConnection*, FlowKeyHash> demux_;
+  FlatMap<FlowKey, TcpConnection*, FlowKeyHash> demux_;
   std::vector<std::unique_ptr<ConnectionEntry>> connections_;
   std::unordered_map<uint16_t, AcceptFn> listeners_;
   uint32_t next_iss_ = 20000;

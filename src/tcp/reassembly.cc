@@ -1,112 +1,114 @@
 #include "src/tcp/reassembly.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "src/wire/frame_buffer.h"
 
 namespace tcprx {
 
-void ReassemblyQueue::Insert(uint64_t seq, std::vector<uint8_t> data) {
+void ReassemblyQueue::Insert(uint64_t seq, std::span<const uint8_t> data) {
   if (data.empty()) {
     return;
   }
   last_insert_seq_ = seq;
   // Trim against the predecessor segment, if it overlaps our head.
-  auto it = segments_.upper_bound(seq);
+  auto it = std::upper_bound(segments_.begin(), segments_.end(), seq,
+                             [](uint64_t s, const Segment& seg) { return s < seg.seq; });
   if (it != segments_.begin()) {
-    auto prev = std::prev(it);
-    const uint64_t prev_end = prev->first + prev->second.size();
-    if (seq >= prev->first && seq < prev_end) {
+    const uint64_t prev_end = std::prev(it)->end();
+    if (seq < prev_end) {
       const uint64_t skip = prev_end - seq;
       if (skip >= data.size()) {
         return;  // fully covered
       }
-      data.erase(data.begin(), data.begin() + static_cast<long>(skip));
+      data = data.subspan(static_cast<size_t>(skip));
       seq = prev_end;
     }
   }
-  // Trim or absorb successor segments that the new data overlaps.
-  uint64_t end = seq + data.size();
-  it = segments_.lower_bound(seq);
-  while (it != segments_.end() && it->first < end) {
-    const uint64_t seg_end = it->first + it->second.size();
-    if (seg_end <= end) {
-      buffered_bytes_ -= it->second.size();
-      it = segments_.erase(it);
-    } else {
-      data.resize(it->first - seq);
-      end = seq + data.size();
+  // Absorb the successor segments the new data covers, and trim it at the first one it
+  // only overlaps. No segment before `it` reaches past `seq`.
+  const auto first = it;
+  while (it != segments_.end() && it->seq < seq + data.size()) {
+    if (it->end() > seq + data.size()) {
+      data = data.first(static_cast<size_t>(it->seq - seq));
       break;
     }
+    ++it;
   }
+  it = Release(first, it);
   if (!data.empty()) {
     buffered_bytes_ += data.size();
-    segments_.emplace(seq, std::move(data));
+    segments_.insert(it, Segment{seq, CopyFrame(data)});
   }
 }
 
 size_t ReassemblyQueue::PopInOrder(uint64_t next_seq, std::vector<uint8_t>& out) {
   DropBelow(next_seq);
-  size_t consumed = 0;
-  for (;;) {
-    auto it = segments_.begin();
-    if (it == segments_.end()) {
-      break;
-    }
-    if (it->first > next_seq) {
-      break;  // still a hole
-    }
-    const uint64_t seg_end = it->first + it->second.size();
-    if (seg_end <= next_seq) {
-      buffered_bytes_ -= it->second.size();
-      segments_.erase(it);
-      continue;
-    }
-    const uint64_t skip = next_seq - it->first;
-    out.insert(out.end(), it->second.begin() + static_cast<long>(skip), it->second.end());
-    consumed += it->second.size() - skip;
-    next_seq = seg_end;
-    buffered_bytes_ -= it->second.size();
-    segments_.erase(it);
+  const size_t before = out.size();
+  // Segments are disjoint, so after DropBelow only the first one popped can start
+  // below `next_seq`, and each one after it starts where the run has reached.
+  auto it = segments_.begin();
+  for (; it != segments_.end() && it->seq <= next_seq; ++it) {
+    const auto skip = static_cast<long>(next_seq - it->seq);
+    out.insert(out.end(), it->data.begin() + skip, it->data.end());
+    next_seq = it->end();
   }
-  return consumed;
+  Release(segments_.begin(), it);
+  return out.size() - before;
 }
 
-std::vector<std::pair<uint64_t, uint64_t>> ReassemblyQueue::SackRanges(
-    size_t max_blocks) const {
-  // Coalesce adjacent stored segments into contiguous ranges.
-  std::vector<std::pair<uint64_t, uint64_t>> ranges;
-  for (const auto& [seq, data] : segments_) {
-    const uint64_t end = seq + data.size();
-    if (!ranges.empty() && ranges.back().second == seq) {
-      ranges.back().second = end;
-    } else {
-      ranges.emplace_back(seq, end);
+size_t ReassemblyQueue::SackBlocks(std::span<SackBlock> out) const {
+  // Calls fn(start, end) for each run of adjacent stored segments, ascending.
+  const auto for_each_range = [this](auto&& fn) {
+    for (size_t i = 0; i < segments_.size();) {
+      const uint64_t start = segments_[i].seq;
+      uint64_t end = segments_[i].end();
+      for (++i; i < segments_.size() && segments_[i].seq == end; ++i) {
+        end = segments_[i].end();
+      }
+      fn(start, end);
     }
-  }
-  // Move the range containing the most recent insertion to the front.
-  for (size_t i = 1; i < ranges.size(); ++i) {
-    if (last_insert_seq_ >= ranges[i].first && last_insert_seq_ < ranges[i].second) {
-      std::rotate(ranges.begin(), ranges.begin() + static_cast<long>(i),
-                  ranges.begin() + static_cast<long>(i) + 1);
-      break;
+  };
+  size_t count = 0;
+  const auto emit = [&](uint64_t start, uint64_t end) {
+    if (count < out.size()) {
+      out[count++] = SackBlock{static_cast<uint32_t>(start), static_cast<uint32_t>(end)};
     }
-  }
-  if (ranges.size() > max_blocks) {
-    ranges.resize(max_blocks);
-  }
-  return ranges;
+  };
+  // The range containing the most recent insertion goes first.
+  bool recent_found = false;
+  uint64_t recent_start = 0;
+  for_each_range([&](uint64_t start, uint64_t end) {
+    if (last_insert_seq_ >= start && last_insert_seq_ < end) {
+      recent_found = true;
+      recent_start = start;
+      emit(start, end);
+    }
+  });
+  for_each_range([&](uint64_t start, uint64_t end) {
+    if (!recent_found || start != recent_start) {
+      emit(start, end);
+    }
+  });
+  return count;
 }
 
 void ReassemblyQueue::DropBelow(uint64_t next_seq) {
-  while (!segments_.empty()) {
-    auto it = segments_.begin();
-    const uint64_t seg_end = it->first + it->second.size();
-    if (seg_end <= next_seq) {
-      buffered_bytes_ -= it->second.size();
-      segments_.erase(it);
-    } else {
-      break;
-    }
+  auto it = segments_.begin();
+  while (it != segments_.end() && it->end() <= next_seq) {
+    ++it;
   }
+  Release(segments_.begin(), it);
+}
+
+std::vector<ReassemblyQueue::Segment>::iterator ReassemblyQueue::Release(
+    std::vector<Segment>::iterator first, std::vector<Segment>::iterator last) {
+  for (auto it = first; it != last; ++it) {
+    buffered_bytes_ -= it->data.size();
+    RecycleFrameBuffer(std::move(it->data));
+  }
+  return segments_.erase(first, last);
 }
 
 }  // namespace tcprx

@@ -7,22 +7,29 @@
 // Keys are 64-bit *extended* sequence numbers (wire sequence numbers unwrapped by the
 // connection), so ordering is plain integer comparison and multi-gigabyte transfers
 // never wrap.
+//
+// Storage is a vector of segments sorted by sequence number. Each segment's bytes sit in
+// a recycled frame buffer (src/wire/frame_buffer.h) that goes back to the free list when
+// the segment is delivered or dropped, so a warm queue takes and drops segments without
+// a heap allocation.
 
 #ifndef SRC_TCP_REASSEMBLY_H_
 #define SRC_TCP_REASSEMBLY_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
+
+#include "src/wire/tcp.h"
 
 namespace tcprx {
 
 class ReassemblyQueue {
  public:
-  // Stores payload bytes beginning at extended sequence `seq`. Overlapping data is
-  // merged; already-covered bytes are ignored.
-  void Insert(uint64_t seq, std::vector<uint8_t> data);
+  // Stores a copy of the payload bytes beginning at extended sequence `seq`.
+  // Overlapping data is merged; already-covered bytes are ignored.
+  void Insert(uint64_t seq, std::span<const uint8_t> data);
 
   // Pops the contiguous run starting at `next_seq`, appending its bytes to `out` and
   // returning the number of bytes consumed.
@@ -31,16 +38,28 @@ class ReassemblyQueue {
   // Drops anything wholly below `next_seq` (already delivered via another path).
   void DropBelow(uint64_t next_seq);
 
-  // Up to `max_blocks` buffered [start, end) ranges for SACK generation: the range
-  // containing the most recent insertion first (RFC 2018), then the rest ascending.
-  std::vector<std::pair<uint64_t, uint64_t>> SackRanges(size_t max_blocks) const;
+  // Writes up to `out.size()` buffered ranges as SACK blocks (the low 32 bits of each
+  // [start, end)) and returns how many: the range containing the most recent
+  // insertion first (RFC 2018), then the rest ascending.
+  size_t SackBlocks(std::span<SackBlock> out) const;
 
   bool Empty() const { return segments_.empty(); }
   size_t SegmentCount() const { return segments_.size(); }
   size_t BufferedBytes() const { return buffered_bytes_; }
 
  private:
-  std::map<uint64_t, std::vector<uint8_t>> segments_;
+  struct Segment {
+    uint64_t seq = 0;
+    std::vector<uint8_t> data;
+    uint64_t end() const { return seq + data.size(); }
+  };
+
+  // Erases segments [first, last), giving their buffers back to the free list, and
+  // returns the position after them.
+  std::vector<Segment>::iterator Release(std::vector<Segment>::iterator first,
+                                         std::vector<Segment>::iterator last);
+
+  std::vector<Segment> segments_;  // sorted by seq, disjoint
   size_t buffered_bytes_ = 0;
   uint64_t last_insert_seq_ = 0;
 };

@@ -1,6 +1,8 @@
 #include "src/tcp/tcp_connection.h"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "src/util/logging.h"
 
@@ -14,6 +16,12 @@ constexpr SimDuration kTimeWaitDuration = SimDuration::FromMillis(1000);
 // workload needs a larger one: window scaling is never offered, and a peer's offer
 // gets the unscaled answer RFC 7323 requires.
 constexpr uint16_t kReceiveWindow = 65535;
+
+// The buffer a filled hole's run is popped into and delivered from. One per thread
+// serves every connection on it, so a warm host pops without allocating and keeps one
+// run's worth of memory, not one per connection. A receive nested in a data callback
+// finds it lent out and pops into a buffer of its own.
+thread_local std::vector<uint8_t> spare_run_buffer;
 }  // namespace
 
 const char* TcpStateName(TcpState s) {
@@ -398,7 +406,7 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
   if (seg_seq > rcv_nxt_) {
     // Out of order: buffer it and send a duplicate ACK, so the sender's
     // fast-retransmit threshold behaves as without aggregation.
-    reassembly_.Insert(seg_seq, std::vector<uint8_t>(payload.begin(), payload.end()));
+    reassembly_.Insert(seg_seq, payload);
     ++ooo_segments_received_;
     pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
     segs_since_ack_ = 0;  // the dup ACK is cumulative
@@ -424,7 +432,8 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
 
   // A delivery may have closed a reassembly hole.
   if (!reassembly_.Empty()) {
-    std::vector<uint8_t> filled;
+    std::vector<uint8_t> filled = std::exchange(spare_run_buffer, {});
+    filled.clear();
     const size_t popped = reassembly_.PopInOrder(rcv_nxt_, filled);
     if (popped > 0) {
       rcv_nxt_ += popped;
@@ -436,6 +445,7 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
       pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
       segs_since_ack_ = 0;
     }
+    spare_run_buffer = std::move(filled);
   }
 }
 
@@ -493,11 +503,8 @@ std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uin
   }
   // SACK blocks ride on pure ACKs when the receiver is holding out-of-order data.
   if (peer_sack_ && flags == kTcpAck && payload.empty() && !reassembly_.Empty()) {
-    std::vector<SackBlock> blocks;
-    for (const auto& [start, end] : reassembly_.SackRanges(3)) {
-      blocks.push_back(SackBlock{static_cast<uint32_t>(start), static_cast<uint32_t>(end)});
-    }
-    AppendSackOption(blocks, options);
+    std::array<SackBlock, 3> blocks;
+    AppendSackOption(std::span(blocks).first(reassembly_.SackBlocks(blocks)), options);
   }
   const uint16_t ip_id = next_ip_id_++;
   // tcprx-check: allow(charge) -- transmit-side serialization; the stack bills the

@@ -14,7 +14,7 @@
 
 namespace tcprx {
 
-// Partial (unfolded) checksum state: a 32-bit running one's-complement sum that can be
+// Partial (unfolded) checksum state: a 64-bit running one's-complement sum that can be
 // combined across discontiguous regions before folding.
 class ChecksumAccumulator {
  public:
@@ -35,7 +35,9 @@ class ChecksumAccumulator {
   uint16_t FoldedSum() const;
 
  private:
-  uint64_t sum_ = 0;
+  void AddWithCarry(uint64_t value);
+
+  uint64_t sum_ = 0;  // one's-complement sum modulo 2^64 - 1
   bool odd_ = false;  // next byte starts at an odd offset
 };
 

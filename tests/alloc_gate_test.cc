@@ -4,12 +4,14 @@
 // allocation while counting is on. Each test runs a workload to steady state, then a
 // window of it with counting on. The count is deterministic, so it gates the per-frame
 // harness work the model never charges: frame buffers, SkBuffs, aggregate metadata,
-// ACK batches, link hops, transmit batches. Once warm, none of them allocates.
+// ACK batches, link hops, transmit batches, out-of-order segments. Once warm, none of
+// them allocates.
 
 #include <gtest/gtest.h>
 
 #include "perfbench/alloc_counter.h"
 #include "src/sim/testbed.h"
+#include "src/tcp/reassembly.h"
 
 namespace tcprx {
 namespace {
@@ -83,6 +85,33 @@ TEST(AllocGate, XenLatencyMakesNoAllocation) {
   // transition) still grows by doubling: a window that crosses a doubling counts that
   // one allocation. This one, like the others, crosses none.
   ExpectNoAllocationOver(bed, SimDuration::FromMillis(20), 300);
+}
+
+TEST(AllocGate, WarmReassemblyQueueMakesNoAllocation) {
+  // One loss in a window: 40 MSS segments arrive past a one-segment hole, then the hole
+  // fills and the run pops. The first cycle warms the queue; an identical second one
+  // must find its segment buffers, its sorted storage and the run's buffer there.
+  constexpr size_t kMss = 1448;
+  constexpr size_t kSegments = 40;
+  const std::vector<uint8_t> payload(kMss, 0x5a);
+  ReassemblyQueue queue;
+  std::vector<uint8_t> run;  // as the connection reuses its thread's run buffer
+  const auto cycle = [&](uint64_t hole) {
+    for (size_t i = 1; i <= kSegments; ++i) {
+      queue.Insert(hole + i * kMss, payload);
+    }
+    run.clear();
+    return queue.PopInOrder(hole + kMss, run);
+  };
+  ASSERT_EQ(cycle(1000), kSegments * kMss);
+
+  const perfbench::AllocCounts before = perfbench::AllocCountsNow();
+  perfbench::SetAllocCounting(true);
+  const size_t popped = cycle(1000 + (kSegments + 1) * kMss);
+  perfbench::SetAllocCounting(false);
+  EXPECT_EQ(popped, kSegments * kMss);
+  EXPECT_TRUE(queue.Empty());
+  EXPECT_EQ(perfbench::AllocCountsNow().calls, before.calls);
 }
 
 TEST(AllocGate, AValidConfigurationIsCheckedWithoutAllocating) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <variant>
 #include <vector>
 
 #include "src/util/byte_order.h"
@@ -136,6 +139,92 @@ TEST(Checksum, AddWordAfterOddSpanUsesSwappedLanes) {
   acc2.Add(tail);
   const std::vector<uint8_t> flat2 = {0xab, 0x12, 0x34, 0x56, 0x78};
   EXPECT_EQ(acc2.Finish(), InternetChecksum(flat2));
+}
+
+// RFC 1071 two bytes at a time, the zero-padded odd byte last, folded.
+uint16_t BytePairFoldedSum(std::span<const uint8_t> data) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < data.size(); i += 2) {
+    sum += static_cast<uint64_t>(data[i]) << 8 | (i + 1 < data.size() ? data[i + 1] : 0);
+  }
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(sum);
+}
+
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t size) {
+  std::vector<uint8_t> data(size);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return data;
+}
+
+TEST(Checksum, AddMatchesTheBytePairReference) {
+  Rng rng(2000);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::vector<uint8_t> data = RandomBytes(rng, rng.NextBelow(2001));
+    ChecksumAccumulator acc;
+    acc.Add(data);
+    ASSERT_EQ(acc.FoldedSum(), BytePairFoldedSum(data)) << "length " << data.size();
+  }
+}
+
+TEST(Checksum, RandomOddSplitsMatchTheBytePairReference) {
+  // A fragment chain: the data added in pieces of random, mostly odd, lengths.
+  Rng rng(2001);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::vector<uint8_t> data = RandomBytes(rng, rng.NextBelow(2001));
+    ChecksumAccumulator acc;
+    for (size_t at = 0; at < data.size();) {
+      const size_t piece = std::min(data.size() - at, 2 * rng.NextBelow(20) + 1);
+      acc.Add(std::span(data).subspan(at, piece));
+      at += piece;
+    }
+    ASSERT_EQ(acc.FoldedSum(), BytePairFoldedSum(data)) << "trial " << trial;
+  }
+}
+
+TEST(Checksum, CarryHeavyDataMatchesTheBytePairReference) {
+  // 64 KiB of all-ones words: every 8-byte step after the first carries out of the
+  // 64-bit sum.
+  const std::vector<uint8_t> data(65536, 0xff);
+  ChecksumAccumulator acc;
+  acc.Add(data);
+  EXPECT_EQ(acc.FoldedSum(), BytePairFoldedSum(data));
+}
+
+TEST(Checksum, EveryAddCarriesOutOfTheSixtyFourBitSum) {
+  // After eight 0xff bytes the sum is 2^64 - 1, so any nonzero addend carries out of
+  // bit 63. One case per place the accumulator adds; a span of bytes is an Add, a
+  // lone value an AddWord, which counts as its two bytes in order at any parity.
+  using Step = std::variant<std::vector<uint8_t>, uint16_t>;
+  const std::vector<uint8_t> ones(8, 0xff);
+  const std::vector<std::vector<Step>> cases = {
+      {ones, std::vector<uint8_t>{0, 0, 0, 0, 0, 0, 0, 1}},  // the 8-byte step
+      {ones, std::vector<uint8_t>{0, 1}},                    // a 2-byte step
+      {ones, std::vector<uint8_t>{1}},                       // an odd last byte
+      {ones, std::vector<uint8_t>{0}, std::vector<uint8_t>{1}},  // an odd first byte
+      {ones, uint16_t{0x0001}},                                  // AddWord
+      {ones, std::vector<uint8_t>{0}, uint16_t{0x0100}},         // AddWord, odd offset
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    ChecksumAccumulator acc;
+    std::vector<uint8_t> flat;
+    for (const Step& step : cases[c]) {
+      if (const auto* bytes = std::get_if<std::vector<uint8_t>>(&step)) {
+        acc.Add(*bytes);
+        flat.insert(flat.end(), bytes->begin(), bytes->end());
+      } else {
+        const uint16_t word = std::get<uint16_t>(step);
+        acc.AddWord(word);
+        flat.push_back(static_cast<uint8_t>(word >> 8));
+        flat.push_back(static_cast<uint8_t>(word));
+      }
+    }
+    EXPECT_EQ(acc.FoldedSum(), BytePairFoldedSum(flat)) << "case " << c;
+  }
 }
 
 }  // namespace

@@ -40,7 +40,9 @@ struct BadField {
 TEST(ConfigErrors, EachBadFieldGivesItsMessage) {
   using Options = Testbed::StreamOptions;
   const BadField cases[] = {
-      {"--cores must be >= 1", [](TestbedConfig& c, Options&) { c.smp.num_cores = 0; }},
+      {"--cores must be between 1 and 128", [](TestbedConfig& c, Options&) { c.smp.num_cores = 0; }},
+      {"--cores must be between 1 and 128",
+       [](TestbedConfig& c, Options&) { c.smp.num_cores = 129; }},
       {"--limit must be >= 1",
        [](TestbedConfig& c, Options&) { c.stack.aggregation_limit = 0; }},
       {"--nics must be between 1 and 256", [](TestbedConfig& c, Options&) { c.num_nics = 0; }},
@@ -92,6 +94,7 @@ TEST(ConfigErrors, EachBadFieldGivesItsMessage) {
 TEST(ConfigErrors, TheLargestValuesPass) {
   TestbedConfig config;
   config.num_nics = 256;
+  config.smp.num_cores = 128;
   config.link.drop_probability = 1;
   DataLink(config).corrupt_probability = 0;
   DataLink(config).burst_drop_period = 4;
@@ -110,11 +113,11 @@ TEST(ConfigErrors, EveryViolationIsListedConfigFirst) {
   Testbed::LatencyOptions latency;
   latency.measure = SimDuration::FromNanos(0);
   EXPECT_EQ(ConfigErrors(config, latency),
-            (Errors{"--cores must be >= 1", "--measure-ms must be >= 1"}));
+            (Errors{"--cores must be between 1 and 128", "--measure-ms must be >= 1"}));
   Testbed::StreamOptions stream;
   stream.client_mss = 70000;
   EXPECT_EQ(ConfigErrors(config, stream),
-            (Errors{"--cores must be >= 1", "--mss must be between 1 and 65455"}));
+            (Errors{"--cores must be between 1 and 128", "--mss must be between 1 and 65455"}));
 }
 
 TEST(ConfigErrors, LatencyRefusesAnEmptyMessage) {

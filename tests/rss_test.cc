@@ -10,6 +10,7 @@
 
 #include "src/sim/testbed.h"
 #include "src/nic/rss.h"
+#include "src/util/rng.h"
 
 namespace tcprx {
 namespace {
@@ -89,6 +90,55 @@ TEST(RssHasher, DistributionIsRoughlyUniform) {
   for (const auto& [queue, count] : per_queue) {
     EXPECT_GT(count, 128u) << "queue " << queue;
     EXPECT_LT(count, 512u) << "queue " << queue;
+  }
+}
+
+// The bitwise Toeplitz loop the nibble tables replaced: for every set input bit, XOR
+// in the 32-bit key window starting at that bit, sliding the window one key bit per
+// input bit.
+uint32_t ReferenceToeplitz(const RssKey& key, const FlowKey& flow) {
+  const uint8_t input[12] = {
+      static_cast<uint8_t>(flow.src_ip.value >> 24), static_cast<uint8_t>(flow.src_ip.value >> 16),
+      static_cast<uint8_t>(flow.src_ip.value >> 8),  static_cast<uint8_t>(flow.src_ip.value),
+      static_cast<uint8_t>(flow.dst_ip.value >> 24), static_cast<uint8_t>(flow.dst_ip.value >> 16),
+      static_cast<uint8_t>(flow.dst_ip.value >> 8),  static_cast<uint8_t>(flow.dst_ip.value),
+      static_cast<uint8_t>(flow.src_port >> 8),      static_cast<uint8_t>(flow.src_port),
+      static_cast<uint8_t>(flow.dst_port >> 8),      static_cast<uint8_t>(flow.dst_port)};
+  uint32_t result = 0;
+  uint32_t window = (static_cast<uint32_t>(key[0]) << 24) | (static_cast<uint32_t>(key[1]) << 16) |
+                    (static_cast<uint32_t>(key[2]) << 8) | key[3];
+  size_t next_key_byte = 4;
+  for (const uint8_t byte : input) {
+    for (int bit = 7; bit >= 0; --bit) {
+      if ((byte >> bit) & 1) {
+        result ^= window;
+      }
+      window = (window << 1) | ((key[next_key_byte] >> bit) & 1);
+    }
+    ++next_key_byte;
+  }
+  return result;
+}
+
+TEST(RssHasher, TablesMatchTheBitwiseToeplitzLoop) {
+  Rng rng(20);
+  for (int trial = 0; trial < 64; ++trial) {
+    RssConfig config;
+    config.key_seed = static_cast<uint32_t>(rng.Next());
+    const size_t queues = 1 + rng.NextBelow(16);
+    const RssHasher h(config, queues);
+    const RssKey key = RssSecretKey(config);
+    const std::vector<uint8_t>& table = h.indirection_table();
+    for (int i = 0; i < 256; ++i) {
+      FlowKey flow;
+      flow.src_ip.value = static_cast<uint32_t>(rng.Next());
+      flow.dst_ip.value = static_cast<uint32_t>(rng.Next());
+      flow.src_port = static_cast<uint16_t>(rng.Next());
+      flow.dst_port = static_cast<uint16_t>(rng.Next());
+      const uint32_t expected = ReferenceToeplitz(key, flow);
+      ASSERT_EQ(h.Hash(flow), expected) << "key seed " << config.key_seed << " flow " << i;
+      ASSERT_EQ(h.QueueFor(flow), table[expected & (table.size() - 1)]);
+    }
   }
 }
 

@@ -184,10 +184,12 @@ TEST(Rtt, RtoClampedToMaximum) {
 // ReassemblyQueue
 // ---------------------------------------------------------------------------
 
+using Bytes = std::vector<uint8_t>;
+
 TEST(Reassembly, PopsContiguousRun) {
   ReassemblyQueue q;
-  q.Insert(100, {1, 2, 3});
-  q.Insert(103, {4, 5});
+  q.Insert(100, Bytes{1, 2, 3});
+  q.Insert(103, Bytes{4, 5});
   std::vector<uint8_t> out;
   EXPECT_EQ(q.PopInOrder(100, out), 5u);
   EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
@@ -196,13 +198,13 @@ TEST(Reassembly, PopsContiguousRun) {
 
 TEST(Reassembly, HoleBlocksPop) {
   ReassemblyQueue q;
-  q.Insert(100, {1, 2});
-  q.Insert(105, {9});
+  q.Insert(100, Bytes{1, 2});
+  q.Insert(105, Bytes{9});
   std::vector<uint8_t> out;
   EXPECT_EQ(q.PopInOrder(100, out), 2u);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(q.SegmentCount(), 1u);  // the 105 segment waits
-  q.Insert(102, {3, 4, 5});
+  q.Insert(102, Bytes{3, 4, 5});
   out.clear();
   EXPECT_EQ(q.PopInOrder(102, out), 4u);
   EXPECT_EQ(out, (std::vector<uint8_t>{3, 4, 5, 9}));
@@ -210,16 +212,16 @@ TEST(Reassembly, HoleBlocksPop) {
 
 TEST(Reassembly, DuplicateFullyCoveredIsIgnored) {
   ReassemblyQueue q;
-  q.Insert(10, {1, 2, 3, 4});
-  q.Insert(11, {2, 3});  // inside existing
+  q.Insert(10, Bytes{1, 2, 3, 4});
+  q.Insert(11, Bytes{2, 3});  // inside existing
   EXPECT_EQ(q.BufferedBytes(), 4u);
   EXPECT_EQ(q.SegmentCount(), 1u);
 }
 
 TEST(Reassembly, HeadOverlapTrimmed) {
   ReassemblyQueue q;
-  q.Insert(10, {1, 2, 3});
-  q.Insert(12, {3, 4, 5});  // overlaps byte 12
+  q.Insert(10, Bytes{1, 2, 3});
+  q.Insert(12, Bytes{3, 4, 5});  // overlaps byte 12
   std::vector<uint8_t> out;
   EXPECT_EQ(q.PopInOrder(10, out), 5u);
   EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
@@ -227,8 +229,8 @@ TEST(Reassembly, HeadOverlapTrimmed) {
 
 TEST(Reassembly, TailOverlapAbsorbsCoveredSegment) {
   ReassemblyQueue q;
-  q.Insert(14, {5, 6});
-  q.Insert(10, {1, 2, 3, 4, 5, 6});  // fully covers the existing segment
+  q.Insert(14, Bytes{5, 6});
+  q.Insert(10, Bytes{1, 2, 3, 4, 5, 6});  // fully covers the existing segment
   EXPECT_EQ(q.SegmentCount(), 1u);   // absorbed, not duplicated
   std::vector<uint8_t> out;
   EXPECT_EQ(q.PopInOrder(10, out), 6u);
@@ -237,8 +239,8 @@ TEST(Reassembly, TailOverlapAbsorbsCoveredSegment) {
 
 TEST(Reassembly, TailOverlapTrimsAgainstLongerSuccessor) {
   ReassemblyQueue q;
-  q.Insert(14, {5, 6, 7, 8});        // extends past the new data's end
-  q.Insert(10, {1, 2, 3, 4, 9, 9});  // tail overlap: new data trimmed at 14
+  q.Insert(14, Bytes{5, 6, 7, 8});        // extends past the new data's end
+  q.Insert(10, Bytes{1, 2, 3, 4, 9, 9});  // tail overlap: new data trimmed at 14
   std::vector<uint8_t> out;
   EXPECT_EQ(q.PopInOrder(10, out), 8u);
   EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5, 6, 7, 8}));
@@ -246,7 +248,7 @@ TEST(Reassembly, TailOverlapTrimsAgainstLongerSuccessor) {
 
 TEST(Reassembly, PopStartingInsideSegment) {
   ReassemblyQueue q;
-  q.Insert(10, {1, 2, 3, 4});
+  q.Insert(10, Bytes{1, 2, 3, 4});
   std::vector<uint8_t> out;
   // Retransmission advanced rcv_nxt into the middle of a buffered segment.
   EXPECT_EQ(q.PopInOrder(12, out), 2u);
@@ -255,8 +257,8 @@ TEST(Reassembly, PopStartingInsideSegment) {
 
 TEST(Reassembly, DropBelowDiscardsStale) {
   ReassemblyQueue q;
-  q.Insert(10, {1, 2});
-  q.Insert(20, {3, 4});
+  q.Insert(10, Bytes{1, 2});
+  q.Insert(20, Bytes{3, 4});
   q.DropBelow(15);
   EXPECT_EQ(q.SegmentCount(), 1u);
   EXPECT_EQ(q.BufferedBytes(), 2u);

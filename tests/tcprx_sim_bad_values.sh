@@ -43,7 +43,8 @@ expect_unknown() {
   fi
 }
 
-expect "--cores must be >= 1" latency --cores=0
+expect "--cores must be between 1 and 128" latency --cores=0
+expect "--cores must be between 1 and 128" latency --cores=129
 expect "--mss must be between 1 and 65455" stream --mss=0
 expect "--mss must be between 1 and 65455" stream --mss=65456
 expect "--mss must be between 1 and 65455" stream --mss=100000

@@ -16,7 +16,7 @@
 // a pcap of the optimized run, and exits nonzero.
 //
 // Examples:
-//   tcprx_fuzz --seeds=200                      # CI smoke sweep
+//   tcprx_fuzz --seeds=2000                     # CI smoke sweep
 //   tcprx_fuzz --seed=1337 --verbose            # replay one scenario
 //   tcprx_fuzz --seeds=50 --mutate=noflush      # prove the oracles catch a broken flush
 
