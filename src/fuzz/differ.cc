@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/fuzz/direct_harness.h"
+#include "src/util/byte_order.h"
 #include "src/util/rng.h"
 
 namespace tcprx {
@@ -79,6 +81,27 @@ void ApplyFaults(const std::vector<FaultEvent>& faults, std::vector<WireFrame>* 
         break;
       }
     }
+  }
+}
+
+// --mutate=payload: flips the byte at stream offset kWrongPayloadByteOffset in each
+// frame of `frames` that carries it, and refills the frame's TCP checksum, so that
+// every stack accepts the wrong byte and delivers it.
+void PlantWrongPayloadByte(std::vector<WireFrame>* frames) {
+  for (WireFrame& f : *frames) {
+    const uint32_t offset = f.seq - kFirstDataSeq;
+    if (kWrongPayloadByteOffset < offset || kWrongPayloadByteOffset - offset >= f.payload_len) {
+      continue;
+    }
+    const std::optional<TcpFrameView> view = ParseTcpFrame(f.bytes);
+    f.bytes[view->payload_offset + (kWrongPayloadByteOffset - offset)] ^= 0x01;
+    uint8_t* checksum = f.bytes.data() + view->tcp_offset + 16;
+    StoreBe16(checksum, 0);
+    const std::span<const uint8_t> segment = std::span<const uint8_t>(f.bytes).subspan(
+        view->tcp_offset, view->tcp.HeaderSize() + view->payload_size);
+    const std::span<const uint8_t> payload[] = {segment.subspan(view->tcp.HeaderSize())};
+    StoreBe16(checksum, TcpChecksum(view->ip.src, view->ip.dst,
+                                    segment.first(view->tcp.HeaderSize()), payload));
   }
 }
 
@@ -190,6 +213,9 @@ UniObservation RunUni(const StackConfig& config, const Scenario& s,
 void DiffUnidirectional(const Scenario& s, const DiffOptions& options,
                         std::vector<std::string>* failures) {
   std::vector<WireFrame> schedule = BuildSchedule(s);
+  if (options.mutate_payload) {
+    PlantWrongPayloadByte(&schedule);
+  }
   ApplyFaults(s.faults, &schedule);
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> fed(s.flows);
   for (const WireFrame& f : schedule) {
@@ -277,7 +303,7 @@ struct BidirObservation {
 };
 
 BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
-                          PcapWriter* pcap) {
+                          const DiffOptions& options, PcapWriter* pcap) {
   DirectHarness h(config, 1, pcap);
   BidirObservation obs;
   const std::vector<uint32_t> iss = h.HandshakeAll();
@@ -323,6 +349,9 @@ BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
         local_faults.push_back(shifted);
       }
     }
+    if (options.mutate_payload) {
+      PlantWrongPayloadByte(&local);
+    }
     ApplyFaults(local_faults, &local);
     for (const WireFrame& f : local) {
       h.Feed(f);
@@ -343,9 +372,9 @@ void DiffBidirectional(const Scenario& s, const DiffOptions& options,
     pcap = std::make_unique<PcapWriter>(options.pcap_path);
   }
   const BidirObservation baseline =
-      RunBidir(MakeStackConfig(s, false, 0, options, false), s, nullptr);
+      RunBidir(MakeStackConfig(s, false, 0, options, false), s, options, nullptr);
   const BidirObservation optimized =
-      RunBidir(MakeStackConfig(s, true, 0, options, true), s, pcap.get());
+      RunBidir(MakeStackConfig(s, true, 0, options, true), s, options, pcap.get());
   const size_t failed_before = failures->size();
   CheckAccepted("baseline", baseline.unaccepted, failures);
   CheckAccepted("optimized", optimized.unaccepted, failures);

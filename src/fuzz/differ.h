@@ -36,11 +36,18 @@
 namespace tcprx {
 namespace fuzz {
 
+// The stream offset of the wrong byte DiffOptions::mutate_payload plants.
+inline constexpr uint32_t kWrongPayloadByteOffset = 0;
+
 struct DiffOptions {
   // Mutations applied to the *optimized* stack only — used by the harness
   // self-tests to prove the oracles catch a broken invariant.
   bool mutate_coalesce_acks = false;
   bool mutate_skip_idle_flush = false;
+  // A sender fault instead, seen by every stack alike: the direct-drive frames carry
+  // one wrong payload byte, at stream offset kWrongPayloadByteOffset of each flow,
+  // under a valid checksum. Only the pattern oracle can catch it.
+  bool mutate_payload = false;
   // Also run the full-testbed tier (slower; the driver runs it on a subset of
   // seeds).
   bool run_testbed = false;

@@ -68,6 +68,7 @@ class SimplexLink {
   // e.g. for tcpdump-style tracing or pcap capture. Multiple taps may coexist.
   using TapFn = std::function<void(std::span<const uint8_t>)>;
   void add_tap(TapFn tap) { taps_.push_back(std::move(tap)); }
+  bool has_taps() const { return !taps_.empty(); }
 
   uint64_t frames_sent() const { return frames_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }

@@ -205,11 +205,21 @@ void Testbed::AttachTracer(PacketTracer& tracer) {
 }
 
 void Testbed::AttachPcap(PcapWriter& pcap) {
+  AddLinkTap([this, &pcap](std::span<const uint8_t> frame) { pcap.Record(loop_.Now(), frame); });
+}
+
+void Testbed::AddLinkTap(const SimplexLink::TapFn& tap) {
   for (auto& link : links_) {
-    link->add_tap([this, &pcap](std::span<const uint8_t> frame) {
-      pcap.Record(loop_.Now(), frame);
-    });
+    link->add_tap(tap);
   }
+}
+
+bool Testbed::PayloadHasReader() const {
+  const LinkConfig c2s = config_.client_to_server_link.value_or(config_.link);
+  return config_.stack.fill_tcp_checksums || config_.link.corrupt_probability > 0 ||
+         c2s.corrupt_probability > 0 ||
+         std::any_of(links_.begin(), links_.end(),
+                     [](const std::unique_ptr<SimplexLink>& link) { return link->has_taps(); });
 }
 
 Ipv4Address Testbed::server_ip(size_t nic_index) const {
@@ -256,6 +266,8 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
   CheckValid(ConfigErrors(config_, options));
   host_.Listen(options.server_port, [](TcpConnection&) {});
 
+  const SyntheticPayload payload =
+      PayloadHasReader() ? SyntheticPayload::kPatternBytes : SyntheticPayload::kLengthOnly;
   // Stagger connection establishment a little so the five links do not run in
   // lockstep.
   uint64_t stagger_ns = 0;
@@ -266,9 +278,9 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
                                  options.server_port);
       conn_config.mss = options.client_mss;
       TcpConnection* conn = remotes_[i]->CreateConnection(conn_config);
-      loop_.ScheduleAt(SimTime::FromNanos(stagger_ns), [conn] {
+      loop_.ScheduleAt(SimTime::FromNanos(stagger_ns), [conn, payload] {
         conn->Connect();
-        conn->SendSynthetic(UINT64_MAX / 2);
+        conn->SendSynthetic(UINT64_MAX / 2, payload);
       });
       stagger_ns += 7300;
     }

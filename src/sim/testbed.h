@@ -75,6 +75,7 @@ struct StreamResult {
   uint64_t intercore_transfers = 0;   // shared-cache-line migrations between cores
   uint64_t misdirected_packets = 0;   // frames steered in software to another core
   uint64_t backlog_drops = 0;         // cross-core backlog overflow
+  bool operator==(const StreamResult&) const = default;
 };
 
 struct LatencyResult {
@@ -125,6 +126,9 @@ class Testbed {
   // Captures every frame on every link into a Wireshark-readable .pcap file.
   void AttachPcap(PcapWriter& pcap);
 
+  // Adds `tap` to every link, both directions.
+  void AddLinkTap(const SimplexLink::TapFn& tap);
+
   // Client c of a stream connects from port kFirstClientPort + c.
   static constexpr uint16_t kFirstClientPort = 10000;
 
@@ -139,6 +143,8 @@ class Testbed {
     uint32_t client_mss = 1448;
     bool operator==(const StreamOptions&) const = default;
   };
+  // The senders write their payload bytes only when something on the bed reads them
+  // (PayloadHasReader); otherwise data frames carry headers and lengths only.
   StreamResult RunStream(const StreamOptions& options);
 
   struct LatencyOptions {
@@ -164,6 +170,11 @@ class Testbed {
   std::vector<PatternCheck> RunTransfer(const TransferOptions& options);
 
  private:
+  // Whether anything on the bed reads the bytes of a stream's data frames: a link tap
+  // (pcap or tracer) records them, a link corrupts them, or a TCP checksum covers them.
+  // A stream's server discards what it receives, so nothing else does.
+  bool PayloadHasReader() const;
+
   // Every shard listens on `port` and hands each connection it accepts to
   // `on_accept` with itself, so what the handler installs charges the owning core.
   void ListenOnEveryShard(

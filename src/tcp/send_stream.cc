@@ -53,15 +53,6 @@ std::span<const uint8_t> SendStream::View(uint64_t offset, size_t len) const {
                                                    len);
 }
 
-void SendStream::CopyOut(uint64_t offset, std::span<uint8_t> out) const {
-  const std::span<const uint8_t> bytes = View(offset, out.size());
-  if (!bytes.empty()) {
-    // tcprx-check: allow(charge) -- harness copy for tests; the modelled host never
-    // pays for a sender filling its payload.
-    std::memcpy(out.data(), bytes.data(), bytes.size());
-  }
-}
-
 void SendStream::ReleaseThrough(uint64_t offset) {
   if (offset <= released_offset_) {
     return;

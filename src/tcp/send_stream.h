@@ -13,7 +13,7 @@
 // by a 16- or 32-bit sequence wrap, or by up to 256 KiB lands elsewhere in the period.
 // The bytes live in a read-only table that repeats kMaxPatternView bytes past one
 // period, so a synthetic View is a slice of it and the sender copies payload straight
-// into the frame.
+// into the frame, on runs where anything reads it (TcpConnection::SendSynthetic).
 
 #ifndef SRC_TCP_SEND_STREAM_H_
 #define SRC_TCP_SEND_STREAM_H_
@@ -59,9 +59,6 @@ class SendStream {
   // not yet released, and a synthetic read is at most kMaxPatternView bytes. The span
   // stays valid until the next Append or ReleaseThrough.
   std::span<const uint8_t> View(uint64_t offset, size_t len) const;
-
-  // Copies stream bytes [offset, offset+out.size()) into `out`, as View.
-  void CopyOut(uint64_t offset, std::span<uint8_t> out) const;
 
   // Releases (frees) all bytes below `offset` — they have been cumulatively ACKed.
   void ReleaseThrough(uint64_t offset);

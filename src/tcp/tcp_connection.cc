@@ -114,8 +114,9 @@ void TcpConnection::Send(std::span<const uint8_t> data) {
   TrySendData();
 }
 
-void TcpConnection::SendSynthetic(uint64_t total_bytes) {
+void TcpConnection::SendSynthetic(uint64_t total_bytes, SyntheticPayload payload) {
   send_stream_.SetSynthetic(total_bytes);
+  synthetic_payload_ = payload;
   TrySendData();
 }
 
@@ -481,7 +482,7 @@ void TcpConnection::EnterTimeWait() {
 // ---------------------------------------------------------------------------
 
 std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uint8_t flags,
-                                                 std::span<const uint8_t> payload) {
+                                                 TcpPayload payload) {
   TcpOptionBytes options;
   const bool syn = (flags & kTcpSyn) != 0;
   const bool want_ts = syn || peer_uses_timestamps_;
@@ -502,7 +503,7 @@ std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uin
     options.insert(options.end(), ts_block, ts_block + kTcpTimestampOptionSize);
   }
   // SACK blocks ride on pure ACKs when the receiver is holding out-of-order data.
-  if (peer_sack_ && flags == kTcpAck && payload.empty() && !reassembly_.Empty()) {
+  if (peer_sack_ && flags == kTcpAck && payload.size() == 0 && !reassembly_.Empty()) {
     std::array<SackBlock, 3> blocks;
     AppendSackOption(std::span(blocks).first(reassembly_.SackBlocks(blocks)), options);
   }
@@ -546,8 +547,11 @@ void TcpConnection::EmitPureAcks(std::span<const uint32_t> ack_values) {
 }
 
 void TcpConnection::EmitDataSegment(uint64_t seq, uint32_t len, bool fin, bool retransmit) {
-  const std::span<const uint8_t> payload =
+  const std::span<const uint8_t> bytes =
       len > 0 ? send_stream_.View(seq - (iss_ + 1), len) : std::span<const uint8_t>();
+  const TcpPayload payload = synthetic_payload_ == SyntheticPayload::kLengthOnly
+                                 ? TcpPayload::LengthOnly(bytes.size())
+                                 : TcpPayload(bytes);
   uint8_t flags = kTcpAck;
   if (len > 0) {
     flags |= kTcpPsh;

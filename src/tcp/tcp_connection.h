@@ -96,6 +96,11 @@ struct TcpOutputItem {
   size_t payload_size = 0;  // TCP payload bytes in `frame`
 };
 
+// What the data frames of a synthetic stream carry: the pattern bytes, or only their
+// length (a length-only TcpPayload, src/wire/frame.h) for runs where nothing reads
+// them. Retransmissions carry the same.
+enum class SyntheticPayload : uint8_t { kPatternBytes, kLengthOnly };
+
 class TcpConnection {
  public:
   using OutputFn = std::function<void(TcpOutputItem)>;
@@ -111,9 +116,11 @@ class TcpConnection {
   void Listen();
 
   // Appends application data and tries to transmit. SendSynthetic arms a synthetic
-  // source of `total_bytes` pattern bytes instead (see SendStream).
+  // source of `total_bytes` pattern bytes instead (see SendStream), whose frames carry
+  // `payload`.
   void Send(std::span<const uint8_t> data);
-  void SendSynthetic(uint64_t total_bytes);
+  void SendSynthetic(uint64_t total_bytes,
+                     SyntheticPayload payload = SyntheticPayload::kPatternBytes);
 
   // Graceful close: FIN is sent once all queued data has been transmitted.
   void Close();
@@ -196,7 +203,7 @@ class TcpConnection {
   // FIN once it is queued and all data is out.
   void TrySendData();
   std::vector<uint8_t> BuildSegment(uint32_t seq, uint32_t ack, uint8_t flags,
-                                    std::span<const uint8_t> payload);
+                                    TcpPayload payload);
   uint32_t NowTsMs() const;
 
   // --- timers ---
@@ -230,6 +237,7 @@ class TcpConnection {
   uint64_t snd_wl2_ = 0;  // seg ack of last window update
   uint64_t recover_ = 0;  // recovery point for NewReno-style partial-ack handling
   SendStream send_stream_;
+  SyntheticPayload synthetic_payload_ = SyntheticPayload::kPatternBytes;
   bool fin_queued_ = false;
   bool fin_sent_ = false;
   uint64_t fin_seq_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/util/byte_order.h"
+#include "src/util/harness_counters.h"
 #include "src/util/logging.h"
 #include "src/wire/frame_buffer.h"
 
@@ -66,9 +67,11 @@ TcpFrameTemplate MakeTcpFrameTemplate(const MacAddress& src_mac, const MacAddres
 
 std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
                                    const TcpSegmentFields& tcp,
-                                   std::span<const uint8_t> options,
-                                   std::span<const uint8_t> payload, bool fill_tcp_checksum) {
+                                   std::span<const uint8_t> options, TcpPayload payload,
+                                   bool fill_tcp_checksum) {
   TCPRX_CHECK_MSG(options.size() <= kTcpMaxOptionBytes, "TCP options exceed 40 bytes");
+  TCPRX_CHECK_MSG(payload.written() || !fill_tcp_checksum,
+                  "a TCP checksum needs the payload bytes");
   const size_t tcp_size = kTcpMinHeaderSize + ((options.size() + 3) & ~size_t{3});
   const size_t ip_total = kIpv4MinHeaderSize + tcp_size + payload.size();
   TCPRX_CHECK_MSG(ip_total <= 0xffff, "IP datagram exceeds 64KiB");
@@ -99,13 +102,17 @@ std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
   uint8_t* options_end = std::copy(options.begin(), options.end(), th + kTcpMinHeaderSize);
   std::fill(options_end, th + tcp_size, uint8_t{kTcpOptEnd});
 
-  std::vector<uint8_t> frame = TakeFrameBuffer(kTcpFrameHeaderOffset + tcp_size + payload.size());
-  frame.assign(head, th + tcp_size);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  const size_t header_size = kTcpFrameHeaderOffset + tcp_size;
+  std::vector<uint8_t> frame = TakeFrameBuffer(header_size + payload.size());
+  uint8_t* payload_start = std::copy(head, th + tcp_size, frame.data());
+  if (payload.written()) {
+    std::copy(payload.bytes().begin(), payload.bytes().end(), payload_start);
+    thread_harness_counters.payload_bytes_written += payload.size();
+  }
 
   if (fill_tcp_checksum) {
     const std::span<const uint8_t> bytes(frame);
-    const std::span<const uint8_t> fragments[] = {bytes.subspan(kTcpFrameHeaderOffset + tcp_size)};
+    const std::span<const uint8_t> fragments[] = {bytes.subspan(header_size)};
     const uint16_t csum = TcpChecksum(tmpl.src_ip, tmpl.dst_ip,
                                       bytes.subspan(kTcpFrameHeaderOffset, tcp_size), fragments);
     StoreBe16(frame.data() + kTcpFrameHeaderOffset + 16, csum);

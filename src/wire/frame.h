@@ -94,16 +94,46 @@ struct TcpSegmentFields {
   uint16_t urgent_pointer = 0;
 };
 
+// A segment's TCP payload as the writer sees it: its length, and its bytes unless it
+// is length-only. A length-only payload sets every length field of the frame as its
+// bytes would and leaves the payload bytes themselves unspecified. It is for runs where
+// nothing reads them: no tap records the frames, no link corrupts them and no checksum
+// covers them.
+class TcpPayload {
+ public:
+  TcpPayload() = default;
+  // `bytes`, written into the frame. Implicit: a span of bytes is a written payload.
+  TcpPayload(std::span<const uint8_t> bytes) : bytes_(bytes), size_(bytes.size()) {}
+  static TcpPayload LengthOnly(size_t size) {
+    TcpPayload payload;
+    payload.size_ = size;
+    payload.written_ = false;
+    return payload;
+  }
+
+  size_t size() const { return size_; }
+  bool written() const { return written_; }
+  // The bytes to write; empty when length-only.
+  std::span<const uint8_t> bytes() const { return bytes_; }
+
+ private:
+  std::span<const uint8_t> bytes_;
+  size_t size_ = 0;
+  bool written_ = true;
+};
+
 // Writes one frame from `tmpl` into a recycled buffer (src/wire/frame_buffer.h): copies
 // the prefix, patches the IPv4 total length and `ip_id`, finishes the IPv4 checksum from
 // the template's partial sum, stores the TCP fields and `options` (padded with END bytes
-// to a 4-byte boundary, which sets the data offset) and appends `payload`. The TCP
-// checksum is computed when `fill_tcp_checksum` is set and left zero otherwise,
-// modelling a sender whose NIC would fill it in.
+// to a 4-byte boundary, which sets the data offset) and, unless it is length-only,
+// writes `payload`. Every byte up to the end of the TCP header is written either way.
+// The TCP checksum is computed when `fill_tcp_checksum` is set, which a length-only
+// payload does not allow, and left zero otherwise, modelling a sender whose NIC would
+// fill it in.
 std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
                                    const TcpSegmentFields& tcp,
-                                   std::span<const uint8_t> options,
-                                   std::span<const uint8_t> payload, bool fill_tcp_checksum);
+                                   std::span<const uint8_t> options, TcpPayload payload,
+                                   bool fill_tcp_checksum);
 
 // Everything needed to compose one TCP/IPv4 frame.
 struct TcpFrameSpec {

@@ -117,6 +117,19 @@ TEST(FuzzMutation, SkippedIdleFlushIsCaught) {
       << "unexpected oracle: " << failures.front();
 }
 
+TEST(FuzzMutation, WrongPayloadByteIsCaught) {
+  DiffOptions options;
+  options.mutate_payload = true;
+  const std::vector<std::string> failures = FirstFailure(options, 10);
+  ASSERT_FALSE(failures.empty()) << "a wrong payload byte survived 10 seeds undetected";
+  // Every stack delivers the same wrong byte, so only the pattern oracle sees it.
+  EXPECT_TRUE(AnyFailureMentions(failures, "stream-pattern"))
+      << "unexpected oracle: " << failures.front();
+  EXPECT_TRUE(AnyFailureMentions(failures, "first mismatch offset " +
+                                               std::to_string(kWrongPayloadByteOffset)))
+      << failures.front();
+}
+
 // ---------------------------------------------------------------------------
 // Scenario serialization
 // ---------------------------------------------------------------------------

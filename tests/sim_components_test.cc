@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/sim/remote_node.h"
 #include "src/sim/report.h"
 #include "src/sim/testbed.h"
+#include "src/util/harness_counters.h"
 #include "tests/test_util.h"
 
 namespace tcprx {
@@ -128,6 +131,133 @@ TEST(TestbedTopology, IndependentRunsAreDeterministic) {
   EXPECT_EQ(a.data_packets, b.data_packets);
   EXPECT_DOUBLE_EQ(a.throughput_mbps, b.throughput_mbps);
   EXPECT_DOUBLE_EQ(a.total_cycles_per_packet, b.total_cycles_per_packet);
+}
+
+// ---------------------------------------------------------------------------
+// Stream payload: written only where something reads it
+// ---------------------------------------------------------------------------
+
+// Two NICs, checksums left to the NIC, and loss on the data path, so the senders
+// retransmit too.
+TestbedConfig LossyStreamConfig() {
+  TestbedConfig config;
+  config.stack = StackConfig::Optimized(SystemType::kNativeUp);
+  config.stack.fill_tcp_checksums = false;
+  config.num_nics = 2;
+  LinkConfig lossy;
+  lossy.drop_probability = 0.005;
+  config.client_to_server_link = lossy;
+  return config;
+}
+
+Testbed::StreamOptions ShortStream() {
+  Testbed::StreamOptions options;
+  options.connections_per_nic = 2;
+  options.warmup = SimDuration::FromMillis(20);
+  options.measure = SimDuration::FromMillis(30);
+  return options;
+}
+
+TEST(StreamPayload, TapSeesThePatternAtEachDataFramesStreamOffset) {
+  Testbed bed(LossyStreamConfig());
+  const Testbed::StreamOptions options = ShortStream();
+  uint64_t data_frames = 0;
+  uint64_t mismatches = 0;
+  bed.AddLinkTap([&](std::span<const uint8_t> frame) {
+    const auto view = ParseTcpFrame(frame);
+    ASSERT_TRUE(view.has_value());
+    if (view->payload_size == 0) {
+      return;
+    }
+    size_t nic = 0;
+    while (bed.client_ip(nic) != view->ip.src) {
+      ++nic;
+    }
+    const uint32_t iss =
+        bed.ClientConnectionConfig(nic, view->tcp.src_port, options.server_port).initial_seq;
+    const uint32_t offset = view->tcp.seq - (iss + 1);
+    const std::span<const uint8_t> payload(frame.data() + view->payload_offset,
+                                           view->payload_size);
+    const std::span<const uint8_t> want = SendStream::PatternView(offset, payload.size());
+    ++data_frames;
+    if (!std::equal(payload.begin(), payload.end(), want.begin())) {
+      ++mismatches;
+    }
+  });
+  const StreamResult result = bed.RunStream(options);
+  EXPECT_GT(result.retransmits, 0u);
+  EXPECT_GT(data_frames, result.data_packets);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(StreamPayload, ReadersChangeNoStreamResult) {
+  enum class Reader { kNone, kTap, kTracer };
+  const auto run = [](Reader reader) {
+    Testbed bed(LossyStreamConfig());
+    PacketTracer tracer(bed.loop(), 10);
+    if (reader == Reader::kTap) {
+      bed.AddLinkTap([](std::span<const uint8_t>) {});
+    } else if (reader == Reader::kTracer) {
+      bed.AttachTracer(tracer);
+    }
+    return bed.RunStream(ShortStream());
+  };
+  const StreamResult unread = run(Reader::kNone);
+  EXPECT_GT(unread.data_packets, 0u);
+  EXPECT_EQ(run(Reader::kTap), unread);
+  EXPECT_EQ(run(Reader::kTracer), unread);
+}
+
+// What the senders wrote over a stream's measurement window.
+struct WindowWrites {
+  bool window_ran = false;
+  uint64_t payload_bytes_written = 0;  // counted by the frame writer
+  uint64_t tapped_data_frames = 0;     // counted by the tap, when there is one
+  uint64_t tapped_payload_bytes = 0;
+};
+
+WindowWrites RunStreamWindow(bool tap) {
+  Testbed bed(LossyStreamConfig());
+  const Testbed::StreamOptions options = ShortStream();
+  WindowWrites writes;
+  bool in_window = false;
+  uint64_t written_at_start = 0;
+  // Marks at the window's edges; they touch no simulated state.
+  bed.loop().ScheduleAt(SimTime() + options.warmup, [&] {
+    in_window = true;
+    written_at_start = thread_harness_counters.payload_bytes_written;
+  });
+  bed.loop().ScheduleAt(SimTime() + options.warmup + options.measure, [&] {
+    in_window = false;
+    writes.window_ran = true;
+    writes.payload_bytes_written =
+        thread_harness_counters.payload_bytes_written - written_at_start;
+  });
+  if (tap) {
+    bed.AddLinkTap([&](std::span<const uint8_t> frame) {
+      const auto view = ParseTcpFrame(frame);
+      if (in_window && view.has_value() && view->payload_size > 0) {
+        ++writes.tapped_data_frames;
+        writes.tapped_payload_bytes += view->payload_size;
+      }
+    });
+  }
+  bed.RunStream(options);
+  return writes;
+}
+
+TEST(HarnessCounters, StreamWithoutReadersWritesNoPayloadByte) {
+  const WindowWrites writes = RunStreamWindow(/*tap=*/false);
+  ASSERT_TRUE(writes.window_ran);
+  EXPECT_EQ(writes.payload_bytes_written, 0u);
+}
+
+TEST(HarnessCounters, StreamWithATapWritesEveryDataFramesPayload) {
+  const WindowWrites writes = RunStreamWindow(/*tap=*/true);
+  ASSERT_TRUE(writes.window_ran);
+  EXPECT_GT(writes.tapped_data_frames, 0u);
+  EXPECT_EQ(writes.payload_bytes_written, kMssWithTimestamps * writes.tapped_data_frames);
+  EXPECT_EQ(writes.tapped_payload_bytes, writes.payload_bytes_written);
 }
 
 TEST(TestbedTopology, LatencyPercentilesAreOrderedAndPlausible) {

@@ -306,7 +306,7 @@ TEST(Reassembly, RandomizedStreamProperty) {
 // SendStream
 // ---------------------------------------------------------------------------
 
-TEST(SendStream, AppendAndCopyOut) {
+TEST(SendStream, AppendAndView) {
   SendStream s;
   const std::vector<uint8_t> data = {1, 2, 3, 4, 5};
   s.Append(data);
@@ -314,9 +314,8 @@ TEST(SendStream, AppendAndCopyOut) {
   EXPECT_EQ(s.AvailableFrom(0), 5u);
   EXPECT_EQ(s.AvailableFrom(3), 2u);
   EXPECT_EQ(s.AvailableFrom(7), 0u);
-  std::vector<uint8_t> out(3);
-  s.CopyOut(1, out);
-  EXPECT_EQ(out, (std::vector<uint8_t>{2, 3, 4}));
+  const std::span<const uint8_t> out = s.View(1, 3);
+  EXPECT_EQ(std::vector<uint8_t>(out.begin(), out.end()), (std::vector<uint8_t>{2, 3, 4}));
 }
 
 TEST(SendStream, ReleaseFreesPrefix) {
@@ -324,8 +323,7 @@ TEST(SendStream, ReleaseFreesPrefix) {
   s.Append(std::vector<uint8_t>(100, 7));
   s.ReleaseThrough(60);
   EXPECT_EQ(s.released_offset(), 60u);
-  std::vector<uint8_t> out(40);
-  s.CopyOut(60, out);  // still readable
+  const std::span<const uint8_t> out = s.View(60, 40);  // still readable
   EXPECT_EQ(out[0], 7);
   // Re-releasing earlier offsets is a no-op.
   s.ReleaseThrough(10);
@@ -335,11 +333,9 @@ TEST(SendStream, ReleaseFreesPrefix) {
 TEST(SendStream, SyntheticPatternIsDeterministic) {
   SendStream s;
   s.SetSynthetic(1'000'000);
-  std::vector<uint8_t> a(64);
-  std::vector<uint8_t> b(64);
-  s.CopyOut(500, a);
-  s.CopyOut(500, b);
-  EXPECT_EQ(a, b);
+  const std::span<const uint8_t> a = s.View(500, 64);
+  const std::span<const uint8_t> b = s.View(500, 64);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
   for (size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(a[i], SendStream::PatternByte(500 + i));
   }
@@ -362,16 +358,14 @@ TEST(SendStreamDeathTest, MixingSyntheticAndExplicitAborts) {
 TEST(SendStreamDeathTest, ReadPastEndAborts) {
   SendStream s;
   s.Append(std::vector<uint8_t>(10, 0));
-  std::vector<uint8_t> out(5);
-  EXPECT_DEATH(s.CopyOut(8, out), "past end");
+  EXPECT_DEATH(s.View(8, 5), "past end");
 }
 
 TEST(SendStreamDeathTest, ReadReleasedAborts) {
   SendStream s;
   s.Append(std::vector<uint8_t>(10, 0));
   s.ReleaseThrough(5);
-  std::vector<uint8_t> out(2);
-  EXPECT_DEATH(s.CopyOut(2, out), "released");
+  EXPECT_DEATH(s.View(2, 2), "released");
 }
 
 TEST(SendStream, PatternByteCoversAllValues) {
@@ -440,18 +434,15 @@ TEST(SendStreamPattern, ShiftedWindowsDiffer) {
   }
 }
 
-TEST(SendStreamPattern, ViewAndCopyOutCrossThePeriod) {
+TEST(SendStreamPattern, ViewsCrossThePeriod) {
   SendStream s;
   s.SetSynthetic(UINT64_MAX / 2);
   for (const size_t len : {size_t{1}, size_t{1448}, size_t{8948}, size_t{65535}}) {
     for (const uint64_t at : {kPatternPeriod - len / 2, kPatternPeriod - 1,
                               3 * kPatternPeriod - len, (uint64_t{1} << 32) - 7}) {
       const std::span<const uint8_t> view = s.View(at, len);
-      std::vector<uint8_t> copy(len);
-      s.CopyOut(at, copy);
       for (size_t i = 0; i < len; ++i) {
         ASSERT_EQ(view[i], SendStream::PatternByte(at + i)) << at << "+" << i;
-        ASSERT_EQ(copy[i], view[i]) << at << "+" << i;
       }
     }
   }
@@ -524,12 +515,9 @@ TEST(SendStream, ExplicitReadsSurviveCompaction) {
   s.Append(data);
   s.ReleaseThrough(1100);
   const std::span<const uint8_t> view = s.View(1100, 900);
-  std::vector<uint8_t> copy(900);
-  s.CopyOut(1100, copy);
   for (uint64_t o = 1100; o < 2000; ++o) {
     const uint8_t want = static_cast<uint8_t>((o % 1000) * 7);
     ASSERT_EQ(view[o - 1100], want) << o;
-    ASSERT_EQ(copy[o - 1100], want) << o;
   }
   s.ReleaseThrough(2000);
   EXPECT_EQ(s.AvailableFrom(2000), 0u);

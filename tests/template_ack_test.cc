@@ -172,13 +172,18 @@ TEST(TemplateAck, ExpandedAcksAreByteIdenticalToIndividuallyBuiltOnes) {
 }
 
 TEST(TemplateAck, ExpansionIntoRecycledBuffersIsByteIdentical) {
-  // The template and its copies are written into recycled buffers that last held full
-  // data frames; none of their old bytes may survive into an ACK.
+  // The template and its copies are written into recycled small buffers full of stale
+  // bytes; none of them may survive into an ACK. A full-MTU buffer waits too, and no
+  // ACK may take it.
+  std::vector<uint8_t> full = TakeFrameBuffer(kFrameBufferCapacity);
+  std::fill(full.begin(), full.end(), uint8_t{0xab});
+  const uint8_t* full_storage = full.data();
+  RecycleFrameBuffer(std::move(full));
   std::vector<std::vector<uint8_t>> stale(4);
   std::vector<const uint8_t*> recycled;
   for (std::vector<uint8_t>& buffer : stale) {
-    buffer = TakeFrameBuffer();
-    buffer.assign(kFrameBufferCapacity, 0xab);
+    buffer = TakeFrameBuffer(kSmallFrameBufferCapacity);
+    std::fill(buffer.begin(), buffer.end(), uint8_t{0xab});
     recycled.push_back(buffer.data());
   }
   for (std::vector<uint8_t>& buffer : stale) {
@@ -191,6 +196,7 @@ TEST(TemplateAck, ExpansionIntoRecycledBuffersIsByteIdentical) {
     EXPECT_EQ(expanded[i], MakeAckFrame(all_acks[i])) << "ack #" << i;
     EXPECT_NE(std::find(recycled.begin(), recycled.end(), expanded[i].data()), recycled.end())
         << "ack #" << i << " is not in a recycled buffer";
+    EXPECT_NE(expanded[i].data(), full_storage) << "ack #" << i << " took a full-MTU buffer";
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "src/util/byte_order.h"
 #include "src/util/checksum.h"
+#include "src/util/harness_counters.h"
 #include "src/util/rng.h"
 #include "src/wire/ethernet.h"
 #include "src/wire/frame.h"
@@ -604,27 +605,88 @@ TEST(FrameWriter, WritesIntoRecycledBuffersAsIntoFreshOnes) {
                            testutil::ClientIp(), 5001, 10000);
   const WriterCase ack{"ack", {0x10000001, 0xfffffff1, kTcpAck, 512},
                        TimestampOption(0x01020304, 0x05060708), 0};
-  const std::vector<uint8_t> fresh = ReferenceFrame(ack, 7, {}, true);
-  ASSERT_EQ(fresh.size(), 66u);
-
-  // A full-MTU data frame whose bytes the ACK written after it must not inherit.
+  const std::vector<uint8_t> fresh_ack = ReferenceFrame(ack, 7, {}, true);
+  ASSERT_EQ(fresh_ack.size(), 66u);
   const std::vector<uint8_t> payload(kMssWithTimestamps, 0xab);
-  std::vector<uint8_t> data = WriteTcpFrame(tmpl, 6, ack.fields, ack.options, payload, true);
+  const std::vector<uint8_t> fresh_data = ReferenceFrame(ack, 8, payload, true);
+  ASSERT_EQ(fresh_data.size(), kFrameBufferCapacity);
+
+  // A small buffer full of stale bytes, which the ACK written after it must not inherit.
+  std::vector<uint8_t> stale = TakeFrameBuffer(kSmallFrameBufferCapacity);
+  std::fill(stale.begin(), stale.end(), uint8_t{0xcd});
+  const uint8_t* small_storage = stale.data();
+  RecycleFrameBuffer(std::move(stale));
+  // A full-MTU data frame, waiting in the other class.
+  std::vector<uint8_t> data =
+      WriteTcpFrame(tmpl, 6, ack.fields, ack.options, std::span<const uint8_t>(payload), true);
   ASSERT_EQ(data.size(), kFrameBufferCapacity);
-  const uint8_t* data_storage = data.data();
+  const uint8_t* full_storage = data.data();
   RecycleFrameBuffer(std::move(data));
 
+  // The ACK takes the small buffer, not the full one it would leave short.
   std::vector<uint8_t> written = WriteTcpFrame(tmpl, 7, ack.fields, ack.options, {}, true);
-  EXPECT_EQ(written.data(), data_storage);  // the writer took the recycled buffer
-  EXPECT_EQ(written, fresh);
+  EXPECT_EQ(written.data(), small_storage);
+  EXPECT_EQ(written, fresh_ack);
+  EXPECT_LT(written.capacity(), kFrameBufferCapacity);
 
-  // And a buffer that last held an ACK takes a full-MTU frame without growing.
-  EXPECT_GE(written.capacity(), kFrameBufferCapacity);
-  const uint8_t* ack_storage = written.data();
+  // The next data frame takes the full buffer the last one left.
+  data = WriteTcpFrame(tmpl, 8, ack.fields, ack.options, std::span<const uint8_t>(payload), true);
+  EXPECT_EQ(data.data(), full_storage);
+  EXPECT_EQ(data, fresh_data);
+
+  // A buffer that held an ACK goes back to the small class, and a data frame written
+  // after it takes a full buffer.
   RecycleFrameBuffer(std::move(written));
-  data = WriteTcpFrame(tmpl, 8, ack.fields, ack.options, payload, true);
-  EXPECT_EQ(data.data(), ack_storage);
-  EXPECT_EQ(data.size(), kFrameBufferCapacity);
+  RecycleFrameBuffer(std::move(data));
+  written = WriteTcpFrame(tmpl, 8, ack.fields, ack.options, std::span<const uint8_t>(payload),
+                          true);
+  EXPECT_EQ(written.data(), full_storage);
+  EXPECT_EQ(written, fresh_data);
+  data = WriteTcpFrame(tmpl, 7, ack.fields, ack.options, {}, true);
+  EXPECT_EQ(data.data(), small_storage);
+  EXPECT_EQ(data, fresh_ack);
+}
+
+TEST(FrameWriter, LengthOnlyPayloadWritesEveryHeaderByteAndNoPayloadByte) {
+  const TcpFrameTemplate tmpl =
+      MakeTcpFrameTemplate(testutil::ServerMac(), testutil::ClientMac(), testutil::ServerIp(),
+                           testutil::ClientIp(), 5001, 10000);
+  // Nine option bytes, so three bytes of END padding follow them.
+  const WriterCase data{"data", {0x10000001, 0xfffffff1, kTcpAck | kTcpPsh, 512},
+                        {kTcpOptMss, 4, 0x05, 0xa8, kTcpOptWindowScale, 3, 7,
+                         kTcpOptSackPermitted, 2},
+                        kMssWithTimestamps};
+  const std::vector<uint8_t> payload(kMssWithTimestamps, 0xab);
+  const std::vector<uint8_t> fresh = ReferenceFrame(data, 9, payload, false);
+  const size_t header_size = kTcpFrameHeaderOffset + kTcpMinHeaderSize + 12;
+
+  // A different frame first, in the buffer the length-only frame takes: longer options
+  // over what becomes the padding, a different payload over the rest.
+  const std::vector<uint8_t> nops(kTcpMaxOptionBytes, kTcpOptNop);
+  const std::vector<uint8_t> other_payload(kMssWithTimestamps - 28, 0xcd);
+  std::vector<uint8_t> other = WriteTcpFrame(tmpl, 3, {1, 2, kTcpAck | kTcpUrg, 3, 4}, nops,
+                                             std::span<const uint8_t>(other_payload), true);
+  const uint8_t* storage = other.data();
+  RecycleFrameBuffer(std::move(other));
+
+  const uint64_t written_before = thread_harness_counters.payload_bytes_written;
+  const std::vector<uint8_t> written =
+      WriteTcpFrame(tmpl, 9, data.fields, data.options,
+                    TcpPayload::LengthOnly(kMssWithTimestamps), false);
+  EXPECT_EQ(thread_harness_counters.payload_bytes_written, written_before);
+  EXPECT_EQ(written.data(), storage);
+  ASSERT_EQ(written.size(), fresh.size());
+  EXPECT_TRUE(std::equal(written.data(), written.data() + header_size, fresh.data()));
+  const auto view = ParseTcpFrame(written);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->payload_offset, header_size);
+  EXPECT_EQ(view->payload_size, kMssWithTimestamps);
+
+  // The same frame with its bytes written counts them.
+  const std::vector<uint8_t> with_bytes =
+      WriteTcpFrame(tmpl, 9, data.fields, data.options, std::span<const uint8_t>(payload), false);
+  EXPECT_EQ(with_bytes, fresh);
+  EXPECT_EQ(thread_harness_counters.payload_bytes_written, written_before + kMssWithTimestamps);
 }
 
 TEST(FrameWriter, BuildTcpFrameWritesFromTheSpecsTemplate) {
@@ -647,6 +709,14 @@ TEST(FrameWriterDeathTest, TooManyOptionBytesAbort) {
                            testutil::ClientIp(), 5001, 10000);
   const std::vector<uint8_t> options(kTcpMaxOptionBytes + 1, kTcpOptNop);
   EXPECT_DEATH(WriteTcpFrame(tmpl, 1, {}, options, {}, false), "TCP options exceed 40 bytes");
+}
+
+TEST(FrameWriterDeathTest, ChecksumOverALengthOnlyPayloadAborts) {
+  const TcpFrameTemplate tmpl =
+      MakeTcpFrameTemplate(testutil::ServerMac(), testutil::ClientMac(), testutil::ServerIp(),
+                           testutil::ClientIp(), 5001, 10000);
+  EXPECT_DEATH(WriteTcpFrame(tmpl, 1, {}, {}, TcpPayload::LengthOnly(10), true),
+               "a TCP checksum needs the payload bytes");
 }
 
 }  // namespace

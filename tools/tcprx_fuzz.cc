@@ -8,7 +8,7 @@
 //
 //   tcprx_fuzz [--seeds=N] [--start-seed=N] [--testbed-every=N] [--verbose]
 //   tcprx_fuzz --seed=N [--events=SPEC] [--pcap=FILE] [--testbed]
-//   tcprx_fuzz --seeds=N --mutate=coalesce|noflush   (self-test: expects failures)
+//   tcprx_fuzz --seeds=N --mutate=coalesce|noflush|payload   (self-test: expects failures)
 //
 // On the first failing seed the fault plan is shrunk (ddmin over the event list) and
 // the tool prints a one-line repro — `tcprx_fuzz --seed=N --events=...` — plus the
@@ -40,8 +40,9 @@ int Usage() {
       "                             0 = direct-drive only)\n"
       "  replay: --seed=N  [--events=drop@3,reo@7x2,...]  [--testbed]\n"
       "  output: --pcap=FILE (optimized direct-drive capture)  --verbose  --quiet\n"
-      "  self-test: --mutate=coalesce|noflush (break the optimized stack on purpose;\n"
-      "             the sweep then *must* fail)\n");
+      "  self-test: --mutate=coalesce|noflush (break the optimized stack on purpose)\n"
+      "             --mutate=payload (send one wrong payload byte to every stack);\n"
+      "             the sweep then *must* fail\n");
   return 2;
 }
 
@@ -113,6 +114,8 @@ int Main(int argc, char** argv) {
     options.mutate_coalesce_acks = true;
   } else if (mutate == "noflush") {
     options.mutate_skip_idle_flush = true;
+  } else if (mutate == "payload") {
+    options.mutate_payload = true;
   } else if (!mutate.empty()) {
     std::fprintf(stderr, "unknown --mutate value: %s\n", mutate.c_str());
     return Usage();
