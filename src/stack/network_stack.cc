@@ -309,15 +309,12 @@ TcpConnection* NetworkStack::CreateConnection(const TcpConnectionConfig& config)
 void NetworkStack::WireConnection(ConnectionEntry& entry) {
   TcpConnection* conn = entry.conn.get();
   ConnectionEntry* raw_entry = &entry;
-  conn->set_on_closed([this, conn, raw_entry] {
+  conn->set_on_closed([this, conn] {
     // Free the 4-tuple: a later connection may legitimately reuse it. The entry (and
     // the connection object) stay alive so held pointers remain valid.
     TcpConnection* const* mapped = demux_.Find(conn->IncomingFlowKey());
     if (mapped != nullptr && *mapped == conn) {
       demux_.Erase(conn->IncomingFlowKey());
-    }
-    if (raw_entry->app_on_closed) {
-      raw_entry->app_on_closed();
     }
   });
   conn->set_on_data([this, raw_entry](std::span<const uint8_t> data) {
@@ -344,10 +341,6 @@ NetworkStack::ConnectionEntry& NetworkStack::EntryFor(TcpConnection& conn) {
 
 void NetworkStack::SetConnectionDataHandler(TcpConnection& conn, TcpConnection::DataFn fn) {
   EntryFor(conn).app_on_data = std::move(fn);
-}
-
-void NetworkStack::SetConnectionClosedHandler(TcpConnection& conn, std::function<void()> fn) {
-  EntryFor(conn).app_on_closed = std::move(fn);
 }
 
 void NetworkStack::Listen(uint16_t port, AcceptFn on_accept) {

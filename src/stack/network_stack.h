@@ -95,10 +95,6 @@ class NetworkStack : public RxSink {
   // kernel-to-user copy before the handler runs.
   void SetConnectionDataHandler(TcpConnection& conn, TcpConnection::DataFn fn);
 
-  // Installs an application close handler. The stack always unregisters a closed
-  // connection from the demux table (freeing the 4-tuple for reuse) before calling it.
-  void SetConnectionClosedHandler(TcpConnection& conn, std::function<void()> fn);
-
   // Iterates all connections this stack owns (diagnostics, workload teardown).
   void ForEachConnection(const std::function<void(TcpConnection&)>& fn) const {
     for (const auto& entry : connections_) {
@@ -138,7 +134,6 @@ class NetworkStack : public RxSink {
   struct ConnectionEntry {
     std::unique_ptr<TcpConnection> conn;
     TcpConnection::DataFn app_on_data;
-    std::function<void()> app_on_closed;
   };
 
   void DeliverHostPacket(SkBuffPtr skb);

@@ -57,9 +57,7 @@ void SendStream::ReleaseThrough(uint64_t offset) {
   if (offset <= released_offset_) {
     return;
   }
-  if (offset > end_offset_) {
-    offset = end_offset_;
-  }
+  TCPRX_CHECK_MSG(offset <= end_offset_, "release past end of stream");
   released_offset_ = offset;
   if (synthetic_) {
     return;

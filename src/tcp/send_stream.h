@@ -60,7 +60,8 @@ class SendStream {
   // stays valid until the next Append or ReleaseThrough.
   std::span<const uint8_t> View(uint64_t offset, size_t len) const;
 
-  // Releases (frees) all bytes below `offset` — they have been cumulatively ACKed.
+  // Releases (frees) all bytes below `offset` — they have been cumulatively ACKed. An
+  // ACK covers only sent bytes, so `offset` never passes the end.
   void ReleaseThrough(uint64_t offset);
 
   uint64_t released_offset() const { return released_offset_; }

@@ -10,7 +10,6 @@ namespace tcprx {
 
 namespace {
 constexpr SimDuration kDelayedAckTimeout = SimDuration::FromMillis(40);
-constexpr SimDuration kTimeWaitDuration = SimDuration::FromMillis(1000);
 // The window every segment advertises: the largest an unscaled 16-bit field holds.
 // Delivered data is consumed at once, so the window is always fully open, and no
 // workload needs a larger one: window scaling is never offered, and a peer's offer
@@ -36,18 +35,6 @@ const char* TcpStateName(TcpState s) {
       return "SYN_RECEIVED";
     case TcpState::kEstablished:
       return "ESTABLISHED";
-    case TcpState::kFinWait1:
-      return "FIN_WAIT_1";
-    case TcpState::kFinWait2:
-      return "FIN_WAIT_2";
-    case TcpState::kCloseWait:
-      return "CLOSE_WAIT";
-    case TcpState::kLastAck:
-      return "LAST_ACK";
-    case TcpState::kClosing:
-      return "CLOSING";
-    case TcpState::kTimeWait:
-      return "TIME_WAIT";
   }
   return "?";
 }
@@ -59,7 +46,6 @@ TcpConnection::TcpConnection(const TcpConnectionConfig& config, EventLoop& loop,
       reno_(config.mss),
       rto_timer_(loop, [this] { OnRtoFired(); }),
       delack_timer_(loop, [this] { OnDelayedAckFired(); }),
-      time_wait_timer_(loop, [this] { SetState(TcpState::kClosed); }),
       frame_template_(MakeTcpFrameTemplate(config.local_mac, config.remote_mac,
                                            config.local_ip, config.remote_ip,
                                            config.local_port, config.remote_port)) {
@@ -73,7 +59,7 @@ void TcpConnection::SetState(TcpState s) {
   state_ = s;
   if (s == TcpState::kClosed) {
     rto_timer_.Cancel();
-    time_wait_timer_.Cancel();
+    delack_timer_.Cancel();
     if (on_closed_) {
       on_closed_();
     }
@@ -117,14 +103,6 @@ void TcpConnection::Send(std::span<const uint8_t> data) {
 void TcpConnection::SendSynthetic(uint64_t total_bytes, SyntheticPayload payload) {
   send_stream_.SetSynthetic(total_bytes);
   synthetic_payload_ = payload;
-  TrySendData();
-}
-
-void TcpConnection::Close() {
-  if (fin_queued_) {
-    return;
-  }
-  fin_queued_ = true;
   TrySendData();
 }
 
@@ -201,7 +179,9 @@ void TcpConnection::AdoptPeerSyn(const TcpHeader& h) {
 
 void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
   const TcpHeader& h = skb.view().tcp;
-  if (h.Has(kTcpRst)) {
+  // There is no teardown: a FIN closes the connection as a RST does, and its payload
+  // is dropped. A stack then answers the peer's next segment with its unknown-flow RST.
+  if (h.Has(kTcpRst) || h.Has(kTcpFin)) {
     SetState(TcpState::kClosed);
     return;
   }
@@ -262,15 +242,6 @@ void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
     DeliverPayload(skb, seg_seq);
   }
 
-  if (h.Has(kTcpFin)) {
-    HandleFin(seg_seq + payload_len);
-    // A FIN forces an immediate ACK.
-    if (rcv_nxt_ == seg_seq + payload_len + 1) {
-      pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
-      segs_since_ack_ = 0;
-    }
-  }
-
   if (!pending_acks_.empty()) {
     EmitPureAcks(pending_acks_);
     pending_acks_.clear();
@@ -291,8 +262,7 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint16_t window, uint64_t seg_
   if (ack > snd_una_) {
     const uint64_t newly = ack - snd_una_;
     snd_una_ = ack;
-    // Stream offsets exclude the SYN; the FIN bit (if acked) is clamped off by
-    // ReleaseThrough against the stream end.
+    // Stream offsets exclude the SYN.
     if (snd_una_ > iss_ + 1) {
       send_stream_.ReleaseThrough(snd_una_ - (iss_ + 1));
     }
@@ -317,22 +287,6 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint16_t window, uint64_t seg_
       }
     } else {
       reno_.OnNewAck(static_cast<uint32_t>(std::min<uint64_t>(newly, 0xffffffff)));
-    }
-
-    if (fin_sent_ && snd_una_ >= fin_seq_ + 1) {
-      switch (state_) {
-        case TcpState::kFinWait1:
-          SetState(TcpState::kFinWait2);
-          break;
-        case TcpState::kClosing:
-          EnterTimeWait();
-          break;
-        case TcpState::kLastAck:
-          SetState(TcpState::kClosed);
-          break;
-        default:
-          break;
-      }
     }
 
     if (snd_una_ == snd_nxt_) {
@@ -450,33 +404,6 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
   }
 }
 
-void TcpConnection::HandleFin(uint64_t fin_seq) {
-  if (fin_seq != rcv_nxt_) {
-    return;  // FIN beyond a hole; will be retransmitted
-  }
-  rcv_nxt_ += 1;
-  switch (state_) {
-    case TcpState::kEstablished:
-      SetState(TcpState::kCloseWait);
-      break;
-    case TcpState::kFinWait1:
-      // Our FIN not yet acked: simultaneous close.
-      SetState(TcpState::kClosing);
-      break;
-    case TcpState::kFinWait2:
-      EnterTimeWait();
-      break;
-    default:
-      break;
-  }
-}
-
-void TcpConnection::EnterTimeWait() {
-  rto_timer_.Cancel();
-  SetState(TcpState::kTimeWait);
-  time_wait_timer_.Arm(kTimeWaitDuration);
-}
-
 // ---------------------------------------------------------------------------
 // Output path
 // ---------------------------------------------------------------------------
@@ -546,26 +473,18 @@ void TcpConnection::EmitPureAcks(std::span<const uint32_t> ack_values) {
   output_(std::move(item));
 }
 
-void TcpConnection::EmitDataSegment(uint64_t seq, uint32_t len, bool fin, bool retransmit) {
-  const std::span<const uint8_t> bytes =
-      len > 0 ? send_stream_.View(seq - (iss_ + 1), len) : std::span<const uint8_t>();
+void TcpConnection::EmitDataSegment(uint64_t seq, uint32_t len, bool retransmit) {
+  const std::span<const uint8_t> bytes = send_stream_.View(seq - (iss_ + 1), len);
   const TcpPayload payload = synthetic_payload_ == SyntheticPayload::kLengthOnly
                                  ? TcpPayload::LengthOnly(bytes.size())
                                  : TcpPayload(bytes);
-  uint8_t flags = kTcpAck;
-  if (len > 0) {
-    flags |= kTcpPsh;
-  }
-  if (fin) {
-    flags |= kTcpFin;
-  }
   TcpOutputItem item;
-  item.frame = BuildSegment(static_cast<uint32_t>(seq), static_cast<uint32_t>(rcv_nxt_), flags,
-                            payload);
+  item.frame = BuildSegment(static_cast<uint32_t>(seq), static_cast<uint32_t>(rcv_nxt_),
+                            static_cast<uint8_t>(kTcpAck | kTcpPsh), payload);
   item.payload_size = len;
   if (!retransmit && !rtt_probe_armed_) {
     rtt_probe_armed_ = true;
-    rtt_probe_seq_ = seq + len + (fin ? 1 : 0);
+    rtt_probe_seq_ = seq + len;
     rtt_probe_sent_at_ = loop_.Now();
   }
   if (retransmit && rtt_probe_armed_ && seq < rtt_probe_seq_) {
@@ -578,50 +497,33 @@ void TcpConnection::EmitDataSegment(uint64_t seq, uint32_t len, bool fin, bool r
 }
 
 void TcpConnection::TrySendData() {
-  if (state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait &&
-      state_ != TcpState::kFinWait1 && state_ != TcpState::kLastAck) {
+  if (state_ != TcpState::kEstablished) {
     return;
   }
   bool sent = false;
-  if (!fin_sent_ || snd_nxt_ < fin_seq_) {
-    for (;;) {
-      const uint64_t offset = snd_nxt_ - (iss_ + 1);
-      const uint64_t avail = send_stream_.AvailableFrom(offset);
-      const uint64_t inflight = snd_nxt_ - snd_una_;
-      const uint64_t wnd = std::min<uint64_t>(snd_wnd_, reno_.cwnd());
-      if (avail == 0 || inflight >= wnd) {
-        break;
-      }
-      const uint64_t space = wnd - inflight;
-      const uint32_t len = static_cast<uint32_t>(
-          std::min<uint64_t>({avail, space, config_.mss}));
-      if (len == 0) {
-        break;
-      }
-      // Sender-side silly-window-syndrome avoidance (RFC 1122 4.2.3.4): never emit a
-      // sub-MSS segment in the middle of a bulk stream just because the window edge
-      // is not MSS-aligned; wait for the next ACK to open a full segment's worth.
-      if (len < config_.mss && avail >= config_.mss && inflight > 0) {
-        break;
-      }
-      EmitDataSegment(snd_nxt_, len, /*fin=*/false, /*retransmit=*/false);
-      snd_nxt_ += len;
-      sent = true;
+  for (;;) {
+    const uint64_t offset = snd_nxt_ - (iss_ + 1);
+    const uint64_t avail = send_stream_.AvailableFrom(offset);
+    const uint64_t inflight = snd_nxt_ - snd_una_;
+    const uint64_t wnd = std::min<uint64_t>(snd_wnd_, reno_.cwnd());
+    if (avail == 0 || inflight >= wnd) {
+      break;
     }
-  }
-
-  if (fin_queued_ && !fin_sent_ &&
-      send_stream_.AvailableFrom(snd_nxt_ - (iss_ + 1)) == 0) {
-    fin_seq_ = snd_nxt_;
-    EmitDataSegment(snd_nxt_, 0, /*fin=*/true, /*retransmit=*/false);
-    snd_nxt_ += 1;
-    fin_sent_ = true;
+    const uint64_t space = wnd - inflight;
+    const uint32_t len = static_cast<uint32_t>(
+        std::min<uint64_t>({avail, space, config_.mss}));
+    if (len == 0) {
+      break;
+    }
+    // Sender-side silly-window-syndrome avoidance (RFC 1122 4.2.3.4): never emit a
+    // sub-MSS segment in the middle of a bulk stream just because the window edge
+    // is not MSS-aligned; wait for the next ACK to open a full segment's worth.
+    if (len < config_.mss && avail >= config_.mss && inflight > 0) {
+      break;
+    }
+    EmitDataSegment(snd_nxt_, len, /*retransmit=*/false);
+    snd_nxt_ += len;
     sent = true;
-    if (state_ == TcpState::kEstablished) {
-      SetState(TcpState::kFinWait1);
-    } else if (state_ == TcpState::kCloseWait) {
-      SetState(TcpState::kLastAck);
-    }
   }
 
   if (sent) {
@@ -638,46 +540,37 @@ void TcpConnection::RetransmitHead() {
   if (snd_una_ == snd_nxt_) {
     return;
   }
-  if (fin_sent_ && snd_una_ == fin_seq_) {
-    // Only the FIN is outstanding.
-    EmitDataSegment(fin_seq_, 0, /*fin=*/true, /*retransmit=*/true);
-    ++segments_retransmitted_;
-    return;
-  }
-  const uint64_t outstanding_data_end = fin_sent_ ? fin_seq_ : snd_nxt_;
   // With SACK, aim the retransmission at the first real hole instead of blindly at
   // snd_una (which may already be covered by a sacked range above a filled hole).
   uint64_t base = snd_una_;
-  uint64_t hole_end = outstanding_data_end;
+  uint64_t hole_end = snd_nxt_;
   if (peer_sack_) {
     base = scoreboard_.NextUnsackedFrom(snd_una_);
-    if (base >= outstanding_data_end) {
+    if (base >= snd_nxt_) {
       return;  // everything outstanding is sacked; wait for the cumulative ack
     }
-    hole_end = scoreboard_.HoleEnd(base, outstanding_data_end);
+    hole_end = scoreboard_.HoleEnd(base, snd_nxt_);
   }
   const uint32_t len =
       static_cast<uint32_t>(std::min<uint64_t>(hole_end - base, config_.mss));
   if (len == 0) {
     return;
   }
-  const bool fin = fin_sent_ && (base + len == fin_seq_) && len < config_.mss;
   if (peer_sack_ && base + len > rtx_high_) {
     rtx_high_ = base + len;
   }
-  EmitDataSegment(base, len, fin, /*retransmit=*/true);
+  EmitDataSegment(base, len, /*retransmit=*/true);
   ++segments_retransmitted_;
 }
 
 void TcpConnection::SackRetransmit() {
-  const uint64_t outstanding_data_end = fin_sent_ ? fin_seq_ : snd_nxt_;
   uint64_t seq = rtx_high_ > snd_una_ ? rtx_high_ : snd_una_;
   seq = scoreboard_.NextUnsackedFrom(seq);
-  if (seq >= outstanding_data_end) {
+  if (seq >= snd_nxt_) {
     return;  // no further known holes
   }
-  const uint64_t hole_end = scoreboard_.HoleEnd(seq, outstanding_data_end);
-  if (hole_end >= outstanding_data_end) {
+  const uint64_t hole_end = scoreboard_.HoleEnd(seq, snd_nxt_);
+  if (hole_end >= snd_nxt_) {
     // No SACKed range above this gap: it is in-flight tail data, not a known loss
     // (RFC 6675 only marks segments lost when SACKed data exists above them).
     return;
@@ -688,7 +581,7 @@ void TcpConnection::SackRetransmit() {
     return;
   }
   rtx_high_ = seq + len;
-  EmitDataSegment(seq, len, /*fin=*/false, /*retransmit=*/true);
+  EmitDataSegment(seq, len, /*retransmit=*/true);
   ++segments_retransmitted_;
 }
 

@@ -2,9 +2,11 @@
 //
 // A full (if compact) TCP endpoint: three-way handshake, sliding-window data transfer
 // with Reno congestion control, delayed ACKs, out-of-order reassembly, fast
-// retransmit/recovery, RTO with exponential backoff, timestamps, and FIN teardown.
-// The receiver hands in-order data straight to the application callback, so the
-// window it advertises is a constant 64 KiB that never closes.
+// retransmit/recovery, RTO with exponential backoff and timestamps. The receiver hands
+// in-order data straight to the application callback, so the window it advertises is a
+// constant 64 KiB that never closes. There is no teardown: no workload closes a
+// connection, so a connection never sends a FIN, and a received FIN closes it as a RST
+// does (the stack then answers the peer's next segment with a RST).
 //
 // Two aspects exist specifically to support the paper's optimizations:
 //
@@ -50,12 +52,6 @@ enum class TcpState {
   kSynSent,
   kSynReceived,
   kEstablished,
-  kFinWait1,
-  kFinWait2,
-  kCloseWait,
-  kLastAck,
-  kClosing,
-  kTimeWait,
 };
 
 const char* TcpStateName(TcpState s);
@@ -122,9 +118,6 @@ class TcpConnection {
   void SendSynthetic(uint64_t total_bytes,
                      SyntheticPayload payload = SyntheticPayload::kPatternBytes);
 
-  // Graceful close: FIN is sent once all queued data has been transmitted.
-  void Close();
-
   // Delivered-in-order payload callback: the one delivery path. Each byte is handed
   // over exactly once, as soon as it is in order.
   void set_on_data(DataFn fn) { on_data_ = std::move(fn); }
@@ -189,7 +182,6 @@ class TcpConnection {
   // in-order handling, ACK accounting, reassembly pops. Aggregated host packets
   // replay each fragment through this individually (section 3.4.2).
   void DeliverSegment(std::span<const uint8_t> payload, uint64_t seg_seq);
-  void HandleFin(uint64_t fin_seq);
 
   // --- output helpers ---
   void EmitSyn(bool with_ack);
@@ -198,9 +190,8 @@ class TcpConnection {
   // Emits a run of pure ACKs as one output item, whose extra_acks view `ack_values`
   // past the first.
   void EmitPureAcks(std::span<const uint32_t> ack_values);
-  void EmitDataSegment(uint64_t seq, uint32_t len, bool fin, bool retransmit);
-  // Sends what the peer's window, cwnd and sender-side SWS avoidance allow, then the
-  // FIN once it is queued and all data is out.
+  void EmitDataSegment(uint64_t seq, uint32_t len, bool retransmit);
+  // Sends what the peer's window, cwnd and sender-side SWS avoidance allow.
   void TrySendData();
   std::vector<uint8_t> BuildSegment(uint32_t seq, uint32_t ack, uint8_t flags,
                                     TcpPayload payload);
@@ -210,7 +201,6 @@ class TcpConnection {
   void ArmRto();
   void OnRtoFired();
   void OnDelayedAckFired();
-  void EnterTimeWait();
 
   void RetransmitHead();
   // During SACK recovery: retransmits the next un-retransmitted hole (one per
@@ -238,9 +228,6 @@ class TcpConnection {
   uint64_t recover_ = 0;  // recovery point for NewReno-style partial-ack handling
   SendStream send_stream_;
   SyntheticPayload synthetic_payload_ = SyntheticPayload::kPatternBytes;
-  bool fin_queued_ = false;
-  bool fin_sent_ = false;
-  uint64_t fin_seq_ = 0;
 
   // Receive side.
   uint64_t irs_ = 0;
@@ -262,10 +249,10 @@ class TcpConnection {
   uint32_t segs_since_ack_ = 0;
   std::vector<uint32_t> pending_acks_;
   bool data_sent_in_pass_ = false;
-  // TCP timers. SetState(kClosed) cancels the RTO and TIME_WAIT ones.
+  // The connection's two timers. SetState(kClosed) cancels both: a closed connection
+  // sends nothing.
   EventLoop::Timer rto_timer_;
   EventLoop::Timer delack_timer_;
-  EventLoop::Timer time_wait_timer_;
   // Addresses and ports are fixed for the connection's life: every segment is written
   // from this one header template.
   const TcpFrameTemplate frame_template_;

@@ -80,27 +80,5 @@ TEST(IntegrationSmoke, LatencyWorkloadCompletesTransactions) {
   EXPECT_GT(result.transactions_per_sec, 1000.0);
 }
 
-TEST(IntegrationSmoke, GracefulCloseReachesClosedStates) {
-  Testbed bed(SmallConfig(false));
-  TcpConnection* server_conn = nullptr;
-  bed.stack().Listen(5001, [&](TcpConnection& conn) { server_conn = &conn; });
-
-  TcpConnection* client = bed.remote(0).CreateConnection(
-      bed.ClientConnectionConfig(0, 10000, 5001));
-  client->Connect();
-  const std::vector<uint8_t> data(10000, 0xaa);
-  client->Send(data);
-  client->Close();
-
-  bed.loop().RunUntil(SimTime::FromMillis(200));
-  ASSERT_NE(server_conn, nullptr);
-  EXPECT_EQ(server_conn->bytes_received(), 10000u);
-  // Server saw the FIN; close from the server side too and drain.
-  server_conn->Close();
-  bed.loop().RunUntil(SimTime::FromMillis(2500));
-  EXPECT_EQ(client->state(), TcpState::kClosed);
-  EXPECT_EQ(server_conn->state(), TcpState::kClosed);
-}
-
 }  // namespace
 }  // namespace tcprx

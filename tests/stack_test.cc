@@ -317,15 +317,11 @@ TEST_F(StackTest, ClosedConnectionFreesFlowForReuse) {
   Build(StackConfig::Baseline(SystemType::kNativeUp));
   TcpConnection* first = Handshake();
   ASSERT_NE(first, nullptr);
-  bool closed = false;
-  stack_->SetConnectionClosedHandler(*first, [&] { closed = true; });
 
-  // Client closes; server answers; force full teardown via RST for brevity.
   FrameOptions rst;
   rst.flags = kTcpRst;
   rst.seq = 1000;
   Feed(MakeFrame(rst, 0));
-  EXPECT_TRUE(closed);
   EXPECT_EQ(first->state(), TcpState::kClosed);
 
   // The same 4-tuple can connect again.
@@ -340,6 +336,37 @@ TEST_F(StackTest, ClosedConnectionFreesFlowForReuse) {
   ASSERT_TRUE(synack.has_value());
   EXPECT_TRUE(synack->tcp.Has(kTcpSyn));
   EXPECT_EQ(synack->tcp.ack, 50001u);
+}
+
+TEST_F(StackTest, FinClosesTheConnectionAndItsRetransmissionGetsARst) {
+  Build(StackConfig::Baseline(SystemType::kNativeUp));
+  TcpConnection* conn = Handshake();
+  ASSERT_NE(conn, nullptr);
+
+  // One data segment leaves a delayed ACK owed; the in-sequence FIN after it closes
+  // the connection at once, as a RST would, and answers nothing.
+  FrameOptions data;
+  data.seq = 1000;
+  data.ack = static_cast<uint32_t>(conn->snd_nxt_ext());
+  Feed(MakeFrame(data, 100));
+  FrameOptions fin = data;
+  fin.seq = 1100;
+  fin.flags = kTcpFin | kTcpAck;
+  Feed(MakeFrame(fin, 0));
+  EXPECT_EQ(conn->state(), TcpState::kClosed);
+  EXPECT_EQ(stack_->stats().rsts_sent, 0u);
+  // Closing cancelled the delayed ACK: a closed connection sends nothing.
+  loop_.RunUntil(SimTime::FromMillis(1000));
+  EXPECT_TRUE(sent_.empty());
+
+  // The peer's FIN retransmission matches no connection: the stack resets it.
+  Feed(MakeFrame(fin, 0));
+  EXPECT_EQ(stack_->stats().rsts_sent, 1u);
+  ASSERT_EQ(sent_.size(), 1u);
+  auto rst = ParseTcpFrame(sent_.back().second);
+  ASSERT_TRUE(rst.has_value());
+  EXPECT_TRUE(rst->tcp.Has(kTcpRst));
+  EXPECT_EQ(rst->tcp.seq, fin.ack);
 }
 
 TEST_F(StackTest, StaleConnectionObjectSurvivesReuse) {

@@ -1,7 +1,7 @@
 // TCP connection state-machine tests, driven through a deterministic in-memory
 // loopback pair (no NICs, no cost model): handshake, data transfer, delayed ACKs,
-// retransmission, fast retransmit, out-of-order delivery, FIN teardown, and the
-// batch-ACK output contract.
+// retransmission, fast retransmit, out-of-order delivery, RST, and the batch-ACK
+// output contract.
 
 #include <gtest/gtest.h>
 
@@ -217,28 +217,6 @@ TEST(TcpConnection, DuplicateSegmentIsAckedNotRedelivered) {
   pair.Run(10);
   EXPECT_EQ(delivered, 300u);  // not redelivered
   EXPECT_EQ(pair.server->duplicate_segments_received(), 1u);
-}
-
-TEST(TcpConnection, GracefulCloseBothDirections) {
-  ConnectionPair pair;
-  pair.Establish();
-  pair.client->Send(std::vector<uint8_t>(100, 1));
-  pair.client->Close();
-  pair.Run(100);
-  EXPECT_EQ(pair.client->state(), TcpState::kFinWait2);
-  EXPECT_EQ(pair.server->state(), TcpState::kCloseWait);
-  // Server can still send in CLOSE_WAIT (half close).
-  std::vector<uint8_t> client_received;
-  pair.client->set_on_data([&](std::span<const uint8_t> data) {
-    client_received.insert(client_received.end(), data.begin(), data.end());
-  });
-  pair.server->Send(std::vector<uint8_t>(200, 2));
-  pair.Run(100);
-  EXPECT_EQ(client_received.size(), 200u);
-  pair.server->Close();
-  pair.Run(3000);  // through TIME_WAIT
-  EXPECT_EQ(pair.server->state(), TcpState::kClosed);
-  EXPECT_EQ(pair.client->state(), TcpState::kClosed);
 }
 
 TEST(TcpConnection, SynRetransmittedWhenLost) {

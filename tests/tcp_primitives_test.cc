@@ -361,6 +361,12 @@ TEST(SendStreamDeathTest, ReadPastEndAborts) {
   EXPECT_DEATH(s.View(8, 5), "past end");
 }
 
+TEST(SendStreamDeathTest, ReleasePastEndAborts) {
+  SendStream s;
+  s.Append(std::vector<uint8_t>(10, 0));
+  EXPECT_DEATH(s.ReleaseThrough(11), "release past end");
+}
+
 TEST(SendStreamDeathTest, ReadReleasedAborts) {
   SendStream s;
   s.Append(std::vector<uint8_t>(10, 0));

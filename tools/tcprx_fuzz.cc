@@ -11,9 +11,10 @@
 //   tcprx_fuzz --seeds=N --mutate=coalesce|noflush|payload   (self-test: expects failures)
 //
 // On the first failing seed the fault plan is shrunk (ddmin over the event list) and
-// the tool prints a one-line repro — `tcprx_fuzz --seed=N --events=...` — plus the
-// equivalent `tcprx_sim stream` command line for the testbed tier, optionally writes
-// a pcap of the optimized run, and exits nonzero.
+// the tool prints a one-line repro — `tcprx_fuzz --seed=N --events=...`, with the
+// run's --testbed and --mutate flags — plus the equivalent `tcprx_sim stream` command
+// line for the testbed tier, optionally writes a pcap of the optimized run, and exits
+// nonzero.
 //
 // Examples:
 //   tcprx_fuzz --seeds=2000                     # CI smoke sweep
@@ -51,10 +52,11 @@ struct FuzzStats {
   size_t testbed_runs = 0;
 };
 
-// Runs one scenario; on failure shrinks the fault plan and prints the repro.
+// Runs one scenario; on failure shrinks the fault plan and prints the repro, which
+// names `mutate` (the --mutate value, empty for none) so that it replays standalone.
 // Returns true when the scenario passed.
-bool RunOne(const Scenario& scenario, const DiffOptions& options, bool verbose,
-            FuzzStats* stats) {
+bool RunOne(const Scenario& scenario, const DiffOptions& options, const std::string& mutate,
+            bool verbose, FuzzStats* stats) {
   ++stats->run;
   if (options.run_testbed) {
     ++stats->testbed_runs;
@@ -86,10 +88,11 @@ bool RunOne(const Scenario& scenario, const DiffOptions& options, bool verbose,
   }
 
   const Scenario& minimal = shrunk.scenario;
-  std::printf("repro: tcprx_fuzz --seed=%llu --events=%s%s\n",
+  std::printf("repro: tcprx_fuzz --seed=%llu --events=%s%s%s%s\n",
               static_cast<unsigned long long>(minimal.seed),
               minimal.EventsSpec().empty() ? "\"\"" : minimal.EventsSpec().c_str(),
-              options.run_testbed ? " --testbed" : "");
+              options.run_testbed ? " --testbed" : "", mutate.empty() ? "" : " --mutate=",
+              mutate.c_str());
   std::printf("testbed tier: %s\n", minimal.SimCommand().c_str());
 
   if (!options.pcap_path.empty()) {
@@ -141,7 +144,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag: --%s\n", unknown.c_str());
       return Usage();
     }
-    const bool ok = RunOne(scenario, options, /*verbose=*/true, &stats);
+    const bool ok = RunOne(scenario, options, mutate, /*verbose=*/true, &stats);
     if (ok) {
       std::printf("PASS %s\n", scenario.Describe().c_str());
     }
@@ -161,7 +164,7 @@ int Main(int argc, char** argv) {
     const Scenario scenario = Scenario::FromSeed(seed);
     DiffOptions seed_options = options;
     seed_options.run_testbed = testbed_every != 0 && i % testbed_every == 0;
-    if (!RunOne(scenario, seed_options, verbose, &stats)) {
+    if (!RunOne(scenario, seed_options, mutate, verbose, &stats)) {
       return 1;
     }
     if (!quiet && !verbose && (i + 1) % 50 == 0) {
