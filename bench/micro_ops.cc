@@ -161,7 +161,7 @@ void BM_SackScoreboardAdd(benchmark::State& state) {
 BENCHMARK(BM_SackScoreboardAdd);
 
 void BM_CacheModelCopy(benchmark::State& state) {
-  const CacheModel model(CacheParams{}, PrefetchMode::kFull);
+  const CacheModel model(PrefetchMode::kFull);
   size_t bytes = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.CopyCycles(bytes));

@@ -1,4 +1,4 @@
-// Memory-hierarchy cost model with configurable hardware prefetching.
+// Memory-hierarchy cost model with a selectable hardware prefetch mode.
 //
 // This module embodies the paper's architectural observation (section 2.1): per-byte
 // operations access packet data *sequentially* and therefore get cheap as hardware
@@ -32,16 +32,15 @@ struct CacheParams {
   // Fixed-point ALU cost of moving/checksumming one byte, in 1/100 cycle units
   // (e.g. 20 = 0.20 cycles/byte, roughly rep-movs throughput).
   uint32_t alu_centicycles_per_byte = 20;
-  bool operator==(const CacheParams&) const = default;
 };
+
+// The one memory hierarchy, fixed at compile time; only the prefetch mode varies.
+inline constexpr CacheParams kCacheParams{};
 
 // Pure cost calculator: given an access pattern, how many cycles does it take.
 class CacheModel {
  public:
-  CacheModel(const CacheParams& params, PrefetchMode mode) : params_(params), mode_(mode) {}
-
-  PrefetchMode mode() const { return mode_; }
-  const CacheParams& params() const { return params_; }
+  explicit CacheModel(PrefetchMode mode) : mode_(mode) {}
 
   // Cycles to stream-read `bytes` of cold (just-DMA'd) data. Benefits from prefetch.
   uint64_t SequentialAccessCycles(size_t bytes) const;
@@ -62,7 +61,6 @@ class CacheModel {
  private:
   uint64_t ColdStreamCycles(size_t lines) const;
 
-  CacheParams params_;
   PrefetchMode mode_;
 };
 

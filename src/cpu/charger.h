@@ -1,9 +1,10 @@
 // Cycle-charging sink shared by every stage of the receive path.
 //
-// A Charger binds the cost parameters and the CycleAccount of one host stack. Only the
-// host under test charges: the traffic-generator peers (RemoteNode) run the same
-// protocol code with no Charger, because TcpConnection itself charges nothing. The
-// per-batch counter lets the host convert a processing pass into CPU busy time.
+// A Charger binds the CycleAccount of one host stack and its kernel type (UP or SMP);
+// the costs it charges are the constants of cost_params.h. Only the host under test
+// charges: the traffic-generator peers (RemoteNode) run the same protocol code with no
+// Charger, because TcpConnection itself charges nothing. The per-batch counter lets
+// the host convert a processing pass into CPU busy time.
 
 #ifndef SRC_CPU_CHARGER_H_
 #define SRC_CPU_CHARGER_H_
@@ -17,8 +18,7 @@ namespace tcprx {
 
 class Charger {
  public:
-  Charger(const CostParams& costs, CycleAccount& account, bool smp)
-      : costs_(costs), account_(account), smp_(smp) {}
+  Charger(CycleAccount& account, bool smp) : account_(account), smp_(smp) {}
 
   void Charge(Routine routine, uint64_t cycles) {
     batch_cycles_ += cycles;
@@ -27,7 +27,7 @@ class Charger {
 
   // Charges `sites` lock acquisitions to `routine` at the UP or SMP price.
   void ChargeLocks(Routine routine, uint32_t sites) {
-    Charge(routine, static_cast<uint64_t>(sites) * LockSiteCycles(costs_, smp_));
+    Charge(routine, static_cast<uint64_t>(sites) * LockSiteCycles(smp_));
   }
 
   // Cycles charged since the last TakeBatchCycles(); the host turns this into CPU
@@ -39,7 +39,6 @@ class Charger {
   }
 
  private:
-  const CostParams& costs_;
   CycleAccount& account_;
   bool smp_;
   uint64_t batch_cycles_ = 0;

@@ -1,23 +1,24 @@
 // Calibrated per-operation CPU cost constants.
 //
-// Every constant here names one operation the Linux 2.6.16 receive path performs, with
-// a cycle cost calibrated so that the *baseline uniprocessor* system lands near the
-// paper's anchor point: ~10,400 busy cycles per MTU-sized packet on a 3 GHz Xeon,
-// distributed as in Figure 3 (driver 21%, TCP rx+tx 21%, buffer + non-proto 25%,
-// per-byte 17%, misc 16%). Everything else in the evaluation — the SMP inflation, the
-// Xen stack-up, and all optimized configurations — must then *emerge* from the
-// mechanisms (lock amortization, per-fragment vs per-packet stages, aggregation
-// factor), not from per-figure tuning. See EXPERIMENTS.md for paper-vs-measured.
+// `kCosts` is the one cost table, fixed at compile time: no configuration, tool or
+// figure can change it. Every constant in it names one operation the Linux 2.6.16
+// receive path performs, with a cycle cost calibrated so that the *baseline
+// uniprocessor* system lands near the paper's anchor point: ~10,400 busy cycles per
+// MTU-sized packet on a 3 GHz Xeon, distributed as in Figure 3 (driver 21%, TCP rx+tx
+// 21%, buffer + non-proto 25%, per-byte 17%, misc 16%). Everything else in the
+// evaluation — the SMP inflation, the Xen stack-up, and all optimized configurations —
+// must then *emerge* from the mechanisms (lock amortization, per-fragment vs
+// per-packet stages, aggregation factor), not from per-figure tuning. See
+// EXPERIMENTS.md for paper-vs-measured.
 //
-// Costs that depend on the access pattern (copies, header touches) are NOT here; they
-// are computed by CacheModel so that the prefetch-mode sweep of Figure 1 affects them.
+// Costs that depend on the access pattern (data copies, software checksums) are NOT
+// here; CacheModel computes them so that the prefetch-mode sweep of Figure 1 affects
+// them.
 
 #ifndef SRC_CPU_COST_PARAMS_H_
 #define SRC_CPU_COST_PARAMS_H_
 
 #include <cstdint>
-
-#include "src/cpu/cache_model.h"
 
 namespace tcprx {
 
@@ -97,16 +98,14 @@ struct CostParams {
 
   // CPU frequency of the receive host (the paper's server is a 3.0 GHz Xeon).
   uint64_t cpu_hz = 3'000'000'000;
-  bool operator==(const CostParams&) const = default;
-
-  // Defaults reproduce the paper's native-Linux server. Presets only differ in
-  // documentation intent; SMP/Xen behaviour is selected by StackConfig.
-  static CostParams Default() { return CostParams{}; }
 };
 
+// The paper's native-Linux server. SMP/Xen behaviour is selected by StackConfig.
+inline constexpr CostParams kCosts{};
+
 // Cycles charged for one lock site given the kernel configuration.
-inline uint64_t LockSiteCycles(const CostParams& p, bool smp) {
-  return smp ? p.lock_cycles_smp : p.lock_cycles_up;
+constexpr uint64_t LockSiteCycles(bool smp) {
+  return smp ? kCosts.lock_cycles_smp : kCosts.lock_cycles_up;
 }
 
 }  // namespace tcprx

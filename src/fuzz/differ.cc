@@ -448,9 +448,9 @@ void TestbedRssStreams(const Scenario& s, std::vector<std::string>* failures) {
   transfer.client_mss = s.mss;
   transfer.deadline = SimTime::FromSeconds(20);
   const uint64_t per_flow = transfer.bytes_per_flow;
-  const std::vector<PatternCheck> one_core = Testbed(RssConfig(s, 1)).RunTransfer(transfer);
+  const std::vector<PatternCheck> one_core = Testbed(RssBedConfig(s, 1)).RunTransfer(transfer);
   const std::vector<PatternCheck> n_core =
-      Testbed(RssConfig(s, s.cores)).RunTransfer(transfer);
+      Testbed(RssBedConfig(s, s.cores)).RunTransfer(transfer);
   for (size_t f = 0; f < s.flows; ++f) {
     const PatternCheck& a = one_core[f];
     const PatternCheck& b = n_core[f];
@@ -478,7 +478,7 @@ TestbedConfig CompletenessConfig(const Scenario& scenario, bool optimized) {
   return config;
 }
 
-TestbedConfig RssConfig(const Scenario& scenario, size_t cores) {
+TestbedConfig RssBedConfig(const Scenario& scenario, size_t cores) {
   TestbedConfig config;
   config.stack = MakeStackConfig(scenario, true, 0, DiffOptions{}, false);
   config.stack.system = SystemType::kNativeSmp;

@@ -66,7 +66,7 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options = {}
 // The full-testbed tier's beds for `scenario`: the lossy single-NIC bed of the
 // completeness pair, and the clean RSS bed of the 1-core vs N-core pair.
 TestbedConfig CompletenessConfig(const Scenario& scenario, bool optimized);
-TestbedConfig RssConfig(const Scenario& scenario, size_t cores);
+TestbedConfig RssBedConfig(const Scenario& scenario, size_t cores);
 
 }  // namespace fuzz
 }  // namespace tcprx

@@ -34,7 +34,7 @@ struct LinkConfig {
   // remain transparent under loss, duplication and reordering (paper section 3.6).
   double drop_probability = 0.0;
   double duplicate_probability = 0.0;
-  double corrupt_probability = 0.0;           // flip one payload bit in transit
+  double corrupt_probability = 0.0;           // flip one bit anywhere in the frame, headers too
   // Deterministic burst loss: every `burst_drop_period` frames, drop
   // `burst_drop_length` consecutive frames (0 = off). Models the correlated losses
   // (switch buffer overruns) where SACK-style recovery matters most.

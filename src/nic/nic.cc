@@ -10,10 +10,10 @@ SimulatedNic::SimulatedNic(int id, const NicConfig& config, EventLoop& loop, Pac
   const size_t num_queues = config_.num_rx_queues == 0 ? 1 : config_.num_rx_queues;
   queues_.reserve(num_queues);
   for (size_t q = 0; q < num_queues; ++q) {
-    queues_.emplace_back(config_.rx_ring_entries);
+    queues_.emplace_back();
   }
   if (num_queues > 1 && config_.rss.enabled) {
-    rss_.emplace(config_.rss, num_queues);
+    rss_.emplace(num_queues, kRssSecretKey);
   }
 }
 
@@ -33,7 +33,7 @@ void SimulatedNic::DeliverFromWire(std::vector<uint8_t> frame) {
 
   ++stats_.rx_frames;
   const SimTime now = loop_.Now();
-  link_busy_ = stats_.rx_frames > 1 && (now - last_arrival_) < config_.moderation_gap;
+  link_busy_ = stats_.rx_frames > 1 && (now - last_arrival_) < kModerationGap;
   last_arrival_ = now;
 
   const size_t queue = SteerQueue(*p);
@@ -69,8 +69,7 @@ void SimulatedNic::MaybeRaiseInterrupt(size_t queue) {
     return;
   }
   q.interrupt_pending = true;
-  const SimDuration delay =
-      link_busy_ ? config_.moderation_delay : config_.interrupt_delay;
+  const SimDuration delay = link_busy_ ? config_.moderation_delay : kInterruptDelay;
   loop_.ScheduleAfter(delay, [this, queue] {
     RxQueue& rq = queues_[queue];
     rq.interrupt_pending = false;

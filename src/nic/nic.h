@@ -33,23 +33,26 @@
 
 namespace tcprx {
 
+// Descriptors in each rx queue's ring.
+inline constexpr size_t kRxRingEntries = 256;
+// Interrupt assertion latency after a frame lands while not in poll mode.
+inline constexpr SimDuration kInterruptDelay = SimDuration::FromMicros(4);
+// Frames arriving closer together than this mark the link busy (see moderation_delay).
+inline constexpr SimDuration kModerationGap = SimDuration::FromMicros(50);
+
 struct NicConfig {
-  size_t rx_ring_entries = 256;  // per rx queue
   bool rx_checksum_offload = true;
   // Number of rx queues (1 = the classic single-ring NIC). The multi-core testbed
   // sets this to the core count and attaches queue c to core c's driver.
   size_t num_rx_queues = 1;
   // Flow steering across queues; only consulted when num_rx_queues > 1.
   RssConfig rss;
-  // Interrupt assertion latency after a frame lands while not in poll mode.
-  SimDuration interrupt_delay = SimDuration::FromMicros(4);
   // Adaptive interrupt moderation (e1000 ITR style): when consecutive frames arrive
-  // closer than `moderation_gap`, the next interrupt is deferred by
-  // `moderation_delay` so bulk traffic is serviced in batches — the batching that
-  // lets Receive Aggregation find runs of in-sequence packets — while sparse
+  // closer than kModerationGap, the next interrupt is deferred by `moderation_delay`
+  // instead of kInterruptDelay so bulk traffic is serviced in batches — the batching
+  // that lets Receive Aggregation find runs of in-sequence packets — while sparse
   // (latency-sensitive) traffic still gets the fast interrupt path.
   SimDuration moderation_delay = SimDuration::FromMicros(120);
-  SimDuration moderation_gap = SimDuration::FromMicros(50);
   bool operator==(const NicConfig&) const = default;
 };
 
@@ -99,7 +102,7 @@ class SimulatedNic {
 
  private:
   struct RxQueue {
-    explicit RxQueue(size_t entries) : ring(entries) {}
+    RxQueue() : ring(kRxRingEntries) {}
     SpscRing<PacketPtr> ring;
     std::function<void()> on_interrupt;
     bool poll_mode = false;
@@ -118,7 +121,7 @@ class SimulatedNic {
   std::optional<RssHasher> rss_;  // only with several rx queues and RSS on
   size_t rr_next_queue_ = 0;  // round-robin spray when RSS is off
   SimplexLink* egress_ = nullptr;
-  bool link_busy_ = false;  // recent arrivals closer than moderation_gap
+  bool link_busy_ = false;  // recent arrivals closer than kModerationGap
   SimTime last_arrival_;
   Stats stats_;
 };

@@ -3,33 +3,8 @@
 #include "src/util/logging.h"
 
 namespace tcprx {
-namespace {
 
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
-}  // namespace
-
-RssKey RssSecretKey(const RssConfig& config) {
-  // Derive the 40-byte secret key from the seed with an xorshift stream, the way a
-  // driver would load random key material at probe time.
-  RssKey key{};
-  uint64_t state = (static_cast<uint64_t>(config.key_seed) << 32) | 0x9e3779b9u;
-  for (auto& byte : key) {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    byte = static_cast<uint8_t>(state >> 24);
-  }
-  return key;
-}
-
-RssHasher::RssHasher(const RssConfig& config, size_t num_queues) {
+RssHasher::RssHasher(size_t num_queues, const RssKey& key) {
   TCPRX_CHECK(num_queues >= 1);
   TCPRX_CHECK_MSG(num_queues <= size_t{1} << 8, "RSS queue ids are stored in one byte");
 
@@ -37,7 +12,6 @@ RssHasher::RssHasher(const RssConfig& config, size_t num_queues) {
   // bit i. Input bit 4n + j (j = 0 the nibble's first bit) is bit 3 - j of nibble n's
   // value. Each table is filled by doubling from its low bit up: the entries below a
   // bit are complete, and setting that bit adds its window.
-  const RssKey key = RssSecretKey(config);
   for (size_t n = 0; n < kInputNibbles; ++n) {
     uint64_t bits = 0;  // the 64 key bits from the start of the nibble's byte
     for (size_t b = 0; b < 8; ++b) {
@@ -53,9 +27,6 @@ RssHasher::RssHasher(const RssConfig& config, size_t num_queues) {
     }
   }
 
-  const size_t entries = RoundUpPow2(config.indirection_entries == 0 ? 1 : config.indirection_entries);
-  table_.resize(entries);
-  mask_ = static_cast<uint32_t>(entries - 1);
   // Default indirection: queues striped across the table, as Linux programs it. The
   // stripe is counted rather than taken modulo: a divide per entry dominated the cost
   // of building a NIC.

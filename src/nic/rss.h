@@ -18,8 +18,8 @@
 #define SRC_NIC_RSS_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/wire/flow.h"
 
@@ -30,34 +30,40 @@ struct RssConfig {
   // packet instead of hashed per flow — the misdirected-flow baseline that forces the
   // software cross-core handoff path.
   bool enabled = true;
-  // Seeds the 40-byte Toeplitz secret key (real NICs load the key from the driver;
-  // the sim derives it deterministically so runs are reproducible).
-  uint32_t key_seed = 0x6d5a56da;
-  // Number of indirection-table entries (rounded up to a power of two). Real NICs use
-  // 128; more entries give the OS finer rebalancing granularity.
-  size_t indirection_entries = 128;
   bool operator==(const RssConfig&) const = default;
 };
 
 using RssKey = std::array<uint8_t, 40>;
 
-// The 40-byte secret key `config.key_seed` derives.
-RssKey RssSecretKey(const RssConfig& config);
+// The 40-byte Toeplitz secret key every NIC loads (real drivers load random key
+// material at probe time; a fixed key keeps runs reproducible).
+inline constexpr RssKey kRssSecretKey = {
+    0xfb, 0x06, 0x25, 0x90, 0x01, 0x64, 0x26, 0x83, 0x9b, 0xe6, 0xee, 0x3a, 0xe1, 0x48,
+    0xfb, 0xa8, 0xa5, 0x74, 0xcd, 0x7f, 0xee, 0x80, 0x29, 0x56, 0xac, 0xe3, 0x1d, 0x3a,
+    0xf9, 0x8f, 0xbf, 0x50, 0xd6, 0xca, 0x6c, 0x3c, 0x17, 0x63, 0xc4, 0x71};
+
+// Indirection-table entries, as on real NICs; a power of two, so a hash masks into it.
+inline constexpr size_t kRssIndirectionEntries = 128;
+static_assert((kRssIndirectionEntries & (kRssIndirectionEntries - 1)) == 0);
 
 // Toeplitz hash over the IPv4 4-tuple plus queue-indirection lookup, as implemented by
 // multi-queue NIC hardware (Microsoft RSS specification).
 class RssHasher {
  public:
-  RssHasher(const RssConfig& config, size_t num_queues);
+  RssHasher(size_t num_queues, const RssKey& key);
 
   // Toeplitz hash of (src ip, dst ip, src port, dst port), network byte order, using
   // the 40-byte secret key.
   uint32_t Hash(const FlowKey& key) const;
 
   // Queue for the flow: indirection_table[hash & (entries - 1)].
-  size_t QueueFor(const FlowKey& key) const { return table_[Hash(key) & mask_]; }
+  size_t QueueFor(const FlowKey& key) const {
+    return table_[Hash(key) & (kRssIndirectionEntries - 1)];
+  }
 
-  const std::vector<uint8_t>& indirection_table() const { return table_; }
+  const std::array<uint8_t, kRssIndirectionEntries>& indirection_table() const {
+    return table_;
+  }
 
  private:
   static constexpr size_t kInputNibbles = 24;  // 96 input bits
@@ -65,8 +71,7 @@ class RssHasher {
   // nibble_xor_[n][v]: the XOR of the key windows of the set bits of value v at input
   // nibble n (bit 3 of v is the nibble's first input bit).
   std::array<std::array<uint32_t, 16>, kInputNibbles> nibble_xor_{};
-  std::vector<uint8_t> table_;  // entry -> queue, power-of-two sized
-  uint32_t mask_ = 0;
+  std::array<uint8_t, kRssIndirectionEntries> table_{};  // entry -> queue
 };
 
 }  // namespace tcprx

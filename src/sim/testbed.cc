@@ -16,9 +16,9 @@ namespace {
 // NIC i is addressed 10.0.i.x, so the index must fit one octet.
 constexpr size_t kMaxNics = size_t{std::numeric_limits<uint8_t>::max()} + 1;
 
-// Each core owns one RSS queue, and every queue needs an entry in the NIC's 128-entry
-// indirection table (RssConfig::indirection_entries) to receive a flow.
-constexpr size_t kMaxCores = 128;
+// Each core owns one RSS queue, and every queue needs an entry in the NIC's
+// indirection table to receive a flow.
+constexpr size_t kMaxCores = kRssIndirectionEntries;
 
 // Client ports kFirstClientPort + c must stay nonzero and distinct in 16 bits.
 constexpr size_t kMaxConnectionsPerNic =
@@ -93,6 +93,13 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config) {
   if (config.num_nics < 1 || config.num_nics > kMaxNics) {
     errors.push_back("--nics must be between 1 and " + std::to_string(kMaxNics));
   }
+  // Testbed gives every NIC one rx queue per core and the host's RSS setting.
+  if (config.nic.num_rx_queues != 1) {
+    errors.push_back("TestbedConfig.nic.num_rx_queues must be 1: set by --cores");
+  }
+  if (config.nic.rss != RssConfig{}) {
+    errors.push_back("TestbedConfig.nic.rss must be left default: set by --no-rss");
+  }
   return errors;
 }
 
@@ -144,14 +151,15 @@ Testbed::Testbed(const TestbedConfig& config)
       }) {
   // One RSS queue per core on every NIC, attached to that core's driver. A one-core
   // host has a single rx queue and builds no hasher.
-  config_.nic.num_rx_queues = config_.smp.num_cores;
-  config_.nic.rss = config_.smp.rss;
+  NicConfig nic_config = config_.nic;
+  nic_config.num_rx_queues = config_.smp.num_cores;
+  nic_config.rss = config_.smp.rss;
 
   nics_.reserve(config_.num_nics);
   remotes_.reserve(config_.num_nics);
   links_.reserve(config_.num_nics * 2);
   for (size_t i = 0; i < config_.num_nics; ++i) {
-    auto nic = std::make_unique<SimulatedNic>(static_cast<int>(i), config_.nic, loop_,
+    auto nic = std::make_unique<SimulatedNic>(static_cast<int>(i), nic_config, loop_,
                                               host_.packet_pool());
     auto remote = std::make_unique<RemoteNode>(
         loop_, [this, i](std::vector<uint8_t> frame) {
@@ -318,7 +326,7 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
   const uint64_t busy = host_.TotalBusyCycles() - busy_before;
   result.cpu_utilization =
       static_cast<double>(busy) /
-      (static_cast<double>(config_.stack.costs.cpu_hz) * seconds *
+      (static_cast<double>(kCosts.cpu_hz) * seconds *
        static_cast<double>(num_cores()));
   if (result.cpu_utilization > 1.0) {
     result.cpu_utilization = 1.0;

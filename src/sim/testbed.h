@@ -35,7 +35,7 @@ namespace tcprx {
 struct TestbedConfig {
   StackConfig stack;
   size_t num_nics = 5;
-  NicConfig nic;
+  NicConfig nic;  // num_rx_queues and rss stay default: Testbed sets them from `smp`
   LinkConfig link;  // both directions by default
   // Override for the client->server (data) direction, e.g. to inject loss on the
   // path the aggregator sees without corrupting the ACK path.

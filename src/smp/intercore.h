@@ -1,8 +1,8 @@
 // Inter-core cost model: what sharing state between cores costs.
 //
 // Generalizes the existing SMP lock model (cpu/cost_params.h) instead of replacing
-// it: a lock-prefixed atomic still costs lock_cycles_smp everywhere, and on top of
-// that, touching a *shared cache line last written by another core* costs a
+// it: a lock-prefixed atomic still costs kCosts.lock_cycles_smp everywhere, and on top
+// of that, touching a *shared cache line last written by another core* costs a
 // cache-line transfer (HITM snoop, ~hundreds of cycles on real parts). The lines
 // tracked are the ones the per-core receive shards genuinely share: the routing
 // table, the packet-pool counters, and the flow-director table. A flow-affine
@@ -22,18 +22,6 @@
 
 namespace tcprx {
 
-struct InterCoreCostParams {
-  // Reading a cache line dirty in another core's cache (cross-core HITM transfer).
-  uint32_t cache_line_transfer_cycles = 192;
-  // Software steering of one misdirected frame to its owning core (Linux RPS style:
-  // flow-hash lookup, per-core backlog enqueue, amortized IPI).
-  uint32_t cross_core_enqueue_cycles = 450;
-  // Extra cost of a contended lock acquisition beyond the uncontended lock-prefixed
-  // RMW, charged when the lock's line has to move between cores.
-  uint32_t lock_contention_cycles = 60;
-  bool operator==(const InterCoreCostParams&) const = default;
-};
-
 // Ownership tracker for the cache lines the shards share. Deterministic: a touch by
 // the owning core is free (the base costs already include local-cache pricing); a
 // touch by any other core charges a transfer and moves ownership.
@@ -47,7 +35,14 @@ class InterCoreModel {
   };
   static constexpr size_t kSharedLineCount = 4;
 
-  explicit InterCoreModel(const InterCoreCostParams& costs) : costs_(costs) {}
+  // Reading a cache line dirty in another core's cache (cross-core HITM transfer).
+  static constexpr uint32_t kCacheLineTransferCycles = 192;
+  // Software steering of one misdirected frame to its owning core (Linux RPS style:
+  // flow-hash lookup, per-core backlog enqueue, amortized IPI).
+  static constexpr uint32_t kCrossCoreEnqueueCycles = 450;
+  // Extra cost of a contended lock acquisition beyond the uncontended lock-prefixed
+  // RMW, charged when the lock's line has to move between cores.
+  static constexpr uint32_t kLockContentionCycles = 60;
 
   // Cycles core `core` pays to touch `line`; transfers ownership to `core`.
   uint64_t TouchCycles(size_t core, SharedLine line) {
@@ -61,14 +56,12 @@ class InterCoreModel {
       return 0;  // compulsory miss is in the base cost model
     }
     ++transfers_;
-    return costs_.cache_line_transfer_cycles;
+    return kCacheLineTransferCycles;
   }
 
-  const InterCoreCostParams& costs() const { return costs_; }
   uint64_t transfers() const { return transfers_; }
 
  private:
-  InterCoreCostParams costs_ TCPRX_SHARED;  // immutable after construction
   // Written by every shard that touches a shared line; serialized by the
   // single-threaded event loop, which is what makes the model deterministic.
   std::array<int, kSharedLineCount> owner_ TCPRX_GUARDED_BY(event_loop) = {-1, -1, -1, -1};

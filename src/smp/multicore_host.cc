@@ -8,8 +8,7 @@ namespace tcprx {
 MulticoreHost::MulticoreHost(const StackConfig& stack_config, const SmpHostConfig& config,
                              EventLoop& loop, NetworkStack::TransmitFn transmit)
     : config_(config),
-      topology_(config.num_cores, stack_config.costs.cpu_hz),
-      intercore_(config.intercore) {
+      topology_(config.num_cores, kCosts.cpu_hz) {
   shards_.reserve(config.num_cores);
   drivers_.reserve(config.num_cores);
   for (size_t c = 0; c < config.num_cores; ++c) {
@@ -77,7 +76,7 @@ void MulticoreHost::ChargeSharedLine(Charger& charger, size_t core,
   }
   // The line's spinlock moved with it: the acquisition is contended, not just
   // lock-prefixed (the base SMP lock model already charged the uncontended RMW).
-  cycles += intercore_.costs().lock_contention_cycles;
+  cycles += InterCoreModel::kLockContentionCycles;
   charger.Charge(routine, cycles);
 }
 
@@ -112,7 +111,7 @@ PollDriver* MulticoreHost::SteerFrame(size_t core, const Packet& frame, Charger&
     return nullptr;
   }
   ++misdirected_;
-  charger.Charge(Routine::kRpsEnqueue, intercore_.costs().cross_core_enqueue_cycles);
+  charger.Charge(Routine::kRpsEnqueue, InterCoreModel::kCrossCoreEnqueueCycles);
   return drivers_[owner].get();
 }
 

@@ -40,7 +40,6 @@ struct SmpHostConfig {
   // costs and software steering only engage from two cores on.
   size_t num_cores = 1;
   RssConfig rss;
-  InterCoreCostParams intercore;
   bool operator==(const SmpHostConfig&) const = default;
 };
 

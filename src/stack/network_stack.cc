@@ -21,32 +21,31 @@ NetworkStack::NetworkStack(const StackConfig& config, EventLoop& loop, TransmitF
     : config_(config),
       loop_(loop),
       transmit_(std::move(transmit)),
-      cache_(config.cache, config.prefetch),
-      charger_(config_.costs, account_, config_.smp()),
-      xen_path_(config_.costs, cache_) {
+      cache_(config.prefetch),
+      charger_(account_, config_.smp()),
+      xen_path_(cache_) {
   if (config_.receive_aggregation) {
     AggregatorConfig aggr_config;
     aggr_config.aggregation_limit = config_.aggregation_limit;
     aggregator_ = std::make_unique<Aggregator>(
         aggr_config, [this](SkBuffPtr skb) {
-          const CostParams& costs = config_.costs;
           if (config_.hardware_lro) {
             // The NIC delivered a pre-aggregated packet: the driver and softirq
             // plumbing run once per *host* packet.
             charger_.Charge(Routine::kS2ioLroRx,
-                            costs.driver_rx_per_packet + costs.driver_mac_processing);
-            charger_.Charge(Routine::kAllocSkb, costs.skb_alloc + costs.pkt_buf_alloc);
-            charger_.Charge(Routine::kDoSoftirq, costs.misc_rx_per_packet);
+                            kCosts.driver_rx_per_packet + kCosts.driver_mac_processing);
+            charger_.Charge(Routine::kAllocSkb, kCosts.skb_alloc + kCosts.pkt_buf_alloc);
+            charger_.Charge(Routine::kDoSoftirq, kCosts.misc_rx_per_packet);
             DeliverHostPacket(std::move(skb));
             return;
           }
           // Per-host-packet aggregation epilogue: the sk_buff allocation that
           // happened in the aggregator, plus — for genuine aggregates — the header
           // rewrite with incremental checksums and the fragment-chain attachment.
-          charger_.Charge(Routine::kAllocSkb, costs.skb_alloc);
+          charger_.Charge(Routine::kAllocSkb, kCosts.skb_alloc);
           if (!skb->fragment_info.empty()) {
-            charger_.Charge(Routine::kAggrFlush, costs.aggr_flush_per_host_packet);
-            charger_.Charge(Routine::kSkbFillPageDesc, skb->frags.size() * costs.skb_frag_attach);
+            charger_.Charge(Routine::kAggrFlush, kCosts.aggr_flush_per_host_packet);
+            charger_.Charge(Routine::kSkbFillPageDesc, skb->frags.size() * kCosts.skb_frag_attach);
           }
           DeliverHostPacket(std::move(skb));
         });
@@ -61,7 +60,7 @@ void NetworkStack::AddLocalAddress(Ipv4Address local, int nic_id) {
 void NetworkStack::AddRoute(Ipv4Address dst, int nic_id) { routes_.AddRoute(dst, nic_id); }
 
 void NetworkStack::ChargeWakeup() {
-  charger_.Charge(Routine::kIrqEntry, config_.costs.misc_fixed_per_wakeup);
+  charger_.Charge(Routine::kIrqEntry, kCosts.misc_fixed_per_wakeup);
   if (config_.xen()) {
     xen_path_.ChargeWakeup(charger_);
   }
@@ -73,7 +72,6 @@ void NetworkStack::ChargeWakeup() {
 
 void NetworkStack::ReceiveFrame(PacketPtr frame) {
   ++stats_.frames_received;
-  const CostParams& costs = config_.costs;
 
   if (config_.hardware_lro && aggregator_ != nullptr) {
     // Hardware LRO: the coalescing happens on the NIC; nothing is charged per wire
@@ -84,34 +82,34 @@ void NetworkStack::ReceiveFrame(PacketPtr frame) {
   }
 
   // Device driver work common to both paths: descriptor handling, ring refill.
-  charger_.Charge(Routine::kE1000CleanRxIrq, costs.driver_rx_per_packet);
-  charger_.Charge(Routine::kE1000AllocRxBuffers, costs.pkt_buf_alloc);
+  charger_.Charge(Routine::kE1000CleanRxIrq, kCosts.driver_rx_per_packet);
+  charger_.Charge(Routine::kE1000AllocRxBuffers, kCosts.pkt_buf_alloc);
   // Scheduling / softirq / timer overhead scales with wire packets, not host packets:
   // the paper's figures show the misc component essentially unchanged by aggregation
   // (Figure 8), so it is charged here, per network packet.
-  charger_.Charge(Routine::kDoSoftirq, costs.misc_rx_per_packet);
+  charger_.Charge(Routine::kDoSoftirq, kCosts.misc_rx_per_packet);
   if (config_.xen()) {
-    charger_.Charge(Routine::kXenSchedMisc, costs.misc_xen_extra_per_packet);
+    charger_.Charge(Routine::kXenSchedMisc, kCosts.misc_xen_extra_per_packet);
   }
 
   if (aggregator_ != nullptr) {
     // Optimized path: the driver drops the *raw* packet into the aggregation queue.
     // No sk_buff yet, no MAC processing in the driver (both move into the
     // aggregation routine; the early demux pays the compulsory header cache miss).
-    charger_.Charge(Routine::kAggrEarlyDemux, costs.aggr_demux_per_packet);
-    charger_.Charge(Routine::kAggrMatch, costs.aggr_match_per_packet);
+    charger_.Charge(Routine::kAggrEarlyDemux, kCosts.aggr_demux_per_packet);
+    charger_.Charge(Routine::kAggrMatch, kCosts.aggr_match_per_packet);
     aggregator_->Push(std::move(frame));
     return;
   }
 
   // Baseline path: the driver performs MAC processing (compulsory cache miss on the
   // just-DMA'd header) and allocates the sk_buff before netif_rx.
-  charger_.Charge(Routine::kEthTypeTrans, costs.driver_mac_processing);
-  charger_.Charge(Routine::kAllocSkb, costs.skb_alloc);
+  charger_.Charge(Routine::kEthTypeTrans, kCosts.driver_mac_processing);
+  charger_.Charge(Routine::kAllocSkb, kCosts.skb_alloc);
   SkBuffPtr skb = SkBuff::Wrap(std::move(frame));
   if (skb == nullptr) {
     ++stats_.frames_dropped_unparseable;
-    charger_.Charge(Routine::kKfreeSkb, costs.skb_free + costs.pkt_buf_free);
+    charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + kCosts.pkt_buf_free);
     return;
   }
   DeliverHostPacket(std::move(skb));
@@ -130,7 +128,6 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   if (host_packet_tap_) {
     host_packet_tap_(*skb);
   }
-  const CostParams& costs = config_.costs;
   auto& counters = account_.counters();
   ++counters.host_packets;
   // Network-level data segments this host packet stands for (for per-packet
@@ -153,18 +150,18 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   // Virtualization path between the driver domain and the guest stack.
   if (config_.xen()) {
     xen_path_.ChargeGuestRx(charger_, *skb);
-    charger_.Charge(Routine::kNetifReceiveSkbGuest, costs.guest_nonproto_per_packet);
+    charger_.Charge(Routine::kNetifReceiveSkbGuest, kCosts.guest_nonproto_per_packet);
   } else {
-    charger_.Charge(Routine::kNetifReceiveSkb, costs.nonproto_rx_per_packet);
+    charger_.Charge(Routine::kNetifReceiveSkb, kCosts.nonproto_rx_per_packet);
   }
 
   // IP layer.
-  charger_.Charge(Routine::kIpRcv, costs.ip_rx_per_packet);
+  charger_.Charge(Routine::kIpRcv, kCosts.ip_rx_per_packet);
   const IpVerdict verdict = ip_.Validate(*skb);
   const size_t fragment_frames = 1 + skb->frags.size();
   if (verdict != IpVerdict::kAccept) {
     ++stats_.frames_dropped_ip;
-    charger_.Charge(Routine::kKfreeSkb, costs.skb_free + fragment_frames * costs.pkt_buf_free);
+    charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + fragment_frames * kCosts.pkt_buf_free);
     return;
   }
 
@@ -176,7 +173,7 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
     charger_.Charge(Routine::kCsumPartial, cache_.ChecksumCycles(segment_bytes));
     if (!VerifyHostPacketChecksum(*skb)) {
       ++stats_.frames_dropped_bad_checksum;
-      charger_.Charge(Routine::kKfreeSkb, costs.skb_free + fragment_frames * costs.pkt_buf_free);
+      charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + fragment_frames * kCosts.pkt_buf_free);
       return;
     }
     skb->csum_verified = true;
@@ -190,13 +187,13 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   if (conn == nullptr) {
     ++stats_.frames_dropped_no_connection;
     SendReset(*skb);
-    charger_.Charge(Routine::kKfreeSkb, costs.skb_free + fragment_frames * costs.pkt_buf_free);
+    charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + fragment_frames * kCosts.pkt_buf_free);
     return;
   }
 
-  charger_.Charge(Routine::kTcpV4Rcv, costs.tcp_rx_per_packet);
-  charger_.Charge(Routine::kTcpRcvEstablished, skb->SegmentCount() * costs.tcp_rx_per_segment);
-  charger_.ChargeLocks(Routine::kSpinLock, costs.tcp_rx_lock_sites);
+  charger_.Charge(Routine::kTcpV4Rcv, kCosts.tcp_rx_per_packet);
+  charger_.Charge(Routine::kTcpRcvEstablished, skb->SegmentCount() * kCosts.tcp_rx_per_segment);
+  charger_.ChargeLocks(Routine::kSpinLock, kCosts.tcp_rx_lock_sites);
 
   if (config_.debug_coalesce_fragment_acks) {
     // Mutation: present the aggregate as one opaque segment, losing the
@@ -205,7 +202,7 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   }
   conn->OnHostPacket(*skb);
 
-  charger_.Charge(Routine::kKfreeSkb, costs.skb_free + fragment_frames * costs.pkt_buf_free);
+  charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + fragment_frames * kCosts.pkt_buf_free);
 }
 
 bool NetworkStack::VerifyHostPacketChecksum(const SkBuff& skb) const {
@@ -246,7 +243,7 @@ void NetworkStack::SendReset(const SkBuff& skb) {
 
   // A RST is a transmit-path packet like any other.
   ChargeTxStackPass(0, /*is_template=*/false);
-  charger_.Charge(Routine::kE1000XmitFrame, config_.costs.driver_tx_per_packet);
+  charger_.Charge(Routine::kE1000XmitFrame, kCosts.driver_tx_per_packet);
   TransmitBuiltFrame(tmpl.dst_ip, WriteTcpFrame(tmpl, /*ip_id=*/0, rst, {}, {},
                                                 config_.fill_tcp_checksums));
 }
@@ -352,16 +349,15 @@ void NetworkStack::Listen(uint16_t port, AcceptFn on_accept) {
 // ---------------------------------------------------------------------------
 
 void NetworkStack::ChargeTxStackPass(size_t payload_size, bool is_template) {
-  const CostParams& costs = config_.costs;
-  charger_.Charge(Routine::kTcpSendAck, costs.tcp_tx_per_ack);
-  charger_.Charge(Routine::kIpQueueXmit, costs.ip_tx_per_packet);
+  charger_.Charge(Routine::kTcpSendAck, kCosts.tcp_tx_per_ack);
+  charger_.Charge(Routine::kIpQueueXmit, kCosts.ip_tx_per_packet);
   if (is_template) {
-    charger_.Charge(Routine::kTcpBuildAckTemplate, costs.ack_template_build_extra);
+    charger_.Charge(Routine::kTcpBuildAckTemplate, kCosts.ack_template_build_extra);
   }
-  charger_.ChargeLocks(Routine::kSpinLockTx, costs.tcp_tx_lock_sites);
-  charger_.Charge(Routine::kDevQueueXmit, costs.nonproto_tx_per_packet);
+  charger_.ChargeLocks(Routine::kSpinLockTx, kCosts.tcp_tx_lock_sites);
+  charger_.Charge(Routine::kDevQueueXmit, kCosts.nonproto_tx_per_packet);
   charger_.Charge(Routine::kAllocSkbTx,
-                  costs.skb_alloc + costs.skb_free + costs.pkt_buf_alloc + costs.pkt_buf_free);
+                  kCosts.skb_alloc + kCosts.skb_free + kCosts.pkt_buf_alloc + kCosts.pkt_buf_free);
   if (payload_size > 0) {
     // Application-to-kernel copy on the send side.
     charger_.Charge(Routine::kCopyFromUser, cache_.CopyCycles(payload_size));
@@ -372,7 +368,6 @@ void NetworkStack::ChargeTxStackPass(size_t payload_size, bool is_template) {
 }
 
 void NetworkStack::HandleConnectionOutput(TcpConnection& conn, TcpOutputItem item) {
-  const CostParams& costs = config_.costs;
   auto& counters = account_.counters();
   const size_t n_acks = 1 + item.extra_acks.size();
 
@@ -386,12 +381,12 @@ void NetworkStack::HandleConnectionOutput(TcpConnection& conn, TcpOutputItem ite
     ++counters.ack_templates;
     ChargeTxStackPass(0, /*is_template=*/true);
     charger_.Charge(Routine::kDriverExpandTemplateAck,
-                    n_acks * (costs.ack_expand_per_ack + costs.driver_tx_per_packet));
+                    n_acks * (kCosts.ack_expand_per_ack + kCosts.driver_tx_per_packet));
   } else {
     // Baseline: every packet (each ACK of a run included) takes a full stack pass.
     for (size_t i = 0; i < n_acks; ++i) {
       ChargeTxStackPass(i == 0 ? item.payload_size : 0, /*is_template=*/false);
-      charger_.Charge(Routine::kE1000XmitFrame, costs.driver_tx_per_packet);
+      charger_.Charge(Routine::kE1000XmitFrame, kCosts.driver_tx_per_packet);
     }
   }
 

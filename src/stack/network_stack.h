@@ -114,7 +114,6 @@ class NetworkStack : public RxSink {
   CycleAccount& account() { return account_; }
   const CycleAccount& account() const { return account_; }
   Charger& charger() override { return charger_; }
-  const CacheModel& cache_model() const { return cache_; }
   const Aggregator* aggregator() const { return aggregator_.get(); }
   PacketPool& packet_pool() { return packet_pool_; }
   uint64_t TakeBatchCycles() override { return charger_.TakeBatchCycles(); }

@@ -41,8 +41,9 @@ struct StackConfig {
   // but ack_offload remains independently selectable for the ablation.
   bool hardware_lro = false;
 
-  CostParams costs{};
-  CacheParams cache{};
+  // The calibrated cost table (cost_params.h) under the name `config.costs`. Not a
+  // field: nothing sets it, operator== ignores it, and src/ code reads kCosts.
+  static constexpr const CostParams& costs = kCosts;
 
   // Mutation knobs for the differential fuzzer's self-tests (tools/tcprx_fuzz):
   // each deliberately breaks one equivalence invariant so the harness's oracles can

@@ -32,8 +32,7 @@ class Charger;
 
 class XenPathModel {
  public:
-  XenPathModel(const CostParams& costs, const CacheModel& cache)
-      : costs_(costs), cache_(cache) {}
+  explicit XenPathModel(const CacheModel& cache) : cache_(cache) {}
 
   // Receive direction: charges bridge/netback/hypervisor/netfront work plus the
   // driver-domain -> guest data copy for one host packet (aggregated or not).
@@ -48,7 +47,6 @@ class XenPathModel {
   void ChargeWakeup(Charger& charger) const;
 
  private:
-  const CostParams& costs_;
   const CacheModel& cache_;
 };
 

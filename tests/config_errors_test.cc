@@ -65,6 +65,12 @@ TEST(ConfigErrors, EachBadFieldGivesItsMessage) {
        }},
       {"--burst-drop-length must be at most --burst-drop-period",
        [](TestbedConfig& c, Options&) { c.link.burst_drop_length = 2; }},
+      {"TestbedConfig.nic.num_rx_queues must be 1: set by --cores",
+       [](TestbedConfig& c, Options&) { c.nic.num_rx_queues = 4; }},
+      {"TestbedConfig.nic.num_rx_queues must be 1: set by --cores",
+       [](TestbedConfig& c, Options&) { c.nic.num_rx_queues = 0; }},
+      {"TestbedConfig.nic.rss must be left default: set by --no-rss",
+       [](TestbedConfig& c, Options&) { c.nic.rss.enabled = false; }},
       {"TestbedConfig.link.bits_per_second must be >= 1",
        [](TestbedConfig& c, Options&) { c.link.bits_per_second = 0; }},
       {"TestbedConfig.client_to_server_link.bits_per_second must be >= 1",

@@ -20,15 +20,15 @@ class CacheModelPrefetchTest : public ::testing::TestWithParam<PrefetchMode> {};
 
 TEST_P(CacheModelPrefetchTest, RandomTouchesAreModeIndependent) {
   // The paper's core claim: prefetching never helps pointer-chasing accesses.
-  const CacheModel model(CacheParams{}, GetParam());
-  const CacheModel none(CacheParams{}, PrefetchMode::kNone);
+  const CacheModel model(GetParam());
+  const CacheModel none(PrefetchMode::kNone);
   for (size_t lines : {1u, 2u, 5u, 16u}) {
     EXPECT_EQ(model.RandomTouchCycles(lines), none.RandomTouchCycles(lines));
   }
 }
 
 TEST_P(CacheModelPrefetchTest, SequentialCostGrowsWithBytes) {
-  const CacheModel model(CacheParams{}, GetParam());
+  const CacheModel model(GetParam());
   uint64_t prev = 0;
   for (size_t bytes : {64u, 256u, 1024u, 1448u, 4096u}) {
     const uint64_t cost = model.SequentialAccessCycles(bytes);
@@ -38,7 +38,7 @@ TEST_P(CacheModelPrefetchTest, SequentialCostGrowsWithBytes) {
 }
 
 TEST_P(CacheModelPrefetchTest, CopyIsMoreThanOneStreamPass) {
-  const CacheModel model(CacheParams{}, GetParam());
+  const CacheModel model(GetParam());
   EXPECT_GT(model.CopyCycles(1448), model.SequentialAccessCycles(1448));
   EXPECT_GT(model.CopyCycles(1448), model.ChecksumCycles(1448));
 }
@@ -49,9 +49,9 @@ INSTANTIATE_TEST_SUITE_P(AllModes, CacheModelPrefetchTest,
                          [](const auto& name_info) { return PrefetchModeName(name_info.param); });
 
 TEST(CacheModel, MoreAggressivePrefetchIsNeverSlower) {
-  const CacheModel none(CacheParams{}, PrefetchMode::kNone);
-  const CacheModel adjacent(CacheParams{}, PrefetchMode::kAdjacent);
-  const CacheModel full(CacheParams{}, PrefetchMode::kFull);
+  const CacheModel none(PrefetchMode::kNone);
+  const CacheModel adjacent(PrefetchMode::kAdjacent);
+  const CacheModel full(PrefetchMode::kFull);
   for (size_t bytes : {1u, 63u, 64u, 65u, 1448u, 65536u}) {
     EXPECT_GE(none.SequentialAccessCycles(bytes), adjacent.SequentialAccessCycles(bytes))
         << bytes;
@@ -64,15 +64,15 @@ TEST(CacheModel, FullPrefetchShiftsPerByteBelowPerPacket) {
   // Qualitative reproduction of Figure 1's crossover: an MTU copy dominated by memory
   // misses without prefetch becomes cheaper than a typical per-packet random-touch
   // budget with full prefetching.
-  const CacheModel none(CacheParams{}, PrefetchMode::kNone);
-  const CacheModel full(CacheParams{}, PrefetchMode::kFull);
+  const CacheModel none(PrefetchMode::kNone);
+  const CacheModel full(PrefetchMode::kFull);
   const uint64_t per_packet_touches = none.RandomTouchCycles(20);  // mode-independent
   EXPECT_GT(none.CopyCycles(1448), per_packet_touches);
   EXPECT_LT(full.CopyCycles(1448), per_packet_touches);
 }
 
 TEST(CacheModel, ZeroBytesCostNothing) {
-  const CacheModel model(CacheParams{}, PrefetchMode::kFull);
+  const CacheModel model(PrefetchMode::kFull);
   EXPECT_EQ(model.SequentialAccessCycles(0), 0u);
   EXPECT_EQ(model.CopyCycles(0), 0u);
   EXPECT_EQ(model.RandomTouchCycles(0), 0u);
@@ -81,8 +81,8 @@ TEST(CacheModel, ZeroBytesCostNothing) {
 TEST(CacheModel, WarmupDominatesShortStreams) {
   // Streams shorter than the stride warmup see miss costs (paired by the adjacent
   // prefetcher) even in Full mode.
-  CacheParams params;
-  const CacheModel full(params, PrefetchMode::kFull);
+  const CacheParams& params = kCacheParams;
+  const CacheModel full(PrefetchMode::kFull);
   // 1 line: one demand miss.
   EXPECT_EQ(full.SequentialAccessCycles(64), params.memory_miss_cycles);
   // 2 warmup lines: a miss plus its adjacent-prefetched buddy.
@@ -98,8 +98,8 @@ TEST(CacheModel, WarmupDominatesShortStreams) {
 }
 
 TEST(CacheModel, AdjacentHalvesMisses) {
-  CacheParams params;
-  const CacheModel adjacent(params, PrefetchMode::kAdjacent);
+  const CacheParams& params = kCacheParams;
+  const CacheModel adjacent(PrefetchMode::kAdjacent);
   // 4 lines: 2 misses + 2 buddy hits.
   EXPECT_EQ(adjacent.SequentialAccessCycles(256),
             2u * params.memory_miss_cycles + 2u * params.l1_hit_cycles);
@@ -146,11 +146,10 @@ TEST(CycleAccount, RoutineNamesAreUniqueAndTableFollowsEnumOrder) {
 // ---------------------------------------------------------------------------
 
 TEST(LockModel, SmpLockSitesCostMore) {
-  const CostParams params;
-  EXPECT_GT(LockSiteCycles(params, true), LockSiteCycles(params, false));
+  EXPECT_GT(LockSiteCycles(true), LockSiteCycles(false));
   // The calibrated ratio reproduces the paper's observation that lock-prefixed RMW
   // instructions dominate the SMP inflation (+62% on rx with ~7 sites).
-  EXPECT_GE(LockSiteCycles(params, true), 10 * LockSiteCycles(params, false));
+  EXPECT_GE(LockSiteCycles(true), 10 * LockSiteCycles(false));
 }
 
 // ---------------------------------------------------------------------------

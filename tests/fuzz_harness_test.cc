@@ -185,7 +185,7 @@ TEST(FuzzScenario, TestbedTierConfigsAreValid) {
     options.client_mss = s.mss;
     options.connections_per_nic = s.flows;
     const TestbedConfig beds[] = {CompletenessConfig(s, false), CompletenessConfig(s, true),
-                                  RssConfig(s, 1), RssConfig(s, s.cores)};
+                                  RssBedConfig(s, 1), RssBedConfig(s, s.cores)};
     for (const TestbedConfig& config : beds) {
       ASSERT_EQ(ConfigErrors(config, options), std::vector<std::string>{}) << s.Describe();
     }

@@ -18,13 +18,13 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(InterCoreModel, FirstTouchIsFree) {
-  InterCoreModel model(InterCoreCostParams{});
+  InterCoreModel model;
   EXPECT_EQ(model.TouchCycles(0, InterCoreModel::SharedLine::kRoutingTable), 0u);
   EXPECT_EQ(model.transfers(), 0u);
 }
 
 TEST(InterCoreModel, SameOwnerTouchesAreFree) {
-  InterCoreModel model(InterCoreCostParams{});
+  InterCoreModel model;
   model.TouchCycles(2, InterCoreModel::SharedLine::kPoolCounters);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(model.TouchCycles(2, InterCoreModel::SharedLine::kPoolCounters), 0u);
@@ -33,21 +33,20 @@ TEST(InterCoreModel, SameOwnerTouchesAreFree) {
 }
 
 TEST(InterCoreModel, CrossCoreTouchChargesTransferAndMovesOwnership) {
-  InterCoreCostParams costs;
-  InterCoreModel model(costs);
+  InterCoreModel model;
   model.TouchCycles(0, InterCoreModel::SharedLine::kFlowDirector);
   EXPECT_EQ(model.TouchCycles(1, InterCoreModel::SharedLine::kFlowDirector),
-            costs.cache_line_transfer_cycles);
+            InterCoreModel::kCacheLineTransferCycles);
   EXPECT_EQ(model.transfers(), 1u);
   // Ownership moved: core 1 is now free, core 0 pays.
   EXPECT_EQ(model.TouchCycles(1, InterCoreModel::SharedLine::kFlowDirector), 0u);
   EXPECT_EQ(model.TouchCycles(0, InterCoreModel::SharedLine::kFlowDirector),
-            costs.cache_line_transfer_cycles);
+            InterCoreModel::kCacheLineTransferCycles);
   EXPECT_EQ(model.transfers(), 2u);
 }
 
 TEST(InterCoreModel, LinesAreIndependent) {
-  InterCoreModel model(InterCoreCostParams{});
+  InterCoreModel model;
   model.TouchCycles(0, InterCoreModel::SharedLine::kRoutingTable);
   // A different line still belongs to nobody.
   EXPECT_EQ(model.TouchCycles(1, InterCoreModel::SharedLine::kPoolCounters), 0u);

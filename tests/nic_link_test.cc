@@ -376,15 +376,12 @@ TEST_F(NicTest, ZeroChecksumTrustedAsTxOffload) {
 }
 
 TEST_F(NicTest, RingOverflowDrops) {
-  NicConfig config;
-  config.rx_ring_entries = 4;
-  SimulatedNic small(1, config, loop_, pool_);
-  for (int i = 0; i < 6; ++i) {
-    small.DeliverFromWire(MakeFrame(FrameOptions{}, 10));
+  for (size_t i = 0; i < kRxRingEntries + 2; ++i) {
+    nic_.DeliverFromWire(MakeFrame(FrameOptions{}, 10));
   }
-  EXPECT_EQ(small.stats().rx_frames, 6u);
-  EXPECT_EQ(small.stats().rx_dropped, 2u);
-  EXPECT_EQ(small.RxQueued(0), 4u);
+  EXPECT_EQ(nic_.stats().rx_frames, kRxRingEntries + 2);
+  EXPECT_EQ(nic_.stats().rx_dropped, 2u);
+  EXPECT_EQ(nic_.RxQueued(0), kRxRingEntries);
 }
 
 TEST_F(NicTest, InterruptFiresAfterDelay) {
@@ -406,7 +403,7 @@ TEST_F(NicTest, NoInterruptInPollMode) {
 }
 
 TEST_F(NicTest, ModerationDefersInterruptForBusyLink) {
-  // Two frames back-to-back (closer than moderation_gap): the second arrival marks
+  // Two frames back-to-back (closer than kModerationGap): the second arrival marks
   // the link busy; after draining, the next interrupt is deferred by the moderation
   // delay rather than the fast delay.
   nic_.DeliverFromWire(MakeFrame(FrameOptions{}, 10));

@@ -25,7 +25,7 @@ class PollDriverTest : public ::testing::Test {
         config, loop_, [this](int nic, std::vector<uint8_t> frame) {
           sent_.emplace_back(nic, std::move(frame));
         });
-    cpu_ = std::make_unique<CpuClock>(config.costs.cpu_hz);
+    cpu_ = std::make_unique<CpuClock>(kCosts.cpu_hz);
     driver_ = std::make_unique<PollDriver>(loop_, *stack_, *cpu_);
     for (size_t i = 0; i < num_nics; ++i) {
       nics_.push_back(std::make_unique<SimulatedNic>(static_cast<int>(i), NicConfig{},

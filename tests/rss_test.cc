@@ -25,8 +25,8 @@ FlowKey MakeFlow(uint8_t host, uint16_t src_port) {
 }
 
 TEST(RssHasher, HashIsDeterministic) {
-  const RssHasher a(RssConfig{}, 4);
-  const RssHasher b(RssConfig{}, 4);
+  const RssHasher a(4, kRssSecretKey);
+  const RssHasher b(4, kRssSecretKey);
   for (uint16_t port = 1000; port < 1100; ++port) {
     const FlowKey key = MakeFlow(1, port);
     EXPECT_EQ(a.Hash(key), b.Hash(key));
@@ -34,11 +34,19 @@ TEST(RssHasher, HashIsDeterministic) {
   }
 }
 
-TEST(RssHasher, DifferentKeySeedChangesTheMapping) {
-  RssConfig other;
-  other.key_seed = 0xdeadbeef;
-  const RssHasher a(RssConfig{}, 8);
-  const RssHasher b(other, 8);
+// A key of 40 random bytes.
+RssKey RandomKey(Rng& rng) {
+  RssKey key;
+  for (uint8_t& byte : key) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  return key;
+}
+
+TEST(RssHasher, DifferentKeyChangesTheMapping) {
+  Rng rng(0xdeadbeef);
+  const RssHasher a(8, kRssSecretKey);
+  const RssHasher b(8, RandomKey(rng));
   size_t differing = 0;
   for (uint16_t port = 1000; port < 1256; ++port) {
     if (a.Hash(MakeFlow(1, port)) != b.Hash(MakeFlow(1, port))) {
@@ -50,7 +58,7 @@ TEST(RssHasher, DifferentKeySeedChangesTheMapping) {
 }
 
 TEST(RssHasher, HashDependsOnEveryTupleField) {
-  const RssHasher h(RssConfig{}, 4);
+  const RssHasher h(4, kRssSecretKey);
   const FlowKey base = MakeFlow(1, 1000);
   FlowKey k = base;
   k.src_ip = Ipv4Address::FromOctets(10, 0, 2, 2);
@@ -68,7 +76,7 @@ TEST(RssHasher, HashDependsOnEveryTupleField) {
 
 TEST(RssHasher, IndirectionTableStripesAllQueues) {
   for (size_t queues : {2u, 3u, 4u, 8u}) {
-    const RssHasher h(RssConfig{}, queues);
+    const RssHasher h(queues, kRssSecretKey);
     std::set<uint8_t> seen(h.indirection_table().begin(), h.indirection_table().end());
     EXPECT_EQ(seen.size(), queues);
     for (const uint8_t q : h.indirection_table()) {
@@ -81,7 +89,7 @@ TEST(RssHasher, DistributionIsRoughlyUniform) {
   // 1024 distinct flows over 4 queues: each queue should get a fair share. The bound
   // is loose (half to double the ideal 256) — this guards against degenerate hashing,
   // not statistical perfection.
-  const RssHasher h(RssConfig{}, 4);
+  const RssHasher h(4, kRssSecretKey);
   std::map<size_t, size_t> per_queue;
   for (uint16_t port = 0; port < 1024; ++port) {
     ++per_queue[h.QueueFor(MakeFlow(static_cast<uint8_t>(port % 5), port))];
@@ -123,12 +131,10 @@ uint32_t ReferenceToeplitz(const RssKey& key, const FlowKey& flow) {
 TEST(RssHasher, TablesMatchTheBitwiseToeplitzLoop) {
   Rng rng(20);
   for (int trial = 0; trial < 64; ++trial) {
-    RssConfig config;
-    config.key_seed = static_cast<uint32_t>(rng.Next());
+    const RssKey key = RandomKey(rng);
     const size_t queues = 1 + rng.NextBelow(16);
-    const RssHasher h(config, queues);
-    const RssKey key = RssSecretKey(config);
-    const std::vector<uint8_t>& table = h.indirection_table();
+    const RssHasher h(queues, key);
+    const auto& table = h.indirection_table();
     for (int i = 0; i < 256; ++i) {
       FlowKey flow;
       flow.src_ip.value = static_cast<uint32_t>(rng.Next());
@@ -136,14 +142,14 @@ TEST(RssHasher, TablesMatchTheBitwiseToeplitzLoop) {
       flow.src_port = static_cast<uint16_t>(rng.Next());
       flow.dst_port = static_cast<uint16_t>(rng.Next());
       const uint32_t expected = ReferenceToeplitz(key, flow);
-      ASSERT_EQ(h.Hash(flow), expected) << "key seed " << config.key_seed << " flow " << i;
+      ASSERT_EQ(h.Hash(flow), expected) << "trial " << trial << " flow " << i;
       ASSERT_EQ(h.QueueFor(flow), table[expected & (table.size() - 1)]);
     }
   }
 }
 
 TEST(RssHasher, SingleQueueAlwaysZero) {
-  const RssHasher h(RssConfig{}, 1);
+  const RssHasher h(1, kRssSecretKey);
   for (uint16_t port = 1000; port < 1032; ++port) {
     EXPECT_EQ(h.QueueFor(MakeFlow(1, port)), 0u);
   }

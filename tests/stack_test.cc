@@ -138,7 +138,7 @@ TEST_F(StackTest, PerByteCopyChargedForDeliveredData) {
   data.ack = static_cast<uint32_t>(conn->snd_nxt_ext());
   Feed(MakeFrame(data, 1448));
   const uint64_t charged = stack_->account().Get(CostCategory::kPerByte) - before;
-  EXPECT_EQ(charged, stack_->cache_model().CopyCycles(1448));
+  EXPECT_EQ(charged, CacheModel(stack_->config().prefetch).CopyCycles(1448));
   EXPECT_EQ(stack_->account().counters().payload_bytes, 1448u);
 }
 
@@ -155,7 +155,7 @@ TEST_F(StackTest, BaselineChargesTxPerAck) {
     seq += 1448;
   }
   const uint64_t tx_after = stack_->account().Get(CostCategory::kTx);
-  const CostParams& costs = stack_->config().costs;
+  const CostParams& costs = kCosts;
   const uint64_t per_pass = costs.tcp_tx_per_ack + costs.ip_tx_per_packet +
                             costs.tcp_tx_lock_sites * costs.lock_cycles_up;
   EXPECT_EQ(tx_after - tx_before, 2 * per_pass);
@@ -177,7 +177,7 @@ TEST_F(StackTest, OffloadChargesOneTxPassPerTemplate) {
     seq += 1448;
   }
   stack_->OnReceiveQueueEmpty();
-  const CostParams& costs = stack_->config().costs;
+  const CostParams& costs = kCosts;
   EXPECT_EQ(stack_->account().counters().ack_templates, 1u);
   EXPECT_EQ(stack_->account().counters().acks_generated, 4u);
   // One stack pass (template) on kTx.
@@ -226,7 +226,7 @@ TEST_F(StackTest, SmpChargesMoreRxThanUp) {
   const uint64_t smp_rx = stack_->account().Get(CostCategory::kRx) - before;
 
   // The SMP charge must be exactly the UP charge plus the lock-site inflation.
-  const CostParams& costs = stack_->config().costs;
+  const CostParams& costs = kCosts;
   const uint64_t up_rx = costs.ip_rx_per_packet + costs.tcp_rx_per_packet +
                          costs.tcp_rx_per_segment +
                          costs.tcp_rx_lock_sites * costs.lock_cycles_up;
@@ -291,9 +291,9 @@ TEST(RoutingTable, LookupAndMiss) {
 // ---------------------------------------------------------------------------
 
 TEST(XenPath, PerFragmentCostsScaleWithChainLength) {
-  const CostParams costs;
-  const CacheModel cache(CacheParams{}, PrefetchMode::kFull);
-  const XenPathModel xen(costs, cache);
+  const CostParams& costs = kCosts;
+  const CacheModel cache(PrefetchMode::kFull);
+  const XenPathModel xen(cache);
 
   PacketPool pool;
 
@@ -303,7 +303,7 @@ TEST(XenPath, PerFragmentCostsScaleWithChainLength) {
       skb->frags.push_back(pool.AllocateMoved(MakeFrame(FrameOptions{}, 1448)));
     }
     CycleAccount account;
-    Charger charger(costs, account, false);
+    Charger charger(account, false);
     xen.ChargeGuestRx(charger, *skb);
     return account.Get(CostCategory::kNetback);
   };
@@ -386,11 +386,11 @@ TEST_F(StackTest, StaleConnectionObjectSurvivesReuse) {
 }
 
 TEST(XenPath, TxChargesAllStagesOnce) {
-  const CostParams costs;
-  const CacheModel cache(CacheParams{}, PrefetchMode::kFull);
-  const XenPathModel xen(costs, cache);
+  const CostParams& costs = kCosts;
+  const CacheModel cache(PrefetchMode::kFull);
+  const XenPathModel xen(cache);
   CycleAccount account;
-  Charger charger(costs, account, false);
+  Charger charger(account, false);
   xen.ChargeGuestTx(charger);
   EXPECT_EQ(account.Get(CostCategory::kNetback),
             costs.netback_per_packet + costs.netback_per_fragment);

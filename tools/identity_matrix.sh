@@ -10,15 +10,17 @@
 #
 # The stream matrix is {up, smp, xen} x {baseline, optimized, aggregation,
 # ack-offload + aggregation at limit 8} x {1 core, 4 cores, 4 cores without RSS} x
-# {no loss, random drop, reorder + duplicate + corrupt, burst drop}. Besides it: a
-# latency run per system and stack, the text reports (--profile, --connections with its
+# {no loss, random drop, reorder + duplicate + corrupt, burst drop}, all at the default
+# full prefetch. Besides it: the two other prefetch modes (none, partial) on the UP
+# baseline and the Xen optimized stack, hardware LRO with random drop, a latency run
+# per system and stack, the text reports (--profile, --connections with its
 # per-connection TCP states, and one latency report without --json), a --trace run, an
 # 80-connection SMP run, a --fill-checksums run with its --pcap capture, an optimized
 # lossy run (drop + reorder) with its --pcap capture and the default zero TCP checksums
 # (the bytes of SYNs, data, retransmits and template ACKs as the frame writer lays them
-# out), and the receive checksum paths: corrupted frames with real checksums at 1 and 4 cores (the NIC
-# flags them, the aggregator bypasses them, the stack's software verify drops them),
-# and aggregation without rx checksum offload.
+# out), and the receive checksum paths: corrupted frames with real checksums at 1 and 4
+# cores (the NIC flags them, the aggregator bypasses them, the stack's software verify
+# drops them), and aggregation without rx checksum offload.
 
 set -eu
 
@@ -72,6 +74,17 @@ for system in up smp xen; do
   run "latency-$system-base" latency --system=$system --json
   run "latency-$system-opt" latency --system=$system --optimized --json
 done
+
+for prefetch in none partial; do
+  # shellcheck disable=SC2086
+  run "prefetch-$prefetch-up-base" stream --prefetch=$prefetch $window --json
+  # shellcheck disable=SC2086
+  run "prefetch-$prefetch-xen-opt" stream --system=xen --optimized --prefetch=$prefetch \
+    $window --json
+done
+# shellcheck disable=SC2086
+run hardware-lro-up-opt-drop stream --optimized --hardware-lro --drop=0.01 --seed=3 \
+  $window --json
 
 # shellcheck disable=SC2086
 run profile-up-opt stream --optimized --drop=0.01 --seed=3 $window --profile
