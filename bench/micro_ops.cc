@@ -214,11 +214,13 @@ void BM_BuildSegment(benchmark::State& state) {
 BENCHMARK(BM_BuildSegment);
 
 // The event loop under a steady population of N pending events: each event that runs
-// queues its successor a pseudo-random time later, as link, NIC and CPU events do.
-// Items are events executed.
-class EventChurn {
+// queues its successor a pseudo-random time later, as link, NIC and CPU events do. The
+// churn object is itself the target of all N, as the hot-path sources are; the boxed
+// variant queues each as a std::function, as cold callers do. Items are events
+// executed.
+class EventChurn final : public EventLoop::Target {
  public:
-  explicit EventChurn(int64_t pending) {
+  EventChurn(int64_t pending, bool boxed) : boxed_(boxed) {
     for (int64_t i = 0; i < pending; ++i) {
       Next();
     }
@@ -226,24 +228,37 @@ class EventChurn {
   EventLoop& loop() { return loop_; }
 
  private:
+  void Fire(EventLoop::Slot /*slot*/) override { Next(); }
   void Next() {
-    loop_.ScheduleAfter(SimDuration::FromNanos(1 + rng_.NextBelow(20'000)), [this] { Next(); });
+    const SimTime when = loop_.Now() + SimDuration::FromNanos(1 + rng_.NextBelow(20'000));
+    if (boxed_) {
+      loop_.ScheduleAt(when, [this] { Next(); });
+    } else {
+      loop_.ScheduleAt(when, *this);
+    }
   }
 
   EventLoop loop_;
   Rng rng_{7};
+  bool boxed_;
 };
 
-void BM_EventLoopChurn(benchmark::State& state) {
-  EventChurn churn(state.range(0));
+void RunEventChurn(benchmark::State& state, bool boxed) {
+  EventChurn churn(state.range(0), boxed);
   EventLoop& loop = churn.loop();
   uint64_t events = 0;
   for (auto _ : state) {
     events += loop.RunUntil(loop.Now() + SimDuration::FromMicros(10));
   }
+  benchmark::DoNotOptimize(events);
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
+
+void BM_EventLoopChurn(benchmark::State& state) { RunEventChurn(state, /*boxed=*/false); }
 BENCHMARK(BM_EventLoopChurn)->Arg(4)->Arg(32)->Arg(256);
+
+void BM_EventLoopChurnBoxed(benchmark::State& state) { RunEventChurn(state, /*boxed=*/true); }
+BENCHMARK(BM_EventLoopChurnBoxed)->Arg(4)->Arg(32)->Arg(256);
 
 }  // namespace
 }  // namespace tcprx

@@ -1,6 +1,7 @@
 #include "src/driver/poll_driver.h"
 
-#include <memory>
+#include <cstddef>
+#include <utility>
 
 namespace tcprx {
 
@@ -23,7 +24,17 @@ void PollDriver::OnInterrupt() {
   // CPU is doing).
   const SimTime start =
       loop_.Now() > cpu_.busy_until() ? loop_.Now() : cpu_.busy_until();
-  loop_.ScheduleAt(start, [this] { Poll(); });
+  loop_.ScheduleAt(start, *this);
+}
+
+void PollDriver::Fire(EventLoop::Slot slot) {
+  // Seqs are unique and a hand-off wakeup always fires in its queue head's slot, so
+  // any other slot is the poll step's.
+  if (!handoffs_.empty() && slot == handoffs_.head_slot()) {
+    AcceptBacklog(handoffs_.Pop());
+  } else {
+    Poll();
+  }
 }
 
 PollDriver::NicQueue* PollDriver::NextNonEmptyQueue() {
@@ -44,17 +55,14 @@ PollDriver::NicQueue* PollDriver::NextNonEmptyQueue() {
 }
 
 void PollDriver::HandOff(PacketPtr frame, SimTime when) {
-  // EventLoop callbacks must be copyable; park the move-only frame in a shared
-  // holder for the hop.
-  auto held = std::make_shared<PacketPtr>(std::move(frame));
-  loop_.ScheduleAt(when, [this, held] { AcceptBacklog(std::move(*held)); });
+  handoffs_.Push(loop_.Reserve(when), std::move(frame));
 }
 
 void PollDriver::AcceptBacklog(PacketPtr frame) {
   if (frame == nullptr) {
     return;
   }
-  if (backlog_.size() >= kBacklogLimit) {
+  if (backlog_.size() - backlog_head_ >= kBacklogLimit) {
     ++stats_.backlog_drops;
     return;
   }
@@ -70,9 +78,8 @@ void PollDriver::Poll() {
   // Frames already steered to this core drain ahead of the hardware rings.
   bool from_backlog = false;
   PacketPtr frame;
-  if (!backlog_.empty()) {
-    frame = std::move(backlog_.front());
-    backlog_.pop_front();
+  if (backlog_head_ < backlog_.size()) {
+    frame = PopBacklog();
     from_backlog = true;
     ++stats_.backlog_polled;
   } else {
@@ -107,7 +114,7 @@ void PollDriver::Poll() {
       const SimTime done = cycles > 0 ? cpu_.Run(loop_.Now(), cycles) : loop_.Now();
       stack_.FlushDriverBatch(done);
       owner->HandOff(std::move(frame), done);
-      loop_.ScheduleAt(done, [this] { Poll(); });
+      loop_.ScheduleAt(done, *this);
       return;
     }
   }
@@ -115,7 +122,20 @@ void PollDriver::Poll() {
   const uint64_t cycles = stack_.TakeBatchCycles();
   const SimTime done = cpu_.Run(loop_.Now(), cycles);
   stack_.FlushDriverBatch(done);
-  loop_.ScheduleAt(done, [this] { Poll(); });
+  loop_.ScheduleAt(done, *this);
+}
+
+PacketPtr PollDriver::PopBacklog() {
+  PacketPtr frame = std::move(backlog_[backlog_head_]);
+  if (++backlog_head_ == backlog_.size()) {
+    backlog_.clear();
+    backlog_head_ = 0;
+  } else if (constexpr size_t kCompactAfter = 32;
+             backlog_head_ >= kCompactAfter && backlog_head_ * 2 >= backlog_.size()) {
+    backlog_.erase(backlog_.begin(), backlog_.begin() + static_cast<std::ptrdiff_t>(backlog_head_));
+    backlog_head_ = 0;
+  }
+  return frame;
 }
 
 }  // namespace tcprx

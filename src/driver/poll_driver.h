@@ -13,12 +13,15 @@
 // (RPS-style) path for misdirected flows: a frame whose flow is owned by another core
 // is charged a cross-core enqueue on the polling core, then handed to the owner's
 // backlog, which drains ahead of the hardware rings.
+//
+// The driver is the event target of its own poll steps (one queued at a time) and of
+// the frames handed to it, which wait in a slot-sorted queue until their hand-off
+// time, as a link's frames in flight do.
 
 #ifndef SRC_DRIVER_POLL_DRIVER_H_
 #define SRC_DRIVER_POLL_DRIVER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -26,13 +29,16 @@
 #include "src/driver/rx_sink.h"
 #include "src/nic/nic.h"
 #include "src/util/event_loop.h"
+#include "src/util/slot_queue.h"
 
 namespace tcprx {
 
-class PollDriver {
+class PollDriver final : public EventLoop::Target {
  public:
   PollDriver(EventLoop& loop, RxSink& stack, CpuClock& cpu)
-      : loop_(loop), stack_(stack), cpu_(cpu) {}
+      : loop_(loop), stack_(stack), cpu_(cpu), handoffs_(loop, *this) {}
+  PollDriver(const PollDriver&) = delete;
+  PollDriver& operator=(const PollDriver&) = delete;
 
   // Registers a NIC rx queue; its interrupts now wake this driver. The single-argument
   // form attaches queue 0 (the classic single-core wiring).
@@ -69,16 +75,21 @@ class PollDriver {
     size_t queue;
   };
 
+  // A hand-off arriving (`slot` is the head hand-off's) or the poll step.
+  void Fire(EventLoop::Slot slot) override;
   void OnInterrupt();
   void Poll();
   void AcceptBacklog(PacketPtr frame);
+  PacketPtr PopBacklog();
   NicQueue* NextNonEmptyQueue();
 
   EventLoop& loop_;
   RxSink& stack_;
   CpuClock& cpu_;
   std::vector<NicQueue> queues_;
-  std::deque<PacketPtr> backlog_;
+  SlotQueue<PacketPtr> handoffs_;   // handed to this core, each in its hand-off time's slot
+  std::vector<PacketPtr> backlog_;  // accepted, FIFO from backlog_head_
+  size_t backlog_head_ = 0;
   SteerFn steer_;
   size_t rr_next_ = 0;
   bool polling_ = false;

@@ -61,47 +61,11 @@ void SimplexLink::Send(std::vector<uint8_t> frame) {
     // 1 ns earlier, goes on the wire first so it is the one a wakeup waits for.
     const EventLoop::Slot copy_slot = loop_.Reserve(arrival + SimDuration::FromNanos(1));
     std::vector<uint8_t> copy = CopyFrame(frame);
-    Enqueue(loop_.Reserve(arrival), std::move(frame));
-    Enqueue(copy_slot, std::move(copy));
+    wire_.Push(loop_.Reserve(arrival), std::move(frame));
+    wire_.Push(copy_slot, std::move(copy));
     return;
   }
-  Enqueue(loop_.Reserve(arrival), std::move(frame));
-}
-
-void SimplexLink::Enqueue(EventLoop::Slot slot, std::vector<uint8_t> frame) {
-  size_t at = wire_.size();
-  while (at > head_ && slot < wire_[at - 1].slot) {
-    --at;
-  }
-  wire_.insert(wire_.begin() + static_cast<std::ptrdiff_t>(at),
-               InFlight{slot, false, std::move(frame)});
-  if (at == head_) {
-    QueueWakeup(wire_[at]);  // a new head; an overtaken head keeps its own wakeup
-  }
-}
-
-void SimplexLink::QueueWakeup(InFlight& frame) {
-  frame.wakeup_queued = true;
-  loop_.QueueAt(frame.slot, [this] { DeliverHead(); });
-}
-
-void SimplexLink::DeliverHead() {
-  std::vector<uint8_t> frame = std::move(wire_[head_].bytes);
-  ++head_;
-  if (head_ == wire_.size()) {
-    wire_.clear();
-    head_ = 0;
-  } else {
-    if (!wire_[head_].wakeup_queued) {
-      QueueWakeup(wire_[head_]);
-    }
-    constexpr size_t kCompactAfter = 32;
-    if (head_ >= kCompactAfter && head_ * 2 >= wire_.size()) {
-      wire_.erase(wire_.begin(), wire_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-  }
-  deliver_(std::move(frame));
+  wire_.Push(loop_.Reserve(arrival), std::move(frame));
 }
 
 }  // namespace tcprx

@@ -15,6 +15,7 @@
 
 #include "src/util/event_loop.h"
 #include "src/util/rng.h"
+#include "src/util/slot_queue.h"
 
 namespace tcprx {
 
@@ -48,18 +49,23 @@ struct LinkConfig {
 
 // One direction of a link. Frames queue behind the transmitter when offered faster
 // than line rate (an infinite tx queue: senders are paced by TCP, not by this queue).
-// Frames in flight wait in one wire queue sorted by arrival. Each frame reserves, when
-// sent, the event-order slot its own arrival event would take, and the link keeps one
-// wakeup queued, in its head frame's slot; delivering the head queues the next one.
-// A frame that overtakes the head (a reordered or duplicated frame landing early)
-// queues a wakeup of its own, so every wakeup delivers exactly one frame, in exactly
-// the order per-frame events would. The link must outlive its wakeups.
-class SimplexLink {
+// Frames in flight wait in a SlotQueue, each in the event-order slot its own arrival
+// event would take, reserved when it is sent; the link is their wakeup, so they are
+// delivered one per wakeup in exactly the order per-frame events would run, a
+// reordered or duplicated frame that lands early included. The link must outlive its
+// wakeups and not move.
+class SimplexLink final : public EventLoop::Target {
  public:
   using DeliverFn = std::function<void(std::vector<uint8_t>)>;
 
   SimplexLink(const LinkConfig& config, EventLoop& loop, DeliverFn deliver)
-      : config_(config), loop_(loop), deliver_(std::move(deliver)), fault_rng_(config.fault_seed) {}
+      : config_(config),
+        loop_(loop),
+        deliver_(std::move(deliver)),
+        wire_(loop, *this),
+        fault_rng_(config.fault_seed) {}
+  SimplexLink(const SimplexLink&) = delete;
+  SimplexLink& operator=(const SimplexLink&) = delete;
 
   // Transmits `frame`; it arrives at the far end after serialization + propagation.
   void Send(std::vector<uint8_t> frame);
@@ -78,31 +84,20 @@ class SimplexLink {
   uint64_t frames_reordered() const { return frames_reordered_; }
 
   // Frames sent but not yet delivered.
-  size_t frames_in_flight() const { return wire_.size() - head_; }
+  size_t frames_in_flight() const { return wire_.size(); }
 
   // Time the transmitter frees up; useful for utilization assertions in tests.
   SimTime busy_until() const { return busy_until_; }
 
  private:
-  struct InFlight {
-    EventLoop::Slot slot;  // where its arrival falls in the event order
-    bool wakeup_queued = false;
-    std::vector<uint8_t> bytes;
-  };
-
-  // Puts `frame` on the wire in `slot`'s place, searching from the back: only a
-  // reordered or duplicated frame ever lands ahead of another.
-  void Enqueue(EventLoop::Slot slot, std::vector<uint8_t> frame);
-  void QueueWakeup(InFlight& frame);
   // The wakeup: delivers the head frame.
-  void DeliverHead();
+  void Fire(EventLoop::Slot /*slot*/) override { deliver_(wire_.Pop()); }
 
   LinkConfig config_;
   EventLoop& loop_;
   DeliverFn deliver_;
   std::vector<TapFn> taps_;
-  std::vector<InFlight> wire_;  // sorted by slot; the head is wire_[head_]
-  size_t head_ = 0;             // delivered frames before it are compacted away
+  SlotQueue<std::vector<uint8_t>> wire_;  // frames in flight, each in its arrival's slot
   SimTime busy_until_;
   Rng fault_rng_;
   uint64_t frames_offered_ = 0;

@@ -70,13 +70,14 @@ void SimulatedNic::MaybeRaiseInterrupt(size_t queue) {
   }
   q.interrupt_pending = true;
   const SimDuration delay = link_busy_ ? config_.moderation_delay : kInterruptDelay;
-  loop_.ScheduleAfter(delay, [this, queue] {
-    RxQueue& rq = queues_[queue];
-    rq.interrupt_pending = false;
-    if (!rq.poll_mode && !rq.ring.Empty() && rq.on_interrupt) {
-      rq.on_interrupt();
-    }
-  });
+  loop_.ScheduleAt(loop_.Now() + delay, q);
+}
+
+void SimulatedNic::RxQueue::Fire(EventLoop::Slot /*slot*/) {
+  interrupt_pending = false;
+  if (!poll_mode && !ring.Empty() && on_interrupt) {
+    on_interrupt();
+  }
 }
 
 void SimulatedNic::SetQueuePollMode(size_t queue, bool enabled) {

@@ -101,8 +101,12 @@ class SimulatedNic {
   uint64_t rx_frames_on_queue(size_t queue) const { return queues_[queue].rx_frames; }
 
  private:
-  struct RxQueue {
+  // One rx queue; it is its own interrupt event.
+  struct RxQueue final : EventLoop::Target {
     RxQueue() : ring(kRxRingEntries) {}
+    // The interrupt: runs the handler unless the queue was polled dry meanwhile.
+    void Fire(EventLoop::Slot slot) override;
+
     SpscRing<PacketPtr> ring;
     std::function<void()> on_interrupt;
     bool poll_mode = false;
@@ -117,7 +121,7 @@ class SimulatedNic {
   NicConfig config_;
   EventLoop& loop_;
   PacketPool& pool_;
-  std::vector<RxQueue> queues_;
+  std::vector<RxQueue> queues_;  // sized once: each queue is an event target
   std::optional<RssHasher> rss_;  // only with several rx queues and RSS on
   size_t rr_next_queue_ = 0;  // round-robin spray when RSS is off
   SimplexLink* egress_ = nullptr;

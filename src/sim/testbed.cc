@@ -51,17 +51,17 @@ void AddLinkErrors(const LinkConfig& link, const char* name,
   }
   // SimplexLink drops the last burst_drop_length frames of each period.
   if (link.burst_drop_length > link.burst_drop_period) {
-    errors.push_back("--burst-drop-length must be at most --burst-drop-period");
+    errors.emplace_back("--burst-drop-length must be at most --burst-drop-period");
   }
 }
 
 void AddWindowErrors(SimDuration warmup, SimDuration measure,
                      std::vector<std::string>& errors) {
   if (measure.nanos() == 0) {
-    errors.push_back("--measure-ms must be >= 1");
+    errors.emplace_back("--measure-ms must be >= 1");
   }
   if (warmup.nanos() > std::numeric_limits<uint64_t>::max() - measure.nanos()) {
-    errors.push_back("--warmup-ms plus --measure-ms must fit 64 bits of nanoseconds");
+    errors.emplace_back("--warmup-ms plus --measure-ms must fit 64 bits of nanoseconds");
   }
 }
 
@@ -83,7 +83,7 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config) {
     errors.push_back("--cores must be between 1 and " + std::to_string(kMaxCores));
   }
   if (config.stack.aggregation_limit < 1) {
-    errors.push_back("--limit must be >= 1");
+    errors.emplace_back("--limit must be >= 1");
   }
   AddLinkErrors(config.link, "TestbedConfig.link", errors);
   if (config.client_to_server_link) {
@@ -95,10 +95,10 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config) {
   }
   // Testbed gives every NIC one rx queue per core and the host's RSS setting.
   if (config.nic.num_rx_queues != 1) {
-    errors.push_back("TestbedConfig.nic.num_rx_queues must be 1: set by --cores");
+    errors.emplace_back("TestbedConfig.nic.num_rx_queues must be 1: set by --cores");
   }
   if (config.nic.rss != RssConfig{}) {
-    errors.push_back("TestbedConfig.nic.rss must be left default: set by --no-rss");
+    errors.emplace_back("TestbedConfig.nic.rss must be left default: set by --no-rss");
   }
   return errors;
 }
@@ -107,7 +107,7 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config,
                                       const Testbed::StreamOptions& options) {
   std::vector<std::string> errors = ConfigErrors(config);
   if (options.connections_per_nic < 1) {
-    errors.push_back("--conns-per-nic must be >= 1");
+    errors.emplace_back("--conns-per-nic must be >= 1");
   }
   if (options.connections_per_nic > kMaxConnectionsPerNic) {
     errors.push_back("--conns-per-nic must be at most " +
@@ -125,7 +125,7 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config,
   std::vector<std::string> errors = ConfigErrors(config);
   AddWindowErrors(options.warmup, options.measure, errors);
   if (options.message_size < 1) {
-    errors.push_back("LatencyOptions.message_size must be >= 1");
+    errors.emplace_back("LatencyOptions.message_size must be >= 1");
   }
   return errors;
 }
@@ -190,8 +190,8 @@ Testbed::Testbed(const TestbedConfig& config)
 }
 
 Testbed::~Testbed() {
-  // Pending events may hold frames from the host's pool (a cross-core hand-off, say),
-  // and loop_ outlives host_: release them while the pool still exists.
+  // A pending boxed callback may hold what the host owns, and loop_ outlives host_:
+  // release them while the host exists.
   loop_.Clear();
 }
 

@@ -415,26 +415,22 @@ void NetworkStack::FlushDriverBatch(SimTime done) {
   if (staged_tx_.empty()) {
     return;
   }
-  uint32_t batch = 0;
   if (free_tx_batches_.empty()) {
-    batch = static_cast<uint32_t>(tx_batches_.size());
-    tx_batches_.emplace_back();
-  } else {
-    batch = free_tx_batches_.back();
-    free_tx_batches_.pop_back();
+    tx_batches_.push_back(std::make_unique<TxBatch>(*this));
+    free_tx_batches_.push_back(tx_batches_.back().get());
   }
-  tx_batches_[batch].swap(staged_tx_);
-  loop_.ScheduleAt(done, [this, batch] { TransmitBatch(batch); });
+  TxBatch& batch = *free_tx_batches_.back();
+  free_tx_batches_.pop_back();
+  batch.frames.swap(staged_tx_);
+  loop_.ScheduleAt(done, batch);
 }
 
-void NetworkStack::TransmitBatch(uint32_t batch) {
-  TxBatch frames = std::move(tx_batches_[batch]);
+void NetworkStack::TxBatch::Fire(EventLoop::Slot /*slot*/) {
   for (auto& [nic, frame] : frames) {
-    transmit_(nic, std::move(frame));
+    stack.transmit_(nic, std::move(frame));
   }
   frames.clear();
-  tx_batches_[batch] = std::move(frames);
-  free_tx_batches_.push_back(batch);
+  stack.free_tx_batches_.push_back(this);
 }
 
 }  // namespace tcprx

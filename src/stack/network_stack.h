@@ -141,7 +141,6 @@ class NetworkStack : public RxSink {
   void HandleConnectionOutput(TcpConnection& conn, TcpOutputItem item);
   void ChargeTxStackPass(size_t payload_size, bool is_template);
   void TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t> frame);
-  void TransmitBatch(uint32_t batch);
   TcpConnection* Demux(const SkBuff& skb);
   TcpConnection* AcceptNew(const SkBuff& skb);
   ConnectionEntry& EntryFor(TcpConnection& conn);
@@ -166,12 +165,19 @@ class NetworkStack : public RxSink {
   std::unordered_map<uint16_t, AcceptFn> listeners_;
   uint32_t next_iss_ = 20000;
   bool in_driver_batch_ = false;
-  using TxBatch = std::vector<std::pair<int, std::vector<uint8_t>>>;
-  TxBatch staged_tx_;
-  // Flushed batches waiting for their CPU completion, in recycled slots: a batch and
-  // its completion event box nothing, and staging reuses a drained batch's storage.
-  std::vector<TxBatch> tx_batches_;
-  std::vector<uint32_t> free_tx_batches_;
+  using TxFrames = std::vector<std::pair<int, std::vector<uint8_t>>>;
+  TxFrames staged_tx_;
+  // A flushed batch waiting for its CPU completion; it is its own completion event.
+  struct TxBatch final : EventLoop::Target {
+    explicit TxBatch(NetworkStack& s) : stack(s) {}
+    void Fire(EventLoop::Slot slot) override;  // transmits the frames
+
+    NetworkStack& stack;
+    TxFrames frames;
+  };
+  // Batches in recycled slots: staging reuses a drained batch's storage.
+  std::vector<std::unique_ptr<TxBatch>> tx_batches_;
+  std::vector<TxBatch*> free_tx_batches_;
   HostPacketTapFn host_packet_tap_;
   Stats stats_;
 };

@@ -6,19 +6,46 @@
 
 namespace tcprx {
 
-void EventLoop::QueueAt(Slot slot, Callback cb) {
-  TCPRX_CHECK(slot.when >= now_);
-  uint32_t index = 0;
-  if (free_callbacks_.empty()) {
-    index = static_cast<uint32_t>(callbacks_.size());
-    callbacks_.push_back(std::move(cb));
-  } else {
-    index = free_callbacks_.back();
-    free_callbacks_.pop_back();
-    callbacks_[index] = std::move(cb);
+// A boxed callback: a target that runs its callback once and frees itself. Each live
+// box is on the loop's list, so Clear can free the ones that never ran.
+class EventLoop::Box final : public Target {
+ public:
+  Box(EventLoop& loop, Callback cb) : loop_(loop), cb_(std::move(cb)), next_(loop.boxes_) {
+    if (next_ != nullptr) {
+      next_->prev_ = this;
+    }
+    loop.boxes_ = this;
   }
+  Box(const Box&) = delete;
+  Box& operator=(const Box&) = delete;
+  ~Box() {
+    (prev_ != nullptr ? prev_->next_ : loop_.boxes_) = next_;
+    if (next_ != nullptr) {
+      next_->prev_ = prev_;
+    }
+  }
+
+  void Fire(Slot /*slot*/) override {
+    // Freed first, so the callback may even Clear the loop; what it holds lives on in
+    // `cb` until it returns.
+    const Callback cb = std::move(cb_);
+    delete this;
+    cb();
+  }
+
+ private:
+  EventLoop& loop_;
+  Callback cb_;
+  Box* prev_ = nullptr;
+  Box* next_;
+};
+
+void EventLoop::QueueAt(Slot slot, Callback cb) { QueueAt(slot, *new Box(*this, std::move(cb))); }
+
+void EventLoop::QueueAt(Slot slot, Target& target) {
+  TCPRX_CHECK(slot.when >= now_);
   // Sift up: move parents down into the hole until the key fits.
-  const Key key{slot.when, slot.seq, index};
+  const Key key{slot.when, slot.seq, &target};
   size_t hole = heap_.size();
   heap_.emplace_back();
   while (hole > 0) {
@@ -60,10 +87,7 @@ void EventLoop::RunNext() {
   }
 
   now_ = top.when;
-  // Moved out first: the callback may queue events, which can grow the slab.
-  Callback cb = std::move(callbacks_[top.cb]);
-  free_callbacks_.push_back(top.cb);
-  cb();
+  top.target->Fire(Slot{top.when, top.seq});
 }
 
 void EventLoop::Timer::Arm(SimDuration delay) {
@@ -77,7 +101,7 @@ void EventLoop::Timer::Arm(SimDuration delay) {
 void EventLoop::Timer::QueueWakeup() {
   queued_ = true;
   queued_slot_ = deadline_;
-  loop_.QueueAt(deadline_, [this, seq = deadline_.seq] { Wake(seq); });
+  loop_.QueueAt(deadline_, *this);
 }
 
 void EventLoop::Timer::Wake(uint64_t seq) {
@@ -116,8 +140,9 @@ uint64_t EventLoop::RunToCompletion() {
 
 void EventLoop::Clear() {
   heap_.clear();
-  free_callbacks_.clear();
-  callbacks_.clear();
+  while (boxes_ != nullptr) {
+    delete boxes_;
+  }
 }
 
 }  // namespace tcprx

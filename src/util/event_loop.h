@@ -1,12 +1,14 @@
 // Discrete-event scheduler.
 //
-// A single-threaded queue of timestamped callbacks. Ties are broken by insertion order
+// A single-threaded queue of timestamped events. Ties are broken by insertion order
 // so runs are fully deterministic. Everything in the testbed — link serialization, NIC
 // interrupts, CPU batch completion, TCP timers — is an event here.
 //
-// The queue is a 4-ary min-heap of small {when, seq, callback index} keys; the
-// callbacks wait in a recycled slab, so reordering the heap moves keys, never
-// callbacks.
+// An event names its owner, not a closure: the queue is a 4-ary min-heap of small
+// {when, seq, target} keys, and running an event calls target->Fire(slot). The
+// per-packet sources (link wakeups, poll steps, NIC interrupts, transmit batches,
+// timers) are targets themselves, so queueing one builds, moves and destroys nothing.
+// A cold caller's std::function is boxed as a target that frees itself when it runs.
 
 #ifndef SRC_UTIL_EVENT_LOOP_H_
 #define SRC_UTIL_EVENT_LOOP_H_
@@ -26,7 +28,7 @@ class EventLoop {
   using Callback = std::function<void()>;
 
   // A place in the event order: events run by time, then by seq. Reserve takes one
-  // now, exactly as ScheduleAt would, and QueueAt later queues a callback in it, which
+  // now, exactly as ScheduleAt would, and QueueAt later queues an event in it, which
   // then runs where a ScheduleAt at reservation time would have run. This lets an
   // owner of many deadlines (a Timer, a SimplexLink's frames in flight) keep a single
   // wakeup queued for the earliest of them.
@@ -36,13 +38,28 @@ class EventLoop {
     auto operator<=>(const Slot&) const = default;
   };
 
+  // The owner of queued events. The loop calls Fire with the slot of each event it
+  // runs; one target may be queued in several slots at once and tells them apart by
+  // that slot. The loop never owns, deletes or touches a queued target other than to
+  // fire it: a target must outlive its queued events and not move.
+  class Target {
+   public:
+    virtual void Fire(Slot slot) = 0;
+
+   protected:
+    Target() = default;
+    Target(const Target&) = default;
+    Target& operator=(const Target&) = default;
+    ~Target() = default;
+  };
+
   // One re-armable deadline: fires `on_fire` `delay` after the last Arm unless
   // cancelled first. Each Arm reserves a slot, so the timer fires where a
   // ScheduleAfter at that Arm would, yet keeps one wakeup queued: a wakeup that finds
   // the deadline moved later re-queues itself in the new slot, and an earlier deadline
-  // queues a new wakeup that the old one defers to. It must outlive its wakeups and
-  // not move.
-  class Timer {
+  // queues a new wakeup that the old one defers to. Each wakeup is the timer itself,
+  // fired in the slot it was queued in. It must outlive its wakeups and not move.
+  class Timer final : public Target {
    public:
     Timer(EventLoop& loop, Callback on_fire) : loop_(loop), on_fire_(std::move(on_fire)) {}
     Timer(const Timer&) = delete;
@@ -53,6 +70,7 @@ class EventLoop {
     bool armed() const { return armed_; }
 
    private:
+    void Fire(Slot slot) override { Wake(slot.seq); }
     void QueueWakeup();
     void Wake(uint64_t seq);
 
@@ -64,13 +82,25 @@ class EventLoop {
     Slot queued_slot_;
   };
 
+  EventLoop() = default;
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
+  ~EventLoop() { Clear(); }
+
   SimTime Now() const { return now_; }
 
   // Takes the next place in the event order at `when` (clamped to now if in the past).
   Slot Reserve(SimTime when) { return Slot{when < now_ ? now_ : when, next_seq_++}; }
 
-  // Queues `cb` in `slot`, a reservation that must not be in the past.
+  // Queues an event of `target` in `slot`, a reservation that must not be in the past.
+  void QueueAt(Slot slot, Target& target);
+
+  // Queues `cb` in `slot`, boxed: for cold callers.
   void QueueAt(Slot slot, Callback cb);
+
+  // Schedules an event of `target` at absolute time `when` (clamped to now if in the
+  // past).
+  void ScheduleAt(SimTime when, Target& target) { QueueAt(Reserve(when), target); }
 
   // Schedules `cb` at absolute time `when` (clamped to now if in the past).
   void ScheduleAt(SimTime when, Callback cb) { QueueAt(Reserve(when), std::move(cb)); }
@@ -85,20 +115,23 @@ class EventLoop {
   // Runs until the queue is drained completely.
   uint64_t RunToCompletion();
 
-  // Drops every pending event unrun, destroying its callback and whatever the
-  // callback holds. Owners call it before tearing down what those callbacks hold.
-  // Teardown only: a Timer whose wakeup was cleared never fires again.
+  // Drops every pending event unrun. A boxed callback is destroyed with whatever it
+  // holds; any other target is left alone. Owners call it before tearing down what
+  // those callbacks hold. Teardown only: a Timer whose wakeup was cleared never fires
+  // again.
   void Clear();
 
   bool Empty() const { return heap_.empty(); }
   size_t PendingEvents() const { return heap_.size(); }
 
  private:
-  // A queued event: its slot and the slab index of its callback.
+  class Box;
+
+  // A queued event: its slot and its target.
   struct Key {
     SimTime when;
     uint64_t seq;
-    uint32_t cb;
+    Target* target;
   };
   // One 128-bit compare, free of branches: the order of two random keys is a coin
   // flip that a branch would mispredict half the time.
@@ -112,9 +145,8 @@ class EventLoop {
 
   SimTime now_;
   uint64_t next_seq_ = 0;
-  std::vector<Key> heap_;            // 4-ary min-heap: the children of i are 4i+1..4i+4
-  std::vector<Callback> callbacks_;  // slab, indexed by Key::cb
-  std::vector<uint32_t> free_callbacks_;
+  std::vector<Key> heap_;  // 4-ary min-heap: the children of i are 4i+1..4i+4
+  Box* boxes_ = nullptr;   // every boxed callback not yet run, linked through the boxes
 };
 
 }  // namespace tcprx

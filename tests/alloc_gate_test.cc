@@ -4,8 +4,8 @@
 // allocation while counting is on. Each test runs a workload to steady state, then a
 // window of it with counting on. The count is deterministic, so it gates the per-frame
 // harness work the model never charges: frame buffers, SkBuffs, aggregate metadata,
-// ACK batches, link hops, transmit batches, out-of-order segments. Once warm, none of
-// them allocates.
+// ACK batches, link hops, transmit batches, cross-core hand-offs, out-of-order
+// segments. Once warm, none of them allocates.
 
 #include <gtest/gtest.h>
 
@@ -67,6 +67,30 @@ TEST(AllocGate, RssBaselineStreamMakesNoAllocation) {
   options.warmup = SimDuration::FromMillis(20);
   options.measure = SimDuration::FromMillis(10);
   ASSERT_GT(bed.RunStream(options).throughput_mbps, 0);
+  ExpectNoAllocationOver(bed, SimDuration::FromMillis(10), 1000);
+}
+
+TEST(AllocGate, SoftwareSteeredStreamMakesNoAllocation) {
+  // 4 cores without RSS: frames are sprayed over the cores, and most are handed to
+  // their flow's core through its hand-off queue and backlog.
+  TestbedConfig config;  // as `tcprx_sim stream --system=smp --cores=4 --no-rss`
+  config.stack = StackConfig::Baseline(SystemType::kNativeSmp);
+  config.stack.fill_tcp_checksums = false;
+  config.smp.num_cores = 4;
+  config.smp.rss.enabled = false;
+  Testbed bed(config);
+  Testbed::StreamOptions options;
+  options.warmup = SimDuration::FromMillis(20);
+  options.measure = SimDuration::FromMillis(10);
+  const StreamResult result = bed.RunStream(options);
+  ASSERT_GT(result.throughput_mbps, 0);
+  ASSERT_GT(result.misdirected_packets, 1000u);
+  // Cores here go idle and busy far more often than with RSS, so each CPU clock's log
+  // of busy periods (model state that grows by doubling) would cross a doubling in the
+  // window. Emptied, it keeps the room the first 30 ms needed.
+  for (size_t c = 0; c < bed.num_cores(); ++c) {
+    bed.core(c).ResetStats();
+  }
   ExpectNoAllocationOver(bed, SimDuration::FromMillis(10), 1000);
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/cpu/cpu_clock.h"
 #include "src/driver/poll_driver.h"
@@ -154,6 +156,43 @@ TEST_F(PollDriverTest, CpuTimeSerializesProcessing) {
   EXPECT_EQ(driver_->stats().frames_polled, 2u);
   // Total busy time spans both packets' processing.
   EXPECT_GT(cpu_->busy_cycles(), 5000u);
+}
+
+TEST_F(PollDriverTest, HandOffsArriveInTheOrderTheirOwnEventsWould) {
+  // Frames handed from other cores wait for their hand-off times in the driver's
+  // queue. One handed later but due earlier overtakes, and ties keep hand-off order:
+  // each arrives exactly where an event scheduled at its hand-off would run.
+  Build(StackConfig::Baseline(SystemType::kNativeUp), 1);
+  std::vector<std::string> order;
+  const auto probe = [&](uint64_t at_ns, const char* name) {
+    loop_.ScheduleAt(SimTime::FromNanos(at_ns), [&order, this, name] {
+      order.push_back(std::string(name) + (driver_->polling() ? " polling" : " idle"));
+    });
+  };
+  const auto hand_off = [&](uint64_t at_ns, uint16_t port) {
+    FrameOptions syn;
+    syn.flags = kTcpSyn;
+    syn.src_port = port;
+    driver_->HandOff(stack_->packet_pool().AllocateMoved(MakeFrame(syn, 0)),
+                     SimTime::FromNanos(at_ns));
+  };
+  probe(100, "before");
+  hand_off(300, 10003);
+  hand_off(100, 10001);  // overtakes the frame due at 300
+  hand_off(100, 10002);
+  probe(100, "after");
+  loop_.RunUntil(SimTime::FromMillis(1));
+
+  EXPECT_EQ(order, (std::vector<std::string>{"before idle", "after polling"}));
+  EXPECT_EQ(driver_->stats().backlog_polled, 3u);
+  EXPECT_EQ(driver_->stats().wakeups, 1u);
+  std::vector<uint16_t> answered;
+  for (const auto& [nic, frame] : sent_) {
+    const auto synack = ParseTcpFrame(frame);
+    ASSERT_TRUE(synack.has_value());
+    answered.push_back(synack->tcp.dst_port);
+  }
+  EXPECT_EQ(answered, (std::vector<uint16_t>{10001, 10002, 10003}));
 }
 
 }  // namespace

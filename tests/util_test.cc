@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <queue>
 #include <string>
@@ -14,6 +16,7 @@
 #include "src/util/ring.h"
 #include "src/util/rng.h"
 #include "src/util/sim_time.h"
+#include "src/util/slot_queue.h"
 
 namespace tcprx {
 namespace {
@@ -150,8 +153,11 @@ TEST(EventLoopTimer, KeepsItsArmOrderAmongSameInstantEvents) {
 // Drives an EventLoop with random work and checks each callback, as it runs, against
 // a plain priority queue over the (when, seq) it took. Every ScheduleAt, Reserve and
 // Timer::Arm takes the next seq, so the driver numbers them the same way. The work:
-// events at tied, past (clamped) and future times; timers re-armed earlier and later,
-// and cancelled; slots reserved now and queued immediately or by a later event.
+// boxed events at tied, past (clamped) and future times; timers re-armed earlier and
+// later (leaving a superseded wakeup queued), and cancelled; slots reserved now and
+// queued immediately or by a later event, as a boxed callback or as one more slot of a
+// target queued in many slots at once; and items on a SlotQueue, whose owner is queued
+// again for each item that overtakes its head, as a link's reordered frame is.
 class ReferenceOrderDriver {
  public:
   explicit ReferenceOrderDriver(uint64_t seed) : rng_(seed) {
@@ -182,6 +188,8 @@ class ReferenceOrderDriver {
   }
 
   uint64_t callbacks_run() const { return ran_; }
+  size_t most_target_slots() const { return multi_slot_.most_queued; }
+  uint64_t slot_queue_overtakes() const { return slot_queue_.overtakes; }
 
  private:
   static constexpr size_t kTimers = 6;
@@ -196,6 +204,59 @@ class ReferenceOrderDriver {
     bool operator()(const Entry& a, const Entry& b) const {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
+  };
+
+  // A target queued in several slots at once: it finds each event's entry by the slot
+  // the loop fires it with, so a stale or wrong slot shows as a mismatch.
+  class MultiSlotTarget final : public EventLoop::Target {
+   public:
+    explicit MultiSlotTarget(ReferenceOrderDriver& driver) : driver_(driver) {}
+    void Queue(EventLoop::Slot slot, uint64_t id) {
+      pending_[slot.seq] = Entry{slot.when, slot.seq, id};
+      most_queued = std::max(most_queued, pending_.size());
+      driver_.loop_.QueueAt(slot, *this);
+    }
+    size_t most_queued = 0;  // slots it was queued in at once
+
+   private:
+    void Fire(EventLoop::Slot slot) override {
+      const auto it = pending_.find(slot.seq);
+      if (it == pending_.end() || it->second.when != slot.when) {
+        driver_.mismatch_ = "a target fired in slot " + std::to_string(slot.seq) +
+                            ", where none of its events was queued";
+        return;  // the entry never runs, so Run reports it too
+      }
+      const uint64_t id = it->second.id;
+      pending_.erase(it);
+      driver_.Ran(id);
+    }
+
+    ReferenceOrderDriver& driver_;
+    std::map<uint64_t, Entry> pending_;  // by seq
+  };
+
+  // The owner of a SlotQueue of entry ids: each of its wakeups runs the head.
+  class SlotQueueOwner final : public EventLoop::Target {
+   public:
+    explicit SlotQueueOwner(ReferenceOrderDriver& driver)
+        : driver_(driver), queue_(driver.loop_, *this) {}
+    void Push(EventLoop::Slot slot, uint64_t id) {
+      overtakes += !queue_.empty() && slot < queue_.head_slot() ? 1u : 0u;
+      queue_.Push(slot, id);
+    }
+    uint64_t overtakes = 0;  // items pushed ahead of the head
+
+   private:
+    void Fire(EventLoop::Slot slot) override {
+      if (queue_.empty() || queue_.head_slot() != slot) {
+        driver_.mismatch_ = "a SlotQueue wakeup fired outside its head's slot";
+        return;
+      }
+      driver_.Ran(queue_.Pop());
+    }
+
+    ReferenceOrderDriver& driver_;
+    SlotQueue<uint64_t> queue_;
   };
 
   // Takes the next (when, seq) as the loop does, and expects a callback in it.
@@ -248,7 +309,7 @@ class ReferenceOrderDriver {
   }
 
   void Act() {
-    switch (rng_.NextBelow(5)) {
+    switch (rng_.NextBelow(6)) {
       case 0:
       case 1:
         Schedule();
@@ -273,6 +334,12 @@ class ReferenceOrderDriver {
         timers_[k]->Cancel();
         break;
       }
+      case 4: {  // a random time, so often ahead of items pushed earlier
+        const SimTime when = RandomTime();
+        const EventLoop::Slot slot = loop_.Reserve(when);
+        slot_queue_.Push(slot, Take(when).id);
+        break;
+      }
       default:
         Reserve();
         break;
@@ -288,7 +355,13 @@ class ReferenceOrderDriver {
       mismatch_ = "the driver's seq count drifted from the loop's";
       return;
     }
-    auto queue = [this, slot, id = entry.id] { loop_.QueueAt(slot, [this, id] { Ran(id); }); };
+    auto queue = [this, slot, id = entry.id, boxed = rng_.NextBelow(2) == 0] {
+      if (boxed) {
+        loop_.QueueAt(slot, [this, id] { Ran(id); });
+      } else {
+        multi_slot_.Queue(slot, id);
+      }
+    };
     if (slot.when == loop_.Now() || rng_.NextBelow(2) == 0) {
       queue();
       return;
@@ -303,6 +376,8 @@ class ReferenceOrderDriver {
 
   EventLoop loop_;
   Rng rng_;
+  MultiSlotTarget multi_slot_{*this};
+  SlotQueueOwner slot_queue_{*this};
   std::vector<std::unique_ptr<EventLoop::Timer>> timers_;
   std::vector<uint64_t> timer_entry_ = std::vector<uint64_t>(kTimers, kNone);  // live arm
   std::priority_queue<Entry, std::vector<Entry>, Later> reference_;
@@ -313,11 +388,65 @@ class ReferenceOrderDriver {
   std::string mismatch_;
 };
 
+TEST(EventLoop, ClearAndDestructionFreeBoxedCallbacksButNeverATarget) {
+  struct Counting final : EventLoop::Target {
+    void Fire(EventLoop::Slot /*slot*/) override { ++fired; }
+    int fired = 0;
+  };
+  const auto held = std::make_shared<int>(0);  // each boxed callback holds a reference
+  Counting target;
+  {
+    EventLoop loop;
+    loop.ScheduleAt(SimTime::FromNanos(10), [held] {});
+    loop.ScheduleAt(SimTime::FromNanos(10), target);
+    loop.QueueAt(loop.Reserve(SimTime::FromNanos(20)), [held] {});
+    EXPECT_EQ(held.use_count(), 3);
+    loop.Clear();
+    EXPECT_EQ(held.use_count(), 1);
+    EXPECT_TRUE(loop.Empty());
+    loop.RunToCompletion();
+    EXPECT_EQ(target.fired, 0);
+
+    // Destroyed with events queued: a boxed callback, a live target and a target that
+    // is already gone, which the loop must not touch.
+    loop.ScheduleAt(SimTime::FromNanos(30), [held] {});
+    loop.ScheduleAt(SimTime::FromNanos(30), target);
+    auto gone = std::make_unique<Counting>();
+    loop.ScheduleAt(SimTime::FromNanos(30), *gone);
+    gone.reset();
+    EXPECT_EQ(held.use_count(), 2);
+  }
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(target.fired, 0);
+}
+
+TEST(EventLoop, BoxedCallbackIsFreedOnceRunAndMayClearTheLoop) {
+  const auto held = std::make_shared<int>(0);
+  EventLoop loop;
+  int ran = 0;
+  loop.ScheduleAt(SimTime::FromNanos(10), [held, &ran] { ++ran; });
+  loop.RunToCompletion();
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(held.use_count(), 1);
+
+  loop.ScheduleAt(SimTime::FromNanos(20), [held, &loop, &ran] {
+    ++ran;
+    loop.Clear();
+    EXPECT_EQ(held.use_count(), 2);  // this callback's own copy lives until it returns
+  });
+  loop.ScheduleAt(SimTime::FromNanos(30), [held, &ran] { ++ran; });
+  EXPECT_EQ(loop.RunToCompletion(), 1u);
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(held.use_count(), 1);
+}
+
 TEST(EventLoop, RunsInReferenceOrderUnderRandomWork) {
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     ReferenceOrderDriver driver(seed);
     EXPECT_EQ(driver.Run(), "") << "seed " << seed;
     EXPECT_GT(driver.callbacks_run(), 1000u) << "seed " << seed;
+    EXPECT_GT(driver.most_target_slots(), 1u) << "seed " << seed;
+    EXPECT_GT(driver.slot_queue_overtakes(), 0u) << "seed " << seed;
   }
 }
 
