@@ -61,15 +61,6 @@ size_t SkBuff::PayloadSize() const {
   return total;
 }
 
-void SkBuff::ForEachPayload(const std::function<void(std::span<const uint8_t>)>& fn) const {
-  if (view().payload_size > 0) {
-    fn(head->Payload());
-  }
-  for (const PacketPtr& frag : frags) {
-    fn(frag->Payload());
-  }
-}
-
 void SkBuff::ReparseHead() {
   head->Parse(/*allow_logical_length=*/true);
   TCPRX_CHECK_MSG(head->view.has_value(), "SkBuff head frame unparseable after rewrite");
@@ -95,6 +86,9 @@ SkBuffPtr SkBuff::Wrap(PacketPtr frame) {
     free_list.skbs.pop_back();
     Unpoison(skb.get());
   }
+  const TcpFrameView& view = *frame->view;
+  skb->fragment_info.push_back(FragmentInfo{view.tcp.seq, view.tcp.ack, view.tcp.window,
+                                            static_cast<uint32_t>(view.payload_size)});
   skb->csum_verified = frame->nic_checksum_verified;
   skb->head = std::move(frame);
   return skb;

@@ -3,10 +3,11 @@
 // An SkBuff wraps one "host packet" as the stack sees it. For an ordinary packet that
 // is a single frame; for an aggregated packet (section 3.2 of the paper) the head
 // frame carries the rewritten TCP/IP header and the first payload, and `frags` chains
-// the payload of the subsequent network packets without copying. The per-fragment
+// the payload of the subsequent network packets without copying. The per-segment
 // metadata the modified TCP layer needs (ack numbers for congestion control, segment
 // boundaries for ACK generation) rides in `fragment_info`, exactly as the paper stores
-// it "in the packet metadata structure (sk_buff)".
+// it "in the packet metadata structure (sk_buff)". A lone packet is an aggregate of
+// one: its one entry holds its own header fields, so every reader walks the list.
 //
 // SkBuffs are recycled: SkBuffPtr's deleter clears one and keeps it, with the capacity
 // of its vectors, for the next Wrap on the same thread, the way Linux keeps sk_buff heads
@@ -16,9 +17,7 @@
 #define SRC_BUFFER_SKBUFF_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "src/buffer/packet.h"
@@ -26,7 +25,7 @@
 
 namespace tcprx {
 
-// Per-network-packet record kept on an aggregated SkBuff.
+// Per-network-segment record kept on every SkBuff.
 struct FragmentInfo {
   uint32_t seq = 0;          // first sequence number of the fragment's payload
   uint32_t ack = 0;          // the fragment's TCP acknowledgment number
@@ -57,8 +56,8 @@ struct SkBuff {
   // checksum offload, or an aggregate assembled from offload-verified fragments).
   bool csum_verified = false;
 
-  // Aggregation metadata: one entry per constituent network packet, including the
-  // head. Empty for non-aggregated packets.
+  // One entry per constituent network segment, in sequence order: entry 0 is the head
+  // frame's (recorded by Wrap, before any header rewrite), entry i the i-th of `frags`.
   std::vector<FragmentInfo> fragment_info;
 
   // The head frame's parse. After an in-place header rewrite it is stale until
@@ -66,20 +65,18 @@ struct SkBuff {
   const TcpFrameView& view() const { return *head->view; }
 
   // Number of network TCP segments this host packet stands for.
-  size_t SegmentCount() const { return fragment_info.empty() ? 1 : fragment_info.size(); }
+  size_t SegmentCount() const { return fragment_info.size(); }
 
   // Total TCP payload bytes across head + fragments.
   size_t PayloadSize() const;
-
-  // Calls `fn` over each payload region in sequence order.
-  void ForEachPayload(const std::function<void(std::span<const uint8_t>)>& fn) const;
 
   // Re-parses the head frame after an in-place rewrite; aborts if the head no longer
   // parses (that would be an aggregation-engine bug).
   void ReparseHead();
 
-  // Builds an SkBuff around `frame`, reusing a recycled one. Returns nullptr when the
-  // frame is not a TCP/IPv4 packet (the caller then routes it off the TCP path).
+  // Builds an SkBuff around `frame`, reusing a recycled one, and lists the frame as its
+  // one segment. Returns nullptr when the frame is not a TCP/IPv4 packet (the caller
+  // then routes it off the TCP path).
   static SkBuffPtr Wrap(PacketPtr frame);
 };
 

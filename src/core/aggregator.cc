@@ -137,13 +137,9 @@ size_t Aggregator::Find(const FlowKey& key) const {
 }
 
 void Aggregator::StartPartial(const FlowKey& key, PacketPtr frame) {
-  const TcpFrameView& view = *frame->view;
   Partial partial;
-  partial.total_payload = view.payload_size;
+  partial.total_payload = frame->view->payload_size;
   partial.skb = SkBuff::Wrap(std::move(frame));
-  partial.skb->fragment_info.push_back(FragmentInfo{
-      view.tcp.seq, view.tcp.ack, view.tcp.window, static_cast<uint32_t>(view.payload_size)});
-
   table_.emplace_back(key, std::move(partial));
 }
 
@@ -241,15 +237,12 @@ void Aggregator::Finalize(size_t at) {
   Partial partial = std::move(table_[at].second);
   table_.erase(table_.begin() + static_cast<std::ptrdiff_t>(at));
 
-  if (partial.skb->fragment_info.size() == 1) {
-    // A lone packet is delivered unmodified; drop the metadata so the TCP layer treats
-    // it exactly like a packet that never met the aggregator.
-    partial.skb->fragment_info.clear();
-    DeliverSkb(std::move(partial.skb));
-    return;
+  // A lone packet is delivered unmodified, exactly like a packet that never met the
+  // aggregator.
+  if (!partial.skb->frags.empty()) {
+    RewriteAggregateHeader(partial);
+    ++stats_.aggregates_delivered;
   }
-  RewriteAggregateHeader(partial);
-  ++stats_.aggregates_delivered;
   DeliverSkb(std::move(partial.skb));
 }
 

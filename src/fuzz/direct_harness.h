@@ -107,15 +107,9 @@ class DirectHarness {
       if (flow >= tap_.size()) {
         return;
       }
-      if (skb.fragment_info.empty()) {
-        if (view.payload_size > 0) {
-          tap_[flow].emplace_back(view.tcp.seq, static_cast<uint32_t>(view.payload_size));
-        }
-      } else {
-        for (const FragmentInfo& fi : skb.fragment_info) {
-          if (fi.payload_len > 0) {
-            tap_[flow].emplace_back(fi.seq, fi.payload_len);
-          }
+      for (const FragmentInfo& fi : skb.fragment_info) {
+        if (fi.payload_len > 0) {
+          tap_[flow].emplace_back(fi.seq, fi.payload_len);
         }
       }
     });

@@ -21,21 +21,17 @@ void RemoteNode::HandleOutput(TcpOutputItem item) {
 
 void RemoteNode::OnWireFrame(std::vector<uint8_t> frame) {
   ++frames_received_;
-  PacketPtr packet = pool_.AllocateMoved(std::move(frame));
-  if (!packet->view.has_value()) {
+  SkBuffPtr skb = SkBuff::Wrap(pool_.AllocateMoved(std::move(frame)));
+  if (skb == nullptr) {
     return;
   }
-  const TcpFrameView& view = *packet->view;
+  const TcpFrameView& view = skb->view();
   const FlowKey key{view.ip.src, view.ip.dst, view.tcp.src_port, view.tcp.dst_port};
   TcpConnection* const* conn = demux_.Find(key);
   if (conn == nullptr) {
     return;
   }
-  // On the stack: the connection reads the packet and keeps nothing of the wrapper.
-  SkBuff skb;
-  skb.csum_verified = packet->nic_checksum_verified;
-  skb.head = std::move(packet);
-  (*conn)->OnHostPacket(skb);
+  (*conn)->OnHostPacket(*skb);
 }
 
 }  // namespace tcprx

@@ -43,7 +43,7 @@ NetworkStack::NetworkStack(const StackConfig& config, EventLoop& loop, TransmitF
           // happened in the aggregator, plus — for genuine aggregates — the header
           // rewrite with incremental checksums and the fragment-chain attachment.
           charger_.Charge(Routine::kAllocSkb, kCosts.skb_alloc);
-          if (!skb->fragment_info.empty()) {
+          if (!skb->frags.empty()) {
             charger_.Charge(Routine::kAggrFlush, kCosts.aggr_flush_per_host_packet);
             charger_.Charge(Routine::kSkbFillPageDesc, skb->frags.size() * kCosts.skb_frag_attach);
           }
@@ -132,19 +132,13 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   ++counters.host_packets;
   // Network-level data segments this host packet stands for (for per-packet
   // normalization of the profiles, as in the paper's figures).
-  if (skb->fragment_info.empty()) {
-    if (skb->view().payload_size > 0) {
+  for (const FragmentInfo& fi : skb->fragment_info) {
+    if (fi.payload_len > 0) {
       ++counters.net_data_packets;
     }
-  } else {
-    for (const FragmentInfo& fi : skb->fragment_info) {
-      if (fi.payload_len > 0) {
-        ++counters.net_data_packets;
-      }
-    }
-    if (skb->fragment_info.size() > 1) {
-      counters.aggregated_segments += skb->fragment_info.size();
-    }
+  }
+  if (skb->SegmentCount() > 1) {
+    counters.aggregated_segments += skb->SegmentCount();
   }
 
   // Virtualization path between the driver domain and the guest stack.
@@ -196,9 +190,12 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   charger_.ChargeLocks(Routine::kSpinLock, kCosts.tcp_rx_lock_sites);
 
   if (config_.debug_coalesce_fragment_acks) {
-    // Mutation: present the aggregate as one opaque segment, losing the
-    // per-fragment ACK replay the paper's section 3.4 equivalence depends on.
-    skb->fragment_info.clear();
+    // Mutation: present the aggregate as its head segment alone, carrying the rewritten
+    // header's ack and window, losing the per-fragment ACK replay (and the fragments'
+    // payload) the paper's section 3.4 equivalence depends on.
+    skb->fragment_info.resize(1);
+    skb->fragment_info[0].ack = skb->view().tcp.ack;
+    skb->fragment_info[0].window = skb->view().tcp.window;
   }
   conn->OnHostPacket(*skb);
 

@@ -105,7 +105,7 @@ class NetworkStack : public RxSink {
   // ---- Introspection ---------------------------------------------------------------
 
   // Observation tap for differential oracles: runs on every host packet entering
-  // protocol processing, before any verdict, with aggregation fragment_info intact.
+  // protocol processing, before any verdict, with its fragment_info intact.
   // Not charged — it models a passive probe, not stack work.
   using HostPacketTapFn = std::function<void(const SkBuff&)>;
   void set_host_packet_tap(HostPacketTapFn fn) { host_packet_tap_ = std::move(fn); }

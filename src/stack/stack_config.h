@@ -48,7 +48,7 @@ struct StackConfig {
   // Mutation knobs for the differential fuzzer's self-tests (tools/tcprx_fuzz):
   // each deliberately breaks one equivalence invariant so the harness's oracles can
   // be shown to catch it. Never enabled by real configurations.
-  bool debug_coalesce_fragment_acks = false;  // drop per-fragment ACK replay metadata
+  bool debug_coalesce_fragment_acks = false;  // keep only the head segment's entry
   bool debug_skip_idle_flush = false;         // break the work-conserving flush (3.5)
 
   // Applied to accepted (passive-open) connections.

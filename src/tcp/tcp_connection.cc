@@ -219,14 +219,10 @@ void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
   }
 
   if (h.Has(kTcpAck)) {
-    if (skb.fragment_info.empty()) {
-      ProcessAckField(Unwrap(h.ack, snd_una_), h.window, seg_seq, payload_len > 0);
-    } else {
-      uint64_t fseq = seg_seq;
-      for (const FragmentInfo& fi : skb.fragment_info) {
-        ProcessAckField(Unwrap(fi.ack, snd_una_), fi.window, fseq, fi.payload_len > 0);
-        fseq += fi.payload_len;
-      }
+    uint64_t fseq = seg_seq;
+    for (const FragmentInfo& fi : skb.fragment_info) {
+      ProcessAckField(Unwrap(fi.ack, snd_una_), fi.window, fseq, fi.payload_len > 0);
+      fseq += fi.payload_len;
     }
   }
 
@@ -319,15 +315,8 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint16_t window, uint64_t seg_
 }
 
 void TcpConnection::DeliverPayload(const SkBuff& skb, uint64_t seg_seq) {
-  if (skb.fragment_info.empty()) {
-    if (skb.view().payload_size > 0) {
-      DeliverSegment(skb.head->Payload(), seg_seq);
-    }
-    return;
-  }
-
-  // Aggregated host packet: replay each constituent network segment through the
-  // full receive machine, in arrival order (section 3.4.2). Running the complete
+  // Replay each constituent network segment through the full receive machine, in
+  // arrival order (section 3.4.2); a lone packet is one. Running the complete
   // per-segment logic — duplicate detection, out-of-order buffering, reassembly
   // pops — between fragments is what makes aggregation invisible to the sender:
   // e.g. a retransmitted segment chained onto a hole-filling one must still draw

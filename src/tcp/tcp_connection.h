@@ -10,11 +10,12 @@
 //
 // Two aspects exist specifically to support the paper's optimizations:
 //
-//  * Aggregated host packets (SkBuffs with fragment_info) are processed per-fragment
-//    where the protocol demands per-segment granularity: the piggybacked ACK of every
-//    fragment drives congestion control individually, and ACK generation counts
-//    fragments, not host packets (section 3.4). Everything else is done once per host
-//    packet, which is where the CPU savings come from.
+//  * Every host packet lists its network segments (SkBuff::fragment_info; a lone packet
+//    lists one), and the connection processes them per segment where the protocol
+//    demands it: the piggybacked ACK of every fragment drives congestion control
+//    individually, and ACK generation counts fragments, not host packets (section
+//    3.4). Everything else is done once per host packet, which is where the CPU
+//    savings come from.
 //
 //  * When one receive pass owes several ACKs, the connection reports them as a single
 //    batch (first ACK fully built + the remaining ack numbers). The surrounding stack

@@ -26,9 +26,9 @@ void XenPathModel::ChargeGuestRx(Charger& charger, const SkBuff& skb) const {
   // copies cross page boundaries and cannot be streamed as smoothly as an in-kernel
   // copy, hence the penalty factor.
   uint64_t copy_cycles = 0;
-  skb.ForEachPayload([&](std::span<const uint8_t> span) {
-    copy_cycles += cache_.CopyCycles(span.size());
-  });
+  for (const FragmentInfo& fi : skb.fragment_info) {
+    copy_cycles += cache_.CopyCycles(fi.payload_len);
+  }
   // Headers are copied too.
   copy_cycles += cache_.CopyCycles(skb.view().payload_offset);
   copy_cycles = copy_cycles * kCosts.xen_copy_factor_percent / 100;

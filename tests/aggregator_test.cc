@@ -20,6 +20,14 @@ using testutil::FrameOptions;
 using testutil::MakeFrame;
 using testutil::ToPacket;
 
+// Appends a host packet's payload, head then fragments, to `out`.
+void AppendPayload(const SkBuff& skb, std::vector<uint8_t>& out) {
+  out.insert(out.end(), skb.head->Payload().begin(), skb.head->Payload().end());
+  for (const PacketPtr& frag : skb.frags) {
+    out.insert(out.end(), frag->Payload().begin(), frag->Payload().end());
+  }
+}
+
 class AggregatorTest : public ::testing::Test {
  protected:
   explicit AggregatorTest(size_t limit = 20) : aggregator_(MakeConfig(limit), Sink()) {}
@@ -90,10 +98,12 @@ TEST_F(AggregatorTest, SingletonFlushDeliversUnmodified) {
   aggregator_.Push(ToPacket(pool_, original));
   aggregator_.FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
-  // Byte-identical frame, no aggregation metadata.
+  // Byte-identical frame, listed as its own one segment.
   EXPECT_TRUE(std::equal(original.begin(), original.end(),
                          delivered_.front()->head->Bytes().begin()));
-  EXPECT_TRUE(delivered_.front()->fragment_info.empty());
+  ASSERT_EQ(delivered_.front()->fragment_info.size(), 1u);
+  EXPECT_EQ(delivered_.front()->fragment_info[0].seq, 500u);
+  EXPECT_EQ(delivered_.front()->fragment_info[0].payload_len, 100u);
 }
 
 TEST_F(AggregatorTest, PayloadBytesPreservedExactly) {
@@ -107,9 +117,7 @@ TEST_F(AggregatorTest, PayloadBytesPreservedExactly) {
   aggregator_.FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
   std::vector<uint8_t> actual;
-  delivered_.front()->ForEachPayload([&](std::span<const uint8_t> span) {
-    actual.insert(actual.end(), span.begin(), span.end());
-  });
+  AppendPayload(*delivered_.front(), actual);
   EXPECT_EQ(actual, expected);
 }
 
@@ -396,7 +404,8 @@ TEST_F(AggregatorLimit1Test, LimitOneDeliversImmediatelyUnmodified) {
   const auto original = MakeFrame(options, 512);
   aggregator_.Push(ToPacket(pool_, original));
   ASSERT_EQ(delivered_.size(), 1u);  // no waiting at limit 1
-  EXPECT_TRUE(delivered_[0]->fragment_info.empty());
+  ASSERT_EQ(delivered_[0]->fragment_info.size(), 1u);
+  EXPECT_EQ(delivered_[0]->fragment_info[0].seq, 77u);
   EXPECT_TRUE(std::equal(original.begin(), original.end(),
                          delivered_[0]->head->Bytes().begin()));
 }
@@ -508,9 +517,7 @@ TEST_F(AggregatorTest, RandomizedPerFlowStreamIntegrity) {
     const int f = skb->view().tcp.src_port - 10000;
     ASSERT_GE(f, 0);
     ASSERT_LT(f, kFlows);
-    skb->ForEachPayload([&](std::span<const uint8_t> span) {
-      actual[f].insert(actual[f].end(), span.begin(), span.end());
-    });
+    AppendPayload(*skb, actual[f]);
   }
   for (int f = 0; f < kFlows; ++f) {
     EXPECT_EQ(actual[f], expected[f]) << "flow " << f;

@@ -165,6 +165,28 @@ TEST(SkBuff, WrapParsesTcpFrame) {
   EXPECT_EQ(skb->SegmentCount(), 1u);
 }
 
+TEST(SkBuff, WrapListsTheHeadAsOneSegment) {
+  PacketPool pool;
+  FrameOptions options;
+  options.seq = 7000;
+  options.ack = 123456;
+  options.window = 4321;
+  for (int round = 0; round < 2; ++round) {  // the second Wrap reuses a recycled SkBuff
+    SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(options, 300)));
+    ASSERT_NE(skb, nullptr);
+    ASSERT_EQ(skb->fragment_info.size(), 1u);
+    const FragmentInfo& entry = skb->fragment_info[0];
+    EXPECT_EQ(entry.seq, skb->view().tcp.seq);
+    EXPECT_EQ(entry.ack, skb->view().tcp.ack);
+    EXPECT_EQ(entry.window, skb->view().tcp.window);
+    EXPECT_EQ(entry.payload_len, skb->view().payload_size);
+    EXPECT_EQ(entry.seq, 7000u);
+    EXPECT_EQ(entry.ack, 123456u);
+    EXPECT_EQ(entry.window, 4321);
+    EXPECT_EQ(entry.payload_len, 300u);
+  }
+}
+
 TEST(SkBuff, WrapRejectsGarbage) {
   PacketPool pool;
   const std::vector<uint8_t> garbage(64, 0xff);
@@ -195,10 +217,10 @@ TEST(SkBuff, FragmentChainPayload) {
   }
   EXPECT_EQ(skb->PayloadSize(), 200u);
 
-  std::vector<uint8_t> assembled;
-  skb->ForEachPayload([&](std::span<const uint8_t> span) {
-    assembled.insert(assembled.end(), span.begin(), span.end());
-  });
+  std::vector<uint8_t> assembled(skb->head->Payload().begin(), skb->head->Payload().end());
+  for (const PacketPtr& frag : skb->frags) {
+    assembled.insert(assembled.end(), frag->Payload().begin(), frag->Payload().end());
+  }
   ASSERT_EQ(assembled.size(), 200u);
   // Head payload bytes then fragment bytes, in order.
   const auto head_expected = testutil::ExpectedPayload(1, 100);
@@ -213,7 +235,6 @@ TEST(SkBuff, SegmentCountFollowsFragmentInfo) {
   SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 10)));
   ASSERT_NE(skb, nullptr);
   EXPECT_EQ(skb->SegmentCount(), 1u);
-  skb->fragment_info.push_back(FragmentInfo{1, 1, 100, 10});
   skb->fragment_info.push_back(FragmentInfo{11, 1, 100, 10});
   skb->fragment_info.push_back(FragmentInfo{21, 1, 100, 10});
   EXPECT_EQ(skb->SegmentCount(), 3u);

@@ -326,7 +326,7 @@ TEST(TcpConnection, AggregatedHostPacketDeliveredAsOneUnit) {
   SkBuffPtr skb = SkBuff::Wrap(std::move(head));
   ASSERT_NE(skb, nullptr);
   skb->csum_verified = true;
-  skb->fragment_info.push_back(FragmentInfo{base, options.ack, 65535, 100});
+  ASSERT_EQ(skb->fragment_info.size(), 1u);  // Wrap listed the head segment
   for (uint32_t i = 0; i < 2; ++i) {
     testutil::FrameOptions frag_options;
     frag_options.seq = base + 100 + i * 100;
