@@ -16,33 +16,6 @@ constexpr size_t kMaxAggregateDatagram = 0xffff;
 // MSS-sized segments in one such datagram: 45.
 constexpr size_t kMaxMssSegmentsPerDatagram = kMaxAggregateDatagram / kMssWithTimestamps;
 
-// Finds the offset of the timestamp option's kind byte within `options`, or -1.
-int FindTimestampOption(std::span<const uint8_t> options) {
-  size_t i = 0;
-  while (i < options.size()) {
-    const uint8_t kind = options[i];
-    if (kind == kTcpOptEnd) {
-      break;
-    }
-    if (kind == kTcpOptNop) {
-      ++i;
-      continue;
-    }
-    if (i + 1 >= options.size()) {
-      break;
-    }
-    const uint8_t len = options[i + 1];
-    if (len < 2 || i + len > options.size()) {
-      break;
-    }
-    if (kind == kTcpOptTimestamp) {
-      return static_cast<int>(i);
-    }
-    i += len;
-  }
-  return -1;
-}
-
 }  // namespace
 
 Aggregator::Aggregator(const AggregatorConfig& config, DeliverFn deliver)
@@ -218,14 +191,12 @@ void Aggregator::RewriteAggregateHeader(Partial& partial) {
   if (last_tcp.Has(kTcpPsh)) {
     bytes[tcp_off + 13] |= kTcpPsh;
   }
-  // Timestamp copied from the last fragment (section 3.2).
+  // Timestamp copied from the last fragment (section 3.2), into the head's option
+  // where its parse found it (TryAppend chains only frames that agree on having one).
   if (last_tcp.timestamp.has_value()) {
-    const std::span<uint8_t> options =
-        bytes.subspan(tcp_off + kTcpMinHeaderSize, tcp_hsize - kTcpMinHeaderSize);
-    const int ts_at = FindTimestampOption(options);
-    TCPRX_CHECK_MSG(ts_at >= 0, "timestamp option vanished from aggregate head");
-    StoreBe32(options.data() + ts_at + 2, last_tcp.timestamp->value);
-    StoreBe32(options.data() + ts_at + 6, last_tcp.timestamp->echo_reply);
+    uint8_t* ts = bytes.data() + tcp_off + kTcpMinHeaderSize + head.tcp.timestamp_offset;
+    StoreBe32(ts + 2, last_tcp.timestamp->value);
+    StoreBe32(ts + 6, last_tcp.timestamp->echo_reply);
   }
   // The TCP checksum is NOT recomputed: every constituent was verified by the NIC, so
   // the aggregate is marked pre-verified instead (section 3.2).

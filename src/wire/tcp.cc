@@ -12,6 +12,7 @@ namespace {
 // false on a malformed block (bad lengths).
 bool ParseOptions(std::span<const uint8_t> options, TcpHeader& h) {
   h.timestamp.reset();
+  h.timestamp_offset = 0;
   h.mss.reset();
   h.window_scale.reset();
   h.sack_permitted = false;
@@ -62,6 +63,7 @@ bool ParseOptions(std::span<const uint8_t> options, TcpHeader& h) {
         }
         h.timestamp = TcpTimestampOption{LoadBe32(options.data() + i + 2),
                                          LoadBe32(options.data() + i + 6)};
+        h.timestamp_offset = static_cast<uint8_t>(i);
         break;
       default:
         h.has_unknown_option = true;

@@ -128,6 +128,9 @@ struct TcpHeader {
   // Parsed options. `raw_options` preserves the original bytes so a header can be
   // reserialized without normalizing the padding layout.
   std::optional<TcpTimestampOption> timestamp;
+  // Where the parsed timestamp option (its kind byte) starts in the option block;
+  // 0 when there is none.
+  uint8_t timestamp_offset = 0;
   std::optional<uint16_t> mss;
   std::optional<uint8_t> window_scale;
   bool sack_permitted = false;

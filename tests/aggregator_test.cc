@@ -141,6 +141,28 @@ TEST_F(AggregatorTest, RewritesHeaderFromLastFragment) {
   EXPECT_EQ(skb.view().ip.total_length, 20 + 32 + 3 * 1448);
 }
 
+TEST_F(AggregatorTest, TimestampRewrittenWhereTheHeadCarriesIt) {
+  // Timestamp first, then padding: the option sits at offset 0, not after two NOPs.
+  for (uint32_t i = 0; i < 2; ++i) {
+    FrameOptions options;
+    options.seq = 1 + i * 1000;
+    options.with_timestamp = false;
+    options.extra_options = {kTcpOptTimestamp, 10, 0, 0, 0, static_cast<uint8_t>(60 + i),
+                             0, 0, 0, 9, kTcpOptNop, kTcpOptNop};
+    aggregator_.Push(ToPacket(pool_, MakeFrame(options, 1000)));
+  }
+  aggregator_.FlushAll();
+  ASSERT_EQ(delivered_.size(), 1u);
+  const SkBuff& skb = *delivered_.front();
+  ASSERT_EQ(skb.SegmentCount(), 2u);
+  ASSERT_TRUE(skb.view().tcp.timestamp.has_value());
+  EXPECT_EQ(skb.view().tcp.timestamp_offset, 0);
+  EXPECT_EQ(skb.view().tcp.timestamp->value, 61u);  // the last fragment's
+  EXPECT_EQ(skb.view().tcp.timestamp->echo_reply, 9u);
+  EXPECT_EQ(skb.view().tcp.raw_options.data()[10], kTcpOptNop);  // padding untouched
+  EXPECT_EQ(skb.view().tcp.raw_options.data()[11], kTcpOptNop);
+}
+
 TEST_F(AggregatorTest, AggregateIpChecksumIsValid) {
   PushData(1);
   PushData(1 + 1448);

@@ -460,6 +460,7 @@ TEST(Frame, ReusedViewKeepsNothingOfThePreviousFrame) {
   ASSERT_TRUE(view.tcp.mss.has_value());
   ASSERT_TRUE(view.tcp.window_scale.has_value());
   ASSERT_TRUE(view.tcp.sack_permitted);
+  EXPECT_EQ(view.tcp.timestamp_offset, 2);  // after the two NOPs of the canonical block
   EXPECT_EQ(view.tcp.raw_options.size(), 24u);  // 12 + 9, padded to 24
 
   FrameOptions ack;
@@ -468,6 +469,7 @@ TEST(Frame, ReusedViewKeepsNothingOfThePreviousFrame) {
   const auto ack_frame = MakeFrame(ack, 10);
   ASSERT_TRUE(ParseTcpFrame(ack_frame, view));
   EXPECT_FALSE(view.tcp.timestamp.has_value());
+  EXPECT_EQ(view.tcp.timestamp_offset, 0);
   EXPECT_FALSE(view.tcp.mss.has_value());
   EXPECT_FALSE(view.tcp.window_scale.has_value());
   EXPECT_FALSE(view.tcp.sack_permitted);
