@@ -85,6 +85,11 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config) {
   if (config.stack.aggregation_limit < 1) {
     errors.emplace_back("--limit must be >= 1");
   }
+  // Hardware LRO is modelled by the host's aggregator; without one the stack would
+  // quietly run as the baseline.
+  if (config.stack.hardware_lro && !config.stack.receive_aggregation) {
+    errors.emplace_back("--hardware-lro needs --aggregation or --optimized");
+  }
   AddLinkErrors(config.link, "TestbedConfig.link", errors);
   if (config.client_to_server_link) {
     AddLinkErrors(*config.client_to_server_link, "TestbedConfig.client_to_server_link",

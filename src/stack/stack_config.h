@@ -38,7 +38,8 @@ struct StackConfig {
   // early demux costs nothing on the host CPU and the *driver* also runs once per
   // host packet instead of once per wire packet — LRO's extra advantage over the
   // paper's software approach. The NIC in question offers no Acknowledgment Offload,
-  // but ack_offload remains independently selectable for the ablation.
+  // but ack_offload remains independently selectable for the ablation. The coalescing
+  // runs in the host's aggregator, so it needs receive_aggregation (ConfigErrors).
   bool hardware_lro = false;
 
   // The calibrated cost table (cost_params.h) under the name `config.costs`. Not a

@@ -45,6 +45,8 @@ TEST(ConfigErrors, EachBadFieldGivesItsMessage) {
        [](TestbedConfig& c, Options&) { c.smp.num_cores = 129; }},
       {"--limit must be >= 1",
        [](TestbedConfig& c, Options&) { c.stack.aggregation_limit = 0; }},
+      {"--hardware-lro needs --aggregation or --optimized",
+       [](TestbedConfig& c, Options&) { c.stack.hardware_lro = true; }},
       {"--nics must be between 1 and 256", [](TestbedConfig& c, Options&) { c.num_nics = 0; }},
       {"--nics must be between 1 and 256",
        [](TestbedConfig& c, Options&) { c.num_nics = 257; }},

@@ -51,6 +51,7 @@ expect "--mss must be between 1 and 65455" stream --mss=100000
 expect "--nics must be between 1 and 256" stream --nics=0
 expect "--nics must be between 1 and 256" stream --nics=257
 expect "--conns-per-nic must be >= 1" stream --conns-per-nic=0
+expect "--hardware-lro needs --aggregation or --optimized" stream --hardware-lro
 expect "--measure-ms must be >= 1" stream --measure-ms=0
 expect "--measure-ms must be >= 1" latency --measure-ms=0
 for fault in drop reorder duplicate corrupt; do
