@@ -55,11 +55,6 @@ uint64_t CacheModel::SequentialAccessCycles(size_t bytes) const {
   return ColdStreamCycles(lines);
 }
 
-uint64_t CacheModel::RandomTouchCycles(size_t lines) const {
-  // Random touches never hit a prefetched line, in any mode.
-  return static_cast<uint64_t>(lines) * kCacheParams.memory_miss_cycles;
-}
-
 uint64_t CacheModel::CopyCycles(size_t bytes) const {
   // Read stream of the source plus write-allocate stream of the destination.
   return 2 * SequentialAccessCycles(bytes) + AluCycles(bytes);

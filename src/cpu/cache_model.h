@@ -45,11 +45,6 @@ class CacheModel {
   // Cycles to stream-read `bytes` of cold (just-DMA'd) data. Benefits from prefetch.
   uint64_t SequentialAccessCycles(size_t bytes) const;
 
-  // Cycles to touch `lines` cache lines at unpredictable addresses (buffer metadata,
-  // hash buckets, list nodes). Never benefits from prefetch: this is what keeps
-  // per-packet operations expensive on modern CPUs.
-  uint64_t RandomTouchCycles(size_t lines) const;
-
   // Cycles to copy `bytes` from one cold sequential region to another (read stream +
   // write-allocate stream + per-byte ALU work). The canonical per-byte operation.
   uint64_t CopyCycles(size_t bytes) const;

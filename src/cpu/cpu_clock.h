@@ -42,7 +42,6 @@ class CpuClock {
   bool IdleAt(SimTime t) const { return busy_until_ <= t; }
 
   uint64_t busy_cycles() const { return busy_cycles_; }
-  uint64_t hz() const { return hz_; }
 
   // Busy nanoseconds overlapping [start, end): only the portion of each busy region
   // that falls inside the window counts, so work spanning a window edge is split

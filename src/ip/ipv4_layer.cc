@@ -18,9 +18,6 @@ IpVerdict Ipv4Layer::Validate(const SkBuff& skb) const {
   if (view.ip.total_length != expected) {
     return IpVerdict::kTruncated;
   }
-  if (view.ip.protocol != kIpProtoTcp) {
-    return IpVerdict::kNotTcp;
-  }
   if (!local_.empty() && local_.Find(view.ip.dst.value) == nullptr) {
     return IpVerdict::kNotLocal;
   }

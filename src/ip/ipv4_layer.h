@@ -19,7 +19,6 @@ enum class IpVerdict {
   kBadChecksum,
   kTruncated,
   kNotLocal,
-  kNotTcp,
 };
 
 class Ipv4Layer {

@@ -41,7 +41,6 @@ void SimplexLink::Send(std::vector<uint8_t> frame) {
   const SimTime start = loop_.Now() > busy_until_ ? loop_.Now() : busy_until_;
   busy_until_ = start + SimTime::FromNanos(serialization_ns);
   ++frames_sent_;
-  bytes_sent_ += frame.size();
 
   if (config_.corrupt_probability > 0 &&
       fault_rng_.NextBool(config_.corrupt_probability) && !frame.empty()) {

@@ -77,7 +77,6 @@ class SimplexLink final : public EventLoop::Target {
   bool has_taps() const { return !taps_.empty(); }
 
   uint64_t frames_sent() const { return frames_sent_; }
-  uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t frames_dropped() const { return frames_dropped_; }
   uint64_t frames_corrupted() const { return frames_corrupted_; }
   uint64_t frames_duplicated() const { return frames_duplicated_; }
@@ -102,7 +101,6 @@ class SimplexLink final : public EventLoop::Target {
   Rng fault_rng_;
   uint64_t frames_offered_ = 0;
   uint64_t frames_sent_ = 0;
-  uint64_t bytes_sent_ = 0;
   uint64_t frames_dropped_ = 0;
   uint64_t frames_corrupted_ = 0;
   uint64_t frames_duplicated_ = 0;

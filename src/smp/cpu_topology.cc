@@ -4,7 +4,7 @@
 
 namespace tcprx {
 
-CpuTopology::CpuTopology(size_t num_cores, uint64_t hz) : hz_(hz) {
+CpuTopology::CpuTopology(size_t num_cores, uint64_t hz) {
   TCPRX_CHECK(num_cores >= 1);
   cores_.reserve(num_cores);
   for (size_t i = 0; i < num_cores; ++i) {

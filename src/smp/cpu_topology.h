@@ -26,7 +26,6 @@ class CpuTopology {
   size_t num_cores() const { return cores_.size(); }
   CpuClock& core(size_t i) { return *cores_[i]; }
   const CpuClock& core(size_t i) const { return *cores_[i]; }
-  uint64_t hz() const { return hz_; }
 
   // Sum of busy cycles across all cores (the "total CPU" a breakdown normalizes by).
   uint64_t TotalBusyCycles() const;
@@ -35,7 +34,6 @@ class CpuTopology {
   std::vector<double> Utilizations(SimTime start, SimTime end) const;
 
  private:
-  uint64_t hz_;
   std::vector<std::unique_ptr<CpuClock>> cores_;
 };
 

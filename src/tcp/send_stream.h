@@ -65,7 +65,6 @@ class SendStream {
   void ReleaseThrough(uint64_t offset);
 
   uint64_t released_offset() const { return released_offset_; }
-  bool synthetic() const { return synthetic_; }
 
   // The deterministic pattern byte at a given stream offset.
   static uint8_t PatternByte(uint64_t offset) {

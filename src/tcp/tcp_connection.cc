@@ -293,7 +293,6 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint16_t window, uint64_t seg_
   } else if (ack == snd_una_) {
     // Duplicate ACK per RFC 5681: no payload, outstanding data, window unchanged.
     if (!has_payload && snd_nxt_ > snd_una_ && window == snd_wnd_) {
-      ++dup_acks_received_;
       if (reno_.OnDupAck()) {
         recover_ = snd_nxt_;
         rtx_high_ = snd_una_;

@@ -141,7 +141,6 @@ class TcpConnection {
   uint64_t bytes_acked() const { return snd_una_ > iss_ + 1 ? snd_una_ - (iss_ + 1) : 0; }
   uint64_t segments_retransmitted() const { return segments_retransmitted_; }
   uint64_t acks_emitted() const { return acks_emitted_; }
-  uint64_t dup_acks_received() const { return dup_acks_received_; }
   uint64_t duplicate_segments_received() const { return duplicate_segments_received_; }
   uint64_t paws_rejected() const { return paws_rejected_; }
   bool sack_active() const { return peer_sack_; }
@@ -157,18 +156,8 @@ class TcpConnection {
   const std::vector<uint32_t>& ack_trace() const { return ack_trace_; }
   uint64_t snd_nxt_ext() const { return snd_nxt_; }
   uint64_t snd_una_ext() const { return snd_una_; }
-  uint64_t rcv_nxt_ext() const { return rcv_nxt_; }
 
  private:
-  // --- segment processing helpers ---
-  struct SegmentMeta {
-    uint64_t seq;         // extended
-    uint64_t ack;         // extended (valid when ACK flag set)
-    uint32_t payload_len;
-    uint16_t window;
-    uint8_t flags;
-  };
-
   void ProcessListen(const SkBuff& skb);
   void ProcessSynSent(const SkBuff& skb);
   // Takes the peer's initial sequence number, initial window and negotiated options
@@ -270,7 +259,6 @@ class TcpConnection {
   uint64_t bytes_received_ = 0;
   uint64_t segments_retransmitted_ = 0;
   uint64_t acks_emitted_ = 0;
-  uint64_t dup_acks_received_ = 0;
   uint64_t duplicate_segments_received_ = 0;
   uint64_t ooo_segments_received_ = 0;
   uint64_t rto_events_ = 0;

@@ -14,9 +14,6 @@
 namespace tcprx {
 
 // Modular (wrap-safe) comparisons over the 32-bit TCP sequence space.
-inline bool SeqLt(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) < 0; }
-inline bool SeqLe(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) <= 0; }
-inline bool SeqGt(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) > 0; }
 inline bool SeqGe(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) >= 0; }
 
 }  // namespace tcprx

@@ -18,15 +18,6 @@ namespace {
 
 class CacheModelPrefetchTest : public ::testing::TestWithParam<PrefetchMode> {};
 
-TEST_P(CacheModelPrefetchTest, RandomTouchesAreModeIndependent) {
-  // The paper's core claim: prefetching never helps pointer-chasing accesses.
-  const CacheModel model(GetParam());
-  const CacheModel none(PrefetchMode::kNone);
-  for (size_t lines : {1u, 2u, 5u, 16u}) {
-    EXPECT_EQ(model.RandomTouchCycles(lines), none.RandomTouchCycles(lines));
-  }
-}
-
 TEST_P(CacheModelPrefetchTest, SequentialCostGrowsWithBytes) {
   const CacheModel model(GetParam());
   uint64_t prev = 0;
@@ -66,7 +57,8 @@ TEST(CacheModel, FullPrefetchShiftsPerByteBelowPerPacket) {
   // budget with full prefetching.
   const CacheModel none(PrefetchMode::kNone);
   const CacheModel full(PrefetchMode::kFull);
-  const uint64_t per_packet_touches = none.RandomTouchCycles(20);  // mode-independent
+  // 20 cache lines at unpredictable addresses, each a memory miss in any mode.
+  const uint64_t per_packet_touches = 20 * uint64_t{kCacheParams.memory_miss_cycles};
   EXPECT_GT(none.CopyCycles(1448), per_packet_touches);
   EXPECT_LT(full.CopyCycles(1448), per_packet_touches);
 }
@@ -75,7 +67,6 @@ TEST(CacheModel, ZeroBytesCostNothing) {
   const CacheModel model(PrefetchMode::kFull);
   EXPECT_EQ(model.SequentialAccessCycles(0), 0u);
   EXPECT_EQ(model.CopyCycles(0), 0u);
-  EXPECT_EQ(model.RandomTouchCycles(0), 0u);
 }
 
 TEST(CacheModel, WarmupDominatesShortStreams) {
