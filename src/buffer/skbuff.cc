@@ -24,24 +24,34 @@ void Unpoison(SkBuff* skb) {
                    skb->fragment_info.capacity() * sizeof(FragmentInfo));
 }
 
+// This thread's recycled SkBuffs. It is constant-initialized, so the per-packet Wrap and
+// recycle read it with no thread-local initialization guard.
 struct FreeList {
-  FreeList() { skbs.reserve(kMaxCachedSkBuffs); }
-  ~FreeList() {
-    for (SkBuff* skb : skbs) {
-      Unpoison(skb);
-      delete skb;
-    }
-  }
-  std::vector<SkBuff*> skbs;
+  SkBuff* skbs[kMaxCachedSkBuffs];
+  size_t size;
 };
 
-// tcprx_bench runs its points on worker threads: each keeps its own list.
-thread_local FreeList free_list;
+// tcprx_bench runs its points on worker threads: each keeps its own list, and an SkBuff
+// is recycled on the thread that made it.
+thread_local constinit FreeList free_list{};
+
+// Deletes the thread's cached SkBuffs when the thread exits. Wrap touches it where it
+// makes a new SkBuff, the only way the list comes to hold any.
+struct FreeListReleaser {
+  ~FreeListReleaser() {
+    for (size_t i = 0; i < free_list.size; ++i) {
+      Unpoison(free_list.skbs[i]);
+      delete free_list.skbs[i];
+    }
+    free_list.size = 0;
+  }
+};
+thread_local FreeListReleaser releaser;
 
 }  // namespace
 
 void SkBuffRecycler::operator()(SkBuff* skb) const {
-  if (free_list.skbs.size() == kMaxCachedSkBuffs) {
+  if (free_list.size == kMaxCachedSkBuffs) {
     delete skb;
     return;
   }
@@ -50,7 +60,7 @@ void SkBuffRecycler::operator()(SkBuff* skb) const {
   skb->frags.clear();
   skb->head.reset();
   Poison(skb);
-  free_list.skbs.push_back(skb);
+  free_list.skbs[free_list.size++] = skb;
 }
 
 size_t SkBuff::PayloadSize() const {
@@ -79,11 +89,11 @@ SkBuffPtr SkBuff::Wrap(PacketPtr frame) {
     return nullptr;
   }
   SkBuffPtr skb;
-  if (free_list.skbs.empty()) {
+  if (free_list.size == 0) {
+    [[maybe_unused]] const FreeListReleaser& at_thread_exit = releaser;
     skb.reset(new SkBuff());
   } else {
-    skb.reset(free_list.skbs.back());
-    free_list.skbs.pop_back();
+    skb.reset(free_list.skbs[--free_list.size]);
     Unpoison(skb.get());
   }
   const TcpFrameView& view = *frame->view;
