@@ -30,12 +30,7 @@ NetworkStack::NetworkStack(const StackConfig& config, EventLoop& loop, TransmitF
     aggregator_ = std::make_unique<Aggregator>(
         aggr_config, [this](SkBuffPtr skb) {
           if (config_.hardware_lro) {
-            // The NIC delivered a pre-aggregated packet: the driver and softirq
-            // plumbing run once per *host* packet.
-            charger_.Charge(Routine::kS2ioLroRx,
-                            kCosts.driver_rx_per_packet + kCosts.driver_mac_processing);
-            charger_.Charge(Routine::kAllocSkb, kCosts.skb_alloc + kCosts.pkt_buf_alloc);
-            charger_.Charge(Routine::kDoSoftirq, kCosts.misc_rx_per_packet);
+            ChargeLroHostPacket();
             DeliverHostPacket(std::move(skb));
             return;
           }
@@ -49,7 +44,27 @@ NetworkStack::NetworkStack(const StackConfig& config, EventLoop& loop, TransmitF
           }
           DeliverHostPacket(std::move(skb));
         });
+    // A frame the host cannot parse is dropped and its buffer freed, as on the
+    // baseline path. The optimized path built no sk_buff for it; hardware LRO hands it
+    // up as a host packet of its own.
+    aggregator_->set_deliver_raw([this](PacketPtr /*frame*/) {
+      ++stats_.frames_dropped_unparseable;
+      if (config_.hardware_lro) {
+        ChargeLroHostPacket();
+        charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + kCosts.pkt_buf_free);
+      } else {
+        charger_.Charge(Routine::kKfreeSkb, kCosts.pkt_buf_free);
+      }
+    });
   }
+}
+
+void NetworkStack::ChargeLroHostPacket() {
+  // The NIC delivered a pre-aggregated packet: the driver and softirq plumbing run
+  // once per *host* packet.
+  charger_.Charge(Routine::kS2ioLroRx, kCosts.driver_rx_per_packet + kCosts.driver_mac_processing);
+  charger_.Charge(Routine::kAllocSkb, kCosts.skb_alloc + kCosts.pkt_buf_alloc);
+  charger_.Charge(Routine::kDoSoftirq, kCosts.misc_rx_per_packet);
 }
 
 void NetworkStack::AddLocalAddress(Ipv4Address local, int nic_id) {
@@ -75,8 +90,8 @@ void NetworkStack::ReceiveFrame(PacketPtr frame) {
 
   if (config_.hardware_lro && aggregator_ != nullptr) {
     // Hardware LRO: the coalescing happens on the NIC; nothing is charged per wire
-    // packet. Host costs accrue per delivered host packet (see the aggregator
-    // callback in the constructor).
+    // packet. Host costs accrue per delivered host packet or dropped frame (see the
+    // aggregator's callbacks in the constructor).
     aggregator_->Push(std::move(frame));
     return;
   }

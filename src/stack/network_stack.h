@@ -135,6 +135,8 @@ class NetworkStack : public RxSink {
     TcpConnection::DataFn app_on_data;
   };
 
+  // Hardware LRO's driver, sk_buff and softirq work for one host packet.
+  void ChargeLroHostPacket();
   void DeliverHostPacket(SkBuffPtr skb);
   bool VerifyHostPacketChecksum(const SkBuff& skb) const;
   void SendReset(const SkBuff& skb);

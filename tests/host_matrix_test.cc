@@ -1,6 +1,7 @@
 // Golden host matrix: short stream, lossy-stream and latency runs of every system
-// preset ({up, smp, xen} x {baseline, optimized}) plus the multi-core steering cases
-// (4 cores with RSS, 4 cores without, 1 core without), every StreamResult and
+// preset ({up, smp, xen} x {baseline, optimized}), a corrupting stream on the UP
+// optimized stack, and the multi-core steering cases (4 cores with RSS, 4 cores
+// without, 1 core without), every StreamResult and
 // LatencyResult field (of routine_cycles, every non-zero routine) compared exactly
 // against tests/golden/host_matrix.txt.
 //
@@ -131,6 +132,21 @@ Fields RunMatrix() {
         AddLatency("latency/" + preset, bed.RunLatency(options), out);
       }
     }
+  }
+
+  // Corruption on the optimized stack, with zero TCP checksums (tcprx_sim's default),
+  // which the NIC trusts: some flipped bits land where the host can no longer parse
+  // the frame, which the stack drops before any sk_buff exists.
+  {
+    TestbedConfig config;
+    config.stack = StackConfig::Optimized(SystemType::kNativeUp);
+    config.stack.fill_tcp_checksums = false;
+    LinkConfig link = config.link;
+    link.corrupt_probability = 0.05;
+    link.fault_seed = 11;
+    config.client_to_server_link = link;
+    Testbed bed(config);
+    AddStream("corrupt/up/optimized", bed.RunStream(ShortStream(1)), out);
   }
 
   // Multi-core steering: hardware RSS, software steering, and software steering on

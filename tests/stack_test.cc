@@ -108,10 +108,42 @@ TEST_F(StackTest, NotLocalAddressDropped) {
   EXPECT_EQ(stack_->stats().frames_dropped_ip, 1u);
 }
 
+uint64_t RoutineCyclesOf(const NetworkStack& stack, Routine routine) {
+  return stack.account().routine_cycles()[static_cast<size_t>(routine)];
+}
+
 TEST_F(StackTest, GarbageFrameDropped) {
   Build(StackConfig::Baseline(SystemType::kNativeUp));
   Feed(std::vector<uint8_t>(40, 0xab));
   EXPECT_EQ(stack_->stats().frames_dropped_unparseable, 1u);
+  EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kKfreeSkb), kCosts.skb_free + kCosts.pkt_buf_free);
+}
+
+TEST_F(StackTest, GarbageFrameDroppedOnTheOptimizedPath) {
+  Build(StackConfig::Optimized(SystemType::kNativeUp));
+  Feed(std::vector<uint8_t>(40, 0xab));
+  EXPECT_EQ(stack_->stats().frames_dropped_unparseable, 1u);
+  // The per-frame driver and early-demux work ran; no sk_buff was built, so only the
+  // frame's buffer is freed.
+  EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kE1000CleanRxIrq), kCosts.driver_rx_per_packet);
+  EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kAggrEarlyDemux), kCosts.aggr_demux_per_packet);
+  EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kAllocSkb), 0u);
+  EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kKfreeSkb), kCosts.pkt_buf_free);
+}
+
+TEST_F(StackTest, GarbageFrameDroppedUnderHardwareLro) {
+  StackConfig config = StackConfig::Optimized(SystemType::kNativeUp);
+  config.hardware_lro = true;
+  Build(config);
+  Feed(std::vector<uint8_t>(40, 0xab));
+  EXPECT_EQ(stack_->stats().frames_dropped_unparseable, 1u);
+  // The NIC hands the frame up as a host packet: one host packet's LRO driver work,
+  // then the sk_buff and its buffer are freed.
+  EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kS2ioLroRx),
+            kCosts.driver_rx_per_packet + kCosts.driver_mac_processing);
+  EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kAllocSkb), kCosts.skb_alloc + kCosts.pkt_buf_alloc);
+  EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kDoSoftirq), kCosts.misc_rx_per_packet);
+  EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kKfreeSkb), kCosts.skb_free + kCosts.pkt_buf_free);
 }
 
 TEST_F(StackTest, TransmitRoutedToConfiguredNic) {

@@ -12,7 +12,8 @@
 # ack-offload + aggregation at limit 8} x {1 core, 4 cores, 4 cores without RSS} x
 # {no loss, random drop, reorder + duplicate + corrupt, burst drop}, all at the default
 # full prefetch. Besides it: the two other prefetch modes (none, partial) on the UP
-# baseline and the Xen optimized stack, hardware LRO with random drop, a latency run
+# baseline and the Xen optimized stack, hardware LRO with random drop and with
+# corruption (frames whose flipped header bits the host cannot parse), a latency run
 # per system and stack, the text reports (--profile, --connections with its
 # per-connection TCP states, and one latency report without --json), a --trace run, an
 # 80-connection SMP run, a --fill-checksums run with its --pcap capture, an optimized
@@ -84,6 +85,9 @@ for prefetch in none partial; do
 done
 # shellcheck disable=SC2086
 run hardware-lro-up-opt-drop stream --optimized --hardware-lro --drop=0.01 --seed=3 \
+  $window --json
+# shellcheck disable=SC2086
+run hardware-lro-up-opt-corrupt stream --optimized --hardware-lro --corrupt=0.01 --seed=7 \
   $window --json
 
 # shellcheck disable=SC2086
