@@ -67,6 +67,11 @@ constexpr SystemType kSystems[] = {SystemType::kNativeUp, SystemType::kNativeSmp
 constexpr PrefetchMode kPrefetchModes[] = {PrefetchMode::kNone, PrefetchMode::kAdjacent,
                                            PrefetchMode::kFull};
 
+constexpr CostCategory kFig01PerPacketGroup[] = {
+    CostCategory::kRx,       CostCategory::kTx,     CostCategory::kBuffer,
+    CostCategory::kNonProto, CostCategory::kDriver, CostCategory::kAggr,
+};
+
 Figure Fig01() {
   Figure f("fig01",
            "Figure 1: Per-byte vs per-packet overhead share vs prefetch aggressiveness (UP)");
@@ -76,10 +81,6 @@ Figure Fig01() {
     f.points.push_back(Stream(config));
   }
   f.print = [](const Results& r) {
-    constexpr CostCategory kPerPacketGroup[] = {
-        CostCategory::kRx,       CostCategory::kTx,     CostCategory::kBuffer,
-        CostCategory::kNonProto, CostCategory::kDriver, CostCategory::kAggr,
-    };
     constexpr CostCategory kMiscGroup[] = {CostCategory::kMisc};
     constexpr double kPaper[][3] = {{52, 37, 11}, {35, 52, 13}, {14, 70, 16}};
     for (size_t i = 0; i < std::size(kPrefetchModes); ++i) {
@@ -87,11 +88,49 @@ Figure Fig01() {
       std::printf("%-8s per-byte %5.1f%%  per-packet %5.1f%%  misc %5.1f%%   "
                   "(paper: %2.0f%% / %2.0f%% / %2.0f%%)   [%.0f cycles/pkt]\n",
                   PrefetchModeName(kPrefetchModes[i]), CategoryShare(result, kPerByteGroup),
-                  CategoryShare(result, kPerPacketGroup), CategoryShare(result, kMiscGroup),
+                  CategoryShare(result, kFig01PerPacketGroup), CategoryShare(result, kMiscGroup),
                   kPaper[i][0], kPaper[i][1], kPaper[i][2], result.total_cycles_per_packet);
     }
   };
+  f.shapes = [](const Results& r, ShapeCheck& check) {
+    double per_byte[3] = {};
+    double per_packet[3] = {};
+    for (size_t i = 0; i < 3; ++i) {
+      per_byte[i] = CategoryShare(r.stream(i), kPerByteGroup);
+      per_packet[i] = CategoryShare(r.stream(i), kFig01PerPacketGroup);
+    }
+    check.Expect(per_byte[0] > per_byte[1] && per_byte[1] > per_byte[2],
+                 "per-byte share falls None > Partial > Full", "%.1f%% / %.1f%% / %.1f%%",
+                 per_byte[0], per_byte[1], per_byte[2]);
+    check.Expect(per_packet[0] < per_packet[1] && per_packet[1] < per_packet[2],
+                 "per-packet share rises None < Partial < Full", "%.1f%% / %.1f%% / %.1f%%",
+                 per_packet[0], per_packet[1], per_packet[2]);
+    check.Expect(per_byte[0] > per_packet[0], "per-byte above per-packet at None",
+                 "%.1f%% vs %.1f%%", per_byte[0], per_packet[0]);
+    check.Expect(per_packet[2] > per_byte[2], "per-packet above per-byte at Full",
+                 "%.1f%% vs %.1f%%", per_packet[2], per_byte[2]);
+  };
   return f;
+}
+
+constexpr CostCategory kFig02PerPacketGroupNative[] = {
+    CostCategory::kRx,       CostCategory::kTx,     CostCategory::kBuffer,
+    CostCategory::kNonProto, CostCategory::kDriver,
+};
+// For Xen the paper's "per-packet" grouping covers the virtualization stack routines
+// as well (non-proto, netback, netfront, tcp rx/tx, buffer) plus the driver.
+constexpr CostCategory kFig02PerPacketGroupXen[] = {
+    CostCategory::kRx,       CostCategory::kTx,      CostCategory::kBuffer,
+    CostCategory::kNonProto, CostCategory::kNetback, CostCategory::kNetfront,
+    CostCategory::kDriver,
+};
+
+// The categories Figure 2 counts as per-packet on `system`.
+std::span<const CostCategory> Fig02PerPacketGroup(SystemType system) {
+  if (system == SystemType::kXenGuest) {
+    return kFig02PerPacketGroupXen;
+  }
+  return kFig02PerPacketGroupNative;
 }
 
 // Figure 2: Per-byte vs per-packet overhead in uniprocessor, multiprocessor and
@@ -106,26 +145,21 @@ Figure Fig02() {
     f.points.push_back(Stream(BenchConfig(system, false, system == SystemType::kXenGuest ? 2 : 1)));
   }
   f.print = [](const Results& r) {
-    constexpr CostCategory kPerPacketGroupNative[] = {
-        CostCategory::kRx,       CostCategory::kTx,     CostCategory::kBuffer,
-        CostCategory::kNonProto, CostCategory::kDriver,
-    };
-    // For Xen the paper's "per-packet" grouping covers the virtualization stack routines
-    // as well (non-proto, netback, netfront, tcp rx/tx, buffer) plus the driver.
-    constexpr CostCategory kPerPacketGroupXen[] = {
-        CostCategory::kRx,       CostCategory::kTx,      CostCategory::kBuffer,
-        CostCategory::kNonProto, CostCategory::kNetback, CostCategory::kNetfront,
-        CostCategory::kDriver,
-    };
     constexpr double kPaper[][2] = {{17, 67}, {16, 70}, {14, 56}};
     for (size_t i = 0; i < std::size(kSystems); ++i) {
       const StreamResult& result = r.stream(i);
-      const auto per_packet_group = kSystems[i] == SystemType::kXenGuest
-                                        ? std::span<const CostCategory>(kPerPacketGroupXen)
-                                        : std::span<const CostCategory>(kPerPacketGroupNative);
       std::printf("%-10s per-byte %5.1f%%  per-packet %5.1f%%   (paper: ~%2.0f%% / ~%2.0f%%)\n",
                   SystemTypeName(kSystems[i]), CategoryShare(result, kPerByteGroup),
-                  CategoryShare(result, per_packet_group), kPaper[i][0], kPaper[i][1]);
+                  CategoryShare(result, Fig02PerPacketGroup(kSystems[i])), kPaper[i][0],
+                  kPaper[i][1]);
+    }
+  };
+  f.shapes = [](const Results& r, ShapeCheck& check) {
+    for (size_t i = 0; i < std::size(kSystems); ++i) {
+      const double per_byte = CategoryShare(r.stream(i), kPerByteGroup);
+      const double per_packet = CategoryShare(r.stream(i), Fig02PerPacketGroup(kSystems[i]));
+      check.Expect(per_packet > per_byte, "per-packet above per-byte", "%s: %.1f%% vs %.1f%%",
+                   SystemTypeName(kSystems[i]), per_packet, per_byte);
     }
   };
   return f;

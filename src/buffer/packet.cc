@@ -57,11 +57,11 @@ PacketPtr PacketPool::AllocateMoved(std::vector<uint8_t>&& frame) {
   return p;
 }
 
-void Packet::Parse(bool allow_logical_length) {
+void Packet::Parse() {
   if (!view.has_value()) {
     view.emplace();
   }
-  if (!ParseTcpFrame(Bytes(), *view, allow_logical_length)) {
+  if (!ParseTcpFrame(Bytes(), *view)) {
     view.reset();
   }
 }

@@ -27,14 +27,14 @@ class PacketPool;
 struct Packet {
   std::vector<uint8_t> data;  // full frame bytes, Ethernet header first
 
-  // The frame parsed as Ethernet/IPv4/TCP when the pool made the packet; nullopt when
-  // it is not a TCP/IPv4 frame. Whoever rewrites header bytes in place must refresh it
-  // (SkBuff::ReparseHead).
+  // The frame parsed as Ethernet/IPv4/TCP when the pool made the packet, with its IPv4
+  // header checksum verdict; nullopt when it is not a TCP/IPv4 frame. Whoever rewrites
+  // header bytes in place writes the same fields here (the aggregator's header rewrite).
   std::optional<TcpFrameView> view;
 
   // Parses `data` into `view` in place, reusing the view a recycled packet already
   // holds; a frame that does not parse as TCP/IPv4 leaves it empty.
-  void Parse(bool allow_logical_length = false);
+  void Parse();
 
   bool nic_checksum_verified = false;  // rx checksum offload says the TCP csum is good
 

@@ -1,6 +1,5 @@
 #include "src/buffer/skbuff.h"
 
-#include "src/util/logging.h"
 #include "src/util/poison.h"
 
 namespace tcprx {
@@ -56,7 +55,6 @@ void SkBuffRecycler::operator()(SkBuff* skb) const {
     return;
   }
   skb->fragment_info.clear();
-  skb->csum_verified = false;
   skb->frags.clear();
   skb->head.reset();
   Poison(skb);
@@ -69,19 +67,6 @@ size_t SkBuff::PayloadSize() const {
     total += frag->view->payload_size;
   }
   return total;
-}
-
-void SkBuff::ReparseHead() {
-  head->Parse(/*allow_logical_length=*/true);
-  TCPRX_CHECK_MSG(head->view.has_value(), "SkBuff head frame unparseable after rewrite");
-  // The IP total length of an aggregated head describes the whole host packet, but the
-  // head frame physically holds only its own payload; clamp the view's payload size to
-  // the head frame. Fragment payloads are tracked in `frags`.
-  TcpFrameView& view = *head->view;
-  const size_t in_head = head->Bytes().size() - view.payload_offset;
-  if (view.payload_size > in_head) {
-    view.payload_size = in_head;
-  }
 }
 
 SkBuffPtr SkBuff::Wrap(PacketPtr frame) {
@@ -99,7 +84,6 @@ SkBuffPtr SkBuff::Wrap(PacketPtr frame) {
   const TcpFrameView& view = *frame->view;
   skb->fragment_info.push_back(FragmentInfo{view.tcp.seq, view.tcp.ack, view.tcp.window,
                                             static_cast<uint32_t>(view.payload_size)});
-  skb->csum_verified = frame->nic_checksum_verified;
   skb->head = std::move(frame);
   return skb;
 }

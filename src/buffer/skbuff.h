@@ -52,16 +52,13 @@ struct SkBuff {
   // Each fragment's own view locates its payload; its header bytes are dead weight.
   std::vector<PacketPtr> frags;
 
-  // True when the TCP checksum is known-good without software verification (NIC rx
-  // checksum offload, or an aggregate assembled from offload-verified fragments).
-  bool csum_verified = false;
-
   // One entry per constituent network segment, in sequence order: entry 0 is the head
   // frame's (recorded by Wrap, before any header rewrite), entry i the i-th of `frags`.
   std::vector<FragmentInfo> fragment_info;
 
-  // The head frame's parse. After an in-place header rewrite it is stale until
-  // ReparseHead.
+  // The head frame's parse. For an aggregate it describes the rewritten header, whose
+  // IP total length spans every fragment, while its payload_size stays the head frame's
+  // own.
   const TcpFrameView& view() const { return *head->view; }
 
   // Number of network TCP segments this host packet stands for.
@@ -69,10 +66,6 @@ struct SkBuff {
 
   // Total TCP payload bytes across head + fragments.
   size_t PayloadSize() const;
-
-  // Re-parses the head frame after an in-place rewrite; aborts if the head no longer
-  // parses (that would be an aggregation-engine bug).
-  void ReparseHead();
 
   // Builds an SkBuff around `frame`, reusing a recycled one, and lists the frame as its
   // one segment. Returns nullptr when the frame is not a TCP/IPv4 packet (the caller

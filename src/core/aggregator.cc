@@ -31,10 +31,8 @@ Aggregator::Eligibility Aggregator::CheckEligibility(const Packet& frame) const 
   if (view.ip.IsFragmented()) {
     return {false, AggrBypassReason::kIpFragment};
   }
-  // tcprx-check: allow(charge) -- eligibility runs under the aggr_early_demux/
-  // aggr_match cycles NetworkStack charges per frame before calling Push.
-  if (!VerifyIpv4Checksum(
-          frame.Bytes().subspan(view.ip_offset, view.ip.HeaderSize()))) {
+  // The parse checked the header; aggr_match carries the check's modelled cost.
+  if (!view.ip_checksum_ok) {
     return {false, AggrBypassReason::kBadIpChecksum};
   }
   if (!frame.nic_checksum_verified) {
@@ -160,7 +158,7 @@ bool Aggregator::TryAppend(Partial& partial, PacketPtr& frame) {
 
 void Aggregator::RewriteAggregateHeader(Partial& partial) {
   SkBuff& skb = *partial.skb;
-  const TcpFrameView& head = skb.view();
+  TcpFrameView& head = *skb.head->view;
   const TcpHeader& last_tcp = skb.frags.back()->view->tcp;
   const FragmentInfo& last = skb.fragment_info.back();
   std::span<uint8_t> bytes = skb.head->MutableBytes();
@@ -175,20 +173,23 @@ void Aggregator::RewriteAggregateHeader(Partial& partial) {
   const size_t datagram_size = ip_hsize + tcp_hsize + partial.total_payload;
   TCPRX_CHECK_MSG(datagram_size <= kMaxAggregateDatagram,
                   "aggregate overflows the 16-bit IP total-length field");
-  const uint16_t total_length = static_cast<uint16_t>(datagram_size);
-  StoreBe16(bytes.data() + ip_off + 2, total_length);
+  head.ip.total_length = static_cast<uint16_t>(datagram_size);
+  StoreBe16(bytes.data() + ip_off + 2, head.ip.total_length);
   StoreBe16(bytes.data() + ip_off + 10, 0);
   // tcprx-check: allow(charge) -- 20-byte IP header re-checksum of the aggregate;
   // priced into aggr_flush_per_host_packet, charged by the stack's deliver hook.
-  const uint16_t ip_csum = InternetChecksum(bytes.subspan(ip_off, ip_hsize));
-  StoreBe16(bytes.data() + ip_off + 10, ip_csum);
+  head.ip.checksum = InternetChecksum(bytes.subspan(ip_off, ip_hsize));
+  StoreBe16(bytes.data() + ip_off + 10, head.ip.checksum);
 
   // TCP: ack number and window from the last fragment; sequence number stays the
   // first fragment's (already in place).
-  StoreBe32(bytes.data() + tcp_off + 8, last.ack);
-  StoreBe16(bytes.data() + tcp_off + 14, last.window);
+  head.tcp.ack = last.ack;
+  head.tcp.window = last.window;
+  StoreBe32(bytes.data() + tcp_off + 8, head.tcp.ack);
+  StoreBe16(bytes.data() + tcp_off + 14, head.tcp.window);
   // Propagate the last fragment's PSH bit.
   if (last_tcp.Has(kTcpPsh)) {
+    head.tcp.flags |= kTcpPsh;
     bytes[tcp_off + 13] |= kTcpPsh;
   }
   // Timestamp copied from the last fragment (section 3.2), into the head's option
@@ -197,11 +198,11 @@ void Aggregator::RewriteAggregateHeader(Partial& partial) {
     uint8_t* ts = bytes.data() + tcp_off + kTcpMinHeaderSize + head.tcp.timestamp_offset;
     StoreBe32(ts + 2, last_tcp.timestamp->value);
     StoreBe32(ts + 6, last_tcp.timestamp->echo_reply);
+    head.tcp.timestamp = last_tcp.timestamp;
+    std::copy(ts + 2, ts + 10, head.tcp.raw_options.data() + head.tcp.timestamp_offset + 2);
   }
-  // The TCP checksum is NOT recomputed: every constituent was verified by the NIC, so
-  // the aggregate is marked pre-verified instead (section 3.2).
-  skb.csum_verified = true;
-  skb.ReparseHead();
+  // The TCP checksum is NOT recomputed: every constituent was verified by the NIC, the
+  // head included, and the stack reads the head's verdict (section 3.2).
 }
 
 void Aggregator::Finalize(size_t at) {

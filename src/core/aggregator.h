@@ -102,7 +102,7 @@ class Aggregator {
     size_t total_payload = 0;
   };
 
-  // Returns nullopt when eligible; otherwise the reason for bypassing.
+  // Whether a frame may be aggregated and, when it may not, the reason it bypasses.
   struct Eligibility {
     bool eligible = false;
     AggrBypassReason reason = AggrBypassReason::kCount;
@@ -115,6 +115,7 @@ class Aggregator {
   bool TryAppend(Partial& partial, PacketPtr& frame);
   // Removes the partial at table index `at` and delivers it.
   void Finalize(size_t at);
+  // Writes the aggregate's header into the head frame and the head's view alike.
   void RewriteAggregateHeader(Partial& partial);
   void DeliverSkb(SkBuffPtr skb);
 

@@ -17,7 +17,6 @@ namespace tcprx {
 enum class IpVerdict {
   kAccept,
   kBadChecksum,
-  kTruncated,
   kNotLocal,
 };
 
@@ -26,8 +25,9 @@ class Ipv4Layer {
   // Registers an address as local (one per NIC, typically).
   void AddLocalAddress(Ipv4Address addr) { local_.InsertOrAssign(addr.value, true); }
 
-  // Receive-side validation of a host packet (aggregated packets carry a rewritten,
-  // re-checksummed IP header, so they pass the same checks).
+  // Receive-side validation of a host packet: the head frame's IPv4 checksum verdict,
+  // as its parse found it, and its destination. An aggregate's head view holds the
+  // header the aggregator rewrote, with a fresh checksum, so it passes the same checks.
   IpVerdict Validate(const SkBuff& skb) const;
 
  private:

@@ -176,16 +176,16 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
 
   // Without rx checksum offload (or for a frame the NIC flagged), the stack must
   // verify the TCP checksum in software — a per-byte pass over the segment, exactly
-  // the cost the paper's checksum-offload assumption avoids (section 3.1).
-  if (!skb->csum_verified) {
+  // the cost the paper's checksum-offload assumption avoids (section 3.1). The head's
+  // verdict covers an aggregate: the aggregator chains only NIC-verified frames.
+  if (!skb->head->nic_checksum_verified) {
     const size_t segment_bytes = skb->view().tcp.HeaderSize() + skb->PayloadSize();
     charger_.Charge(Routine::kCsumPartial, cache_.ChecksumCycles(segment_bytes));
-    if (!VerifyHostPacketChecksum(*skb)) {
+    if (!VerifyFrameTcpChecksum(skb->head->Bytes(), skb->view())) {
       ++stats_.frames_dropped_bad_checksum;
       charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + fragment_frames * kCosts.pkt_buf_free);
       return;
     }
-    skb->csum_verified = true;
   }
 
   // TCP demux + processing.
@@ -215,18 +215,6 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   conn->OnHostPacket(*skb);
 
   charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + fragment_frames * kCosts.pkt_buf_free);
-}
-
-bool NetworkStack::VerifyHostPacketChecksum(const SkBuff& skb) const {
-  // Only single-frame host packets reach this path: aggregates are built exclusively
-  // from NIC-verified frames (kNoNicChecksum bypass), so their fragments never need
-  // software verification.
-  if (!skb.frags.empty()) {
-    return true;
-  }
-  // tcprx-check: allow(charge) -- the per-byte cost is billed by the caller, which
-  // charges cache_.ChecksumCycles(segment_bytes) ("csum_partial") for this verify.
-  return VerifyFrameTcpChecksum(skb.head->Bytes(), skb.view());
 }
 
 void NetworkStack::SendReset(const SkBuff& skb) {

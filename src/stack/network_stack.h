@@ -138,7 +138,6 @@ class NetworkStack : public RxSink {
   // Hardware LRO's driver, sk_buff and softirq work for one host packet.
   void ChargeLroHostPacket();
   void DeliverHostPacket(SkBuffPtr skb);
-  bool VerifyHostPacketChecksum(const SkBuff& skb) const;
   void SendReset(const SkBuff& skb);
   void HandleConnectionOutput(TcpConnection& conn, TcpOutputItem item);
   void ChargeTxStackPass(size_t payload_size, bool is_template);

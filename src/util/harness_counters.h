@@ -14,6 +14,11 @@ namespace tcprx {
 struct HarnessCounters {
   // TCP payload bytes the frame writer wrote into frames (src/wire/frame.h).
   uint64_t payload_bytes_written = 0;
+  // Frames handed to ParseTcpFrame (src/wire/frame.h): the packet pool parses each
+  // received frame once.
+  uint64_t frames_parsed = 0;
+  // IPv4 header checksum checks (VerifyIpv4Checksum, src/wire/ipv4.h): one per parse.
+  uint64_t ipv4_header_checks = 0;
 };
 
 // This thread's counters.

@@ -9,8 +9,8 @@
 
 namespace tcprx {
 
-bool ParseTcpFrame(std::span<const uint8_t> frame, TcpFrameView& view,
-                   bool allow_logical_length) {
+bool ParseTcpFrame(std::span<const uint8_t> frame, TcpFrameView& view) {
+  ++thread_harness_counters.frames_parsed;
   if (!ParseEthernet(frame, view.eth) || view.eth.ether_type != kEtherTypeIpv4) {
     return false;
   }
@@ -19,14 +19,13 @@ bool ParseTcpFrame(std::span<const uint8_t> frame, TcpFrameView& view,
   if (!ParseIpv4(frame.subspan(view.ip_offset), view.ip) || ip.protocol != kIpProtoTcp) {
     return false;
   }
-  if (!allow_logical_length && view.ip_offset + ip.total_length > frame.size()) {
+  if (view.ip_offset + ip.total_length > frame.size()) {
     return false;  // truncated datagram
   }
+  view.ip_checksum_ok = VerifyIpv4Checksum(frame.subspan(view.ip_offset, ip.HeaderSize()));
   view.tcp_offset = view.ip_offset + ip.HeaderSize();
   const size_t tcp_segment_size = ip.total_length - ip.HeaderSize();
-  const size_t physically_present =
-      std::min<size_t>(tcp_segment_size, frame.size() - view.tcp_offset);
-  if (!ParseTcp(frame.subspan(view.tcp_offset, physically_present), view.tcp)) {
+  if (!ParseTcp(frame.subspan(view.tcp_offset, tcp_segment_size), view.tcp)) {
     return false;
   }
   view.payload_offset = view.tcp_offset + view.tcp.HeaderSize();

@@ -25,7 +25,9 @@
 namespace tcprx {
 
 // Fully parsed view of a TCP/IPv4 Ethernet frame. Offsets index into the original
-// frame bytes so callers can rewrite fields in place.
+// frame bytes so callers can rewrite fields in place; whoever rewrites a header field
+// writes the view's copy too (Aggregator::RewriteAggregateHeader does), so the frame is
+// parsed once.
 struct TcpFrameView {
   EthernetHeader eth;
   Ipv4Header ip;
@@ -33,25 +35,24 @@ struct TcpFrameView {
   size_t ip_offset = 0;       // start of the IP header within the frame
   size_t tcp_offset = 0;      // start of the TCP header within the frame
   size_t payload_offset = 0;  // start of the TCP payload within the frame
-  size_t payload_size = 0;    // TCP payload bytes (from the IP total length)
+  size_t payload_size = 0;    // TCP payload bytes in this frame (from the IP total length)
+  // The IPv4 header checksum held when the frame was parsed: the one check of the
+  // header's bytes. The aggregator's eligibility rule and Ipv4Layer::Validate read it.
+  bool ip_checksum_ok = false;
 };
 
-// Parses `frame` as an Ethernet/IPv4/TCP packet into `view`, writing each field once.
-// Returns false when any layer is malformed, the ethertype is not IPv4, or the protocol
-// is not TCP; `view` is then partly written and must not be read. Trailing bytes
-// beyond the IP total length (e.g. Ethernet padding) are ignored.
-//
-// With `allow_logical_length` the IP total length may exceed the physical frame: the
-// head frame of an aggregated packet describes the whole fragment chain while holding
-// only its own payload. payload_size then reflects the *logical* (IP-header) length.
-bool ParseTcpFrame(std::span<const uint8_t> frame, TcpFrameView& view,
-                   bool allow_logical_length = false);
+// Parses `frame` as an Ethernet/IPv4/TCP packet into `view`, writing each field once,
+// and checks the IPv4 header checksum into `view.ip_checksum_ok` (a bad checksum still
+// parses). Returns false when any layer is malformed, the ethertype is not IPv4, the
+// protocol is not TCP, or the IP datagram runs past the frame; `view` is then partly
+// written and must not be read. Trailing bytes beyond the IP total length (e.g.
+// Ethernet padding) are ignored.
+bool ParseTcpFrame(std::span<const uint8_t> frame, TcpFrameView& view);
 
 // The same parse for tests and cold callers: nullopt where the above returns false.
-inline std::optional<TcpFrameView> ParseTcpFrame(std::span<const uint8_t> frame,
-                                                 bool allow_logical_length = false) {
+inline std::optional<TcpFrameView> ParseTcpFrame(std::span<const uint8_t> frame) {
   std::optional<TcpFrameView> view(std::in_place);
-  if (!ParseTcpFrame(frame, *view, allow_logical_length)) {
+  if (!ParseTcpFrame(frame, *view)) {
     view.reset();
   }
   return view;

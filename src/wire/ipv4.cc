@@ -4,6 +4,7 @@
 
 #include "src/util/byte_order.h"
 #include "src/util/checksum.h"
+#include "src/util/harness_counters.h"
 #include "src/util/logging.h"
 
 namespace tcprx {
@@ -68,6 +69,7 @@ void SerializeIpv4(const Ipv4Header& header, std::span<uint8_t> out) {
 }
 
 bool VerifyIpv4Checksum(std::span<const uint8_t> header_bytes) {
+  ++thread_harness_counters.ipv4_header_checks;
   if (header_bytes.size() < kIpv4MinHeaderSize) {
     return false;
   }

@@ -2,7 +2,10 @@
 //
 // Receive Aggregation (section 3.1 of the paper) refuses to aggregate packets with IP
 // options or IP fragmentation, and verifies the IP checksum of every network packet it
-// coalesces; this module supplies those predicates.
+// coalesces; this module supplies those predicates. The checksum is checked once per
+// frame, by ParseTcpFrame (src/wire/frame.h), into TcpFrameView::ip_checksum_ok; the
+// aggregator and Ipv4Layer::Validate read that verdict, and the model still charges its
+// cost at both places, in the aggr_match and ip_rcv routines.
 
 #ifndef SRC_WIRE_IPV4_H_
 #define SRC_WIRE_IPV4_H_
@@ -51,8 +54,8 @@ struct Ipv4Header {
 
 // Parses an IPv4 header at the start of `data` (the IP datagram) into `out`. Returns
 // false for truncated input, wrong version, an ihl below the minimum, or a total length
-// shorter than the header. Does NOT verify the checksum; call VerifyIpv4Checksum for
-// that, so the cost can be accounted separately.
+// shorter than the header. Does NOT verify the checksum: ParseTcpFrame calls
+// VerifyIpv4Checksum and keeps the verdict in its view.
 bool ParseIpv4(std::span<const uint8_t> data, Ipv4Header& out);
 
 // The same parse for tests and cold callers: nullopt where the above returns false.

@@ -177,7 +177,7 @@ TEST_F(AggregatorTest, AggregateMarkedChecksumVerified) {
   PushData(1);
   PushData(1 + 1448);
   aggregator_.FlushAll();
-  EXPECT_TRUE(delivered_.front()->csum_verified);
+  EXPECT_TRUE(delivered_.front()->head->nic_checksum_verified);
 }
 
 TEST_F(AggregatorTest, FragmentMetadataRecordsEachSegment) {
@@ -193,6 +193,94 @@ TEST_F(AggregatorTest, FragmentMetadataRecordsEachSegment) {
   EXPECT_EQ(skb.fragment_info[1].payload_len, 700u);
   EXPECT_EQ(skb.fragment_info[1].window, 5001);
   EXPECT_EQ(skb.fragment_info[2].ack, 200u);
+}
+
+// Expects `got` to equal `want` in every field but payload_size.
+void ExpectSameHeaderFields(const TcpFrameView& got, const TcpFrameView& want) {
+#define EXPECT_FIELD(field) EXPECT_EQ(got.field, want.field) << #field
+  EXPECT_FIELD(eth.dst);
+  EXPECT_FIELD(eth.src);
+  EXPECT_FIELD(eth.ether_type);
+  EXPECT_FIELD(ip.ihl_words);
+  EXPECT_FIELD(ip.tos);
+  EXPECT_FIELD(ip.total_length);
+  EXPECT_FIELD(ip.identification);
+  EXPECT_FIELD(ip.dont_fragment);
+  EXPECT_FIELD(ip.more_fragments);
+  EXPECT_FIELD(ip.fragment_offset);
+  EXPECT_FIELD(ip.ttl);
+  EXPECT_FIELD(ip.protocol);
+  EXPECT_FIELD(ip.checksum);
+  EXPECT_FIELD(ip.src.value);
+  EXPECT_FIELD(ip.dst.value);
+  EXPECT_FIELD(tcp.src_port);
+  EXPECT_FIELD(tcp.dst_port);
+  EXPECT_FIELD(tcp.seq);
+  EXPECT_FIELD(tcp.ack);
+  EXPECT_FIELD(tcp.data_offset_words);
+  EXPECT_FIELD(tcp.flags);
+  EXPECT_FIELD(tcp.window);
+  EXPECT_FIELD(tcp.checksum);
+  EXPECT_FIELD(tcp.urgent_pointer);
+  EXPECT_FIELD(tcp.timestamp.has_value());
+  EXPECT_FIELD(tcp.timestamp.value_or(TcpTimestampOption{}).value);
+  EXPECT_FIELD(tcp.timestamp.value_or(TcpTimestampOption{}).echo_reply);
+  EXPECT_FIELD(tcp.timestamp_offset);
+  EXPECT_FIELD(tcp.mss);
+  EXPECT_FIELD(tcp.window_scale);
+  EXPECT_FIELD(tcp.sack_permitted);
+  EXPECT_FIELD(tcp.has_sack_blocks);
+  EXPECT_FIELD(tcp.has_unknown_option);
+  EXPECT_FIELD(tcp.raw_options);
+  EXPECT_FIELD(ip_offset);
+  EXPECT_FIELD(tcp_offset);
+  EXPECT_FIELD(payload_offset);
+  EXPECT_FIELD(ip_checksum_ok);
+#undef EXPECT_FIELD
+}
+
+TEST_F(AggregatorTest, HeadViewMatchesTheFlattenedAggregate) {
+  // Each segment carries its timestamp first, ahead of its padding (option offset 0),
+  // a rising ack, window and timestamp, and PSH only when it is an aggregate's last.
+  const auto push = [&](uint32_t seq, uint32_t i, bool psh) {
+    FrameOptions options;
+    options.seq = seq;
+    options.ack = 100 + i;
+    options.window = static_cast<uint16_t>(5000 + i);
+    options.flags = psh ? kTcpAck | kTcpPsh : kTcpAck;
+    options.with_timestamp = false;
+    options.extra_options = {kTcpOptTimestamp, 10, 0, 0, 0, static_cast<uint8_t>(60 + i),
+                             0, 0, 0, static_cast<uint8_t>(i), kTcpOptNop, kTcpOptNop};
+    aggregator_.Push(ToPacket(pool_, MakeFrame(options, 1000)));
+  };
+  uint32_t seq = 1;
+  uint32_t i = 0;
+  for (; i < 20; ++i, seq += 1000) {  // closed by the limit
+    push(seq, i, /*psh=*/i == 19);
+  }
+  for (; i < 23; ++i, seq += 1000) {  // closed by the next segment's gap
+    push(seq, i, /*psh=*/i == 22);
+  }
+  seq += 1000;
+  for (; i < 26; ++i, seq += 1000) {  // closed by FlushAll
+    push(seq, i, /*psh=*/i == 25);
+  }
+  aggregator_.FlushAll();
+  EXPECT_EQ(aggregator_.stats().limit_flushes, 1u);
+  EXPECT_EQ(aggregator_.stats().mismatch_flushes, 1u);
+  EXPECT_EQ(aggregator_.stats().idle_flushes, 1u);
+
+  ASSERT_EQ(delivered_.size(), 3u);
+  for (const SkBuffPtr& skb : delivered_) {
+    ASSERT_GT(skb->SegmentCount(), 1u);
+    const std::span<const uint8_t> headers = skb->head->Bytes().first(skb->view().payload_offset);
+    std::vector<uint8_t> flat(headers.begin(), headers.end());
+    AppendPayload(*skb, flat);
+    const auto want = ParseTcpFrame(flat);
+    ASSERT_TRUE(want.has_value());
+    ExpectSameHeaderFields(skb->view(), *want);
+    EXPECT_EQ(skb->view().payload_size, skb->fragment_info[0].payload_len);
+  }
 }
 
 TEST_F(AggregatorTest, PshOfLastFragmentPropagates) {

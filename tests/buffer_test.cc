@@ -6,8 +6,6 @@
 
 #include "src/buffer/packet.h"
 #include "src/buffer/skbuff.h"
-#include "src/util/byte_order.h"
-#include "src/util/checksum.h"
 #include "tests/test_util.h"
 
 namespace tcprx {
@@ -193,15 +191,6 @@ TEST(SkBuff, WrapRejectsGarbage) {
   EXPECT_EQ(SkBuff::Wrap(pool.Allocate(garbage)), nullptr);
 }
 
-TEST(SkBuff, CarriesNicChecksumVerdict) {
-  PacketPool pool;
-  PacketPtr p = pool.AllocateMoved(MakeFrame(FrameOptions{}, 8));
-  p->nic_checksum_verified = true;
-  SkBuffPtr skb = SkBuff::Wrap(std::move(p));
-  ASSERT_NE(skb, nullptr);
-  EXPECT_TRUE(skb->csum_verified);
-}
-
 TEST(SkBuff, FragmentChainPayload) {
   PacketPool pool;
   FrameOptions head_options;
@@ -238,33 +227,6 @@ TEST(SkBuff, SegmentCountFollowsFragmentInfo) {
   skb->fragment_info.push_back(FragmentInfo{11, 1, 100, 10});
   skb->fragment_info.push_back(FragmentInfo{21, 1, 100, 10});
   EXPECT_EQ(skb->SegmentCount(), 3u);
-}
-
-TEST(SkBuff, ReparseHeadReflectsInPlaceRewrite) {
-  PacketPool pool;
-  SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 20)));
-  ASSERT_NE(skb, nullptr);
-  // Rewrite the ack number in place.
-  StoreBe32(skb->head->MutableBytes().data() + skb->view().tcp_offset + 8, 0x11223344);
-  skb->ReparseHead();
-  EXPECT_EQ(skb->view().tcp.ack, 0x11223344u);
-}
-
-TEST(SkBuff, ReparseClampsLogicalPayloadToPhysicalHead) {
-  PacketPool pool;
-  SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 100)));
-  ASSERT_NE(skb, nullptr);
-  // Pretend the aggregate spans 300 payload bytes (head has only 100).
-  auto bytes = skb->head->MutableBytes();
-  StoreBe16(bytes.data() + skb->view().ip_offset + 2, 20 + 32 + 300);
-  // Fix the IP checksum so the header still parses cleanly everywhere.
-  StoreBe16(bytes.data() + skb->view().ip_offset + 10, 0);
-  const uint16_t csum =
-      InternetChecksum(bytes.subspan(skb->view().ip_offset, 20));
-  StoreBe16(bytes.data() + skb->view().ip_offset + 10, csum);
-  skb->ReparseHead();
-  EXPECT_EQ(skb->view().payload_size, 100u);  // clamped to head frame
-  EXPECT_EQ(skb->view().ip.total_length, 20 + 32 + 300);
 }
 
 TEST(PacketPoolDeathTest, LeakDetectedAtDestruction) {

@@ -260,6 +260,83 @@ TEST(HarnessCounters, StreamWithATapWritesEveryDataFramesPayload) {
   EXPECT_EQ(writes.tapped_payload_bytes, writes.payload_bytes_written);
 }
 
+// Frames that reached a receiver on the bed: the host's NICs and the remote nodes.
+uint64_t FramesReceived(Testbed& bed) {
+  uint64_t frames = 0;
+  for (size_t i = 0; i < bed.num_nics(); ++i) {
+    frames += bed.nic(i).stats().rx_frames + bed.remote(i).frames_received();
+  }
+  return frames;
+}
+
+// Runs the next 10 ms of a warm bed and expects each frame received in them to be
+// parsed once and its IPv4 header checked once.
+void ExpectOneParseAndCheckPerFrame(Testbed& bed) {
+  const uint64_t received_before = FramesReceived(bed);
+  const HarnessCounters before = thread_harness_counters;
+  bed.loop().RunUntil(bed.loop().Now() + SimDuration::FromMillis(10));
+  const uint64_t received = FramesReceived(bed) - received_before;
+  const uint64_t parsed = thread_harness_counters.frames_parsed - before.frames_parsed;
+  const uint64_t checks = thread_harness_counters.ipv4_header_checks - before.ipv4_header_checks;
+  ASSERT_GT(received, 100u);
+  EXPECT_EQ(parsed, received);
+  EXPECT_EQ(checks, parsed);
+}
+
+TEST(HarnessCounters, EveryReceivedFrameIsParsedAndCheckedOnce) {
+  Testbed::StreamOptions stream;
+  stream.warmup = SimDuration::FromMillis(20);
+  stream.measure = SimDuration::FromMillis(10);
+  const auto stream_config = [](SystemType system, bool optimized) {
+    TestbedConfig config;
+    config.stack = optimized ? StackConfig::Optimized(system) : StackConfig::Baseline(system);
+    config.stack.fill_tcp_checksums = false;
+    return config;
+  };
+  {
+    SCOPED_TRACE("UP optimized");
+    Testbed bed(stream_config(SystemType::kNativeUp, true));
+    ASSERT_GT(bed.RunStream(stream).throughput_mbps, 0);
+    ExpectOneParseAndCheckPerFrame(bed);
+  }
+  {
+    SCOPED_TRACE("hardware LRO");
+    TestbedConfig config = stream_config(SystemType::kNativeUp, true);
+    config.stack.hardware_lro = true;
+    Testbed bed(config);
+    ASSERT_GT(bed.RunStream(stream).throughput_mbps, 0);
+    ExpectOneParseAndCheckPerFrame(bed);
+  }
+  {
+    SCOPED_TRACE("4-core SMP with RSS, optimized");
+    TestbedConfig config = stream_config(SystemType::kNativeSmp, true);
+    config.smp.num_cores = 4;
+    config.smp.rss.enabled = true;
+    Testbed bed(config);
+    Testbed::StreamOptions flows = stream;
+    flows.connections_per_nic = 4;
+    ASSERT_GT(bed.RunStream(flows).throughput_mbps, 0);
+    ExpectOneParseAndCheckPerFrame(bed);
+  }
+  {
+    SCOPED_TRACE("Xen optimized latency");
+    TestbedConfig config = stream_config(SystemType::kXenGuest, true);
+    config.num_nics = 1;
+    Testbed bed(config);
+    Testbed::LatencyOptions latency;
+    latency.warmup = SimDuration::FromMillis(20);
+    latency.measure = SimDuration::FromMillis(20);
+    ASSERT_GT(bed.RunLatency(latency).transactions, 0u);
+    ExpectOneParseAndCheckPerFrame(bed);
+  }
+  {
+    SCOPED_TRACE("UP baseline");
+    Testbed bed(stream_config(SystemType::kNativeUp, false));
+    ASSERT_GT(bed.RunStream(stream).throughput_mbps, 0);
+    ExpectOneParseAndCheckPerFrame(bed);
+  }
+}
+
 TEST(TestbedTopology, LatencyPercentilesAreOrderedAndPlausible) {
   TestbedConfig config;
   config.stack.fill_tcp_checksums = false;

@@ -298,9 +298,11 @@ TEST(Ipv4Layer, VerdictsForGoodAndBadPackets) {
   ASSERT_NE(good, nullptr);
   EXPECT_EQ(layer.Validate(*good), IpVerdict::kAccept);
 
-  // Corrupt the checksum.
-  SkBuffPtr bad = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 100)));
-  bad->head->MutableBytes()[14 + 10] ^= 0xff;
+  // Corrupt the checksum before the pool parses the frame.
+  std::vector<uint8_t> corrupt = MakeFrame(FrameOptions{}, 100);
+  corrupt[14 + 10] ^= 0xff;
+  SkBuffPtr bad = SkBuff::Wrap(pool.AllocateMoved(std::move(corrupt)));
+  ASSERT_NE(bad, nullptr);
   EXPECT_EQ(layer.Validate(*bad), IpVerdict::kBadChecksum);
 }
 

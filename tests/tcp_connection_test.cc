@@ -325,7 +325,6 @@ TEST(TcpConnection, AggregatedHostPacketDeliveredAsOneUnit) {
   head->nic_checksum_verified = true;
   SkBuffPtr skb = SkBuff::Wrap(std::move(head));
   ASSERT_NE(skb, nullptr);
-  skb->csum_verified = true;
   ASSERT_EQ(skb->fragment_info.size(), 1u);  // Wrap listed the head segment
   for (uint32_t i = 0; i < 2; ++i) {
     testutil::FrameOptions frag_options;
@@ -335,15 +334,15 @@ TEST(TcpConnection, AggregatedHostPacketDeliveredAsOneUnit) {
     skb->fragment_info.push_back(
         FragmentInfo{frag_options.seq, frag_options.ack, 65535, 100});
   }
-  // Patch the head's IP length to cover all 300 payload bytes (as the aggregator
-  // would) so the logical view is consistent.
+  // Patch the head's IP length to cover all 300 payload bytes, in its bytes and its
+  // view, as the aggregator does; the view's payload size stays the head's own.
   auto bytes = skb->head->MutableBytes();
-  StoreBe16(bytes.data() + skb->view().ip_offset + 2,
-            static_cast<uint16_t>(20 + 32 + 300));
+  Ipv4Header& ip = skb->head->view->ip;
+  ip.total_length = static_cast<uint16_t>(20 + 32 + 300);
+  StoreBe16(bytes.data() + skb->view().ip_offset + 2, ip.total_length);
   StoreBe16(bytes.data() + skb->view().ip_offset + 10, 0);
-  const uint16_t csum = InternetChecksum(bytes.subspan(skb->view().ip_offset, 20));
-  StoreBe16(bytes.data() + skb->view().ip_offset + 10, csum);
-  skb->ReparseHead();
+  ip.checksum = InternetChecksum(bytes.subspan(skb->view().ip_offset, 20));
+  StoreBe16(bytes.data() + skb->view().ip_offset + 10, ip.checksum);
 
   const uint64_t bytes_before = pair.server->bytes_received();
   pair.server->OnHostPacket(*skb);

@@ -286,7 +286,6 @@ TEST(Paws, AggregatedTimestampFromLastFragmentInterplay) {
   PacketPtr head = pair.pool.AllocateMoved(MakeFrame(head_options, 100));
   head->nic_checksum_verified = true;
   SkBuffPtr skb = SkBuff::Wrap(std::move(head));
-  skb->csum_verified = true;
   pair.server->OnHostPacket(*skb);
   EXPECT_EQ(pair.server->bytes_received(), 100u);
 

@@ -404,9 +404,23 @@ TEST(Frame, TruncatedDatagramRejectedUnlessLogical) {
   auto frame = MakeFrame(FrameOptions{}, 500);
   frame.resize(frame.size() - 400);  // physically truncate
   EXPECT_FALSE(ParseTcpFrame(frame).has_value());
-  auto view = ParseTcpFrame(frame, /*allow_logical_length=*/true);
+}
+
+TEST(Frame, IpChecksumVerdictFollowsTheHeaderBytes) {
+  const auto good = MakeFrame(FrameOptions{}, 100);
+  auto view = ParseTcpFrame(good);
   ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->payload_size, 500u);  // logical size from the IP header
+  EXPECT_TRUE(view->ip_checksum_ok);
+  // Flip one byte of each header field the parse accepts any value of: the frame still
+  // parses, with the header's checksum verdict false.
+  constexpr size_t kAnyValueBytes[] = {1, 4, 5, 6, 8, 10, 11, 12, 15, 16, 19};
+  for (const size_t at : kAnyValueBytes) {
+    auto bad = good;
+    bad[kEthernetHeaderSize + at] ^= 0x01;
+    view = ParseTcpFrame(bad);
+    ASSERT_TRUE(view.has_value()) << "byte " << at;
+    EXPECT_FALSE(view->ip_checksum_ok) << "byte " << at;
+  }
 }
 
 TEST(Frame, EthernetPaddingIgnored) {
