@@ -51,6 +51,7 @@ double GroupCycles(const StreamResult& result, std::span<const CostCategory> gro
 double GainPct(double optimized, double original) { return (optimized / original - 1) * 100; }
 
 constexpr CostCategory kPerByteGroup[] = {CostCategory::kPerByte};
+constexpr CostCategory kMiscGroup[] = {CostCategory::kMisc};
 constexpr CostCategory kStackGroup[] = {CostCategory::kRx, CostCategory::kTx,
                                         CostCategory::kBuffer, CostCategory::kNonProto};
 constexpr SystemType kSystems[] = {SystemType::kNativeUp, SystemType::kNativeSmp,
@@ -81,7 +82,6 @@ Figure Fig01() {
     f.points.push_back(Stream(config));
   }
   f.print = [](const Results& r) {
-    constexpr CostCategory kMiscGroup[] = {CostCategory::kMisc};
     constexpr double kPaper[][3] = {{52, 37, 11}, {35, 52, 13}, {14, 70, 16}};
     for (size_t i = 0; i < std::size(kPrefetchModes); ++i) {
       const StreamResult& result = r.stream(i);
@@ -165,6 +165,24 @@ Figure Fig02() {
   return f;
 }
 
+constexpr CostCategory kDriverGroup[] = {CostCategory::kDriver};
+constexpr CostCategory kProtoGroup[] = {CostCategory::kRx, CostCategory::kTx};
+constexpr CostCategory kBufNonProtoGroup[] = {CostCategory::kBuffer, CostCategory::kNonProto};
+
+// Figure 3's groups and the paper's share of the total for each.
+struct Fig03Share {
+  const char* name;
+  std::span<const CostCategory> group;
+  double paper_pct;
+};
+constexpr Fig03Share kFig03Shares[] = {
+    {"driver", kDriverGroup, 21},
+    {"TCP/IP rx+tx", kProtoGroup, 21},
+    {"buffer + non-proto", kBufNonProtoGroup, 25},
+    {"per-byte", kPerByteGroup, 17},
+    {"misc", kMiscGroup, 16},
+};
+
 // Figure 3: Breakdown of receive processing overheads in a uniprocessor system
 // (baseline stack, full prefetching).
 //
@@ -178,18 +196,30 @@ Figure Fig03() {
     const StreamResult& result = r.stream(0);
     PrintBreakdownTable("cycles per packet", NativeFigureCategories(), {"Uniprocessor"},
                         {&result});
-    const CostCategory kProto[] = {CostCategory::kRx, CostCategory::kTx};
-    const CostCategory kBufNonProto[] = {CostCategory::kBuffer, CostCategory::kNonProto};
-    const CostCategory kDriverGroup[] = {CostCategory::kDriver};
     std::printf("\nshares of total (paper in parentheses):\n");
     std::printf("  driver                 %5.1f%%  (21%%)\n", CategoryShare(result, kDriverGroup));
-    std::printf("  TCP/IP rx+tx           %5.1f%%  (21%%)\n", CategoryShare(result, kProto));
-    std::printf("  buffer + non-proto     %5.1f%%  (25%%)\n", CategoryShare(result, kBufNonProto));
+    std::printf("  TCP/IP rx+tx           %5.1f%%  (21%%)\n", CategoryShare(result, kProtoGroup));
+    std::printf("  buffer + non-proto     %5.1f%%  (25%%)\n",
+                CategoryShare(result, kBufNonProtoGroup));
     std::printf("  per-packet (no driver) %5.1f%%  (46%%)\n", CategoryShare(result, kStackGroup));
     std::printf("  per-byte               %5.1f%%  (17%%)\n", CategoryShare(result, kPerByteGroup));
     PrintStreamSummary("Linux UP baseline", result);
   };
+  f.shapes = [](const Results& r, ShapeCheck& check) {
+    for (const Fig03Share& share : kFig03Shares) {
+      const double measured = CategoryShare(r.stream(0), share.group);
+      check.Expect(std::abs(measured - share.paper_pct) <= 3, "share within 3 points of the paper",
+                   "%s %.1f%% vs %.0f%%", share.name, measured, share.paper_pct);
+    }
+  };
   return f;
+}
+
+// Percent by which SMP's cycles per packet in category `c` exceed UP's (Figure 4).
+double SmpInflationPct(const Results& r, CostCategory c) {
+  const double up = r.stream(0).cycles_per_packet[static_cast<size_t>(c)];
+  const double smp = r.stream(1).cycles_per_packet[static_cast<size_t>(c)];
+  return up > 0 ? (smp / up - 1) * 100 : 0;
 }
 
 // Figure 4: Breakdown of receive processing overheads, SMP vs UP (baseline stacks).
@@ -207,18 +237,24 @@ Figure Fig04() {
     const StreamResult& smp = r.stream(1);
     PrintBreakdownTable("cycles per packet", NativeFigureCategories(), {"UP", "SMP"},
                         {&up, &smp});
-    auto ratio = [&](CostCategory c) {
-      const double u = up.cycles_per_packet[static_cast<size_t>(c)];
-      const double s = smp.cycles_per_packet[static_cast<size_t>(c)];
-      return u > 0 ? (s / u - 1) * 100 : 0;
-    };
     std::printf("\nSMP inflation (paper in parentheses):\n");
-    std::printf("  rx       %+5.1f%%  (+62%%)\n", ratio(CostCategory::kRx));
-    std::printf("  tx       %+5.1f%%  (+40%%)\n", ratio(CostCategory::kTx));
-    std::printf("  buffer   %+5.1f%%  (~0%%)\n", ratio(CostCategory::kBuffer));
-    std::printf("  per-byte %+5.1f%%  (~0%%)\n", ratio(CostCategory::kPerByte));
+    std::printf("  rx       %+5.1f%%  (+62%%)\n", SmpInflationPct(r, CostCategory::kRx));
+    std::printf("  tx       %+5.1f%%  (+40%%)\n", SmpInflationPct(r, CostCategory::kTx));
+    std::printf("  buffer   %+5.1f%%  (~0%%)\n", SmpInflationPct(r, CostCategory::kBuffer));
+    std::printf("  per-byte %+5.1f%%  (~0%%)\n", SmpInflationPct(r, CostCategory::kPerByte));
     PrintStreamSummary("UP", up);
     PrintStreamSummary("SMP", smp);
+  };
+  f.shapes = [](const Results& r, ShapeCheck& check) {
+    const double rx = SmpInflationPct(r, CostCategory::kRx);
+    const double tx = SmpInflationPct(r, CostCategory::kTx);
+    const double buffer = SmpInflationPct(r, CostCategory::kBuffer);
+    const double per_byte = SmpInflationPct(r, CostCategory::kPerByte);
+    check.Expect(rx >= 52 && rx <= 72, "rx inflation within 10 points of +62%", "%+.1f%%", rx);
+    check.Expect(tx >= 30 && tx <= 50, "tx inflation within 10 points of +40%", "%+.1f%%", tx);
+    check.Expect(std::abs(buffer) <= 1 && std::abs(per_byte) <= 1,
+                 "buffer and per-byte inflation within 1%", "%+.1f%% / %+.1f%%", buffer,
+                 per_byte);
   };
   return f;
 }
@@ -286,12 +322,11 @@ Figure Fig06() {
     PrintBreakdownTable("cycles per packet", XenFigureCategories(), {"Xen"}, {&result});
     const CostCategory kVirtOnly[] = {CostCategory::kNonProto, CostCategory::kNetback,
                                       CostCategory::kNetfront, CostCategory::kBuffer};
-    const CostCategory kProto[] = {CostCategory::kRx, CostCategory::kTx};
     std::printf("\nshares of total (paper in parentheses):\n");
     std::printf("  per-packet routines     %5.1f%%  (56%%)\n",
                 CategoryShare(result, kXenPerPacketGroup));
     std::printf("  virtualization routines %5.1f%%  (46%%)\n", CategoryShare(result, kVirtOnly));
-    std::printf("  guest TCP/IP            %5.1f%%  (10%%)\n", CategoryShare(result, kProto));
+    std::printf("  guest TCP/IP            %5.1f%%  (10%%)\n", CategoryShare(result, kProtoGroup));
     std::printf("  per-byte (two copies)   %5.1f%%  (14%%)\n",
                 CategoryShare(result, kPerByteGroup));
     PrintStreamSummary("Xen baseline", result);

@@ -57,7 +57,7 @@ int main() {
     std::printf("  out[%zu]: %zu segment(s), %5zu payload bytes, flow :%u  %s\n",
                 host_packets, skb->SegmentCount(), skb->PayloadSize(),
                 skb->view().tcp.src_port,
-                skb->frags.empty() ? "(passthrough)" : "(aggregated)");
+                skb->frames.size() == 1 ? "(passthrough)" : "(aggregated)");
   });
 
   // Two interleaved flows, five MTU segments each, plus one pure ACK that must

@@ -11,14 +11,14 @@ constexpr size_t kMaxCachedSkBuffs = 256;
 
 // A recycled SkBuff and the storage of its two vectors are poisoned while they wait.
 void Poison(SkBuff* skb) {
-  PoisonRecycled(skb->frags.data(), skb->frags.capacity() * sizeof(PacketPtr));
+  PoisonRecycled(skb->frames.data(), skb->frames.capacity() * sizeof(PacketPtr));
   PoisonRecycled(skb->fragment_info.data(), skb->fragment_info.capacity() * sizeof(FragmentInfo));
   PoisonRecycled(skb, sizeof(SkBuff));
 }
 
 void Unpoison(SkBuff* skb) {
   UnpoisonRecycled(skb, sizeof(SkBuff));
-  UnpoisonRecycled(skb->frags.data(), skb->frags.capacity() * sizeof(PacketPtr));
+  UnpoisonRecycled(skb->frames.data(), skb->frames.capacity() * sizeof(PacketPtr));
   UnpoisonRecycled(skb->fragment_info.data(),
                    skb->fragment_info.capacity() * sizeof(FragmentInfo));
 }
@@ -55,16 +55,15 @@ void SkBuffRecycler::operator()(SkBuff* skb) const {
     return;
   }
   skb->fragment_info.clear();
-  skb->frags.clear();
-  skb->head.reset();
+  skb->frames.clear();
   Poison(skb);
   free_list.skbs[free_list.size++] = skb;
 }
 
 size_t SkBuff::PayloadSize() const {
-  size_t total = view().payload_size;
-  for (const PacketPtr& frag : frags) {
-    total += frag->view->payload_size;
+  size_t total = 0;
+  for (const PacketPtr& frame : frames) {
+    total += frame->view->payload_size;
   }
   return total;
 }
@@ -84,7 +83,7 @@ SkBuffPtr SkBuff::Wrap(PacketPtr frame) {
   const TcpFrameView& view = *frame->view;
   skb->fragment_info.push_back(FragmentInfo{view.tcp.seq, view.tcp.ack, view.tcp.window,
                                             static_cast<uint32_t>(view.payload_size)});
-  skb->head = std::move(frame);
+  skb->frames.push_back(std::move(frame));
   return skb;
 }
 

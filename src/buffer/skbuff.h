@@ -1,13 +1,13 @@
 // SkBuff: the host network stack's packet metadata structure (Linux sk_buff analogue).
 //
-// An SkBuff wraps one "host packet" as the stack sees it. For an ordinary packet that
-// is a single frame; for an aggregated packet (section 3.2 of the paper) the head
-// frame carries the rewritten TCP/IP header and the first payload, and `frags` chains
-// the payload of the subsequent network packets without copying. The per-segment
-// metadata the modified TCP layer needs (ack numbers for congestion control, segment
-// boundaries for ACK generation) rides in `fragment_info`, exactly as the paper stores
-// it "in the packet metadata structure (sk_buff)". A lone packet is an aggregate of
-// one: its one entry holds its own header fields, so every reader walks the list.
+// An SkBuff wraps one "host packet": the frames of its network segments, in order. For an
+// aggregated packet (section 3.2 of the paper) the first frame carries the rewritten
+// TCP/IP header and the rest chain the payload of the subsequent network packets without
+// copying. The per-segment metadata the modified TCP layer needs (ack numbers for
+// congestion control, segment boundaries for ACK generation) rides in `fragment_info`,
+// exactly as the paper stores it "in the packet metadata structure (sk_buff)". A lone
+// packet is an aggregate of one, so every reader walks the lists. Each frame has one
+// owner at a time: TCP moves an out-of-order segment's frame into its reassembly queue.
 //
 // SkBuffs are recycled: SkBuffPtr's deleter clears one and keeps it, with the capacity
 // of its vectors, for the next Wrap on the same thread, the way Linux keeps sk_buff heads
@@ -44,27 +44,26 @@ struct SkBuffRecycler {
 using SkBuffPtr = std::unique_ptr<SkBuff, SkBuffRecycler>;
 
 struct SkBuff {
-  // The frame whose headers describe this host packet. For aggregated packets the
-  // headers here have been rewritten by the aggregation engine.
-  PacketPtr head;
+  // The frames of the network segments: entry i is fragment_info[i]'s. The first, the
+  // head, carries this host packet's headers (for an aggregate, as the aggregation
+  // engine rewrote them); the others' own views locate their payload.
+  std::vector<PacketPtr> frames;
 
-  // Payload-bearing continuation frames of an aggregated packet, in sequence order.
-  // Each fragment's own view locates its payload; its header bytes are dead weight.
-  std::vector<PacketPtr> frags;
-
-  // One entry per constituent network segment, in sequence order: entry 0 is the head
-  // frame's (recorded by Wrap, before any header rewrite), entry i the i-th of `frags`.
+  // One entry per network segment, in sequence order: entry 0 is the head's, recorded
+  // by Wrap before any header rewrite.
   std::vector<FragmentInfo> fragment_info;
+
+  Packet& head() const { return *frames.front(); }
 
   // The head frame's parse. For an aggregate it describes the rewritten header, whose
   // IP total length spans every fragment, while its payload_size stays the head frame's
   // own.
-  const TcpFrameView& view() const { return *head->view; }
+  const TcpFrameView& view() const { return *head().view; }
 
   // Number of network TCP segments this host packet stands for.
   size_t SegmentCount() const { return fragment_info.size(); }
 
-  // Total TCP payload bytes across head + fragments.
+  // Total TCP payload bytes across all frames.
   size_t PayloadSize() const;
 
   // Builds an SkBuff around `frame`, reusing a recycled one, and lists the frame as its

@@ -141,27 +141,27 @@ bool Aggregator::TryAppend(Partial& partial, PacketPtr& frame) {
     return false;
   }
 
-  if (partial.skb->frags.empty()) {
-    // The first segment to chain: size the metadata for a whole aggregate now rather
-    // than growing it 1, 2, 4, 8... Lone packets never get here.
+  if (partial.skb->frames.size() == 1) {
+    // The first segment to chain: size the lists for a whole aggregate now rather than
+    // growing them 1, 2, 4, 8... Lone packets never get here.
     const size_t entries = std::min(config_.aggregation_limit, kMaxMssSegmentsPerDatagram);
     partial.skb->fragment_info.reserve(entries);
-    partial.skb->frags.reserve(entries - 1);
+    partial.skb->frames.reserve(entries);
   }
   partial.skb->fragment_info.push_back(FragmentInfo{
       view.tcp.seq, view.tcp.ack, view.tcp.window, static_cast<uint32_t>(view.payload_size)});
   partial.total_payload += view.payload_size;
-  partial.skb->frags.push_back(std::move(frame));
+  partial.skb->frames.push_back(std::move(frame));
   ++stats_.aggregated_segments;
   return true;
 }
 
 void Aggregator::RewriteAggregateHeader(Partial& partial) {
   SkBuff& skb = *partial.skb;
-  TcpFrameView& head = *skb.head->view;
-  const TcpHeader& last_tcp = skb.frags.back()->view->tcp;
+  TcpFrameView& head = *skb.head().view;
+  const TcpHeader& last_tcp = skb.frames.back()->view->tcp;
   const FragmentInfo& last = skb.fragment_info.back();
-  std::span<uint8_t> bytes = skb.head->MutableBytes();
+  std::span<uint8_t> bytes = skb.head().MutableBytes();
   const size_t ip_off = head.ip_offset;
   const size_t tcp_off = head.tcp_offset;
   const size_t ip_hsize = head.ip.HeaderSize();
@@ -211,7 +211,7 @@ void Aggregator::Finalize(size_t at) {
 
   // A lone packet is delivered unmodified, exactly like a packet that never met the
   // aggregator.
-  if (!partial.skb->frags.empty()) {
+  if (partial.skb->frames.size() > 1) {
     RewriteAggregateHeader(partial);
     ++stats_.aggregates_delivered;
   }

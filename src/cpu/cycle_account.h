@@ -192,7 +192,7 @@ class CycleAccount {
     uint64_t ack_templates = 0;      // template ACKs built by the TCP layer
     uint64_t aggregated_segments = 0;  // network packets that were coalesced into aggregates
     uint64_t payload_bytes = 0;      // TCP payload bytes delivered to sockets
-    uint64_t drops = 0;              // frames dropped at the NIC ring
+    uint64_t drops = 0;  // nothing writes it; kept for perfbench's frozen LayerCounts
   };
   Counters& counters() { return counters_; }
   const Counters& counters() const { return counters_; }

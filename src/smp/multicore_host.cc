@@ -27,9 +27,9 @@ MulticoreHost::MulticoreHost(const StackConfig& stack_config, const SmpHostConfi
 }
 
 MulticoreHost::~MulticoreHost() {
-  // Shard 0 owns the DMA pool every other shard's in-flight packets came from, so it
-  // must be destroyed last: drivers first (backlogged frames), then shards N-1..1,
-  // then the pool owner.
+  // Shard 0 owns the DMA pool that every other shard's in-flight packets and queued
+  // out-of-order frames came from, so it must be destroyed last: drivers first
+  // (backlogged frames), then shards N-1..1, then the pool owner.
   drivers_.clear();
   while (shards_.size() > 1) {
     shards_.pop_back();
@@ -125,7 +125,6 @@ CycleAccount::Counters MulticoreHost::SumCounters() const {
     sum.ack_templates += c.ack_templates;
     sum.aggregated_segments += c.aggregated_segments;
     sum.payload_bytes += c.payload_bytes;
-    sum.drops += c.drops;
   }
   return sum;
 }

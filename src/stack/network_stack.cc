@@ -38,9 +38,10 @@ NetworkStack::NetworkStack(const StackConfig& config, EventLoop& loop, TransmitF
           // happened in the aggregator, plus — for genuine aggregates — the header
           // rewrite with incremental checksums and the fragment-chain attachment.
           charger_.Charge(Routine::kAllocSkb, kCosts.skb_alloc);
-          if (!skb->frags.empty()) {
+          if (skb->frames.size() > 1) {
             charger_.Charge(Routine::kAggrFlush, kCosts.aggr_flush_per_host_packet);
-            charger_.Charge(Routine::kSkbFillPageDesc, skb->frags.size() * kCosts.skb_frag_attach);
+            charger_.Charge(Routine::kSkbFillPageDesc,
+                            (skb->frames.size() - 1) * kCosts.skb_frag_attach);
           }
           DeliverHostPacket(std::move(skb));
         });
@@ -167,7 +168,7 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   // IP layer.
   charger_.Charge(Routine::kIpRcv, kCosts.ip_rx_per_packet);
   const IpVerdict verdict = ip_.Validate(*skb);
-  const size_t fragment_frames = 1 + skb->frags.size();
+  const size_t fragment_frames = skb->frames.size();
   if (verdict != IpVerdict::kAccept) {
     ++stats_.frames_dropped_ip;
     charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + fragment_frames * kCosts.pkt_buf_free);
@@ -178,10 +179,10 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   // verify the TCP checksum in software — a per-byte pass over the segment, exactly
   // the cost the paper's checksum-offload assumption avoids (section 3.1). The head's
   // verdict covers an aggregate: the aggregator chains only NIC-verified frames.
-  if (!skb->head->nic_checksum_verified) {
+  if (!skb->head().nic_checksum_verified) {
     const size_t segment_bytes = skb->view().tcp.HeaderSize() + skb->PayloadSize();
     charger_.Charge(Routine::kCsumPartial, cache_.ChecksumCycles(segment_bytes));
-    if (!VerifyFrameTcpChecksum(skb->head->Bytes(), skb->view())) {
+    if (!VerifyFrameTcpChecksum(skb->head().Bytes(), skb->view())) {
       ++stats_.frames_dropped_bad_checksum;
       charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + fragment_frames * kCosts.pkt_buf_free);
       return;

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/wire/frame_buffer.h"
-
 namespace tcprx {
 
-void ReassemblyQueue::Insert(uint64_t seq, std::span<const uint8_t> data) {
+void ReassemblyQueue::Insert(uint64_t seq, PacketPtr frame) {
+  std::span<const uint8_t> data = frame->Payload();
   if (data.empty()) {
     return;
   }
@@ -36,10 +35,9 @@ void ReassemblyQueue::Insert(uint64_t seq, std::span<const uint8_t> data) {
     }
     ++it;
   }
-  it = Release(first, it);
+  it = segments_.erase(first, it);
   if (!data.empty()) {
-    buffered_bytes_ += data.size();
-    segments_.insert(it, Segment{seq, CopyFrame(data)});
+    segments_.insert(it, Segment{seq, std::move(frame), data});
   }
 }
 
@@ -54,7 +52,7 @@ size_t ReassemblyQueue::PopInOrder(uint64_t next_seq, std::vector<uint8_t>& out)
     out.insert(out.end(), it->data.begin() + skip, it->data.end());
     next_seq = it->end();
   }
-  Release(segments_.begin(), it);
+  segments_.erase(segments_.begin(), it);
   return out.size() - before;
 }
 
@@ -99,16 +97,15 @@ void ReassemblyQueue::DropBelow(uint64_t next_seq) {
   while (it != segments_.end() && it->end() <= next_seq) {
     ++it;
   }
-  Release(segments_.begin(), it);
+  segments_.erase(segments_.begin(), it);
 }
 
-std::vector<ReassemblyQueue::Segment>::iterator ReassemblyQueue::Release(
-    std::vector<Segment>::iterator first, std::vector<Segment>::iterator last) {
-  for (auto it = first; it != last; ++it) {
-    buffered_bytes_ -= it->data.size();
-    RecycleFrameBuffer(std::move(it->data));
+size_t ReassemblyQueue::BufferedBytes() const {
+  size_t bytes = 0;
+  for (const Segment& segment : segments_) {
+    bytes += segment.data.size();
   }
-  return segments_.erase(first, last);
+  return bytes;
 }
 
 }  // namespace tcprx

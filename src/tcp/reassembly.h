@@ -8,10 +8,10 @@
 // connection), so ordering is plain integer comparison and multi-gigabyte transfers
 // never wrap.
 //
-// Storage is a vector of segments sorted by sequence number. Each segment's bytes sit in
-// a recycled frame buffer (src/wire/frame_buffer.h) that goes back to the free list when
-// the segment is delivered or dropped, so a warm queue takes and drops segments without
-// a heap allocation.
+// Storage is a vector of segments sorted by sequence number. Each segment keeps the
+// frame it arrived in, as Linux's out-of-order queue keeps the sk_buff, and views the
+// part of its payload no other segment holds: an overlap narrows the view, never copies.
+// An erased segment's frame goes back to its packet pool.
 
 #ifndef SRC_TCP_REASSEMBLY_H_
 #define SRC_TCP_REASSEMBLY_H_
@@ -21,15 +21,16 @@
 #include <span>
 #include <vector>
 
+#include "src/buffer/packet.h"
 #include "src/wire/tcp.h"
 
 namespace tcprx {
 
 class ReassemblyQueue {
  public:
-  // Stores a copy of the payload bytes beginning at extended sequence `seq`.
-  // Overlapping data is merged; already-covered bytes are ignored.
-  void Insert(uint64_t seq, std::span<const uint8_t> data);
+  // Takes the frame whose payload begins at extended sequence `seq`. Overlapping data
+  // is merged; already-covered bytes are ignored (a wholly covered frame is released).
+  void Insert(uint64_t seq, PacketPtr frame);
 
   // Pops the contiguous run starting at `next_seq`, appending its bytes to `out` and
   // returning the number of bytes consumed.
@@ -45,22 +46,17 @@ class ReassemblyQueue {
 
   bool Empty() const { return segments_.empty(); }
   size_t SegmentCount() const { return segments_.size(); }
-  size_t BufferedBytes() const { return buffered_bytes_; }
+  size_t BufferedBytes() const;
 
  private:
   struct Segment {
     uint64_t seq = 0;
-    std::vector<uint8_t> data;
+    PacketPtr frame;                // owns the bytes `data` views
+    std::span<const uint8_t> data;  // the queued part of the frame's payload
     uint64_t end() const { return seq + data.size(); }
   };
 
-  // Erases segments [first, last), giving their buffers back to the free list, and
-  // returns the position after them.
-  std::vector<Segment>::iterator Release(std::vector<Segment>::iterator first,
-                                         std::vector<Segment>::iterator last);
-
   std::vector<Segment> segments_;  // sorted by seq, disjoint
-  size_t buffered_bytes_ = 0;
   uint64_t last_insert_seq_ = 0;
 };
 

@@ -110,7 +110,7 @@ void TcpConnection::SendSynthetic(uint64_t total_bytes, SyntheticPayload payload
 // Input path
 // ---------------------------------------------------------------------------
 
-void TcpConnection::OnHostPacket(const SkBuff& skb) {
+void TcpConnection::OnHostPacket(SkBuff& skb) {
   // An open batch is what an output item's extra_acks views: a packet delivered from
   // inside the output call would overwrite it.
   TCPRX_CHECK_MSG(pending_acks_.empty(), "OnHostPacket re-entered while an ACK batch is open");
@@ -177,7 +177,7 @@ void TcpConnection::AdoptPeerSyn(const TcpHeader& h) {
   snd_wl1_ = irs_;
 }
 
-void TcpConnection::ProcessSegmentCommon(const SkBuff& skb) {
+void TcpConnection::ProcessSegmentCommon(SkBuff& skb) {
   const TcpHeader& h = skb.view().tcp;
   // There is no teardown: a FIN closes the connection as a RST does, and its payload
   // is dropped. A stack then answers the peer's next segment with its unknown-flow RST.
@@ -313,7 +313,7 @@ void TcpConnection::ProcessAckField(uint64_t ack, uint16_t window, uint64_t seg_
   }
 }
 
-void TcpConnection::DeliverPayload(const SkBuff& skb, uint64_t seg_seq) {
+void TcpConnection::DeliverPayload(SkBuff& skb, uint64_t seg_seq) {
   // Replay each constituent network segment through the full receive machine, in
   // arrival order (section 3.4.2); a lone packet is one. Running the complete
   // per-segment logic — duplicate detection, out-of-order buffering, reassembly
@@ -323,18 +323,17 @@ void TcpConnection::DeliverPayload(const SkBuff& skb, uint64_t seg_seq) {
   uint64_t fseq = seg_seq;
   for (size_t i = 0; i < skb.fragment_info.size(); ++i) {
     const FragmentInfo& fi = skb.fragment_info[i];
-    const std::span<const uint8_t> payload =
-        i == 0 ? skb.head->Payload() : skb.frags[i - 1]->Payload();
-    TCPRX_CHECK_MSG(payload.size() == fi.payload_len,
+    TCPRX_CHECK_MSG(skb.frames[i]->view->payload_size == fi.payload_len,
                     "aggregate fragment metadata disagrees with payload layout");
     if (fi.payload_len > 0) {
-      DeliverSegment(payload, fseq);
+      DeliverSegment(skb.frames[i], fseq);
     }
     fseq += fi.payload_len;
   }
 }
 
-void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t seg_seq) {
+void TcpConnection::DeliverSegment(PacketPtr& frame, uint64_t seg_seq) {
+  const std::span<const uint8_t> payload = frame->Payload();
   const uint64_t seg_end = seg_seq + payload.size();
 
   if (seg_end <= rcv_nxt_) {
@@ -349,7 +348,7 @@ void TcpConnection::DeliverSegment(std::span<const uint8_t> payload, uint64_t se
   if (seg_seq > rcv_nxt_) {
     // Out of order: buffer it and send a duplicate ACK, so the sender's
     // fast-retransmit threshold behaves as without aggregation.
-    reassembly_.Insert(seg_seq, payload);
+    reassembly_.Insert(seg_seq, std::move(frame));
     ++ooo_segments_received_;
     pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
     segs_since_ack_ = 0;  // the dup ACK is cumulative

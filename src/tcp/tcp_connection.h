@@ -127,8 +127,9 @@ class TcpConnection {
 
   // ---- Stack interface ------------------------------------------------------------
 
-  // Processes one host packet (possibly aggregated). This is the only input path.
-  void OnHostPacket(const SkBuff& skb);
+  // Processes one host packet (possibly aggregated); the only input path. Each out-of-order
+  // segment's frame moves into the reassembly queue: the caller then reads only frames.size().
+  void OnHostPacket(SkBuff& skb);
 
   // ---- Introspection ----------------------------------------------------------------
 
@@ -165,13 +166,13 @@ class TcpConnection {
   // config.mss, so the peer's MSS option is not kept. A window-scale offer is ignored:
   // this endpoint never offers one, so neither side scales (RFC 7323).
   void AdoptPeerSyn(const TcpHeader& h);
-  void ProcessSegmentCommon(const SkBuff& skb);
+  void ProcessSegmentCommon(SkBuff& skb);
   void ProcessAckField(uint64_t ack, uint16_t window, uint64_t seg_seq, bool has_payload);
-  void DeliverPayload(const SkBuff& skb, uint64_t seg_seq);
-  // One network segment through the receive machine: duplicate / out-of-order /
-  // in-order handling, ACK accounting, reassembly pops. Aggregated host packets
-  // replay each fragment through this individually (section 3.4.2).
-  void DeliverSegment(std::span<const uint8_t> payload, uint64_t seg_seq);
+  void DeliverPayload(SkBuff& skb, uint64_t seg_seq);
+  // One network segment's frame through the receive machine: duplicate / out-of-order
+  // (the frame moves into the reassembly queue) / in-order handling, ACK accounting,
+  // reassembly pops. Aggregated host packets replay each fragment individually (3.4.2).
+  void DeliverSegment(PacketPtr& frame, uint64_t seg_seq);
 
   // --- output helpers ---
   void EmitSyn(bool with_ack);

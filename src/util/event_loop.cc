@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/util/harness_counters.h"
 #include "src/util/logging.h"
 
 namespace tcprx {
@@ -87,6 +88,7 @@ void EventLoop::RunNext() {
   }
 
   now_ = top.when;
+  ++thread_harness_counters.events_run;
   top.target->Fire(Slot{top.when, top.seq});
 }
 

@@ -19,10 +19,14 @@ struct HarnessCounters {
   uint64_t frames_parsed = 0;
   // IPv4 header checksum checks (VerifyIpv4Checksum, src/wire/ipv4.h): one per parse.
   uint64_t ipv4_header_checks = 0;
+  // TakeFrameBuffer calls (src/wire/frame_buffer.h), and those that made a new buffer.
+  uint64_t frame_buffers_taken = 0;
+  uint64_t frame_buffers_made = 0;
+  uint64_t events_run = 0;  // events EventLoop::RunNext (src/util/event_loop.h) ran
 };
 
 // This thread's counters.
-inline thread_local HarnessCounters thread_harness_counters;
+inline thread_local constinit HarnessCounters thread_harness_counters;
 
 }  // namespace tcprx
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/util/harness_counters.h"
 #include "src/util/poison.h"
 
 namespace tcprx {
@@ -35,11 +36,13 @@ std::vector<uint8_t> TakeFrameBuffer(size_t size) {
   const bool small = size <= kSmallFrameBufferCapacity;
   FreeList& list = small ? small_buffers : full_buffers;
   std::vector<uint8_t> buffer;
+  ++thread_harness_counters.frame_buffers_taken;
   if (!list.buffers.empty()) {
     buffer = std::move(list.buffers.back());
     list.buffers.pop_back();
     UnpoisonRecycled(buffer.data(), buffer.capacity());
   } else {
+    ++thread_harness_counters.frame_buffers_made;
     buffer.reserve(small ? kSmallFrameBufferCapacity : std::max(size, kFrameBufferCapacity));
   }
   // Shrinking writes nothing; growing value-initializes the new tail only.

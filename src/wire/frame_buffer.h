@@ -2,9 +2,9 @@
 //
 // Frames travel as std::vector<uint8_t> from where they are written (WriteTcpFrame, the
 // template-ACK expander, a link duplicating a frame) to where their bytes come to rest:
-// the packet pool, which keeps each frame it makes into a packet and gives back the
-// buffer that packet held before, or a link that drops the frame. Both ends meet in the
-// free lists of one thread, so in steady state a frame costs no heap allocation.
+// the packet pool, which keeps each frame it makes into a packet, never to copy it, and
+// returns the buffer that packet held, or a link that drops the frame. Both ends meet in
+// the free lists of one thread, so in steady state a frame costs no heap allocation.
 //
 // There are two size classes, each with its own list: small buffers for ACKs, SYNs,
 // RSTs and one-byte request/response frames, and full-MTU buffers for data frames. A

@@ -5,7 +5,7 @@
 namespace tcprx {
 
 void XenPathModel::ChargeGuestRx(Charger& charger, const SkBuff& skb) const {
-  const uint64_t fragments = 1 + skb.frags.size();
+  const uint64_t fragments = skb.frames.size();
 
   // Driver-domain bridge + netfilter: purely per host packet.
   charger.Charge(Routine::kBrHandleFrame, kCosts.bridge_per_packet);

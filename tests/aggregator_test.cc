@@ -20,11 +20,10 @@ using testutil::FrameOptions;
 using testutil::MakeFrame;
 using testutil::ToPacket;
 
-// Appends a host packet's payload, head then fragments, to `out`.
+// Appends a host packet's payload, frame by frame, to `out`.
 void AppendPayload(const SkBuff& skb, std::vector<uint8_t>& out) {
-  out.insert(out.end(), skb.head->Payload().begin(), skb.head->Payload().end());
-  for (const PacketPtr& frag : skb.frags) {
-    out.insert(out.end(), frag->Payload().begin(), frag->Payload().end());
+  for (const PacketPtr& frame : skb.frames) {
+    out.insert(out.end(), frame->Payload().begin(), frame->Payload().end());
   }
 }
 
@@ -72,7 +71,7 @@ TEST_F(AggregatorTest, ChainsInSequencePackets) {
   const SkBuff& skb = *delivered_.front();
   EXPECT_EQ(skb.SegmentCount(), 3u);
   EXPECT_EQ(skb.PayloadSize(), 3u * 1448);
-  EXPECT_EQ(skb.frags.size(), 2u);
+  EXPECT_EQ(skb.frames.size(), 3u);
   EXPECT_EQ(skb.view().tcp.seq, 1000u);
 }
 
@@ -100,7 +99,7 @@ TEST_F(AggregatorTest, SingletonFlushDeliversUnmodified) {
   ASSERT_EQ(delivered_.size(), 1u);
   // Byte-identical frame, listed as its own one segment.
   EXPECT_TRUE(std::equal(original.begin(), original.end(),
-                         delivered_.front()->head->Bytes().begin()));
+                         delivered_.front()->head().Bytes().begin()));
   ASSERT_EQ(delivered_.front()->fragment_info.size(), 1u);
   EXPECT_EQ(delivered_.front()->fragment_info[0].seq, 500u);
   EXPECT_EQ(delivered_.front()->fragment_info[0].payload_len, 100u);
@@ -170,14 +169,14 @@ TEST_F(AggregatorTest, AggregateIpChecksumIsValid) {
   ASSERT_EQ(delivered_.size(), 1u);
   const SkBuff& skb = *delivered_.front();
   EXPECT_TRUE(VerifyIpv4Checksum(
-      skb.head->Bytes().subspan(skb.view().ip_offset, skb.view().ip.HeaderSize())));
+      skb.head().Bytes().subspan(skb.view().ip_offset, skb.view().ip.HeaderSize())));
 }
 
 TEST_F(AggregatorTest, AggregateMarkedChecksumVerified) {
   PushData(1);
   PushData(1 + 1448);
   aggregator_.FlushAll();
-  EXPECT_TRUE(delivered_.front()->head->nic_checksum_verified);
+  EXPECT_TRUE(delivered_.front()->head().nic_checksum_verified);
 }
 
 TEST_F(AggregatorTest, FragmentMetadataRecordsEachSegment) {
@@ -273,7 +272,7 @@ TEST_F(AggregatorTest, HeadViewMatchesTheFlattenedAggregate) {
   ASSERT_EQ(delivered_.size(), 3u);
   for (const SkBuffPtr& skb : delivered_) {
     ASSERT_GT(skb->SegmentCount(), 1u);
-    const std::span<const uint8_t> headers = skb->head->Bytes().first(skb->view().payload_offset);
+    const std::span<const uint8_t> headers = skb->head().Bytes().first(skb->view().payload_offset);
     std::vector<uint8_t> flat(headers.begin(), headers.end());
     AppendPayload(*skb, flat);
     const auto want = ParseTcpFrame(flat);
@@ -517,7 +516,7 @@ TEST_F(AggregatorLimit1Test, LimitOneDeliversImmediatelyUnmodified) {
   ASSERT_EQ(delivered_[0]->fragment_info.size(), 1u);
   EXPECT_EQ(delivered_[0]->fragment_info[0].seq, 77u);
   EXPECT_TRUE(std::equal(original.begin(), original.end(),
-                         delivered_[0]->head->Bytes().begin()));
+                         delivered_[0]->head().Bytes().begin()));
 }
 
 TEST_F(AggregatorTest, AggregateStopsBeforeIpLengthOverflow) {
@@ -582,7 +581,7 @@ TEST_F(AggregatorTest, DatagramBoundedAtExactly16BitTotalLength) {
   const SkBuff& skb = *delivered_.front();
   EXPECT_EQ(skb.SegmentCount(), 2u);
   EXPECT_EQ(skb.PayloadSize(), kFirst + kSecond);
-  const auto bytes = skb.head->Bytes();
+  const auto bytes = skb.head().Bytes();
   EXPECT_EQ(LoadBe16(bytes.data() + skb.view().ip_offset + 2), 0xffff);
   EXPECT_TRUE(
       VerifyIpv4Checksum(bytes.subspan(skb.view().ip_offset, skb.view().ip.HeaderSize())));

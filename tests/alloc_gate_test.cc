@@ -12,6 +12,7 @@
 #include "perfbench/alloc_counter.h"
 #include "src/sim/testbed.h"
 #include "src/tcp/reassembly.h"
+#include "src/wire/frame.h"
 
 namespace tcprx {
 namespace {
@@ -113,16 +114,20 @@ TEST(AllocGate, XenLatencyMakesNoAllocation) {
 
 TEST(AllocGate, WarmReassemblyQueueMakesNoAllocation) {
   // One loss in a window: 40 MSS segments arrive past a one-segment hole, then the hole
-  // fills and the run pops. The first cycle warms the queue; an identical second one
-  // must find its segment buffers, its sorted storage and the run's buffer there.
+  // fills and the run pops. The first cycle warms the pool and the queue; an identical
+  // second one must find its packets, its sorted storage and the run's buffer there.
   constexpr size_t kMss = 1448;
   constexpr size_t kSegments = 40;
+  TcpFrameSpec spec;
   const std::vector<uint8_t> payload(kMss, 0x5a);
+  spec.payload = payload;
+  const std::vector<uint8_t> frame = BuildTcpFrame(spec);
+  PacketPool pool;
   ReassemblyQueue queue;
   std::vector<uint8_t> run;  // as the connection reuses its thread's run buffer
   const auto cycle = [&](uint64_t hole) {
     for (size_t i = 1; i <= kSegments; ++i) {
-      queue.Insert(hole + i * kMss, payload);
+      queue.Insert(hole + i * kMss, pool.Allocate(frame));
     }
     run.clear();
     return queue.PopInOrder(hole + kMss, run);
@@ -135,6 +140,7 @@ TEST(AllocGate, WarmReassemblyQueueMakesNoAllocation) {
   perfbench::SetAllocCounting(false);
   EXPECT_EQ(popped, kSegments * kMss);
   EXPECT_TRUE(queue.Empty());
+  EXPECT_EQ(pool.stats().live, 0u);
   EXPECT_EQ(perfbench::AllocCountsNow().calls, before.calls);
 }
 

@@ -202,13 +202,13 @@ TEST(SkBuff, FragmentChainPayload) {
   for (uint32_t i = 0; i < 2; ++i) {
     FrameOptions frag_options;
     frag_options.seq = 101 + i * 50;
-    skb->frags.push_back(pool.AllocateMoved(MakeFrame(frag_options, 50)));
+    skb->frames.push_back(pool.AllocateMoved(MakeFrame(frag_options, 50)));
   }
   EXPECT_EQ(skb->PayloadSize(), 200u);
 
-  std::vector<uint8_t> assembled(skb->head->Payload().begin(), skb->head->Payload().end());
-  for (const PacketPtr& frag : skb->frags) {
-    assembled.insert(assembled.end(), frag->Payload().begin(), frag->Payload().end());
+  std::vector<uint8_t> assembled;
+  for (const PacketPtr& frame : skb->frames) {
+    assembled.insert(assembled.end(), frame->Payload().begin(), frame->Payload().end());
   }
   ASSERT_EQ(assembled.size(), 200u);
   // Head payload bytes then fragment bytes, in order.

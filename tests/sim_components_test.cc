@@ -8,6 +8,7 @@
 #include "src/sim/remote_node.h"
 #include "src/sim/report.h"
 #include "src/sim/testbed.h"
+#include "src/tcp/reassembly.h"
 #include "src/util/harness_counters.h"
 #include "tests/test_util.h"
 
@@ -270,17 +271,21 @@ uint64_t FramesReceived(Testbed& bed) {
 }
 
 // Runs the next 10 ms of a warm bed and expects each frame received in them to be
-// parsed once and its IPv4 header checked once.
+// parsed once and its IPv4 header checked once, every event run to be counted, and
+// every frame buffer taken to come from a free list.
 void ExpectOneParseAndCheckPerFrame(Testbed& bed) {
   const uint64_t received_before = FramesReceived(bed);
   const HarnessCounters before = thread_harness_counters;
-  bed.loop().RunUntil(bed.loop().Now() + SimDuration::FromMillis(10));
+  const uint64_t events = bed.loop().RunUntil(bed.loop().Now() + SimDuration::FromMillis(10));
   const uint64_t received = FramesReceived(bed) - received_before;
   const uint64_t parsed = thread_harness_counters.frames_parsed - before.frames_parsed;
   const uint64_t checks = thread_harness_counters.ipv4_header_checks - before.ipv4_header_checks;
   ASSERT_GT(received, 100u);
   EXPECT_EQ(parsed, received);
   EXPECT_EQ(checks, parsed);
+  EXPECT_EQ(thread_harness_counters.events_run - before.events_run, events);
+  EXPECT_GT(thread_harness_counters.frame_buffers_taken, before.frame_buffers_taken);
+  EXPECT_EQ(thread_harness_counters.frame_buffers_made, before.frame_buffers_made);
 }
 
 TEST(HarnessCounters, EveryReceivedFrameIsParsedAndCheckedOnce) {
@@ -335,6 +340,24 @@ TEST(HarnessCounters, EveryReceivedFrameIsParsedAndCheckedOnce) {
     ASSERT_GT(bed.RunStream(stream).throughput_mbps, 0);
     ExpectOneParseAndCheckPerFrame(bed);
   }
+}
+
+TEST(HarnessCounters, OutOfOrderSegmentsTakeNoFrameBuffer) {
+  // One loss in a window: 40 MSS segments arrive past a one-segment hole, then the hole
+  // fills and the run pops. The queue keeps the frames the segments arrived in.
+  constexpr size_t kMss = 1448;
+  constexpr size_t kSegments = 40;
+  const std::vector<uint8_t> frame = MakeFrame(FrameOptions{}, kMss);
+  PacketPool pool;
+  ReassemblyQueue queue;
+  const uint64_t taken_before = thread_harness_counters.frame_buffers_taken;
+  for (size_t i = 1; i <= kSegments; ++i) {
+    queue.Insert(1000 + i * kMss, pool.Allocate(frame));
+  }
+  std::vector<uint8_t> run;
+  EXPECT_EQ(queue.PopInOrder(1000 + kMss, run), kSegments * kMss);
+  EXPECT_EQ(thread_harness_counters.frame_buffers_taken - taken_before, 0u);
+  EXPECT_EQ(pool.stats().live, 0u);
 }
 
 TEST(TestbedTopology, LatencyPercentilesAreOrderedAndPlausible) {

@@ -334,7 +334,7 @@ TEST(XenPath, PerFragmentCostsScaleWithChainLength) {
   auto charge_for = [&](size_t frags) {
     SkBuffPtr skb = SkBuff::Wrap(pool.AllocateMoved(MakeFrame(FrameOptions{}, 1448)));
     for (size_t i = 0; i < frags; ++i) {
-      skb->frags.push_back(pool.AllocateMoved(MakeFrame(FrameOptions{}, 1448)));
+      skb->frames.push_back(pool.AllocateMoved(MakeFrame(FrameOptions{}, 1448)));
     }
     CycleAccount account;
     Charger charger(account, false);

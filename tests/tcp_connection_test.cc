@@ -307,9 +307,35 @@ TEST(TcpConnection, WindowLimitsInFlightData) {
   EXPECT_LE(in_flight, 65535u);
 }
 
+// A hand-built aggregated host packet, as the aggregator delivers it: `count` client
+// segments of `len` bytes from `seq`, acking the server's next byte. The head's IP length
+// covers all of them, in its bytes and its view; the view's payload size stays the
+// head's own.
+SkBuffPtr MakeAggregate(ConnectionPair& pair, uint32_t seq, uint32_t count, uint32_t len) {
+  testutil::FrameOptions options;
+  options.seq = seq;
+  options.ack = static_cast<uint32_t>(pair.server->snd_nxt_ext());
+  SkBuffPtr skb = SkBuff::Wrap(testutil::ToPacket(pair.pool, testutil::MakeFrame(options, len)));
+  EXPECT_EQ(skb->fragment_info.size(), 1u);  // Wrap listed the head segment
+  for (uint32_t i = 1; i < count; ++i) {
+    testutil::FrameOptions frag_options;
+    frag_options.seq = seq + i * len;
+    frag_options.ack = options.ack;
+    skb->frames.push_back(testutil::ToPacket(pair.pool, testutil::MakeFrame(frag_options, len)));
+    skb->fragment_info.push_back(FragmentInfo{frag_options.seq, frag_options.ack, 65535, len});
+  }
+  auto bytes = skb->head().MutableBytes();
+  Ipv4Header& ip = skb->head().view->ip;
+  ip.total_length = static_cast<uint16_t>(20 + 32 + count * len);
+  StoreBe16(bytes.data() + skb->view().ip_offset + 2, ip.total_length);
+  StoreBe16(bytes.data() + skb->view().ip_offset + 10, 0);
+  ip.checksum = InternetChecksum(bytes.subspan(skb->view().ip_offset, 20));
+  StoreBe16(bytes.data() + skb->view().ip_offset + 10, ip.checksum);
+  return skb;
+}
+
 TEST(TcpConnection, AggregatedHostPacketDeliveredAsOneUnit) {
-  // Hand-build an aggregated SkBuff (three segments) and feed it to an established
-  // server connection directly.
+  // Feed a hand-built aggregate of three segments to an established server connection.
   ConnectionPair pair;
   pair.Establish();
   std::vector<uint8_t> received;
@@ -317,37 +343,44 @@ TEST(TcpConnection, AggregatedHostPacketDeliveredAsOneUnit) {
     received.insert(received.end(), data.begin(), data.end());
   });
 
-  const uint32_t base = static_cast<uint32_t>(pair.client->snd_nxt_ext());
-  testutil::FrameOptions options;
-  options.seq = base;
-  options.ack = static_cast<uint32_t>(pair.server->snd_nxt_ext());
-  PacketPtr head = pair.pool.AllocateMoved(testutil::MakeFrame(options, 100));
-  head->nic_checksum_verified = true;
-  SkBuffPtr skb = SkBuff::Wrap(std::move(head));
-  ASSERT_NE(skb, nullptr);
-  ASSERT_EQ(skb->fragment_info.size(), 1u);  // Wrap listed the head segment
-  for (uint32_t i = 0; i < 2; ++i) {
-    testutil::FrameOptions frag_options;
-    frag_options.seq = base + 100 + i * 100;
-    frag_options.ack = options.ack;
-    skb->frags.push_back(pair.pool.AllocateMoved(testutil::MakeFrame(frag_options, 100)));
-    skb->fragment_info.push_back(
-        FragmentInfo{frag_options.seq, frag_options.ack, 65535, 100});
-  }
-  // Patch the head's IP length to cover all 300 payload bytes, in its bytes and its
-  // view, as the aggregator does; the view's payload size stays the head's own.
-  auto bytes = skb->head->MutableBytes();
-  Ipv4Header& ip = skb->head->view->ip;
-  ip.total_length = static_cast<uint16_t>(20 + 32 + 300);
-  StoreBe16(bytes.data() + skb->view().ip_offset + 2, ip.total_length);
-  StoreBe16(bytes.data() + skb->view().ip_offset + 10, 0);
-  ip.checksum = InternetChecksum(bytes.subspan(skb->view().ip_offset, 20));
-  StoreBe16(bytes.data() + skb->view().ip_offset + 10, ip.checksum);
-
+  SkBuffPtr skb =
+      MakeAggregate(pair, static_cast<uint32_t>(pair.client->snd_nxt_ext()), 3, 100);
   const uint64_t bytes_before = pair.server->bytes_received();
   pair.server->OnHostPacket(*skb);
   EXPECT_EQ(received.size(), 300u);
   EXPECT_EQ(pair.server->bytes_received() - bytes_before, 300u);
+}
+
+TEST(TcpConnection, OutOfOrderAggregateKeepsItsFramesUntilTheHoleFills) {
+  // An aggregate of three segments lands past a one-segment hole. The connection takes
+  // its frames into the reassembly queue, uncopied, and gives them back to the pool when
+  // the hole fills and the run is delivered.
+  ConnectionPair pair;
+  pair.Establish();
+  std::vector<uint8_t> received;
+  pair.server->set_on_data([&](std::span<const uint8_t> data) {
+    received.insert(received.end(), data.begin(), data.end());
+  });
+  const auto hole = static_cast<uint32_t>(pair.client->snd_nxt_ext());
+  const uint64_t live_before = pair.pool.stats().live;
+
+  SkBuffPtr aggregate = MakeAggregate(pair, hole + 100, 3, 100);
+  pair.server->OnHostPacket(*aggregate);
+  EXPECT_TRUE(received.empty());
+  ASSERT_EQ(aggregate->frames.size(), 3u);
+  for (const PacketPtr& frame : aggregate->frames) {
+    EXPECT_EQ(frame, nullptr);
+  }
+  aggregate.reset();
+  EXPECT_EQ(pair.pool.stats().live, live_before + 3);
+
+  testutil::FrameOptions options;
+  options.seq = hole;
+  options.ack = static_cast<uint32_t>(pair.server->snd_nxt_ext());
+  pair.server->OnHostPacket(
+      *SkBuff::Wrap(testutil::ToPacket(pair.pool, testutil::MakeFrame(options, 100))));
+  EXPECT_EQ(received, testutil::ExpectedPayload(hole, 400));
+  EXPECT_EQ(pair.pool.stats().live, live_before);
 }
 
 }  // namespace

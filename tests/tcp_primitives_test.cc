@@ -9,11 +9,13 @@
 #include <span>
 #include <vector>
 
+#include "src/buffer/packet.h"
 #include "src/tcp/congestion.h"
 #include "src/tcp/reassembly.h"
 #include "src/tcp/rtt.h"
 #include "src/tcp/send_stream.h"
 #include "src/util/rng.h"
+#include "src/wire/frame.h"
 
 namespace tcprx {
 namespace {
@@ -186,85 +188,100 @@ TEST(Rtt, RtoClampedToMaximum) {
 
 using Bytes = std::vector<uint8_t>;
 
-TEST(Reassembly, PopsContiguousRun) {
+// The queue keeps the frames it is given; the pool outlives every queue in a test.
+class Reassembly : public ::testing::Test {
+ protected:
+  // A pooled TCP frame whose payload is `payload`.
+  PacketPtr Frame(const Bytes& payload) {
+    TcpFrameSpec spec;
+    spec.payload = payload;
+    return pool.AllocateMoved(BuildTcpFrame(spec));
+  }
+
+  PacketPool pool;
+};
+
+TEST_F(Reassembly, PopsContiguousRun) {
   ReassemblyQueue q;
-  q.Insert(100, Bytes{1, 2, 3});
-  q.Insert(103, Bytes{4, 5});
+  q.Insert(100, Frame(Bytes{1, 2, 3}));
+  q.Insert(103, Frame(Bytes{4, 5}));
   std::vector<uint8_t> out;
   EXPECT_EQ(q.PopInOrder(100, out), 5u);
   EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
   EXPECT_TRUE(q.Empty());
 }
 
-TEST(Reassembly, HoleBlocksPop) {
+TEST_F(Reassembly, HoleBlocksPop) {
   ReassemblyQueue q;
-  q.Insert(100, Bytes{1, 2});
-  q.Insert(105, Bytes{9});
+  q.Insert(100, Frame(Bytes{1, 2}));
+  q.Insert(105, Frame(Bytes{9}));
   std::vector<uint8_t> out;
   EXPECT_EQ(q.PopInOrder(100, out), 2u);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(q.SegmentCount(), 1u);  // the 105 segment waits
-  q.Insert(102, Bytes{3, 4, 5});
+  q.Insert(102, Frame(Bytes{3, 4, 5}));
   out.clear();
   EXPECT_EQ(q.PopInOrder(102, out), 4u);
   EXPECT_EQ(out, (std::vector<uint8_t>{3, 4, 5, 9}));
 }
 
-TEST(Reassembly, DuplicateFullyCoveredIsIgnored) {
+TEST_F(Reassembly, DuplicateFullyCoveredIsIgnored) {
   ReassemblyQueue q;
-  q.Insert(10, Bytes{1, 2, 3, 4});
-  q.Insert(11, Bytes{2, 3});  // inside existing
+  q.Insert(10, Frame(Bytes{1, 2, 3, 4}));
+  q.Insert(11, Frame(Bytes{2, 3}));  // inside existing
   EXPECT_EQ(q.BufferedBytes(), 4u);
   EXPECT_EQ(q.SegmentCount(), 1u);
+  EXPECT_EQ(pool.stats().live, 1u);  // the duplicate's frame went straight back
 }
 
-TEST(Reassembly, HeadOverlapTrimmed) {
+TEST_F(Reassembly, HeadOverlapTrimmed) {
   ReassemblyQueue q;
-  q.Insert(10, Bytes{1, 2, 3});
-  q.Insert(12, Bytes{3, 4, 5});  // overlaps byte 12
+  q.Insert(10, Frame(Bytes{1, 2, 3}));
+  q.Insert(12, Frame(Bytes{3, 4, 5}));  // overlaps byte 12
   std::vector<uint8_t> out;
   EXPECT_EQ(q.PopInOrder(10, out), 5u);
   EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
 }
 
-TEST(Reassembly, TailOverlapAbsorbsCoveredSegment) {
+TEST_F(Reassembly, TailOverlapAbsorbsCoveredSegment) {
   ReassemblyQueue q;
-  q.Insert(14, Bytes{5, 6});
-  q.Insert(10, Bytes{1, 2, 3, 4, 5, 6});  // fully covers the existing segment
+  q.Insert(14, Frame(Bytes{5, 6}));
+  q.Insert(10, Frame(Bytes{1, 2, 3, 4, 5, 6}));  // fully covers the existing segment
   EXPECT_EQ(q.SegmentCount(), 1u);   // absorbed, not duplicated
+  EXPECT_EQ(pool.stats().live, 1u);  // and its frame released
   std::vector<uint8_t> out;
   EXPECT_EQ(q.PopInOrder(10, out), 6u);
   EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5, 6}));
 }
 
-TEST(Reassembly, TailOverlapTrimsAgainstLongerSuccessor) {
+TEST_F(Reassembly, TailOverlapTrimsAgainstLongerSuccessor) {
   ReassemblyQueue q;
-  q.Insert(14, Bytes{5, 6, 7, 8});        // extends past the new data's end
-  q.Insert(10, Bytes{1, 2, 3, 4, 9, 9});  // tail overlap: new data trimmed at 14
+  q.Insert(14, Frame(Bytes{5, 6, 7, 8}));        // extends past the new data's end
+  q.Insert(10, Frame(Bytes{1, 2, 3, 4, 9, 9}));  // tail overlap: new data trimmed at 14
   std::vector<uint8_t> out;
   EXPECT_EQ(q.PopInOrder(10, out), 8u);
   EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
-TEST(Reassembly, PopStartingInsideSegment) {
+TEST_F(Reassembly, PopStartingInsideSegment) {
   ReassemblyQueue q;
-  q.Insert(10, Bytes{1, 2, 3, 4});
+  q.Insert(10, Frame(Bytes{1, 2, 3, 4}));
   std::vector<uint8_t> out;
   // Retransmission advanced rcv_nxt into the middle of a buffered segment.
   EXPECT_EQ(q.PopInOrder(12, out), 2u);
   EXPECT_EQ(out, (std::vector<uint8_t>{3, 4}));
 }
 
-TEST(Reassembly, DropBelowDiscardsStale) {
+TEST_F(Reassembly, DropBelowDiscardsStale) {
   ReassemblyQueue q;
-  q.Insert(10, Bytes{1, 2});
-  q.Insert(20, Bytes{3, 4});
+  q.Insert(10, Frame(Bytes{1, 2}));
+  q.Insert(20, Frame(Bytes{3, 4}));
   q.DropBelow(15);
   EXPECT_EQ(q.SegmentCount(), 1u);
   EXPECT_EQ(q.BufferedBytes(), 2u);
 }
 
-TEST(Reassembly, RandomizedStreamProperty) {
+TEST_F(Reassembly, RandomizedStreamProperty) {
   // Chop a known byte stream into random segments, insert them in random order (with
   // duplicates), and verify the queue reproduces the exact stream.
   Rng rng(44);
@@ -289,9 +306,9 @@ TEST(Reassembly, RandomizedStreamProperty) {
     }
     ReassemblyQueue q;
     for (const auto& [seq, data] : segments) {
-      q.Insert(seq, data);
+      q.Insert(seq, Frame(data));
       if (rng.NextBool(0.3)) {
-        q.Insert(seq, data);  // duplicate insert
+        q.Insert(seq, Frame(data));  // duplicate insert
       }
     }
     std::vector<uint8_t> out;
@@ -299,6 +316,7 @@ TEST(Reassembly, RandomizedStreamProperty) {
     EXPECT_EQ(out, stream) << "trial " << trial;
     EXPECT_TRUE(q.Empty());
     EXPECT_EQ(q.BufferedBytes(), 0u);
+    EXPECT_EQ(pool.stats().live, 0u) << "trial " << trial;
   }
 }
 
