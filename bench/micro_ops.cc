@@ -113,7 +113,8 @@ void BM_TemplateAckExpand(benchmark::State& state) {
   tmpl.extra_acks = extra_acks;
   for (auto _ : state) {
     // The expander consumes its item, so each pass starts from a copy of the template.
-    ExpandTemplateAck(tmpl, [](std::vector<uint8_t> frame) { benchmark::DoNotOptimize(frame); });
+    ExpandTemplateAck(TcpOutputItem(tmpl),
+                      [](std::vector<uint8_t>&& frame) { benchmark::DoNotOptimize(frame); });
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n_acks));
@@ -219,10 +220,14 @@ BENCHMARK(BM_BuildSegment);
 // queues its successor a pseudo-random time later, as link, NIC and CPU events do. The
 // churn object is itself the target of all N, as the hot-path sources are; the boxed
 // variant queues each as a std::function, as cold callers do. Items are events
-// executed.
+// executed. `far_future` more events wait beyond any time the benchmark reaches, as
+// armed RTO and delayed-ACK wakeups wait beside the per-packet events.
 class EventChurn final : public EventLoop::Target {
  public:
-  EventChurn(int64_t pending, bool boxed) : boxed_(boxed) {
+  EventChurn(int64_t pending, bool boxed, int64_t far_future) : boxed_(boxed) {
+    for (int64_t i = 0; i < far_future; ++i) {
+      loop_.ScheduleAt(SimTime::FromSeconds(1'000'000), *this);
+    }
     for (int64_t i = 0; i < pending; ++i) {
       Next();
     }
@@ -245,8 +250,8 @@ class EventChurn final : public EventLoop::Target {
   bool boxed_;
 };
 
-void RunEventChurn(benchmark::State& state, bool boxed) {
-  EventChurn churn(state.range(0), boxed);
+void RunEventChurn(benchmark::State& state, int64_t pending, bool boxed, int64_t far_future) {
+  EventChurn churn(pending, boxed, far_future);
   EventLoop& loop = churn.loop();
   uint64_t events = 0;
   for (auto _ : state) {
@@ -256,11 +261,23 @@ void RunEventChurn(benchmark::State& state, bool boxed) {
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 
-void BM_EventLoopChurn(benchmark::State& state) { RunEventChurn(state, /*boxed=*/false); }
+void BM_EventLoopChurn(benchmark::State& state) {
+  RunEventChurn(state, state.range(0), /*boxed=*/false, /*far_future=*/0);
+}
 BENCHMARK(BM_EventLoopChurn)->Arg(4)->Arg(32)->Arg(256);
 
-void BM_EventLoopChurnBoxed(benchmark::State& state) { RunEventChurn(state, /*boxed=*/true); }
+void BM_EventLoopChurnBoxed(benchmark::State& state) {
+  RunEventChurn(state, state.range(0), /*boxed=*/true, /*far_future=*/0);
+}
 BENCHMARK(BM_EventLoopChurnBoxed)->Arg(4)->Arg(32)->Arg(256);
+
+// 4 live events churning beside N far-future ones: the shape of a many-flow run, whose
+// heap is mostly timer wakeups. Each event that queues its successor replaces its own
+// key at the root, so the sift stops near the top whatever N is.
+void BM_EventLoopChurnFarFuture(benchmark::State& state) {
+  RunEventChurn(state, /*pending=*/4, /*boxed=*/false, /*far_future=*/state.range(0));
+}
+BENCHMARK(BM_EventLoopChurnFarFuture)->Arg(200)->Arg(1600);
 
 }  // namespace
 }  // namespace tcprx

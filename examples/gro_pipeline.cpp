@@ -106,7 +106,7 @@ int main() {
   tmpl.extra_acks = extra_acks;
   std::printf("template: 1 stack traversal stands for %zu ACKs\n",
               1 + tmpl.extra_acks.size());
-  ExpandTemplateAck(std::move(tmpl), [](std::vector<uint8_t> frame) {
+  ExpandTemplateAck(std::move(tmpl), [](std::vector<uint8_t>&& frame) {
     std::printf("  driver emits: %s\n", FormatTcpFrame(frame).c_str());
   });
   return 0;

@@ -79,7 +79,7 @@ class DirectHarness {
   DirectHarness(const StackConfig& config, size_t flows, PcapWriter* pcap = nullptr)
       : pcap_(pcap), conns_(flows), delivered_(flows), tap_(flows) {
     stack_ = std::make_unique<NetworkStack>(
-        config, loop_, [this](int, std::vector<uint8_t> frame) {
+        config, loop_, [this](int, std::vector<uint8_t>&& frame) {
           if (pcap_ != nullptr) {
             pcap_->Record(loop_.Now(), frame);
           }

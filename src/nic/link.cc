@@ -7,7 +7,7 @@
 
 namespace tcprx {
 
-void SimplexLink::Send(std::vector<uint8_t> frame) {
+void SimplexLink::Send(std::vector<uint8_t>&& frame) {
   for (const TapFn& tap : taps_) {
     tap(frame);
   }

@@ -17,7 +17,7 @@ SimulatedNic::SimulatedNic(int id, const NicConfig& config, EventLoop& loop, Pac
   }
 }
 
-void SimulatedNic::DeliverFromWire(std::vector<uint8_t> frame) {
+void SimulatedNic::DeliverFromWire(std::vector<uint8_t>&& frame) {
   PacketPtr p = pool_.AllocateMoved(std::move(frame));
 
   if (config_.rx_checksum_offload && p->view.has_value()) {
@@ -89,7 +89,7 @@ void SimulatedNic::SetQueuePollMode(size_t queue, bool enabled) {
   }
 }
 
-void SimulatedNic::Transmit(std::vector<uint8_t> frame) {
+void SimulatedNic::Transmit(std::vector<uint8_t>&& frame) {
   TCPRX_CHECK_MSG(egress_ != nullptr, "NIC has no egress link attached");
   ++stats_.tx_frames;
   egress_->Send(std::move(frame));

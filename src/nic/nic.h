@@ -15,6 +15,10 @@
 //
 // All NIC work is free of host CPU cycles — it is hardware. The driver module charges
 // the per-frame driver cycles when it touches the ring.
+//
+// Frames arrive from the wire and leave for it by reference (std::vector<uint8_t>&&):
+// DeliverFromWire moves the buffer into a pooled Packet, Transmit hands it to the
+// egress link, and neither copies it.
 
 #ifndef SRC_NIC_NIC_H_
 #define SRC_NIC_NIC_H_
@@ -65,10 +69,10 @@ class SimulatedNic {
   // (RSS hash of the 4-tuple, or round-robin with RSS off), enqueues to that ring
   // (dropping on overflow), and raises the queue's interrupt unless it is being
   // polled.
-  void DeliverFromWire(std::vector<uint8_t> frame);
+  void DeliverFromWire(std::vector<uint8_t>&& frame);
 
   // Transmit path: hand a fully built frame to the attached egress link.
-  void Transmit(std::vector<uint8_t> frame);
+  void Transmit(std::vector<uint8_t>&& frame);
   void AttachEgress(SimplexLink* link) { egress_ = link; }
 
   // ---- Host (driver) side ---------------------------------------------------------

@@ -23,7 +23,7 @@ namespace tcprx {
 
 class RemoteNode {
  public:
-  using TransmitFn = std::function<void(std::vector<uint8_t>)>;
+  using TransmitFn = std::function<void(std::vector<uint8_t>&&)>;
 
   RemoteNode(EventLoop& loop, TransmitFn transmit)
       : loop_(loop), transmit_(std::move(transmit)) {}
@@ -33,7 +33,7 @@ class RemoteNode {
   TcpConnection* CreateConnection(const TcpConnectionConfig& config);
 
   // A frame arrived from the wire.
-  void OnWireFrame(std::vector<uint8_t> frame);
+  void OnWireFrame(std::vector<uint8_t>&& frame);
 
   const std::vector<std::unique_ptr<TcpConnection>>& connections() const {
     return connections_;
@@ -42,7 +42,7 @@ class RemoteNode {
   uint64_t frames_received() const { return frames_received_; }
 
  private:
-  void HandleOutput(TcpOutputItem item);
+  void HandleOutput(TcpOutputItem&& item);
 
   EventLoop& loop_;
   TransmitFn transmit_;

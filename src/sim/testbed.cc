@@ -33,12 +33,17 @@ static_assert(kMaxMss <= kMaxPatternView);
 
 bool MssInRange(uint32_t mss) { return mss >= 1 && mss <= kMaxMss; }
 
-// `name` is the TestbedConfig field holding `link`; no flag sets its rate.
-void AddLinkErrors(const LinkConfig& link, const char* name,
-                   std::vector<std::string>& errors) {
-  if (link.bits_per_second < 1) {
-    errors.push_back(std::string(name) + ".bits_per_second must be >= 1");
-  }
+// --link-gbps=N sets every link's rate to N x 10^9 b/s. The bound keeps that product,
+// and the link's serialization arithmetic (a frame's bits x 10^9 plus the rate), well
+// inside 64 bits.
+constexpr uint64_t kBitsPerGigabit = 1'000'000'000;
+constexpr uint64_t kMaxLinkGbps = 1'000'000;
+
+bool RateInRange(const LinkConfig& link) {
+  return link.bits_per_second >= 1 && link.bits_per_second <= kMaxLinkGbps * kBitsPerGigabit;
+}
+
+void AddLinkErrors(const LinkConfig& link, std::vector<std::string>& errors) {
   const std::pair<double, const char*> probabilities[] = {
       {link.drop_probability, "--drop must be between 0 and 1"},
       {link.reorder_probability, "--reorder must be between 0 and 1"},
@@ -90,10 +95,14 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config) {
   if (config.stack.hardware_lro && !config.stack.receive_aggregation) {
     errors.emplace_back("--hardware-lro needs --aggregation or --optimized");
   }
-  AddLinkErrors(config.link, "TestbedConfig.link", errors);
+  // One message for both directions, which --link-gbps sets together.
+  if (!RateInRange(config.link) ||
+      (config.client_to_server_link && !RateInRange(*config.client_to_server_link))) {
+    errors.push_back("--link-gbps must be between 1 and " + std::to_string(kMaxLinkGbps));
+  }
+  AddLinkErrors(config.link, errors);
   if (config.client_to_server_link) {
-    AddLinkErrors(*config.client_to_server_link, "TestbedConfig.client_to_server_link",
-                  errors);
+    AddLinkErrors(*config.client_to_server_link, errors);
   }
   if (config.num_nics < 1 || config.num_nics > kMaxNics) {
     errors.push_back("--nics must be between 1 and " + std::to_string(kMaxNics));
@@ -151,7 +160,7 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config,
 
 Testbed::Testbed(const TestbedConfig& config)
     : config_(ValidConfig(config)),
-      host_(config_.stack, config_.smp, loop_, [this](int nic_id, std::vector<uint8_t> frame) {
+      host_(config_.stack, config_.smp, loop_, [this](int nic_id, std::vector<uint8_t>&& frame) {
         nics_[static_cast<size_t>(nic_id)]->Transmit(std::move(frame));
       }) {
   // One RSS queue per core on every NIC, attached to that core's driver. A one-core
@@ -167,7 +176,7 @@ Testbed::Testbed(const TestbedConfig& config)
     auto nic = std::make_unique<SimulatedNic>(static_cast<int>(i), nic_config, loop_,
                                               host_.packet_pool());
     auto remote = std::make_unique<RemoteNode>(
-        loop_, [this, i](std::vector<uint8_t> frame) {
+        loop_, [this, i](std::vector<uint8_t>&& frame) {
           links_[i * 2]->Send(std::move(frame));
         });
 
@@ -177,12 +186,12 @@ Testbed::Testbed(const TestbedConfig& config)
     c2s.fault_seed += i * 7919;  // decorrelate per-link fault streams
     links_.push_back(std::make_unique<SimplexLink>(
         c2s, loop_,
-        [nic_raw](std::vector<uint8_t> frame) { nic_raw->DeliverFromWire(std::move(frame)); }));
+        [nic_raw](std::vector<uint8_t>&& frame) { nic_raw->DeliverFromWire(std::move(frame)); }));
     // server -> client direction feeds the remote node.
     RemoteNode* remote_raw = remote.get();
     links_.push_back(std::make_unique<SimplexLink>(
         config_.link, loop_,
-        [remote_raw](std::vector<uint8_t> frame) { remote_raw->OnWireFrame(std::move(frame)); }));
+        [remote_raw](std::vector<uint8_t>&& frame) { remote_raw->OnWireFrame(std::move(frame)); }));
     nic->AttachEgress(links_.back().get());
 
     host_.AttachNic(nic.get());
@@ -318,7 +327,9 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
     }
   }
 
+  const HarnessCounters harness_before = thread_harness_counters;
   loop_.RunUntil(window_end);
+  window_harness_counters_ = thread_harness_counters - harness_before;
 
   const CycleAccount::Counters after = host_.SumCounters();
   const RoutineCycles routines_after = host_.SumRoutines();
@@ -439,7 +450,9 @@ LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
   loop_.RunUntil(options.warmup);
   const uint64_t before = *transactions;
   *measuring = true;
+  const HarnessCounters harness_before = thread_harness_counters;
   loop_.RunUntil(options.warmup + options.measure);
+  window_harness_counters_ = thread_harness_counters - harness_before;
   *measuring = false;
 
   LatencyResult result;

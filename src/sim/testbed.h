@@ -29,6 +29,7 @@
 #include "src/stack/network_stack.h"
 #include "src/tcp/send_stream.h"
 #include "src/util/event_loop.h"
+#include "src/util/harness_counters.h"
 
 namespace tcprx {
 
@@ -169,6 +170,11 @@ class Testbed {
   };
   std::vector<PatternCheck> RunTransfer(const TransferOptions& options);
 
+  // The harness's own work (src/util/harness_counters.h) over the measurement window
+  // of the last RunStream or RunLatency. Kept out of StreamResult: frame_buffers_made
+  // depends on how warm this thread's free lists were, not on the run alone.
+  const HarnessCounters& window_harness_counters() const { return window_harness_counters_; }
+
  private:
   // Whether anything on the bed reads the bytes of a stream's data frames: a link tap
   // (pcap or tracer) records them, a link corrupts them, or a TCP checksum covers them.
@@ -187,6 +193,7 @@ class Testbed {
   std::vector<std::unique_ptr<RemoteNode>> remotes_;
   // Links: [i*2] client->server, [i*2+1] server->client.
   std::vector<std::unique_ptr<SimplexLink>> links_;
+  HarnessCounters window_harness_counters_;
 };
 
 // Every bound that a Testbed, or a part it builds, imposes on its configuration,

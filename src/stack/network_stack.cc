@@ -294,7 +294,7 @@ TcpConnection* NetworkStack::CreateConnection(const TcpConnectionConfig& config)
   auto entry = std::make_unique<ConnectionEntry>();
   ConnectionEntry* raw_entry = entry.get();
   entry->conn = std::make_unique<TcpConnection>(
-      config, loop_, [this, raw_entry](TcpOutputItem item) {
+      config, loop_, [this, raw_entry](TcpOutputItem&& item) {
         HandleConnectionOutput(*raw_entry->conn, std::move(item));
       });
   TcpConnection* conn = entry->conn.get();
@@ -368,7 +368,7 @@ void NetworkStack::ChargeTxStackPass(size_t payload_size, bool is_template) {
   }
 }
 
-void NetworkStack::HandleConnectionOutput(TcpConnection& conn, TcpOutputItem item) {
+void NetworkStack::HandleConnectionOutput(TcpConnection& conn, TcpOutputItem&& item) {
   auto& counters = account_.counters();
   const size_t n_acks = 1 + item.extra_acks.size();
 
@@ -394,12 +394,12 @@ void NetworkStack::HandleConnectionOutput(TcpConnection& conn, TcpOutputItem ite
   // Either way the wire carries every ACK of a run, byte-identical to what the TCP
   // layer would have emitted for each ACK individually.
   const Ipv4Address dst = conn.config().remote_ip;
-  ExpandTemplateAck(std::move(item), [this, dst](std::vector<uint8_t> frame) {
+  ExpandTemplateAck(std::move(item), [this, dst](std::vector<uint8_t>&& frame) {
     TransmitBuiltFrame(dst, std::move(frame));
   });
 }
 
-void NetworkStack::TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t> frame) {
+void NetworkStack::TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t>&& frame) {
   const int nic = routes_.Lookup(dst);
   TCPRX_CHECK_MSG(nic >= 0, "no route for destination");
   if (in_driver_batch_) {

@@ -51,7 +51,7 @@ namespace tcprx {
 class NetworkStack : public RxSink {
  public:
   // `transmit` puts a finished frame on the given NIC.
-  using TransmitFn = std::function<void(int nic_id, std::vector<uint8_t> frame)>;
+  using TransmitFn = std::function<void(int nic_id, std::vector<uint8_t>&& frame)>;
 
   NetworkStack(const StackConfig& config, EventLoop& loop, TransmitFn transmit);
 
@@ -139,9 +139,9 @@ class NetworkStack : public RxSink {
   void ChargeLroHostPacket();
   void DeliverHostPacket(SkBuffPtr skb);
   void SendReset(const SkBuff& skb);
-  void HandleConnectionOutput(TcpConnection& conn, TcpOutputItem item);
+  void HandleConnectionOutput(TcpConnection& conn, TcpOutputItem&& item);
   void ChargeTxStackPass(size_t payload_size, bool is_template);
-  void TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t> frame);
+  void TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t>&& frame);
   TcpConnection* Demux(const SkBuff& skb);
   TcpConnection* AcceptNew(const SkBuff& skb);
   ConnectionEntry& EntryFor(TcpConnection& conn);

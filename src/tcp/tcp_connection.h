@@ -100,7 +100,7 @@ enum class SyntheticPayload : uint8_t { kPatternBytes, kLengthOnly };
 
 class TcpConnection {
  public:
-  using OutputFn = std::function<void(TcpOutputItem)>;
+  using OutputFn = std::function<void(TcpOutputItem&&)>;
   using DataFn = std::function<void(std::span<const uint8_t>)>;
 
   TcpConnection(const TcpConnectionConfig& config, EventLoop& loop, OutputFn output);

@@ -45,12 +45,21 @@ void EventLoop::QueueAt(Slot slot, Callback cb) { QueueAt(slot, *new Box(*this, 
 
 void EventLoop::QueueAt(Slot slot, Target& target) {
   TCPRX_CHECK(slot.when >= now_);
-  // Sift up: move parents down into the hole until the key fits.
   const Key key{slot.when, slot.seq, &target};
+  if (spent_root_) {
+    // Replace-top: the first event queued by a running one takes its key's place.
+    spent_root_ = false;
+    SiftDownFromRoot(key);
+    return;
+  }
+  // Sift up: move parents down into the hole until the key fits. Each level compares
+  // one key.
   size_t hole = heap_.size();
   heap_.emplace_back();
+  uint64_t levels = 0;
   while (hole > 0) {
     const size_t parent = (hole - 1) / 4;
+    ++levels;
     if (!Before(key, heap_[parent])) {
       break;
     }
@@ -58,38 +67,52 @@ void EventLoop::QueueAt(Slot slot, Target& target) {
     hole = parent;
   }
   heap_[hole] = key;
+  thread_harness_counters.event_key_compares += levels;
+}
+
+void EventLoop::SiftDownFromRoot(const Key key) {
+  // Move the earliest child up into the hole until `key` fits. A level with n children
+  // compares n keys: n - 1 to find the earliest child, and that child with `key`.
+  const size_t size = heap_.size();
+  size_t hole = 0;
+  uint64_t compares = 0;
+  for (;;) {
+    const size_t first = 4 * hole + 1;
+    if (first >= size) {
+      break;
+    }
+    const size_t end = first + 4 < size ? first + 4 : size;
+    compares += end - first;
+    size_t best = first;
+    for (size_t child = first + 1; child < end; ++child) {
+      best = Before(heap_[child], heap_[best]) ? child : best;
+    }
+    if (!Before(heap_[best], key)) {
+      break;
+    }
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = key;
+  thread_harness_counters.event_key_compares += compares;
 }
 
 void EventLoop::RunNext() {
   const Key top = heap_.front();
-  const Key last = heap_.back();
-  heap_.pop_back();
-  const size_t size = heap_.size();
-  if (size > 0) {
-    // Sift `last` down from the root: move the earliest child up into the hole.
-    size_t hole = 0;
-    for (;;) {
-      const size_t first = 4 * hole + 1;
-      if (first >= size) {
-        break;
-      }
-      const size_t end = first + 4 < size ? first + 4 : size;
-      size_t best = first;
-      for (size_t child = first + 1; child < end; ++child) {
-        best = Before(heap_[child], heap_[best]) ? child : best;
-      }
-      if (!Before(heap_[best], last)) {
-        break;
-      }
-      heap_[hole] = heap_[best];
-      hole = best;
-    }
-    heap_[hole] = last;
-  }
-
   now_ = top.when;
   ++thread_harness_counters.events_run;
+  spent_root_ = true;
   top.target->Fire(Slot{top.when, top.seq});
+  if (!spent_root_) {
+    return;  // an event queued during Fire took the root, or Fire cleared the loop
+  }
+  // Nothing was queued: remove the spent root as a pop would.
+  spent_root_ = false;
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    SiftDownFromRoot(last);
+  }
 }
 
 void EventLoop::Timer::Arm(SimDuration delay) {
@@ -120,11 +143,15 @@ void EventLoop::Timer::Wake(uint64_t seq) {
 }
 
 uint64_t EventLoop::RunUntil(SimTime deadline) {
+  // A nested run would fire events under the running one's spent root.
+  TCPRX_CHECK_MSG(!running_, "EventLoop run from inside a running event");
+  running_ = true;
   uint64_t executed = 0;
   while (!heap_.empty() && heap_.front().when <= deadline) {
     RunNext();
     ++executed;
   }
+  running_ = false;
   if (now_ < deadline) {
     now_ = deadline;
   }
@@ -132,16 +159,20 @@ uint64_t EventLoop::RunUntil(SimTime deadline) {
 }
 
 uint64_t EventLoop::RunToCompletion() {
+  TCPRX_CHECK_MSG(!running_, "EventLoop run from inside a running event");
+  running_ = true;
   uint64_t executed = 0;
   while (!heap_.empty()) {
     RunNext();
     ++executed;
   }
+  running_ = false;
   return executed;
 }
 
 void EventLoop::Clear() {
   heap_.clear();
+  spent_root_ = false;
   while (boxes_ != nullptr) {
     delete boxes_;
   }

@@ -9,6 +9,15 @@
 // per-packet sources (link wakeups, poll steps, NIC interrupts, transmit batches,
 // timers) are targets themselves, so queueing one builds, moves and destroys nothing.
 // A cold caller's std::function is boxed as a target that frees itself when it runs.
+//
+// Replace-top: the key of the event being fired stays at the root, spent, while its
+// target's Fire runs. The first event that Fire queues takes the spent root's place
+// and is sifted down from there, so a target that queues its own next event (a poll
+// step, a link's next head, a timer's re-queued wakeup) costs one sift that usually
+// stops near the top, not a pop that sinks the last leaf through every level of a
+// heap full of far-future timer wakeups plus a push. If Fire queues nothing, the last
+// leaf fills the root after it returns, as a pop would. Keys are unique, so the order
+// in which events run is the same either way.
 
 #ifndef SRC_UTIL_EVENT_LOOP_H_
 #define SRC_UTIL_EVENT_LOOP_H_
@@ -109,10 +118,10 @@ class EventLoop {
   void ScheduleAfter(SimDuration delay, Callback cb) { ScheduleAt(now_ + delay, std::move(cb)); }
 
   // Runs events until the queue is empty or simulated time reaches `deadline`.
-  // Returns the number of events executed.
+  // Returns the number of events executed. Not from inside a running event.
   uint64_t RunUntil(SimTime deadline);
 
-  // Runs until the queue is drained completely.
+  // Runs until the queue is drained completely. Not from inside a running event.
   uint64_t RunToCompletion();
 
   // Drops every pending event unrun. A boxed callback is destroyed with whatever it
@@ -121,8 +130,9 @@ class EventLoop {
   // again.
   void Clear();
 
-  bool Empty() const { return heap_.empty(); }
-  size_t PendingEvents() const { return heap_.size(); }
+  // The event being fired is not pending, though its spent key may still hold the root.
+  bool Empty() const { return PendingEvents() == 0; }
+  size_t PendingEvents() const { return heap_.size() - (spent_root_ ? 1 : 0); }
 
  private:
   class Box;
@@ -140,13 +150,17 @@ class EventLoop {
     return ((Order{a.when.nanos()} << 64) | a.seq) < ((Order{b.when.nanos()} << 64) | b.seq);
   }
 
-  // Pops the earliest event and runs it.
+  // Runs the earliest event, its key left at the root while it runs.
   void RunNext();
+  // Puts `key` in the root's place and sifts it down: the heap below the root is valid.
+  void SiftDownFromRoot(Key key);
 
   SimTime now_;
   uint64_t next_seq_ = 0;
-  std::vector<Key> heap_;  // 4-ary min-heap: the children of i are 4i+1..4i+4
-  Box* boxes_ = nullptr;   // every boxed callback not yet run, linked through the boxes
+  std::vector<Key> heap_;     // 4-ary min-heap: the children of i are 4i+1..4i+4
+  bool spent_root_ = false;   // heap_[0] is the running event's key, not a pending one
+  bool running_ = false;      // inside RunUntil or RunToCompletion
+  Box* boxes_ = nullptr;      // every boxed callback not yet run, linked through the boxes
 };
 
 }  // namespace tcprx

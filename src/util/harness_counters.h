@@ -8,6 +8,7 @@
 #define SRC_UTIL_HARNESS_COUNTERS_H_
 
 #include <cstdint>
+#include <iterator>
 
 namespace tcprx {
 
@@ -23,7 +24,35 @@ struct HarnessCounters {
   uint64_t frame_buffers_taken = 0;
   uint64_t frame_buffers_made = 0;
   uint64_t events_run = 0;  // events EventLoop::RunNext (src/util/event_loop.h) ran
+  // Event keys the EventLoop's heap compared while sifting (src/util/event_loop.h).
+  uint64_t event_key_compares = 0;
 };
+
+// Every counter with its name, in declaration order, for windows and reports.
+struct HarnessCounterField {
+  const char* name;
+  uint64_t HarnessCounters::*value;
+};
+inline constexpr HarnessCounterField kHarnessCounterFields[] = {
+    {"payload_bytes_written", &HarnessCounters::payload_bytes_written},
+    {"frames_parsed", &HarnessCounters::frames_parsed},
+    {"ipv4_header_checks", &HarnessCounters::ipv4_header_checks},
+    {"frame_buffers_taken", &HarnessCounters::frame_buffers_taken},
+    {"frame_buffers_made", &HarnessCounters::frame_buffers_made},
+    {"events_run", &HarnessCounters::events_run},
+    {"event_key_compares", &HarnessCounters::event_key_compares},
+};
+static_assert(sizeof(HarnessCounters) == std::size(kHarnessCounterFields) * sizeof(uint64_t),
+              "a new counter needs its row in kHarnessCounterFields");
+
+// The counts from `before` to `after`: one window's work.
+inline HarnessCounters operator-(const HarnessCounters& after, const HarnessCounters& before) {
+  HarnessCounters window;
+  for (const HarnessCounterField& field : kHarnessCounterFields) {
+    window.*field.value = after.*field.value - before.*field.value;
+  }
+  return window;
+}
 
 // This thread's counters.
 inline thread_local constinit HarnessCounters thread_harness_counters;

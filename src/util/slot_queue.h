@@ -36,7 +36,7 @@ class SlotQueue {
 
   // Puts `item` in `slot`'s place, searching from the back: only an item that
   // overtakes another ever lands ahead of it.
-  void Push(EventLoop::Slot slot, T item) {
+  void Push(EventLoop::Slot slot, T&& item) {
     size_t at = entries_.size();
     while (at > head_ && slot < entries_[at - 1].slot) {
       --at;

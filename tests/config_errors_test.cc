@@ -73,10 +73,17 @@ TEST(ConfigErrors, EachBadFieldGivesItsMessage) {
        [](TestbedConfig& c, Options&) { c.nic.num_rx_queues = 0; }},
       {"TestbedConfig.nic.rss must be left default: set by --no-rss",
        [](TestbedConfig& c, Options&) { c.nic.rss.enabled = false; }},
-      {"TestbedConfig.link.bits_per_second must be >= 1",
+      {"--link-gbps must be between 1 and 1000000",
        [](TestbedConfig& c, Options&) { c.link.bits_per_second = 0; }},
-      {"TestbedConfig.client_to_server_link.bits_per_second must be >= 1",
+      {"--link-gbps must be between 1 and 1000000",
        [](TestbedConfig& c, Options&) { DataLink(c).bits_per_second = 0; }},
+      {"--link-gbps must be between 1 and 1000000",
+       [](TestbedConfig& c, Options&) { c.link.bits_per_second = 1'000'000'000'000'001; }},
+      {"--link-gbps must be between 1 and 1000000",  // one message for both directions
+       [](TestbedConfig& c, Options&) {
+         c.link.bits_per_second = std::numeric_limits<uint64_t>::max();
+         DataLink(c) = c.link;
+       }},
       {"--conns-per-nic must be >= 1",
        [](TestbedConfig&, Options& o) { o.connections_per_nic = 0; }},
       {"--conns-per-nic must be at most 55536",
@@ -104,6 +111,7 @@ TEST(ConfigErrors, TheLargestValuesPass) {
   config.num_nics = 256;
   config.smp.num_cores = 128;
   config.link.drop_probability = 1;
+  config.link.bits_per_second = 1'000'000'000'000'000;
   DataLink(config).corrupt_probability = 0;
   DataLink(config).burst_drop_period = 4;
   DataLink(config).burst_drop_length = 4;

@@ -36,7 +36,7 @@ TEST(Link, GigabitLineRateIsPaper81kPps) {
   const auto frame = MakeFrame(FrameOptions{}, 1448);  // 1514-byte frame
   ASSERT_EQ(frame.size(), 1514u);
   for (int i = 0; i < 100000; ++i) {
-    link.Send(frame);
+    link.Send(std::vector<uint8_t>(frame));
   }
   loop.RunUntil(SimTime::FromSeconds(1));
   EXPECT_NEAR(static_cast<double>(delivered), 81274.0, 200.0);
@@ -49,8 +49,8 @@ TEST(Link, SerializationQueuesBehindBusyTransmitter) {
   config.propagation_delay = SimDuration::FromMicros(10);
   SimplexLink link(config, loop, [&](std::vector<uint8_t>) { arrivals.push_back(loop.Now()); });
   const auto frame = MakeFrame(FrameOptions{}, 1448);
-  link.Send(frame);
-  link.Send(frame);
+  link.Send(std::vector<uint8_t>(frame));
+  link.Send(std::vector<uint8_t>(frame));
   loop.RunToCompletion();
   ASSERT_EQ(arrivals.size(), 2u);
   // Second frame arrives exactly one serialization time after the first.
@@ -316,7 +316,7 @@ TEST(Link, TeardownWithFramesInFlightFreesThem) {
     EventLoop loop;
     SimplexLink link(config, loop, [](std::vector<uint8_t>) { FAIL() << "delivered"; });
     for (int i = 0; i < 50; ++i) {
-      link.Send(frame);
+      link.Send(std::vector<uint8_t>(frame));
     }
     // Duplicates land behind their originals, so only the head's wakeup is queued.
     EXPECT_EQ(loop.PendingEvents(), 1u);
@@ -326,7 +326,7 @@ TEST(Link, TeardownWithFramesInFlightFreesThem) {
     auto loop = std::make_unique<EventLoop>();
     SimplexLink link(config, *loop, [](std::vector<uint8_t>) { FAIL() << "delivered"; });
     for (int i = 0; i < 50; ++i) {
-      link.Send(frame);
+      link.Send(std::vector<uint8_t>(frame));
     }
     loop.reset();  // the loop goes first
   }

@@ -342,6 +342,48 @@ TEST(HarnessCounters, EveryReceivedFrameIsParsedAndCheckedOnce) {
   }
 }
 
+// A Testbed keeps the harness counts of its measurement window alone, and an identical
+// bed on the same thread repeats them exactly, apart from frame_buffers_made, which
+// depends on how warm the thread's free lists are.
+TEST(HarnessCounters, TestbedKeepsTheMeasurementWindowsCounts) {
+  struct Run {
+    HarnessCounters window;
+    HarnessCounters whole;  // the whole RunStream or RunLatency call
+  };
+  const auto stream = [] {
+    Testbed bed(LossyStreamConfig());
+    const HarnessCounters before = thread_harness_counters;
+    EXPECT_GT(bed.RunStream(ShortStream()).data_packets, 0u);
+    return Run{bed.window_harness_counters(), thread_harness_counters - before};
+  };
+  const auto latency = [] {
+    TestbedConfig config;
+    config.stack = StackConfig::Optimized(SystemType::kXenGuest);
+    config.num_nics = 1;
+    Testbed bed(config);
+    Testbed::LatencyOptions options;
+    options.warmup = SimDuration::FromMillis(20);
+    options.measure = SimDuration::FromMillis(20);
+    const HarnessCounters before = thread_harness_counters;
+    EXPECT_GT(bed.RunLatency(options).transactions, 0u);
+    return Run{bed.window_harness_counters(), thread_harness_counters - before};
+  };
+  for (const auto& run : {+stream, +latency}) {
+    const Run first = run();
+    const Run second = run();
+    EXPECT_GT(first.window.frames_parsed, 0u);
+    EXPECT_EQ(first.window.ipv4_header_checks, first.window.frames_parsed);
+    EXPECT_GT(first.window.event_key_compares, 0u);
+    EXPECT_LT(first.window.events_run, first.whole.events_run);  // the warm-up is not in it
+    for (const HarnessCounterField& field : kHarnessCounterFields) {
+      if (field.value != &HarnessCounters::frame_buffers_made) {
+        EXPECT_EQ(second.window.*field.value, first.window.*field.value) << field.name;
+      }
+    }
+    EXPECT_EQ(second.window.frame_buffers_made, 0u);
+  }
+}
+
 TEST(HarnessCounters, OutOfOrderSegmentsTakeNoFrameBuffer) {
   // One loss in a window: 40 MSS segments arrive past a one-segment hole, then the hole
   // fills and the run pops. The queue keeps the frames the segments arrived in.

@@ -78,6 +78,12 @@ expect "--reorder-delay-us must be at most 18446744073709551, not 18446744073709
 expect "--warmup-ms plus --measure-ms must fit 64 bits of nanoseconds" \
   stream --warmup-ms=10 --measure-ms=18446744073709
 
+# A link rate whose bits per second would not fit 64 bits is refused, not wrapped.
+expect "--link-gbps must be between 1 and 1000000" stream --link-gbps=0
+expect "--link-gbps must be between 1 and 1000000" stream --link-gbps=1000001
+expect "--link-gbps must be between 1 and 1000000" stream --link-gbps=18446744074 --drop=0.1
+expect "--link-gbps must be between 1 and 1000000" latency --link-gbps=18446744073709551615
+
 # Client c connects from port 10000 + c, which must fit 16 bits.
 expect "--conns-per-nic must be at most 55536" stream --conns-per-nic=55537
 
@@ -87,7 +93,7 @@ expect_unknown conns-per-nic latency --conns-per-nic=7 --json
 expect_unknown nics latency --nics=3 --json
 
 # --json's stdout is one JSON object, so the text reports are refused with it.
-for report in trace connections profile; do
+for report in trace connections profile harness-stats; do
   expect "--$report is a text report and cannot be combined with --json" \
     stream --json --$report
 done
@@ -105,6 +111,11 @@ if ! "$sim" stream --mss=65455 --nics=1 --warmup-ms=1 --measure-ms=1 --json > /d
 fi
 if ! "$sim" stream --nics=256 --drop=1 --warmup-ms=1 --measure-ms=1 --json > /dev/null; then
   echo "FAIL: --nics=256 --drop=1 should run"
+  failures=$((failures + 1))
+fi
+if ! "$sim" stream --link-gbps=1000000 --nics=1 --warmup-ms=1 --measure-ms=1 --json \
+  > /dev/null; then
+  echo "FAIL: --link-gbps=1000000 should run"
   failures=$((failures + 1))
 fi
 

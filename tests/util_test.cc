@@ -12,6 +12,7 @@
 
 #include "src/util/byte_order.h"
 #include "src/util/event_loop.h"
+#include "src/util/harness_counters.h"
 #include "src/util/logging.h"
 #include "src/util/ring.h"
 #include "src/util/rng.h"
@@ -158,9 +159,14 @@ TEST(EventLoopTimer, KeepsItsArmOrderAmongSameInstantEvents) {
 // queued immediately or by a later event, as a boxed callback or as one more slot of a
 // target queued in many slots at once; and items on a SlotQueue, whose owner is queued
 // again for each item that overtakes its head, as a link's reordered frame is.
+//
+// `far_future` more events are queued first at times past all of that work, as armed
+// timer wakeups wait beside a many-flow run's per-packet events, so each event fired
+// meanwhile sits at the root of a deep heap.
 class ReferenceOrderDriver {
  public:
-  explicit ReferenceOrderDriver(uint64_t seed) : rng_(seed) {
+  explicit ReferenceOrderDriver(uint64_t seed, size_t far_future = 0)
+      : rng_(seed), far_future_(far_future) {
     for (size_t k = 0; k < kTimers; ++k) {
       timers_.push_back(std::make_unique<EventLoop::Timer>(loop_, [this, k] {
         const uint64_t id = timer_entry_[k];
@@ -172,6 +178,11 @@ class ReferenceOrderDriver {
 
   // Runs until the loop drains; returns the first mismatch, or "" if none.
   std::string Run() {
+    for (size_t i = 0; i < far_future_; ++i) {
+      const Entry entry = Take(SimTime::FromNanos(kFarFutureNs + rng_.NextBelow(kFarFutureNs)));
+      loop_.ScheduleAt(entry.when, [this, id = entry.id] { Ran(id); });
+      ++budget_;  // the random work keeps its whole budget
+    }
     for (int i = 0; i < 64; ++i) {
       Schedule();
     }
@@ -194,6 +205,7 @@ class ReferenceOrderDriver {
  private:
   static constexpr size_t kTimers = 6;
   static constexpr uint64_t kNone = ~uint64_t{0};
+  static constexpr uint64_t kFarFutureNs = 10'000'000;  // past any time the work reaches
 
   struct Entry {
     SimTime when;
@@ -242,7 +254,7 @@ class ReferenceOrderDriver {
         : driver_(driver), queue_(driver.loop_, *this) {}
     void Push(EventLoop::Slot slot, uint64_t id) {
       overtakes += !queue_.empty() && slot < queue_.head_slot() ? 1u : 0u;
-      queue_.Push(slot, id);
+      queue_.Push(slot, uint64_t{id});
     }
     uint64_t overtakes = 0;  // items pushed ahead of the head
 
@@ -376,6 +388,7 @@ class ReferenceOrderDriver {
 
   EventLoop loop_;
   Rng rng_;
+  size_t far_future_;
   MultiSlotTarget multi_slot_{*this};
   SlotQueueOwner slot_queue_{*this};
   std::vector<std::unique_ptr<EventLoop::Timer>> timers_;
@@ -448,6 +461,111 @@ TEST(EventLoop, RunsInReferenceOrderUnderRandomWork) {
     EXPECT_GT(driver.most_target_slots(), 1u) << "seed " << seed;
     EXPECT_GT(driver.slot_queue_overtakes(), 0u) << "seed " << seed;
   }
+  // The same work beside several hundred far-future events.
+  for (uint64_t seed = 101; seed <= 108; ++seed) {
+    const size_t far_future = 200 * (seed - 100);
+    ReferenceOrderDriver driver(seed, far_future);
+    EXPECT_EQ(driver.Run(), "") << "seed " << seed;
+    EXPECT_GT(driver.callbacks_run(), 1000u + far_future) << "seed " << seed;
+    EXPECT_GT(driver.slot_queue_overtakes(), 0u) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// EventLoop: the spent root
+// ---------------------------------------------------------------------------
+
+TEST(EventLoop, TheRunningEventIsNotPending) {
+  for (const size_t others : {size_t{0}, size_t{3}}) {
+    SCOPED_TRACE(others);
+    EventLoop loop;
+    std::vector<size_t> pending;
+    std::vector<bool> empty;
+    const auto look = [&] {
+      pending.push_back(loop.PendingEvents());
+      empty.push_back(loop.Empty());
+    };
+    loop.ScheduleAt(SimTime::FromNanos(10), [&] {
+      look();  // nothing queued yet: the spent root is not counted
+      loop.ScheduleAt(SimTime::FromNanos(15), [] {});
+      look();  // the new event took the root's place
+      loop.ScheduleAt(SimTime::FromNanos(25), [] {});
+      look();
+    });
+    for (size_t i = 0; i < others; ++i) {
+      loop.ScheduleAt(SimTime::FromNanos(20), [] {});
+    }
+    EXPECT_EQ(loop.PendingEvents(), 1 + others);
+    EXPECT_EQ(loop.RunToCompletion(), 3 + others);
+    EXPECT_EQ(pending, (std::vector<size_t>{others, others + 1, others + 2}));
+    EXPECT_EQ(empty, (std::vector<bool>{others == 0, false, false}));
+    EXPECT_TRUE(loop.Empty());
+  }
+}
+
+TEST(EventLoop, BoxedCallbackMayClearTheLoopAndQueueAgain) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.ScheduleAt(SimTime::FromNanos(10), [&] {
+    order.push_back(1);
+    loop.Clear();
+    EXPECT_TRUE(loop.Empty());
+    loop.ScheduleAt(SimTime::FromNanos(40), [&] { order.push_back(4); });
+    EXPECT_EQ(loop.PendingEvents(), 1u);
+  });
+  loop.ScheduleAt(SimTime::FromNanos(20), [&] { order.push_back(2); });
+  loop.ScheduleAt(SimTime::FromNanos(30), [&] { order.push_back(3); });
+  EXPECT_EQ(loop.RunToCompletion(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 4}));
+  EXPECT_TRUE(loop.Empty());
+}
+
+TEST(EventLoopDeathTest, RunFromInsideAnEventIsRefused) {
+  EXPECT_DEATH(
+      {
+        EventLoop loop;
+        loop.ScheduleAt(SimTime::FromNanos(10), [&loop] { loop.RunUntil(SimTime::FromNanos(20)); });
+        loop.RunToCompletion();
+      },
+      "inside a running event");
+  EXPECT_DEATH(
+      {
+        EventLoop loop;
+        loop.ScheduleAt(SimTime::FromNanos(10), [&loop] { loop.RunToCompletion(); });
+        loop.RunUntil(SimTime::FromNanos(20));
+      },
+      "inside a running event");
+}
+
+// A target that queues its own next event 1 ns later, beside 1600 far-future wakeups:
+// its new key replaces its spent one at the root and sifts one level (4 compares), so
+// the heap work per event does not grow with what else is pending. (A pop of the root,
+// which sinks the last leaf through every level, plus a push cost about 25 here.)
+TEST(HarnessCounters, SelfRequeueingEventCostsOneLevelWhateverIsPending) {
+  struct Idle final : EventLoop::Target {
+    void Fire(EventLoop::Slot /*slot*/) override {}
+  };
+  struct SelfRequeue final : EventLoop::Target {
+    explicit SelfRequeue(EventLoop& l) : loop(l) {}
+    void Fire(EventLoop::Slot /*slot*/) override {
+      loop.ScheduleAt(loop.Now() + SimDuration::FromNanos(1), *this);
+    }
+    EventLoop& loop;
+  };
+  EventLoop loop;
+  Idle idle;
+  for (uint64_t i = 0; i < 1600; ++i) {
+    loop.ScheduleAt(SimTime::FromSeconds(1) + SimDuration::FromNanos(i), idle);
+  }
+  SelfRequeue target(loop);
+  loop.ScheduleAt(SimTime::FromNanos(1), target);
+
+  const HarnessCounters before = thread_harness_counters;
+  EXPECT_EQ(loop.RunUntil(SimTime::FromNanos(10'000)), 10'000u);  // at 1..10000 ns
+  const HarnessCounters window = thread_harness_counters - before;
+  EXPECT_EQ(window.events_run, 10'000u);
+  EXPECT_LE(window.event_key_compares, 4 * window.events_run);
+  EXPECT_EQ(loop.PendingEvents(), 1601u);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@
 # corruption (frames whose flipped header bits the host cannot parse), a latency run
 # per system and stack, the text reports (--profile, --connections with its
 # per-connection TCP states, and one latency report without --json), a --trace run, an
-# 80-connection SMP run, a --fill-checksums run with its --pcap capture, an optimized
-# lossy run (drop + reorder) with its --pcap capture and the default zero TCP checksums
-# (the bytes of SYNs, data, retransmits and template ACKs as the frame writer lays them
-# out), and the receive checksum paths: corrupted frames with real checksums at 1 and 4
-# cores (the NIC flags them, the aggregator bypasses them, the stack's software verify
-# drops them), and aggregation without rx checksum offload.
+# 80-connection SMP run, Figure 13's optimized 8-core point (400 connections on
+# --link-gbps=10 links) with a short window, a --fill-checksums run with its --pcap
+# capture, an optimized lossy run (drop + reorder) with its --pcap capture and the
+# default zero TCP checksums (the bytes of SYNs, data, retransmits and template ACKs as
+# the frame writer lays them out), and the receive checksum paths: corrupted frames with
+# real checksums at 1 and 4 cores (the NIC flags them, the aggregator bypasses them, the
+# stack's software verify drops them), and aggregation without rx checksum offload.
 
 set -eu
 
@@ -99,6 +100,8 @@ run latency-xen-opt-text latency --system=xen --optimized
 run trace-up-agg stream --aggregation --limit=8 --nics=2 --measure-ms=5 --trace
 # shellcheck disable=SC2086
 run smp-80conn stream --system=smp --optimized --cores=4 --conns-per-nic=16 $window --json
+run fig13-smp-8-opt stream --system=smp --optimized --cores=8 --conns-per-nic=80 --link-gbps=10 \
+  --warmup-ms=50 --measure-ms=20 --json
 run pcap-fill-checksums stream --optimized --fill-checksums --nics=1 --warmup-ms=5 \
   --measure-ms=5 --pcap=capture.pcap --json
 run pcap-lossy stream --optimized --drop=0.01 --reorder=0.02 --seed=3 --nics=1 \

@@ -5,19 +5,23 @@
 //   tcprx_sim stream  [--system=up|smp|xen] [--aggregation] [--ack-offload]
 //                     [--optimized] [--limit=N] [--hardware-lro]
 //                     [--nics=N] [--conns-per-nic=N] [--mss=N]
-//                     [--cores=N] [--no-rss]
+//                     [--cores=N] [--no-rss] [--link-gbps=N]
 //                     [--prefetch=none|partial|full] [--no-rx-csum-offload]
 //                     [--warmup-ms=N] [--measure-ms=N]
 //                     [--drop=P] [--reorder=P] [--duplicate=P] [--corrupt=P]
 //                     [--seed=N] [--burst-drop-period=N] [--burst-drop-length=N]
 //                     [--reorder-delay-us=N]
 //                     [--fill-checksums] [--pcap=FILE]
-//                     [--trace] [--trace-limit=N] [--connections] [--profile] [--json]
+//                     [--trace] [--trace-limit=N] [--connections] [--profile]
+//                     [--harness-stats] [--json]
 //   tcprx_sim latency [--system=...] [--optimized] [--measure-ms=N] [--json]
 //
-// --trace, --connections and --profile are text reports; each is refused with --json,
-// whose stdout is one JSON object. --profile is the flat profile of the measurement
-// window, summed over all cores.
+// --link-gbps=N sets the rate of every link, both directions, to N Gb/s (default 1;
+// Figure 13 runs at 10). --trace, --connections, --profile and --harness-stats are text
+// reports; each is refused with --json, whose stdout is one JSON object. --profile is
+// the flat profile of the measurement window, summed over all cores. --harness-stats is
+// the simulator's own work in that window (src/util/harness_counters.h: events run,
+// event-heap key compares, frames parsed, ...), each counter per simulated data packet.
 //
 // The tool only parses: the testbed's ConfigErrors says which values are out of
 // range, and each of its messages is printed before the tool exits with status 2.
@@ -26,6 +30,7 @@
 //   tcprx_sim stream --system=xen --optimized
 //   tcprx_sim stream --aggregation --limit=8 --nics=2 --trace --measure-ms=5
 //   tcprx_sim stream --system=smp --optimized --cores=4 --conns-per-nic=80
+//   tcprx_sim stream --system=smp --optimized --cores=8 --conns-per-nic=80 --link-gbps=10
 //   tcprx_sim stream --drop=0.01 --optimized --json
 
 #include <algorithm>
@@ -41,6 +46,7 @@
 #include "src/sim/report.h"
 #include "src/sim/testbed.h"
 #include "src/sim/trace.h"
+#include "src/util/harness_counters.h"
 #include "tools/flag_parser.h"
 
 namespace tcprx {
@@ -51,14 +57,15 @@ int Usage() {
       "usage: tcprx_sim <stream|latency> [flags]\n"
       "  common: --system=up|smp|xen  --optimized  --aggregation  --ack-offload\n"
       "          --limit=N  --hardware-lro  --prefetch=none|partial|full  --fill-checksums\n"
-      "          --json\n"
+      "          --link-gbps=N (every link's rate, default 1)  --json\n"
       "  stream: --nics=N  --conns-per-nic=N  --mss=N  --warmup-ms=N  --measure-ms=N\n"
       "          --cores=N (multi-core receive host, RSS on by default)  --no-rss\n"
       "          --no-rx-csum-offload  --drop=P  --reorder=P  --duplicate=P  --corrupt=P\n"
       "          --seed=N  --burst-drop-period=N  --burst-drop-length=N  --reorder-delay-us=N\n"
       "          --pcap=FILE  --trace  --trace-limit=N  --connections\n"
       "          --profile (flat profile of the window, all cores)\n"
-      "  --trace, --connections and --profile cannot be combined with --json\n");
+      "          --harness-stats (the simulator's own work per data packet)\n"
+      "  --trace, --connections, --profile and --harness-stats cannot be combined with --json\n");
   return 2;
 }
 
@@ -90,6 +97,11 @@ std::optional<PrefetchMode> ParsePrefetch(const std::string& name) {
 
 TestbedConfig BuildConfig(FlagParser& flags) {
   TestbedConfig config;
+  // Saturated, so that a rate past 64 bits is refused as out of range, not wrapped.
+  constexpr uint64_t kBitsPerGigabit = 1'000'000'000;
+  const uint64_t gbps = flags.GetUint("link-gbps", 1);
+  config.link.bits_per_second =
+      gbps > UINT64_MAX / kBitsPerGigabit ? UINT64_MAX : gbps * kBitsPerGigabit;
   const SystemType system = *ParseSystem(flags.GetString("system", "up"));
   if (flags.GetBool("optimized")) {
     config.stack = StackConfig::Optimized(system);
@@ -187,6 +199,17 @@ void PrintStreamJson(const StreamResult& r, const TestbedConfig& config) {
   std::printf("  }\n}\n");
 }
 
+// The simulator's own work in the measurement window, each counter per data packet.
+void PrintHarnessStats(const HarnessCounters& window, uint64_t data_packets) {
+  std::printf("\nharness work per data packet (%llu data packets in the window):\n",
+              static_cast<unsigned long long>(data_packets));
+  for (const HarnessCounterField& field : kHarnessCounterFields) {
+    const double count = static_cast<double>(window.*field.value);
+    std::printf("  %-24s %12.3f\n", field.name,
+                data_packets > 0 ? count / static_cast<double>(data_packets) : 0.0);
+  }
+}
+
 int RunStream(FlagParser& flags) {
   TestbedConfig config = BuildConfig(flags);
   config.num_nics = flags.GetUint("nics", 5);
@@ -205,9 +228,12 @@ int RunStream(FlagParser& flags) {
   const bool trace = flags.GetBool("trace");
   const bool want_connections = flags.GetBool("connections");
   const bool want_profile = flags.GetBool("profile");
+  const bool want_harness_stats = flags.GetBool("harness-stats");
   // --json's stdout is one JSON object: a text report can neither precede nor replace it.
-  const std::pair<const char*, bool> text_reports[] = {
-      {"trace", trace}, {"connections", want_connections}, {"profile", want_profile}};
+  const std::pair<const char*, bool> text_reports[] = {{"trace", trace},
+                                                       {"connections", want_connections},
+                                                       {"profile", want_profile},
+                                                       {"harness-stats", want_harness_stats}};
   for (const auto& [name, wanted] : text_reports) {
     if (want_json && wanted) {
       std::fprintf(stderr, "--%s is a text report and cannot be combined with --json\n", name);
@@ -266,6 +292,9 @@ int RunStream(FlagParser& flags) {
     if (want_profile) {
       std::printf("\nflat profile (OProfile-style):\n");
       PrintFlatProfile(result);
+    }
+    if (want_harness_stats) {
+      PrintHarnessStats(bed.window_harness_counters(), result.data_packets);
     }
   }
   if (pcap) {
