@@ -1,205 +1,91 @@
 #include "src/analysis/config.h"
 
-#include <fstream>
-#include <sstream>
-
 namespace tcprx::analysis {
-namespace {
 
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' || s.front() == '\r')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+const Config& ProjectConfig() {
+  static const Config config{
+      // The simulation must be a pure function of its seed. Wall clocks and global
+      // entropy sources are banned everywhere except the sanctioned wrappers.
+      .determinism_banned_calls =
+          {
+              "rand", "srand", "random", "srandom", "drand48", "lrand48", "mrand48",
+              "time", "clock", "clock_gettime", "gettimeofday", "getrandom", "getentropy",
+          },
+      .determinism_banned_types =
+          {
+              "random_device", "mt19937", "mt19937_64", "minstd_rand", "minstd_rand0",
+              "default_random_engine", "ranlux24", "ranlux48", "knuth_b",
+              "system_clock", "steady_clock", "high_resolution_clock",
+          },
+      .determinism_exempt_files = {"src/util/rng.h", "src/util/sim_time.h"},
 
-// Strips a trailing comment that is not inside a quoted string.
-std::string_view StripComment(std::string_view s) {
-  bool in_string = false;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '"') {
-      in_string = !in_string;
-    } else if (s[i] == '#' && !in_string) {
-      return s.substr(0, i);
-    }
-  }
-  return s;
-}
+      // The receive-path DAG: each layer may include itself plus the layers listed
+      // here. A src/ layer absent from this table may not include outside itself.
+      .layer_allow =
+          {
+              {"src/util", {}},
+              {"src/cpu", {"src/util"}},
+              {"src/wire", {"src/util"}},
+              {"src/buffer", {"src/util", "src/wire"}},
+              {"src/nic", {"src/util", "src/wire", "src/buffer"}},
+              {"src/driver", {"src/util", "src/cpu", "src/buffer", "src/nic"}},
+              {"src/ip", {"src/util", "src/wire", "src/buffer"}},
+              {"src/tcp", {"src/util", "src/wire", "src/buffer"}},
+              {"src/core", {"src/util", "src/wire", "src/buffer", "src/tcp"}},
+              {"src/xen", {"src/util", "src/cpu", "src/buffer"}},
+              {"src/stack",
+               {"src/util", "src/cpu", "src/wire", "src/buffer", "src/nic", "src/driver",
+                "src/ip", "src/tcp", "src/core", "src/xen"}},
+              {"src/smp",
+               {"src/util", "src/cpu", "src/wire", "src/buffer", "src/nic", "src/driver",
+                "src/ip", "src/tcp", "src/core", "src/xen", "src/stack"}},
+              {"src/sim",
+               {"src/util", "src/cpu", "src/wire", "src/buffer", "src/nic", "src/driver",
+                "src/ip", "src/tcp", "src/core", "src/xen", "src/stack", "src/smp"}},
+              {"src/fuzz",
+               {"src/util", "src/cpu", "src/wire", "src/buffer", "src/nic", "src/driver",
+                "src/ip", "src/tcp", "src/core", "src/xen", "src/stack", "src/smp",
+                "src/sim"}},
+              {"src/analysis", {}},
+          },
 
-// Raw parse result: section -> key -> list of values (a scalar is a 1-element list).
-using RawConfig = std::map<std::string, std::map<std::string, std::vector<std::string>>>;
+      // Only the helpers may read raw big-endian bytes or byte-swap; everything else
+      // goes through LoadBe*/StoreBe* or the be16/be32 WireLoad overlays.
+      .byteorder_helper_files = {"src/util/byte_order.h", "src/wire/raw_view.h"},
+      .byteorder_banned =
+          {
+              "htons", "ntohs", "htonl", "ntohl",
+              "bswap_16", "bswap_32", "bswap_64",
+              "__builtin_bswap16", "__builtin_bswap32", "__builtin_bswap64",
+          },
 
-// Extracts the comma-separated scalars from an array body (between '[' and ']'),
-// appending to `values`. Returns false on malformed input.
-bool ParseArrayItems(std::string_view body, std::vector<std::string>& values,
-                     std::string& error) {
-  size_t i = 0;
-  while (i < body.size()) {
-    while (i < body.size() &&
-           (body[i] == ' ' || body[i] == '\t' || body[i] == ',' || body[i] == '\r')) {
-      ++i;
-    }
-    if (i >= body.size()) {
-      break;
-    }
-    if (body[i] == '"') {
-      const size_t end = body.find('"', i + 1);
-      if (end == std::string_view::npos) {
-        error = "unterminated string in array";
-        return false;
-      }
-      values.emplace_back(body.substr(i + 1, end - i - 1));
-      i = end + 1;
-    } else {
-      size_t end = i;
-      while (end < body.size() && body[end] != ',' && body[end] != ' ' && body[end] != '\t') {
-        ++end;
-      }
-      values.emplace_back(body.substr(i, end - i));
-      i = end;
-    }
-  }
-  return true;
-}
+      // In these layers, a function that touches packet headers/payload must bill the
+      // cycles through a Charge* call in the same function, or carry an allow
+      // annotation explaining which caller pays.
+      .charge_layers = {"src/driver", "src/ip", "src/tcp", "src/stack", "src/core"},
+      .charge_primitives =
+          {
+              "memcpy", "memmove", "memset",
+              "ParseEthernet", "ParseIpv4", "ParseTcp", "ParseTcpFrame",
+              "SerializeEthernet", "SerializeIpv4", "SerializeTcp", "BuildTcpFrame",
+              "WriteTcpFrame",
+              "TcpChecksum", "VerifyTcpChecksum", "VerifyFrameTcpChecksum",
+              "VerifyIpv4Checksum",
+              "InternetChecksum",
+          },
+      .charge_calls =
+          {
+              "Charge", "ChargeLocks", "ChargeWakeup", "ChargeTxStackPass",
+              "ChargeSharedLine",
+          },
 
-bool ParseRaw(std::string_view text, RawConfig& raw, std::string& error) {
-  std::string section;
-  size_t pos = 0;
-  int line_no = 0;
-  while (pos <= text.size()) {
-    const size_t nl = text.find('\n', pos);
-    std::string_view line = text.substr(pos, nl == std::string_view::npos ? text.size() - pos
-                                                                          : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-    ++line_no;
-    line = Trim(StripComment(line));
-    if (line.empty()) {
-      continue;
-    }
-    if (line.front() == '[') {
-      if (line.back() != ']') {
-        error = "line " + std::to_string(line_no) + ": malformed section header";
-        return false;
-      }
-      section = std::string(Trim(line.substr(1, line.size() - 2)));
-      raw[section];  // record even if empty
-      continue;
-    }
-    const size_t eq = [&] {
-      bool in_string = false;
-      for (size_t i = 0; i < line.size(); ++i) {
-        if (line[i] == '"') {
-          in_string = !in_string;
-        } else if (line[i] == '=' && !in_string) {
-          return i;
-        }
-      }
-      return std::string_view::npos;
-    }();
-    if (eq == std::string_view::npos) {
-      error = "line " + std::to_string(line_no) + ": expected key = value";
-      return false;
-    }
-    std::string_view key = Trim(line.substr(0, eq));
-    if (key.size() >= 2 && key.front() == '"' && key.back() == '"') {
-      key = key.substr(1, key.size() - 2);  // quoted keys: "src/tcp" = [...]
-    }
-    std::string_view value = Trim(line.substr(eq + 1));
-    std::vector<std::string> items;
-    if (!value.empty() && value.front() == '[') {
-      // Array; may span lines until the matching ']'.
-      std::string body(value.substr(1));
-      while (body.find(']') == std::string::npos) {
-        if (pos > text.size()) {
-          error = "unterminated array for key '" + std::string(key) + "'";
-          return false;
-        }
-        const size_t next_nl = text.find('\n', pos);
-        std::string_view cont = text.substr(
-            pos, next_nl == std::string_view::npos ? text.size() - pos : next_nl - pos);
-        pos = next_nl == std::string_view::npos ? text.size() + 1 : next_nl + 1;
-        ++line_no;
-        body += ' ';
-        body += std::string(Trim(StripComment(cont)));
-      }
-      body = body.substr(0, body.find(']'));
-      if (!ParseArrayItems(body, items, error)) {
-        return false;
-      }
-    } else if (!value.empty() && value.front() == '"') {
-      if (value.size() < 2 || value.back() != '"') {
-        error = "line " + std::to_string(line_no) + ": unterminated string";
-        return false;
-      }
-      items.emplace_back(value.substr(1, value.size() - 2));
-    } else {
-      items.emplace_back(value);  // bare scalar: bool/int, kept as text
-    }
-    raw[section][std::string(key)] = std::move(items);
-  }
-  return true;
-}
-
-std::vector<std::string> GetList(const RawConfig& raw, const std::string& section,
-                                 const std::string& key) {
-  auto s = raw.find(section);
-  if (s == raw.end()) {
-    return {};
-  }
-  auto k = s->second.find(key);
-  return k == s->second.end() ? std::vector<std::string>{} : k->second;
-}
-
-std::set<std::string> GetSet(const RawConfig& raw, const std::string& section,
-                             const std::string& key) {
-  auto list = GetList(raw, section, key);
-  return {list.begin(), list.end()};
-}
-
-}  // namespace
-
-bool Config::Parse(std::string_view text, Config& out, std::string& error) {
-  RawConfig raw;
-  if (!ParseRaw(text, raw, error)) {
-    return false;
-  }
-  out.determinism_banned_calls = GetList(raw, "determinism", "banned_calls");
-  out.determinism_banned_types = GetList(raw, "determinism", "banned_types");
-  out.determinism_exempt_files = GetSet(raw, "determinism", "exempt_files");
-
-  if (auto it = raw.find("layering.allow"); it != raw.end()) {
-    for (const auto& [layer, allowed] : it->second) {
-      out.layer_allow[layer] = {allowed.begin(), allowed.end()};
-    }
-  }
-
-  out.byteorder_helper_files = GetSet(raw, "byteorder", "helper_files");
-  out.byteorder_banned = GetList(raw, "byteorder", "banned");
-
-  out.charge_layers = GetSet(raw, "charge", "layers");
-  out.charge_primitives = GetList(raw, "charge", "primitives");
-  out.charge_calls = GetList(raw, "charge", "calls");
-
-  if (auto layer = GetList(raw, "smp", "layer"); !layer.empty()) {
-    out.smp_layer = layer.front();
-  }
-  out.smp_shared_classes = GetSet(raw, "smp", "shared_classes");
-  out.smp_annotations = GetList(raw, "smp", "annotations");
-  return true;
-}
-
-bool Config::Load(const std::string& path, Config& out, std::string& error) {
-  std::ifstream in(path);
-  if (!in) {
-    error = "cannot open config file: " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return Parse(buf.str(), out, error);
+      // Instances of these classes are shared across per-core stack shards; every
+      // mutable data member must declare its sharing discipline.
+      .smp_layer = "src/smp",
+      .smp_shared_classes = {"InterCoreModel", "FlowDirector"},
+      .smp_annotations = {"TCPRX_GUARDED_BY", "TCPRX_SHARED"},
+  };
+  return config;
 }
 
 }  // namespace tcprx::analysis

@@ -1,11 +1,8 @@
-// tcprx_check configuration, loaded from the checked-in tcprx_check.toml.
+// tcprx_check's policy: the token lists, layer DAG and exempt files every rule reads.
 //
-// The parser accepts the small TOML subset the config actually uses — [section]
-// headers, `key = value` with string / bool / integer / string-array values (arrays
-// may span lines), and `#` comments — so the analyzer stays dependency-free. The
-// config is data, not policy: every rule reads its layer lists, token lists, and
-// exempt files from here, which is what lets the fixture tests run the same engine
-// against a synthetic tree.
+// The project has one policy, compiled in as ProjectConfig(). The rules take a
+// `const Config&` so the fixture tests run the same engine against a synthetic tree
+// under that same policy.
 
 #ifndef SRC_ANALYSIS_CONFIG_H_
 #define SRC_ANALYSIS_CONFIG_H_
@@ -13,7 +10,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace tcprx::analysis {
@@ -50,17 +46,16 @@ struct Config {
 
   // -- smp-share --------------------------------------------------------------------
   // Layer dir holding the multi-core subsystem.
-  std::string smp_layer = "src/smp";
+  std::string smp_layer;
   // Classes whose instances are shared across core shards: every mutable data member
   // must carry a sharing annotation.
   std::set<std::string> smp_shared_classes;
   // Annotation macros that satisfy the rule.
   std::vector<std::string> smp_annotations;
-
-  // Loads from TOML text. Returns false and fills `error` on malformed input.
-  static bool Parse(std::string_view text, Config& out, std::string& error);
-  static bool Load(const std::string& path, Config& out, std::string& error);
 };
+
+// The project's policy (defined in config.cc), the one config tcprx_check runs with.
+const Config& ProjectConfig();
 
 }  // namespace tcprx::analysis
 

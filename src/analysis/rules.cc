@@ -113,7 +113,7 @@ void CheckLayering(const AnalyzedFile& file, const Config& config,
     }
     if (allowed_it == config.layer_allow.end()) {
       Emit(file, kLayering, inc.line,
-           "layer '" + file.layer + "' is not in the layering DAG (tcprx_check.toml) but "
+           "layer '" + file.layer + "' is not in the layering DAG (src/analysis/config.cc) but "
            "includes \"" + inc.path + "\"",
            out);
       continue;

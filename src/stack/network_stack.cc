@@ -1,5 +1,7 @@
 #include "src/stack/network_stack.h"
 
+#include <algorithm>
+
 #include "src/core/template_ack.h"
 #include "src/util/logging.h"
 
@@ -291,54 +293,40 @@ TcpConnection* NetworkStack::AcceptNew(const SkBuff& skb) {
 // ---------------------------------------------------------------------------
 
 TcpConnection* NetworkStack::CreateConnection(const TcpConnectionConfig& config) {
-  auto entry = std::make_unique<ConnectionEntry>();
-  ConnectionEntry* raw_entry = entry.get();
-  entry->conn = std::make_unique<TcpConnection>(
-      config, loop_, [this, raw_entry](TcpOutputItem&& item) {
-        HandleConnectionOutput(*raw_entry->conn, std::move(item));
-      });
-  TcpConnection* conn = entry->conn.get();
-  WireConnection(*entry);
-  demux_.InsertOrAssign(conn->IncomingFlowKey(), conn);
-  connections_.push_back(std::move(entry));
-  return conn;
-}
-
-void NetworkStack::WireConnection(ConnectionEntry& entry) {
-  TcpConnection* conn = entry.conn.get();
-  ConnectionEntry* raw_entry = &entry;
+  connections_.push_back(std::make_unique<TcpConnection>(
+      config, loop_, [this, dst = config.remote_ip](TcpOutputItem&& item) {
+        HandleConnectionOutput(dst, std::move(item));
+      }));
+  TcpConnection* conn = connections_.back().get();
   conn->set_on_closed([this, conn] {
-    // Free the 4-tuple: a later connection may legitimately reuse it. The entry (and
-    // the connection object) stay alive so held pointers remain valid.
+    // Free the 4-tuple: a later connection may legitimately reuse it. The connection
+    // object stays alive so held pointers remain valid.
     TcpConnection* const* mapped = demux_.Find(conn->IncomingFlowKey());
     if (mapped != nullptr && *mapped == conn) {
       demux_.Erase(conn->IncomingFlowKey());
     }
   });
-  conn->set_on_data([this, raw_entry](std::span<const uint8_t> data) {
-    // The kernel-to-application copy: the canonical per-byte operation. Charged per
-    // delivered span so an aggregated packet's fragment chain costs the same streamed
-    // bytes it would cost unaggregated.
-    charger_.Charge(Routine::kCopyToUser, cache_.CopyCycles(data.size()));
-    account_.counters().payload_bytes += data.size();
-    if (raw_entry->app_on_data) {
-      raw_entry->app_on_data(data);
-    }
-  });
+  conn->set_on_data([this](std::span<const uint8_t> data) { ChargeCopyToUser(data.size()); });
+  demux_.InsertOrAssign(conn->IncomingFlowKey(), conn);
+  return conn;
 }
 
-NetworkStack::ConnectionEntry& NetworkStack::EntryFor(TcpConnection& conn) {
-  for (auto& entry : connections_) {
-    if (entry->conn.get() == &conn) {
-      return *entry;
-    }
-  }
-  TCPRX_CHECK_MSG(false, "connection not owned by this stack");
-  __builtin_unreachable();
+void NetworkStack::ChargeCopyToUser(size_t bytes) {
+  // The kernel-to-application copy: the canonical per-byte operation. Charged per
+  // delivered span so an aggregated packet's fragment chain costs the same streamed
+  // bytes it would cost unaggregated.
+  charger_.Charge(Routine::kCopyToUser, cache_.CopyCycles(bytes));
+  account_.counters().payload_bytes += bytes;
 }
 
 void NetworkStack::SetConnectionDataHandler(TcpConnection& conn, TcpConnection::DataFn fn) {
-  EntryFor(conn).app_on_data = std::move(fn);
+  TCPRX_CHECK_MSG(std::any_of(connections_.begin(), connections_.end(),
+                              [&conn](const auto& owned) { return owned.get() == &conn; }),
+                  "connection not owned by this stack");
+  conn.set_on_data([this, fn = std::move(fn)](std::span<const uint8_t> data) {
+    ChargeCopyToUser(data.size());
+    fn(data);
+  });
 }
 
 void NetworkStack::Listen(uint16_t port, AcceptFn on_accept) {
@@ -368,7 +356,7 @@ void NetworkStack::ChargeTxStackPass(size_t payload_size, bool is_template) {
   }
 }
 
-void NetworkStack::HandleConnectionOutput(TcpConnection& conn, TcpOutputItem&& item) {
+void NetworkStack::HandleConnectionOutput(Ipv4Address dst, TcpOutputItem&& item) {
   auto& counters = account_.counters();
   const size_t n_acks = 1 + item.extra_acks.size();
 
@@ -393,7 +381,6 @@ void NetworkStack::HandleConnectionOutput(TcpConnection& conn, TcpOutputItem&& i
 
   // Either way the wire carries every ACK of a run, byte-identical to what the TCP
   // layer would have emitted for each ACK individually.
-  const Ipv4Address dst = conn.config().remote_ip;
   ExpandTemplateAck(std::move(item), [this, dst](std::vector<uint8_t>&& frame) {
     TransmitBuiltFrame(dst, std::move(frame));
   });

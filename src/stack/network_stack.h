@@ -91,14 +91,15 @@ class NetworkStack : public RxSink {
   using AcceptFn = std::function<void(TcpConnection&)>;
   void Listen(uint16_t port, AcceptFn on_accept);
 
-  // Installs the application's data handler; delivered bytes are charged as the
-  // kernel-to-user copy before the handler runs.
+  // Installs the application's data handler, replacing any earlier one; delivered
+  // bytes are charged as the kernel-to-user copy before the handler runs (without a
+  // handler they are charged all the same). Aborts unless this stack owns `conn`.
   void SetConnectionDataHandler(TcpConnection& conn, TcpConnection::DataFn fn);
 
   // Iterates all connections this stack owns (diagnostics, workload teardown).
   void ForEachConnection(const std::function<void(TcpConnection&)>& fn) const {
-    for (const auto& entry : connections_) {
-      fn(*entry->conn);
+    for (const auto& conn : connections_) {
+      fn(*conn);
     }
   }
 
@@ -130,22 +131,16 @@ class NetworkStack : public RxSink {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct ConnectionEntry {
-    std::unique_ptr<TcpConnection> conn;
-    TcpConnection::DataFn app_on_data;
-  };
-
   // Hardware LRO's driver, sk_buff and softirq work for one host packet.
   void ChargeLroHostPacket();
   void DeliverHostPacket(SkBuffPtr skb);
   void SendReset(const SkBuff& skb);
-  void HandleConnectionOutput(TcpConnection& conn, TcpOutputItem&& item);
+  void HandleConnectionOutput(Ipv4Address dst, TcpOutputItem&& item);
+  void ChargeCopyToUser(size_t bytes);
   void ChargeTxStackPass(size_t payload_size, bool is_template);
   void TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t>&& frame);
   TcpConnection* Demux(const SkBuff& skb);
   TcpConnection* AcceptNew(const SkBuff& skb);
-  ConnectionEntry& EntryFor(TcpConnection& conn);
-  void WireConnection(ConnectionEntry& entry);
 
   StackConfig config_;
   EventLoop& loop_;
@@ -162,7 +157,7 @@ class NetworkStack : public RxSink {
   std::unique_ptr<Aggregator> aggregator_;
 
   FlatMap<FlowKey, TcpConnection*, FlowKeyHash> demux_;
-  std::vector<std::unique_ptr<ConnectionEntry>> connections_;
+  std::vector<std::unique_ptr<TcpConnection>> connections_;
   std::unordered_map<uint16_t, AcceptFn> listeners_;
   uint32_t next_iss_ = 20000;
   bool in_driver_batch_ = false;

@@ -4,8 +4,8 @@
 // more than one simulated core documents, at the declaration site, who may touch
 // it and under what protection. tcprx_check's smp-share rule requires one of
 // these on every mutable namespace-scope/static variable in src/smp and on every
-// mutable data member of the classes listed under [smp] shared_classes in
-// tcprx_check.toml.
+// mutable data member of the classes listed in smp_shared_classes of the analyzer's
+// compiled-in config (src/analysis/config.cc).
 //
 //   TCPRX_GUARDED_BY(x)  -- mutated by multiple cores; protected by x (a lock
 //                           member, or a short phrase such as "steering table

@@ -1,6 +1,6 @@
 // Tests for tcprx_check: lexer/config/structure units, each rule against its
 // must-flag/must-pass fixture pair under tests/analysis/fixtures/, and a golden
-// end-to-end run of the whole fixture set with the real tcprx_check.toml.
+// end-to-end run of the whole fixture set with the project's compiled-in config.
 //
 // Fixtures are analyzed under a synthetic src/<layer>/ display path so the layer
 // rules fire; the files themselves are never compiled.
@@ -27,18 +27,6 @@ std::string ReadFile(const std::string& path) {
 
 std::string SourcePath(const std::string& rel) {
   return std::string(TCPRX_SOURCE_DIR) + "/" + rel;
-}
-
-const Config& RealConfig() {
-  static const Config config = [] {
-    Config c;
-    std::string error;
-    if (!Config::Load(SourcePath("tcprx_check.toml"), c, error)) {
-      ADD_FAILURE() << error;
-    }
-    return c;
-  }();
-  return config;
 }
 
 // One rule's fixture pair plus the display path the pair is analyzed under.
@@ -70,7 +58,7 @@ std::vector<Finding> CheckFixture(const std::string& rel,
   const std::string contents = ReadFile(SourcePath("tests/analysis/fixtures/" + rel));
   const AnalyzedFile file = Analyze(display_path, contents);
   std::vector<Finding> findings;
-  CheckAll(file, RealConfig(), findings);
+  CheckAll(file, ProjectConfig(), findings);
   return findings;
 }
 
@@ -130,35 +118,8 @@ TEST(Lexer, ExtractsIncludesAndGuards) {
 
 // ---- config -----------------------------------------------------------------------
 
-TEST(Config, ParsesSectionsArraysAndQuotedKeys) {
-  Config config;
-  std::string error;
-  ASSERT_TRUE(Config::Parse(
-      "[determinism]\n"
-      "banned_calls = [\"rand\",\n  \"time\"]  # spans lines\n"
-      "[layering.allow]\n"
-      "\"src/tcp\" = [\"src/util\"]\n"
-      "[smp]\n"
-      "layer = \"src/other\"\n",
-      config, error))
-      << error;
-  ASSERT_EQ(config.determinism_banned_calls.size(), 2u);
-  EXPECT_EQ(config.determinism_banned_calls[1], "time");
-  ASSERT_EQ(config.layer_allow.count("src/tcp"), 1u);
-  EXPECT_EQ(config.layer_allow.at("src/tcp").count("src/util"), 1u);
-  EXPECT_EQ(config.smp_layer, "src/other");
-}
-
-TEST(Config, RejectsMalformedInput) {
-  Config config;
-  std::string error;
-  EXPECT_FALSE(Config::Parse("[oops\n", config, error));
-  EXPECT_FALSE(Config::Parse("[a]\nno_equals_here\n", config, error));
-  EXPECT_FALSE(Config::Parse("[a]\nk = [\"unterminated\"\n", config, error));
-}
-
 TEST(Config, RealConfigHasEveryRuleSection) {
-  const Config& config = RealConfig();
+  const Config& config = ProjectConfig();
   EXPECT_FALSE(config.determinism_banned_calls.empty());
   EXPECT_FALSE(config.determinism_banned_types.empty());
   EXPECT_FALSE(config.layer_allow.empty());

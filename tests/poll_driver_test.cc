@@ -195,5 +195,34 @@ TEST_F(PollDriverTest, HandOffsArriveInTheOrderTheirOwnEventsWould) {
   EXPECT_EQ(answered, (std::vector<uint16_t>{10001, 10002, 10003}));
 }
 
+TEST_F(PollDriverTest, BacklogOverflowDropsTheFramesPastTheLimit) {
+  // Every hand-off of one instant arrives before the poll step it wakes, so a burst
+  // longer than the backlog drops its tail and the accepted frames run in order.
+  Build(StackConfig::Baseline(SystemType::kNativeUp), 1);
+  constexpr size_t kBurst = PollDriver::kBacklogLimit + 3;
+  for (size_t i = 0; i < kBurst; ++i) {
+    FrameOptions syn;
+    syn.flags = kTcpSyn;
+    syn.src_port = static_cast<uint16_t>(10000 + i);
+    driver_->HandOff(stack_->packet_pool().AllocateMoved(MakeFrame(syn, 0)),
+                     SimTime::FromNanos(100));
+  }
+  loop_.RunUntil(SimTime::FromMillis(100));  // before any SYN-ACK retransmits
+
+  EXPECT_EQ(driver_->stats().backlog_drops, 3u);
+  EXPECT_EQ(driver_->stats().backlog_polled, PollDriver::kBacklogLimit);
+  std::vector<uint16_t> answered;
+  for (const auto& [nic, frame] : sent_) {
+    const auto synack = ParseTcpFrame(frame);
+    ASSERT_TRUE(synack.has_value());
+    answered.push_back(synack->tcp.dst_port);
+  }
+  std::vector<uint16_t> expected(PollDriver::kBacklogLimit);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = static_cast<uint16_t>(10000 + i);
+  }
+  EXPECT_EQ(answered, expected);
+}
+
 }  // namespace
 }  // namespace tcprx

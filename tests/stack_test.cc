@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "src/ip/ipv4_layer.h"
 #include "src/util/byte_order.h"
@@ -162,16 +164,40 @@ TEST_F(StackTest, TransmitRoutedToConfiguredNic) {
 }
 
 TEST_F(StackTest, PerByteCopyChargedForDeliveredData) {
+  // One segment delivered with no data handler, then one with a handler installed:
+  // each charges exactly one kernel-to-user copy of its bytes.
   Build(StackConfig::Baseline(SystemType::kNativeUp));
   TcpConnection* conn = Handshake();
-  const uint64_t before = stack_->account().Get(CostCategory::kPerByte);
-  FrameOptions data;
-  data.seq = 1000;
-  data.ack = static_cast<uint32_t>(conn->snd_nxt_ext());
-  Feed(MakeFrame(data, 1448));
-  const uint64_t charged = stack_->account().Get(CostCategory::kPerByte) - before;
-  EXPECT_EQ(charged, CacheModel(stack_->config().prefetch).CopyCycles(1448));
-  EXPECT_EQ(stack_->account().counters().payload_bytes, 1448u);
+  size_t handled = 0;
+  uint32_t seq = 1000;
+  for (const bool with_handler : {false, true}) {
+    SCOPED_TRACE(with_handler ? "with handler" : "without handler");
+    if (with_handler) {
+      stack_->SetConnectionDataHandler(
+          *conn, [&handled](std::span<const uint8_t> bytes) { handled += bytes.size(); });
+    }
+    const uint64_t before = stack_->account().Get(CostCategory::kPerByte);
+    const uint64_t bytes_before = stack_->account().counters().payload_bytes;
+    FrameOptions data;
+    data.seq = seq;
+    data.ack = static_cast<uint32_t>(conn->snd_nxt_ext());
+    Feed(MakeFrame(data, 1448));
+    seq += 1448;
+    const uint64_t charged = stack_->account().Get(CostCategory::kPerByte) - before;
+    EXPECT_EQ(charged, CacheModel(stack_->config().prefetch).CopyCycles(1448));
+    EXPECT_EQ(stack_->account().counters().payload_bytes - bytes_before, 1448u);
+  }
+  EXPECT_EQ(handled, 1448u);
+}
+
+TEST_F(StackTest, DataHandlerForAnotherStacksConnectionAborts) {
+  Build(StackConfig::Baseline(SystemType::kNativeUp));
+  NetworkStack other(StackConfig::Baseline(SystemType::kNativeUp), loop_,
+                     [](int, std::vector<uint8_t>) {});
+  TcpConnection* foreign = other.CreateConnection(TcpConnectionConfig{});
+  EXPECT_DEATH(
+      stack_->SetConnectionDataHandler(*foreign, [](std::span<const uint8_t>) {}),
+      "not owned by this stack");
 }
 
 TEST_F(StackTest, BaselineChargesTxPerAck) {

@@ -5,9 +5,10 @@
 // big-endian wire bytes stay behind the byte-order helpers, per-packet work in the
 // charged layers must bill cycles through Charger, and cross-core shared state in
 // src/smp must declare its sharing discipline. Rules and their token/layer lists
-// live in tcprx_check.toml; per-line escapes use `// tcprx-check: allow(<rule>)`.
+// are compiled in (ProjectConfig(), src/analysis/config.cc); per-line escapes use
+// `// tcprx-check: allow(<rule>)`.
 //
-// Usage: tcprx_check [--config=tcprx_check.toml] [--quiet] path...
+// Usage: tcprx_check [--quiet] path...   (run from the repo root)
 // Exits 0 when the tree is clean, 1 when there are findings, 2 on usage errors.
 
 #include <cstdio>
@@ -17,17 +18,14 @@
 #include "src/analysis/analyzer.h"
 
 int main(int argc, char** argv) {
-  std::string config_path = "tcprx_check.toml";
   bool quiet = false;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--config=", 0) == 0) {
-      config_path = arg.substr(9);
-    } else if (arg == "--quiet") {
+    if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: tcprx_check [--config=FILE] [--quiet] path...\n");
+      std::printf("usage: tcprx_check [--quiet] path...\n");
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "tcprx_check: unknown flag '%s'\n", arg.c_str());
@@ -42,18 +40,13 @@ int main(int argc, char** argv) {
   }
 
   std::string error;
-  tcprx::analysis::Config config;
-  if (!tcprx::analysis::Config::Load(config_path, config, error)) {
-    std::fprintf(stderr, "tcprx_check: %s\n", error.c_str());
-    return 2;
-  }
   const std::vector<std::string> files = tcprx::analysis::CollectFiles(paths, error);
   if (!error.empty()) {
     std::fprintf(stderr, "tcprx_check: %s\n", error.c_str());
     return 2;
   }
   const std::vector<tcprx::analysis::Finding> findings =
-      tcprx::analysis::RunChecks(files, config, error);
+      tcprx::analysis::RunChecks(files, tcprx::analysis::ProjectConfig(), error);
   if (!error.empty()) {
     std::fprintf(stderr, "tcprx_check: %s\n", error.c_str());
     return 2;
