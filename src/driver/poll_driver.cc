@@ -32,8 +32,18 @@ void PollDriver::Fire(EventLoop::Slot slot) {
   // any other slot is the poll step's.
   if (!handoffs_.empty() && slot == handoffs_.head_slot()) {
     AcceptBacklog(handoffs_.Pop());
-  } else {
-    Poll();
+    return;
+  }
+  // Each next step runs in place while nothing else is due first.
+  for (;;) {
+    const std::optional<SimTime> next = Poll();
+    if (!next.has_value()) {
+      return;
+    }
+    if (!loop_.StepInPlace(*next)) {
+      loop_.ScheduleAt(*next, *this);
+      return;
+    }
   }
 }
 
@@ -74,7 +84,7 @@ void PollDriver::AcceptBacklog(PacketPtr frame) {
   }
 }
 
-void PollDriver::Poll() {
+std::optional<SimTime> PollDriver::Poll() {
   // Frames already steered to this core drain ahead of the hardware rings.
   bool from_backlog = false;
   PacketPtr frame;
@@ -97,7 +107,7 @@ void PollDriver::Poll() {
       for (const NicQueue& q : queues_) {
         q.nic->SetQueuePollMode(q.queue, false);
       }
-      return;
+      return std::nullopt;
     }
     frame = src->nic->PopRx(src->queue);
     ++stats_.frames_polled;
@@ -114,15 +124,14 @@ void PollDriver::Poll() {
       const SimTime done = cycles > 0 ? cpu_.Run(loop_.Now(), cycles) : loop_.Now();
       stack_.FlushDriverBatch(done);
       owner->HandOff(std::move(frame), done);
-      loop_.ScheduleAt(done, *this);
-      return;
+      return done;
     }
   }
   stack_.ReceiveFrame(std::move(frame));
   const uint64_t cycles = stack_.TakeBatchCycles();
   const SimTime done = cpu_.Run(loop_.Now(), cycles);
   stack_.FlushDriverBatch(done);
-  loop_.ScheduleAt(done, *this);
+  return done;
 }
 
 PacketPtr PollDriver::PopBacklog() {

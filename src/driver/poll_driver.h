@@ -2,7 +2,7 @@
 //
 // Owns the interrupt/poll discipline for a set of NIC rx queues feeding one
 // NetworkStack on one core: an interrupt enters poll mode (masking further interrupts
-// on the owned queues), the poll loop drains frames round-robin — one frame per event
+// on the owned queues), the poll loop drains frames round-robin — one frame per step
 // so CPU busy time advances at frame granularity — and when every ring is empty the
 // driver performs the work-conserving aggregation flush (section 3.5 of the paper:
 // "whenever the aggregation routine runs out of network packets to process, it
@@ -16,13 +16,16 @@
 //
 // The driver is the event target of its own poll steps (one queued at a time) and of
 // the frames handed to it, which wait in a slot-sorted queue until their hand-off
-// time, as a link's frames in flight do.
+// time, as a link's frames in flight do. A step whose successor is due before any
+// other event runs that successor in place (EventLoop::StepInPlace), in the slot its
+// event would take, so a burst drains in one event while nothing else is due.
 
 #ifndef SRC_DRIVER_POLL_DRIVER_H_
 #define SRC_DRIVER_POLL_DRIVER_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "src/cpu/cpu_clock.h"
@@ -78,7 +81,8 @@ class PollDriver final : public EventLoop::Target {
   // A hand-off arriving (`slot` is the head hand-off's) or the poll step.
   void Fire(EventLoop::Slot slot) override;
   void OnInterrupt();
-  void Poll();
+  // One poll step; returns the time of the next, or nothing once the driver went idle.
+  std::optional<SimTime> Poll();
   void AcceptBacklog(PacketPtr frame);
   PacketPtr PopBacklog();
   NicQueue* NextNonEmptyQueue();

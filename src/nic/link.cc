@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <utility>
 
+#include "src/util/harness_counters.h"
 #include "src/wire/frame_buffer.h"
 
 namespace tcprx {
@@ -65,6 +66,20 @@ void SimplexLink::Send(std::vector<uint8_t>&& frame) {
     return;
   }
   wire_.Push(loop_.Reserve(arrival), std::move(frame));
+}
+
+void SimplexLink::Fire(EventLoop::Slot slot) {
+  if (puller_ != nullptr) {
+    PullBefore(EventLoop::Slot{slot.when, slot.seq + 1});
+  } else if (!wire_.empty() && wire_.head_slot() == slot) {
+    deliver_(wire_.Pop());
+  }
+}
+
+void SimplexLink::PullHead() {
+  const SimTime arrival = wire_.head_slot().when;
+  ++thread_harness_counters.frames_pulled;
+  puller_->ReceiveFromWire(wire_.Pop(), arrival);
 }
 
 }  // namespace tcprx

@@ -5,9 +5,9 @@
 // paper's ~81,000 MTU packets per second) and delivers them after a fixed propagation
 // latency.
 //
-// Frames move by reference, as std::vector<uint8_t>&&, from Send to the DeliverFn: no
-// hop takes a frame by value, so its buffer is moved only into and out of the wire
-// queue that holds it, and no byte is copied.
+// Frames move by reference, as std::vector<uint8_t>&&, from Send to the DeliverFn or
+// the Receiver that pulls them: no hop takes a frame by value, so its buffer is moved
+// only into and out of the wire queue that holds it, and no byte is copied.
 
 #ifndef SRC_NIC_LINK_H_
 #define SRC_NIC_LINK_H_
@@ -54,13 +54,28 @@ struct LinkConfig {
 // One direction of a link. Frames queue behind the transmitter when offered faster
 // than line rate (an infinite tx queue: senders are paced by TCP, not by this queue).
 // Frames in flight wait in a SlotQueue, each in the event-order slot its own arrival
-// event would take, reserved when it is sent; the link is their wakeup, so they are
-// delivered one per wakeup in exactly the order per-frame events would run, a
-// reordered or duplicated frame that lands early included. The link must outlive its
-// wakeups and not move.
+// event would take, reserved when it is sent, in exactly the order per-frame events
+// would run, a reordered or duplicated frame that lands early included.
+//
+// Pushed (the default), the link is their wakeup and hands each to the DeliverFn in
+// its own slot. Pulled (StartPull), the far end is a NIC whose driver polls: the frames
+// queue no wakeups, and the Receiver takes each one, with its arrival time, once the
+// event order has passed its slot (PullBefore), whenever it looks. A wakeup queued
+// before the pull began still fires in its frame's slot and hands over everything due
+// through it. The link must outlive its wakeups and not move.
 class SimplexLink final : public EventLoop::Target {
  public:
   using DeliverFn = std::function<void(std::vector<uint8_t>&&)>;
+
+  // The far end of a pulled link.
+  class Receiver {
+   public:
+    // `frame` arrived at `arrival`, at or before the running event's time.
+    virtual void ReceiveFromWire(std::vector<uint8_t>&& frame, SimTime arrival) = 0;
+
+   protected:
+    ~Receiver() = default;
+  };
 
   SimplexLink(const LinkConfig& config, EventLoop& loop, DeliverFn deliver)
       : config_(config),
@@ -89,16 +104,37 @@ class SimplexLink final : public EventLoop::Target {
   // Frames sent but not yet delivered.
   size_t frames_in_flight() const { return wire_.size(); }
 
+  // Pull mode: frames queue no wakeups and go to `receiver`, not the DeliverFn, until
+  // StopPull, which resumes the wakeups from the head. The receiver must take every
+  // frame due before the running event (PullBefore) before it stops pulling.
+  void StartPull(Receiver& receiver) {
+    puller_ = &receiver;
+    wire_.SetWakeups(false);
+  }
+  void StopPull() {
+    puller_ = nullptr;
+    wire_.SetWakeups(true);
+  }
+  // Hands the receiver, oldest slot first, every frame due before `bound`. Pulled.
+  void PullBefore(EventLoop::Slot bound) {
+    while (!wire_.empty() && wire_.head_slot() < bound) {
+      PullHead();
+    }
+  }
+
   // Time the transmitter frees up; useful for utilization assertions in tests.
   SimTime busy_until() const { return busy_until_; }
 
  private:
-  // The wakeup: delivers the head frame.
-  void Fire(EventLoop::Slot /*slot*/) override { deliver_(wire_.Pop()); }
+  // The wakeup: delivers the head frame, or, pulled, everything due through `slot`. A
+  // wakeup whose frame was pulled meanwhile finds another head, or none, and is spent.
+  void Fire(EventLoop::Slot slot) override;
+  void PullHead();
 
   LinkConfig config_;
   EventLoop& loop_;
   DeliverFn deliver_;
+  Receiver* puller_ = nullptr;  // while pulled
   std::vector<TapFn> taps_;
   SlotQueue<std::vector<uint8_t>> wire_;  // frames in flight, each in its arrival's slot
   SimTime busy_until_;

@@ -17,7 +17,7 @@ SimulatedNic::SimulatedNic(int id, const NicConfig& config, EventLoop& loop, Pac
   }
 }
 
-void SimulatedNic::DeliverFromWire(std::vector<uint8_t>&& frame) {
+void SimulatedNic::ReceiveFromWire(std::vector<uint8_t>&& frame, SimTime arrival) {
   PacketPtr p = pool_.AllocateMoved(std::move(frame));
 
   if (config_.rx_checksum_offload && p->view.has_value()) {
@@ -32,9 +32,8 @@ void SimulatedNic::DeliverFromWire(std::vector<uint8_t>&& frame) {
   }
 
   ++stats_.rx_frames;
-  const SimTime now = loop_.Now();
-  link_busy_ = stats_.rx_frames > 1 && (now - last_arrival_) < kModerationGap;
-  last_arrival_ = now;
+  link_busy_ = stats_.rx_frames > 1 && (arrival - last_arrival_) < kModerationGap;
+  last_arrival_ = arrival;
 
   const size_t queue = SteerQueue(*p);
   if (!queues_[queue].ring.Push(std::move(p))) {
@@ -82,8 +81,25 @@ void SimulatedNic::RxQueue::Fire(EventLoop::Slot /*slot*/) {
 
 void SimulatedNic::SetQueuePollMode(size_t queue, bool enabled) {
   RxQueue& q = queues_[queue];
-  q.poll_mode = enabled;
-  if (!enabled && !q.ring.Empty()) {
+  if (enabled) {
+    if (!q.poll_mode && ++queues_polled_ == queues_.size() && ingress_ != nullptr) {
+      pulling_ = true;
+      ingress_->StartPull(*this);
+    }
+    q.poll_mode = true;
+    return;
+  }
+  if (pulling_) {
+    // The frames due so far arrived while every queue was polled.
+    TakeDueFrames();
+    pulling_ = false;
+    ingress_->StopPull();
+  }
+  if (q.poll_mode) {
+    --queues_polled_;
+  }
+  q.poll_mode = false;
+  if (!q.ring.Empty()) {
     // Frames raced in while interrupts were masked.
     MaybeRaiseInterrupt(queue);
   }

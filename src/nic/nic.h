@@ -17,8 +17,16 @@
 // the per-frame driver cycles when it touches the ring.
 //
 // Frames arrive from the wire and leave for it by reference (std::vector<uint8_t>&&):
-// DeliverFromWire moves the buffer into a pooled Packet, Transmit hands it to the
-// egress link, and neither copies it.
+// receiving one moves the buffer into a pooled Packet, Transmit hands it to the egress
+// link, and neither copies it.
+//
+// Poll mode without a wakeup per frame: while every rx queue is polled, no arrival can
+// raise an interrupt, so a NIC with an attached ingress link pulls that link
+// (SimplexLink::StartPull) and takes the frames due so far whenever anything looks at
+// a ring or its counters (RxEmpty, RxQueued, PopRx, stats), before a queue leaves poll
+// mode, and when the bed reads the harness counters (TakeDueFrames). Each is received with its own arrival time, in
+// arrival order, so steering, ring overflow, the moderation state and the stats come
+// out exactly as if each frame had been delivered by its own event.
 
 #ifndef SRC_NIC_NIC_H_
 #define SRC_NIC_NIC_H_
@@ -26,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/buffer/packet.h"
@@ -60,16 +69,34 @@ struct NicConfig {
   bool operator==(const NicConfig&) const = default;
 };
 
-class SimulatedNic {
+class SimulatedNic final : private SimplexLink::Receiver {
  public:
   SimulatedNic(int id, const NicConfig& config, EventLoop& loop, PacketPool& pool);
+  SimulatedNic(const SimulatedNic&) = delete;
+  SimulatedNic& operator=(const SimulatedNic&) = delete;
 
   // ---- Link side -------------------------------------------------------------------
-  // A frame arrived from the wire. Stamps offload metadata, steers it to an rx queue
-  // (RSS hash of the 4-tuple, or round-robin with RSS off), enqueues to that ring
+  // A frame arrived from the wire now. Stamps offload metadata, steers it to an rx
+  // queue (RSS hash of the 4-tuple, or round-robin with RSS off), enqueues to that ring
   // (dropping on overflow), and raises the queue's interrupt unless it is being
   // polled.
-  void DeliverFromWire(std::vector<uint8_t>&& frame);
+  void DeliverFromWire(std::vector<uint8_t>&& frame) {
+    ReceiveFromWire(std::move(frame), loop_.Now());
+  }
+
+  // The link whose DeliverFn feeds this NIC. Once attached, the NIC pulls it while
+  // every rx queue is polled.
+  void AttachIngress(SimplexLink* link) { ingress_ = link; }
+
+  // Takes the frames due before the running event from a pulled ingress link: what
+  // per-frame delivery would have received by now. Every ring and counter read below
+  // calls it first; a reader of what receiving does elsewhere (the harness counters)
+  // calls it itself.
+  void TakeDueFrames() {
+    if (pulling_) {
+      ingress_->PullBefore(loop_.Current());
+    }
+  }
 
   // Transmit path: hand a fully built frame to the attached egress link.
   void Transmit(std::vector<uint8_t>&& frame);
@@ -86,9 +113,18 @@ class SimulatedNic {
   void SetQueuePollMode(size_t queue, bool enabled);
   bool poll_mode(size_t queue) const { return queues_[queue].poll_mode; }
 
-  PacketPtr PopRx(size_t queue) { return queues_[queue].ring.Pop().value_or(nullptr); }
-  bool RxEmpty(size_t queue) const { return queues_[queue].ring.Empty(); }
-  size_t RxQueued(size_t queue) const { return queues_[queue].ring.Size(); }
+  PacketPtr PopRx(size_t queue) {
+    TakeDueFrames();
+    return queues_[queue].ring.Pop().value_or(nullptr);
+  }
+  bool RxEmpty(size_t queue) {
+    TakeDueFrames();
+    return queues_[queue].ring.Empty();
+  }
+  size_t RxQueued(size_t queue) {
+    TakeDueFrames();
+    return queues_[queue].ring.Size();
+  }
 
   int id() const { return id_; }
   size_t num_rx_queues() const { return queues_.size(); }
@@ -100,9 +136,16 @@ class SimulatedNic {
     uint64_t rx_csum_bad = 0;  // frames whose TCP checksum failed offload verification
     uint64_t tx_frames = 0;
   };
-  const Stats& stats() const { return stats_; }
+  // Both count the frames due so far, pulled or not.
+  const Stats& stats() {
+    TakeDueFrames();
+    return stats_;
+  }
   // Per-queue delivery count, for steering-distribution assertions.
-  uint64_t rx_frames_on_queue(size_t queue) const { return queues_[queue].rx_frames; }
+  uint64_t rx_frames_on_queue(size_t queue) {
+    TakeDueFrames();
+    return queues_[queue].rx_frames;
+  }
 
  private:
   // One rx queue; it is its own interrupt event.
@@ -118,6 +161,8 @@ class SimulatedNic {
     uint64_t rx_frames = 0;
   };
 
+  // The one receive path: a frame that arrived from the wire at `arrival`.
+  void ReceiveFromWire(std::vector<uint8_t>&& frame, SimTime arrival) override;
   size_t SteerQueue(const Packet& p);
   void MaybeRaiseInterrupt(size_t queue);
 
@@ -129,6 +174,9 @@ class SimulatedNic {
   std::optional<RssHasher> rss_;  // only with several rx queues and RSS on
   size_t rr_next_queue_ = 0;  // round-robin spray when RSS is off
   SimplexLink* egress_ = nullptr;
+  SimplexLink* ingress_ = nullptr;
+  size_t queues_polled_ = 0;
+  bool pulling_ = false;  // ingress_ is pulled: every queue is polled
   bool link_busy_ = false;  // recent arrivals closer than kModerationGap
   SimTime last_arrival_;
   Stats stats_;

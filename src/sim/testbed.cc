@@ -1,6 +1,7 @@
 #include "src/sim/testbed.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <string>
 #include <utility>
@@ -158,6 +159,21 @@ std::vector<std::string> ConfigErrors(const TestbedConfig& config,
   return errors;
 }
 
+void SetRttPercentiles(std::vector<double>& samples, LatencyResult& result) {
+  if (samples.empty()) {
+    return;
+  }
+  // Each selection leaves the entries before its rank no greater, and those after no
+  // less, so the lower rank is selected among the former and the max among the latter.
+  const auto p99 = samples.begin() + static_cast<std::ptrdiff_t>(samples.size() * 99 / 100);
+  const auto p50 = samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), p99, samples.end());
+  std::nth_element(samples.begin(), p50, p99);
+  result.p50_us = *p50;
+  result.p99_us = *p99;
+  result.max_us = *std::max_element(p99, samples.end());
+}
+
 Testbed::Testbed(const TestbedConfig& config)
     : config_(ValidConfig(config)),
       host_(config_.stack, config_.smp, loop_, [this](int nic_id, std::vector<uint8_t>&& frame) {
@@ -187,6 +203,7 @@ Testbed::Testbed(const TestbedConfig& config)
     links_.push_back(std::make_unique<SimplexLink>(
         c2s, loop_,
         [nic_raw](std::vector<uint8_t>&& frame) { nic_raw->DeliverFromWire(std::move(frame)); }));
+    nic->AttachIngress(links_.back().get());
     // server -> client direction feeds the remote node.
     RemoteNode* remote_raw = remote.get();
     links_.push_back(std::make_unique<SimplexLink>(
@@ -207,6 +224,13 @@ Testbed::~Testbed() {
   // A pending boxed callback may hold what the host owns, and loop_ outlives host_:
   // release them while the host exists.
   loop_.Clear();
+}
+
+void Testbed::RunTo(SimTime edge) {
+  loop_.RunUntil(edge);
+  for (const auto& nic : nics_) {
+    nic->TakeDueFrames();
+  }
 }
 
 void Testbed::ForEachConnection(const std::function<void(TcpConnection&)>& fn) {
@@ -310,7 +334,7 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
 
   const SimTime window_start = options.warmup;
   const SimTime window_end = options.warmup + options.measure;
-  loop_.RunUntil(window_start);
+  RunTo(window_start);
 
   // Snapshot at the start of the measurement window.
   const CycleAccount::Counters before = host_.SumCounters();
@@ -328,7 +352,7 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
   }
 
   const HarnessCounters harness_before = thread_harness_counters;
-  loop_.RunUntil(window_end);
+  RunTo(window_end);
   window_harness_counters_ = thread_harness_counters - harness_before;
 
   const CycleAccount::Counters after = host_.SumCounters();
@@ -447,11 +471,11 @@ LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
   });
   client->Connect();
 
-  loop_.RunUntil(options.warmup);
+  RunTo(options.warmup);
   const uint64_t before = *transactions;
   *measuring = true;
   const HarnessCounters harness_before = thread_harness_counters;
-  loop_.RunUntil(options.warmup + options.measure);
+  RunTo(options.warmup + options.measure);
   window_harness_counters_ = thread_harness_counters - harness_before;
   *measuring = false;
 
@@ -459,12 +483,7 @@ LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
   result.transactions = *transactions - before;
   result.transactions_per_sec =
       static_cast<double>(result.transactions) / options.measure.ToSecondsF();
-  if (!samples->empty()) {
-    std::sort(samples->begin(), samples->end());
-    result.p50_us = (*samples)[samples->size() / 2];
-    result.p99_us = (*samples)[samples->size() * 99 / 100];
-    result.max_us = samples->back();
-  }
+  SetRttPercentiles(*samples, result);
   return result;
 }
 
@@ -485,7 +504,7 @@ std::vector<PatternCheck> Testbed::RunTransfer(const TransferOptions& options) {
     client->Connect();
     client->SendSynthetic(options.bytes_per_flow);
   }
-  loop_.RunUntil(options.deadline);
+  RunTo(options.deadline);
   return *delivered;
 }
 

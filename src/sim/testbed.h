@@ -88,6 +88,11 @@ struct LatencyResult {
   double max_us = 0;
 };
 
+// Sets `result`'s p50, p99 and max from the round-trip samples (left reordered): the
+// entries at size/2 and size*99/100 and the last of them sorted, found by selection.
+// Leaves them 0 for no samples.
+void SetRttPercentiles(std::vector<double>& samples, LatencyResult& result);
+
 class Testbed {
  public:
   explicit Testbed(const TestbedConfig& config);
@@ -180,6 +185,10 @@ class Testbed {
   // (pcap or tracer) records them, a link corrupts them, or a TCP checksum covers them.
   // A stream's server discards what it receives, so nothing else does.
   bool PayloadHasReader() const;
+
+  // Runs the loop to the end of a window and has every NIC take the frames that reached
+  // it by then, so the harness counters read next include them.
+  void RunTo(SimTime edge);
 
   // Every shard listens on `port` and hands each connection it accepts to
   // `on_accept` with itself, so what the handler installs charges the owning core.

@@ -1,5 +1,7 @@
 #include "src/util/event_loop.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/util/harness_counters.h"
@@ -100,6 +102,7 @@ void EventLoop::SiftDownFromRoot(const Key key) {
 void EventLoop::RunNext() {
   const Key top = heap_.front();
   now_ = top.when;
+  current_seq_ = top.seq;
   ++thread_harness_counters.events_run;
   spent_root_ = true;
   top.target->Fire(Slot{top.when, top.seq});
@@ -142,16 +145,53 @@ void EventLoop::Timer::Wake(uint64_t seq) {
   }
 }
 
-uint64_t EventLoop::RunUntil(SimTime deadline) {
+bool EventLoop::StepInPlace(SimTime when) {
+  if (!spent_root_ || when > deadline_) {
+    return false;  // not in a Fire, or it queued something, or past the run
+  }
+  if (when < now_) {
+    when = now_;
+  }
+  // The earliest pending key is one of the spent root's children. They stay put while
+  // the root is spent, so a run of steps in one Fire finds their earliest time once.
+  const size_t end = heap_.size() < 5 ? heap_.size() : 5;
+  if (end > 1) {
+    if (earliest_pending_of_ != current_seq_) {
+      earliest_pending_ = heap_[1].when;
+      for (size_t child = 2; child < end; ++child) {
+        earliest_pending_ = std::min(earliest_pending_, heap_[child].when);
+      }
+      thread_harness_counters.event_key_compares += end - 2;
+    }
+    ++thread_harness_counters.event_key_compares;
+    if (earliest_pending_ <= when) {
+      return false;
+    }
+  }
+  now_ = when;
+  current_seq_ = next_seq_++;
+  earliest_pending_of_ = current_seq_;  // the same children stay pending
+  ++thread_harness_counters.steps_in_place;
+  return true;
+}
+
+uint64_t EventLoop::Run(SimTime deadline) {
   // A nested run would fire events under the running one's spent root.
   TCPRX_CHECK_MSG(!running_, "EventLoop run from inside a running event");
   running_ = true;
+  deadline_ = deadline;
   uint64_t executed = 0;
   while (!heap_.empty() && heap_.front().when <= deadline) {
     RunNext();
     ++executed;
   }
   running_ = false;
+  current_seq_ = next_seq_;
+  return executed;
+}
+
+uint64_t EventLoop::RunUntil(SimTime deadline) {
+  const uint64_t executed = Run(deadline);
   if (now_ < deadline) {
     now_ = deadline;
   }
@@ -159,15 +199,7 @@ uint64_t EventLoop::RunUntil(SimTime deadline) {
 }
 
 uint64_t EventLoop::RunToCompletion() {
-  TCPRX_CHECK_MSG(!running_, "EventLoop run from inside a running event");
-  running_ = true;
-  uint64_t executed = 0;
-  while (!heap_.empty()) {
-    RunNext();
-    ++executed;
-  }
-  running_ = false;
-  return executed;
+  return Run(SimTime::FromNanos(std::numeric_limits<uint64_t>::max()));
 }
 
 void EventLoop::Clear() {

@@ -18,6 +18,12 @@
 // heap full of far-future timer wakeups plus a push. If Fire queues nothing, the last
 // leaf fills the root after it returns, as a pop would. Keys are unique, so the order
 // in which events run is the same either way.
+//
+// In place: a Fire that has queued nothing yet may run its owner's next event itself.
+// StepInPlace moves the loop to that event's time, in the slot its Reserve would take,
+// when no pending event is due at or before it, so the work runs exactly where the
+// queued event would have and the heap does nothing at all (a polling driver's next
+// step, which is most often the next thing due).
 
 #ifndef SRC_UTIL_EVENT_LOOP_H_
 #define SRC_UTIL_EVENT_LOOP_H_
@@ -25,6 +31,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -98,6 +105,12 @@ class EventLoop {
 
   SimTime Now() const { return now_; }
 
+  // The running event's slot; between runs, the slot after every event run so far
+  // and before every later reservation. An item reserved in a slot before it would
+  // already have run as an event: a link whose frames are pulled hands over the ones
+  // due before it (src/nic/link.h).
+  Slot Current() const { return Slot{now_, current_seq_}; }
+
   // Takes the next place in the event order at `when` (clamped to now if in the past).
   Slot Reserve(SimTime when) { return Slot{when < now_ ? now_ : when, next_seq_++}; }
 
@@ -117,8 +130,17 @@ class EventLoop {
   // Schedules `cb` `delay` after the current time.
   void ScheduleAfter(SimDuration delay, Callback cb) { ScheduleAt(now_ + delay, std::move(cb)); }
 
+  // For a Fire that has queued nothing yet: if no pending event is due at or before
+  // `when` (clamped to now) and `when` is within the running RunUntil, moves the loop
+  // to `when` in the slot Reserve(when) would take and returns true; the caller then
+  // runs that event's work itself. Otherwise changes nothing and returns false, and
+  // the caller queues the event as usual. Either way the seqs reserved afterwards are
+  // the same.
+  bool StepInPlace(SimTime when);
+
   // Runs events until the queue is empty or simulated time reaches `deadline`.
-  // Returns the number of events executed. Not from inside a running event.
+  // Returns the number of events fired from the queue (steps in place not included).
+  // Not from inside a running event.
   uint64_t RunUntil(SimTime deadline);
 
   // Runs until the queue is drained completely. Not from inside a running event.
@@ -150,13 +172,21 @@ class EventLoop {
     return ((Order{a.when.nanos()} << 64) | a.seq) < ((Order{b.when.nanos()} << 64) | b.seq);
   }
 
+  // Runs every event due by `deadline`; RunUntil and RunToCompletion.
+  uint64_t Run(SimTime deadline);
   // Runs the earliest event, its key left at the root while it runs.
   void RunNext();
   // Puts `key` in the root's place and sifts it down: the heap below the root is valid.
   void SiftDownFromRoot(Key key);
 
   SimTime now_;
+  uint64_t current_seq_ = 0;  // Current().seq
   uint64_t next_seq_ = 0;
+  SimTime deadline_;          // of the running run
+  // The earliest time pending beside the spent root while the event or step with seq
+  // `earliest_pending_of_` ran (StepInPlace).
+  SimTime earliest_pending_;
+  uint64_t earliest_pending_of_ = std::numeric_limits<uint64_t>::max();
   std::vector<Key> heap_;     // 4-ary min-heap: the children of i are 4i+1..4i+4
   bool spent_root_ = false;   // heap_[0] is the running event's key, not a pending one
   bool running_ = false;      // inside RunUntil or RunToCompletion

@@ -24,8 +24,14 @@ struct HarnessCounters {
   uint64_t frame_buffers_taken = 0;
   uint64_t frame_buffers_made = 0;
   uint64_t events_run = 0;  // events EventLoop::RunNext (src/util/event_loop.h) ran
-  // Event keys the EventLoop's heap compared while sifting (src/util/event_loop.h).
+  // Event keys the EventLoop's heap compared while sifting, or while looking for an
+  // earlier pending event before a step in place (src/util/event_loop.h).
   uint64_t event_key_compares = 0;
+  // Events that ran in place, without a heap event of their own (EventLoop::StepInPlace).
+  uint64_t steps_in_place = 0;
+  // Frames a NIC took off its link without a wakeup per frame (SimplexLink::PullBefore,
+  // src/nic/link.h).
+  uint64_t frames_pulled = 0;
 };
 
 // Every counter with its name, in declaration order, for windows and reports.
@@ -41,6 +47,8 @@ inline constexpr HarnessCounterField kHarnessCounterFields[] = {
     {"frame_buffers_made", &HarnessCounters::frame_buffers_made},
     {"events_run", &HarnessCounters::events_run},
     {"event_key_compares", &HarnessCounters::event_key_compares},
+    {"steps_in_place", &HarnessCounters::steps_in_place},
+    {"frames_pulled", &HarnessCounters::frames_pulled},
 };
 static_assert(sizeof(HarnessCounters) == std::size(kHarnessCounterFields) * sizeof(uint64_t),
               "a new counter needs its row in kHarnessCounterFields");

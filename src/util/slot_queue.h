@@ -8,6 +8,11 @@
 // earlier) queues a wakeup of its own, so every wakeup pops exactly one item, in
 // exactly the order one event per item would run, and each fires in the slot of the
 // head it pops.
+//
+// The owner may turn the wakeups off and take its items itself, each once the event
+// order reaches its slot (a link whose far end polls). A wakeup queued before then
+// still fires in its item's slot, and the item may be gone by then; turned back on,
+// the wakeups resume from the head.
 
 #ifndef SRC_UTIL_SLOT_QUEUE_H_
 #define SRC_UTIL_SLOT_QUEUE_H_
@@ -43,13 +48,21 @@ class SlotQueue {
     }
     entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(at),
                     Entry{slot, false, std::move(item)});
-    if (at == head_) {
+    if (at == head_ && wakeups_) {
       QueueWakeup(entries_[at]);  // a new head; an overtaken head keeps its own wakeup
     }
   }
 
-  // Takes the head, from its wakeup, and queues the next head's wakeup unless it has
-  // one. Not empty.
+  // Turns the wakeups off or back on; on, the head gets a wakeup unless it has one.
+  void SetWakeups(bool on) {
+    wakeups_ = on;
+    if (on && !empty() && !entries_[head_].wakeup_queued) {
+      QueueWakeup(entries_[head_]);
+    }
+  }
+
+  // Takes the head, and queues the next head's wakeup unless it has one or the
+  // wakeups are off. Not empty.
   T Pop() {
     T item = std::move(entries_[head_].item);
     ++head_;
@@ -58,7 +71,7 @@ class SlotQueue {
       head_ = 0;
       return item;
     }
-    if (!entries_[head_].wakeup_queued) {
+    if (wakeups_ && !entries_[head_].wakeup_queued) {
       QueueWakeup(entries_[head_]);
     }
     constexpr size_t kCompactAfter = 32;
@@ -85,6 +98,7 @@ class SlotQueue {
   EventLoop::Target& owner_;
   std::vector<Entry> entries_;  // sorted by slot; the head is entries_[head_]
   size_t head_ = 0;             // popped entries before it are compacted away
+  bool wakeups_ = true;
 };
 
 }  // namespace tcprx

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "src/buffer/packet.h"
 #include "src/nic/link.h"
 #include "src/nic/nic.h"
+#include "src/util/harness_counters.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -439,6 +441,216 @@ TEST_F(NicTest, TransmitCountsAndForwards) {
   loop_.RunToCompletion();
   EXPECT_EQ(nic_.stats().tx_frames, 1u);
   EXPECT_EQ(forwarded, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// A polled NIC pulling its link
+// ---------------------------------------------------------------------------
+
+// A 10 Gb/s link with reordered, duplicated and corrupted frames feeding a two-queue
+// NIC (RSS off: frames are sprayed round-robin), drained by a scripted polling driver.
+// The driver pops one frame per queue per step and runs its next step in place when
+// it can; every so often it pauses long enough for the rings to overflow, and it
+// leaves poll mode in the middle of bursts as well as when the rings run dry, queue 1
+// a little after queue 0. Run pulled (the NIC takes its frames off the link while both
+// queues poll) or pushed (one wakeup per frame), the bed must see exactly the same
+// things: the log holds each interrupt's and step's slot, each frame popped, and the
+// final stats and rings.
+class PollingBed final : public EventLoop::Target {
+ public:
+  explicit PollingBed(bool pulled)
+      : nic_(0, NicConfigFor(), loop_, pool_),
+        link_(LinkConfigFor(), loop_,
+              [this](std::vector<uint8_t>&& frame) { nic_.DeliverFromWire(std::move(frame)); }) {
+    if (pulled) {
+      nic_.AttachIngress(&link_);
+    }
+    for (size_t q = 0; q < kQueues; ++q) {
+      nic_.set_on_rx_interrupt(q, [this, q] { OnInterrupt(q); });
+    }
+  }
+
+  std::vector<std::string> Run() {
+    // Bursts of 700 back-to-back MTU frames, 1 ms apart.
+    for (uint32_t burst = 0; burst < 6; ++burst) {
+      loop_.ScheduleAt(SimTime::FromMicros(1000 * burst), [this, burst] {
+        for (uint32_t i = 0; i < 700; ++i) {
+          FrameOptions options;
+          options.seq = burst * 700 + i;
+          link_.Send(MakeFrame(options, 1448));
+        }
+      });
+    }
+    loop_.RunUntil(SimTime::FromMicros(3500));  // mid-burst
+    nic_.TakeDueFrames();
+    Log("edge", loop_.Current());
+    loop_.RunUntil(SimTime::FromMillis(20));
+    const SimulatedNic::Stats& stats = nic_.stats();
+    log_.push_back("rx " + std::to_string(stats.rx_frames) + " dropped " +
+                   std::to_string(stats.rx_dropped) + " good " +
+                   std::to_string(stats.rx_csum_good) + " bad " +
+                   std::to_string(stats.rx_csum_bad) + " in flight " +
+                   std::to_string(link_.frames_in_flight()));
+    for (size_t q = 0; q < kQueues; ++q) {
+      log_.push_back("queue " + std::to_string(q) + " rx " +
+                     std::to_string(nic_.rx_frames_on_queue(q)));
+      while (!nic_.RxEmpty(q)) {
+        Pop(q);
+      }
+    }
+    return log_;
+  }
+
+  const SimplexLink& link() const { return link_; }
+  SimulatedNic& nic() { return nic_; }
+  uint64_t exits_with_frames() const { return exits_with_frames_; }
+
+ private:
+  static constexpr size_t kQueues = 2;
+
+  static NicConfig NicConfigFor() {
+    NicConfig config;
+    config.num_rx_queues = kQueues;
+    config.rss.enabled = false;
+    config.moderation_delay = SimDuration::FromMicros(10);  // interrupts soon after exits
+    return config;
+  }
+  static LinkConfig LinkConfigFor() {
+    LinkConfig config;
+    config.bits_per_second = 10'000'000'000;
+    config.reorder_probability = 0.1;
+    config.reorder_delay = SimDuration::FromMicros(5);
+    config.duplicate_probability = 0.05;
+    config.corrupt_probability = 0.01;
+    config.fault_seed = 31;
+    return config;
+  }
+
+  void Log(const char* what, EventLoop::Slot slot) {
+    log_.push_back(std::string(what) + " " + std::to_string(slot.when.nanos()) + "/" +
+                   std::to_string(slot.seq));
+  }
+
+  void Pop(size_t q) {
+    const PacketPtr p = nic_.PopRx(q);
+    log_.push_back("pop " + std::to_string(q) + " seq " +
+                   (p->view.has_value() ? std::to_string(p->view->tcp.seq) : "?") +
+                   (p->nic_checksum_verified ? "" : " bad"));
+  }
+
+  void OnInterrupt(size_t q) {
+    Log(q == 0 ? "irq0" : "irq1", loop_.Current());
+    if (polling_) {
+      return;
+    }
+    polling_ = true;
+    for (size_t i = 0; i < kQueues; ++i) {
+      nic_.SetQueuePollMode(i, true);
+    }
+    loop_.ScheduleAt(loop_.Now() + SimDuration::FromMicros(3), *this);
+  }
+
+  void Fire(EventLoop::Slot /*slot*/) override {
+    for (;;) {
+      Log("step", loop_.Current());
+      ++steps_;
+      bool any = false;
+      for (size_t q = 0; q < kQueues; ++q) {
+        if (!nic_.RxEmpty(q)) {
+          Pop(q);
+          any = true;
+        }
+      }
+      if (!any || steps_ % 53 == 0) {
+        // Queue 1 leaves poll mode a little later: meanwhile queue 0 takes interrupts
+        // again while queue 1 still polls.
+        exits_with_frames_ += any ? 1 : 0;
+        polling_ = false;
+        nic_.SetQueuePollMode(0, false);
+        loop_.ScheduleAt(loop_.Now() + SimDuration::FromMicros(4),
+                         [this] { nic_.SetQueuePollMode(1, false); });
+        return;
+      }
+      const SimTime next =
+          loop_.Now() + (steps_ % 97 == 0 ? SimDuration::FromMicros(800)
+                                          : SimDuration::FromNanos(300 + 700 * (steps_ % 3)));
+      if (!loop_.StepInPlace(next)) {
+        loop_.ScheduleAt(next, *this);
+        return;
+      }
+    }
+  }
+
+  EventLoop loop_;
+  PacketPool pool_;
+  SimulatedNic nic_;
+  SimplexLink link_;
+  bool polling_ = false;
+  uint64_t steps_ = 0;
+  uint64_t exits_with_frames_ = 0;
+  std::vector<std::string> log_;
+};
+
+// Frames pulled together keep the gap they arrived with: two frames 90 us apart leave
+// the link idle for interrupt moderation, so leaving poll mode with both queued raises
+// the fast interrupt, pulled as pushed.
+TEST(PolledNic, PulledFramesKeepTheirArrivalTimes) {
+  for (const bool pulled : {false, true}) {
+    SCOPED_TRACE(pulled ? "pulled" : "pushed");
+    EventLoop loop;
+    PacketPool pool;
+    SimulatedNic nic(0, NicConfig{}, loop, pool);
+    LinkConfig config;
+    config.propagation_delay = SimDuration::FromMicros(10);
+    SimplexLink link(config, loop,
+                     [&](std::vector<uint8_t>&& frame) { nic.DeliverFromWire(std::move(frame)); });
+    if (pulled) {
+      nic.AttachIngress(&link);
+    }
+    std::vector<SimTime> interrupts;
+    nic.set_on_rx_interrupt(0, [&] { interrupts.push_back(loop.Now()); });
+    nic.SetQueuePollMode(0, true);
+    for (const uint64_t us : {uint64_t{0}, uint64_t{90}}) {
+      loop.ScheduleAt(SimTime::FromMicros(us), [&] { link.Send(MakeFrame(FrameOptions{}, 100)); });
+    }
+    loop.ScheduleAt(SimTime::FromMicros(200), [&] {
+      nic.SetQueuePollMode(0, false);  // takes the frames due first
+      EXPECT_EQ(nic.RxQueued(0), 2u);
+    });
+    loop.RunUntil(SimTime::FromMillis(1));
+    EXPECT_EQ(interrupts, std::vector<SimTime>{SimTime::FromMicros(200) + kInterruptDelay});
+  }
+}
+
+TEST(PolledNic, PullingItsLinkSeesWhatPerFrameDeliverySees) {
+  const uint64_t pulled_before = thread_harness_counters.frames_pulled;
+  const uint64_t steps_before = thread_harness_counters.steps_in_place;
+  PollingBed pulled_bed(/*pulled=*/true);
+  const std::vector<std::string> pulled = pulled_bed.Run();
+  const uint64_t frames_pulled = thread_harness_counters.frames_pulled - pulled_before;
+  const uint64_t pulled_steps = thread_harness_counters.steps_in_place - steps_before;
+
+  PollingBed pushed_bed(/*pulled=*/false);
+  const std::vector<std::string> pushed = pushed_bed.Run();
+  EXPECT_EQ(thread_harness_counters.frames_pulled - pulled_before, frames_pulled);
+
+  // The schedule reaches every case: overtaking and copied frames, ring overflow,
+  // corrupted frames and exits from poll mode with frames still queued.
+  EXPECT_GT(pulled_bed.link().frames_reordered(), 50u);
+  EXPECT_GT(pulled_bed.link().frames_duplicated(), 20u);
+  EXPECT_GT(pulled_bed.nic().stats().rx_dropped, 100u);
+  EXPECT_GT(pulled_bed.nic().stats().rx_csum_bad, 0u);
+  EXPECT_GT(pulled_bed.exits_with_frames(), 3u);
+  // Pulled, most frames come off the link without a wakeup, and most steps run in
+  // place; pushed, the frames' own wakeups keep nearly every step queued.
+  EXPECT_GT(frames_pulled, pulled_bed.nic().stats().rx_frames / 2);
+  EXPECT_GT(pulled_steps, thread_harness_counters.steps_in_place - steps_before - pulled_steps);
+
+  ASSERT_GT(pulled.size(), 2000u);
+  ASSERT_EQ(pulled.size(), pushed.size());
+  for (size_t i = 0; i < pulled.size(); ++i) {
+    ASSERT_EQ(pulled[i], pushed[i]) << "entry " << i;
+  }
 }
 
 }  // namespace

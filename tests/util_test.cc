@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/byte_order.h"
@@ -157,8 +159,10 @@ TEST(EventLoopTimer, KeepsItsArmOrderAmongSameInstantEvents) {
 // boxed events at tied, past (clamped) and future times; timers re-armed earlier and
 // later (leaving a superseded wakeup queued), and cancelled; slots reserved now and
 // queued immediately or by a later event, as a boxed callback or as one more slot of a
-// target queued in many slots at once; and items on a SlotQueue, whose owner is queued
-// again for each item that overtakes its head, as a link's reordered frame is.
+// target queued in many slots at once; items on a SlotQueue, whose owner is queued
+// again for each item that overtakes its head, as a link's reordered frame is; and a
+// target that runs its next events in place while nothing is due first, as a polling
+// driver does, queueing itself when it cannot.
 //
 // `far_future` more events are queued first at times past all of that work, as armed
 // timer wakeups wait beside a many-flow run's per-packet events, so each event fired
@@ -201,6 +205,8 @@ class ReferenceOrderDriver {
   uint64_t callbacks_run() const { return ran_; }
   size_t most_target_slots() const { return multi_slot_.most_queued; }
   uint64_t slot_queue_overtakes() const { return slot_queue_.overtakes; }
+  uint64_t steps_in_place() const { return stepper_.steps; }
+  uint64_t steps_refused() const { return stepper_.refused; }
 
  private:
   static constexpr size_t kTimers = 6;
@@ -271,6 +277,54 @@ class ReferenceOrderDriver {
     SlotQueue<uint64_t> queue_;
   };
 
+  // Each Fire runs its entry, then takes more at random times and steps to each in
+  // place, until the loop refuses one (something is due first, the Fire queued
+  // something, or the time is past the run), which it queues instead.
+  class InPlaceStepper final : public EventLoop::Target {
+   public:
+    explicit InPlaceStepper(ReferenceOrderDriver& driver) : driver_(driver) {}
+    void Queue(SimTime when) {
+      const Entry entry = driver_.Take(when);
+      pending_[entry.seq] = entry.id;
+      driver_.loop_.ScheduleAt(entry.when, *this);
+    }
+    uint64_t steps = 0;
+    uint64_t refused = 0;
+
+   private:
+    void Fire(EventLoop::Slot slot) override {
+      const auto it = pending_.find(slot.seq);
+      if (it == pending_.end()) {
+        driver_.mismatch_ = "a stepper fired in slot " + std::to_string(slot.seq) +
+                            ", where none of its events was queued";
+        return;
+      }
+      uint64_t id = it->second;
+      pending_.erase(it);
+      for (;;) {
+        driver_.Ran(id);
+        if (driver_.budget_ <= 0 || driver_.rng_.NextBelow(4) == 0) {
+          return;
+        }
+        const Entry next = driver_.Take(driver_.RandomTime());
+        if (!driver_.loop_.StepInPlace(next.when)) {
+          ++refused;
+          pending_[next.seq] = next.id;
+          driver_.loop_.ScheduleAt(next.when, *this);  // the seq the step would have taken
+          return;
+        }
+        ++steps;
+        if (driver_.loop_.Current() != EventLoop::Slot{next.when, next.seq}) {
+          driver_.mismatch_ = "a step in place took another slot than its Reserve would";
+        }
+        id = next.id;
+      }
+    }
+
+    ReferenceOrderDriver& driver_;
+    std::map<uint64_t, uint64_t> pending_;  // entry id by seq
+  };
+
   // Takes the next (when, seq) as the loop does, and expects a callback in it.
   Entry Take(SimTime when) {
     const Entry entry{when < loop_.Now() ? loop_.Now() : when, next_seq_++, live_.size()};
@@ -321,7 +375,7 @@ class ReferenceOrderDriver {
   }
 
   void Act() {
-    switch (rng_.NextBelow(6)) {
+    switch (rng_.NextBelow(7)) {
       case 0:
       case 1:
         Schedule();
@@ -352,6 +406,9 @@ class ReferenceOrderDriver {
         slot_queue_.Push(slot, Take(when).id);
         break;
       }
+      case 5:
+        stepper_.Queue(RandomTime());
+        break;
       default:
         Reserve();
         break;
@@ -391,6 +448,7 @@ class ReferenceOrderDriver {
   size_t far_future_;
   MultiSlotTarget multi_slot_{*this};
   SlotQueueOwner slot_queue_{*this};
+  InPlaceStepper stepper_{*this};
   std::vector<std::unique_ptr<EventLoop::Timer>> timers_;
   std::vector<uint64_t> timer_entry_ = std::vector<uint64_t>(kTimers, kNone);  // live arm
   std::priority_queue<Entry, std::vector<Entry>, Later> reference_;
@@ -460,6 +518,8 @@ TEST(EventLoop, RunsInReferenceOrderUnderRandomWork) {
     EXPECT_GT(driver.callbacks_run(), 1000u) << "seed " << seed;
     EXPECT_GT(driver.most_target_slots(), 1u) << "seed " << seed;
     EXPECT_GT(driver.slot_queue_overtakes(), 0u) << "seed " << seed;
+    EXPECT_GT(driver.steps_in_place(), 0u) << "seed " << seed;
+    EXPECT_GT(driver.steps_refused(), 0u) << "seed " << seed;
   }
   // The same work beside several hundred far-future events.
   for (uint64_t seed = 101; seed <= 108; ++seed) {
@@ -501,6 +561,93 @@ TEST(EventLoop, TheRunningEventIsNotPending) {
     EXPECT_EQ(empty, (std::vector<bool>{others == 0, false, false}));
     EXPECT_TRUE(loop.Empty());
   }
+}
+
+// A target that runs `body` with the slot it fires in.
+struct Probe final : EventLoop::Target {
+  explicit Probe(std::function<void(EventLoop::Slot)> fn) : body(std::move(fn)) {}
+  void Fire(EventLoop::Slot slot) override { body(slot); }
+  std::function<void(EventLoop::Slot)> body;
+};
+
+TEST(EventLoop, StepInPlaceRefusesWhateverWouldRunOutOfOrder) {
+  constexpr SimTime kStepTo = SimTime::FromNanos(20);
+  struct Case {
+    const char* name;
+    SimTime pending;      // another event, queued first
+    SimTime deadline;     // of the run
+    bool queue_first;     // the stepping Fire queues an event at 100 ns first
+    bool steps;
+  };
+  const Case cases[] = {
+      {"a pending event at the same time", kStepTo, SimTime::FromNanos(1000), false, false},
+      {"an earlier pending event", SimTime::FromNanos(15), SimTime::FromNanos(1000), false, false},
+      {"a time past the run's deadline", SimTime::FromNanos(500), SimTime::FromNanos(19), false,
+       false},
+      {"a Fire that queued something", SimTime::FromNanos(500), SimTime::FromNanos(1000), true,
+       false},
+      {"nothing due first", SimTime::FromNanos(21), SimTime::FromNanos(1000), false, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EventLoop loop;
+    bool stepped = false;
+    Probe stepper([&](EventLoop::Slot /*slot*/) {
+      if (c.queue_first) {
+        loop.ScheduleAt(SimTime::FromNanos(100), [] {});
+      }
+      const EventLoop::Slot before = loop.Current();
+      stepped = loop.StepInPlace(kStepTo);
+      EXPECT_EQ(loop.Current(), stepped ? (EventLoop::Slot{kStepTo, 2}) : before);
+    });
+    loop.ScheduleAt(SimTime::FromNanos(10), stepper);
+    loop.ScheduleAt(c.pending, [] {});
+    loop.RunUntil(c.deadline);
+    EXPECT_EQ(stepped, c.steps);
+  }
+  EventLoop idle;
+  EXPECT_FALSE(idle.StepInPlace(SimTime::FromNanos(5)));  // no event is running
+}
+
+// A step in place runs where the queued step would have, in the slot its Reserve would
+// take, and every seq reserved afterwards is the one the queued step would have left.
+TEST(EventLoop, StepInPlaceTakesTheSlotOfTheEventItReplaces) {
+  struct Seen {
+    std::vector<EventLoop::Slot> steps;
+    EventLoop::Slot later;
+  };
+  const auto run = [](bool in_place) {
+    EventLoop loop;
+    Seen seen;
+    int left = 3;
+    Probe stepper([&](EventLoop::Slot) {});
+    stepper.body = [&](EventLoop::Slot slot) {
+      seen.steps.push_back(slot);
+      while (--left > 0) {
+        const SimTime next = loop.Now() + SimDuration::FromNanos(5);
+        if (!in_place || !loop.StepInPlace(next)) {
+          loop.ScheduleAt(next, stepper);
+          return;
+        }
+        seen.steps.push_back(loop.Current());
+      }
+      seen.later = loop.Reserve(loop.Now() + SimDuration::FromNanos(1));
+    };
+    loop.Reserve(SimTime::FromNanos(3));  // seqs need not start at 0
+    loop.ScheduleAt(SimTime::FromNanos(10), stepper);
+    loop.ScheduleAt(SimTime::FromNanos(1000), [] {});
+    const uint64_t events = loop.RunUntil(SimTime::FromNanos(100));
+    EXPECT_EQ(loop.Current(), (EventLoop::Slot{SimTime::FromNanos(100), 6}));  // after all
+    return std::make_pair(seen, events);
+  };
+  const auto [queued, queued_events] = run(false);
+  const auto [in_place, in_place_events] = run(true);
+  EXPECT_EQ(queued_events, 3u);
+  EXPECT_EQ(in_place_events, 1u);
+  ASSERT_EQ(in_place.steps.size(), 3u);
+  EXPECT_EQ(in_place.steps, queued.steps);
+  EXPECT_EQ(in_place.steps.back(), (EventLoop::Slot{SimTime::FromNanos(20), 4}));
+  EXPECT_EQ(in_place.later, queued.later);
 }
 
 TEST(EventLoop, BoxedCallbackMayClearTheLoopAndQueueAgain) {

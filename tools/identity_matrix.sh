@@ -23,6 +23,9 @@
 # the frame writer lays them out), and the receive checksum paths: corrupted frames with
 # real checksums at 1 and 4 cores (the NIC flags them, the aggregator bypasses them, the
 # stack's software verify drops them), and aggregation without rx checksum offload.
+# Last, a UP baseline stream on 10 Gb/s links with reordered and duplicated frames: its
+# host polls nearly all the time, so almost every data frame is pulled off the wire
+# while a driver polls, overtaking frames included.
 
 set -eu
 
@@ -113,3 +116,6 @@ run csum-corrupt-4 stream --optimized --fill-checksums --corrupt=0.002 --seed=7 
   $window --json
 # shellcheck disable=SC2086
 run agg-no-rx-csum-offload stream --aggregation --no-rx-csum-offload $window --json
+# shellcheck disable=SC2086
+run up-base-10g-mixed stream --system=up --link-gbps=10 --reorder=0.02 --duplicate=0.01 \
+  --seed=5 $window --json
