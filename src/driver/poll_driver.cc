@@ -24,7 +24,12 @@ void PollDriver::OnInterrupt() {
   // CPU is doing).
   const SimTime start =
       loop_.Now() > cpu_.busy_until() ? loop_.Now() : cpu_.busy_until();
-  loop_.ScheduleAt(start, *this);
+  const EventLoop::Slot first = loop_.Reserve(start);
+  if (loop_.RunInPlace(first)) {
+    RunSteps();
+  } else {
+    loop_.QueueAt(first, *this);
+  }
 }
 
 void PollDriver::Fire(EventLoop::Slot slot) {
@@ -34,17 +39,45 @@ void PollDriver::Fire(EventLoop::Slot slot) {
     AcceptBacklog(handoffs_.Pop());
     return;
   }
-  // Each next step runs in place while nothing else is due first.
+  if (batch_.batch != nullptr) {
+    // The batch held for the slot just before this one: nothing ran between them.
+    SendBatch();
+  }
+  RunSteps();
+}
+
+void PollDriver::RunSteps() {
   for (;;) {
     const std::optional<SimTime> next = Poll();
-    if (!next.has_value()) {
+    // The next step's slot comes right after the batch's, as when both were queued.
+    const std::optional<EventLoop::Slot> step =
+        next.has_value() ? std::optional(loop_.Reserve(*next)) : std::nullopt;
+    if (batch_.batch != nullptr) {
+      if (loop_.RunInPlace(batch_.slot)) {
+        SendBatch();
+      } else if (step == EventLoop::Slot{batch_.slot.when, batch_.slot.seq + 1}) {
+        loop_.QueueAt(*step, *this);  // the step's event sends the batch first
+        return;
+      } else {
+        loop_.QueueAt(batch_.slot, *batch_.batch);
+        batch_ = {};
+      }
+    }
+    if (!step.has_value()) {
       return;
     }
-    if (!loop_.StepInPlace(*next)) {
-      loop_.ScheduleAt(*next, *this);
+    if (!loop_.RunInPlace(*step)) {
+      loop_.QueueAt(*step, *this);
       return;
     }
   }
+}
+
+void PollDriver::SendBatch() {
+  EventLoop::Target& batch = *batch_.batch;
+  const EventLoop::Slot slot = batch_.slot;
+  batch_ = {};
+  batch.Fire(slot);
 }
 
 PollDriver::NicQueue* PollDriver::NextNonEmptyQueue() {
@@ -102,7 +135,7 @@ std::optional<SimTime> PollDriver::Poll() {
       stack_.OnReceiveQueueEmpty();
       const uint64_t cycles = stack_.TakeBatchCycles();
       const SimTime done = cycles > 0 ? cpu_.Run(loop_.Now(), cycles) : loop_.Now();
-      stack_.FlushDriverBatch(done);
+      batch_ = stack_.HoldDriverBatch(done);
       polling_ = false;
       for (const NicQueue& q : queues_) {
         q.nic->SetQueuePollMode(q.queue, false);
@@ -122,7 +155,7 @@ std::optional<SimTime> PollDriver::Poll() {
       ++stats_.steered_away;
       const uint64_t cycles = stack_.TakeBatchCycles();
       const SimTime done = cycles > 0 ? cpu_.Run(loop_.Now(), cycles) : loop_.Now();
-      stack_.FlushDriverBatch(done);
+      batch_ = stack_.HoldDriverBatch(done);
       owner->HandOff(std::move(frame), done);
       return done;
     }
@@ -130,7 +163,7 @@ std::optional<SimTime> PollDriver::Poll() {
   stack_.ReceiveFrame(std::move(frame));
   const uint64_t cycles = stack_.TakeBatchCycles();
   const SimTime done = cpu_.Run(loop_.Now(), cycles);
-  stack_.FlushDriverBatch(done);
+  batch_ = stack_.HoldDriverBatch(done);
   return done;
 }
 

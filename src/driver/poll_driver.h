@@ -16,9 +16,15 @@
 //
 // The driver is the event target of its own poll steps (one queued at a time) and of
 // the frames handed to it, which wait in a slot-sorted queue until their hand-off
-// time, as a link's frames in flight do. A step whose successor is due before any
-// other event runs that successor in place (EventLoop::StepInPlace), in the slot its
-// event would take, so a burst drains in one event while nothing else is due.
+// time, as a link's frames in flight do. Steps run in place (EventLoop::RunInPlace),
+// each in the slot its event would take, while no other event is due first: an
+// interrupt's first step, and each step's successor, so a burst drains in one event
+// while nothing else is due. Each step's transmit batch, held back from the stack
+// (RxSink::HoldDriverBatch), is sent once the step's work at the current time is done:
+// in place when nothing precedes its slot, or else by the next step's event when that
+// slot directly follows the batch's, since nothing can run between two adjacent slots.
+// Only a batch whose step reserved something in between (a hand-off to another core)
+// or that ends the poll is queued as an event of its own.
 
 #ifndef SRC_DRIVER_POLL_DRIVER_H_
 #define SRC_DRIVER_POLL_DRIVER_H_
@@ -81,8 +87,15 @@ class PollDriver final : public EventLoop::Target {
   // A hand-off arriving (`slot` is the head hand-off's) or the poll step.
   void Fire(EventLoop::Slot slot) override;
   void OnInterrupt();
+  // Runs poll steps from the running slot on, each next one in place while nothing
+  // else is due first, and sends or queues each step's transmit batch; queues the
+  // first step that has to wait.
+  void RunSteps();
   // One poll step; returns the time of the next, or nothing once the driver went idle.
+  // Its transmit batch, if any, is left in batch_.
   std::optional<SimTime> Poll();
+  // Transmits batch_ now, in its slot or in the step slot right after it.
+  void SendBatch();
   void AcceptBacklog(PacketPtr frame);
   PacketPtr PopBacklog();
   NicQueue* NextNonEmptyQueue();
@@ -97,6 +110,9 @@ class PollDriver final : public EventLoop::Target {
   SteerFn steer_;
   size_t rr_next_ = 0;
   bool polling_ = false;
+  // The last step's transmit batch until it is sent; kept across a queued step whose
+  // slot directly follows the batch's, which then sends it first.
+  RxSink::HeldBatch batch_;
   Stats stats_;
 };
 

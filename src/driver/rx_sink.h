@@ -9,6 +9,12 @@
 // poll loop needs from its consumer is here: frame delivery, the work-conserving
 // idle-flush hook, wakeup accounting, and the batch bookkeeping that converts charged
 // cycles into CPU busy time.
+//
+// A staged transmit batch normally waits for its CPU completion as an event of its
+// own. A sink that overrides HoldDriverBatch hands the batch to the driver instead,
+// which sends it in place or rides it on its own next step; a sink that does not (a
+// forwarding wrapper that knows only the members before it) keeps the queued batch,
+// with the same results.
 
 #ifndef SRC_DRIVER_RX_SINK_H_
 #define SRC_DRIVER_RX_SINK_H_
@@ -17,6 +23,7 @@
 
 #include "src/buffer/packet.h"
 #include "src/cpu/charger.h"
+#include "src/util/event_loop.h"
 #include "src/util/sim_time.h"
 
 namespace tcprx {
@@ -41,6 +48,21 @@ class RxSink {
   // the CPU actually finishes the batch.
   virtual void BeginDriverBatch() = 0;
   virtual void FlushDriverBatch(SimTime done) = 0;
+
+  // A flushed batch left to the driver: an event target that transmits the batch, and
+  // the slot reserved for it at its completion time. No batch: nothing to send, or the
+  // sink queued it itself.
+  struct HeldBatch {
+    EventLoop::Target* batch = nullptr;
+    EventLoop::Slot slot;
+  };
+  // FlushDriverBatch, except that a sink may reserve the batch's slot and return it
+  // unqueued; the driver then fires it in that slot, in place or queued. The default
+  // flushes through FlushDriverBatch, which queues the batch, and returns none.
+  virtual HeldBatch HoldDriverBatch(SimTime done) {
+    FlushDriverBatch(done);
+    return {};
+  }
 
   // Cycles charged since the last call; the driver turns this into CPU busy time.
   virtual uint64_t TakeBatchCycles() = 0;

@@ -58,11 +58,12 @@ struct LinkConfig {
 // would run, a reordered or duplicated frame that lands early included.
 //
 // Pushed (the default), the link is their wakeup and hands each to the DeliverFn in
-// its own slot. Pulled (StartPull), the far end is a NIC whose driver polls: the frames
-// queue no wakeups, and the Receiver takes each one, with its arrival time, once the
-// event order has passed its slot (PullBefore), whenever it looks. A wakeup queued
-// before the pull began still fires in its frame's slot and hands over everything due
-// through it. The link must outlive its wakeups and not move.
+// its own slot. Pulled (StartPull), the far end is a NIC where no arrival can raise an
+// interrupt (every rx queue polls or has its interrupt pending): the frames queue no
+// wakeups, and the Receiver takes each one, with its arrival time, once the event
+// order has passed its slot (PullBefore), whenever it looks. A wakeup queued before
+// the pull began still fires in its frame's slot and hands over everything due through
+// it. The link must outlive its wakeups and not move.
 class SimplexLink final : public EventLoop::Target {
  public:
   using DeliverFn = std::function<void(std::vector<uint8_t>&&)>;

@@ -10,7 +10,7 @@ SimulatedNic::SimulatedNic(int id, const NicConfig& config, EventLoop& loop, Pac
   const size_t num_queues = config_.num_rx_queues == 0 ? 1 : config_.num_rx_queues;
   queues_.reserve(num_queues);
   for (size_t q = 0; q < num_queues; ++q) {
-    queues_.emplace_back();
+    queues_.emplace_back(*this);
   }
   if (num_queues > 1 && config_.rss.enabled) {
     rss_.emplace(num_queues, kRssSecretKey);
@@ -70,38 +70,55 @@ void SimulatedNic::MaybeRaiseInterrupt(size_t queue) {
   q.interrupt_pending = true;
   const SimDuration delay = link_busy_ ? config_.moderation_delay : kInterruptDelay;
   loop_.ScheduleAt(loop_.Now() + delay, q);
+  UpdatePull();
 }
 
 void SimulatedNic::RxQueue::Fire(EventLoop::Slot /*slot*/) {
+  // The frames that arrived before the interrupt are on the ring when it is read.
+  nic.TakeDueFrames();
   interrupt_pending = false;
   if (!poll_mode && !ring.Empty() && on_interrupt) {
+    // The NIC still pulls until the handler returns, so the handler puts the queue in
+    // poll mode before it runs anything in place (PollDriver::OnInterrupt does).
     on_interrupt();
   }
+  // The queue stays idle unless its handler started a poll.
+  nic.UpdatePull();
 }
 
 void SimulatedNic::SetQueuePollMode(size_t queue, bool enabled) {
   RxQueue& q = queues_[queue];
   if (enabled) {
-    if (!q.poll_mode && ++queues_polled_ == queues_.size() && ingress_ != nullptr) {
-      pulling_ = true;
-      ingress_->StartPull(*this);
-    }
     q.poll_mode = true;
+    UpdatePull();
     return;
   }
-  if (pulling_) {
-    // The frames due so far arrived while every queue was polled.
-    TakeDueFrames();
-    pulling_ = false;
-    ingress_->StopPull();
-  }
-  if (q.poll_mode) {
-    --queues_polled_;
-  }
+  // The frames due so far arrived while the queue polled.
+  TakeDueFrames();
   q.poll_mode = false;
   if (!q.ring.Empty()) {
     // Frames raced in while interrupts were masked.
     MaybeRaiseInterrupt(queue);
+  }
+  UpdatePull();
+}
+
+void SimulatedNic::UpdatePull() {
+  if (ingress_ == nullptr) {
+    return;
+  }
+  bool quiet = true;
+  for (const RxQueue& q : queues_) {
+    quiet = quiet && q.quiet();
+  }
+  if (quiet == pulling_) {
+    return;
+  }
+  pulling_ = quiet;
+  if (quiet) {
+    ingress_->StartPull(*this);
+  } else {
+    ingress_->StopPull();
   }
 }
 

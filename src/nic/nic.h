@@ -20,13 +20,20 @@
 // receiving one moves the buffer into a pooled Packet, Transmit hands it to the egress
 // link, and neither copies it.
 //
-// Poll mode without a wakeup per frame: while every rx queue is polled, no arrival can
-// raise an interrupt, so a NIC with an attached ingress link pulls that link
-// (SimplexLink::StartPull) and takes the frames due so far whenever anything looks at
-// a ring or its counters (RxEmpty, RxQueued, PopRx, stats), before a queue leaves poll
-// mode, and when the bed reads the harness counters (TakeDueFrames). Each is received with its own arrival time, in
-// arrival order, so steering, ring overflow, the moderation state and the stats come
-// out exactly as if each frame had been delivered by its own event.
+// Quiet queues without a wakeup per frame: an arrival at a queue that polls, or that
+// already has its interrupt pending, raises nothing; it only lands on the ring and
+// updates the stats and the moderation state, and those replay exactly from the
+// frame's arrival time. So while every rx queue is quiet, a NIC with an attached
+// ingress link pulls that link (SimplexLink::StartPull) and takes the frames due so
+// far whenever anything looks at a ring or its counters (RxEmpty, RxQueued, PopRx,
+// stats), before an interrupt runs its handler, before a queue stops being quiet
+// (leaves poll mode, or takes its interrupt without entering poll mode), and when the
+// bed reads the harness counters (TakeDueFrames). Each is received with its own
+// arrival time, in arrival order, so steering, ring overflow, the moderation state and
+// the stats come out exactly as if each frame had been delivered by its own event. A
+// queue that is idle (neither polling nor pending) must raise an interrupt at its next
+// arrival, so the NIC pushes then: a multi-queue NIC with any idle queue takes every
+// frame from its link's wakeups.
 
 #ifndef SRC_NIC_NIC_H_
 #define SRC_NIC_NIC_H_
@@ -85,7 +92,7 @@ class SimulatedNic final : private SimplexLink::Receiver {
   }
 
   // The link whose DeliverFn feeds this NIC. Once attached, the NIC pulls it while
-  // every rx queue is polled.
+  // every rx queue is quiet.
   void AttachIngress(SimplexLink* link) { ingress_ = link; }
 
   // Takes the frames due before the running event from a pulled ingress link: what
@@ -150,10 +157,14 @@ class SimulatedNic final : private SimplexLink::Receiver {
  private:
   // One rx queue; it is its own interrupt event.
   struct RxQueue final : EventLoop::Target {
-    RxQueue() : ring(kRxRingEntries) {}
-    // The interrupt: runs the handler unless the queue was polled dry meanwhile.
+    explicit RxQueue(SimulatedNic& owner) : nic(owner), ring(kRxRingEntries) {}
+    // The interrupt: takes the frames due, then runs the handler unless the queue was
+    // polled dry meanwhile.
     void Fire(EventLoop::Slot slot) override;
+    // An arrival raises no interrupt: the queue polls or its interrupt is pending.
+    bool quiet() const { return poll_mode || interrupt_pending; }
 
+    SimulatedNic& nic;
     SpscRing<PacketPtr> ring;
     std::function<void()> on_interrupt;
     bool poll_mode = false;
@@ -165,6 +176,9 @@ class SimulatedNic final : private SimplexLink::Receiver {
   void ReceiveFromWire(std::vector<uint8_t>&& frame, SimTime arrival) override;
   size_t SteerQueue(const Packet& p);
   void MaybeRaiseInterrupt(size_t queue);
+  // Pulls the ingress link while every queue is quiet and pushes otherwise. A caller
+  // that made a queue stop being quiet took the frames due before it did.
+  void UpdatePull();
 
   int id_;
   NicConfig config_;
@@ -175,8 +189,7 @@ class SimulatedNic final : private SimplexLink::Receiver {
   size_t rr_next_queue_ = 0;  // round-robin spray when RSS is off
   SimplexLink* egress_ = nullptr;
   SimplexLink* ingress_ = nullptr;
-  size_t queues_polled_ = 0;
-  bool pulling_ = false;  // ingress_ is pulled: every queue is polled
+  bool pulling_ = false;  // ingress_ is pulled: every queue is quiet
   bool link_busy_ = false;  // recent arrivals closer than kModerationGap
   SimTime last_arrival_;
   Stats stats_;

@@ -399,9 +399,16 @@ void NetworkStack::TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t>&& fr
 void NetworkStack::BeginDriverBatch() { in_driver_batch_ = true; }
 
 void NetworkStack::FlushDriverBatch(SimTime done) {
+  const HeldBatch held = HoldDriverBatch(done);
+  if (held.batch != nullptr) {
+    loop_.QueueAt(held.slot, *held.batch);
+  }
+}
+
+RxSink::HeldBatch NetworkStack::HoldDriverBatch(SimTime done) {
   in_driver_batch_ = false;
   if (staged_tx_.empty()) {
-    return;
+    return {};
   }
   if (free_tx_batches_.empty()) {
     tx_batches_.push_back(std::make_unique<TxBatch>(*this));
@@ -410,7 +417,7 @@ void NetworkStack::FlushDriverBatch(SimTime done) {
   TxBatch& batch = *free_tx_batches_.back();
   free_tx_batches_.pop_back();
   batch.frames.swap(staged_tx_);
-  loop_.ScheduleAt(done, batch);
+  return {&batch, loop_.Reserve(done)};
 }
 
 void NetworkStack::TxBatch::Fire(EventLoop::Slot /*slot*/) {

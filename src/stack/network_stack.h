@@ -79,6 +79,9 @@ class NetworkStack : public RxSink {
   // time. Outputs generated outside a driver batch (TCP timers) transmit immediately.
   void BeginDriverBatch() override;
   void FlushDriverBatch(SimTime done) override;
+  // The driver's flush: the staged batch comes back unqueued, in the slot it reserved
+  // at `done`, and the driver sends it in place or queues it (src/driver/rx_sink.h).
+  HeldBatch HoldDriverBatch(SimTime done) override;
 
   // ---- Connections -----------------------------------------------------------------
 
@@ -163,7 +166,8 @@ class NetworkStack : public RxSink {
   bool in_driver_batch_ = false;
   using TxFrames = std::vector<std::pair<int, std::vector<uint8_t>>>;
   TxFrames staged_tx_;
-  // A flushed batch waiting for its CPU completion; it is its own completion event.
+  // A flushed batch waiting for its CPU completion; it is its own completion event,
+  // queued by FlushDriverBatch or fired by the driver that held it.
   struct TxBatch final : EventLoop::Target {
     explicit TxBatch(NetworkStack& s) : stack(s) {}
     void Fire(EventLoop::Slot slot) override;  // transmits the frames

@@ -1,6 +1,5 @@
 #include "src/util/event_loop.h"
 
-#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -51,7 +50,7 @@ void EventLoop::QueueAt(Slot slot, Target& target) {
   if (spent_root_) {
     // Replace-top: the first event queued by a running one takes its key's place.
     spent_root_ = false;
-    SiftDownFromRoot(key);
+    SiftDownFromRoot(key, std::exchange(earliest_child_, 0));
     return;
   }
   // Sift up: move parents down into the hole until the key fits. Each level compares
@@ -72,9 +71,10 @@ void EventLoop::QueueAt(Slot slot, Target& target) {
   thread_harness_counters.event_key_compares += levels;
 }
 
-void EventLoop::SiftDownFromRoot(const Key key) {
+void EventLoop::SiftDownFromRoot(const Key key, size_t earliest_child) {
   // Move the earliest child up into the hole until `key` fits. A level with n children
-  // compares n keys: n - 1 to find the earliest child, and that child with `key`.
+  // compares n keys: n - 1 to find the earliest child, and that child with `key`; the
+  // root's level compares one when its earliest child is known.
   const size_t size = heap_.size();
   size_t hole = 0;
   uint64_t compares = 0;
@@ -83,11 +83,17 @@ void EventLoop::SiftDownFromRoot(const Key key) {
     if (first >= size) {
       break;
     }
-    const size_t end = first + 4 < size ? first + 4 : size;
-    compares += end - first;
     size_t best = first;
-    for (size_t child = first + 1; child < end; ++child) {
-      best = Before(heap_[child], heap_[best]) ? child : best;
+    if (earliest_child != 0) {
+      best = earliest_child;
+      earliest_child = 0;
+      ++compares;
+    } else {
+      const size_t end = first + 4 < size ? first + 4 : size;
+      compares += end - first;
+      for (size_t child = first + 1; child < end; ++child) {
+        best = Before(heap_[child], heap_[best]) ? child : best;
+      }
     }
     if (!Before(heap_[best], key)) {
       break;
@@ -105,6 +111,7 @@ void EventLoop::RunNext() {
   current_seq_ = top.seq;
   ++thread_harness_counters.events_run;
   spent_root_ = true;
+  earliest_child_ = 0;
   top.target->Fire(Slot{top.when, top.seq});
   if (!spent_root_) {
     return;  // an event queued during Fire took the root, or Fire cleared the loop
@@ -145,32 +152,36 @@ void EventLoop::Timer::Wake(uint64_t seq) {
   }
 }
 
-bool EventLoop::StepInPlace(SimTime when) {
-  if (!spent_root_ || when > deadline_) {
-    return false;  // not in a Fire, or it queued something, or past the run
+bool EventLoop::RunInPlace(const Slot slot) {
+  if (!running_ || slot.when > deadline_) {
+    return false;  // not inside a run, or past it
   }
-  if (when < now_) {
-    when = now_;
-  }
-  // The earliest pending key is one of the spent root's children. They stay put while
-  // the root is spent, so a run of steps in one Fire finds their earliest time once.
-  const size_t end = heap_.size() < 5 ? heap_.size() : 5;
-  if (end > 1) {
-    if (earliest_pending_of_ != current_seq_) {
-      earliest_pending_ = heap_[1].when;
-      for (size_t child = 2; child < end; ++child) {
-        earliest_pending_ = std::min(earliest_pending_, heap_[child].when);
+  TCPRX_CHECK(Current() < slot);
+  const Key key{slot.when, slot.seq, nullptr};
+  if (spent_root_) {
+    // The earliest pending key is the spent root's earliest child, if it has any.
+    const size_t end = heap_.size() < 5 ? heap_.size() : 5;
+    if (end > 1) {
+      if (earliest_child_ == 0) {
+        earliest_child_ = 1;
+        for (size_t child = 2; child < end; ++child) {
+          earliest_child_ = Before(heap_[child], heap_[earliest_child_]) ? child : earliest_child_;
+        }
+        thread_harness_counters.event_key_compares += end - 2;
       }
-      thread_harness_counters.event_key_compares += end - 2;
+      ++thread_harness_counters.event_key_compares;
+      if (Before(heap_[earliest_child_], key)) {
+        return false;
+      }
     }
+  } else if (!heap_.empty()) {
     ++thread_harness_counters.event_key_compares;
-    if (earliest_pending_ <= when) {
+    if (Before(heap_.front(), key)) {
       return false;
     }
   }
-  now_ = when;
-  current_seq_ = next_seq_++;
-  earliest_pending_of_ = current_seq_;  // the same children stay pending
+  now_ = slot.when;
+  current_seq_ = slot.seq;
   ++thread_harness_counters.steps_in_place;
   return true;
 }
@@ -205,6 +216,7 @@ uint64_t EventLoop::RunToCompletion() {
 void EventLoop::Clear() {
   heap_.clear();
   spent_root_ = false;
+  earliest_child_ = 0;
   while (boxes_ != nullptr) {
     delete boxes_;
   }

@@ -19,11 +19,13 @@
 // leaf fills the root after it returns, as a pop would. Keys are unique, so the order
 // in which events run is the same either way.
 //
-// In place: a Fire that has queued nothing yet may run its owner's next event itself.
-// StepInPlace moves the loop to that event's time, in the slot its Reserve would take,
-// when no pending event is due at or before it, so the work runs exactly where the
-// queued event would have and the heap does nothing at all (a polling driver's next
-// step, which is most often the next thing due).
+// In place: an event whose slot is already reserved may run inside the running one.
+// RunInPlace moves the loop to that slot when no pending event precedes it, so the
+// work runs exactly where the queued event would have and the heap does nothing at
+// all (a polling driver's next step, which is most often the next thing due, or the
+// transmit batch its step just flushed). With the spent root still in place the
+// earliest pending key is one of its children; the check finds that child once per
+// spent root, and a QueueAt that then replaces the root starts its sift from it.
 
 #ifndef SRC_UTIL_EVENT_LOOP_H_
 #define SRC_UTIL_EVENT_LOOP_H_
@@ -31,7 +33,6 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -130,16 +131,16 @@ class EventLoop {
   // Schedules `cb` `delay` after the current time.
   void ScheduleAfter(SimDuration delay, Callback cb) { ScheduleAt(now_ + delay, std::move(cb)); }
 
-  // For a Fire that has queued nothing yet: if no pending event is due at or before
-  // `when` (clamped to now) and `when` is within the running RunUntil, moves the loop
-  // to `when` in the slot Reserve(when) would take and returns true; the caller then
-  // runs that event's work itself. Otherwise changes nothing and returns false, and
-  // the caller queues the event as usual. Either way the seqs reserved afterwards are
-  // the same.
-  bool StepInPlace(SimTime when);
+  // Runs the event reserved in `slot` in place, from inside a running event: if no
+  // pending event precedes `slot` and `slot` is within the running RunUntil, moves the
+  // loop to `slot` and returns true; the caller then runs that event's work itself.
+  // Otherwise changes nothing and returns false, and the caller queues the event as
+  // usual. `slot` must not have been passed yet.
+  bool RunInPlace(Slot slot);
 
   // Runs events until the queue is empty or simulated time reaches `deadline`.
-  // Returns the number of events fired from the queue (steps in place not included).
+  // Returns the number of events fired from the queue (events run in place not
+  // included).
   // Not from inside a running event.
   uint64_t RunUntil(SimTime deadline);
 
@@ -177,16 +178,16 @@ class EventLoop {
   // Runs the earliest event, its key left at the root while it runs.
   void RunNext();
   // Puts `key` in the root's place and sifts it down: the heap below the root is valid.
-  void SiftDownFromRoot(Key key);
+  // `earliest_child`, when not 0, is the root's earliest child, already found.
+  void SiftDownFromRoot(Key key, size_t earliest_child = 0);
 
   SimTime now_;
   uint64_t current_seq_ = 0;  // Current().seq
   uint64_t next_seq_ = 0;
   SimTime deadline_;          // of the running run
-  // The earliest time pending beside the spent root while the event or step with seq
-  // `earliest_pending_of_` ran (StepInPlace).
-  SimTime earliest_pending_;
-  uint64_t earliest_pending_of_ = std::numeric_limits<uint64_t>::max();
+  // The spent root's earliest child, once RunInPlace has found it; 0 = not yet. The
+  // children stay put while the root is spent.
+  size_t earliest_child_ = 0;
   std::vector<Key> heap_;     // 4-ary min-heap: the children of i are 4i+1..4i+4
   bool spent_root_ = false;   // heap_[0] is the running event's key, not a pending one
   bool running_ = false;      // inside RunUntil or RunToCompletion

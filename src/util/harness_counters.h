@@ -25,9 +25,10 @@ struct HarnessCounters {
   uint64_t frame_buffers_made = 0;
   uint64_t events_run = 0;  // events EventLoop::RunNext (src/util/event_loop.h) ran
   // Event keys the EventLoop's heap compared while sifting, or while looking for an
-  // earlier pending event before a step in place (src/util/event_loop.h).
+  // earlier pending event before running one in place (src/util/event_loop.h).
   uint64_t event_key_compares = 0;
-  // Events that ran in place, without a heap event of their own (EventLoop::StepInPlace).
+  // Events that ran in place, without a heap event of their own (EventLoop::RunInPlace):
+  // poll steps and the transmit batches a driver sends in place.
   uint64_t steps_in_place = 0;
   // Frames a NIC took off its link without a wakeup per frame (SimplexLink::PullBefore,
   // src/nic/link.h).

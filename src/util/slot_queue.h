@@ -10,9 +10,9 @@
 // head it pops.
 //
 // The owner may turn the wakeups off and take its items itself, each once the event
-// order reaches its slot (a link whose far end polls). A wakeup queued before then
-// still fires in its item's slot, and the item may be gone by then; turned back on,
-// the wakeups resume from the head.
+// order reaches its slot (a link whose far end raises no interrupt meanwhile). A
+// wakeup queued before then still fires in its item's slot, and the item may be gone
+// by then; turned back on, the wakeups resume from the head.
 
 #ifndef SRC_UTIL_SLOT_QUEUE_H_
 #define SRC_UTIL_SLOT_QUEUE_H_

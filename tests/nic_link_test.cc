@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -15,6 +16,7 @@
 #include "src/nic/nic.h"
 #include "src/util/harness_counters.h"
 #include "src/util/rng.h"
+#include "src/wire/raw_view.h"
 #include "tests/test_util.h"
 
 namespace tcprx {
@@ -447,25 +449,39 @@ TEST_F(NicTest, TransmitCountsAndForwards) {
 // A polled NIC pulling its link
 // ---------------------------------------------------------------------------
 
-// A 10 Gb/s link with reordered, duplicated and corrupted frames feeding a two-queue
-// NIC (RSS off: frames are sprayed round-robin), drained by a scripted polling driver.
-// The driver pops one frame per queue per step and runs its next step in place when
-// it can; every so often it pauses long enough for the rings to overflow, and it
-// leaves poll mode in the middle of bursts as well as when the rings run dry, queue 1
-// a little after queue 0. Run pulled (the NIC takes its frames off the link while both
-// queues poll) or pushed (one wakeup per frame), the bed must see exactly the same
-// things: the log holds each interrupt's and step's slot, each frame popped, and the
-// final stats and rings.
+// The NIC side of a pulled-versus-pushed schedule: its rx queues, steering and
+// interrupt moderation, which of its queues the scripted driver owns, and whether that
+// driver pauses long enough in poll mode for the rings to overflow.
+struct PollingBedConfig {
+  size_t queues = 2;
+  bool rss = false;  // off: frames are sprayed round-robin
+  SimDuration moderation_delay = SimDuration::FromMicros(10);
+  size_t polled_queues = 2;      // the driver owns queues 0..polled_queues-1
+  std::vector<uint16_t> ports;   // the flows' source ports; empty: one flow
+  bool pauses = true;
+};
+
+// A 10 Gb/s link with reordered, duplicated and corrupted frames feeding a multi-queue
+// NIC, drained by a scripted polling driver. The driver puts its queues in poll mode
+// at an interrupt and runs its first step in place when it can, pops one frame per
+// queue per step and runs its next step in place when it can; it may pause long
+// enough for the rings to overflow, and it leaves poll mode in the middle of bursts as
+// well as when the rings run dry, queue 0 a little before the others. Run pulled (the
+// NIC takes its frames off the link while every queue polls or has its interrupt
+// pending) or pushed (one wakeup per frame), the bed must see exactly the same things:
+// the log holds each interrupt's and step's slot, each frame popped, and the final
+// stats and rings.
 class PollingBed final : public EventLoop::Target {
  public:
-  explicit PollingBed(bool pulled)
-      : nic_(0, NicConfigFor(), loop_, pool_),
+  PollingBed(const PollingBedConfig& config, bool pulled)
+      : config_(config),
+        nic_(0, NicConfigFor(config), loop_, pool_),
         link_(LinkConfigFor(), loop_,
               [this](std::vector<uint8_t>&& frame) { nic_.DeliverFromWire(std::move(frame)); }) {
     if (pulled) {
       nic_.AttachIngress(&link_);
     }
-    for (size_t q = 0; q < kQueues; ++q) {
+    for (size_t q = 0; q < config_.queues; ++q) {
       nic_.set_on_rx_interrupt(q, [this, q] { OnInterrupt(q); });
     }
   }
@@ -477,6 +493,9 @@ class PollingBed final : public EventLoop::Target {
         for (uint32_t i = 0; i < 700; ++i) {
           FrameOptions options;
           options.seq = burst * 700 + i;
+          if (!config_.ports.empty()) {
+            options.src_port = config_.ports[i % config_.ports.size()];
+          }
           link_.Send(MakeFrame(options, 1448));
         }
       });
@@ -491,7 +510,7 @@ class PollingBed final : public EventLoop::Target {
                    std::to_string(stats.rx_csum_good) + " bad " +
                    std::to_string(stats.rx_csum_bad) + " in flight " +
                    std::to_string(link_.frames_in_flight()));
-    for (size_t q = 0; q < kQueues; ++q) {
+    for (size_t q = 0; q < config_.queues; ++q) {
       log_.push_back("queue " + std::to_string(q) + " rx " +
                      std::to_string(nic_.rx_frames_on_queue(q)));
       while (!nic_.RxEmpty(q)) {
@@ -506,13 +525,11 @@ class PollingBed final : public EventLoop::Target {
   uint64_t exits_with_frames() const { return exits_with_frames_; }
 
  private:
-  static constexpr size_t kQueues = 2;
-
-  static NicConfig NicConfigFor() {
+  static NicConfig NicConfigFor(const PollingBedConfig& bed) {
     NicConfig config;
-    config.num_rx_queues = kQueues;
-    config.rss.enabled = false;
-    config.moderation_delay = SimDuration::FromMicros(10);  // interrupts soon after exits
+    config.num_rx_queues = bed.queues;
+    config.rss.enabled = bed.rss;
+    config.moderation_delay = bed.moderation_delay;
     return config;
   }
   static LinkConfig LinkConfigFor() {
@@ -526,8 +543,8 @@ class PollingBed final : public EventLoop::Target {
     return config;
   }
 
-  void Log(const char* what, EventLoop::Slot slot) {
-    log_.push_back(std::string(what) + " " + std::to_string(slot.when.nanos()) + "/" +
+  void Log(const std::string& what, EventLoop::Slot slot) {
+    log_.push_back(what + " " + std::to_string(slot.when.nanos()) + "/" +
                    std::to_string(slot.seq));
   }
 
@@ -539,48 +556,61 @@ class PollingBed final : public EventLoop::Target {
   }
 
   void OnInterrupt(size_t q) {
-    Log(q == 0 ? "irq0" : "irq1", loop_.Current());
-    if (polling_) {
+    Log("irq" + std::to_string(q), loop_.Current());
+    if (polling_ || q >= config_.polled_queues) {
       return;
     }
     polling_ = true;
-    for (size_t i = 0; i < kQueues; ++i) {
+    for (size_t i = 0; i < config_.polled_queues; ++i) {
       nic_.SetQueuePollMode(i, true);
     }
-    loop_.ScheduleAt(loop_.Now() + SimDuration::FromMicros(3), *this);
+    const EventLoop::Slot first = loop_.Reserve(loop_.Now() + SimDuration::FromMicros(3));
+    if (loop_.RunInPlace(first)) {
+      Steps();
+    } else {
+      loop_.QueueAt(first, *this);
+    }
   }
 
-  void Fire(EventLoop::Slot /*slot*/) override {
+  void Fire(EventLoop::Slot /*slot*/) override { Steps(); }
+
+  void Steps() {
     for (;;) {
       Log("step", loop_.Current());
       ++steps_;
       bool any = false;
-      for (size_t q = 0; q < kQueues; ++q) {
+      for (size_t q = 0; q < config_.polled_queues; ++q) {
         if (!nic_.RxEmpty(q)) {
           Pop(q);
           any = true;
         }
       }
       if (!any || steps_ % 53 == 0) {
-        // Queue 1 leaves poll mode a little later: meanwhile queue 0 takes interrupts
-        // again while queue 1 still polls.
+        // The other queues leave poll mode a little later: meanwhile queue 0 takes
+        // interrupts again while they still poll.
         exits_with_frames_ += any ? 1 : 0;
         polling_ = false;
         nic_.SetQueuePollMode(0, false);
-        loop_.ScheduleAt(loop_.Now() + SimDuration::FromMicros(4),
-                         [this] { nic_.SetQueuePollMode(1, false); });
+        loop_.ScheduleAt(loop_.Now() + SimDuration::FromMicros(4), [this] {
+          for (size_t q = 1; q < config_.polled_queues; ++q) {
+            nic_.SetQueuePollMode(q, false);
+          }
+        });
         return;
       }
       const SimTime next =
-          loop_.Now() + (steps_ % 97 == 0 ? SimDuration::FromMicros(800)
-                                          : SimDuration::FromNanos(300 + 700 * (steps_ % 3)));
-      if (!loop_.StepInPlace(next)) {
-        loop_.ScheduleAt(next, *this);
+          loop_.Now() + (config_.pauses && steps_ % 97 == 0
+                             ? SimDuration::FromMicros(800)
+                             : SimDuration::FromNanos(300 + 700 * (steps_ % 3)));
+      const EventLoop::Slot slot = loop_.Reserve(next);
+      if (!loop_.RunInPlace(slot)) {
+        loop_.QueueAt(slot, *this);
         return;
       }
     }
   }
 
+  PollingBedConfig config_;
   EventLoop loop_;
   PacketPool pool_;
   SimulatedNic nic_;
@@ -590,6 +620,42 @@ class PollingBed final : public EventLoop::Target {
   uint64_t exits_with_frames_ = 0;
   std::vector<std::string> log_;
 };
+
+// Runs `config` pulled and pushed; expects identical logs and returns the pulled bed's
+// frames pulled and steps in place, and the pushed bed's steps in place.
+struct PulledAndPushed {
+  uint64_t frames_pulled = 0;
+  uint64_t pulled_steps = 0;
+  uint64_t pushed_steps = 0;
+};
+PulledAndPushed ExpectPulledSeesWhatPushedSees(const PollingBedConfig& config,
+                                               const std::function<void(PollingBed&)>& check) {
+  PulledAndPushed counts;
+  const uint64_t pulled_before = thread_harness_counters.frames_pulled;
+  const uint64_t steps_before = thread_harness_counters.steps_in_place;
+  PollingBed pulled_bed(config, /*pulled=*/true);
+  const std::vector<std::string> pulled = pulled_bed.Run();
+  counts.frames_pulled = thread_harness_counters.frames_pulled - pulled_before;
+  counts.pulled_steps = thread_harness_counters.steps_in_place - steps_before;
+  check(pulled_bed);
+
+  PollingBed pushed_bed(config, /*pulled=*/false);
+  const std::vector<std::string> pushed = pushed_bed.Run();
+  EXPECT_EQ(thread_harness_counters.frames_pulled - pulled_before, counts.frames_pulled);
+  counts.pushed_steps =
+      thread_harness_counters.steps_in_place - steps_before - counts.pulled_steps;
+
+  EXPECT_GT(pulled.size(), 2000u);
+  EXPECT_EQ(pulled.size(), pushed.size());
+  for (size_t i = 0; i < std::min(pulled.size(), pushed.size()); ++i) {
+    if (pulled[i] != pushed[i]) {
+      ADD_FAILURE() << "entry " << i << ": pulled \"" << pulled[i] << "\", pushed \""
+                    << pushed[i] << "\"";
+      break;
+    }
+  }
+  return counts;
+}
 
 // Frames pulled together keep the gap they arrived with: two frames 90 us apart leave
 // the link idle for interrupt moderation, so leaving poll mode with both queued raises
@@ -623,34 +689,75 @@ TEST(PolledNic, PulledFramesKeepTheirArrivalTimes) {
 }
 
 TEST(PolledNic, PullingItsLinkSeesWhatPerFrameDeliverySees) {
-  const uint64_t pulled_before = thread_harness_counters.frames_pulled;
-  const uint64_t steps_before = thread_harness_counters.steps_in_place;
-  PollingBed pulled_bed(/*pulled=*/true);
-  const std::vector<std::string> pulled = pulled_bed.Run();
-  const uint64_t frames_pulled = thread_harness_counters.frames_pulled - pulled_before;
-  const uint64_t pulled_steps = thread_harness_counters.steps_in_place - steps_before;
+  uint64_t rx_frames = 0;
+  const PulledAndPushed counts = ExpectPulledSeesWhatPushedSees(PollingBedConfig{}, [&](
+                                                                    PollingBed& bed) {
+    rx_frames = bed.nic().stats().rx_frames;
+    // The schedule reaches every case: overtaking and copied frames, ring overflow,
+    // corrupted frames and exits from poll mode with frames still queued.
+    EXPECT_GT(bed.link().frames_reordered(), 50u);
+    EXPECT_GT(bed.link().frames_duplicated(), 20u);
+    EXPECT_GT(bed.nic().stats().rx_dropped, 100u);
+    EXPECT_GT(bed.nic().stats().rx_csum_bad, 0u);
+    EXPECT_GT(bed.exits_with_frames(), 3u);
+  });
+  // Most frames come off the link without a wakeup.
+  EXPECT_GT(counts.frames_pulled, rx_frames / 2);
+  // Pulled, most steps run in place; pushed, the frames' own wakeups keep nearly every
+  // step queued.
+  EXPECT_GT(counts.pulled_steps, counts.pushed_steps);
+}
 
-  PollingBed pushed_bed(/*pulled=*/false);
-  const std::vector<std::string> pushed = pushed_bed.Run();
-  EXPECT_EQ(thread_harness_counters.frames_pulled - pulled_before, frames_pulled);
+// A long moderation delay keeps each interrupt pending while a burst fills the ring,
+// so frames overflow it while the NIC pulls: the driver here never pauses in poll mode,
+// so no drop can happen there.
+TEST(PolledNic, RingOverflowUnderAPendingInterruptIsPulledAsPushed) {
+  PollingBedConfig config;
+  config.moderation_delay = SimDuration::FromMicros(400);
+  config.pauses = false;
+  const PulledAndPushed counts = ExpectPulledSeesWhatPushedSees(config, [](PollingBed& bed) {
+    EXPECT_GT(bed.nic().stats().rx_dropped, 100u);
+  });
+  EXPECT_GT(counts.frames_pulled, 0u);
+}
 
-  // The schedule reaches every case: overtaking and copied frames, ring overflow,
-  // corrupted frames and exits from poll mode with frames still queued.
-  EXPECT_GT(pulled_bed.link().frames_reordered(), 50u);
-  EXPECT_GT(pulled_bed.link().frames_duplicated(), 20u);
-  EXPECT_GT(pulled_bed.nic().stats().rx_dropped, 100u);
-  EXPECT_GT(pulled_bed.nic().stats().rx_csum_bad, 0u);
-  EXPECT_GT(pulled_bed.exits_with_frames(), 3u);
-  // Pulled, most frames come off the link without a wakeup, and most steps run in
-  // place; pushed, the frames' own wakeups keep nearly every step queued.
-  EXPECT_GT(frames_pulled, pulled_bed.nic().stats().rx_frames / 2);
-  EXPECT_GT(pulled_steps, thread_harness_counters.steps_in_place - steps_before - pulled_steps);
+// Without moderation every interrupt comes kInterruptDelay after the frame that raised
+// it; the frames behind it in that window are still pulled.
+TEST(PolledNic, PullingWithoutModerationSeesWhatPerFrameDeliverySees) {
+  PollingBedConfig config;
+  config.moderation_delay = kInterruptDelay;
+  const PulledAndPushed counts =
+      ExpectPulledSeesWhatPushedSees(config, [](PollingBed& bed) {
+        EXPECT_GT(bed.exits_with_frames(), 3u);
+      });
+  EXPECT_GT(counts.frames_pulled, 0u);
+}
 
-  ASSERT_GT(pulled.size(), 2000u);
-  ASSERT_EQ(pulled.size(), pushed.size());
-  for (size_t i = 0; i < pulled.size(); ++i) {
-    ASSERT_EQ(pulled[i], pushed[i]) << "entry " << i;
+// A 4-queue RSS NIC whose flows all hash to queues 0-2: queue 3 stays idle, where an
+// arrival would raise an interrupt, so the NIC never pulls.
+TEST(PolledNic, AnIdleQueueKeepsTheNicPushing) {
+  constexpr size_t kQueues = 4;
+  const RssHasher hasher(kQueues, kRssSecretKey);
+  PollingBedConfig config;
+  config.queues = kQueues;
+  config.rss = true;
+  config.polled_queues = 3;
+  std::vector<bool> hit(kQueues, false);
+  for (uint16_t port = 10000; config.ports.size() < 9; ++port) {
+    FrameOptions options;
+    options.src_port = port;
+    const size_t queue = hasher.QueueFor(PeekFlowKey(MakeFrame(options, 0))->key);
+    if (queue < 3) {
+      config.ports.push_back(port);
+      hit[queue] = true;
+    }
   }
+  ASSERT_EQ(hit, (std::vector<bool>{true, true, true, false}));
+  const PulledAndPushed counts = ExpectPulledSeesWhatPushedSees(config, [](PollingBed& bed) {
+    EXPECT_EQ(bed.nic().rx_frames_on_queue(3), 0u);
+    EXPECT_GT(bed.nic().stats().rx_dropped, 0u);
+  });
+  EXPECT_EQ(counts.frames_pulled, 0u);
 }
 
 }  // namespace

@@ -277,9 +277,10 @@ class ReferenceOrderDriver {
     SlotQueue<uint64_t> queue_;
   };
 
-  // Each Fire runs its entry, then takes more at random times and steps to each in
-  // place, until the loop refuses one (something is due first, the Fire queued
-  // something, or the time is past the run), which it queues instead.
+  // Each Fire runs its entry, then reserves more at random times and runs each in
+  // place, until the loop refuses one (something is due first, or the time is past
+  // the run), which it queues instead. Each entry's random work may have queued events
+  // first, so a step runs with the spent root still in place or with it replaced.
   class InPlaceStepper final : public EventLoop::Target {
    public:
     explicit InPlaceStepper(ReferenceOrderDriver& driver) : driver_(driver) {}
@@ -306,16 +307,22 @@ class ReferenceOrderDriver {
         if (driver_.budget_ <= 0 || driver_.rng_.NextBelow(4) == 0) {
           return;
         }
-        const Entry next = driver_.Take(driver_.RandomTime());
-        if (!driver_.loop_.StepInPlace(next.when)) {
+        const SimTime when = driver_.RandomTime();
+        const EventLoop::Slot step = driver_.loop_.Reserve(when);
+        const Entry next = driver_.Take(when);
+        if (step.when != next.when || step.seq != next.seq) {
+          driver_.mismatch_ = "the driver's seq count drifted from the loop's";
+          return;
+        }
+        if (!driver_.loop_.RunInPlace(step)) {
           ++refused;
           pending_[next.seq] = next.id;
-          driver_.loop_.ScheduleAt(next.when, *this);  // the seq the step would have taken
+          driver_.loop_.QueueAt(step, *this);
           return;
         }
         ++steps;
-        if (driver_.loop_.Current() != EventLoop::Slot{next.when, next.seq}) {
-          driver_.mismatch_ = "a step in place took another slot than its Reserve would";
+        if (driver_.loop_.Current() != step) {
+          driver_.mismatch_ = "a step in place ran in another slot than its own";
         }
         id = next.id;
       }
@@ -570,48 +577,75 @@ struct Probe final : EventLoop::Target {
   std::function<void(EventLoop::Slot)> body;
 };
 
-TEST(EventLoop, StepInPlaceRefusesWhateverWouldRunOutOfOrder) {
-  constexpr SimTime kStepTo = SimTime::FromNanos(20);
+TEST(EventLoop, RunInPlaceRefusesWhateverWouldRunOutOfOrder) {
+  constexpr SimTime kRunAt = SimTime::FromNanos(20);
   struct Case {
     const char* name;
-    SimTime pending;      // another event, queued first
-    SimTime deadline;     // of the run
-    bool queue_first;     // the stepping Fire queues an event at 100 ns first
-    bool steps;
+    SimTime pending;     // another event's slot
+    bool pending_first;  // that slot is reserved before the one run in place
+    SimTime deadline;    // of the run
+    bool runs;
   };
   const Case cases[] = {
-      {"a pending event at the same time", kStepTo, SimTime::FromNanos(1000), false, false},
-      {"an earlier pending event", SimTime::FromNanos(15), SimTime::FromNanos(1000), false, false},
-      {"a time past the run's deadline", SimTime::FromNanos(500), SimTime::FromNanos(19), false,
+      {"an earlier pending key", SimTime::FromNanos(15), false, SimTime::FromNanos(1000), false},
+      {"a pending key at the same time with a lower seq", kRunAt, true, SimTime::FromNanos(1000),
        false},
-      {"a Fire that queued something", SimTime::FromNanos(500), SimTime::FromNanos(1000), true,
+      {"a slot past the run's deadline", SimTime::FromNanos(500), false, SimTime::FromNanos(19),
        false},
-      {"nothing due first", SimTime::FromNanos(21), SimTime::FromNanos(1000), false, true},
+      {"a pending key at the same time with a higher seq", kRunAt, false,
+       SimTime::FromNanos(1000), true},
+      {"nothing due first", SimTime::FromNanos(21), true, SimTime::FromNanos(1000), true},
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    EventLoop loop;
-    bool stepped = false;
-    Probe stepper([&](EventLoop::Slot /*slot*/) {
-      if (c.queue_first) {
-        loop.ScheduleAt(SimTime::FromNanos(100), [] {});
+    // With the spent root, the other event was queued before the run and the running
+    // one has queued nothing; without it, the running one queued the other first.
+    for (const bool spent_root : {true, false}) {
+      SCOPED_TRACE(std::string(c.name) + (spent_root ? ", spent root" : ", root replaced"));
+      EventLoop loop;
+      bool ran = false;
+      EventLoop::Slot pending;
+      EventLoop::Slot slot;
+      Probe runner([&](EventLoop::Slot /*slot*/) {
+        if (!spent_root) {
+          loop.QueueAt(pending, [] {});
+        }
+        const EventLoop::Slot before = loop.Current();
+        ran = loop.RunInPlace(slot);
+        EXPECT_EQ(loop.Current(), ran ? slot : before);
+        if (!ran) {
+          loop.QueueAt(slot, [] {});
+        }
+      });
+      loop.ScheduleAt(SimTime::FromNanos(10), runner);
+      if (c.pending_first) {
+        pending = loop.Reserve(c.pending);
+        slot = loop.Reserve(kRunAt);
+      } else {
+        slot = loop.Reserve(kRunAt);
+        pending = loop.Reserve(c.pending);
       }
-      const EventLoop::Slot before = loop.Current();
-      stepped = loop.StepInPlace(kStepTo);
-      EXPECT_EQ(loop.Current(), stepped ? (EventLoop::Slot{kStepTo, 2}) : before);
-    });
-    loop.ScheduleAt(SimTime::FromNanos(10), stepper);
-    loop.ScheduleAt(c.pending, [] {});
-    loop.RunUntil(c.deadline);
-    EXPECT_EQ(stepped, c.steps);
+      if (spent_root) {
+        loop.QueueAt(pending, [] {});
+      }
+      for (int i = 0; i < 3; ++i) {  // more children of the root, all later
+        loop.ScheduleAt(SimTime::FromNanos(5000), [] {});
+      }
+      loop.RunUntil(c.deadline);
+      EXPECT_EQ(ran, c.runs);
+    }
   }
+  // Outside a run, with nothing pending and with an event pending.
   EventLoop idle;
-  EXPECT_FALSE(idle.StepInPlace(SimTime::FromNanos(5)));  // no event is running
+  const EventLoop::Slot slot = idle.Reserve(SimTime::FromNanos(5));
+  EXPECT_FALSE(idle.RunInPlace(slot));
+  idle.ScheduleAt(SimTime::FromNanos(100), [] {});
+  EXPECT_FALSE(idle.RunInPlace(slot));
+  EXPECT_EQ(idle.Current(), (EventLoop::Slot{SimTime(), 0}));
 }
 
-// A step in place runs where the queued step would have, in the slot its Reserve would
-// take, and every seq reserved afterwards is the one the queued step would have left.
-TEST(EventLoop, StepInPlaceTakesTheSlotOfTheEventItReplaces) {
+// A step in place runs where the queued step would have, in the slot its Reserve took,
+// and every seq reserved afterwards is the one the queued step would have left.
+TEST(EventLoop, RunInPlaceTakesTheSlotOfTheEventItReplaces) {
   struct Seen {
     std::vector<EventLoop::Slot> steps;
     EventLoop::Slot later;
@@ -624,9 +658,9 @@ TEST(EventLoop, StepInPlaceTakesTheSlotOfTheEventItReplaces) {
     stepper.body = [&](EventLoop::Slot slot) {
       seen.steps.push_back(slot);
       while (--left > 0) {
-        const SimTime next = loop.Now() + SimDuration::FromNanos(5);
-        if (!in_place || !loop.StepInPlace(next)) {
-          loop.ScheduleAt(next, stepper);
+        const EventLoop::Slot next = loop.Reserve(loop.Now() + SimDuration::FromNanos(5));
+        if (!in_place || !loop.RunInPlace(next)) {
+          loop.QueueAt(next, stepper);
           return;
         }
         seen.steps.push_back(loop.Current());
@@ -648,6 +682,33 @@ TEST(EventLoop, StepInPlaceTakesTheSlotOfTheEventItReplaces) {
   EXPECT_EQ(in_place.steps, queued.steps);
   EXPECT_EQ(in_place.steps.back(), (EventLoop::Slot{SimTime::FromNanos(20), 4}));
   EXPECT_EQ(in_place.later, queued.later);
+}
+
+// A refused check finds the spent root's earliest child, and the QueueAt that follows
+// starts its sift from that child instead of comparing the children again.
+TEST(EventLoop, ARefusedRunInPlaceLeavesItsChildCompareToTheSift) {
+  const auto compares = [](bool check_first) {
+    EventLoop loop;
+    uint64_t counted = 0;
+    Probe runner([&](EventLoop::Slot /*slot*/) {
+      const EventLoop::Slot next = loop.Reserve(SimTime::FromNanos(50));
+      const uint64_t before = thread_harness_counters.event_key_compares;
+      if (!check_first || !loop.RunInPlace(next)) {
+        loop.QueueAt(next, [] {});
+      }
+      counted = thread_harness_counters.event_key_compares - before;
+    });
+    loop.ScheduleAt(SimTime::FromNanos(10), runner);
+    for (uint64_t i = 0; i < 4; ++i) {  // four children of the root, one due before 50 ns
+      loop.ScheduleAt(SimTime::FromNanos(i == 2 ? 40 : 60 + i), [] {});
+    }
+    loop.RunUntil(SimTime::FromNanos(100));
+    return counted;
+  };
+  // Queued alone, the root's level compares 4 keys and the next level none. Checked
+  // first: 3 to find the earliest child, 1 against the slot, then 1 for the sift.
+  EXPECT_EQ(compares(false), 4u);
+  EXPECT_EQ(compares(true), 5u);
 }
 
 TEST(EventLoop, BoxedCallbackMayClearTheLoopAndQueueAgain) {
@@ -765,6 +826,48 @@ TEST(SpscRing, MoveOnlyTypes) {
   auto out = ring.Pop();
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(**out, 42);
+}
+
+// An element lives in its slot from Push to Pop: empty slots hold nothing, teardown
+// destroys exactly the elements still queued, and a moved-from ring destroys none.
+TEST(SpscRing, TeardownDestroysExactlyTheLiveElements) {
+  struct Counted {
+    explicit Counted(int* live_count) : live(live_count) { ++*live; }
+    Counted(Counted&& other) noexcept : live(other.live) { ++*live; }
+    Counted(const Counted&) = delete;
+    Counted& operator=(const Counted&) = delete;
+    ~Counted() { --*live; }
+    int* live;
+  };
+  int live = 0;
+  {
+    SpscRing<Counted> ring(8);
+    EXPECT_EQ(live, 0);  // no slot holds an element before its Push
+    for (int round = 0; round < 3; ++round) {  // wrap the live range past the end
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_TRUE(ring.Push(Counted(&live)));
+      }
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_TRUE(ring.Pop().has_value());
+      }
+    }
+    EXPECT_EQ(ring.Size(), 3u);
+    EXPECT_EQ(live, 3);
+  }
+  EXPECT_EQ(live, 0);
+
+  {
+    SpscRing<Counted> from(4);
+    ASSERT_TRUE(from.Push(Counted(&live)));
+    ASSERT_TRUE(from.Push(Counted(&live)));
+    SpscRing<Counted> to(std::move(from));
+    EXPECT_EQ(live, 2);
+    EXPECT_TRUE(from.Empty());
+    EXPECT_EQ(to.Size(), 2u);
+    ASSERT_TRUE(to.Pop().has_value());
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(live, 0);  // the moved-from ring destroyed nothing twice
 }
 
 // ---------------------------------------------------------------------------
