@@ -142,8 +142,8 @@ void BM_ReassemblyInsertPop(benchmark::State& state) {
     for (size_t i = segments; i-- > 0;) {
       q.Insert(1000 + i * 1448, pool.Allocate(frame));
     }
-    std::vector<uint8_t> out;
-    benchmark::DoNotOptimize(q.PopInOrder(1000, out));
+    benchmark::DoNotOptimize(q.PopInOrder(1000));
+    q.ReleaseRun();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(segments));

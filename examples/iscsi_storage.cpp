@@ -105,8 +105,7 @@ RunResult Run(bool optimized) {
   bed.stack().Listen(3260, [&](TcpConnection& conn) {
     auto session = std::make_shared<IscsiTargetSession>();
     sessions.push_back(session);
-    bed.stack().SetConnectionDataHandler(
-        conn, [session](std::span<const uint8_t> data) { session->OnBytes(data); });
+    conn.set_on_data([session](std::span<const uint8_t> data) { session->OnBytes(data); });
   });
 
   // Initiators: two per link, each issuing a continuous stream of 256 KiB writes.

@@ -35,7 +35,7 @@ RunResult Run(bool optimized, bool with_bulk_load) {
 
   // Echo server for the latency connection.
   bed.stack().Listen(7, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(conn, [&conn](std::span<const uint8_t> data) {
+    conn.set_on_data([&conn](std::span<const uint8_t> data) {
       conn.Send(std::vector<uint8_t>(data.size(), 0x42));
     });
   });

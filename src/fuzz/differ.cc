@@ -145,8 +145,7 @@ void CompareStreams(const std::string& label, const PatternCheck& baseline,
   failures->push_back(Fail("stream-pattern", buf));
 }
 
-StackConfig MakeStackConfig(const Scenario& s, bool optimized, size_t limit_override,
-                            const DiffOptions& options, bool mutate) {
+StackConfig MakeStackConfig(const Scenario& s, bool optimized, size_t limit_override) {
   StackConfig config = optimized ? StackConfig::Optimized(SystemType::kNativeUp)
                                  : StackConfig::Baseline(SystemType::kNativeUp);
   config.aggregation_limit = limit_override != 0 ? limit_override : s.aggregation_limit;
@@ -155,11 +154,12 @@ StackConfig MakeStackConfig(const Scenario& s, bool optimized, size_t limit_over
   }
   config.delayed_acks = s.delayed_acks;
   config.fill_tcp_checksums = true;
-  if (mutate) {
-    config.debug_coalesce_fragment_acks = options.mutate_coalesce_acks;
-    config.debug_skip_idle_flush = options.mutate_skip_idle_flush;
-  }
   return config;
+}
+
+// The bugs `options` plants in the optimized direct-drive runs.
+Mutation OptimizedMutation(const DiffOptions& options) {
+  return Mutation{options.mutate_coalesce_acks, options.mutate_skip_idle_flush};
 }
 
 // A flow that never connected leaves empty, and so equal, streams and traces in
@@ -188,8 +188,9 @@ struct UniObservation {
 };
 
 UniObservation RunUni(const StackConfig& config, const Scenario& s,
-                      const std::vector<WireFrame>& schedule, PcapWriter* pcap) {
-  DirectHarness h(config, s.flows, pcap);
+                      const std::vector<WireFrame>& schedule, PcapWriter* pcap,
+                      Mutation mutation = {}) {
+  DirectHarness h(config, s.flows, pcap, mutation);
   UniObservation obs;
   obs.iss = h.HandshakeAll();
   obs.unaccepted = h.Unaccepted();
@@ -230,11 +231,11 @@ void DiffUnidirectional(const Scenario& s, const DiffOptions& options,
   }
 
   const UniObservation baseline =
-      RunUni(MakeStackConfig(s, false, 0, options, false), s, schedule, nullptr);
+      RunUni(MakeStackConfig(s, false, 0), s, schedule, nullptr);
   const UniObservation optimized =
-      RunUni(MakeStackConfig(s, true, 0, options, true), s, schedule, pcap.get());
+      RunUni(MakeStackConfig(s, true, 0), s, schedule, pcap.get(), OptimizedMutation(options));
   const UniObservation limit1 =
-      RunUni(MakeStackConfig(s, true, 1, options, false), s, schedule, nullptr);
+      RunUni(MakeStackConfig(s, true, 1), s, schedule, nullptr);
   const size_t failed_before = failures->size();
   CheckAccepted("baseline", baseline.unaccepted, failures);
   CheckAccepted("optimized", optimized.unaccepted, failures);
@@ -303,8 +304,9 @@ struct BidirObservation {
 };
 
 BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
-                          const DiffOptions& options, PcapWriter* pcap) {
-  DirectHarness h(config, 1, pcap);
+                          const DiffOptions& options, PcapWriter* pcap,
+                          Mutation mutation = {}) {
+  DirectHarness h(config, 1, pcap, mutation);
   BidirObservation obs;
   const std::vector<uint32_t> iss = h.HandshakeAll();
   obs.unaccepted = h.Unaccepted();
@@ -372,9 +374,9 @@ void DiffBidirectional(const Scenario& s, const DiffOptions& options,
     pcap = std::make_unique<PcapWriter>(options.pcap_path);
   }
   const BidirObservation baseline =
-      RunBidir(MakeStackConfig(s, false, 0, options, false), s, options, nullptr);
+      RunBidir(MakeStackConfig(s, false, 0), s, options, nullptr);
   const BidirObservation optimized =
-      RunBidir(MakeStackConfig(s, true, 0, options, true), s, options, pcap.get());
+      RunBidir(MakeStackConfig(s, true, 0), s, options, pcap.get(), OptimizedMutation(options));
   const size_t failed_before = failures->size();
   CheckAccepted("baseline", baseline.unaccepted, failures);
   CheckAccepted("optimized", optimized.unaccepted, failures);
@@ -472,7 +474,7 @@ void TestbedRssStreams(const Scenario& s, std::vector<std::string>* failures) {
 
 TestbedConfig CompletenessConfig(const Scenario& scenario, bool optimized) {
   TestbedConfig config;
-  config.stack = MakeStackConfig(scenario, optimized, 0, DiffOptions{}, false);
+  config.stack = MakeStackConfig(scenario, optimized, 0);
   config.num_nics = 1;
   config.client_to_server_link = ScenarioLink(scenario);
   return config;
@@ -480,7 +482,7 @@ TestbedConfig CompletenessConfig(const Scenario& scenario, bool optimized) {
 
 TestbedConfig RssBedConfig(const Scenario& scenario, size_t cores) {
   TestbedConfig config;
-  config.stack = MakeStackConfig(scenario, true, 0, DiffOptions{}, false);
+  config.stack = MakeStackConfig(scenario, true, 0);
   config.stack.system = SystemType::kNativeSmp;
   config.num_nics = 1;
   config.smp.num_cores = cores;

@@ -73,11 +73,21 @@ inline WireFrame DataFrame(size_t flow, uint32_t seq, uint32_t ack, uint32_t pay
                    BuildClientFrame(flow, seq, ack, kTcpAck, payload_len, ts_value)};
 }
 
+// Bugs the fuzzer's self-tests plant in the stack under test, each breaking one
+// equivalence invariant that the oracles must catch.
+struct Mutation {
+  // TCP sees each host packet as its head segment alone, with the rewritten header's
+  // ack and window: the per-fragment ACK replay of section 3.4 is lost.
+  bool coalesce_fragment_acks = false;
+  bool skip_idle_flush = false;  // Idle() skips the work-conserving flush (3.5)
+};
+
 class DirectHarness {
  public:
   // `pcap`, when not null, records every frame fed and sent.
-  DirectHarness(const StackConfig& config, size_t flows, PcapWriter* pcap = nullptr)
-      : pcap_(pcap), conns_(flows), delivered_(flows), tap_(flows) {
+  DirectHarness(const StackConfig& config, size_t flows, PcapWriter* pcap = nullptr,
+                Mutation mutation = {})
+      : pcap_(pcap), mutation_(mutation), conns_(flows), delivered_(flows), tap_(flows) {
     stack_ = std::make_unique<NetworkStack>(
         config, loop_, [this](int, std::vector<uint8_t>&& frame) {
           if (pcap_ != nullptr) {
@@ -94,23 +104,22 @@ class DirectHarness {
       }
       conns_[flow] = &conn;
       conn.EnableAckTrace();
-      stack_->SetConnectionDataHandler(conn, [this, flow](std::span<const uint8_t> d) {
-        delivered_[flow].Feed(d);
-      });
+      conn.set_on_data([this, flow](std::span<const uint8_t> d) { delivered_[flow].Feed(d); });
     });
-    stack_->set_host_packet_tap([this](const SkBuff& skb) {
+    stack_->set_host_packet_tap([this](SkBuff& skb) {
       const TcpFrameView& view = skb.view();
-      if (view.tcp.dst_port != kServerPort) {
-        return;
-      }
       const size_t flow = static_cast<size_t>(view.tcp.src_port - kClientPortBase);
-      if (flow >= tap_.size()) {
-        return;
-      }
-      for (const FragmentInfo& fi : skb.fragment_info) {
-        if (fi.payload_len > 0) {
-          tap_[flow].emplace_back(fi.seq, fi.payload_len);
+      if (view.tcp.dst_port == kServerPort && flow < tap_.size()) {
+        for (const FragmentInfo& fi : skb.fragment_info) {
+          if (fi.payload_len > 0) {
+            tap_[flow].emplace_back(fi.seq, fi.payload_len);
+          }
         }
+      }
+      if (mutation_.coalesce_fragment_acks) {
+        skb.fragment_info.resize(1);
+        skb.fragment_info[0].ack = view.tcp.ack;
+        skb.fragment_info[0].window = view.tcp.window;
       }
     });
   }
@@ -127,7 +136,9 @@ class DirectHarness {
   // Work-conserving flush point; records a violation if the aggregator still holds
   // a partial afterwards.
   void Idle() {
-    stack_->OnReceiveQueueEmpty();
+    if (!mutation_.skip_idle_flush) {
+      stack_->OnReceiveQueueEmpty();
+    }
     const Aggregator* aggregator = stack_->aggregator();
     if (aggregator != nullptr && aggregator->PendingFlows() != 0) {
       ++work_violations_;
@@ -210,6 +221,7 @@ class DirectHarness {
  private:
   EventLoop loop_;
   PcapWriter* pcap_;
+  Mutation mutation_;
   std::unique_ptr<NetworkStack> stack_;
   std::vector<std::vector<uint8_t>> sent_;
   std::vector<TcpConnection*> conns_;

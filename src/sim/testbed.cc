@@ -300,14 +300,6 @@ TcpConnectionConfig Testbed::ClientConnectionConfig(size_t nic_index, uint16_t c
   return c;
 }
 
-void Testbed::ListenOnEveryShard(
-    uint16_t port, const std::function<void(NetworkStack&, TcpConnection&)>& on_accept) {
-  for (size_t c = 0; c < host_.num_cores(); ++c) {
-    NetworkStack& shard = host_.stack(c);
-    shard.Listen(port, [&shard, on_accept](TcpConnection& conn) { on_accept(shard, conn); });
-  }
-}
-
 StreamResult Testbed::RunStream(const StreamOptions& options) {
   CheckValid(ConfigErrors(config_, options));
   host_.Listen(options.server_port, [](TcpConnection&) {});
@@ -430,9 +422,9 @@ LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
   CheckValid(ConfigErrors(config_, options));
   // Echo server: respond to every delivered byte with an equal-sized reply, written
   // from one buffer per connection.
-  ListenOnEveryShard(options.server_port, [](NetworkStack& shard, TcpConnection& conn) {
-    shard.SetConnectionDataHandler(
-        conn, [&conn, reply = std::vector<uint8_t>()](std::span<const uint8_t> data) mutable {
+  host_.Listen(options.server_port, [](TcpConnection& conn) {
+    conn.set_on_data(
+        [&conn, reply = std::vector<uint8_t>()](std::span<const uint8_t> data) mutable {
           reply.assign(data.size(), 0x42);
           conn.Send(reply);
         });
@@ -491,10 +483,9 @@ std::vector<PatternCheck> Testbed::RunTransfer(const TransferOptions& options) {
   CheckValid(ConfigErrors(config_, options));
   // Shared with the data handlers, which outlive this call.
   auto delivered = std::make_shared<std::vector<PatternCheck>>(options.flows);
-  ListenOnEveryShard(kTransferPort, [delivered](NetworkStack& shard, TcpConnection& conn) {
+  host_.Listen(kTransferPort, [delivered](TcpConnection& conn) {
     PatternCheck& flow = delivered->at(conn.config().remote_port - kFirstClientPort);
-    shard.SetConnectionDataHandler(
-        conn, [&flow](std::span<const uint8_t> data) { flow.Feed(data); });
+    conn.set_on_data([&flow](std::span<const uint8_t> data) { flow.Feed(data); });
   });
   for (size_t f = 0; f < options.flows; ++f) {
     TcpConnectionConfig conn_config = ClientConnectionConfig(

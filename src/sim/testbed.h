@@ -190,11 +190,6 @@ class Testbed {
   // it by then, so the harness counters read next include them.
   void RunTo(SimTime edge);
 
-  // Every shard listens on `port` and hands each connection it accepts to
-  // `on_accept` with itself, so what the handler installs charges the owning core.
-  void ListenOnEveryShard(
-      uint16_t port, const std::function<void(NetworkStack&, TcpConnection&)>& on_accept);
-
   TestbedConfig config_;
   EventLoop loop_;
   MulticoreHost host_;

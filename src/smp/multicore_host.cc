@@ -26,16 +26,6 @@ MulticoreHost::MulticoreHost(const StackConfig& stack_config, const SmpHostConfi
   }
 }
 
-MulticoreHost::~MulticoreHost() {
-  // Shard 0 owns the DMA pool that every other shard's in-flight packets and queued
-  // out-of-order frames came from, so it must be destroyed last: drivers first
-  // (backlogged frames), then shards N-1..1, then the pool owner.
-  drivers_.clear();
-  while (shards_.size() > 1) {
-    shards_.pop_back();
-  }
-}
-
 void MulticoreHost::AttachNic(SimulatedNic* nic) {
   TCPRX_CHECK_MSG(nic->num_rx_queues() == num_cores(),
                   "NIC rx queue count must match the core count");

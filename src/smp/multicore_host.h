@@ -47,7 +47,6 @@ class MulticoreHost {
  public:
   MulticoreHost(const StackConfig& stack_config, const SmpHostConfig& config,
                 EventLoop& loop, NetworkStack::TransmitFn transmit);
-  ~MulticoreHost();
 
   size_t num_cores() const { return shards_.size(); }
   NetworkStack& stack(size_t core) { return *shards_[core]; }
@@ -59,7 +58,7 @@ class MulticoreHost {
 
   // The DMA pool the NICs allocate rx frames from — genuinely shared between cores,
   // which is why kPoolCounters is a tracked shared line.
-  PacketPool& packet_pool() { return shards_[0]->packet_pool(); }
+  PacketPool& packet_pool() { return packet_pool_; }
 
   // Attaches RSS queue c of `nic` to core c's driver. The NIC must have been built
   // with num_rx_queues == num_cores().
@@ -87,6 +86,9 @@ class MulticoreHost {
 
   SmpHostConfig config_;
   CpuTopology topology_;
+  // Declared before the shards and drivers, so it outlives every frame they hold:
+  // in flight, backlogged or queued out of order.
+  PacketPool packet_pool_;
   std::vector<std::unique_ptr<NetworkStack>> shards_;
   std::vector<std::unique_ptr<PollDriver>> drivers_;
   FlowDirector director_;

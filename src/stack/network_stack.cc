@@ -1,7 +1,5 @@
 #include "src/stack/network_stack.h"
 
-#include <algorithm>
-
 #include "src/core/template_ack.h"
 #include "src/util/logging.h"
 
@@ -134,9 +132,6 @@ void NetworkStack::ReceiveFrame(PacketPtr frame) {
 }
 
 void NetworkStack::OnReceiveQueueEmpty() {
-  if (config_.debug_skip_idle_flush) {
-    return;  // mutation: violate work conservation; see StackConfig
-  }
   if (aggregator_ != nullptr) {
     aggregator_->FlushAll();
   }
@@ -207,14 +202,6 @@ void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {
   charger_.Charge(Routine::kTcpRcvEstablished, skb->SegmentCount() * kCosts.tcp_rx_per_segment);
   charger_.ChargeLocks(Routine::kSpinLock, kCosts.tcp_rx_lock_sites);
 
-  if (config_.debug_coalesce_fragment_acks) {
-    // Mutation: present the aggregate as its head segment alone, carrying the rewritten
-    // header's ack and window, losing the per-fragment ACK replay (and the fragments'
-    // payload) the paper's section 3.4 equivalence depends on.
-    skb->fragment_info.resize(1);
-    skb->fragment_info[0].ack = skb->view().tcp.ack;
-    skb->fragment_info[0].window = skb->view().tcp.window;
-  }
   conn->OnHostPacket(*skb);
 
   charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + fragment_frames * kCosts.pkt_buf_free);
@@ -306,27 +293,17 @@ TcpConnection* NetworkStack::CreateConnection(const TcpConnectionConfig& config)
       demux_.Erase(conn->IncomingFlowKey());
     }
   });
-  conn->set_on_data([this](std::span<const uint8_t> data) { ChargeCopyToUser(data.size()); });
+  conn->set_on_delivered([this](size_t bytes) { ChargeCopyToUser(bytes); });
   demux_.InsertOrAssign(conn->IncomingFlowKey(), conn);
   return conn;
 }
 
 void NetworkStack::ChargeCopyToUser(size_t bytes) {
   // The kernel-to-application copy: the canonical per-byte operation. Charged per
-  // delivered span so an aggregated packet's fragment chain costs the same streamed
-  // bytes it would cost unaggregated.
+  // delivery (an in-order segment's new bytes, or a popped run) so an aggregated
+  // packet's fragment chain costs the same streamed bytes it would cost unaggregated.
   charger_.Charge(Routine::kCopyToUser, cache_.CopyCycles(bytes));
   account_.counters().payload_bytes += bytes;
-}
-
-void NetworkStack::SetConnectionDataHandler(TcpConnection& conn, TcpConnection::DataFn fn) {
-  TCPRX_CHECK_MSG(std::any_of(connections_.begin(), connections_.end(),
-                              [&conn](const auto& owned) { return owned.get() == &conn; }),
-                  "connection not owned by this stack");
-  conn.set_on_data([this, fn = std::move(fn)](std::span<const uint8_t> data) {
-    ChargeCopyToUser(data.size());
-    fn(data);
-  });
 }
 
 void NetworkStack::Listen(uint16_t port, AcceptFn on_accept) {

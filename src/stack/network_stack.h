@@ -20,6 +20,10 @@
 // In Xen mode the virtualization stages (bridge, netback, hypervisor, netfront, and
 // the extra data copy) are charged between aggregation and the guest stack, exactly
 // where they sit in the paper's Figure 5 architecture.
+//
+// The copy to the application is charged, never performed: each connection the stack
+// creates reports the size of every delivery to the stack's own hook, while the
+// application reads the bytes where they lie through the connection's on_data.
 
 #ifndef SRC_STACK_NETWORK_STACK_H_
 #define SRC_STACK_NETWORK_STACK_H_
@@ -28,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/buffer/packet.h"
@@ -86,7 +91,9 @@ class NetworkStack : public RxSink {
   // ---- Connections -----------------------------------------------------------------
 
   // Creates a connection owned by the stack. The returned pointer stays valid for the
-  // stack's lifetime.
+  // stack's lifetime. The stack charges every byte the connection delivers as the
+  // kernel-to-user copy (TcpConnection::set_on_delivered), whatever data handler the
+  // application installs with set_on_data.
   TcpConnection* CreateConnection(const TcpConnectionConfig& config);
 
   // Accepts incoming connections on `port`. The callback runs right after the
@@ -94,10 +101,10 @@ class NetworkStack : public RxSink {
   using AcceptFn = std::function<void(TcpConnection&)>;
   void Listen(uint16_t port, AcceptFn on_accept);
 
-  // Installs the application's data handler, replacing any earlier one; delivered
-  // bytes are charged as the kernel-to-user copy before the handler runs (without a
-  // handler they are charged all the same). Aborts unless this stack owns `conn`.
-  void SetConnectionDataHandler(TcpConnection& conn, TcpConnection::DataFn fn);
+  // conn.set_on_data(fn): a shim for perfbench's traced bed, which still calls it.
+  void SetConnectionDataHandler(TcpConnection& conn, TcpConnection::DataFn fn) {
+    conn.set_on_data(std::move(fn));
+  }
 
   // Iterates all connections this stack owns (diagnostics, workload teardown).
   void ForEachConnection(const std::function<void(TcpConnection&)>& fn) const {
@@ -110,8 +117,9 @@ class NetworkStack : public RxSink {
 
   // Observation tap for differential oracles: runs on every host packet entering
   // protocol processing, before any verdict, with its fragment_info intact.
-  // Not charged — it models a passive probe, not stack work.
-  using HostPacketTapFn = std::function<void(const SkBuff&)>;
+  // Not charged — it models a passive probe, not stack work. It may rewrite the
+  // packet's fragment_info: the fuzzer's self-test plants a bug that way.
+  using HostPacketTapFn = std::function<void(SkBuff&)>;
   void set_host_packet_tap(HostPacketTapFn fn) { host_packet_tap_ = std::move(fn); }
 
   const StackConfig& config() const { return config_; }

@@ -46,12 +46,6 @@ struct StackConfig {
   // field: nothing sets it, operator== ignores it, and src/ code reads kCosts.
   static constexpr const CostParams& costs = kCosts;
 
-  // Mutation knobs for the differential fuzzer's self-tests (tools/tcprx_fuzz):
-  // each deliberately breaks one equivalence invariant so the harness's oracles can
-  // be shown to catch it. Never enabled by real configurations.
-  bool debug_coalesce_fragment_acks = false;  // keep only the head segment's entry
-  bool debug_skip_idle_flush = false;         // break the work-conserving flush (3.5)
-
   // Applied to accepted (passive-open) connections.
   bool delayed_acks = true;
   bool sack = false;

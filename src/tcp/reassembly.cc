@@ -1,7 +1,10 @@
 #include "src/tcp/reassembly.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
+
+#include "src/util/logging.h"
 
 namespace tcprx {
 
@@ -41,19 +44,22 @@ void ReassemblyQueue::Insert(uint64_t seq, PacketPtr frame) {
   }
 }
 
-size_t ReassemblyQueue::PopInOrder(uint64_t next_seq, std::vector<uint8_t>& out) {
+size_t ReassemblyQueue::PopInOrder(uint64_t next_seq) {
+  TCPRX_CHECK_MSG(run_.empty(), "the previous popped run was not released");
   DropBelow(next_seq);
-  const size_t before = out.size();
+  const uint64_t start = next_seq;
   // Segments are disjoint, so after DropBelow only the first one popped can start
   // below `next_seq`, and each one after it starts where the run has reached.
   auto it = segments_.begin();
   for (; it != segments_.end() && it->seq <= next_seq; ++it) {
-    const auto skip = static_cast<long>(next_seq - it->seq);
-    out.insert(out.end(), it->data.begin() + skip, it->data.end());
+    it->data = it->data.subspan(static_cast<size_t>(next_seq - it->seq));
+    it->seq = next_seq;
     next_seq = it->end();
   }
+  run_.insert(run_.end(), std::make_move_iterator(segments_.begin()),
+              std::make_move_iterator(it));
   segments_.erase(segments_.begin(), it);
-  return out.size() - before;
+  return static_cast<size_t>(next_seq - start);
 }
 
 size_t ReassemblyQueue::SackBlocks(std::span<SackBlock> out) const {

@@ -11,7 +11,9 @@
 // Storage is a vector of segments sorted by sequence number. Each segment keeps the
 // frame it arrived in, as Linux's out-of-order queue keeps the sk_buff, and views the
 // part of its payload no other segment holds: an overlap narrows the view, never copies.
-// An erased segment's frame goes back to its packet pool.
+// A popped run leaves the queue the same way: its segments move out whole, and the
+// caller reads the run's bytes in the frames they arrived in. An erased or released
+// segment's frame goes back to its packet pool.
 
 #ifndef SRC_TCP_REASSEMBLY_H_
 #define SRC_TCP_REASSEMBLY_H_
@@ -32,9 +34,23 @@ class ReassemblyQueue {
   // is merged; already-covered bytes are ignored (a wholly covered frame is released).
   void Insert(uint64_t seq, PacketPtr frame);
 
-  // Pops the contiguous run starting at `next_seq`, appending its bytes to `out` and
-  // returning the number of bytes consumed.
-  size_t PopInOrder(uint64_t next_seq, std::vector<uint8_t>& out);
+  // A queued or popped segment: the frame it arrived in and the bytes only it holds.
+  struct Segment {
+    uint64_t seq = 0;
+    PacketPtr frame;                // owns the bytes `data` views
+    std::span<const uint8_t> data;  // the queued part of the frame's payload
+    uint64_t end() const { return seq + data.size(); }
+  };
+
+  // Takes the contiguous run starting at `next_seq` out of the queue, without copying a
+  // byte, and returns its length. The run stays readable through run() until
+  // ReleaseRun(), which must come before the next pop.
+  size_t PopInOrder(uint64_t next_seq);
+  // The popped run in sequence order, each segment's `data` narrowed to the bytes it
+  // adds past `next_seq`.
+  std::span<const Segment> run() const { return run_; }
+  // Gives the popped run's frames back to their pools, keeping the run's storage.
+  void ReleaseRun() { run_.clear(); }
 
   // Drops anything wholly below `next_seq` (already delivered via another path).
   void DropBelow(uint64_t next_seq);
@@ -49,14 +65,8 @@ class ReassemblyQueue {
   size_t BufferedBytes() const;
 
  private:
-  struct Segment {
-    uint64_t seq = 0;
-    PacketPtr frame;                // owns the bytes `data` views
-    std::span<const uint8_t> data;  // the queued part of the frame's payload
-    uint64_t end() const { return seq + data.size(); }
-  };
-
   std::vector<Segment> segments_;  // sorted by seq, disjoint
+  std::vector<Segment> run_;       // the popped run, until ReleaseRun
   uint64_t last_insert_seq_ = 0;
 };
 

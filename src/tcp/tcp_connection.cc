@@ -15,12 +15,6 @@ constexpr SimDuration kDelayedAckTimeout = SimDuration::FromMillis(40);
 // workload needs a larger one: window scaling is never offered, and a peer's offer
 // gets the unscaled answer RFC 7323 requires.
 constexpr uint16_t kReceiveWindow = 65535;
-
-// The buffer a filled hole's run is popped into and delivered from. One per thread
-// serves every connection on it, so a warm host pops without allocating and keeps one
-// run's worth of memory, not one per connection. A receive nested in a data callback
-// finds it lent out and pops into a buffer of its own.
-thread_local std::vector<uint8_t> spare_run_buffer;
 }  // namespace
 
 const char* TcpStateName(TcpState s) {
@@ -359,6 +353,9 @@ void TcpConnection::DeliverSegment(PacketPtr& frame, uint64_t seg_seq) {
   const std::span<const uint8_t> usable = payload.subspan(static_cast<size_t>(rcv_nxt_ - seg_seq));
   rcv_nxt_ = seg_end;
   bytes_received_ += usable.size();
+  if (on_delivered_) {
+    on_delivered_(usable.size());
+  }
   if (on_data_) {
     on_data_(usable);
   }
@@ -372,22 +369,26 @@ void TcpConnection::DeliverSegment(PacketPtr& frame, uint64_t seg_seq) {
     segs_since_ack_ = 0;
   }
 
-  // A delivery may have closed a reassembly hole.
+  // A delivery may have closed a reassembly hole. The run reaches the application
+  // from the frames it arrived in, after rcv_nxt_ has passed all of it.
   if (!reassembly_.Empty()) {
-    std::vector<uint8_t> filled = std::exchange(spare_run_buffer, {});
-    filled.clear();
-    const size_t popped = reassembly_.PopInOrder(rcv_nxt_, filled);
+    const size_t popped = reassembly_.PopInOrder(rcv_nxt_);
     if (popped > 0) {
       rcv_nxt_ += popped;
       bytes_received_ += popped;
-      if (on_data_) {
-        on_data_(filled);
+      if (on_delivered_) {
+        on_delivered_(popped);
       }
+      if (on_data_) {
+        for (const ReassemblyQueue::Segment& segment : reassembly_.run()) {
+          on_data_(segment.data);
+        }
+      }
+      reassembly_.ReleaseRun();
       // Filling a hole triggers an immediate ACK (RFC 5681 section 4.2).
       pending_acks_.push_back(static_cast<uint32_t>(rcv_nxt_));
       segs_since_ack_ = 0;
     }
-    spare_run_buffer = std::move(filled);
   }
 }
 

@@ -4,9 +4,10 @@
 // with Reno congestion control, delayed ACKs, out-of-order reassembly, fast
 // retransmit/recovery, RTO with exponential backoff and timestamps. The receiver hands
 // in-order data straight to the application callback, so the window it advertises is a
-// constant 64 KiB that never closes. There is no teardown: no workload closes a
-// connection, so a connection never sends a FIN, and a received FIN closes it as a RST
-// does (the stack then answers the peer's next segment with a RST).
+// constant 64 KiB that never closes; a run that fills a reassembly hole reaches it one
+// segment at a time, from the frames the segments arrived in. There is no teardown: no
+// workload closes a connection, so a connection never sends a FIN, and a received FIN
+// closes it as a RST does (the stack then answers the peer's next segment with a RST).
 //
 // Two aspects exist specifically to support the paper's optimizations:
 //
@@ -24,11 +25,13 @@
 //
 // The connection deliberately contains no cost accounting: cycle charging happens in
 // the stack layers around it, so the same protocol code serves both the host under
-// test and the zero-cost traffic-generator peers.
+// test and the zero-cost traffic-generator peers. The owning stack learns the size of
+// each delivery through its own hook, apart from the application's data handler.
 
 #ifndef SRC_TCP_TCP_CONNECTION_H_
 #define SRC_TCP_TCP_CONNECTION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -102,6 +105,7 @@ class TcpConnection {
  public:
   using OutputFn = std::function<void(TcpOutputItem&&)>;
   using DataFn = std::function<void(std::span<const uint8_t>)>;
+  using DeliveredFn = std::function<void(size_t bytes)>;
 
   TcpConnection(const TcpConnectionConfig& config, EventLoop& loop, OutputFn output);
 
@@ -120,8 +124,13 @@ class TcpConnection {
                      SyntheticPayload payload = SyntheticPayload::kPatternBytes);
 
   // Delivered-in-order payload callback: the one delivery path. Each byte is handed
-  // over exactly once, as soon as it is in order.
+  // over exactly once, as soon as it is in order: an in-order segment's new bytes in
+  // one call, a popped reassembly run in one call per segment, each call seeing
+  // rcv_nxt and bytes_received() already past the whole run.
   void set_on_data(DataFn fn) { on_data_ = std::move(fn); }
+  // The owning stack's hook: the size of each delivery, an in-order segment's new bytes
+  // or a whole popped run, reported before on_data sees those bytes.
+  void set_on_delivered(DeliveredFn fn) { on_delivered_ = std::move(fn); }
   void set_on_established(std::function<void()> fn) { on_established_ = std::move(fn); }
   void set_on_closed(std::function<void()> fn) { on_closed_ = std::move(fn); }
 
@@ -204,6 +213,7 @@ class TcpConnection {
   EventLoop& loop_;
   OutputFn output_;
   DataFn on_data_;
+  DeliveredFn on_delivered_;
   std::function<void()> on_established_;
   std::function<void()> on_closed_;
 

@@ -53,9 +53,8 @@ class SpscRing {
   size_t Size() const { return tail_ >= head_ ? tail_ - head_ : size_ - head_ + tail_; }
   size_t Capacity() const { return size_ - 1; }
 
-  // Enqueues `item`; returns false (dropping nothing, item preserved via move-back
-  // semantics being unused) when the ring is full. This mirrors a NIC dropping a frame
-  // when its descriptor ring overflows.
+  // Enqueues `item`. When the ring is full it returns false and `item`, taken by
+  // value, is destroyed: a NIC drops a frame when its descriptor ring overflows.
   bool Push(T item) {
     if (Full()) {
       return false;

@@ -115,7 +115,7 @@ TEST(AllocGate, XenLatencyMakesNoAllocation) {
 TEST(AllocGate, WarmReassemblyQueueMakesNoAllocation) {
   // One loss in a window: 40 MSS segments arrive past a one-segment hole, then the hole
   // fills and the run pops. The first cycle warms the pool and the queue; an identical
-  // second one must find its packets, its sorted storage and the run's buffer there.
+  // second one must find its packets, its sorted storage and the run's storage there.
   constexpr size_t kMss = 1448;
   constexpr size_t kSegments = 40;
   TcpFrameSpec spec;
@@ -124,13 +124,13 @@ TEST(AllocGate, WarmReassemblyQueueMakesNoAllocation) {
   const std::vector<uint8_t> frame = BuildTcpFrame(spec);
   PacketPool pool;
   ReassemblyQueue queue;
-  std::vector<uint8_t> run;  // as the connection reuses its thread's run buffer
   const auto cycle = [&](uint64_t hole) {
     for (size_t i = 1; i <= kSegments; ++i) {
       queue.Insert(hole + i * kMss, pool.Allocate(frame));
     }
-    run.clear();
-    return queue.PopInOrder(hole + kMss, run);
+    const size_t popped = queue.PopInOrder(hole + kMss);
+    queue.ReleaseRun();
+    return popped;
   };
   ASSERT_EQ(cycle(1000), kSegments * kMss);
 

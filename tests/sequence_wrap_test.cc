@@ -30,8 +30,7 @@ TEST(SequenceWrap, BulkTransferCrossesWrapCleanly) {
 
   PatternCheck delivered;
   bed.stack().Listen(5001, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(
-        conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
+    conn.set_on_data([&](std::span<const uint8_t> data) { delivered.Feed(data); });
   });
 
   TcpConnectionConfig client_config = bed.ClientConnectionConfig(0, 10000, 5001);
@@ -61,8 +60,7 @@ TEST(SequenceWrap, WrapWithLossRecovers) {
 
   PatternCheck delivered;
   bed.stack().Listen(5001, [&](TcpConnection& conn) {
-    bed.stack().SetConnectionDataHandler(
-        conn, [&](std::span<const uint8_t> data) { delivered.Feed(data); });
+    conn.set_on_data([&](std::span<const uint8_t> data) { delivered.Feed(data); });
   });
   TcpConnectionConfig client_config = bed.ClientConnectionConfig(0, 10000, 5001);
   client_config.initial_seq = 0xfffffff0u;  // wraps almost immediately

@@ -441,8 +441,8 @@ TEST(HarnessCounters, OutOfOrderSegmentsTakeNoFrameBuffer) {
   for (size_t i = 1; i <= kSegments; ++i) {
     queue.Insert(1000 + i * kMss, pool.Allocate(frame));
   }
-  std::vector<uint8_t> run;
-  EXPECT_EQ(queue.PopInOrder(1000 + kMss, run), kSegments * kMss);
+  EXPECT_EQ(queue.PopInOrder(1000 + kMss), kSegments * kMss);
+  queue.ReleaseRun();
   EXPECT_EQ(thread_harness_counters.frame_buffers_taken - taken_before, 0u);
   EXPECT_EQ(pool.stats().live, 0u);
 }

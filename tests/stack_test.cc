@@ -164,40 +164,71 @@ TEST_F(StackTest, TransmitRoutedToConfiguredNic) {
 }
 
 TEST_F(StackTest, PerByteCopyChargedForDeliveredData) {
-  // One segment delivered with no data handler, then one with a handler installed:
-  // each charges exactly one kernel-to-user copy of its bytes.
+  // Without a data handler, then with one: an in-order segment charges exactly one
+  // kernel-to-user copy of its bytes, and so does a 3-segment run popped when its hole
+  // fills, as one copy of the whole run.
   Build(StackConfig::Baseline(SystemType::kNativeUp));
   TcpConnection* conn = Handshake();
+  const CacheModel cache(stack_->config().prefetch);
+  const auto feed_segment = [&](uint32_t seq) {
+    FrameOptions data;
+    data.seq = seq;
+    data.ack = static_cast<uint32_t>(conn->snd_nxt_ext());
+    Feed(MakeFrame(data, 1448));
+  };
+  const auto per_byte = [&] { return stack_->account().Get(CostCategory::kPerByte); };
+  const auto payload_bytes = [&] { return stack_->account().counters().payload_bytes; };
   size_t handled = 0;
   uint32_t seq = 1000;
   for (const bool with_handler : {false, true}) {
     SCOPED_TRACE(with_handler ? "with handler" : "without handler");
     if (with_handler) {
-      stack_->SetConnectionDataHandler(
-          *conn, [&handled](std::span<const uint8_t> bytes) { handled += bytes.size(); });
+      conn->set_on_data([&handled](std::span<const uint8_t> bytes) { handled += bytes.size(); });
     }
-    const uint64_t before = stack_->account().Get(CostCategory::kPerByte);
-    const uint64_t bytes_before = stack_->account().counters().payload_bytes;
-    FrameOptions data;
-    data.seq = seq;
-    data.ack = static_cast<uint32_t>(conn->snd_nxt_ext());
-    Feed(MakeFrame(data, 1448));
+    uint64_t before = per_byte();
+    uint64_t bytes_before = payload_bytes();
+    feed_segment(seq);
     seq += 1448;
-    const uint64_t charged = stack_->account().Get(CostCategory::kPerByte) - before;
-    EXPECT_EQ(charged, CacheModel(stack_->config().prefetch).CopyCycles(1448));
-    EXPECT_EQ(stack_->account().counters().payload_bytes - bytes_before, 1448u);
+    EXPECT_EQ(per_byte() - before, cache.CopyCycles(1448));
+    EXPECT_EQ(payload_bytes() - bytes_before, 1448u);
+
+    // Three segments past a one-segment hole wait uncharged; the hole's segment is
+    // then charged on its own and the run it pops once.
+    before = per_byte();
+    bytes_before = payload_bytes();
+    for (uint32_t i = 1; i <= 3; ++i) {
+      feed_segment(seq + i * 1448);
+    }
+    EXPECT_EQ(per_byte(), before);
+    feed_segment(seq);
+    seq += 4 * 1448;
+    EXPECT_EQ(per_byte() - before, cache.CopyCycles(1448) + cache.CopyCycles(3 * 1448));
+    EXPECT_EQ(payload_bytes() - bytes_before, 4 * 1448u);
   }
-  EXPECT_EQ(handled, 1448u);
+  EXPECT_EQ(handled, 5 * 1448u);
 }
 
-TEST_F(StackTest, DataHandlerForAnotherStacksConnectionAborts) {
+TEST_F(StackTest, DataHandlerChargesTheOwningStack) {
+  // A data handler installed through another stack changes nothing about the charge:
+  // the stack that owns the connection charges the copy, and the other stack nothing.
   Build(StackConfig::Baseline(SystemType::kNativeUp));
+  TcpConnection* conn = Handshake();
   NetworkStack other(StackConfig::Baseline(SystemType::kNativeUp), loop_,
                      [](int, std::vector<uint8_t>) {});
-  TcpConnection* foreign = other.CreateConnection(TcpConnectionConfig{});
-  EXPECT_DEATH(
-      stack_->SetConnectionDataHandler(*foreign, [](std::span<const uint8_t>) {}),
-      "not owned by this stack");
+  size_t handled = 0;
+  other.SetConnectionDataHandler(
+      *conn, [&handled](std::span<const uint8_t> bytes) { handled += bytes.size(); });
+  const uint64_t before = stack_->account().Get(CostCategory::kPerByte);
+  FrameOptions data;
+  data.seq = 1000;
+  data.ack = static_cast<uint32_t>(conn->snd_nxt_ext());
+  Feed(MakeFrame(data, 1448));
+  EXPECT_EQ(handled, 1448u);
+  EXPECT_EQ(stack_->account().Get(CostCategory::kPerByte) - before,
+            CacheModel(stack_->config().prefetch).CopyCycles(1448));
+  EXPECT_EQ(stack_->account().counters().payload_bytes, 1448u);
+  EXPECT_EQ(other.account().Get(CostCategory::kPerByte), 0u);
+  EXPECT_EQ(other.account().counters().payload_bytes, 0u);
 }
 
 TEST_F(StackTest, BaselineChargesTxPerAck) {

@@ -383,5 +383,50 @@ TEST(TcpConnection, OutOfOrderAggregateKeepsItsFramesUntilTheHoleFills) {
   EXPECT_EQ(pair.pool.stats().live, live_before);
 }
 
+TEST(TcpConnection, PoppedRunReachesTheApplicationFromItsFrames) {
+  // Three segments land past a one-segment hole, each in its own frame. When the hole
+  // fills, the delivery hook reports the run once, with its total, and the data
+  // handler reads each segment's bytes inside the frame it arrived in, with the
+  // connection already past the whole run.
+  ConnectionPair pair;
+  pair.Establish();
+  const auto hole = static_cast<uint32_t>(pair.client->snd_nxt_ext());
+  testutil::FrameOptions options;
+  options.ack = static_cast<uint32_t>(pair.server->snd_nxt_ext());
+  std::vector<std::span<const uint8_t>> queued_frames;
+  for (uint32_t i = 1; i <= 3; ++i) {
+    options.seq = hole + i * 100;
+    PacketPtr frame = testutil::ToPacket(pair.pool, testutil::MakeFrame(options, 100));
+    queued_frames.push_back(frame->Bytes());
+    pair.server->OnHostPacket(*SkBuff::Wrap(std::move(frame)));
+  }
+
+  std::vector<size_t> delivered;
+  pair.server->set_on_delivered([&](size_t bytes) { delivered.push_back(bytes); });
+  std::vector<std::span<const uint8_t>> pieces;
+  std::vector<uint64_t> received_at_call;
+  std::vector<uint8_t> received;
+  const uint64_t before = pair.server->bytes_received();
+  pair.server->set_on_data([&](std::span<const uint8_t> data) {
+    pieces.push_back(data);
+    received_at_call.push_back(pair.server->bytes_received() - before);
+    received.insert(received.end(), data.begin(), data.end());
+  });
+  options.seq = hole;
+  pair.server->OnHostPacket(
+      *SkBuff::Wrap(testutil::ToPacket(pair.pool, testutil::MakeFrame(options, 100))));
+
+  EXPECT_EQ(delivered, (std::vector<size_t>{100, 300}));
+  EXPECT_EQ(received, testutil::ExpectedPayload(hole, 400));
+  ASSERT_EQ(pieces.size(), 4u);  // the hole's own segment, then the run's three
+  EXPECT_EQ(received_at_call, (std::vector<uint64_t>{100, 400, 400, 400}));
+  for (size_t i = 0; i < queued_frames.size(); ++i) {
+    const std::span<const uint8_t> piece = pieces[i + 1];
+    EXPECT_GE(piece.data(), queued_frames[i].data()) << "segment " << i;
+    EXPECT_LE(piece.data() + piece.size(), queued_frames[i].data() + queued_frames[i].size())
+        << "segment " << i;
+  }
+}
+
 }  // namespace
 }  // namespace tcprx

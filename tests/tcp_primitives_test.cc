@@ -198,6 +198,16 @@ class Reassembly : public ::testing::Test {
     return pool.AllocateMoved(BuildTcpFrame(spec));
   }
 
+  // The popped run's bytes, segment after segment; releases the run.
+  static std::vector<uint8_t> TakeRun(ReassemblyQueue& q) {
+    std::vector<uint8_t> bytes;
+    for (const ReassemblyQueue::Segment& segment : q.run()) {
+      bytes.insert(bytes.end(), segment.data.begin(), segment.data.end());
+    }
+    q.ReleaseRun();
+    return bytes;
+  }
+
   PacketPool pool;
 };
 
@@ -205,9 +215,8 @@ TEST_F(Reassembly, PopsContiguousRun) {
   ReassemblyQueue q;
   q.Insert(100, Frame(Bytes{1, 2, 3}));
   q.Insert(103, Frame(Bytes{4, 5}));
-  std::vector<uint8_t> out;
-  EXPECT_EQ(q.PopInOrder(100, out), 5u);
-  EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.PopInOrder(100), 5u);
+  EXPECT_EQ(TakeRun(q), (std::vector<uint8_t>{1, 2, 3, 4, 5}));
   EXPECT_TRUE(q.Empty());
 }
 
@@ -215,14 +224,12 @@ TEST_F(Reassembly, HoleBlocksPop) {
   ReassemblyQueue q;
   q.Insert(100, Frame(Bytes{1, 2}));
   q.Insert(105, Frame(Bytes{9}));
-  std::vector<uint8_t> out;
-  EXPECT_EQ(q.PopInOrder(100, out), 2u);
-  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(q.PopInOrder(100), 2u);
+  EXPECT_EQ(TakeRun(q).size(), 2u);
   EXPECT_EQ(q.SegmentCount(), 1u);  // the 105 segment waits
   q.Insert(102, Frame(Bytes{3, 4, 5}));
-  out.clear();
-  EXPECT_EQ(q.PopInOrder(102, out), 4u);
-  EXPECT_EQ(out, (std::vector<uint8_t>{3, 4, 5, 9}));
+  EXPECT_EQ(q.PopInOrder(102), 4u);
+  EXPECT_EQ(TakeRun(q), (std::vector<uint8_t>{3, 4, 5, 9}));
 }
 
 TEST_F(Reassembly, DuplicateFullyCoveredIsIgnored) {
@@ -238,9 +245,8 @@ TEST_F(Reassembly, HeadOverlapTrimmed) {
   ReassemblyQueue q;
   q.Insert(10, Frame(Bytes{1, 2, 3}));
   q.Insert(12, Frame(Bytes{3, 4, 5}));  // overlaps byte 12
-  std::vector<uint8_t> out;
-  EXPECT_EQ(q.PopInOrder(10, out), 5u);
-  EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.PopInOrder(10), 5u);
+  EXPECT_EQ(TakeRun(q), (std::vector<uint8_t>{1, 2, 3, 4, 5}));
 }
 
 TEST_F(Reassembly, TailOverlapAbsorbsCoveredSegment) {
@@ -249,27 +255,24 @@ TEST_F(Reassembly, TailOverlapAbsorbsCoveredSegment) {
   q.Insert(10, Frame(Bytes{1, 2, 3, 4, 5, 6}));  // fully covers the existing segment
   EXPECT_EQ(q.SegmentCount(), 1u);   // absorbed, not duplicated
   EXPECT_EQ(pool.stats().live, 1u);  // and its frame released
-  std::vector<uint8_t> out;
-  EXPECT_EQ(q.PopInOrder(10, out), 6u);
-  EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(q.PopInOrder(10), 6u);
+  EXPECT_EQ(TakeRun(q), (std::vector<uint8_t>{1, 2, 3, 4, 5, 6}));
 }
 
 TEST_F(Reassembly, TailOverlapTrimsAgainstLongerSuccessor) {
   ReassemblyQueue q;
   q.Insert(14, Frame(Bytes{5, 6, 7, 8}));        // extends past the new data's end
   q.Insert(10, Frame(Bytes{1, 2, 3, 4, 9, 9}));  // tail overlap: new data trimmed at 14
-  std::vector<uint8_t> out;
-  EXPECT_EQ(q.PopInOrder(10, out), 8u);
-  EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(q.PopInOrder(10), 8u);
+  EXPECT_EQ(TakeRun(q), (std::vector<uint8_t>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 TEST_F(Reassembly, PopStartingInsideSegment) {
   ReassemblyQueue q;
   q.Insert(10, Frame(Bytes{1, 2, 3, 4}));
-  std::vector<uint8_t> out;
   // Retransmission advanced rcv_nxt into the middle of a buffered segment.
-  EXPECT_EQ(q.PopInOrder(12, out), 2u);
-  EXPECT_EQ(out, (std::vector<uint8_t>{3, 4}));
+  EXPECT_EQ(q.PopInOrder(12), 2u);
+  EXPECT_EQ(TakeRun(q), (std::vector<uint8_t>{3, 4}));
 }
 
 TEST_F(Reassembly, DropBelowDiscardsStale) {
@@ -311,9 +314,8 @@ TEST_F(Reassembly, RandomizedStreamProperty) {
         q.Insert(seq, Frame(data));  // duplicate insert
       }
     }
-    std::vector<uint8_t> out;
-    EXPECT_EQ(q.PopInOrder(1000, out), stream.size()) << "trial " << trial;
-    EXPECT_EQ(out, stream) << "trial " << trial;
+    EXPECT_EQ(q.PopInOrder(1000), stream.size()) << "trial " << trial;
+    EXPECT_EQ(TakeRun(q), stream) << "trial " << trial;
     EXPECT_TRUE(q.Empty());
     EXPECT_EQ(q.BufferedBytes(), 0u);
     EXPECT_EQ(pool.stats().live, 0u) << "trial " << trial;

@@ -15,10 +15,11 @@
 # baseline and the Xen optimized stack, hardware LRO with random drop and with
 # corruption (frames whose flipped header bits the host cannot parse), a latency run
 # per system and stack, the text reports (--profile, --connections with its
-# per-connection TCP states, and one latency report without --json), a --trace run, an
-# 80-connection SMP run, Figure 13's optimized 8-core point (400 connections on
-# --link-gbps=10 links) with a short window, a --fill-checksums run with its --pcap
-# capture, an optimized lossy run (drop + reorder) with its --pcap capture and the
+# per-connection TCP states, and two latency reports without --json, one of them on a
+# lossy link, whose echo server sees dropped, reordered and duplicated requests), a
+# --trace run, an 80-connection SMP run, Figure 13's optimized 8-core point (400
+# connections on --link-gbps=10 links) with a short window, a --fill-checksums run with
+# its --pcap capture, an optimized lossy run (drop + reorder) with its --pcap capture and the
 # default zero TCP checksums (the bytes of SYNs, data, retransmits and template ACKs as
 # the frame writer lays them out), and the receive checksum paths: corrupted frames with
 # real checksums at 1 and 4 cores (the NIC flags them, the aggregator bypasses them, the
@@ -100,6 +101,7 @@ run profile-up-opt stream --optimized --drop=0.01 --seed=3 $window --profile
 run connections-smp-4 stream --system=smp --optimized --cores=4 --conns-per-nic=2 $window \
   --connections
 run latency-xen-opt-text latency --system=xen --optimized
+run latency-up-opt-lossy latency --optimized --drop=0.01 --reorder=0.05 --duplicate=0.02 --seed=7
 run trace-up-agg stream --aggregation --limit=8 --nics=2 --measure-ms=5 --trace
 # shellcheck disable=SC2086
 run smp-80conn stream --system=smp --optimized --cores=4 --conns-per-nic=16 $window --json
