@@ -398,6 +398,8 @@ void TcpConnection::DeliverSegment(PacketPtr& frame, uint64_t seg_seq) {
 
 std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uint8_t flags,
                                                  TcpPayload payload) {
+  // The option bytes are put together once, each option written in place; the writer
+  // copies them into the frame.
   TcpOptionBytes options;
   const bool syn = (flags & kTcpSyn) != 0;
   const bool want_ts = syn || peer_uses_timestamps_;
@@ -413,9 +415,8 @@ std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uin
     }
   }
   if (want_ts) {
-    uint8_t ts_block[kTcpTimestampOptionSize];
-    WriteTimestampOption(TcpTimestampOption{NowTsMs(), ts_recent_}, ts_block);
-    options.insert(options.end(), ts_block, ts_block + kTcpTimestampOptionSize);
+    WriteTimestampOption(TcpTimestampOption{NowTsMs(), ts_recent_},
+                         options.Append(kTcpTimestampOptionSize));
   }
   // SACK blocks ride on pure ACKs when the receiver is holding out-of-order data.
   if (peer_sack_ && flags == kTcpAck && payload.size() == 0 && !reassembly_.Empty()) {

@@ -18,8 +18,12 @@ struct HarnessCounters {
   // Frames handed to ParseTcpFrame (src/wire/frame.h): the packet pool parses each
   // received frame once.
   uint64_t frames_parsed = 0;
-  // IPv4 header checksum checks (VerifyIpv4Checksum, src/wire/ipv4.h): one per parse.
+  // IPv4 header checksum checks (src/wire/ipv4.h): one per frame ParseTcpFrame parses
+  // as TCP, plus each VerifyIpv4Checksum call.
   uint64_t ipv4_header_checks = 0;
+  // Passes of the TCP checksum over a segment (TcpChecksum and VerifyTcpChecksum,
+  // src/wire/tcp.h): 0 on a length-only run, whose segments carry no checksum.
+  uint64_t tcp_checksum_passes = 0;
   // TakeFrameBuffer calls (src/wire/frame_buffer.h), and those that made a new buffer.
   uint64_t frame_buffers_taken = 0;
   uint64_t frame_buffers_made = 0;
@@ -44,6 +48,7 @@ inline constexpr HarnessCounterField kHarnessCounterFields[] = {
     {"payload_bytes_written", &HarnessCounters::payload_bytes_written},
     {"frames_parsed", &HarnessCounters::frames_parsed},
     {"ipv4_header_checks", &HarnessCounters::ipv4_header_checks},
+    {"tcp_checksum_passes", &HarnessCounters::tcp_checksum_passes},
     {"frame_buffers_taken", &HarnessCounters::frame_buffers_taken},
     {"frame_buffers_made", &HarnessCounters::frame_buffers_made},
     {"events_run", &HarnessCounters::events_run},

@@ -1,6 +1,7 @@
 #include "src/wire/ethernet.h"
 
 #include <cstdio>
+#include <cstring>
 
 #include "src/util/byte_order.h"
 #include "src/util/logging.h"
@@ -18,8 +19,8 @@ bool ParseEthernet(std::span<const uint8_t> frame, EthernetHeader& out) {
   if (frame.size() < kEthernetHeaderSize) {
     return false;
   }
-  std::copy(frame.begin(), frame.begin() + 6, out.dst.bytes.begin());
-  std::copy(frame.begin() + 6, frame.begin() + 12, out.src.bytes.begin());
+  std::memcpy(out.dst.bytes.data(), frame.data(), out.dst.bytes.size());
+  std::memcpy(out.src.bytes.data(), frame.data() + 6, out.src.bytes.size());
   out.ether_type = LoadBe16(frame.data() + 12);
   return true;
 }

@@ -1,6 +1,7 @@
 #include "src/wire/frame.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/util/byte_order.h"
 #include "src/util/harness_counters.h"
@@ -15,21 +16,26 @@ bool ParseTcpFrame(std::span<const uint8_t> frame, TcpFrameView& view) {
     return false;
   }
   view.ip_offset = kEthernetHeaderSize;
-  const Ipv4Header& ip = view.ip;
-  if (!ParseIpv4(frame.subspan(view.ip_offset), view.ip) || ip.protocol != kIpProtoTcp) {
+  Ipv4Header& ip = view.ip;
+  if (!ParseIpv4(frame.subspan(kEthernetHeaderSize), ip, view.ip_checksum_ok) ||
+      ip.protocol != kIpProtoTcp) {
     return false;
   }
-  if (view.ip_offset + ip.total_length > frame.size()) {
+  const size_t ip_total = ip.total_length;
+  if (kEthernetHeaderSize + ip_total > frame.size()) {
     return false;  // truncated datagram
   }
-  view.ip_checksum_ok = VerifyIpv4Checksum(frame.subspan(view.ip_offset, ip.HeaderSize()));
-  view.tcp_offset = view.ip_offset + ip.HeaderSize();
-  const size_t tcp_segment_size = ip.total_length - ip.HeaderSize();
-  if (!ParseTcp(frame.subspan(view.tcp_offset, tcp_segment_size), view.tcp)) {
+  ++thread_harness_counters.ipv4_header_checks;
+  const size_t ip_header_size = ip.HeaderSize();
+  const size_t tcp_offset = kEthernetHeaderSize + ip_header_size;
+  const size_t tcp_segment_size = ip_total - ip_header_size;
+  view.tcp_offset = tcp_offset;
+  if (!ParseTcp(frame.subspan(tcp_offset, tcp_segment_size), view.tcp)) {
     return false;
   }
-  view.payload_offset = view.tcp_offset + view.tcp.HeaderSize();
-  view.payload_size = tcp_segment_size - view.tcp.HeaderSize();
+  const size_t tcp_header_size = view.tcp.HeaderSize();
+  view.payload_offset = tcp_offset + tcp_header_size;
+  view.payload_size = tcp_segment_size - tcp_header_size;
   return true;
 }
 
@@ -74,21 +80,23 @@ std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
   const size_t tcp_size = kTcpMinHeaderSize + ((options.size() + 3) & ~size_t{3});
   const size_t ip_total = kIpv4MinHeaderSize + tcp_size + payload.size();
   TCPRX_CHECK_MSG(ip_total <= 0xffff, "IP datagram exceeds 64KiB");
+  uint32_t ip_sum = tmpl.ip_partial_sum + static_cast<uint32_t>(ip_total) + ip_id;
+  while (ip_sum >> 16) {
+    ip_sum = (ip_sum & 0xffff) + (ip_sum >> 16);
+  }
 
-  // The headers are composed on the stack and land in the frame with one copy; every
-  // byte up to the end of the TCP header is written before it is copied.
-  uint8_t head[kTcpFrameHeaderOffset + kTcpMinHeaderSize + kTcpMaxOptionBytes];
-  std::copy(tmpl.prefix.begin(), tmpl.prefix.end(), head);
-  uint8_t* ip = head + kEthernetHeaderSize;
+  // The headers are composed in the frame's own buffer, every byte up to the end of the
+  // TCP header written once.
+  const size_t header_size = kTcpFrameHeaderOffset + tcp_size;
+  std::vector<uint8_t> frame = TakeFrameBuffer(header_size + payload.size());
+  uint8_t* const out = frame.data();
+  std::memcpy(out, tmpl.prefix.data(), kTcpFrameHeaderOffset);
+  uint8_t* const ip = out + kEthernetHeaderSize;
   StoreBe16(ip + 2, static_cast<uint16_t>(ip_total));
   StoreBe16(ip + 4, ip_id);
-  uint32_t sum = tmpl.ip_partial_sum + static_cast<uint32_t>(ip_total) + ip_id;
-  while (sum >> 16) {
-    sum = (sum & 0xffff) + (sum >> 16);
-  }
-  StoreBe16(ip + 10, static_cast<uint16_t>(~sum));
+  StoreBe16(ip + 10, static_cast<uint16_t>(~ip_sum));
 
-  uint8_t* th = head + kTcpFrameHeaderOffset;
+  uint8_t* const th = out + kTcpFrameHeaderOffset;
   StoreBe16(th, tmpl.src_port);
   StoreBe16(th + 2, tmpl.dst_port);
   StoreBe32(th + 4, tcp.seq);
@@ -100,12 +108,8 @@ std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
   StoreBe16(th + 18, tcp.urgent_pointer);
   uint8_t* options_end = std::copy(options.begin(), options.end(), th + kTcpMinHeaderSize);
   std::fill(options_end, th + tcp_size, uint8_t{kTcpOptEnd});
-
-  const size_t header_size = kTcpFrameHeaderOffset + tcp_size;
-  std::vector<uint8_t> frame = TakeFrameBuffer(header_size + payload.size());
-  uint8_t* payload_start = std::copy(head, th + tcp_size, frame.data());
   if (payload.written()) {
-    std::copy(payload.bytes().begin(), payload.bytes().end(), payload_start);
+    std::copy(payload.bytes().begin(), payload.bytes().end(), out + header_size);
     thread_harness_counters.payload_bytes_written += payload.size();
   }
 
@@ -114,7 +118,7 @@ std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
     const std::span<const uint8_t> fragments[] = {bytes.subspan(header_size)};
     const uint16_t csum = TcpChecksum(tmpl.src_ip, tmpl.dst_ip,
                                       bytes.subspan(kTcpFrameHeaderOffset, tcp_size), fragments);
-    StoreBe16(frame.data() + kTcpFrameHeaderOffset + 16, csum);
+    StoreBe16(th + 16, csum);
   }
   return frame;
 }

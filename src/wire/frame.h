@@ -1,13 +1,19 @@
 // Whole-frame composition and decomposition (Ethernet + IPv4 + TCP).
 //
 // ParseTcpFrame decodes a frame into a TcpFrameView the caller owns and reuses (the
-// packet pool parses every frame into its recycled Packet's view). WriteTcpFrame is
-// the one transmit-side composer: it copies a per-flow TcpFrameTemplate and patches
-// what changes per segment, the way the paper's Acknowledgment Offload copies a
-// prebuilt header and patches the ack field and checksum. The TCP layer writes every
-// segment from its connection's template, and the stack its resets from one built
-// per reset; BuildTcpFrame is the spec-driven form for traffic generators, tests and
-// benchmarks.
+// packet pool parses every frame into its recycled Packet's view), in one pass over
+// each header: the IPv4 header checksum is summed from the same word loads that decode
+// the IPv4 fields, and the common TCP option layout, the aligned timestamp block, is
+// recognised by one compare (src/wire/ipv4.h, src/wire/tcp.h). Once per-byte work is
+// gone, this per-packet header work is what a frame costs, as the paper finds for the
+// receive path itself.
+//
+// WriteTcpFrame is the one transmit-side composer: it copies a per-flow TcpFrameTemplate
+// and patches what changes per segment, the way the paper's Acknowledgment Offload
+// copies a prebuilt header and patches the ack field and checksum, composing the
+// headers directly in the frame's recycled buffer. The TCP layer writes every segment
+// from its connection's template, and the stack its resets from one built per reset;
+// BuildTcpFrame is the spec-driven form for traffic generators, tests and benchmarks.
 
 #ifndef SRC_WIRE_FRAME_H_
 #define SRC_WIRE_FRAME_H_
@@ -43,7 +49,8 @@ struct TcpFrameView {
 
 // Parses `frame` as an Ethernet/IPv4/TCP packet into `view`, writing each field once,
 // and checks the IPv4 header checksum into `view.ip_checksum_ok` (a bad checksum still
-// parses). Returns false when any layer is malformed, the ethertype is not IPv4, the
+// parses; the check counts as one ipv4_header_check once the frame holds a whole TCP
+// datagram). Returns false when any layer is malformed, the ethertype is not IPv4, the
 // protocol is not TCP, or the IP datagram runs past the frame; `view` is then partly
 // written and must not be read. Trailing bytes beyond the IP total length (e.g.
 // Ethernet padding) are ignored.
@@ -123,11 +130,11 @@ class TcpPayload {
   bool written_ = true;
 };
 
-// Writes one frame from `tmpl` into a recycled buffer (src/wire/frame_buffer.h): copies
-// the prefix, patches the IPv4 total length and `ip_id`, finishes the IPv4 checksum from
-// the template's partial sum, stores the TCP fields and `options` (padded with END bytes
-// to a 4-byte boundary, which sets the data offset) and, unless it is length-only,
-// writes `payload`. Every byte up to the end of the TCP header is written either way.
+// Writes one frame from `tmpl` into a recycled buffer (src/wire/frame_buffer.h),
+// composing the headers in that buffer: copies the prefix, patches the IPv4 total
+// length and `ip_id`, finishes the IPv4 checksum from the template's partial sum, stores
+// the TCP fields and `options` (padded with END bytes to a 4-byte boundary, which sets
+// the data offset) and, unless it is length-only, writes `payload`. Every byte up to the end of the TCP header is written either way.
 // The TCP checksum is computed when `fill_tcp_checksum` is set, which a length-only
 // payload does not allow, and left zero otherwise, modelling a sender whose NIC would
 // fill it in.

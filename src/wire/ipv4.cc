@@ -16,28 +16,37 @@ std::string Ipv4Address::ToString() const {
   return buf;
 }
 
-bool ParseIpv4(std::span<const uint8_t> data, Ipv4Header& out) {
+bool ParseIpv4(std::span<const uint8_t> data, Ipv4Header& out, bool& checksum_ok) {
   if (data.size() < kIpv4MinHeaderSize) {
     return false;
   }
-  const uint8_t version = data[0] >> 4;
-  const uint8_t ihl = data[0] & 0x0f;
+  // The five fixed words, each loaded once: decoded below and summed for the checksum.
+  const uint8_t* p = data.data();
+  const uint32_t w0 = LoadBe32(p);
+  const uint32_t w1 = LoadBe32(p + 4);
+  const uint32_t w2 = LoadBe32(p + 8);
+  const uint32_t w3 = LoadBe32(p + 12);
+  const uint32_t w4 = LoadBe32(p + 16);
+  const uint8_t version = static_cast<uint8_t>(w0 >> 28);
+  const uint8_t ihl = static_cast<uint8_t>((w0 >> 24) & 0x0f);
   if (version != 4 || ihl < 5 || data.size() < static_cast<size_t>(ihl) * 4) {
     return false;
   }
   out.ihl_words = ihl;
-  out.tos = data[1];
-  out.total_length = LoadBe16(data.data() + 2);
-  out.identification = LoadBe16(data.data() + 4);
-  const uint16_t flags_frag = LoadBe16(data.data() + 6);
-  out.dont_fragment = (flags_frag & 0x4000) != 0;
-  out.more_fragments = (flags_frag & 0x2000) != 0;
-  out.fragment_offset = flags_frag & 0x1fff;
-  out.ttl = data[8];
-  out.protocol = data[9];
-  out.checksum = LoadBe16(data.data() + 10);
-  out.src.value = LoadBe32(data.data() + 12);
-  out.dst.value = LoadBe32(data.data() + 16);
+  out.tos = static_cast<uint8_t>(w0 >> 16);
+  out.total_length = static_cast<uint16_t>(w0);
+  out.identification = static_cast<uint16_t>(w1 >> 16);
+  out.dont_fragment = (w1 & 0x4000) != 0;
+  out.more_fragments = (w1 & 0x2000) != 0;
+  out.fragment_offset = static_cast<uint16_t>(w1 & 0x1fff);
+  out.ttl = static_cast<uint8_t>(w2 >> 24);
+  out.protocol = static_cast<uint8_t>(w2 >> 16);
+  out.checksum = static_cast<uint16_t>(w2);
+  out.src.value = w3;
+  out.dst.value = w4;
+  // Option words, if any, are loaded only for the sum.
+  checksum_ok = Ipv4HeaderFoldedSum(p + kIpv4MinHeaderSize, ihl - 5,
+                                    uint64_t{w0} + w1 + w2 + w3 + w4) == 0xffff;
   return out.total_length >= out.HeaderSize();
 }
 
@@ -70,12 +79,10 @@ void SerializeIpv4(const Ipv4Header& header, std::span<uint8_t> out) {
 
 bool VerifyIpv4Checksum(std::span<const uint8_t> header_bytes) {
   ++thread_harness_counters.ipv4_header_checks;
-  if (header_bytes.size() < kIpv4MinHeaderSize) {
+  if (header_bytes.size() < kIpv4MinHeaderSize || header_bytes.size() % 4 != 0) {
     return false;
   }
-  ChecksumAccumulator acc;
-  acc.Add(header_bytes);
-  return acc.FoldedSum() == 0xffff;
+  return Ipv4HeaderFoldedSum(header_bytes.data(), header_bytes.size() / 4) == 0xffff;
 }
 
 }  // namespace tcprx

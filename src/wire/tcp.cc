@@ -2,6 +2,7 @@
 
 #include "src/util/byte_order.h"
 #include "src/util/checksum.h"
+#include "src/util/harness_counters.h"
 #include "src/util/logging.h"
 
 namespace tcprx {
@@ -9,7 +10,11 @@ namespace tcprx {
 namespace {
 
 // Resets the parsed-option fields, then walks the option block filling them. Returns
-// false on a malformed block (bad lengths).
+// false on a malformed block (bad lengths). The aligned timestamp block (RFC 7323
+// Appendix A), which every timestamped segment the stack writes begins with, is
+// recognised by one 32-bit compare at the top of the walk, as Linux's
+// tcp_fast_parse_options does; the walk goes on after it, so whatever follows the block
+// (SACK blocks on an ACK, say) parses as it would without the compare.
 bool ParseOptions(std::span<const uint8_t> options, TcpHeader& h) {
   h.timestamp.reset();
   h.timestamp_offset = 0;
@@ -19,6 +24,12 @@ bool ParseOptions(std::span<const uint8_t> options, TcpHeader& h) {
   h.has_sack_blocks = false;
   h.has_unknown_option = false;
   size_t i = 0;
+  if (options.size() >= kTcpTimestampOptionSize &&
+      LoadBe32(options.data()) == kTcpAlignedTimestampWord) {
+    h.timestamp = TcpTimestampOption{LoadBe32(options.data() + 4), LoadBe32(options.data() + 8)};
+    h.timestamp_offset = 2;
+    i = kTcpTimestampOptionSize;
+  }
   while (i < options.size()) {
     const uint8_t kind = options[i];
     if (kind == kTcpOptEnd) {
@@ -76,23 +87,35 @@ bool ParseOptions(std::span<const uint8_t> options, TcpHeader& h) {
 
 }  // namespace
 
+void TcpOptionBytes::TooLong() {
+  CheckFailed(__FILE__, __LINE__, "size <= kTcpMaxOptionBytes", "TCP options exceed 40 bytes");
+}
+
 bool ParseTcp(std::span<const uint8_t> segment, TcpHeader& out) {
   if (segment.size() < kTcpMinHeaderSize) {
     return false;
   }
-  out.data_offset_words = segment[12] >> 4;
-  const size_t hsize = out.HeaderSize();
+  // The five fixed words, each loaded once.
+  const uint8_t* p = segment.data();
+  const uint32_t ports = LoadBe32(p);
+  const uint32_t seq = LoadBe32(p + 4);
+  const uint32_t ack = LoadBe32(p + 8);
+  const uint32_t offset_flags_window = LoadBe32(p + 12);
+  const uint32_t checksum_urgent = LoadBe32(p + 16);
+  const uint8_t data_offset_words = static_cast<uint8_t>(offset_flags_window >> 28);
+  const size_t hsize = static_cast<size_t>(data_offset_words) * 4;
   if (hsize < kTcpMinHeaderSize || hsize > segment.size()) {
     return false;
   }
-  out.src_port = LoadBe16(segment.data());
-  out.dst_port = LoadBe16(segment.data() + 2);
-  out.seq = LoadBe32(segment.data() + 4);
-  out.ack = LoadBe32(segment.data() + 8);
-  out.flags = segment[13] & 0x3f;
-  out.window = LoadBe16(segment.data() + 14);
-  out.checksum = LoadBe16(segment.data() + 16);
-  out.urgent_pointer = LoadBe16(segment.data() + 18);
+  out.data_offset_words = data_offset_words;
+  out.src_port = static_cast<uint16_t>(ports >> 16);
+  out.dst_port = static_cast<uint16_t>(ports);
+  out.seq = seq;
+  out.ack = ack;
+  out.flags = static_cast<uint8_t>((offset_flags_window >> 16) & 0x3f);
+  out.window = static_cast<uint16_t>(offset_flags_window);
+  out.checksum = static_cast<uint16_t>(checksum_urgent >> 16);
+  out.urgent_pointer = static_cast<uint16_t>(checksum_urgent);
   const auto options = segment.subspan(kTcpMinHeaderSize, hsize - kTcpMinHeaderSize);
   out.raw_options.assign(options.begin(), options.end());
   return ParseOptions(options, out);
@@ -120,6 +143,7 @@ void SerializeTcp(const TcpHeader& header, std::span<uint8_t> out) {
 
 uint16_t TcpChecksum(Ipv4Address src, Ipv4Address dst, std::span<const uint8_t> tcp_header_bytes,
                      std::span<const std::span<const uint8_t>> payload_fragments) {
+  ++thread_harness_counters.tcp_checksum_passes;
   size_t tcp_length = tcp_header_bytes.size();
   for (const auto& frag : payload_fragments) {
     tcp_length += frag.size();
@@ -139,6 +163,7 @@ uint16_t TcpChecksum(Ipv4Address src, Ipv4Address dst, std::span<const uint8_t> 
 }
 
 bool VerifyTcpChecksum(Ipv4Address src, Ipv4Address dst, std::span<const uint8_t> segment) {
+  ++thread_harness_counters.tcp_checksum_passes;
   if (segment.size() < kTcpMinHeaderSize) {
     return false;
   }
@@ -193,10 +218,9 @@ void AppendSackOption(std::span<const SackBlock> blocks, TcpOptionBytes& options
   options.push_back(kTcpOptSack);
   options.push_back(static_cast<uint8_t>(2 + 8 * n));
   for (size_t i = 0; i < n; ++i) {
-    const size_t at = options.size();
-    options.resize(at + 8);
-    StoreBe32(options.data() + at, blocks[i].start);
-    StoreBe32(options.data() + at + 4, blocks[i].end);
+    uint8_t* const block = options.Append(8).data();
+    StoreBe32(block, blocks[i].start);
+    StoreBe32(block + 4, blocks[i].end);
   }
 }
 

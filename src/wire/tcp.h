@@ -4,6 +4,11 @@
 // qualify only when their option block contains nothing but (padded) timestamps, when
 // they carry payload, and when sequence/ack numbers line up. This module exposes those
 // properties without committing the caller to any allocation.
+//
+// ParseTcp loads each fixed header word once. Its option walk begins with one 32-bit
+// compare against the aligned timestamp block (NOP, NOP, kind 8, length 10; RFC 7323
+// Appendix A), which every timestamped segment the stack writes begins with; any other
+// layout, and whatever follows that block, goes through the byte-by-byte walk.
 
 #ifndef SRC_WIRE_TCP_H_
 #define SRC_WIRE_TCP_H_
@@ -17,7 +22,6 @@
 #include <span>
 #include <vector>
 
-#include "src/util/logging.h"
 #include "src/wire/ipv4.h"
 
 namespace tcprx {
@@ -51,6 +55,12 @@ enum TcpOptionKind : uint8_t {
 // A data offset of 15 words leaves 40 bytes for options.
 inline constexpr size_t kTcpMaxOptionBytes = 40;
 
+// The first word of the aligned timestamp block, read big-endian: NOP, NOP, kind 8,
+// length 10.
+inline constexpr uint32_t kTcpAlignedTimestampWord =
+    (uint32_t{kTcpOptNop} << 24) | (uint32_t{kTcpOptNop} << 16) |
+    (uint32_t{kTcpOptTimestamp} << 8) | 10;
+
 // The option bytes of one TCP header, held inline so that parsing or building a
 // header never allocates. It keeps the subset of std::vector<uint8_t> the code uses;
 // growing past kTcpMaxOptionBytes aborts.
@@ -67,29 +77,18 @@ class TcpOptionBytes {
   const uint8_t* begin() const { return data(); }
   const uint8_t* end() const { return data() + size_; }
 
-  void clear() { size_ = 0; }
   void push_back(uint8_t b) { *Grow(1) = b; }
-  // New bytes are zero.
-  void resize(size_t n) {
-    if (n > size_) {
-      uint8_t* first = Grow(n - size_);
-      std::fill(first, end(), uint8_t{0});
-    } else {
-      size_ = static_cast<uint8_t>(n);
-    }
-  }
+  // Extends the size by `n` and returns the new bytes, whose contents are unspecified:
+  // the caller writes them in place.
+  std::span<uint8_t> Append(size_t n) { return {Grow(n), n}; }
   template <typename It>
   void assign(It first, It last) {
-    clear();
-    insert(end(), first, last);
-  }
-  template <typename It>
-  void insert(const uint8_t* pos, It first, It last) {
-    const size_t at = static_cast<size_t>(pos - begin());
     const size_t n = static_cast<size_t>(std::distance(first, last));
-    Grow(n);
-    std::copy_backward(begin() + at, end() - n, end());
-    std::copy(first, last, begin() + at);
+    if (n > kTcpMaxOptionBytes) {
+      TooLong();
+    }
+    std::copy(first, last, bytes_.begin());
+    size_ = static_cast<uint8_t>(n);
   }
 
   friend bool operator==(const TcpOptionBytes& a, const TcpOptionBytes& b) {
@@ -97,9 +96,15 @@ class TcpOptionBytes {
   }
 
  private:
+  // Aborts with "TCP options exceed 40 bytes". Out of line, so that the size checks
+  // calling it stay small enough to inline into the parser.
+  [[noreturn]] static void TooLong();
+
   // Extends the size by `n` and returns the first new byte.
   uint8_t* Grow(size_t n) {
-    TCPRX_CHECK_MSG(size_t{size_} + n <= kTcpMaxOptionBytes, "TCP options exceed 40 bytes");
+    if (size_t{size_} + n > kTcpMaxOptionBytes) {
+      TooLong();
+    }
     uint8_t* first = end();
     size_ = static_cast<uint8_t>(size_ + n);
     return first;

@@ -12,9 +12,12 @@
 
 #include "src/util/byte_order.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace tcprx {
 namespace {
+
+using testutil::BytePairFoldedSum;
 
 TEST(Checksum, RfcExampleVector) {
   // Classic example: checksum over 00 01 f2 03 f4 f5 f6 f7.
@@ -139,18 +142,6 @@ TEST(Checksum, AddWordAfterOddSpanUsesSwappedLanes) {
   acc2.Add(tail);
   const std::vector<uint8_t> flat2 = {0xab, 0x12, 0x34, 0x56, 0x78};
   EXPECT_EQ(acc2.Finish(), InternetChecksum(flat2));
-}
-
-// RFC 1071 two bytes at a time, the zero-padded odd byte last, folded.
-uint16_t BytePairFoldedSum(std::span<const uint8_t> data) {
-  uint64_t sum = 0;
-  for (size_t i = 0; i < data.size(); i += 2) {
-    sum += static_cast<uint64_t>(data[i]) << 8 | (i + 1 < data.size() ? data[i + 1] : 0);
-  }
-  while (sum >> 16) {
-    sum = (sum & 0xffff) + (sum >> 16);
-  }
-  return static_cast<uint16_t>(sum);
 }
 
 std::vector<uint8_t> RandomBytes(Rng& rng, size_t size) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,6 +24,19 @@
 
 namespace tcprx {
 namespace testutil {
+
+// The reference Internet checksum (RFC 1071): the data two bytes at a time, the
+// zero-padded odd byte last, folded but not complemented.
+inline uint16_t BytePairFoldedSum(std::span<const uint8_t> data) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < data.size(); i += 2) {
+    sum += static_cast<uint64_t>(data[i]) << 8 | (i + 1 < data.size() ? data[i + 1] : 0);
+  }
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(sum);
+}
 
 inline Ipv4Address ClientIp() { return Ipv4Address::FromOctets(10, 0, 0, 2); }
 inline Ipv4Address ServerIp() { return Ipv4Address::FromOctets(10, 0, 0, 1); }
@@ -66,8 +80,8 @@ inline std::vector<uint8_t> MakeFrame(const FrameOptions& options, size_t payloa
     WriteTimestampOption(TcpTimestampOption{options.ts_value, options.ts_echo}, ts);
     spec.tcp.raw_options.assign(ts, ts + kTcpTimestampOptionSize);
   }
-  spec.tcp.raw_options.insert(spec.tcp.raw_options.end(), options.extra_options.begin(),
-                              options.extra_options.end());
+  std::copy(options.extra_options.begin(), options.extra_options.end(),
+            spec.tcp.raw_options.Append(options.extra_options.size()).begin());
   std::vector<uint8_t> payload(payload_size);
   for (size_t i = 0; i < payload_size; ++i) {
     payload[i] = static_cast<uint8_t>(options.seq + i);

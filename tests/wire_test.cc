@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+
 #include "src/util/byte_order.h"
 #include "src/util/checksum.h"
 #include "src/util/harness_counters.h"
@@ -260,19 +264,19 @@ TEST(Tcp, FullOptionBlockRoundTripsThroughAFrame) {
             (std::vector<SackBlock>{{1000, 2000}, {3000, 4000}, {5000, 6000}}));
 }
 
-TEST(Tcp, OptionBytesResizeZeroFillsAndInsertShifts) {
+TEST(Tcp, OptionBytesAppendReturnsTheBytesPastTheEnd) {
   TcpOptionBytes options = {1, 2, 3};
-  options.resize(1);
-  options.resize(3);
-  EXPECT_EQ(options, (TcpOptionBytes{1, 0, 0}));
-  const uint8_t mid[] = {7, 8};
-  options.insert(options.begin() + 1, mid, mid + 2);
-  EXPECT_EQ(options, (TcpOptionBytes{1, 7, 8, 0, 0}));
+  const std::span<uint8_t> added = options.Append(2);
+  ASSERT_EQ(added.size(), 2u);
+  EXPECT_EQ(added.data(), options.data() + 3);
+  added[0] = 7;
+  added[1] = 8;
+  EXPECT_EQ(options, (TcpOptionBytes{1, 2, 3, 7, 8}));
 }
 
 TEST(TcpDeathTest, FortyFirstOptionByteAborts) {
   TcpOptionBytes options;
-  options.resize(kTcpMaxOptionBytes);
+  options.Append(kTcpMaxOptionBytes);
   EXPECT_DEATH(options.push_back(kTcpOptNop), "TCP options exceed 40 bytes");
 }
 
@@ -510,6 +514,316 @@ TEST(Frame, ReusedViewKeepsNothingOfThePreviousFrame) {
 }
 
 // ---------------------------------------------------------------------------
+// The one-pass parse against a byte-at-a-time reference decoder
+// ---------------------------------------------------------------------------
+
+// Decodes `f` as ParseTcpFrame must: every field read a byte at a time, the IPv4 header
+// checksum summed two bytes at a time (RFC 1071), and the option walk with no
+// aligned-timestamp compare. nullopt where the parse must return false.
+std::optional<TcpFrameView> ReferenceDecode(std::span<const uint8_t> f) {
+  const auto be16 = [f](size_t at) { return static_cast<uint16_t>(f[at] << 8 | f[at + 1]); };
+  const auto be32 = [be16](size_t at) { return uint32_t{be16(at)} << 16 | be16(at + 2); };
+  TcpFrameView v;
+  if (f.size() < kEthernetHeaderSize) {
+    return std::nullopt;
+  }
+  for (size_t i = 0; i < 6; ++i) {
+    v.eth.dst.bytes[i] = f[i];
+    v.eth.src.bytes[i] = f[6 + i];
+  }
+  v.eth.ether_type = be16(12);
+  const size_t ip = kEthernetHeaderSize;
+  if (v.eth.ether_type != kEtherTypeIpv4 || f.size() < ip + kIpv4MinHeaderSize) {
+    return std::nullopt;
+  }
+  const size_t ihl = f[ip] & 0x0f;
+  if (f[ip] >> 4 != 4 || ihl < 5 || f.size() < ip + ihl * 4) {
+    return std::nullopt;
+  }
+  v.ip.ihl_words = static_cast<uint8_t>(ihl);
+  v.ip.tos = f[ip + 1];
+  v.ip.total_length = be16(ip + 2);
+  v.ip.identification = be16(ip + 4);
+  v.ip.dont_fragment = (f[ip + 6] & 0x40) != 0;
+  v.ip.more_fragments = (f[ip + 6] & 0x20) != 0;
+  v.ip.fragment_offset = be16(ip + 6) & 0x1fff;
+  v.ip.ttl = f[ip + 8];
+  v.ip.protocol = f[ip + 9];
+  v.ip.checksum = be16(ip + 10);
+  v.ip.src.value = be32(ip + 12);
+  v.ip.dst.value = be32(ip + 16);
+  if (v.ip.total_length < ihl * 4 || v.ip.protocol != kIpProtoTcp ||
+      ip + v.ip.total_length > f.size()) {
+    return std::nullopt;
+  }
+  v.ip_checksum_ok = testutil::BytePairFoldedSum(f.subspan(ip, ihl * 4)) == 0xffff;
+  v.ip_offset = ip;
+  const size_t t = ip + ihl * 4;
+  const size_t segment_size = v.ip.total_length - ihl * 4;
+  v.tcp_offset = t;
+  if (segment_size < kTcpMinHeaderSize) {
+    return std::nullopt;
+  }
+  TcpHeader& h = v.tcp;
+  h.data_offset_words = f[t + 12] >> 4;
+  const size_t hsize = h.data_offset_words * size_t{4};
+  if (hsize < kTcpMinHeaderSize || hsize > segment_size) {
+    return std::nullopt;
+  }
+  h.src_port = be16(t);
+  h.dst_port = be16(t + 2);
+  h.seq = be32(t + 4);
+  h.ack = be32(t + 8);
+  h.flags = f[t + 13] & 0x3f;
+  h.window = be16(t + 14);
+  h.checksum = be16(t + 16);
+  h.urgent_pointer = be16(t + 18);
+  const size_t o = t + kTcpMinHeaderSize;
+  const size_t end = t + hsize;
+  for (size_t i = o; i < end; ++i) {
+    h.raw_options.push_back(f[i]);
+  }
+  for (size_t i = o; i < end;) {
+    const uint8_t kind = f[i];
+    if (kind == kTcpOptEnd) {
+      break;
+    }
+    if (kind == kTcpOptNop) {
+      ++i;
+      continue;
+    }
+    if (i + 1 >= end || f[i + 1] < 2 || i + f[i + 1] > end) {
+      return std::nullopt;
+    }
+    const uint8_t len = f[i + 1];
+    if (kind == kTcpOptMss) {
+      if (len != 4) {
+        return std::nullopt;
+      }
+      h.mss = be16(i + 2);
+    } else if (kind == kTcpOptWindowScale) {
+      if (len != 3) {
+        return std::nullopt;
+      }
+      h.window_scale = f[i + 2];
+    } else if (kind == kTcpOptSackPermitted) {
+      if (len != 2) {
+        return std::nullopt;
+      }
+      h.sack_permitted = true;
+    } else if (kind == kTcpOptSack) {
+      h.has_sack_blocks = true;
+    } else if (kind == kTcpOptTimestamp) {
+      if (len != 10) {
+        return std::nullopt;
+      }
+      h.timestamp = TcpTimestampOption{be32(i + 2), be32(i + 6)};
+      h.timestamp_offset = static_cast<uint8_t>(i - o);
+    } else {
+      h.has_unknown_option = true;
+    }
+    i += len;
+  }
+  v.payload_offset = end;
+  v.payload_size = segment_size - hsize;
+  return v;
+}
+
+// The fields in which `got` differs from `want`, by name; empty when it matches.
+std::string ViewDifferences(const TcpFrameView& got, const TcpFrameView& want) {
+  std::string diff;
+  const auto check = [&diff](bool same, const char* name) {
+    if (!same) {
+      diff = diff + " " + name;
+    }
+  };
+  check(got.eth.dst == want.eth.dst && got.eth.src == want.eth.src &&
+            got.eth.ether_type == want.eth.ether_type,
+        "eth");
+  const Ipv4Header& a = got.ip;
+  const Ipv4Header& b = want.ip;
+  check(a.ihl_words == b.ihl_words && a.tos == b.tos && a.total_length == b.total_length &&
+            a.identification == b.identification,
+        "ip.ihl/tos/total_length/identification");
+  check(a.dont_fragment == b.dont_fragment && a.more_fragments == b.more_fragments &&
+            a.fragment_offset == b.fragment_offset,
+        "ip.fragment fields");
+  check(a.ttl == b.ttl && a.protocol == b.protocol && a.checksum == b.checksum,
+        "ip.ttl/protocol/checksum");
+  check(a.src == b.src && a.dst == b.dst, "ip.src/dst");
+  const TcpHeader& x = got.tcp;
+  const TcpHeader& y = want.tcp;
+  check(x.src_port == y.src_port && x.dst_port == y.dst_port && x.seq == y.seq &&
+            x.ack == y.ack,
+        "tcp.ports/seq/ack");
+  check(x.data_offset_words == y.data_offset_words && x.flags == y.flags &&
+            x.window == y.window && x.checksum == y.checksum &&
+            x.urgent_pointer == y.urgent_pointer,
+        "tcp.offset/flags/window/checksum/urgent");
+  check(x.timestamp.has_value() == y.timestamp.has_value() &&
+            (!x.timestamp || (x.timestamp->value == y.timestamp->value &&
+                              x.timestamp->echo_reply == y.timestamp->echo_reply)),
+        "tcp.timestamp");
+  check(x.timestamp_offset == y.timestamp_offset, "tcp.timestamp_offset");
+  check(x.mss == y.mss, "tcp.mss");
+  check(x.window_scale == y.window_scale, "tcp.window_scale");
+  check(x.sack_permitted == y.sack_permitted, "tcp.sack_permitted");
+  check(x.has_sack_blocks == y.has_sack_blocks, "tcp.has_sack_blocks");
+  check(x.has_unknown_option == y.has_unknown_option, "tcp.has_unknown_option");
+  check(x.raw_options == y.raw_options, "tcp.raw_options");
+  check(got.ip_offset == want.ip_offset && got.tcp_offset == want.tcp_offset &&
+            got.payload_offset == want.payload_offset && got.payload_size == want.payload_size,
+        "offsets/payload_size");
+  check(got.ip_checksum_ok == want.ip_checksum_ok, "ip_checksum_ok");
+  return diff;
+}
+
+void AppendRandomBytes(Rng& rng, size_t n, std::vector<uint8_t>& out) {
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(static_cast<uint8_t>(rng.Next()));
+  }
+}
+
+// Appends one option, well-formed or not, of the layouts the option walk must handle.
+void AppendRandomOption(Rng& rng, std::vector<uint8_t>& block) {
+  switch (rng.NextBelow(11)) {
+    case 0:  // the aligned timestamp block, wherever it falls
+      block.insert(block.end(), {kTcpOptNop, kTcpOptNop, kTcpOptTimestamp, 10});
+      AppendRandomBytes(rng, 8, block);
+      break;
+    case 1:  // a timestamp without its NOPs
+      block.insert(block.end(), {kTcpOptTimestamp, 10});
+      AppendRandomBytes(rng, 8, block);
+      break;
+    case 2:  // a timestamp with a wrong length
+      block.insert(block.end(), {kTcpOptTimestamp, static_cast<uint8_t>(rng.NextBelow(12))});
+      AppendRandomBytes(rng, 8, block);
+      break;
+    case 3:
+      block.push_back(kTcpOptEnd);
+      break;
+    case 4:
+      block.push_back(kTcpOptNop);
+      break;
+    case 5:
+      block.insert(block.end(), {kTcpOptMss, 4});
+      AppendRandomBytes(rng, 2, block);
+      break;
+    case 6:
+      block.insert(block.end(), {kTcpOptWindowScale, 3});
+      AppendRandomBytes(rng, 1, block);
+      break;
+    case 7:
+      block.insert(block.end(), {kTcpOptSackPermitted, 2});
+      break;
+    case 8: {
+      const size_t blocks = 1 + rng.NextBelow(3);
+      block.insert(block.end(), {kTcpOptSack, static_cast<uint8_t>(2 + 8 * blocks)});
+      AppendRandomBytes(rng, 8 * blocks, block);
+      break;
+    }
+    case 9: {  // an unknown kind
+      const uint8_t len = static_cast<uint8_t>(2 + rng.NextBelow(5));
+      block.insert(block.end(), {static_cast<uint8_t>(9 + rng.NextBelow(247)), len});
+      AppendRandomBytes(rng, len - 2u, block);
+      break;
+    }
+    default:  // any kind with any length, and what follows cut short
+      AppendRandomBytes(rng, 2 + rng.NextBelow(3), block);
+      break;
+  }
+}
+
+// A TCP option block of at most 40 bytes, padded to whole words.
+std::vector<uint8_t> RandomOptionBlock(Rng& rng) {
+  std::vector<uint8_t> block;
+  const uint64_t shape = rng.NextBelow(10);
+  if (shape < 6) {
+    // The aligned timestamp block at offset 0, as every timestamped segment the stack
+    // writes carries it; with a random length byte one time in six.
+    const uint8_t len = shape == 0 ? static_cast<uint8_t>(rng.NextBelow(12)) : 10;
+    block.insert(block.end(), {kTcpOptNop, kTcpOptNop, kTcpOptTimestamp, len});
+    AppendRandomBytes(rng, 8, block);
+    if (shape >= 4) {  // and more after it, as a SACK-carrying ACK has
+      AppendRandomOption(rng, block);
+    }
+  } else {
+    for (uint64_t n = 1 + rng.NextBelow(6); n > 0; --n) {
+      AppendRandomOption(rng, block);
+    }
+  }
+  block.resize(std::min(block.size(), kTcpMaxOptionBytes));
+  while (block.size() % 4 != 0) {
+    block.push_back(rng.NextBool(0.5) ? uint8_t{kTcpOptEnd} : static_cast<uint8_t>(rng.Next()));
+  }
+  return block;
+}
+
+// A random Ethernet/IPv4/TCP frame: IPv4 options (ihl 5..15), a random TCP option
+// block, a valid IPv4 checksum, and then, now and again, a flipped bit in the headers,
+// a wrong length field, or an ethertype or protocol the parse refuses.
+std::vector<uint8_t> RandomFrame(Rng& rng) {
+  std::vector<uint8_t> f;
+  AppendRandomBytes(rng, 12, f);
+  const uint16_t ether_type = rng.NextBool(0.97) ? kEtherTypeIpv4 : 0x86dd;
+  f.insert(f.end(), {static_cast<uint8_t>(ether_type >> 8), static_cast<uint8_t>(ether_type)});
+  const size_t ihl = rng.NextBool(0.5) ? 5 : 5 + rng.NextBelow(11);
+  const std::vector<uint8_t> options = RandomOptionBlock(rng);
+  const size_t payload = rng.NextBelow(48);
+  const size_t ip = f.size();
+  AppendRandomBytes(rng, ihl * 4, f);
+  f[ip] = static_cast<uint8_t>(0x40 | ihl);
+  size_t total_length = ihl * 4 + kTcpMinHeaderSize + options.size() + payload;
+  if (rng.NextBool(0.05)) {
+    total_length = rng.NextBelow(total_length + 16);
+  }
+  StoreBe16(f.data() + ip + 2, static_cast<uint16_t>(total_length));
+  f[ip + 9] = rng.NextBool(0.97) ? kIpProtoTcp : static_cast<uint8_t>(rng.Next());
+  StoreBe16(f.data() + ip + 10, 0);
+  StoreBe16(f.data() + ip + 10, InternetChecksum(std::span<const uint8_t>(f).subspan(ip)));
+  const size_t t = f.size();
+  AppendRandomBytes(rng, kTcpMinHeaderSize, f);
+  f[t + 12] = static_cast<uint8_t>((5 + options.size() / 4) << 4 | (f[t + 12] & 0x0f));
+  if (rng.NextBool(0.05)) {
+    f[t + 12] = static_cast<uint8_t>(rng.Next());
+  }
+  f.insert(f.end(), options.begin(), options.end());
+  AppendRandomBytes(rng, payload + (rng.NextBool(0.2) ? rng.NextBelow(8) : 0), f);
+  if (rng.NextBool(0.3)) {
+    const size_t at = kEthernetHeaderSize + rng.NextBelow(ihl * 4);
+    f[at] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
+  }
+  return f;
+}
+
+TEST(Frame, OnePassParseMatchesTheReferenceDecoder) {
+  Rng rng(33);
+  TcpFrameView view;  // reused, as the packet pool reuses its packets' views
+  int parsed = 0;
+  int aligned_timestamps = 0;
+  int ip_options_checked = 0;
+  int bad_ip_checksums = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::vector<uint8_t> frame = RandomFrame(rng);
+    const std::optional<TcpFrameView> want = ReferenceDecode(frame);
+    ASSERT_EQ(ParseTcpFrame(frame, view), want.has_value()) << "trial " << trial;
+    if (!want) {
+      continue;
+    }
+    ASSERT_EQ(ViewDifferences(view, *want), "") << "trial " << trial;
+    ++parsed;
+    aligned_timestamps += view.tcp.timestamp_offset == 2;
+    ip_options_checked += view.ip.HasOptions() && view.ip_checksum_ok;
+    bad_ip_checksums += !view.ip_checksum_ok;
+  }
+  // The frames reach each path the comparison is for.
+  EXPECT_GT(parsed, 5000);
+  EXPECT_GT(aligned_timestamps, 2000);
+  EXPECT_GT(ip_options_checked, 1000);
+  EXPECT_GT(bad_ip_checksums, 1000);
+}
+
+// ---------------------------------------------------------------------------
 // Frame writer against the field-by-field serializers
 // ---------------------------------------------------------------------------
 
@@ -568,7 +882,7 @@ std::vector<WriterCase> WriterCases() {
                                     kTcpOptSackPermitted, 2};
   TcpOptionBytes syn_options = handshake;
   const TcpOptionBytes ts = TimestampOption(0x01020304, 0);
-  syn_options.insert(syn_options.end(), ts.begin(), ts.end());
+  std::copy(ts.begin(), ts.end(), syn_options.Append(ts.size()).begin());
   TcpOptionBytes sack_options = TimestampOption(777, 0xfffffff0);
   const SackBlock blocks[] = {{5000, 6448}, {8000, 9448}, {0xffff0000, 0x10}};
   AppendSackOption(blocks, sack_options);
