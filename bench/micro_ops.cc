@@ -143,7 +143,7 @@ void BM_ReassemblyInsertPop(benchmark::State& state) {
   for (auto _ : state) {
     ReassemblyQueue q;
     for (size_t i = segments; i-- > 0;) {
-      q.Insert(1000 + i * 1448, pool.Allocate(frame));
+      q.Insert(1000 + i * 1448, pool.AllocateMoved(CopyFrame(frame)));
     }
     benchmark::DoNotOptimize(q.PopInOrder(1000));
     q.ReleaseRun();

@@ -49,9 +49,8 @@ const Config& ProjectConfig() {
               {"src/analysis", {}},
           },
 
-      // Only the helpers may read raw big-endian bytes or byte-swap; everything else
-      // goes through LoadBe*/StoreBe* or the be16/be32 WireLoad overlays.
-      .byteorder_helper_files = {"src/util/byte_order.h", "src/wire/raw_view.h"},
+      // Only the helpers may byte-swap; everything else goes through LoadBe*/StoreBe*.
+      .byteorder_helper_files = {"src/util/byte_order.h"},
       .byteorder_banned =
           {
               "htons", "ntohs", "htonl", "ntohl",

@@ -30,7 +30,7 @@ struct Config {
   std::map<std::string, std::set<std::string>> layer_allow;
 
   // -- byteorder --------------------------------------------------------------------
-  // Files allowed to touch raw big-endian bytes (the byte-order helpers themselves).
+  // Files allowed to byte-swap (the byte-order helpers themselves).
   std::set<std::string> byteorder_helper_files;
   // Identifiers banned outside the helper files (htons and friends, bswap builtins).
   std::vector<std::string> byteorder_banned;

@@ -154,15 +154,7 @@ void CheckByteOrder(const AnalyzedFile& file, const Config& config,
     if (Contains(config.byteorder_banned, t[i].text)) {
       Emit(file, kByteOrder, t[i].line,
            "'" + t[i].text + "' bypasses the project byte-order helpers; use "
-           "LoadBe*/StoreBe* (src/util/byte_order.h) or WireLoad (src/wire/raw_view.h)",
-           out);
-      continue;
-    }
-    // Direct access to the raw bytes of a be16/be32 wire field: `x.raw` / `x->raw`.
-    if (t[i].text == "raw" && IsMemberAccess(t, i)) {
-      Emit(file, kByteOrder, t[i].line,
-           "direct access to the raw bytes of a be16/be32 wire field; only the "
-           "WireLoad helpers in src/wire/raw_view.h may dereference them",
+           "LoadBe*/StoreBe* (src/util/byte_order.h)",
            out);
     }
   }

@@ -4,7 +4,7 @@
 //   determinism  - no wall clocks, libc/std RNG, or pointer-keyed containers
 //   layering     - includes must follow the receive-path DAG
 //   guard        - headers need #pragma once or a matching #ifndef guard
-//   byteorder    - raw big-endian wire bytes only readable in the helpers
+//   byteorder    - no byte-swap calls outside the LoadBe*/StoreBe* helpers
 //   charge       - packet-touching primitives in charged layers must bill cycles
 //   smp-share    - shared mutable state in src/smp must be annotated
 

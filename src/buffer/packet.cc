@@ -1,5 +1,6 @@
 #include "src/buffer/packet.h"
 
+#include <string>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -22,7 +23,8 @@ PacketPool::~PacketPool() {
   for (Packet* p : free_list_) {
     delete p;
   }
-  TCPRX_CHECK_MSG(stats_.live == 0, "packets leaked past pool destruction: " << stats_.live);
+  TCPRX_CHECK_MSG(stats_.live == 0,
+                  "packets leaked past pool destruction: " + std::to_string(stats_.live));
 }
 
 PacketPtr PacketPool::Take() {
@@ -38,13 +40,6 @@ PacketPtr PacketPool::Take() {
   ++stats_.live;
   p->nic_checksum_verified = false;
   return PacketPtr(p);
-}
-
-PacketPtr PacketPool::Allocate(std::span<const uint8_t> frame) {
-  PacketPtr p = Take();
-  p->data.assign(frame.begin(), frame.end());
-  p->Parse();
-  return p;
 }
 
 PacketPtr PacketPool::AllocateMoved(std::vector<uint8_t>&& frame) {

@@ -4,10 +4,10 @@
 // one parse and the checksum-offload verdict the NIC attaches. The pool parses a frame
 // once, when it makes the packet, and every later reader (NIC checksum offload, the
 // aggregator's early demux, the stack) uses that view instead of decoding the headers
-// again. Packets are recycled through a PacketPool both for speed and because the
-// pool's counters feed the buffer-management cost accounting: the paper attributes a
-// large share of per-packet overhead to buffer alloc/free, so the simulator charges
-// cycles per pool operation at the layers where Linux would perform them.
+// again. Packets are recycled through a PacketPool so that a warm pool makes no heap
+// allocation. The pool's Stats are read only by tests and by its teardown leak check:
+// the buffer alloc/free cycles the paper attributes to each packet are kCosts charges
+// that each layer makes where Linux would do that work, not counts taken from here.
 
 #ifndef SRC_BUFFER_PACKET_H_
 #define SRC_BUFFER_PACKET_H_
@@ -68,11 +68,9 @@ class PacketPool {
   PacketPool& operator=(const PacketPool&) = delete;
   ~PacketPool();
 
-  // Returns a packet whose data holds a copy of `frame`.
-  PacketPtr Allocate(std::span<const uint8_t> frame);
-
   // Returns a packet that takes ownership of `frame` without copying. The buffer the
-  // recycled packet held before goes back to the frame-buffer free list.
+  // recycled packet held before goes back to the frame-buffer free list. A caller that
+  // holds only a view of its frame passes CopyFrame(bytes), a recycled buffer.
   PacketPtr AllocateMoved(std::vector<uint8_t>&& frame);
 
   struct Stats {

@@ -21,6 +21,7 @@
 #include "src/stack/network_stack.h"
 #include "src/tcp/send_stream.h"
 #include "src/wire/frame.h"
+#include "src/wire/frame_buffer.h"
 
 namespace tcprx {
 namespace fuzz {
@@ -128,7 +129,7 @@ class DirectHarness {
     if (pcap_ != nullptr) {
       pcap_->Record(loop_.Now(), f.bytes);
     }
-    PacketPtr p = stack_->packet_pool().Allocate(f.bytes);
+    PacketPtr p = stack_->packet_pool().AllocateMoved(CopyFrame(f.bytes));
     p->nic_checksum_verified = f.csum_ok;
     stack_->ReceiveFrame(std::move(p));
   }

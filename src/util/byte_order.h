@@ -1,8 +1,11 @@
-// Network byte-order helpers for serializing wire headers into byte buffers.
+// Network byte-order helpers: the one way the project reads or writes a big-endian
+// wire field.
 //
-// All wire formats in this project are serialized explicitly, byte by byte, rather than
-// by casting structs over raw memory; that keeps the code portable and free of
-// alignment or padding surprises (see wire/).
+// Every header parser and writer in src/wire, the aggregator's in-place rewrites and
+// the NIC's fixed-offset steering peek (PeekFlowKey) go through these, byte by byte;
+// nothing casts a struct over frame bytes, so no code depends on alignment or padding.
+// tools/tcprx_check's `byteorder` rule bans the htons family and bswap builtins
+// everywhere else.
 
 #ifndef SRC_UTIL_BYTE_ORDER_H_
 #define SRC_UTIL_BYTE_ORDER_H_

@@ -1,34 +1,13 @@
 #include "src/util/logging.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace tcprx {
 
-namespace {
-LogLevel g_level = LogLevel::kWarn;
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
-
-void LogMessage(LogLevel level, const char* file, int line, const std::string& message) {
-  std::fprintf(stderr, "[%s] %s:%d: %s\n", LevelName(level), file, line, message.c_str());
-}
-
-void CheckFailed(const char* file, int line, const char* expr, const std::string& message) {
-  std::fprintf(stderr, "CHECK failed at %s:%d: %s %s\n", file, line, expr, message.c_str());
+void CheckFailed(const char* file, int line, const char* expr, std::string_view message) {
+  std::fprintf(stderr, "CHECK failed at %s:%d: %s %.*s\n", file, line, expr,
+               static_cast<int>(message.size()), message.data());
   std::abort();
 }
 

@@ -1,57 +1,36 @@
-// Minimal leveled logging and hard-invariant checks.
+// Hard-invariant checks.
 //
 // The simulator is deterministic, so failed invariants indicate programming errors;
-// TCPRX_CHECK aborts rather than attempting recovery.
+// TCPRX_CHECK aborts rather than attempting recovery. Every failure goes through one
+// out-of-line, cold CheckFailed, so a check costs its caller a compare, and builds no
+// message unless it fails.
 
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
 
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
-#include <string>
+#include <string_view>
 
 namespace tcprx {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-// Process-wide minimum level; messages below it are discarded.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// Emits one formatted log line to stderr. Not intended to be called directly; use the
-// TCPRX_LOG macro so file/line and level filtering are uniform.
-void LogMessage(LogLevel level, const char* file, int line, const std::string& message);
-
-[[noreturn]] void CheckFailed(const char* file, int line, const char* expr,
-                              const std::string& message);
+// Prints "CHECK failed at <file>:<line>: <expr> <message>" to stderr and aborts.
+[[noreturn, gnu::cold]] void CheckFailed(const char* file, int line, const char* expr,
+                                         std::string_view message);
 
 }  // namespace tcprx
 
-#define TCPRX_LOG(level, msg)                                                    \
-  do {                                                                           \
-    if (static_cast<int>(level) >= static_cast<int>(::tcprx::GetLogLevel())) {   \
-      std::ostringstream tcprx_log_stream;                                       \
-      tcprx_log_stream << msg;                                                   \
-      ::tcprx::LogMessage(level, __FILE__, __LINE__, tcprx_log_stream.str());    \
-    }                                                                            \
+#define TCPRX_CHECK(expr)                                  \
+  do {                                                     \
+    if (!(expr)) [[unlikely]] {                            \
+      ::tcprx::CheckFailed(__FILE__, __LINE__, #expr, ""); \
+    }                                                      \
   } while (0)
 
-#define TCPRX_CHECK(expr)                                                 \
-  do {                                                                    \
-    if (!(expr)) {                                                        \
-      ::tcprx::CheckFailed(__FILE__, __LINE__, #expr, "");                \
-    }                                                                     \
-  } while (0)
-
-#define TCPRX_CHECK_MSG(expr, msg)                                        \
-  do {                                                                    \
-    if (!(expr)) {                                                        \
-      std::ostringstream tcprx_check_stream;                              \
-      tcprx_check_stream << msg;                                          \
-      ::tcprx::CheckFailed(__FILE__, __LINE__, #expr,                     \
-                           tcprx_check_stream.str());                     \
-    }                                                                     \
+// `msg` is a string literal or a std::string, evaluated only when `expr` is false.
+#define TCPRX_CHECK_MSG(expr, msg)                          \
+  do {                                                      \
+    if (!(expr)) [[unlikely]] {                             \
+      ::tcprx::CheckFailed(__FILE__, __LINE__, #expr, msg); \
+    }                                                       \
   } while (0)
 
 #endif  // SRC_UTIL_LOGGING_H_

@@ -1,10 +1,10 @@
-// Fixed-capacity single-producer/single-consumer ring.
+// Fixed-capacity ring with one producer and one consumer.
 //
-// Models the lock-free producer-consumer queues the paper relies on: the NIC rx/tx
-// descriptor rings and the per-CPU "aggregation queue" between the driver (producer,
-// interrupt context) and the Receive Aggregation routine (consumer, softirq context),
-// which the paper implements lock-free precisely to avoid adding per-packet
-// synchronization cost (section 3.5).
+// Its one user is the NIC's rx descriptor ring (SimulatedNic's RxQueue): the NIC pushes
+// each frame it takes off the wire, the driver pops the frames when it polls, and a
+// full ring drops the frame, as the hardware does. The simulator is single-threaded, so
+// the ring needs no atomics. There is no tx ring (the NIC transmits straight onto its
+// link) and no aggregation queue (the stack's ReceiveFrame calls the aggregator).
 //
 // The slots are raw storage: Push constructs an element in its slot and Pop destroys
 // it, so an empty slot holds nothing, and teardown walks only the live range.

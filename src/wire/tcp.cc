@@ -87,10 +87,6 @@ bool ParseOptions(std::span<const uint8_t> options, TcpHeader& h) {
 
 }  // namespace
 
-void TcpOptionBytes::TooLong() {
-  CheckFailed(__FILE__, __LINE__, "size <= kTcpMaxOptionBytes", "TCP options exceed 40 bytes");
-}
-
 bool ParseTcp(std::span<const uint8_t> segment, TcpHeader& out) {
   if (segment.size() < kTcpMinHeaderSize) {
     return false;

@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "src/util/logging.h"
 #include "src/wire/ipv4.h"
 
 namespace tcprx {
@@ -84,9 +85,7 @@ class TcpOptionBytes {
   template <typename It>
   void assign(It first, It last) {
     const size_t n = static_cast<size_t>(std::distance(first, last));
-    if (n > kTcpMaxOptionBytes) {
-      TooLong();
-    }
+    TCPRX_CHECK_MSG(n <= kTcpMaxOptionBytes, "TCP options exceed 40 bytes");
     std::copy(first, last, bytes_.begin());
     size_ = static_cast<uint8_t>(n);
   }
@@ -96,15 +95,9 @@ class TcpOptionBytes {
   }
 
  private:
-  // Aborts with "TCP options exceed 40 bytes". Out of line, so that the size checks
-  // calling it stay small enough to inline into the parser.
-  [[noreturn]] static void TooLong();
-
   // Extends the size by `n` and returns the first new byte.
   uint8_t* Grow(size_t n) {
-    if (size_t{size_} + n > kTcpMaxOptionBytes) {
-      TooLong();
-    }
+    TCPRX_CHECK_MSG(size_t{size_} + n <= kTcpMaxOptionBytes, "TCP options exceed 40 bytes");
     uint8_t* first = end();
     size_ = static_cast<uint8_t>(size_ + n);
     return first;

@@ -13,6 +13,7 @@
 #include "src/sim/testbed.h"
 #include "src/tcp/reassembly.h"
 #include "src/wire/frame.h"
+#include "src/wire/frame_buffer.h"
 
 namespace tcprx {
 namespace {
@@ -124,16 +125,25 @@ TEST(AllocGate, WarmReassemblyQueueMakesNoAllocation) {
   const std::vector<uint8_t> frame = BuildTcpFrame(spec);
   PacketPool pool;
   ReassemblyQueue queue;
+  // The frames arrive in buffers of their own, copied before the counted window.
+  std::vector<std::vector<uint8_t>> arrivals(kSegments);
+  const auto arrive = [&] {
+    for (std::vector<uint8_t>& arrival : arrivals) {
+      arrival = CopyFrame(frame);
+    }
+  };
   const auto cycle = [&](uint64_t hole) {
     for (size_t i = 1; i <= kSegments; ++i) {
-      queue.Insert(hole + i * kMss, pool.Allocate(frame));
+      queue.Insert(hole + i * kMss, pool.AllocateMoved(std::move(arrivals[i - 1])));
     }
     const size_t popped = queue.PopInOrder(hole + kMss);
     queue.ReleaseRun();
     return popped;
   };
+  arrive();
   ASSERT_EQ(cycle(1000), kSegments * kMss);
 
+  arrive();
   const perfbench::AllocCounts before = perfbench::AllocCountsNow();
   perfbench::SetAllocCounting(true);
   const size_t popped = cycle(1000 + (kSegments + 1) * kMss);

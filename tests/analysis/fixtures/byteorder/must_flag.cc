@@ -1,15 +1,8 @@
-// Fixture (analyzed as src/tcp/fixture.cc): raw wire-byte access and byte-swap
-// intrinsics outside the helper files; every function must produce a
-// [byteorder] finding.
+// Fixture (analyzed as src/tcp/fixture.cc): byte-swap calls outside the helper
+// files; every function must produce a [byteorder] finding.
 #include <cstdint>
 
-#include "src/wire/raw_view.h"
-
 namespace tcprx {
-
-inline uint16_t HandRolledLoad(const RawTcpFields* tcp) {
-  return static_cast<uint16_t>((tcp->src_port.raw[0] << 8) | tcp->src_port.raw[1]);
-}
 
 inline uint16_t PosixSwap(uint16_t v) { return htons(v); }
 

@@ -1,24 +1,11 @@
-// Fixture (analyzed as src/tcp/fixture.cc): the sanctioned spellings of what
+// Fixture (analyzed as src/tcp/fixture.cc): the sanctioned spelling of what
 // must_flag.cc does; no findings.
 #include <cstdint>
 
 #include "src/util/byte_order.h"
-#include "src/wire/raw_view.h"
 
 namespace tcprx {
 
-inline uint16_t HelperLoad(const RawTcpFields* tcp) { return WireLoad(tcp->src_port); }
-
 inline uint16_t BufferLoad(const uint8_t* p) { return LoadBe16(p); }
-
-// A member that happens to be named `raw` on a non-wire type is still flagged by
-// the token scan; the annotation documents the false positive.
-struct Histogram {
-  int raw = 0;
-};
-inline int ReadHistogram(const Histogram& h) {
-  // tcprx-check: allow(byteorder) -- `raw` here is a histogram bucket, not wire bytes
-  return h.raw;
-}
 
 }  // namespace tcprx

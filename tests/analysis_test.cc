@@ -46,7 +46,7 @@ const FixtureCase kCases[] = {
      "src/nic/fixture.cc", 2},
     {"guard", "guard", "must_flag.h", "must_pass.h", "src/util/fixture.h", 1},
     {"byteorder", "byteorder", "must_flag.cc", "must_pass.cc",
-     "src/tcp/fixture.cc", 3},
+     "src/tcp/fixture.cc", 2},
     {"charge", "charge", "must_flag.cc", "must_pass.cc", "src/tcp/fixture.cc", 2},
     {"charge", "charge-writer", "must_flag.cc", "must_pass.cc", "src/tcp/fixture.cc", 1},
     {"smp-share", "smp-share", "must_flag.h", "must_pass.h",

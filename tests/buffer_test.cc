@@ -6,6 +6,7 @@
 
 #include "src/buffer/packet.h"
 #include "src/buffer/skbuff.h"
+#include "src/wire/frame_buffer.h"
 #include "tests/test_util.h"
 
 namespace tcprx {
@@ -39,7 +40,7 @@ void ExpectSameView(const TcpFrameView& got, const TcpFrameView& want) {
 TEST(PacketPool, AllocateCopiesBytes) {
   PacketPool pool;
   const std::vector<uint8_t> data = {1, 2, 3, 4};
-  PacketPtr p = pool.Allocate(data);
+  PacketPtr p = pool.AllocateMoved(CopyFrame(data));
   EXPECT_EQ(p->data, data);
   EXPECT_FALSE(p->view.has_value());  // not a TCP/IPv4 frame
   EXPECT_EQ(pool.stats().allocations, 1u);
@@ -62,7 +63,7 @@ TEST(PacketPool, AllocateParsesTcpFrame) {
   const auto fresh = ParseTcpFrame(frame);
   ASSERT_TRUE(fresh.has_value());
 
-  PacketPtr copied = pool.Allocate(frame);
+  PacketPtr copied = pool.AllocateMoved(CopyFrame(frame));
   ASSERT_TRUE(copied->view.has_value());
   ExpectSameView(*copied->view, *fresh);
 
@@ -77,12 +78,12 @@ TEST(PacketPool, RecyclesFreedPackets) {
   PacketPool pool;
   Packet* first;
   {
-    PacketPtr p = pool.Allocate(std::vector<uint8_t>(64, 0));
+    PacketPtr p = pool.AllocateMoved(std::vector<uint8_t>(64, 0));
     first = p.get();
   }
   EXPECT_EQ(pool.stats().frees, 1u);
   EXPECT_EQ(pool.stats().live, 0u);
-  PacketPtr q = pool.Allocate(std::vector<uint8_t>(64, 0));
+  PacketPtr q = pool.AllocateMoved(std::vector<uint8_t>(64, 0));
   EXPECT_EQ(q.get(), first);  // same object reused
   EXPECT_EQ(pool.stats().allocations, 2u);
 }
@@ -90,10 +91,10 @@ TEST(PacketPool, RecyclesFreedPackets) {
 TEST(PacketPool, ResetsReceiveMetadataOnReuse) {
   PacketPool pool;
   {
-    PacketPtr p = pool.Allocate(std::vector<uint8_t>(10, 0));
+    PacketPtr p = pool.AllocateMoved(std::vector<uint8_t>(10, 0));
     p->nic_checksum_verified = true;
   }
-  PacketPtr q = pool.Allocate(std::vector<uint8_t>(10, 0));
+  PacketPtr q = pool.AllocateMoved(std::vector<uint8_t>(10, 0));
   EXPECT_FALSE(q->nic_checksum_verified);
 }
 
@@ -106,7 +107,7 @@ TEST(PacketPool, RecycledPacketNeverKeepsStaleView) {
     first = p.get();
   }
   {
-    PacketPtr garbage = pool.Allocate(std::vector<uint8_t>(64, 0xff));
+    PacketPtr garbage = pool.AllocateMoved(std::vector<uint8_t>(64, 0xff));
     ASSERT_EQ(garbage.get(), first);
     EXPECT_FALSE(garbage->view.has_value());
   }
@@ -114,7 +115,7 @@ TEST(PacketPool, RecycledPacketNeverKeepsStaleView) {
   options.seq = 77;
   options.src_port = 4321;
   const std::vector<uint8_t> frame = MakeFrame(options, 300);
-  PacketPtr again = pool.Allocate(frame);
+  PacketPtr again = pool.AllocateMoved(CopyFrame(frame));
   ASSERT_EQ(again.get(), first);
   ASSERT_TRUE(again->view.has_value());
   const auto fresh = ParseTcpFrame(frame);
@@ -134,7 +135,7 @@ TEST(PacketPool, RecycledViewEmptiesOnTruncatedOrNonTcpFrame) {
     // Cut inside the TCP header: Ethernet and IPv4 parse, TCP does not.
     std::vector<uint8_t> truncated = MakeFrame(FrameOptions{}, 100);
     truncated.resize(14 + 20 + 10);
-    PacketPtr p = pool.Allocate(truncated);
+    PacketPtr p = pool.AllocateMoved(CopyFrame(truncated));
     ASSERT_EQ(p.get(), first);
     EXPECT_FALSE(p->view.has_value());
   }
@@ -188,7 +189,7 @@ TEST(SkBuff, WrapListsTheHeadAsOneSegment) {
 TEST(SkBuff, WrapRejectsGarbage) {
   PacketPool pool;
   const std::vector<uint8_t> garbage(64, 0xff);
-  EXPECT_EQ(SkBuff::Wrap(pool.Allocate(garbage)), nullptr);
+  EXPECT_EQ(SkBuff::Wrap(pool.AllocateMoved(CopyFrame(garbage))), nullptr);
 }
 
 TEST(SkBuff, FragmentChainPayload) {
@@ -233,13 +234,15 @@ TEST(PacketPoolDeathTest, LeakDetectedAtDestruction) {
   EXPECT_DEATH(
       {
         PacketPtr leaked;
+        PacketPtr also_leaked;
         {
           PacketPool pool;
-          leaked = pool.Allocate(std::vector<uint8_t>(1, 0));
-          // pool destroyed with a live packet
+          leaked = pool.AllocateMoved(std::vector<uint8_t>(1, 0));
+          also_leaked = pool.AllocateMoved(std::vector<uint8_t>(1, 0));
+          // pool destroyed with two live packets
         }
       },
-      "leaked");
+      "packets leaked past pool destruction: 2\n");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "src/tcp/reassembly.h"
 #include "src/util/harness_counters.h"
 #include "src/util/rng.h"
+#include "src/wire/frame_buffer.h"
 #include "tests/test_util.h"
 
 namespace tcprx {
@@ -437,9 +438,13 @@ TEST(HarnessCounters, OutOfOrderSegmentsTakeNoFrameBuffer) {
   const std::vector<uint8_t> frame = MakeFrame(FrameOptions{}, kMss);
   PacketPool pool;
   ReassemblyQueue queue;
+  std::vector<std::vector<uint8_t>> arrivals(kSegments);
+  for (std::vector<uint8_t>& arrival : arrivals) {
+    arrival = CopyFrame(frame);
+  }
   const uint64_t taken_before = thread_harness_counters.frame_buffers_taken;
   for (size_t i = 1; i <= kSegments; ++i) {
-    queue.Insert(1000 + i * kMss, pool.Allocate(frame));
+    queue.Insert(1000 + i * kMss, pool.AllocateMoved(std::move(arrivals[i - 1])));
   }
   EXPECT_EQ(queue.PopInOrder(1000 + kMss), kSegments * kMss);
   queue.ReleaseRun();

@@ -11,6 +11,7 @@
 #include "src/util/checksum.h"
 #include "src/tcp/tcp_connection.h"
 #include "src/util/event_loop.h"
+#include "src/wire/frame_buffer.h"
 #include "tests/test_util.h"
 
 namespace tcprx {
@@ -180,7 +181,7 @@ TEST(TcpConnection, OutOfOrderDeliveryStillInOrderToApp) {
   pair.Run(5);
   // Re-inject the held segment late.
   ASSERT_FALSE(held.empty());
-  PacketPtr p = pair.pool.Allocate(held);
+  PacketPtr p = pair.pool.AllocateMoved(CopyFrame(held));
   p->nic_checksum_verified = true;
   SkBuffPtr skb = SkBuff::Wrap(std::move(p));
   pair.server->OnHostPacket(*skb);
@@ -210,7 +211,7 @@ TEST(TcpConnection, DuplicateSegmentIsAckedNotRedelivered) {
   pair.Run(10);
   ASSERT_EQ(delivered, 300u);
   // Replay the captured data frame.
-  PacketPtr p = pair.pool.Allocate(first_data_frame);
+  PacketPtr p = pair.pool.AllocateMoved(CopyFrame(first_data_frame));
   p->nic_checksum_verified = true;
   SkBuffPtr skb = SkBuff::Wrap(std::move(p));
   pair.server->OnHostPacket(*skb);

@@ -952,15 +952,31 @@ TEST(SimTimeTest, Arithmetic) {
   EXPECT_LT(b, a);
 }
 
-TEST(Logging, LevelFilters) {
-  const LogLevel old_level = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(static_cast<int>(GetLogLevel()), static_cast<int>(LogLevel::kError));
-  SetLogLevel(old_level);
-}
-
 TEST(LoggingDeathTest, CheckAborts) {
   EXPECT_DEATH({ TCPRX_CHECK_MSG(1 == 2, "impossible"); }, "CHECK failed");
+}
+
+TEST(LoggingDeathTest, FailureNamesTheFileLineExpressionAndMessage) {
+  const int line = __LINE__ + 1;
+  EXPECT_DEATH({ TCPRX_CHECK_MSG(1 + 1 == 3, "arithmetic is off"); },
+               "CHECK failed at [^ ]*tests/util_test\\.cc:" + std::to_string(line) +
+                   ": 1 \\+ 1 == 3 arithmetic is off\n");
+  EXPECT_DEATH({ TCPRX_CHECK(2 < 1); }, "tests/util_test\\.cc:[0-9]+: 2 < 1 \n");
+  const std::string built = "built at run time: " + std::to_string(7);
+  EXPECT_DEATH({ TCPRX_CHECK_MSG(false, built); }, ": false built at run time: 7\n");
+}
+
+TEST(LoggingDeathTest, MessageIsEvaluatedOnlyWhenTheCheckFails) {
+  int evaluations = 0;
+  const auto message = [&evaluations] {
+    ++evaluations;
+    return std::string("built on failure");
+  };
+  for (int i = 0; i < 3; ++i) {
+    TCPRX_CHECK_MSG(i < 3, message());
+  }
+  EXPECT_EQ(evaluations, 0);
+  EXPECT_DEATH({ TCPRX_CHECK_MSG(evaluations > 0, message()); }, "built on failure");
 }
 
 }  // namespace

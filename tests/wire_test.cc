@@ -16,6 +16,7 @@
 #include "src/wire/frame.h"
 #include "src/wire/frame_buffer.h"
 #include "src/wire/ipv4.h"
+#include "src/wire/raw_view.h"
 #include "src/wire/tcp.h"
 #include "tests/test_util.h"
 
@@ -821,6 +822,110 @@ TEST(Frame, OnePassParseMatchesTheReferenceDecoder) {
   EXPECT_GT(aligned_timestamps, 2000);
   EXPECT_GT(ip_options_checked, 1000);
   EXPECT_GT(bad_ip_checksums, 1000);
+}
+
+// ---------------------------------------------------------------------------
+// Steering peek against the full parse
+// ---------------------------------------------------------------------------
+
+// How a PeekFlowKey test frame departs from a valid TCP/IPv4 frame. The first two
+// cases are steered by their tuple; RSS hardware funnels every other one to queue 0.
+enum class PeekCase { kValid, kFirstFragment, kEtherType, kVersion, kProtocol, kShortIhl,
+                      kLaterFragment, kCount };
+
+// A TCP/IPv4 frame whose IP header is `ihl` words long (the options random), with
+// random addresses, ports, flags and payload and a valid IP checksum, changed as `c`
+// says.
+std::vector<uint8_t> PeekFrame(Rng& rng, PeekCase c, size_t ihl) {
+  std::vector<uint8_t> f;
+  AppendRandomBytes(rng, 12, f);
+  uint16_t ether_type = kEtherTypeIpv4;
+  while (c == PeekCase::kEtherType && ether_type == kEtherTypeIpv4) {
+    ether_type = static_cast<uint16_t>(rng.Next());
+  }
+  f.insert(f.end(), {static_cast<uint8_t>(ether_type >> 8), static_cast<uint8_t>(ether_type)});
+  const size_t ip = f.size();
+  const size_t tcp_size = kTcpMinHeaderSize + rng.NextBelow(32);
+  AppendRandomBytes(rng, ihl * 4 + tcp_size, f);
+  uint8_t version = 4;
+  while (c == PeekCase::kVersion && version == 4) {
+    version = static_cast<uint8_t>(rng.NextBelow(16));
+  }
+  const size_t ihl_field = c == PeekCase::kShortIhl ? rng.NextBelow(5) : ihl;
+  f[ip] = static_cast<uint8_t>(version << 4 | ihl_field);
+  StoreBe16(f.data() + ip + 2, static_cast<uint16_t>(ihl * 4 + tcp_size));
+  uint16_t fragment = rng.NextBool(0.5) ? 0x4000 : 0;  // DF or not, offset 0
+  if (c == PeekCase::kFirstFragment) {
+    fragment = 0x2000;  // more fragments follow; this one holds the TCP header
+  } else if (c == PeekCase::kLaterFragment) {
+    fragment = static_cast<uint16_t>((rng.NextBool(0.5) ? 0x2000 : 0) | (1 + rng.NextBelow(0x1fff)));
+  }
+  StoreBe16(f.data() + ip + 6, fragment);
+  uint8_t protocol = kIpProtoTcp;
+  while (c == PeekCase::kProtocol && protocol == kIpProtoTcp) {
+    protocol = static_cast<uint8_t>(rng.Next());
+  }
+  f[ip + 9] = protocol;
+  StoreBe16(f.data() + ip + 10, 0);
+  StoreBe16(f.data() + ip + 10, InternetChecksum(std::span<const uint8_t>(f).subspan(ip, ihl * 4)));
+  const size_t t = ip + ihl * 4;
+  f[t + 12] = static_cast<uint8_t>(5 << 4);
+  f[t + 13] = static_cast<uint8_t>((f[t + 13] & ~kTcpSyn) | (rng.NextBool(0.5) ? kTcpSyn : 0));
+  return f;
+}
+
+TEST(FlowPeek, MatchesTheFullParseAndFunnelsExactlyTheRefusedFrames) {
+  Rng rng(34);
+  TcpFrameView view;
+  int seen[static_cast<int>(PeekCase::kCount)] = {};
+  int compared = 0;
+  int syns = 0;
+  int cuts = 0;
+  for (int trial = 0; trial < 7000; ++trial) {
+    const auto c = static_cast<PeekCase>(rng.NextBelow(static_cast<uint64_t>(PeekCase::kCount)));
+    const size_t ihl = 5 + rng.NextBelow(11);
+    const std::vector<uint8_t> frame = PeekFrame(rng, c, ihl);
+    ++seen[static_cast<int>(c)];
+    const std::optional<FlowPeek> peek = PeekFlowKey(frame);
+    const bool steered = c == PeekCase::kValid || c == PeekCase::kFirstFragment;
+    ASSERT_EQ(peek.has_value(), steered) << "trial " << trial << " case " << static_cast<int>(c);
+    const bool parsed = ParseTcpFrame(frame, view);
+    ASSERT_TRUE(parsed || !steered) << "trial " << trial;
+    if (parsed && view.ip.fragment_offset == 0) {
+      ASSERT_TRUE(peek.has_value()) << "trial " << trial;
+      EXPECT_EQ(peek->key, (FlowKey{view.ip.src, view.ip.dst, view.tcp.src_port,
+                                    view.tcp.dst_port}))
+          << "trial " << trial;
+      EXPECT_EQ(peek->syn, (view.tcp.flags & kTcpSyn) != 0) << "trial " << trial;
+      ++compared;
+      syns += peek->syn;
+    }
+    if (!steered || trial % 4 != 0) {
+      continue;
+    }
+    // Cut the frame at every length up to its TCP flags byte: each cut short of that
+    // byte is funnelled, and the cut that ends with it peeks as the whole frame. Each
+    // cut is its own buffer of exactly that size, so a read past it faults under ASan.
+    const size_t through_flags = kEthernetHeaderSize + ihl * 4 + 14;
+    for (size_t len = 0; len <= through_flags; ++len) {
+      const std::vector<uint8_t> cut(frame.begin(), frame.begin() + static_cast<ptrdiff_t>(len));
+      const std::optional<FlowPeek> cut_peek = PeekFlowKey(cut);
+      ASSERT_EQ(cut_peek.has_value(), len == through_flags) << "trial " << trial << " len " << len;
+      if (cut_peek.has_value()) {
+        EXPECT_EQ(cut_peek->key, peek->key);
+        EXPECT_EQ(cut_peek->syn, peek->syn);
+      }
+    }
+    ++cuts;
+  }
+  // Every case is drawn, and the comparisons cover both SYN settings.
+  for (int n : seen) {
+    EXPECT_GT(n, 800);
+  }
+  EXPECT_GT(compared, 1800);
+  EXPECT_GT(syns, 800);
+  EXPECT_LT(syns, compared - 800);
+  EXPECT_GT(cuts, 400);
 }
 
 // ---------------------------------------------------------------------------
