@@ -8,16 +8,7 @@
 
 namespace tcprx {
 
-void PacketReturner::operator()(Packet* p) const {
-  if (p == nullptr) {
-    return;
-  }
-  if (p->origin_pool_ != nullptr) {
-    p->origin_pool_->Return(p);
-  } else {
-    delete p;
-  }
-}
+void PacketReturner::operator()(Packet* p) const { p->origin_pool_->Return(p); }
 
 PacketPool::~PacketPool() {
   for (Packet* p : free_list_) {

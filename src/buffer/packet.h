@@ -47,12 +47,14 @@ struct Packet {
   }
 
  private:
+  // Only the pool makes packets, so every packet has one to return to.
   friend class PacketPool;
   friend struct PacketReturner;
+  Packet() = default;
   PacketPool* origin_pool_ = nullptr;
 };
 
-// Deleter that returns a Packet to its pool (or deletes it if pool-less).
+// Deleter that returns a Packet to the pool that made it.
 struct PacketReturner {
   void operator()(Packet* p) const;
 };

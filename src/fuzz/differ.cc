@@ -84,7 +84,7 @@ void ApplyFaults(const std::vector<FaultEvent>& faults, std::vector<WireFrame>* 
   }
 }
 
-// --mutate=payload: flips the byte at stream offset kWrongPayloadByteOffset in each
+// Mutation::kWrongPayload: flips the byte at stream offset kWrongPayloadByteOffset in each
 // frame of `frames` that carries it, and refills the frame's TCP checksum, so that
 // every stack accepts the wrong byte and delivers it.
 void PlantWrongPayloadByte(std::vector<WireFrame>* frames) {
@@ -157,163 +157,30 @@ StackConfig MakeStackConfig(const Scenario& s, bool optimized, size_t limit_over
   return config;
 }
 
-// The bugs `options` plants in the optimized direct-drive runs.
-Mutation OptimizedMutation(const DiffOptions& options) {
-  return Mutation{options.mutate_coalesce_acks, options.mutate_skip_idle_flush};
-}
-
-// A flow that never connected leaves empty, and so equal, streams and traces in
-// every run, which the other oracles would pass: each run must accept every flow.
-void CheckAccepted(const char* run, const std::vector<size_t>& unaccepted,
-                   std::vector<std::string>* failures) {
-  for (const size_t flow : unaccepted) {
-    failures->push_back(Fail("handshake", "flow " + std::to_string(flow) +
-                                              " never accepted in the " + run + " run"));
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Direct-drive tier, unidirectional
+// Direct-drive tier
 // ---------------------------------------------------------------------------
 
-struct UniObservation {
-  std::vector<size_t> unaccepted;
-  std::vector<uint32_t> iss;
-  std::vector<PatternCheck> delivered;
-  std::vector<std::vector<uint32_t>> wire_acks;
-  std::vector<std::vector<uint32_t>> hook_acks;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> tap;
-  std::vector<std::vector<uint8_t>> sent;
-  size_t work_violations = 0;
+// The direct-drive runs in the order they run and report; bidirectional scenarios skip
+// limit-1. A mutation breaks, and the pcap records, the optimized run.
+struct DirectRunSpec {
+  const char* name;
+  bool optimized;
+  size_t limit_override;
 };
+constexpr DirectRunSpec kDirectRuns[] = {
+    {"baseline", false, 0}, {"optimized", true, 0}, {"limit-1", true, 1}};
+constexpr size_t kOptimizedRun = 1;
 
-UniObservation RunUni(const StackConfig& config, const Scenario& s,
-                      const std::vector<WireFrame>& schedule, PcapWriter* pcap,
-                      Mutation mutation = {}) {
-  DirectHarness h(config, s.flows, pcap, mutation);
-  UniObservation obs;
-  obs.iss = h.HandshakeAll();
-  obs.unaccepted = h.Unaccepted();
-  h.Drive(schedule, s.batch);
-  h.Idle();
-  // Drain delayed-ACK timers (40 ms) at an identical point in both runs.
-  h.Advance(SimDuration::FromMillis(100));
-
-  obs.wire_acks = h.SentAcksPerFlow();
-  for (size_t f = 0; f < s.flows; ++f) {
-    obs.delivered.push_back(h.delivered(f));
-    obs.hook_acks.push_back(h.conn(f) != nullptr ? h.conn(f)->ack_trace()
-                                                 : std::vector<uint32_t>{});
-    obs.tap.push_back(h.tap(f));
-  }
-  obs.sent = h.sent();
-  obs.work_violations = h.work_violations();
-  return obs;
-}
-
-void DiffUnidirectional(const Scenario& s, const DiffOptions& options,
-                        std::vector<std::string>* failures) {
-  std::vector<WireFrame> schedule = BuildSchedule(s);
-  if (options.mutate_payload) {
-    PlantWrongPayloadByte(&schedule);
-  }
-  ApplyFaults(s.faults, &schedule);
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> fed(s.flows);
-  for (const WireFrame& f : schedule) {
-    if (f.payload_len > 0) {
-      fed[f.flow].emplace_back(f.seq, f.payload_len);
-    }
-  }
-
-  std::unique_ptr<PcapWriter> pcap;
-  if (!options.pcap_path.empty()) {
-    pcap = std::make_unique<PcapWriter>(options.pcap_path);
-  }
-
-  const UniObservation baseline =
-      RunUni(MakeStackConfig(s, false, 0), s, schedule, nullptr);
-  const UniObservation optimized =
-      RunUni(MakeStackConfig(s, true, 0), s, schedule, pcap.get(), OptimizedMutation(options));
-  const UniObservation limit1 =
-      RunUni(MakeStackConfig(s, true, 1), s, schedule, nullptr);
-  const size_t failed_before = failures->size();
-  CheckAccepted("baseline", baseline.unaccepted, failures);
-  CheckAccepted("optimized", optimized.unaccepted, failures);
-  CheckAccepted("limit-1", limit1.unaccepted, failures);
-  if (failures->size() != failed_before) {
-    return;
-  }
-
-  for (size_t f = 0; f < s.flows; ++f) {
-    const std::string flow_label = "flow " + std::to_string(f);
-    if (baseline.iss[f] != optimized.iss[f] || baseline.iss[f] != limit1.iss[f]) {
-      failures->push_back(Fail("iss", flow_label + " server ISS diverged between runs"));
-      return;  // ack numbers are incomparable from here on
-    }
-    CompareStreams(flow_label, baseline.delivered[f], optimized.delivered[f], failures);
-    CompareSeq("ack-trace", flow_label + " baseline-vs-optimized wire ACKs",
-               baseline.wire_acks[f], optimized.wire_acks[f], failures);
-    // The connection-level hook must agree with the wire within each run.
-    CompareSeq("ack-hook", flow_label + " baseline hook-vs-wire",
-               baseline.hook_acks[f], baseline.wire_acks[f], failures);
-    CompareSeq("ack-hook", flow_label + " optimized hook-vs-wire",
-               optimized.hook_acks[f], optimized.wire_acks[f], failures);
-    // Conservation + bypass ordering: the flattened fragment sequence entering TCP
-    // must equal the fed per-flow schedule, for every stack.
-    CompareSeq("aggregation-conservation", flow_label + " optimized tap-vs-fed",
-               optimized.tap[f], fed[f], failures);
-    CompareSeq("aggregation-conservation", flow_label + " baseline tap-vs-fed",
-               baseline.tap[f], fed[f], failures);
-  }
-
-  // Aggregation limit 1 must be byte-identical to the baseline, frame for frame.
-  if (baseline.sent.size() != limit1.sent.size()) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "frame counts %zu vs %zu", baseline.sent.size(),
-                  limit1.sent.size());
-    failures->push_back(Fail("limit1-bytes", buf));
-  } else {
-    for (size_t i = 0; i < baseline.sent.size(); ++i) {
-      if (baseline.sent[i] != limit1.sent[i]) {
-        failures->push_back(
-            Fail("limit1-bytes", "frame " + std::to_string(i) + " differs"));
-        break;
-      }
-    }
-  }
-
-  if (optimized.work_violations != 0) {
-    failures->push_back(Fail("work-conservation",
-                             std::to_string(optimized.work_violations) +
-                                 " idle flush(es) left partial aggregates pending"));
-  }
-  if (limit1.work_violations != 0) {
-    failures->push_back(Fail("work-conservation", "limit-1 run left partials pending"));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Direct-drive tier, bidirectional (cwnd-trace scenario)
-// ---------------------------------------------------------------------------
-
-struct BidirObservation {
-  std::vector<size_t> unaccepted;
-  std::vector<uint32_t> cwnd_trace;
-  PatternCheck delivered;
-  size_t work_violations = 0;
-};
-
-BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
-                          const DiffOptions& options, PcapWriter* pcap,
-                          Mutation mutation = {}) {
-  DirectHarness h(config, 1, pcap, mutation);
-  BidirObservation obs;
-  const std::vector<uint32_t> iss = h.HandshakeAll();
-  obs.unaccepted = h.Unaccepted();
+// Bidirectional traffic: the server sends bulk data with its congestion window traced,
+// and each round the client sends a batch of data frames whose piggybacked ACKs cover
+// what the server has sent so far, faulted by the slice of the plan in that round.
+void DriveAdaptiveRounds(DirectHarness& h, const Scenario& s, Mutation mutation) {
   TcpConnection* server = h.conn(0);
   if (server == nullptr) {
-    return obs;
+    return;
   }
+  const std::vector<uint32_t>& iss = h.iss();
   server->congestion().EnableTrace();
   server->SendSynthetic(UINT64_MAX / 4);
   h.Advance(SimDuration::FromMillis(1));
@@ -351,7 +218,7 @@ BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
         local_faults.push_back(shifted);
       }
     }
-    if (options.mutate_payload) {
+    if (mutation == Mutation::kWrongPayload) {
       PlantWrongPayloadByte(&local);
     }
     ApplyFaults(local_faults, &local);
@@ -361,42 +228,145 @@ BidirObservation RunBidir(const StackConfig& config, const Scenario& s,
     h.Idle();
     h.Advance(SimDuration::FromMicros(100));
   }
-  obs.cwnd_trace = server->congestion().trace();
-  obs.delivered = h.delivered(0);
-  obs.work_violations = h.work_violations();
-  return obs;
 }
 
-void DiffBidirectional(const Scenario& s, const DiffOptions& options,
-                       std::vector<std::string>* failures) {
-  std::unique_ptr<PcapWriter> pcap;
-  if (!options.pcap_path.empty()) {
-    pcap = std::make_unique<PcapWriter>(options.pcap_path);
+// Bidirectional oracle: the server's congestion window grows the same way in both runs.
+void CheckCwndTrace(const DirectHarness& baseline, const DirectHarness& optimized,
+                    std::vector<std::string>* failures) {
+  const std::vector<uint32_t>& trace = baseline.conn(0)->congestion().trace();
+  // A trace of fewer than two windows records no growth to compare.
+  if (trace.size() < 2) {
+    failures->push_back(
+        Fail("cwnd-trace", "baseline trace has " + std::to_string(trace.size()) + " entries"));
   }
-  const BidirObservation baseline =
-      RunBidir(MakeStackConfig(s, false, 0), s, options, nullptr);
-  const BidirObservation optimized =
-      RunBidir(MakeStackConfig(s, true, 0), s, options, pcap.get(), OptimizedMutation(options));
+  CompareSeq("cwnd-trace", "baseline-vs-optimized", trace,
+             optimized.conn(0)->congestion().trace(), failures);
+}
+
+// Unidirectional oracles of one flow, after its stream: the ACKs on the wire, the
+// connection's ACK hook against them, and every fed segment entering TCP once, in order.
+void CheckAcksAndTap(size_t flow, const std::string& flow_label,
+                     const std::vector<WireFrame>& schedule, const DirectHarness& baseline,
+                     const DirectHarness& optimized, std::vector<std::string>* failures) {
+  const std::vector<std::vector<uint32_t>> baseline_acks = baseline.SentAcksPerFlow();
+  const std::vector<std::vector<uint32_t>> optimized_acks = optimized.SentAcksPerFlow();
+  CompareSeq("ack-trace", flow_label + " baseline-vs-optimized wire ACKs", baseline_acks[flow],
+             optimized_acks[flow], failures);
+  CompareSeq("ack-hook", flow_label + " baseline hook-vs-wire",
+             baseline.conn(flow)->ack_trace(), baseline_acks[flow], failures);
+  CompareSeq("ack-hook", flow_label + " optimized hook-vs-wire",
+             optimized.conn(flow)->ack_trace(), optimized_acks[flow], failures);
+  std::vector<std::pair<uint32_t, uint32_t>> fed;
+  for (const WireFrame& f : schedule) {
+    if (f.flow == flow && f.payload_len > 0) {
+      fed.emplace_back(f.seq, f.payload_len);
+    }
+  }
+  CompareSeq("aggregation-conservation", flow_label + " optimized tap-vs-fed",
+             optimized.tap(flow), fed, failures);
+  CompareSeq("aggregation-conservation", flow_label + " baseline tap-vs-fed",
+             baseline.tap(flow), fed, failures);
+}
+
+// Unidirectional oracle: aggregation limit 1 is byte-identical to the baseline, frame
+// for frame.
+void CheckLimit1Bytes(const DirectHarness& baseline, const DirectHarness& limit1,
+                      std::vector<std::string>* failures) {
+  const std::vector<std::vector<uint8_t>>& a = baseline.sent();
+  const std::vector<std::vector<uint8_t>>& b = limit1.sent();
+  if (a.size() != b.size()) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "frame counts %zu vs %zu", a.size(), b.size());
+    failures->push_back(Fail("limit1-bytes", buf));
+    return;
+  }
+  const auto diverged = std::mismatch(a.begin(), a.end(), b.begin()).first;
+  if (diverged != a.end()) {
+    failures->push_back(
+        Fail("limit1-bytes", "frame " + std::to_string(diverged - a.begin()) + " differs"));
+  }
+}
+
+// Drives every direct-drive run of `s`, then checks the finished harnesses.
+void DiffDirect(const Scenario& s, const DiffOptions& options, PcapWriter* pcap,
+                std::vector<std::string>* failures) {
+  // The bidirectional scenario drives one connection.
+  const size_t flows = s.bidirectional ? 1 : s.flows;
+  std::vector<WireFrame> schedule;
+  if (!s.bidirectional) {
+    schedule = BuildSchedule(s);
+    if (options.mutation == Mutation::kWrongPayload) {
+      PlantWrongPayloadByte(&schedule);
+    }
+    ApplyFaults(s.faults, &schedule);
+  }
+
+  std::vector<std::unique_ptr<DirectHarness>> runs;
+  for (size_t i = 0; i < (s.bidirectional ? 2 : 3); ++i) {
+    const DirectRunSpec& spec = kDirectRuns[i];
+    const bool mutated = i == kOptimizedRun;
+    DirectHarness& h = *runs.emplace_back(std::make_unique<DirectHarness>(
+        MakeStackConfig(s, spec.optimized, spec.limit_override), flows,
+        mutated ? pcap : nullptr, mutated ? options.mutation : Mutation::kNone));
+    h.HandshakeAll();
+    if (s.bidirectional) {
+      DriveAdaptiveRounds(h, s, options.mutation);
+    } else {
+      h.Drive(schedule, s.batch);
+      h.Idle();
+      // Drain delayed-ACK timers (40 ms) at an identical point in every run.
+      h.Advance(SimDuration::FromMillis(100));
+    }
+  }
+
+  // A flow that never connected leaves empty, and so equal, streams and traces in
+  // every run, which the other oracles would pass: each run must accept every flow.
   const size_t failed_before = failures->size();
-  CheckAccepted("baseline", baseline.unaccepted, failures);
-  CheckAccepted("optimized", optimized.unaccepted, failures);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    for (const size_t flow : runs[i]->Unaccepted()) {
+      failures->push_back(Fail("handshake", "flow " + std::to_string(flow) +
+                                                " never accepted in the " +
+                                                kDirectRuns[i].name + " run"));
+    }
+  }
   if (failures->size() != failed_before) {
     return;
   }
-  // A trace of fewer than two windows records no growth to compare.
-  if (baseline.cwnd_trace.size() < 2) {
-    failures->push_back(Fail("cwnd-trace", "baseline trace has " +
-                                               std::to_string(baseline.cwnd_trace.size()) +
-                                               " entries"));
+
+  // The checks run in the order their failure lines print, which a repro keeps: the
+  // cwnd trace before the stream, the ACK and tap oracles after it.
+  const DirectHarness& baseline = *runs[0];
+  const DirectHarness& optimized = *runs[kOptimizedRun];
+  for (size_t f = 0; f < flows; ++f) {
+    const std::string flow_label = "flow " + std::to_string(f);
+    for (const auto& run : runs) {
+      if (run->iss()[f] != baseline.iss()[f]) {
+        failures->push_back(Fail("iss", flow_label + " server ISS diverged between runs"));
+        return;  // ack numbers are incomparable from here on
+      }
+    }
+    if (s.bidirectional) {
+      CheckCwndTrace(baseline, optimized, failures);
+    }
+    CompareStreams(flow_label, baseline.delivered(f), optimized.delivered(f), failures);
+    if (!s.bidirectional) {
+      CheckAcksAndTap(f, flow_label, schedule, baseline, optimized, failures);
+    }
+  }
+  if (!s.bidirectional) {
+    CheckLimit1Bytes(baseline, *runs[2], failures);
   }
 
-  CompareSeq("cwnd-trace", "baseline-vs-optimized", baseline.cwnd_trace,
-             optimized.cwnd_trace, failures);
-  CompareStreams("flow 0", baseline.delivered, optimized.delivered, failures);
-  if (optimized.work_violations != 0) {
-    failures->push_back(Fail("work-conservation",
-                             std::to_string(optimized.work_violations) +
-                                 " idle flush(es) left partial aggregates pending"));
+  // The work-conserving flush held in every run (the baseline has no aggregator).
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const size_t violations = runs[i]->work_violations();
+    if (violations != 0) {
+      failures->push_back(Fail(
+          "work-conservation",
+          i == kOptimizedRun
+              ? std::to_string(violations) + " idle flush(es) left partial aggregates pending"
+              : std::string(kDirectRuns[i].name) + " run left partials pending"));
+    }
   }
 }
 
@@ -492,11 +462,11 @@ TestbedConfig RssBedConfig(const Scenario& scenario, size_t cores) {
 
 DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options) {
   DiffResult result;
-  if (scenario.bidirectional) {
-    DiffBidirectional(scenario, options, &result.failures);
-  } else {
-    DiffUnidirectional(scenario, options, &result.failures);
+  std::unique_ptr<PcapWriter> pcap;
+  if (!options.pcap_path.empty()) {
+    pcap = std::make_unique<PcapWriter>(options.pcap_path);
   }
+  DiffDirect(scenario, options, pcap.get(), &result.failures);
   if (options.run_testbed) {
     TestbedCompleteness(scenario, &result.failures);
     TestbedRssStreams(scenario, &result.failures);

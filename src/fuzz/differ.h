@@ -3,14 +3,16 @@
 // Two tiers, the one implementation of the DESIGN.md section 5 checks. Their inputs
 // are generated from a seed or, in tests/equivalence_test.cc, written by hand:
 //
-//  * Direct drive (src/fuzz/direct_harness.h): the same post-fault frame schedule is
-//    fed, frame by frame, to a baseline stack, an optimized stack, and an optimized
-//    stack with aggregation limit 1. Timing is fully controlled (identical Idle()
-//    flush points, identical event-loop advancement), so the invariants are checked
-//    exactly: every run accepted every flow, per-flow delivered streams, per-flow ACK
-//    traces, congestion-window traces (bidirectional scenarios), limit-1
-//    byte-identical output, the work-conserving flush, and aggregation
-//    conservation/bypass ordering via the stack's host-packet tap.
+//  * Direct drive (src/fuzz/direct_harness.h): the same frames are fed, frame by
+//    frame, to a baseline stack, an optimized stack and, unidirectionally, an
+//    optimized stack with aggregation limit 1. Timing is fully controlled (identical
+//    Idle() flush points, identical event-loop advancement), so the invariants are
+//    checked exactly: every run accepted every flow, per-flow delivered streams, and
+//    the work-conserving flush. A unidirectional scenario feeds a fixed post-fault
+//    schedule and adds per-flow ACK traces, aggregation conservation/bypass ordering
+//    via the stack's host-packet tap, and limit-1 byte-identical output; a
+//    bidirectional one feeds adaptive rounds of piggybacked ACKs and adds the server's
+//    congestion-window trace.
 //
 //  * Testbed (optional, slower): Testbed::RunTransfer on the full simulator with
 //    probabilistic link faults checks end-to-end stream completeness
@@ -36,18 +38,14 @@
 namespace tcprx {
 namespace fuzz {
 
-// The stream offset of the wrong byte DiffOptions::mutate_payload plants.
+// The stream offset of the wrong byte Mutation::kWrongPayload plants.
 inline constexpr uint32_t kWrongPayloadByteOffset = 0;
 
 struct DiffOptions {
-  // Mutations applied to the *optimized* stack only — used by the harness
-  // self-tests to prove the oracles catch a broken invariant.
-  bool mutate_coalesce_acks = false;
-  bool mutate_skip_idle_flush = false;
-  // A sender fault instead, seen by every stack alike: the direct-drive frames carry
-  // one wrong payload byte, at stream offset kWrongPayloadByteOffset of each flow,
-  // under a valid checksum. Only the pattern oracle can catch it.
-  bool mutate_payload = false;
+  // The bug a self-test plants to prove the oracles catch it: a stack bug in the
+  // optimized direct-drive run, or a wrong payload byte in every direct-drive run's
+  // frames (see Mutation).
+  Mutation mutation = Mutation::kNone;
   // Also run the full-testbed tier (slower; the driver runs it on a subset of
   // seeds).
   bool run_testbed = false;

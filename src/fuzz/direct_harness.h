@@ -6,6 +6,9 @@
 // 10.0.0.2:kClientPortBase + f, whose first data byte, stream offset 0, has sequence
 // number kFirstDataSeq. Every data frame carries the synthetic send pattern at its
 // stream offset, so the receiver checks it with a PatternCheck.
+//
+// A harness given a stack Mutation (scenario.h) plants it: kCoalesceAcks in its
+// host-packet tap, kSkipIdleFlush in Idle(). Any other value plants nothing here.
 
 #ifndef SRC_FUZZ_DIRECT_HARNESS_H_
 #define SRC_FUZZ_DIRECT_HARNESS_H_
@@ -16,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/fuzz/scenario.h"
 #include "src/sim/pcap.h"
 #include "src/sim/testbed.h"
 #include "src/stack/network_stack.h"
@@ -74,20 +78,11 @@ inline WireFrame DataFrame(size_t flow, uint32_t seq, uint32_t ack, uint32_t pay
                    BuildClientFrame(flow, seq, ack, kTcpAck, payload_len, ts_value)};
 }
 
-// Bugs the fuzzer's self-tests plant in the stack under test, each breaking one
-// equivalence invariant that the oracles must catch.
-struct Mutation {
-  // TCP sees each host packet as its head segment alone, with the rewritten header's
-  // ack and window: the per-fragment ACK replay of section 3.4 is lost.
-  bool coalesce_fragment_acks = false;
-  bool skip_idle_flush = false;  // Idle() skips the work-conserving flush (3.5)
-};
-
 class DirectHarness {
  public:
   // `pcap`, when not null, records every frame fed and sent.
   DirectHarness(const StackConfig& config, size_t flows, PcapWriter* pcap = nullptr,
-                Mutation mutation = {})
+                Mutation mutation = Mutation::kNone)
       : pcap_(pcap), mutation_(mutation), conns_(flows), delivered_(flows), tap_(flows) {
     stack_ = std::make_unique<NetworkStack>(
         config, loop_, [this](int, std::vector<uint8_t>&& frame) {
@@ -117,7 +112,7 @@ class DirectHarness {
           }
         }
       }
-      if (mutation_.coalesce_fragment_acks) {
+      if (mutation_ == Mutation::kCoalesceAcks) {
         skb.fragment_info.resize(1);
         skb.fragment_info[0].ack = view.tcp.ack;
         skb.fragment_info[0].window = view.tcp.window;
@@ -137,7 +132,7 @@ class DirectHarness {
   // Work-conserving flush point; records a violation if the aggregator still holds
   // a partial afterwards.
   void Idle() {
-    if (!mutation_.skip_idle_flush) {
+    if (mutation_ != Mutation::kSkipIdleFlush) {
       stack_->OnReceiveQueueEmpty();
     }
     const Aggregator* aggregator = stack_->aggregator();
@@ -161,8 +156,8 @@ class DirectHarness {
   }
 
   // Server side of the handshake for every flow; returns per-flow server ISS.
-  std::vector<uint32_t> HandshakeAll() {
-    std::vector<uint32_t> iss(conns_.size(), 0);
+  const std::vector<uint32_t>& HandshakeAll() {
+    iss_.assign(conns_.size(), 0);
     for (size_t f = 0; f < conns_.size(); ++f) {
       Feed(WireFrame{f, kFirstDataSeq - 1, 0, true,
                      BuildClientFrame(f, kFirstDataSeq - 1, 0, kTcpSyn, 0, 100)});
@@ -174,12 +169,12 @@ class DirectHarness {
       if (!synack.has_value()) {
         continue;
       }
-      iss[f] = synack->tcp.seq;
-      Feed(DataFrame(f, kFirstDataSeq, iss[f] + 1, 0, 100));
+      iss_[f] = synack->tcp.seq;
+      Feed(DataFrame(f, kFirstDataSeq, iss_[f] + 1, 0, 100));
       Idle();
     }
     sent_.clear();
-    return iss;
+    return iss_;
   }
 
   // Pure-ACK ack numbers transmitted so far, grouped by destination (client) flow.
@@ -210,7 +205,8 @@ class DirectHarness {
   }
 
   NetworkStack& stack() { return *stack_; }
-  TcpConnection* conn(size_t flow) { return conns_[flow]; }
+  TcpConnection* conn(size_t flow) const { return conns_[flow]; }
+  const std::vector<uint32_t>& iss() const { return iss_; }  // from HandshakeAll()
   const std::vector<std::vector<uint8_t>>& sent() const { return sent_; }
   const PatternCheck& delivered(size_t flow) const { return delivered_[flow]; }
   // Per flow, the (seq, length) of every segment entering TCP, fragments flattened.
@@ -226,6 +222,7 @@ class DirectHarness {
   std::unique_ptr<NetworkStack> stack_;
   std::vector<std::vector<uint8_t>> sent_;
   std::vector<TcpConnection*> conns_;
+  std::vector<uint32_t> iss_;
   std::vector<PatternCheck> delivered_;
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> tap_;
   size_t work_violations_ = 0;

@@ -1,28 +1,52 @@
 #include "src/fuzz/scenario.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <iterator>
 
 #include "src/util/rng.h"
 
 namespace tcprx {
 namespace fuzz {
 
+namespace {
+
+// The --events name of each fault kind, in enum order.
+constexpr const char* kFaultKindNames[] = {"drop", "dup", "reo", "corr", "burst"};
+static_assert(std::size(kFaultKindNames) ==
+              static_cast<size_t>(FaultEvent::Kind::kBurstDrop) + 1);
+
+// Parses `text` as a whole decimal number; false when it is empty or has trailing junk.
+bool ParseNumber(const std::string& text, uint32_t* out) {
+  char* end = nullptr;
+  *out = static_cast<uint32_t>(std::strtoul(text.c_str(), &end, 10));
+  return !text.empty() && *end == '\0';
+}
+
+}  // namespace
+
 const char* FaultKindName(FaultEvent::Kind kind) {
-  switch (kind) {
-    case FaultEvent::Kind::kDrop:
-      return "drop";
-    case FaultEvent::Kind::kDuplicate:
-      return "dup";
-    case FaultEvent::Kind::kReorder:
-      return "reo";
-    case FaultEvent::Kind::kCorrupt:
-      return "corr";
-    case FaultEvent::Kind::kBurstDrop:
-      return "burst";
+  return kFaultKindNames[static_cast<size_t>(kind)];
+}
+
+const char* MutationName(Mutation mutation) {
+  for (const auto& [entry, name] : kMutationNames) {
+    if (entry == mutation) {
+      return name;
+    }
   }
-  return "?";
+  return "";
+}
+
+std::optional<Mutation> ParseMutation(std::string_view name) {
+  for (const auto& [mutation, entry] : kMutationNames) {
+    if (entry == name) {
+      return mutation;
+    }
+  }
+  return std::nullopt;
 }
 
 Scenario Scenario::FromSeed(uint64_t seed) {
@@ -126,36 +150,17 @@ bool Scenario::ParseEvents(const std::string& spec, std::vector<FaultEvent>* out
       return false;
     }
     const std::string name = token.substr(0, at);
-    FaultEvent e;
-    if (name == "drop") {
-      e.kind = FaultEvent::Kind::kDrop;
-    } else if (name == "dup") {
-      e.kind = FaultEvent::Kind::kDuplicate;
-    } else if (name == "reo") {
-      e.kind = FaultEvent::Kind::kReorder;
-    } else if (name == "corr") {
-      e.kind = FaultEvent::Kind::kCorrupt;
-    } else if (name == "burst") {
-      e.kind = FaultEvent::Kind::kBurstDrop;
-    } else {
+    const auto* kind = std::find(std::begin(kFaultKindNames), std::end(kFaultKindNames), name);
+    if (kind == std::end(kFaultKindNames)) {
       return false;
     }
+    FaultEvent e;
+    e.kind = static_cast<FaultEvent::Kind>(kind - std::begin(kFaultKindNames));
     const std::string rest = token.substr(at + 1);
     const size_t x = rest.find('x');
-    char* end = nullptr;
-    const std::string index_str = x == std::string::npos ? rest : rest.substr(0, x);
-    const unsigned long index = std::strtoul(index_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || index_str.empty()) {
+    if (!ParseNumber(rest.substr(0, x), &e.index) ||
+        (x != std::string::npos && !ParseNumber(rest.substr(x + 1), &e.arg))) {
       return false;
-    }
-    e.index = static_cast<uint32_t>(index);
-    if (x != std::string::npos) {
-      const std::string arg_str = rest.substr(x + 1);
-      const unsigned long arg = std::strtoul(arg_str.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || arg_str.empty()) {
-        return false;
-      }
-      e.arg = static_cast<uint32_t>(arg);
     }
     out->push_back(e);
   }

@@ -8,12 +8,17 @@
 // Everything derives from the 64-bit seed, so a failure report is reproducible from
 // `--seed=` alone; the fault plan is additionally serializable (`EventsSpec`) so a
 // shrunk plan can override the generated one via `--events=`.
+// The fault kinds and the self-tests' mutations each have one table of the names a
+// repro line prints and the tool parses: scenario.cc's and kMutationNames.
 
 #ifndef SRC_FUZZ_SCENARIO_H_
 #define SRC_FUZZ_SCENARIO_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tcprx {
@@ -31,6 +36,31 @@ struct FaultEvent {
 };
 
 const char* FaultKindName(FaultEvent::Kind kind);
+
+// A bug the fuzzer's self-tests plant on purpose, each breaking one invariant that the
+// oracles must catch (`tcprx_fuzz --mutate=NAME`).
+enum class Mutation : uint8_t {
+  kNone,
+  // Planted by DirectHarness in the optimized direct-drive run: TCP sees each host
+  // packet as its head segment alone, losing the per-fragment ACK replay (section 3.4).
+  kCoalesceAcks,
+  kSkipIdleFlush,  // likewise: Idle() skips the work-conserving flush (section 3.5)
+  // Planted by the differ in every direct-drive run's frames: one wrong payload byte per
+  // flow (kWrongPayloadByteOffset) under a valid checksum; only the pattern oracle sees it.
+  kWrongPayload,
+};
+
+// The --mutate name of every planted bug; kNone has none.
+inline constexpr std::pair<Mutation, const char*> kMutationNames[] = {
+    {Mutation::kCoalesceAcks, "coalesce"},
+    {Mutation::kSkipIdleFlush, "noflush"},
+    {Mutation::kWrongPayload, "payload"},
+};
+
+// The --mutate name of `mutation`; "" for kNone.
+const char* MutationName(Mutation mutation);
+// The mutation named `name` in kMutationNames; nullopt for any other name.
+std::optional<Mutation> ParseMutation(std::string_view name);
 
 struct Scenario {
   uint64_t seed = 0;

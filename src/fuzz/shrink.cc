@@ -1,5 +1,7 @@
 #include "src/fuzz/shrink.h"
 
+#include <algorithm>
+
 namespace tcprx {
 namespace fuzz {
 
@@ -17,14 +19,12 @@ ShrinkResult ShrinkFaults(const Scenario& scenario, const StillFailsFn& still_fa
   // granularity after a successful removal so later chunks are re-tried against the
   // smaller plan.
   size_t chunk = (result.scenario.faults.size() + 1) / 2;
-  while (chunk >= 1) {
+  while (true) {
     bool reduced = false;
     size_t start = 0;
     while (start < result.scenario.faults.size()) {
       Scenario candidate = result.scenario;
-      const size_t end = start + chunk < candidate.faults.size()
-                             ? start + chunk
-                             : candidate.faults.size();
+      const size_t end = std::min(start + chunk, candidate.faults.size());
       candidate.faults.erase(candidate.faults.begin() + static_cast<long>(start),
                              candidate.faults.begin() + static_cast<long>(end));
       ++result.runs;
@@ -36,16 +36,12 @@ ShrinkResult ShrinkFaults(const Scenario& scenario, const StillFailsFn& still_fa
         start += chunk;
       }
     }
-    if (!reduced || chunk == 1) {
-      if (chunk == 1 && !reduced) {
-        break;
-      }
-      chunk = chunk > 1 ? chunk / 2 : 1;
-    } else {
-      // Keep halving once a pass at this granularity stops helping; retrying the
-      // same size immediately is already covered by the restart-in-place above.
-      chunk = chunk > 1 ? chunk / 2 : 1;
+    if (chunk == 1 && !reduced) {
+      break;
     }
+    // Single events are swept again until a pass removes none; any larger chunk is
+    // halved after one pass, since the restart-in-place above already retried it.
+    chunk = chunk > 1 ? chunk / 2 : 1;
   }
 
   result.removed = original - result.scenario.faults.size();

@@ -79,8 +79,6 @@ class FlowDirector {
     return *owners_.TryEmplace(key, fallback).first;
   }
 
-  void Forget(const FlowKey& key) { owners_.Erase(key); }
-
   size_t flows() const { return owners_.size(); }
 
  private:

@@ -46,18 +46,20 @@ void ReassemblyQueue::Insert(uint64_t seq, PacketPtr frame) {
 
 size_t ReassemblyQueue::PopInOrder(uint64_t next_seq) {
   TCPRX_CHECK_MSG(run_.empty(), "the previous popped run was not released");
-  DropBelow(next_seq);
   const uint64_t start = next_seq;
-  // Segments are disjoint, so after DropBelow only the first one popped can start
+  auto first = segments_.begin();
+  while (first != segments_.end() && first->end() <= next_seq) {
+    ++first;
+  }
+  // Segments are disjoint, so past the stale ones only the first one popped can start
   // below `next_seq`, and each one after it starts where the run has reached.
-  auto it = segments_.begin();
+  auto it = first;
   for (; it != segments_.end() && it->seq <= next_seq; ++it) {
     it->data = it->data.subspan(static_cast<size_t>(next_seq - it->seq));
     it->seq = next_seq;
     next_seq = it->end();
   }
-  run_.insert(run_.end(), std::make_move_iterator(segments_.begin()),
-              std::make_move_iterator(it));
+  run_.insert(run_.end(), std::make_move_iterator(first), std::make_move_iterator(it));
   segments_.erase(segments_.begin(), it);
   return static_cast<size_t>(next_seq - start);
 }
@@ -96,14 +98,6 @@ size_t ReassemblyQueue::SackBlocks(std::span<SackBlock> out) const {
     }
   });
   return count;
-}
-
-void ReassemblyQueue::DropBelow(uint64_t next_seq) {
-  auto it = segments_.begin();
-  while (it != segments_.end() && it->end() <= next_seq) {
-    ++it;
-  }
-  segments_.erase(segments_.begin(), it);
 }
 
 size_t ReassemblyQueue::BufferedBytes() const {

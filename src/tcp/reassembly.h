@@ -43,7 +43,8 @@ class ReassemblyQueue {
   };
 
   // Takes the contiguous run starting at `next_seq` out of the queue, without copying a
-  // byte, and returns its length. The run stays readable through run() until
+  // byte, and returns its length; drops the segments wholly below `next_seq` (already
+  // delivered by another path). The run stays readable through run() until
   // ReleaseRun(), which must come before the next pop.
   size_t PopInOrder(uint64_t next_seq);
   // The popped run in sequence order, each segment's `data` narrowed to the bytes it
@@ -51,9 +52,6 @@ class ReassemblyQueue {
   std::span<const Segment> run() const { return run_; }
   // Gives the popped run's frames back to their pools, keeping the run's storage.
   void ReleaseRun() { run_.clear(); }
-
-  // Drops anything wholly below `next_seq` (already delivered via another path).
-  void DropBelow(uint64_t next_seq);
 
   // Writes up to `out.size()` buffered ranges as SACK blocks (the low 32 bits of each
   // [start, end)) and returns how many: the range containing the most recent

@@ -51,7 +51,6 @@ class SpscRing {
   bool Empty() const { return head_ == tail_; }
   bool Full() const { return Next(tail_) == head_; }
   size_t Size() const { return tail_ >= head_ ? tail_ - head_ : size_ - head_ + tail_; }
-  size_t Capacity() const { return size_ - 1; }
 
   // Enqueues `item`. When the ring is full it returns false and `item`, taken by
   // value, is destroyed: a NIC drops a frame when its descriptor ring overflows.

@@ -5,14 +5,17 @@
 //     the scenario whose shrunk form (a single duplicated frame chained onto by
 //     later segments) exposed the per-fragment duplicate-ACK replay bug in
 //     TcpConnection::DeliverPayload; it is pinned so the fix stays fixed.
-//  2. Mutation self-tests: deliberately breaking the optimized stack (dropping the
-//     per-fragment ACK metadata; skipping the work-conserving idle flush) must be
-//     caught by the oracles within the CI smoke-sweep budget. A fuzzer that cannot
-//     detect a planted bug is worse than no fuzzer — it certifies broken code.
+//  2. Mutation self-tests: every planted bug of kMutationNames (dropping the
+//     per-fragment ACK metadata, skipping the work-conserving idle flush, sending a
+//     wrong payload byte) must be caught by the oracles within the CI smoke-sweep
+//     budget. A fuzzer that cannot detect a planted bug is worse than no fuzzer — it
+//     certifies broken code.
 //  3. Unit tests for the scenario serialization round-trip and the ddmin shrinker.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -91,44 +94,60 @@ bool AnyFailureMentions(const std::vector<std::string>& failures, const std::str
   return false;
 }
 
-TEST(FuzzMutation, CoalescedFragmentAcksAreCaught) {
-  DiffOptions options;
-  options.mutate_coalesce_acks = true;
-  const std::vector<std::string> failures = FirstFailure(options, 10);
-  ASSERT_FALSE(failures.empty())
-      << "dropping per-fragment ACK metadata survived 10 seeds undetected";
-  // The break surfaces through ACK-granularity oracles: the cwnd trace (piggybacked
-  // ACKs collapse into one) or the per-flow ACK trace.
-  EXPECT_TRUE(AnyFailureMentions(failures, "cwnd-trace") ||
-              AnyFailureMentions(failures, "ack-trace"))
-      << "unexpected oracle: " << failures.front();
+// The oracles each planted bug may trip, and a detail its failures must name. Every
+// mutation in kMutationNames needs a row and a test below, so none lands without a
+// self-test.
+struct MutationCatch {
+  Mutation mutation;
+  std::vector<std::string> oracles;
+  std::string detail;
+};
+
+const MutationCatch* FindCatch(Mutation mutation) {
+  static const MutationCatch kCatches[] = {
+      // ACK-granularity oracles: the cwnd trace (piggybacked ACKs collapse into one)
+      // or the per-flow ACK trace.
+      {Mutation::kCoalesceAcks, {"cwnd-trace", "ack-trace"}, ""},
+      {Mutation::kSkipIdleFlush, {"work-conservation", "cwnd-trace", "ack-trace", "limit1"}, ""},
+      // Every stack delivers the same wrong byte, so only the pattern oracle sees it.
+      {Mutation::kWrongPayload,
+       {"stream-pattern"},
+       "first mismatch offset " + std::to_string(kWrongPayloadByteOffset)},
+  };
+  const MutationCatch* row =
+      std::find_if(std::begin(kCatches), std::end(kCatches),
+                   [mutation](const MutationCatch& c) { return c.mutation == mutation; });
+  return row == std::end(kCatches) ? nullptr : row;
 }
 
-TEST(FuzzMutation, SkippedIdleFlushIsCaught) {
+// Plants `mutation` in seeds 1..10 and expects a failure from one of its row's oracles.
+void ExpectCaught(Mutation mutation) {
+  const MutationCatch* row = FindCatch(mutation);
+  ASSERT_NE(row, nullptr) << "no self-test row for --mutate=" << MutationName(mutation);
   DiffOptions options;
-  options.mutate_skip_idle_flush = true;
+  options.mutation = mutation;
   const std::vector<std::string> failures = FirstFailure(options, 10);
-  ASSERT_FALSE(failures.empty())
-      << "breaking the work-conserving flush survived 10 seeds undetected";
-  EXPECT_TRUE(AnyFailureMentions(failures, "work-conservation") ||
-              AnyFailureMentions(failures, "cwnd-trace") ||
-              AnyFailureMentions(failures, "ack-trace") ||
-              AnyFailureMentions(failures, "limit1"))
+  ASSERT_FALSE(failures.empty()) << "--mutate=" << MutationName(mutation)
+                                 << " survived 10 seeds undetected";
+  EXPECT_TRUE(std::any_of(row->oracles.begin(), row->oracles.end(),
+                          [&](const std::string& oracle) {
+                            return AnyFailureMentions(failures, oracle);
+                          }))
       << "unexpected oracle: " << failures.front();
+  EXPECT_TRUE(AnyFailureMentions(failures, row->detail)) << failures.front();
 }
 
-TEST(FuzzMutation, WrongPayloadByteIsCaught) {
-  DiffOptions options;
-  options.mutate_payload = true;
-  const std::vector<std::string> failures = FirstFailure(options, 10);
-  ASSERT_FALSE(failures.empty()) << "a wrong payload byte survived 10 seeds undetected";
-  // Every stack delivers the same wrong byte, so only the pattern oracle sees it.
-  EXPECT_TRUE(AnyFailureMentions(failures, "stream-pattern"))
-      << "unexpected oracle: " << failures.front();
-  EXPECT_TRUE(AnyFailureMentions(failures, "first mismatch offset " +
-                                               std::to_string(kWrongPayloadByteOffset)))
-      << failures.front();
+TEST(FuzzMutation, EveryMutationHasACatchRow) {
+  for (const auto& entry : kMutationNames) {
+    EXPECT_NE(FindCatch(entry.first), nullptr) << "no self-test row for --mutate=" << entry.second;
+  }
 }
+
+TEST(FuzzMutation, CoalescedFragmentAcksAreCaught) { ExpectCaught(Mutation::kCoalesceAcks); }
+
+TEST(FuzzMutation, SkippedIdleFlushIsCaught) { ExpectCaught(Mutation::kSkipIdleFlush); }
+
+TEST(FuzzMutation, WrongPayloadByteIsCaught) { ExpectCaught(Mutation::kWrongPayload); }
 
 // ---------------------------------------------------------------------------
 // Scenario serialization

@@ -275,11 +275,14 @@ TEST_F(Reassembly, PopStartingInsideSegment) {
   EXPECT_EQ(TakeRun(q), (std::vector<uint8_t>{3, 4}));
 }
 
-TEST_F(Reassembly, DropBelowDiscardsStale) {
+TEST_F(Reassembly, PopDiscardsStaleSegments) {
   ReassemblyQueue q;
   q.Insert(10, Frame(Bytes{1, 2}));
   q.Insert(20, Frame(Bytes{3, 4}));
-  q.DropBelow(15);
+  // [10, 12) lies wholly below 15: delivered by another path, so it goes; [20, 22)
+  // stays queued behind the hole.
+  EXPECT_EQ(q.PopInOrder(15), 0u);
+  EXPECT_EQ(TakeRun(q), std::vector<uint8_t>{});
   EXPECT_EQ(q.SegmentCount(), 1u);
   EXPECT_EQ(q.BufferedBytes(), 2u);
 }

@@ -14,9 +14,10 @@
 //
 // On the lowest failing seed the fault plan is shrunk (ddmin over the event list) and
 // the tool prints a one-line repro — `tcprx_fuzz --seed=N --events=...`, with the
-// run's --testbed and --mutate flags — plus the equivalent `tcprx_sim stream` command
-// line for the testbed tier, optionally writes a pcap of the optimized run, and exits
-// nonzero.
+// run's --testbed flag and its --mutate name — plus the equivalent `tcprx_sim stream`
+// command line for the testbed tier, optionally writes a pcap of the optimized run, and
+// exits nonzero. --mutate takes, and the repro prints, the names of kMutationNames
+// (src/fuzz/scenario.h), so every repro replays standalone.
 //
 // Examples:
 //   tcprx_fuzz --seeds=50000                    # CI sweep
@@ -27,6 +28,7 @@
 #include <atomic>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,10 +63,9 @@ void PrintScenario(const Scenario& scenario, const DiffOptions& options) {
 }
 
 // Reports a failed scenario: its failures, then its fault plan shrunk and the repro,
-// which names `mutate` (the --mutate value, empty for none) so that it replays
-// standalone.
+// which names the options' mutation so that it replays standalone.
 void ReportFailure(const Scenario& scenario, const DiffResult& result,
-                   const DiffOptions& options, const std::string& mutate) {
+                   const DiffOptions& options) {
   std::printf("FAIL %s\n", scenario.Describe().c_str());
   for (const std::string& failure : result.failures) {
     std::printf("  %s\n", failure.c_str());
@@ -86,8 +87,9 @@ void ReportFailure(const Scenario& scenario, const DiffResult& result,
   std::printf("repro: tcprx_fuzz --seed=%llu --events=%s%s%s%s\n",
               static_cast<unsigned long long>(minimal.seed),
               minimal.EventsSpec().empty() ? "\"\"" : minimal.EventsSpec().c_str(),
-              options.run_testbed ? " --testbed" : "", mutate.empty() ? "" : " --mutate=",
-              mutate.c_str());
+              options.run_testbed ? " --testbed" : "",
+              options.mutation == Mutation::kNone ? "" : " --mutate=",
+              MutationName(options.mutation));
   std::printf("testbed tier: %s\n", minimal.SimCommand().c_str());
 
   if (!options.pcap_path.empty()) {
@@ -102,7 +104,7 @@ void ReportFailure(const Scenario& scenario, const DiffResult& result,
 // it, after the workers stop, so a failure prints what a serial sweep prints and leaves
 // the same pcap. Returns true when every seed passed.
 bool Sweep(uint64_t seeds, uint64_t start, uint64_t testbed_every, const DiffOptions& options,
-           const std::string& mutate, bool verbose, bool quiet) {
+           bool verbose, bool quiet) {
   const auto seed_options = [&](uint64_t i) {
     DiffOptions o = options;
     o.run_testbed = testbed_every != 0 && i % testbed_every == 0;
@@ -143,7 +145,7 @@ bool Sweep(uint64_t seeds, uint64_t start, uint64_t testbed_every, const DiffOpt
     }
     if (verdicts[i] == kFailed) {
       workers.clear();  // joins; no worker claims a seed past this one
-      ReportFailure(scenario, RunScenario(scenario, o), o, mutate);
+      ReportFailure(scenario, RunScenario(scenario, o), o);
       return false;
     }
     testbed_runs += o.run_testbed ? 1 : 0;
@@ -156,7 +158,9 @@ bool Sweep(uint64_t seeds, uint64_t start, uint64_t testbed_every, const DiffOpt
     std::printf("PASS %llu seeds (%zu with testbed tier), start-seed=%llu%s\n",
                 static_cast<unsigned long long>(seeds), testbed_runs,
                 static_cast<unsigned long long>(start),
-                mutate.empty() ? "" : " [mutated stack — a PASS here is a harness bug]");
+                options.mutation == Mutation::kNone
+                    ? ""
+                    : " [mutated stack — a PASS here is a harness bug]");
   }
   return true;
 }
@@ -169,15 +173,13 @@ int Main(int argc, char** argv) {
 
   DiffOptions options;
   const std::string mutate = flags.GetString("mutate", "");
-  if (mutate == "coalesce") {
-    options.mutate_coalesce_acks = true;
-  } else if (mutate == "noflush") {
-    options.mutate_skip_idle_flush = true;
-  } else if (mutate == "payload") {
-    options.mutate_payload = true;
-  } else if (!mutate.empty()) {
-    std::fprintf(stderr, "unknown --mutate value: %s\n", mutate.c_str());
-    return Usage();
+  if (!mutate.empty()) {
+    const std::optional<Mutation> mutation = ParseMutation(mutate);
+    if (!mutation) {
+      std::fprintf(stderr, "unknown --mutate value: %s\n", mutate.c_str());
+      return Usage();
+    }
+    options.mutation = *mutation;
   }
   options.pcap_path = flags.GetString("pcap", "");
 
@@ -202,7 +204,7 @@ int Main(int argc, char** argv) {
     PrintScenario(scenario, options);
     const DiffResult result = RunScenario(scenario, options);
     if (!result.ok()) {
-      ReportFailure(scenario, result, options, mutate);
+      ReportFailure(scenario, result, options);
       return 1;
     }
     std::printf("PASS %s\n", scenario.Describe().c_str());
@@ -216,7 +218,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "unknown flag: --%s\n", unknown.c_str());
     return Usage();
   }
-  return Sweep(seeds, start, testbed_every, options, mutate, verbose, quiet) ? 0 : 1;
+  return Sweep(seeds, start, testbed_every, options, verbose, quiet) ? 0 : 1;
 }
 
 }  // namespace
