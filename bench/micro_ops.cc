@@ -86,10 +86,8 @@ BENCHMARK(BM_IncrementalChecksumUpdate);
 void BM_AggregatorPushChain(benchmark::State& state) {
   const size_t limit = static_cast<size_t>(state.range(0));
   PacketPool pool;
-  AggregatorConfig config;
-  config.aggregation_limit = limit;
   uint64_t delivered = 0;
-  Aggregator aggregator(config, [&](SkBuffPtr skb) {
+  Aggregator aggregator(limit, [&](SkBuffPtr skb) {
     delivered += skb->SegmentCount();
   });
   uint32_t seq = 1;

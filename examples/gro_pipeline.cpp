@@ -49,10 +49,8 @@ int main() {
 
   std::printf("=== Receive Aggregation as a standalone library ===\n\n");
 
-  AggregatorConfig config;
-  config.aggregation_limit = 8;
   size_t host_packets = 0;
-  Aggregator aggregator(config, [&](SkBuffPtr skb) {
+  Aggregator aggregator(8, [&](SkBuffPtr skb) {
     ++host_packets;
     std::printf("  out[%zu]: %zu segment(s), %5zu payload bytes, flow :%u  %s\n",
                 host_packets, skb->SegmentCount(), skb->PayloadSize(),

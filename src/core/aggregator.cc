@@ -18,9 +18,9 @@ constexpr size_t kMaxMssSegmentsPerDatagram = kMaxAggregateDatagram / kMssWithTi
 
 }  // namespace
 
-Aggregator::Aggregator(const AggregatorConfig& config, DeliverFn deliver)
-    : config_(config), deliver_(std::move(deliver)) {
-  TCPRX_CHECK(config_.aggregation_limit >= 1);
+Aggregator::Aggregator(size_t aggregation_limit, DeliverFn deliver)
+    : aggregation_limit_(aggregation_limit), deliver_(std::move(deliver)) {
+  TCPRX_CHECK(aggregation_limit_ >= 1);
 }
 
 Aggregator::Eligibility Aggregator::CheckEligibility(const Packet& frame) const {
@@ -82,7 +82,7 @@ void Aggregator::Push(PacketPtr frame) {
   if (at < table_.size()) {
     Partial& partial = table_[at].second;
     if (TryAppend(partial, frame)) {
-      if (partial.skb->fragment_info.size() >= config_.aggregation_limit) {
+      if (partial.skb->fragment_info.size() >= aggregation_limit_) {
         ++stats_.limit_flushes;
         Finalize(at);
       }
@@ -93,7 +93,7 @@ void Aggregator::Push(PacketPtr frame) {
     Finalize(at);
   }
   StartPartial(key, std::move(frame));
-  if (config_.aggregation_limit == 1) {
+  if (aggregation_limit_ == 1) {
     ++stats_.limit_flushes;
     Finalize(table_.size() - 1);
   }
@@ -144,7 +144,7 @@ bool Aggregator::TryAppend(Partial& partial, PacketPtr& frame) {
   if (partial.skb->frames.size() == 1) {
     // The first segment to chain: size the lists for a whole aggregate now rather than
     // growing them 1, 2, 4, 8... Lone packets never get here.
-    const size_t entries = std::min(config_.aggregation_limit, kMaxMssSegmentsPerDatagram);
+    const size_t entries = std::min(aggregation_limit_, kMaxMssSegmentsPerDatagram);
     partial.skb->fragment_info.reserve(entries);
     partial.skb->frames.reserve(entries);
   }

@@ -36,12 +36,6 @@
 
 namespace tcprx {
 
-struct AggregatorConfig {
-  // Maximum network packets coalesced into one host packet (the paper settles on 20,
-  // section 5.2). A limit of 1 must behave identically to no aggregation (section 5.5).
-  size_t aggregation_limit = 20;
-};
-
 // Why a packet was not (or could no longer be) aggregated. Indexed into Stats.
 enum class AggrBypassReason {
   kNotTcp,          // unparseable / non-IPv4 / non-TCP
@@ -63,7 +57,10 @@ class Aggregator {
   using DeliverFn = std::function<void(SkBuffPtr)>;
   using DeliverRawFn = std::function<void(PacketPtr)>;
 
-  Aggregator(const AggregatorConfig& config, DeliverFn deliver);
+  // `aggregation_limit` is the most network packets coalesced into one host packet (the
+  // paper settles on 20, section 5.2). A limit of 1 must behave identically to no
+  // aggregation (section 5.5).
+  Aggregator(size_t aggregation_limit, DeliverFn deliver);
 
   void set_deliver_raw(DeliverRawFn fn) { deliver_raw_ = std::move(fn); }
 
@@ -73,10 +70,6 @@ class Aggregator {
   // Work-conserving flush: delivers every partial aggregate immediately. Called by the
   // driver loop when it runs out of packets to feed.
   void FlushAll();
-
-  // Flushes only the given flow (used when a bypassing packet of that flow must not
-  // overtake its partial aggregate).
-  void FlushFlow(const FlowKey& key);
 
   struct Stats {
     uint64_t pushed = 0;                // frames consumed
@@ -111,6 +104,9 @@ class Aggregator {
 
   // The table index of `key`'s partial aggregate, or table_.size() when it has none.
   size_t Find(const FlowKey& key) const;
+  // Flushes only the given flow (used when a bypassing packet of that flow must not
+  // overtake its partial aggregate).
+  void FlushFlow(const FlowKey& key);
   void StartPartial(const FlowKey& key, PacketPtr frame);
   bool TryAppend(Partial& partial, PacketPtr& frame);
   // Removes the partial at table index `at` and delivers it.
@@ -119,7 +115,7 @@ class Aggregator {
   void RewriteAggregateHeader(Partial& partial);
   void DeliverSkb(SkBuffPtr skb);
 
-  AggregatorConfig config_;
+  size_t aggregation_limit_;
   DeliverFn deliver_;
   DeliverRawFn deliver_raw_;
   // One entry per flow with a partial aggregate, in insertion order, so flushes are

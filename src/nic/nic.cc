@@ -7,7 +7,8 @@ namespace tcprx {
 
 SimulatedNic::SimulatedNic(int id, const NicConfig& config, EventLoop& loop, PacketPool& pool)
     : id_(id), config_(config), loop_(loop), pool_(pool) {
-  const size_t num_queues = config_.num_rx_queues == 0 ? 1 : config_.num_rx_queues;
+  TCPRX_CHECK_MSG(config_.num_rx_queues >= 1, "NicConfig.num_rx_queues must be >= 1");
+  const size_t num_queues = config_.num_rx_queues;
   queues_.reserve(num_queues);
   for (size_t q = 0; q < num_queues; ++q) {
     queues_.emplace_back(*this);

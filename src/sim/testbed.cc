@@ -226,11 +226,24 @@ Testbed::~Testbed() {
   loop_.Clear();
 }
 
-void Testbed::RunTo(SimTime edge) {
+Testbed::Reading Testbed::ReadAt(SimTime edge) {
   loop_.RunUntil(edge);
   for (const auto& nic : nics_) {
     nic->TakeDueFrames();
   }
+  Reading reading{.counters = host_.SumCounters(),
+                  .routines = host_.SumRoutines(),
+                  .busy_cycles = host_.TotalBusyCycles(),
+                  .harness = thread_harness_counters};
+  for (const auto& nic : nics_) {
+    reading.nic_drops += nic->stats().rx_dropped;
+  }
+  for (const auto& remote : remotes_) {
+    for (const auto& conn : remote->connections()) {
+      reading.retransmits += conn->segments_retransmitted();
+    }
+  }
+  return reading;
 }
 
 void Testbed::ForEachConnection(const std::function<void(TcpConnection&)>& fn) {
@@ -326,36 +339,16 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
 
   const SimTime window_start = options.warmup;
   const SimTime window_end = options.warmup + options.measure;
-  RunTo(window_start);
-
-  // Snapshot at the start of the measurement window.
-  const CycleAccount::Counters before = host_.SumCounters();
-  const RoutineCycles routines_before = host_.SumRoutines();
-  const uint64_t busy_before = host_.TotalBusyCycles();
-  uint64_t drops_before = 0;
-  for (const auto& nic : nics_) {
-    drops_before += nic->stats().rx_dropped;
-  }
-  uint64_t rtx_before = 0;
-  for (const auto& remote : remotes_) {
-    for (const auto& conn : remote->connections()) {
-      rtx_before += conn->segments_retransmitted();
-    }
-  }
-
-  const HarnessCounters harness_before = thread_harness_counters;
-  RunTo(window_end);
-  window_harness_counters_ = thread_harness_counters - harness_before;
-
-  const CycleAccount::Counters after = host_.SumCounters();
-  const RoutineCycles routines_after = host_.SumRoutines();
+  const Reading start = ReadAt(window_start);
+  const Reading end = ReadAt(window_end);
+  window_harness_counters_ = end.harness - start.harness;
   const double seconds = options.measure.ToSecondsF();
 
   StreamResult result;
-  const uint64_t bytes = after.payload_bytes - before.payload_bytes;
+  const uint64_t bytes = end.counters.payload_bytes - start.counters.payload_bytes;
   result.throughput_mbps = static_cast<double>(bytes) * 8.0 / seconds / 1e6;
 
-  const uint64_t busy = host_.TotalBusyCycles() - busy_before;
+  const uint64_t busy = end.busy_cycles - start.busy_cycles;
   result.cpu_utilization =
       static_cast<double>(busy) /
       (static_cast<double>(kCosts.cpu_hz) * seconds *
@@ -367,17 +360,19 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
                                ? result.throughput_mbps / result.cpu_utilization
                                : 0;
 
-  result.data_packets = after.net_data_packets - before.net_data_packets;
-  result.host_packets = after.host_packets - before.host_packets;
+  result.data_packets = end.counters.net_data_packets - start.counters.net_data_packets;
+  result.host_packets = end.counters.host_packets - start.counters.host_packets;
   if (result.host_packets > 0) {
     result.avg_aggregation =
         static_cast<double>(result.data_packets) / static_cast<double>(result.host_packets);
   }
-  result.acks_on_wire = after.acks_generated - before.acks_generated;
-  result.ack_templates = after.ack_templates - before.ack_templates;
+  result.acks_on_wire = end.counters.acks_generated - start.counters.acks_generated;
+  result.ack_templates = end.counters.ack_templates - start.counters.ack_templates;
+  result.nic_drops = end.nic_drops - start.nic_drops;
+  result.retransmits = end.retransmits - start.retransmits;
 
   for (size_t r = 0; r < kRoutineCount; ++r) {
-    result.routine_cycles[r] = routines_after[r] - routines_before[r];
+    result.routine_cycles[r] = end.routines[r] - start.routines[r];
   }
   const CategoryCycles categories = FoldCategories(result.routine_cycles);
   uint64_t total_cycles = 0;
@@ -393,28 +388,15 @@ StreamResult Testbed::RunStream(const StreamOptions& options) {
           ? static_cast<double>(total_cycles) / static_cast<double>(result.data_packets)
           : 0;
 
-  // Per-core utilization of the exact measurement window (busy regions clipped to
-  // the window; work charged before the window but still executing inside it counts
-  // where it actually ran).
+  // Not differences of readings. Per-core utilization clips each core's busy regions to
+  // the window edges, so work charged before the window but still executing inside it
+  // counts where it actually ran. The three cross-core counts are whole-run totals,
+  // warm-up included.
   result.per_core_utilization = host_.topology().Utilizations(window_start, window_end);
+  result.load_imbalance = LoadImbalance(result.per_core_utilization);
   result.intercore_transfers = host_.intercore().transfers();
   result.misdirected_packets = host_.misdirected_packets();
   result.backlog_drops = host_.backlog_drops();
-  result.load_imbalance = LoadImbalance(result.per_core_utilization);
-
-  uint64_t drops_after = 0;
-  for (const auto& nic : nics_) {
-    drops_after += nic->stats().rx_dropped;
-  }
-  result.nic_drops = drops_after - drops_before;
-
-  uint64_t rtx_after = 0;
-  for (const auto& remote : remotes_) {
-    for (const auto& conn : remote->connections()) {
-      rtx_after += conn->segments_retransmitted();
-    }
-  }
-  result.retransmits = rtx_after - rtx_before;
   return result;
 }
 
@@ -463,12 +445,11 @@ LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
   });
   client->Connect();
 
-  RunTo(options.warmup);
+  const Reading start = ReadAt(options.warmup);
   const uint64_t before = *transactions;
   *measuring = true;
-  const HarnessCounters harness_before = thread_harness_counters;
-  RunTo(options.warmup + options.measure);
-  window_harness_counters_ = thread_harness_counters - harness_before;
+  const Reading end = ReadAt(options.warmup + options.measure);
+  window_harness_counters_ = end.harness - start.harness;
   *measuring = false;
 
   LatencyResult result;
@@ -495,7 +476,7 @@ std::vector<PatternCheck> Testbed::RunTransfer(const TransferOptions& options) {
     client->Connect();
     client->SendSynthetic(options.bytes_per_flow);
   }
-  RunTo(options.deadline);
+  ReadAt(options.deadline);
   return *delivered;
 }
 

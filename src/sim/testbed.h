@@ -186,9 +186,19 @@ class Testbed {
   // A stream's server discards what it receives, so nothing else does.
   bool PayloadHasReader() const;
 
-  // Runs the loop to the end of a window and has every NIC take the frames that reached
-  // it by then, so the harness counters read next include them.
-  void RunTo(SimTime edge);
+  // The bed's cumulative counts at one edge of a window: each windowed figure is the
+  // difference of the readings at the window's two edges.
+  struct Reading {
+    CycleAccount::Counters counters;  // summed over the shards
+    RoutineCycles routines{};         // summed over the shards
+    uint64_t busy_cycles = 0;         // over all cores
+    uint64_t nic_drops = 0;           // rx ring overflows, over all NICs
+    uint64_t retransmits = 0;         // segments the clients retransmitted
+    HarnessCounters harness;          // this thread's
+  };
+  // Runs the loop to `edge`, has every NIC take the frames that reached it by then, so
+  // the harness counters include them, and reads the bed.
+  Reading ReadAt(SimTime edge);
 
   TestbedConfig config_;
   EventLoop loop_;

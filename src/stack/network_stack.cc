@@ -25,10 +25,8 @@ NetworkStack::NetworkStack(const StackConfig& config, EventLoop& loop, TransmitF
       charger_(account_, config_.smp()),
       xen_path_(cache_) {
   if (config_.receive_aggregation) {
-    AggregatorConfig aggr_config;
-    aggr_config.aggregation_limit = config_.aggregation_limit;
     aggregator_ = std::make_unique<Aggregator>(
-        aggr_config, [this](SkBuffPtr skb) {
+        config_.aggregation_limit, [this](SkBuffPtr skb) {
           if (config_.hardware_lro) {
             ChargeLroHostPacket();
             DeliverHostPacket(std::move(skb));

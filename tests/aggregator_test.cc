@@ -29,13 +29,7 @@ void AppendPayload(const SkBuff& skb, std::vector<uint8_t>& out) {
 
 class AggregatorTest : public ::testing::Test {
  protected:
-  explicit AggregatorTest(size_t limit = 20) : aggregator_(MakeConfig(limit), Sink()) {}
-
-  static AggregatorConfig MakeConfig(size_t limit) {
-    AggregatorConfig config;
-    config.aggregation_limit = limit;
-    return config;
-  }
+  explicit AggregatorTest(size_t limit = 20) : aggregator_(limit, Sink()) {}
 
   Aggregator::DeliverFn Sink() {
     return [this](SkBuffPtr skb) { delivered_.push_back(std::move(skb)); };
@@ -521,7 +515,7 @@ TEST_F(AggregatorLimit1Test, LimitOneDeliversImmediatelyUnmodified) {
 
 TEST_F(AggregatorTest, AggregateStopsBeforeIpLengthOverflow) {
   // 45 * 1448 + 52 would exceed the 16-bit IP total length; chain must break first.
-  Aggregator big(MakeConfig(64), Sink());
+  Aggregator big(64, Sink());
   for (uint32_t i = 0; i < 50; ++i) {
     FrameOptions options;
     options.seq = 1 + i * 1448;

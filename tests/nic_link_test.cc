@@ -434,6 +434,14 @@ TEST_F(NicTest, TransmitRequiresEgress) {
   EXPECT_DEATH(nic_.Transmit(std::vector<uint8_t>(10, 0)), "egress");
 }
 
+TEST(NicDeathTest, RefusesZeroRxQueues) {
+  EventLoop loop;
+  PacketPool pool;
+  NicConfig config;
+  config.num_rx_queues = 0;
+  EXPECT_DEATH(SimulatedNic(0, config, loop, pool), "num_rx_queues must be >= 1");
+}
+
 TEST_F(NicTest, TransmitCountsAndForwards) {
   uint64_t forwarded = 0;
   LinkConfig config;

@@ -77,10 +77,8 @@ TEST(SequenceWrap, WrapWithLossRecovers) {
 
 TEST(SequenceWrap, AggregatorChainsAcrossWrap) {
   PacketPool pool;
-  AggregatorConfig config;
-  config.aggregation_limit = 8;
   std::vector<SkBuffPtr> delivered;
-  Aggregator aggregator(config, [&](SkBuffPtr skb) {
+  Aggregator aggregator(8, [&](SkBuffPtr skb) {
     delivered.push_back(std::move(skb));
   });
 

@@ -93,8 +93,7 @@ struct EstablishedServer {
 
   // Four in-sequence segments as one aggregate: the connection owes two ACKs.
   void DeliverAggregateOfFour() {
-    Aggregator aggregator(AggregatorConfig{},
-                          [this](SkBuffPtr skb) { server.OnHostPacket(*skb); });
+    Aggregator aggregator(20, [this](SkBuffPtr skb) { server.OnHostPacket(*skb); });
     for (uint32_t i = 0; i < 4; ++i) {
       aggregator.Push(ToPacket(pool, MakeFrame(Data(i), 1448)));
     }
