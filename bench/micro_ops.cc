@@ -195,29 +195,40 @@ void BM_SendStreamView(benchmark::State& state) {
 }
 BENCHMARK(BM_SendStreamView);
 
-// The remote sender's per-frame work, as TcpConnection::BuildSegment does it on a run
-// that nothing reads the payload of: a timestamped MSS data segment with a length-only
-// payload, written from the connection's header template into a recycled buffer, its
-// TCP checksum left to the (modelled) NIC. The buffer goes back to the free list, as
-// the packet pool gives back each frame it takes.
+// The per-segment work of TcpConnection::BuildSegment, written from the connection's
+// header template into a recycled buffer, its TCP checksum left to the (modelled) NIC;
+// the buffer goes back to the free list, as the packet pool gives back each frame it
+// takes. Arg 0 is the remote sender's established data segment on a run that nothing
+// reads the payload of: timestamps only, from the header image, with a length-only MSS
+// payload. Arg 1 is a pure ACK carrying three SACK blocks, whose option bytes are put
+// together and copied explicitly.
 void BM_BuildSegment(benchmark::State& state) {
+  const bool sack = state.range(0) == 1;
   const TcpFrameTemplate tmpl = MakeTcpFrameTemplate(
       MacAddress::FromHostId(1), MacAddress::FromHostId(2), Ipv4Address::FromOctets(10, 0, 0, 2),
       Ipv4Address::FromOctets(10, 0, 0, 1), 10000, 5001);
   uint32_t seq = 0;
   uint16_t ip_id = 0;
   for (auto _ : state) {
-    uint8_t ts[kTcpTimestampOptionSize];
-    WriteTimestampOption(TcpTimestampOption{seq, 0}, ts);
-    const TcpSegmentFields fields{seq, 1, kTcpAck | kTcpPsh, 65535};
-    std::vector<uint8_t> frame = WriteTcpFrame(
-        tmpl, ip_id++, fields, ts, TcpPayload::LengthOnly(kMssWithTimestamps), false);
+    std::vector<uint8_t> frame;
+    if (sack) {
+      TcpOptionBytes options;
+      WriteTimestampOption(TcpTimestampOption{seq, 0}, options.Append(kTcpTimestampOptionSize));
+      const SackBlock blocks[] = {{seq + 2896, seq + 4344}, {seq + 5792, seq + 7240},
+                                  {seq + 8688, seq + 10136}};
+      AppendSackOption(blocks, options);
+      frame = WriteTcpFrame(tmpl, ip_id++, {1, seq, kTcpAck, 65535}, options, {}, false);
+    } else {
+      frame = WriteTcpFrame(tmpl, ip_id++, {seq, 1, kTcpAck | kTcpPsh, 65535},
+                            TcpOptionSource::Established({seq, 0}),
+                            TcpPayload::LengthOnly(kMssWithTimestamps), false);
+    }
     benchmark::DoNotOptimize(frame.data());
     RecycleFrameBuffer(std::move(frame));
     seq += kMssWithTimestamps;
   }
 }
-BENCHMARK(BM_BuildSegment);
+BENCHMARK(BM_BuildSegment)->Arg(0)->Arg(1);
 
 // The event loop under a steady population of N pending events: each event that runs
 // queues its successor a pseudo-random time later, as link, NIC and CPU events do. The

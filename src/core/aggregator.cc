@@ -66,7 +66,7 @@ void Aggregator::Push(PacketPtr frame) {
     return;
   }
   const TcpFrameView& view = *frame->view;
-  const FlowKey key{view.ip.src, view.ip.dst, view.tcp.src_port, view.tcp.dst_port};
+  const FlowKey key = view.flow();
 
   const Eligibility elig = CheckEligibility(*frame);
   if (!elig.eligible) {

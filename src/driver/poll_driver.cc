@@ -48,26 +48,29 @@ void PollDriver::Fire(EventLoop::Slot slot) {
 
 void PollDriver::RunSteps() {
   for (;;) {
-    const std::optional<SimTime> next = Poll();
+    SimTime next;
+    const bool more = Poll(next);
     // The next step's slot comes right after the batch's, as when both were queued.
-    const std::optional<EventLoop::Slot> step =
-        next.has_value() ? std::optional(loop_.Reserve(*next)) : std::nullopt;
+    EventLoop::Slot step;
+    if (more) {
+      step = loop_.Reserve(next);
+    }
     if (batch_.batch != nullptr) {
       if (loop_.RunInPlace(batch_.slot)) {
         SendBatch();
-      } else if (step == EventLoop::Slot{batch_.slot.when, batch_.slot.seq + 1}) {
-        loop_.QueueAt(*step, *this);  // the step's event sends the batch first
+      } else if (more && step == EventLoop::Slot{batch_.slot.when, batch_.slot.seq + 1}) {
+        loop_.QueueAt(step, *this);  // the step's event sends the batch first
         return;
       } else {
         loop_.QueueAt(batch_.slot, *batch_.batch);
-        batch_ = {};
+        batch_.batch = nullptr;
       }
     }
-    if (!step.has_value()) {
+    if (!more) {
       return;
     }
-    if (!loop_.RunInPlace(*step)) {
-      loop_.QueueAt(*step, *this);
+    if (!loop_.RunInPlace(step)) {
+      loop_.QueueAt(step, *this);
       return;
     }
   }
@@ -75,9 +78,8 @@ void PollDriver::RunSteps() {
 
 void PollDriver::SendBatch() {
   EventLoop::Target& batch = *batch_.batch;
-  const EventLoop::Slot slot = batch_.slot;
-  batch_ = {};
-  batch.Fire(slot);
+  batch_.batch = nullptr;
+  batch.Fire(batch_.slot);
 }
 
 PollDriver::NicQueue* PollDriver::NextNonEmptyQueue() {
@@ -117,7 +119,7 @@ void PollDriver::AcceptBacklog(PacketPtr frame) {
   }
 }
 
-std::optional<SimTime> PollDriver::Poll() {
+bool PollDriver::Poll(SimTime& next) {
   // Frames already steered to this core drain ahead of the hardware rings.
   bool from_backlog = false;
   PacketPtr frame;
@@ -135,12 +137,12 @@ std::optional<SimTime> PollDriver::Poll() {
       stack_.OnReceiveQueueEmpty();
       const uint64_t cycles = stack_.TakeBatchCycles();
       const SimTime done = cycles > 0 ? cpu_.Run(loop_.Now(), cycles) : loop_.Now();
-      batch_ = stack_.HoldDriverBatch(done);
+      stack_.HoldDriverBatch(done, batch_);
       polling_ = false;
       for (const NicQueue& q : queues_) {
         q.nic->SetQueuePollMode(q.queue, false);
       }
-      return std::nullopt;
+      return false;
     }
     frame = src->nic->PopRx(src->queue);
     ++stats_.frames_polled;
@@ -155,16 +157,17 @@ std::optional<SimTime> PollDriver::Poll() {
       ++stats_.steered_away;
       const uint64_t cycles = stack_.TakeBatchCycles();
       const SimTime done = cycles > 0 ? cpu_.Run(loop_.Now(), cycles) : loop_.Now();
-      batch_ = stack_.HoldDriverBatch(done);
+      stack_.HoldDriverBatch(done, batch_);
       owner->HandOff(std::move(frame), done);
-      return done;
+      next = done;
+      return true;
     }
   }
   stack_.ReceiveFrame(std::move(frame));
   const uint64_t cycles = stack_.TakeBatchCycles();
-  const SimTime done = cpu_.Run(loop_.Now(), cycles);
-  batch_ = stack_.HoldDriverBatch(done);
-  return done;
+  next = cpu_.Run(loop_.Now(), cycles);
+  stack_.HoldDriverBatch(next, batch_);
+  return true;
 }
 
 PacketPtr PollDriver::PopBacklog() {

@@ -19,19 +19,20 @@
 // time, as a link's frames in flight do. Steps run in place (EventLoop::RunInPlace),
 // each in the slot its event would take, while no other event is due first: an
 // interrupt's first step, and each step's successor, so a burst drains in one event
-// while nothing else is due. Each step's transmit batch, held back from the stack
-// (RxSink::HoldDriverBatch), is sent once the step's work at the current time is done:
-// in place when nothing precedes its slot, or else by the next step's event when that
-// slot directly follows the batch's, since nothing can run between two adjacent slots.
-// Only a batch whose step reserved something in between (a hand-off to another core)
-// or that ends the poll is queued as an event of its own.
+// while nothing else is due. Each step's transmit batch, which the stack leaves unqueued
+// in the driver's own record (RxSink::HoldDriverBatch), is sent once the step's work at
+// the current time is done: in place when nothing precedes its slot, or else by the
+// next step's event when that slot directly follows the batch's, since nothing can run
+// between two adjacent slots. Only a batch whose step reserved something in between (a
+// hand-off to another core) or that ends the poll is queued as an event of its own. A
+// step composes its values in place: the next step's time and the held batch are
+// written into the driver's own variables, not returned as temporaries.
 
 #ifndef SRC_DRIVER_POLL_DRIVER_H_
 #define SRC_DRIVER_POLL_DRIVER_H_
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "src/cpu/cpu_clock.h"
@@ -91,9 +92,10 @@ class PollDriver final : public EventLoop::Target {
   // else is due first, and sends or queues each step's transmit batch; queues the
   // first step that has to wait.
   void RunSteps();
-  // One poll step; returns the time of the next, or nothing once the driver went idle.
-  // Its transmit batch, if any, is left in batch_.
-  std::optional<SimTime> Poll();
+  // One poll step; returns false once the driver went idle, else true with the time of
+  // the next step in `next`. The stack leaves the step's transmit batch, if any, in
+  // batch_ (RxSink::HoldDriverBatch).
+  bool Poll(SimTime& next);
   // Transmits batch_ now, in its slot or in the step slot right after it.
   void SendBatch();
   void AcceptBacklog(PacketPtr frame);

@@ -11,10 +11,10 @@
 // cycles into CPU busy time.
 //
 // A staged transmit batch normally waits for its CPU completion as an event of its
-// own. A sink that overrides HoldDriverBatch hands the batch to the driver instead,
-// which sends it in place or rides it on its own next step; a sink that does not (a
-// forwarding wrapper that knows only the members before it) keeps the queued batch,
-// with the same results.
+// own. A sink that overrides HoldDriverBatch writes the batch into the driver's own
+// record instead, and the driver sends it in place or rides it on its own next step; a
+// sink that does not (a forwarding wrapper that knows only the members before it)
+// keeps the queued batch, with the same results.
 
 #ifndef SRC_DRIVER_RX_SINK_H_
 #define SRC_DRIVER_RX_SINK_H_
@@ -56,12 +56,14 @@ class RxSink {
     EventLoop::Target* batch = nullptr;
     EventLoop::Slot slot;
   };
-  // FlushDriverBatch, except that a sink may reserve the batch's slot and return it
-  // unqueued; the driver then fires it in that slot, in place or queued. The default
-  // flushes through FlushDriverBatch, which queues the batch, and returns none.
-  virtual HeldBatch HoldDriverBatch(SimTime done) {
+  // FlushDriverBatch, except that a sink may reserve the batch's slot and leave the
+  // batch unqueued in `held`, the driver's own record; the driver then fires it in that
+  // slot, in place or queued. The slot is reserved here, before the driver reserves its
+  // next step's. The default flushes through FlushDriverBatch, which queues the batch,
+  // and holds none.
+  virtual void HoldDriverBatch(SimTime done, HeldBatch& held) {
     FlushDriverBatch(done);
-    return {};
+    held = {};
   }
 
   // Cycles charged since the last call; the driver turns this into CPU busy time.

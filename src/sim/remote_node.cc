@@ -25,9 +25,7 @@ void RemoteNode::OnWireFrame(std::vector<uint8_t>&& frame) {
   if (skb == nullptr) {
     return;
   }
-  const TcpFrameView& view = skb->view();
-  const FlowKey key{view.ip.src, view.ip.dst, view.tcp.src_port, view.tcp.dst_port};
-  TcpConnection* const* conn = demux_.Find(key);
+  TcpConnection* const* conn = demux_.Find(skb->view().flow());
   if (conn == nullptr) {
     return;
   }

@@ -237,9 +237,7 @@ void NetworkStack::SendReset(const SkBuff& skb) {
 }
 
 TcpConnection* NetworkStack::Demux(const SkBuff& skb) {
-  const TcpFrameView& view = skb.view();
-  const FlowKey key{view.ip.src, view.ip.dst, view.tcp.src_port, view.tcp.dst_port};
-  TcpConnection* const* conn = demux_.Find(key);
+  TcpConnection* const* conn = demux_.Find(skb.view().flow());
   return conn == nullptr ? nullptr : *conn;
 }
 
@@ -374,16 +372,18 @@ void NetworkStack::TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t>&& fr
 void NetworkStack::BeginDriverBatch() { in_driver_batch_ = true; }
 
 void NetworkStack::FlushDriverBatch(SimTime done) {
-  const HeldBatch held = HoldDriverBatch(done);
+  HeldBatch held;
+  HoldDriverBatch(done, held);
   if (held.batch != nullptr) {
     loop_.QueueAt(held.slot, *held.batch);
   }
 }
 
-RxSink::HeldBatch NetworkStack::HoldDriverBatch(SimTime done) {
+void NetworkStack::HoldDriverBatch(SimTime done, HeldBatch& held) {
   in_driver_batch_ = false;
   if (staged_tx_.empty()) {
-    return {};
+    held.batch = nullptr;
+    return;
   }
   if (free_tx_batches_.empty()) {
     tx_batches_.push_back(std::make_unique<TxBatch>(*this));
@@ -392,7 +392,8 @@ RxSink::HeldBatch NetworkStack::HoldDriverBatch(SimTime done) {
   TxBatch& batch = *free_tx_batches_.back();
   free_tx_batches_.pop_back();
   batch.frames.swap(staged_tx_);
-  return {&batch, loop_.Reserve(done)};
+  held.batch = &batch;
+  held.slot = loop_.Reserve(done);
 }
 
 void NetworkStack::TxBatch::Fire(EventLoop::Slot /*slot*/) {

@@ -84,9 +84,10 @@ class NetworkStack : public RxSink {
   // time. Outputs generated outside a driver batch (TCP timers) transmit immediately.
   void BeginDriverBatch() override;
   void FlushDriverBatch(SimTime done) override;
-  // The driver's flush: the staged batch comes back unqueued, in the slot it reserved
-  // at `done`, and the driver sends it in place or queues it (src/driver/rx_sink.h).
-  HeldBatch HoldDriverBatch(SimTime done) override;
+  // The driver's flush: the staged batch goes unqueued into the driver's `held`, with
+  // the slot it reserved at `done`, and the driver sends it in place or queues it
+  // (src/driver/rx_sink.h).
+  void HoldDriverBatch(SimTime done, HeldBatch& held) override;
 
   // ---- Connections -----------------------------------------------------------------
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <utility>
 
+#include "src/util/harness_counters.h"
 #include "src/util/logging.h"
 
 namespace tcprx {
@@ -398,11 +399,25 @@ void TcpConnection::DeliverSegment(PacketPtr& frame, uint64_t seg_seq) {
 
 std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uint8_t flags,
                                                  TcpPayload payload) {
-  // The option bytes are put together once, each option written in place; the writer
-  // copies them into the frame.
-  TcpOptionBytes options;
+  const uint16_t ip_id = next_ip_id_++;
+  const TcpSegmentFields fields{seq, ack, flags, kReceiveWindow};
   const bool syn = (flags & kTcpSyn) != 0;
-  const bool want_ts = syn || peer_uses_timestamps_;
+  // SACK blocks ride on pure ACKs when the receiver is holding out-of-order data.
+  const bool sack_blocks =
+      peer_sack_ && flags == kTcpAck && payload.size() == 0 && !reassembly_.Empty();
+  if (!syn && peer_uses_timestamps_ && !sack_blocks) {
+    // The established shape: the header image carries every option byte but the two
+    // timestamp values.
+    // tcprx-check: allow(charge) -- transmit-side serialization; the stack bills the
+    // whole tx pass via ChargeTxStackPass when the output item is emitted.
+    return WriteTcpFrame(frame_template_, ip_id, fields,
+                         TcpOptionSource::Established({NowTsMs(), ts_recent_}), payload,
+                         config_.fill_tcp_checksum);
+  }
+  // Any other segment puts its option bytes together once, each option written in
+  // place; the writer copies them into the frame.
+  ++thread_harness_counters.tcp_option_blocks_built;
+  TcpOptionBytes options;
   if (syn) {
     // MSS option.
     options.push_back(kTcpOptMss);
@@ -414,20 +429,18 @@ std::vector<uint8_t> TcpConnection::BuildSegment(uint32_t seq, uint32_t ack, uin
       options.push_back(2);
     }
   }
-  if (want_ts) {
+  if (syn || peer_uses_timestamps_) {
     WriteTimestampOption(TcpTimestampOption{NowTsMs(), ts_recent_},
                          options.Append(kTcpTimestampOptionSize));
   }
-  // SACK blocks ride on pure ACKs when the receiver is holding out-of-order data.
-  if (peer_sack_ && flags == kTcpAck && payload.size() == 0 && !reassembly_.Empty()) {
+  if (sack_blocks) {
     std::array<SackBlock, 3> blocks;
     AppendSackOption(std::span(blocks).first(reassembly_.SackBlocks(blocks)), options);
   }
-  const uint16_t ip_id = next_ip_id_++;
   // tcprx-check: allow(charge) -- transmit-side serialization; the stack bills the
   // whole tx pass via ChargeTxStackPass when the output item is emitted.
-  return WriteTcpFrame(frame_template_, ip_id, {seq, ack, flags, kReceiveWindow}, options,
-                       payload, config_.fill_tcp_checksum);
+  return WriteTcpFrame(frame_template_, ip_id, fields, options, payload,
+                       config_.fill_tcp_checksum);
 }
 
 void TcpConnection::EmitSyn(bool with_ack) {

@@ -193,6 +193,9 @@ class TcpConnection {
   void EmitDataSegment(uint64_t seq, uint32_t len, bool retransmit);
   // Sends what the peer's window, cwnd and sender-side SWS avoidance allow.
   void TrySendData();
+  // Writes one segment. An established segment (not a SYN, the peer uses timestamps, no
+  // SACK blocks to report) is the header image with its varying fields stored; any other
+  // puts its option bytes together first (HarnessCounters::tcp_option_blocks_built).
   std::vector<uint8_t> BuildSegment(uint32_t seq, uint32_t ack, uint8_t flags,
                                     TcpPayload payload);
   uint32_t NowTsMs() const;
@@ -254,8 +257,9 @@ class TcpConnection {
   // sends nothing.
   EventLoop::Timer rto_timer_;
   EventLoop::Timer delack_timer_;
-  // Addresses and ports are fixed for the connection's life: every segment is written
-  // from this one header template.
+  // Addresses and ports are fixed for the connection's life: every segment is
+  // written from this one header image, an established one by storing only the fields
+  // that vary (src/wire/frame.h).
   const TcpFrameTemplate frame_template_;
 
   // Karn-style single-sample RTT probe.

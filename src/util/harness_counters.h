@@ -37,6 +37,10 @@ struct HarnessCounters {
   // Frames a NIC took off its link without a wakeup per frame (SimplexLink::PullBefore,
   // src/nic/link.h).
   uint64_t frames_pulled = 0;
+  // Segments TcpConnection::BuildSegment (src/tcp/tcp_connection.h) wrote from option
+  // bytes it put together: SYNs, ACKs carrying SACK blocks and segments to peers
+  // without timestamps. An established segment is written from the header image.
+  uint64_t tcp_option_blocks_built = 0;
 };
 
 // Every counter with its name, in declaration order, for windows and reports.
@@ -55,6 +59,7 @@ inline constexpr HarnessCounterField kHarnessCounterFields[] = {
     {"event_key_compares", &HarnessCounters::event_key_compares},
     {"steps_in_place", &HarnessCounters::steps_in_place},
     {"frames_pulled", &HarnessCounters::frames_pulled},
+    {"tcp_option_blocks_built", &HarnessCounters::tcp_option_blocks_built},
 };
 static_assert(sizeof(HarnessCounters) == std::size(kHarnessCounterFields) * sizeof(uint64_t),
               "a new counter needs its row in kHarnessCounterFields");

@@ -53,31 +53,38 @@ TcpFrameTemplate MakeTcpFrameTemplate(const MacAddress& src_mac, const MacAddres
   TcpFrameTemplate t;
   t.src_ip = src_ip;
   t.dst_ip = dst_ip;
-  t.src_port = src_port;
-  t.dst_port = dst_port;
-  SerializeEthernet(EthernetHeader{dst_mac, src_mac, kEtherTypeIpv4}, t.prefix);
+  const std::span<uint8_t> header(t.header);
+  SerializeEthernet(EthernetHeader{dst_mac, src_mac, kEtherTypeIpv4}, header);
   Ipv4Header ip;
   ip.ttl = ttl;
   ip.protocol = kIpProtoTcp;
   ip.src = src_ip;
   ip.dst = dst_ip;
-  const std::span<uint8_t> ip_bytes = std::span<uint8_t>(t.prefix).subspan(kEthernetHeaderSize);
+  const std::span<uint8_t> ip_bytes = header.subspan(kEthernetHeaderSize, kIpv4MinHeaderSize);
   SerializeIpv4(ip, ip_bytes);
   StoreBe16(ip_bytes.data() + 10, 0);
   for (size_t i = 0; i < kIpv4MinHeaderSize; i += 2) {
     t.ip_partial_sum += LoadBe16(ip_bytes.data() + i);
   }
+  TcpHeader tcp;
+  tcp.src_port = src_port;
+  tcp.dst_port = dst_port;
+  WriteTimestampOption({}, tcp.raw_options.Append(kTcpTimestampOptionSize));
+  tcp.data_offset_words = (kTcpMinHeaderSize + kTcpTimestampOptionSize) / 4;
+  SerializeTcp(tcp, header.subspan(kTcpFrameHeaderOffset));
   return t;
 }
 
 std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
-                                   const TcpSegmentFields& tcp,
-                                   std::span<const uint8_t> options, TcpPayload payload,
-                                   bool fill_tcp_checksum) {
-  TCPRX_CHECK_MSG(options.size() <= kTcpMaxOptionBytes, "TCP options exceed 40 bytes");
+                                   const TcpSegmentFields& tcp, TcpOptionSource options,
+                                   TcpPayload payload, bool fill_tcp_checksum) {
+  const std::span<const uint8_t> option_bytes = options.bytes();
+  TCPRX_CHECK_MSG(option_bytes.size() <= kTcpMaxOptionBytes, "TCP options exceed 40 bytes");
   TCPRX_CHECK_MSG(payload.written() || !fill_tcp_checksum,
                   "a TCP checksum needs the payload bytes");
-  const size_t tcp_size = kTcpMinHeaderSize + ((options.size() + 3) & ~size_t{3});
+  const size_t tcp_size =
+      kTcpMinHeaderSize + (options.established() ? kTcpTimestampOptionSize
+                                                 : (option_bytes.size() + 3) & ~size_t{3});
   const size_t ip_total = kIpv4MinHeaderSize + tcp_size + payload.size();
   TCPRX_CHECK_MSG(ip_total <= 0xffff, "IP datagram exceeds 64KiB");
   uint32_t ip_sum = tmpl.ip_partial_sum + static_cast<uint32_t>(ip_total) + ip_id;
@@ -86,28 +93,32 @@ std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
   }
 
   // The headers are composed in the frame's own buffer, every byte up to the end of the
-  // TCP header written once.
+  // TCP header written once: the image's bytes copied, the rest stored.
   const size_t header_size = kTcpFrameHeaderOffset + tcp_size;
   std::vector<uint8_t> frame = TakeFrameBuffer(header_size + payload.size());
   uint8_t* const out = frame.data();
-  std::memcpy(out, tmpl.prefix.data(), kTcpFrameHeaderOffset);
+  uint8_t* const th = out + kTcpFrameHeaderOffset;
+  if (options.established()) {
+    std::memcpy(out, tmpl.header.data(), kTcpEstablishedHeaderSize);
+    StoreBe32(th + kTcpMinHeaderSize + 4, options.timestamp().value);
+    StoreBe32(th + kTcpMinHeaderSize + 8, options.timestamp().echo_reply);
+  } else {
+    std::memcpy(out, tmpl.header.data(), kTcpFrameHeaderOffset + 4);  // through the ports
+    th[12] = static_cast<uint8_t>((tcp_size / 4) << 4);
+    StoreBe16(th + 16, 0);
+    uint8_t* options_end =
+        std::copy(option_bytes.begin(), option_bytes.end(), th + kTcpMinHeaderSize);
+    std::fill(options_end, th + tcp_size, uint8_t{kTcpOptEnd});
+  }
   uint8_t* const ip = out + kEthernetHeaderSize;
   StoreBe16(ip + 2, static_cast<uint16_t>(ip_total));
   StoreBe16(ip + 4, ip_id);
   StoreBe16(ip + 10, static_cast<uint16_t>(~ip_sum));
-
-  uint8_t* const th = out + kTcpFrameHeaderOffset;
-  StoreBe16(th, tmpl.src_port);
-  StoreBe16(th + 2, tmpl.dst_port);
   StoreBe32(th + 4, tcp.seq);
   StoreBe32(th + 8, tcp.ack);
-  th[12] = static_cast<uint8_t>((tcp_size / 4) << 4);
   th[13] = tcp.flags;
   StoreBe16(th + 14, tcp.window);
-  StoreBe16(th + 16, 0);
   StoreBe16(th + 18, tcp.urgent_pointer);
-  uint8_t* options_end = std::copy(options.begin(), options.end(), th + kTcpMinHeaderSize);
-  std::fill(options_end, th + tcp_size, uint8_t{kTcpOptEnd});
   if (payload.written()) {
     std::copy(payload.bytes().begin(), payload.bytes().end(), out + header_size);
     thread_harness_counters.payload_bytes_written += payload.size();

@@ -8,13 +8,15 @@
 // gone, this per-packet header work is what a frame costs, as the paper finds for the
 // receive path itself.
 //
-// WriteTcpFrame is the one transmit-side composer: it copies a per-flow TcpFrameTemplate
-// and patches what changes per segment, the way the paper's Acknowledgment Offload
-// copies a prebuilt header and patches the ack field and checksum, composing the
-// headers directly in the frame's recycled buffer. The TCP layer writes every segment
-// from its connection's template, and the stack its resets from one built per reset;
-// BuildTcpFrame is the spec-driven form for traffic generators, tests and benchmarks.
-
+// WriteTcpFrame is the one transmit-side composer: it copies a per-flow header image
+// (TcpFrameTemplate) and patches what changes per segment, the way the paper's
+// Acknowledgment Offload copies a prebuilt header and patches the ack field and
+// checksum, composing the headers directly in the frame's recycled buffer. An
+// established segment (timestamps, nothing else in its options) is the whole image
+// copied and a few fields stored; any other segment takes its option bytes from the
+// caller. The TCP layer writes every segment from its connection's template, and the
+// stack its resets from one built per reset; BuildTcpFrame is the spec-driven form for
+// traffic generators, tests and benchmarks.
 #ifndef SRC_WIRE_FRAME_H_
 #define SRC_WIRE_FRAME_H_
 
@@ -22,9 +24,11 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "src/wire/ethernet.h"
+#include "src/wire/flow.h"
 #include "src/wire/ipv4.h"
 #include "src/wire/tcp.h"
 
@@ -45,6 +49,9 @@ struct TcpFrameView {
   // The IPv4 header checksum held when the frame was parsed: the one check of the
   // header's bytes. The aggregator's eligibility rule and Ipv4Layer::Validate read it.
   bool ip_checksum_ok = false;
+
+  // The frame's 4-tuple, the key every layer looks its flow up by.
+  FlowKey flow() const { return FlowKey{ip.src, ip.dst, tcp.src_port, tcp.dst_port}; }
 };
 
 // Parses `frame` as an Ethernet/IPv4/TCP packet into `view`, writing each field once,
@@ -73,17 +80,23 @@ bool VerifyFrameTcpChecksum(std::span<const uint8_t> frame, const TcpFrameView& 
 
 // The TCP header starts at the same offset in every frame the writer builds.
 inline constexpr size_t kTcpFrameHeaderOffset = kEthernetHeaderSize + kIpv4MinHeaderSize;
+// The headers of an established segment: the Ethernet + IPv4 prefix and a TCP header
+// whose one option is the aligned timestamp block (data offset 8 words).
+inline constexpr size_t kTcpEstablishedHeaderSize =
+    kTcpFrameHeaderOffset + kTcpMinHeaderSize + kTcpTimestampOptionSize;
 
-// What every frame of one TCP flow shares: the Ethernet + IPv4 prefix with its IPv4
-// total length, identification and checksum left zero, the one's-complement sum of the
-// prefix's constant IPv4 words, and the flow's addresses and ports.
+// The header image of one TCP flow: the whole header of its established segments, with
+// every byte that does not change from segment to segment in place.
 struct TcpFrameTemplate {
-  std::array<uint8_t, kTcpFrameHeaderOffset> prefix{};
+  // The Ethernet + IPv4 prefix (IPv4 total length, identification and checksum zero),
+  // the ports, data offset 8, and the aligned timestamp block with both values zero;
+  // the fields each segment stores (seq, ack, flags, window, checksum, urgent pointer)
+  // are zero.
+  std::array<uint8_t, kTcpEstablishedHeaderSize> header{};
+  // The one's-complement sum of the prefix's constant IPv4 words.
   uint32_t ip_partial_sum = 0;
   Ipv4Address src_ip;
   Ipv4Address dst_ip;
-  uint16_t src_port = 0;
-  uint16_t dst_port = 0;
 };
 
 // The template of the flow from (src_mac, src_ip, src_port) to (dst_mac, dst_ip,
@@ -130,18 +143,48 @@ class TcpPayload {
   bool written_ = true;
 };
 
+// Where the writer takes a segment's TCP options from. Explicit bytes (any byte span;
+// none by default) are copied and padded with END bytes to a 4-byte boundary, which
+// sets the data offset: SYNs, ACKs carrying SACK blocks, segments to peers without
+// timestamps, resets and BuildTcpFrame's specs. Established(ts) is the established
+// shape, the options of the template's header image: data offset 8 and the timestamp
+// block, carrying `ts`.
+class TcpOptionSource {
+ public:
+  TcpOptionSource() = default;
+  template <typename Bytes>
+    requires std::is_convertible_v<const Bytes&, std::span<const uint8_t>>
+  TcpOptionSource(const Bytes& bytes) : bytes_(bytes) {}
+  static TcpOptionSource Established(TcpTimestampOption ts) {
+    TcpOptionSource source;
+    source.established_ = true;
+    source.timestamp_ = ts;
+    return source;
+  }
+
+  bool established() const { return established_; }
+  // The explicit bytes; empty when established.
+  std::span<const uint8_t> bytes() const { return bytes_; }
+  TcpTimestampOption timestamp() const { return timestamp_; }
+
+ private:
+  std::span<const uint8_t> bytes_;
+  TcpTimestampOption timestamp_;
+  bool established_ = false;
+};
+
 // Writes one frame from `tmpl` into a recycled buffer (src/wire/frame_buffer.h),
-// composing the headers in that buffer: copies the prefix, patches the IPv4 total
-// length and `ip_id`, finishes the IPv4 checksum from the template's partial sum, stores
-// the TCP fields and `options` (padded with END bytes to a 4-byte boundary, which sets
-// the data offset) and, unless it is length-only, writes `payload`. Every byte up to the end of the TCP header is written either way.
+// composing the headers in that buffer. It copies the header image, all of it for an
+// established segment and the prefix and ports otherwise; patches the IPv4 total
+// length and `ip_id` and finishes the IPv4 checksum from the template's partial sum;
+// stores the TCP fields and the options `options` names; and, unless it is length-only,
+// writes `payload`. Every byte up to the end of the TCP header is written either way.
 // The TCP checksum is computed when `fill_tcp_checksum` is set, which a length-only
 // payload does not allow, and left zero otherwise, modelling a sender whose NIC would
 // fill it in.
 std::vector<uint8_t> WriteTcpFrame(const TcpFrameTemplate& tmpl, uint16_t ip_id,
-                                   const TcpSegmentFields& tcp,
-                                   std::span<const uint8_t> options, TcpPayload payload,
-                                   bool fill_tcp_checksum);
+                                   const TcpSegmentFields& tcp, TcpOptionSource options,
+                                   TcpPayload payload, bool fill_tcp_checksum);
 
 // Everything needed to compose one TCP/IPv4 frame.
 struct TcpFrameSpec {
@@ -159,8 +202,8 @@ struct TcpFrameSpec {
 };
 
 // Builds the full frame bytes: the template `spec` describes, written once with
-// WriteTcpFrame (options from `spec.tcp.raw_options`; the TCP checksum field of the
-// spec is ignored).
+// WriteTcpFrame (explicit options from `spec.tcp.raw_options`; the TCP checksum field
+// of the spec is ignored).
 std::vector<uint8_t> BuildTcpFrame(const TcpFrameSpec& spec);
 
 }  // namespace tcprx

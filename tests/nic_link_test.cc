@@ -14,6 +14,7 @@
 #include "src/buffer/packet.h"
 #include "src/nic/link.h"
 #include "src/nic/nic.h"
+#include "src/util/byte_order.h"
 #include "src/util/harness_counters.h"
 #include "src/util/rng.h"
 #include "src/wire/raw_view.h"
@@ -766,6 +767,58 @@ TEST(PolledNic, AnIdleQueueKeepsTheNicPushing) {
     EXPECT_GT(bed.nic().stats().rx_dropped, 0u);
   });
   EXPECT_EQ(counts.frames_pulled, 0u);
+}
+
+// RSS hashes the 4-tuple at its fixed offsets, as hardware does: a flow's data, its SYN
+// and a frame of the flow that the parse refuses (a corrupted data offset, a truncated
+// datagram) land on the flow's queue; a frame that is not IPv4 and a fragment past the
+// first land on queue 0.
+TEST(RssNic, HashesTheFixedOffsetTupleOfFramesTheParseRefuses) {
+  constexpr size_t kQueues = 4;
+  const RssHasher hasher(kQueues, kRssSecretKey);
+  FrameOptions options;
+  size_t flow_queue = 0;
+  for (options.src_port = 10000; flow_queue == 0; ++options.src_port) {
+    flow_queue = hasher.QueueFor(
+        FlowKey{testutil::ClientIp(), testutil::ServerIp(), options.src_port, 5001});
+  }
+  --options.src_port;
+  EventLoop loop;
+  PacketPool pool;
+  NicConfig config;
+  config.num_rx_queues = kQueues;
+  config.rss.enabled = true;
+  SimulatedNic nic(0, config, loop, pool);
+  for (size_t q = 0; q < kQueues; ++q) {
+    nic.set_on_rx_interrupt(q, [] {});
+  }
+  const auto deliver = [&](std::vector<uint8_t> frame, size_t expected_queue) {
+    const uint64_t before = nic.rx_frames_on_queue(expected_queue);
+    nic.DeliverFromWire(std::move(frame));
+    EXPECT_EQ(nic.rx_frames_on_queue(expected_queue), before + 1);
+  };
+
+  deliver(MakeFrame(options, 100), flow_queue);
+  FrameOptions syn = options;
+  syn.flags = kTcpSyn;
+  deliver(MakeFrame(syn, 0), flow_queue);
+
+  std::vector<uint8_t> later_fragment = MakeFrame(options, 100);
+  StoreBe16(later_fragment.data() + kEthernetHeaderSize + 6, 185);  // offset 1480 bytes
+  deliver(std::move(later_fragment), 0);
+  std::vector<uint8_t> short_data_offset = MakeFrame(options, 100);
+  short_data_offset[kTcpFrameHeaderOffset + 12] = 4 << 4;  // 16 bytes: refused
+  ASSERT_FALSE(ParseTcpFrame(short_data_offset).has_value());
+  deliver(std::move(short_data_offset), flow_queue);
+  std::vector<uint8_t> truncated = MakeFrame(options, 100);
+  truncated.resize(truncated.size() - 50);  // the IPv4 total length runs past the frame
+  ASSERT_FALSE(ParseTcpFrame(truncated).has_value());
+  deliver(std::move(truncated), flow_queue);
+  std::vector<uint8_t> not_ipv4 = MakeFrame(options, 100);
+  StoreBe16(not_ipv4.data() + kEthernetHeaderSize - 2, 0x86dd);
+  deliver(std::move(not_ipv4), 0);
+  EXPECT_EQ(nic.rx_frames_on_queue(flow_queue), 4u);
+  EXPECT_EQ(nic.rx_frames_on_queue(0), 2u);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include "src/stack/network_stack.h"
 #include "src/tcp/sack.h"
 #include "src/tcp/tcp_connection.h"
+#include "src/util/byte_order.h"
 #include "src/util/event_loop.h"
+#include "src/util/harness_counters.h"
 #include "tests/test_util.h"
 
 namespace tcprx {
@@ -174,6 +176,123 @@ TEST(SackEndToEnd, RetransmissionTargetsTheHoleOnly) {
   // Exactly the dropped segment is retransmitted (no go-back-N).
   EXPECT_EQ(pair.client->segments_retransmitted(), 1u);
   EXPECT_EQ(pair.server->duplicate_segments_received(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Segment shapes: the header image and the explicit option bytes
+// ---------------------------------------------------------------------------
+
+// Every segment a connection writes with timestamps and nothing else in its options
+// comes from its header image; SYNs and ACKs carrying SACK blocks put their option
+// bytes together (HarnessCounters::tcp_option_blocks_built counts them) and still carry
+// every option they did.
+TEST(SegmentShape, SynsAndSackAcksCarryTheirOptionsAndTheRestAreEstablished) {
+  const uint64_t built_before = thread_harness_counters.tcp_option_blocks_built;
+  ConnectionPair pair(Extensions(/*enable_sack=*/true));
+  pair.Establish();
+  EXPECT_EQ(thread_harness_counters.tcp_option_blocks_built - built_before, 2u);
+  // One mid-window data segment is lost once, so the server holds out-of-order data.
+  int drops = 1;
+  pair.filter = [&](bool from_client, const std::vector<uint8_t>& frame) {
+    if (from_client && drops > 0 && pair.client->congestion().cwnd() > 6 * 1448) {
+      const auto view = ParseTcpFrame(frame);
+      if (view.has_value() && view->payload_size == 1448) {
+        --drops;
+        return false;
+      }
+    }
+    return true;
+  };
+  pair.client->SendSynthetic(100 * 1448);
+  pair.Run(600);
+  ASSERT_EQ(pair.server->bytes_received(), 100u * 1448);
+
+  uint64_t syns = 0;
+  uint64_t sack_acks = 0;
+  uint64_t established = 0;
+  for (const auto& [from_client, frame] : pair.wire_log) {
+    const auto view = ParseTcpFrame(frame);
+    ASSERT_TRUE(view.has_value());
+    const TcpHeader& tcp = view->tcp;
+    ASSERT_TRUE(tcp.timestamp.has_value());
+    if (tcp.Has(kTcpSyn)) {
+      ++syns;
+      EXPECT_EQ(tcp.mss, 1448);
+      EXPECT_TRUE(tcp.sack_permitted);
+    } else if (tcp.has_sack_blocks) {
+      ++sack_acks;
+      EXPECT_FALSE(from_client);
+      EXPECT_EQ(tcp.flags, kTcpAck);
+      EXPECT_EQ(view->payload_size, 0u);
+      EXPECT_EQ(tcp.timestamp_offset, 2);
+    } else {
+      ++established;
+      EXPECT_EQ(tcp.HeaderSize(), kTcpMinHeaderSize + kTcpTimestampOptionSize);
+      EXPECT_EQ(LoadBe32(tcp.raw_options.data()), kTcpAlignedTimestampWord);
+      EXPECT_EQ(tcp.window, 65535);
+    }
+  }
+  EXPECT_EQ(syns, 2u);
+  EXPECT_GT(sack_acks, 0u);
+  EXPECT_GT(established, 100u);
+  // Each SACK-carrying ACK was built once; a run of them may leave as one template.
+  const uint64_t built = thread_harness_counters.tcp_option_blocks_built - built_before;
+  EXPECT_GT(built, syns);
+  EXPECT_LE(built, syns + sack_acks);
+}
+
+// A peer without timestamps gets established segments without options, a bare 20-byte
+// TCP header built explicitly; its SYN-ACK, as every SYN, still offers the MSS and
+// timestamps.
+TEST(SegmentShape, APeerWithoutTimestampsGetsNoTimestampBlock) {
+  EventLoop loop;
+  PacketPool pool;
+  std::vector<std::vector<uint8_t>> sent;
+  TcpConnectionConfig config;
+  config.local_ip = testutil::ServerIp();
+  config.remote_ip = testutil::ClientIp();
+  config.local_port = 5001;
+  config.remote_port = 10000;
+  config.local_mac = testutil::ServerMac();
+  config.remote_mac = testutil::ClientMac();
+  TcpConnection server(config, loop, [&](TcpOutputItem item) {
+    sent.push_back(std::move(item.frame));
+  });
+  server.Listen();
+  const auto deliver = [&](const FrameOptions& options, size_t payload_size) {
+    server.OnHostPacket(
+        *SkBuff::Wrap(testutil::ToPacket(pool, MakeFrame(options, payload_size))));
+  };
+  const uint64_t built_before = thread_harness_counters.tcp_option_blocks_built;
+
+  FrameOptions syn;
+  syn.flags = kTcpSyn;
+  syn.seq = 1000;
+  syn.ack = 0;
+  syn.with_timestamp = false;
+  deliver(syn, 0);
+  ASSERT_EQ(sent.size(), 1u);
+  const auto syn_ack = ParseTcpFrame(sent[0]);
+  ASSERT_TRUE(syn_ack.has_value());
+  EXPECT_TRUE(syn_ack->tcp.mss.has_value());
+  EXPECT_TRUE(syn_ack->tcp.timestamp.has_value());
+
+  // The handshake's ACK, then two full segments: the second is owed an ACK.
+  FrameOptions segment;
+  segment.seq = 1001;
+  segment.ack = syn_ack->tcp.seq + 1;
+  segment.with_timestamp = false;
+  deliver(segment, 0);
+  ASSERT_EQ(server.state(), TcpState::kEstablished);
+  deliver(segment, 1448);
+  segment.seq += 1448;
+  deliver(segment, 1448);
+  ASSERT_EQ(sent.size(), 2u);
+  const auto ack = ParseTcpFrame(sent[1]);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->tcp.ack, 1001u + 2 * 1448);
+  EXPECT_EQ(ack->tcp.HeaderSize(), kTcpMinHeaderSize);
+  EXPECT_EQ(thread_harness_counters.tcp_option_blocks_built - built_before, 2u);
 }
 
 TEST(WindowScale, PeerOfferGetsAnUnscaledAnswer) {

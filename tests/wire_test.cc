@@ -1034,6 +1034,71 @@ TEST(FrameWriter, MatchesTheSerializersByteForByte) {
   }
 }
 
+// The established shape against the explicit timestamp block: seeded segments with
+// ACK or ACK|PSH, any seq, ack, window and timestamp values, a wrapping ip_id, written and
+// length-only payloads from 0 to the MSS, and the TCP checksum filled or not. Both
+// writers must lay out the same bytes, and a written frame must match the serializers.
+TEST(FrameWriter, EstablishedImageMatchesTheExplicitTimestampBlock) {
+  const TcpFrameTemplate tmpl =
+      MakeTcpFrameTemplate(testutil::ServerMac(), testutil::ClientMac(), testutil::ServerIp(),
+                           testutil::ClientIp(), 5001, 10000);
+  std::vector<uint8_t> payload(kMssWithTimestamps);
+  Rng rng(37);
+  for (uint8_t& b : payload) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  uint16_t ip_id = 0xfc00;  // wraps to 0 a quarter of the way in, as a connection's does
+  int length_only = 0;
+  int filled = 0;
+  for (int trial = 0; trial < 4000; ++trial, ++ip_id) {
+    const uint8_t flags = rng.NextBool(0.5) ? kTcpAck : kTcpAck | kTcpPsh;
+    const TcpSegmentFields fields{static_cast<uint32_t>(rng.Next()),
+                                  static_cast<uint32_t>(rng.Next()), flags,
+                                  static_cast<uint16_t>(rng.Next())};
+    const TcpTimestampOption ts{static_cast<uint32_t>(rng.Next()),
+                                static_cast<uint32_t>(rng.Next())};
+    // Every third trial takes an end of the range: an empty payload or a full MSS.
+    const size_t size = trial % 3 == 0 ? static_cast<size_t>((trial / 3) % 2) * kMssWithTimestamps
+                                       : rng.NextBelow(kMssWithTimestamps + 1);
+    const bool written = rng.NextBool(0.5);
+    const bool fill = written && rng.NextBool(0.5);
+    const std::span<const uint8_t> body = std::span<const uint8_t>(payload).first(size);
+    const TcpPayload segment_payload = written ? TcpPayload(body) : TcpPayload::LengthOnly(size);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " ip_id " << ip_id << " size "
+                                    << size << " written " << written << " fill " << fill);
+    const TcpOptionBytes block = TimestampOption(ts.value, ts.echo_reply);
+    std::vector<uint8_t> explicit_frame =
+        WriteTcpFrame(tmpl, ip_id, fields, block, segment_payload, fill);
+    std::vector<uint8_t> image_frame = WriteTcpFrame(
+        tmpl, ip_id, fields, TcpOptionSource::Established(ts), segment_payload, fill);
+    ASSERT_EQ(image_frame.size(), explicit_frame.size());
+    if (written) {
+      ASSERT_EQ(image_frame, explicit_frame);
+      ASSERT_EQ(image_frame, ReferenceFrame({"established", fields, block, size}, ip_id, body,
+                                            fill));
+      filled += fill;
+    } else {
+      ASSERT_TRUE(std::equal(image_frame.begin(), image_frame.begin() + kTcpEstablishedHeaderSize,
+                             explicit_frame.begin()));
+      ++length_only;
+    }
+    TcpFrameView view;
+    ASSERT_TRUE(ParseTcpFrame(image_frame, view));
+    ASSERT_TRUE(view.ip_checksum_ok);
+    ASSERT_EQ(view.ip.identification, ip_id);
+    ASSERT_EQ(view.tcp.HeaderSize(), kTcpMinHeaderSize + kTcpTimestampOptionSize);
+    ASSERT_EQ(view.payload_size, size);
+    ASSERT_TRUE(view.tcp.timestamp.has_value());
+    ASSERT_EQ(view.tcp.timestamp->value, ts.value);
+    ASSERT_EQ(view.tcp.timestamp->echo_reply, ts.echo_reply);
+    // Each trial writes into the buffers the last one left, stale bytes and all.
+    RecycleFrameBuffer(std::move(explicit_frame));
+    RecycleFrameBuffer(std::move(image_frame));
+  }
+  EXPECT_GT(length_only, 1500);
+  EXPECT_GT(filled, 700);
+}
+
 TEST(FrameWriter, WritesIntoRecycledBuffersAsIntoFreshOnes) {
   const TcpFrameTemplate tmpl =
       MakeTcpFrameTemplate(testutil::ServerMac(), testutil::ClientMac(), testutil::ServerIp(),
