@@ -6,16 +6,14 @@
 namespace tcprx {
 
 TcpConnection* RemoteNode::CreateConnection(const TcpConnectionConfig& config) {
-  auto conn = std::make_unique<TcpConnection>(
-      config, loop_, [this](TcpOutputItem&& item) { HandleOutput(std::move(item)); });
+  auto conn = std::make_unique<TcpConnection>(config, loop_, static_cast<Owner&>(*this));
   TcpConnection* raw = conn.get();
   demux_.InsertOrAssign(raw->IncomingFlowKey(), raw);
   connections_.push_back(std::move(conn));
   return raw;
 }
 
-void RemoteNode::HandleOutput(TcpOutputItem&& item) {
-  // Remotes have no ACK offload: every ACK of a run goes on the wire as its own frame.
+void RemoteNode::Output(TcpConnection& /*conn*/, TcpOutputItem&& item) {
   ExpandTemplateAck(std::move(item), transmit_);
 }
 

@@ -21,7 +21,7 @@
 
 namespace tcprx {
 
-class RemoteNode {
+class RemoteNode : private TcpConnection::Owner {
  public:
   using TransmitFn = std::function<void(std::vector<uint8_t>&&)>;
 
@@ -42,7 +42,8 @@ class RemoteNode {
   uint64_t frames_received() const { return frames_received_; }
 
  private:
-  void HandleOutput(TcpOutputItem&& item);
+  // Remotes have no ACK offload: every ACK of a run goes on the wire as its own frame.
+  void Output(TcpConnection& conn, TcpOutputItem&& item) override;
 
   EventLoop& loop_;
   TransmitFn transmit_;

@@ -414,49 +414,53 @@ LatencyResult Testbed::RunLatency(const LatencyOptions& options) {
 
   // Client: one transaction outstanding at all times, every request sent from one
   // buffer; the round-trip times of the measurement window are sampled for the latency
-  // distribution.
-  TcpConnection* client = remotes_[0]->CreateConnection(
-      ClientConnectionConfig(0, 20001, options.server_port));
-  const size_t message_size = options.message_size;
-  const auto request = std::make_shared<const std::vector<uint8_t>>(message_size, 0x21);
-  auto transactions = std::make_shared<uint64_t>(0);
-  auto pending_bytes = std::make_shared<size_t>(0);
-  auto sent_at = std::make_shared<SimTime>();
-  auto measuring = std::make_shared<bool>(false);
-  auto samples = std::make_shared<std::vector<double>>();
-  EventLoop* loop = &loop_;
+  // distribution. Its state is shared with its handlers, which outlive this call.
+  struct Client {
+    void SendRequest() {
+      sent_at = loop.Now();
+      conn.Send(request);
+    }
 
-  client->set_on_data([client, request, transactions, pending_bytes, sent_at, measuring,
-                       samples, loop, message_size](std::span<const uint8_t> data) {
-    *pending_bytes += data.size();
-    while (*pending_bytes >= message_size) {
-      *pending_bytes -= message_size;
-      ++*transactions;
-      if (*measuring) {
-        samples->push_back(static_cast<double>((loop->Now() - *sent_at).nanos()) / 1000.0);
+    TcpConnection& conn;
+    const EventLoop& loop;
+    const std::vector<uint8_t> request;
+    uint64_t transactions = 0;
+    size_t pending_bytes = 0;
+    SimTime sent_at{};
+    bool measuring = false;
+    std::vector<double> samples{};
+  };
+  const auto client = std::make_shared<Client>(
+      *remotes_[0]->CreateConnection(ClientConnectionConfig(0, 20001, options.server_port)),
+      loop_, std::vector<uint8_t>(options.message_size, 0x21));
+  client->conn.set_on_data([client](std::span<const uint8_t> data) {
+    const size_t message_size = client->request.size();
+    client->pending_bytes += data.size();
+    while (client->pending_bytes >= message_size) {
+      client->pending_bytes -= message_size;
+      ++client->transactions;
+      if (client->measuring) {
+        client->samples.push_back(
+            static_cast<double>((client->loop.Now() - client->sent_at).nanos()) / 1000.0);
       }
-      *sent_at = loop->Now();
-      client->Send(*request);
+      client->SendRequest();
     }
   });
-  client->set_on_established([client, request, sent_at, loop] {
-    *sent_at = loop->Now();
-    client->Send(*request);
-  });
-  client->Connect();
+  client->conn.set_on_established([client] { client->SendRequest(); });
+  client->conn.Connect();
 
   const Reading start = ReadAt(options.warmup);
-  const uint64_t before = *transactions;
-  *measuring = true;
+  const uint64_t before = client->transactions;
+  client->measuring = true;
   const Reading end = ReadAt(options.warmup + options.measure);
   window_harness_counters_ = end.harness - start.harness;
-  *measuring = false;
+  client->measuring = false;
 
   LatencyResult result;
-  result.transactions = *transactions - before;
+  result.transactions = client->transactions - before;
   result.transactions_per_sec =
       static_cast<double>(result.transactions) / options.measure.ToSecondsF();
-  SetRttPercentiles(*samples, result);
+  SetRttPercentiles(client->samples, result);
   return result;
 }
 

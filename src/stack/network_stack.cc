@@ -237,8 +237,10 @@ void NetworkStack::SendReset(const SkBuff& skb) {
 }
 
 TcpConnection* NetworkStack::Demux(const SkBuff& skb) {
+  // A closed connection frees its 4-tuple: it stays mapped, and alive so that held
+  // pointers remain valid, until a new connection on the tuple replaces it.
   TcpConnection* const* conn = demux_.Find(skb.view().flow());
-  return conn == nullptr ? nullptr : *conn;
+  return conn == nullptr || (*conn)->state() == TcpState::kClosed ? nullptr : *conn;
 }
 
 TcpConnection* NetworkStack::AcceptNew(const SkBuff& skb) {
@@ -276,25 +278,14 @@ TcpConnection* NetworkStack::AcceptNew(const SkBuff& skb) {
 // ---------------------------------------------------------------------------
 
 TcpConnection* NetworkStack::CreateConnection(const TcpConnectionConfig& config) {
-  connections_.push_back(std::make_unique<TcpConnection>(
-      config, loop_, [this, dst = config.remote_ip](TcpOutputItem&& item) {
-        HandleConnectionOutput(dst, std::move(item));
-      }));
-  TcpConnection* conn = connections_.back().get();
-  conn->set_on_closed([this, conn] {
-    // Free the 4-tuple: a later connection may legitimately reuse it. The connection
-    // object stays alive so held pointers remain valid.
-    TcpConnection* const* mapped = demux_.Find(conn->IncomingFlowKey());
-    if (mapped != nullptr && *mapped == conn) {
-      demux_.Erase(conn->IncomingFlowKey());
-    }
-  });
-  conn->set_on_delivered([this](size_t bytes) { ChargeCopyToUser(bytes); });
+  Owner& owner = *this;
+  TcpConnection* conn =
+      connections_.emplace_back(std::make_unique<TcpConnection>(config, loop_, owner)).get();
   demux_.InsertOrAssign(conn->IncomingFlowKey(), conn);
   return conn;
 }
 
-void NetworkStack::ChargeCopyToUser(size_t bytes) {
+void NetworkStack::Delivered(size_t bytes) {
   // The kernel-to-application copy: the canonical per-byte operation. Charged per
   // delivery (an in-order segment's new bytes, or a popped run) so an aggregated
   // packet's fragment chain costs the same streamed bytes it would cost unaggregated.
@@ -329,7 +320,7 @@ void NetworkStack::ChargeTxStackPass(size_t payload_size, bool is_template) {
   }
 }
 
-void NetworkStack::HandleConnectionOutput(Ipv4Address dst, TcpOutputItem&& item) {
+void NetworkStack::Output(TcpConnection& conn, TcpOutputItem&& item) {
   auto& counters = account_.counters();
   const size_t n_acks = 1 + item.extra_acks.size();
 
@@ -354,7 +345,8 @@ void NetworkStack::HandleConnectionOutput(Ipv4Address dst, TcpOutputItem&& item)
 
   // Either way the wire carries every ACK of a run, byte-identical to what the TCP
   // layer would have emitted for each ACK individually.
-  ExpandTemplateAck(std::move(item), [this, dst](std::vector<uint8_t>&& frame) {
+  ExpandTemplateAck(std::move(item), [this, dst = conn.config().remote_ip](
+                                         std::vector<uint8_t>&& frame) {
     TransmitBuiltFrame(dst, std::move(frame));
   });
 }

@@ -10,7 +10,7 @@
 //                                                            v   v
 //                                  DeliverHostPacket (non-proto, IP, TCP, copy)
 //                                                            |
-//                    TcpConnection output -> HandleConnectionOutput
+//                    TcpConnection output -> Output (TcpConnection::Owner)
 //                       baseline: one full tx-stack pass per ACK
 //                       offload:  one pass for the template, per-ACK expansion
 //                                 charged to the driver
@@ -21,9 +21,10 @@
 // the extra data copy) are charged between aggregation and the guest stack, exactly
 // where they sit in the paper's Figure 5 architecture.
 //
-// The copy to the application is charged, never performed: each connection the stack
-// creates reports the size of every delivery to the stack's own hook, while the
-// application reads the bytes where they lie through the connection's on_data.
+// The copy to the application is charged, never performed: the stack owns every
+// connection it creates (TcpConnection::Owner) and charges the size of each delivery
+// reported to it, while the application reads the bytes where they lie through the
+// connection's on_data.
 
 #ifndef SRC_STACK_NETWORK_STACK_H_
 #define SRC_STACK_NETWORK_STACK_H_
@@ -53,7 +54,7 @@ namespace tcprx {
 
 // NetworkStack is the driver layer's RxSink: PollDriver delivers frames and batch
 // boundaries through that interface, never by including stack headers.
-class NetworkStack : public RxSink {
+class NetworkStack : public RxSink, private TcpConnection::Owner {
  public:
   // `transmit` puts a finished frame on the given NIC.
   using TransmitFn = std::function<void(int nic_id, std::vector<uint8_t>&& frame)>;
@@ -93,8 +94,8 @@ class NetworkStack : public RxSink {
 
   // Creates a connection owned by the stack. The returned pointer stays valid for the
   // stack's lifetime. The stack charges every byte the connection delivers as the
-  // kernel-to-user copy (TcpConnection::set_on_delivered), whatever data handler the
-  // application installs with set_on_data.
+  // kernel-to-user copy (Delivered), whatever data handler the application installs
+  // with set_on_data. Once CLOSED, a connection's 4-tuple is free for a new one (Demux).
   TcpConnection* CreateConnection(const TcpConnectionConfig& config);
 
   // Accepts incoming connections on `port`. The callback runs right after the
@@ -147,8 +148,9 @@ class NetworkStack : public RxSink {
   void ChargeLroHostPacket();
   void DeliverHostPacket(SkBuffPtr skb);
   void SendReset(const SkBuff& skb);
-  void HandleConnectionOutput(Ipv4Address dst, TcpOutputItem&& item);
-  void ChargeCopyToUser(size_t bytes);
+  // TcpConnection::Owner.
+  void Output(TcpConnection& conn, TcpOutputItem&& item) override;
+  void Delivered(size_t bytes) override;
   void ChargeTxStackPass(size_t payload_size, bool is_template);
   void TransmitBuiltFrame(Ipv4Address dst, std::vector<uint8_t>&& frame);
   TcpConnection* Demux(const SkBuff& skb);

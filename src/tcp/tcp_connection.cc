@@ -34,10 +34,10 @@ const char* TcpStateName(TcpState s) {
   return "?";
 }
 
-TcpConnection::TcpConnection(const TcpConnectionConfig& config, EventLoop& loop, OutputFn output)
+TcpConnection::TcpConnection(const TcpConnectionConfig& config, EventLoop& loop, Owner& owner)
     : config_(config),
       loop_(loop),
-      output_(std::move(output)),
+      owner_(owner),
       reno_(config.mss),
       rto_timer_(loop, [this] { OnRtoFired(); }),
       delack_timer_(loop, [this] { OnDelayedAckFired(); }),
@@ -55,9 +55,6 @@ void TcpConnection::SetState(TcpState s) {
   if (s == TcpState::kClosed) {
     rto_timer_.Cancel();
     delack_timer_.Cancel();
-    if (on_closed_) {
-      on_closed_();
-    }
   }
 }
 
@@ -354,9 +351,7 @@ void TcpConnection::DeliverSegment(PacketPtr& frame, uint64_t seg_seq) {
   const std::span<const uint8_t> usable = payload.subspan(static_cast<size_t>(rcv_nxt_ - seg_seq));
   rcv_nxt_ = seg_end;
   bytes_received_ += usable.size();
-  if (on_delivered_) {
-    on_delivered_(usable.size());
-  }
+  owner_.Delivered(usable.size());
   if (on_data_) {
     on_data_(usable);
   }
@@ -377,9 +372,7 @@ void TcpConnection::DeliverSegment(PacketPtr& frame, uint64_t seg_seq) {
     if (popped > 0) {
       rcv_nxt_ += popped;
       bytes_received_ += popped;
-      if (on_delivered_) {
-        on_delivered_(popped);
-      }
+      owner_.Delivered(popped);
       if (on_data_) {
         for (const ReassemblyQueue::Segment& segment : reassembly_.run()) {
           on_data_(segment.data);
@@ -449,7 +442,7 @@ void TcpConnection::EmitSyn(bool with_ack) {
   TcpOutputItem item;
   item.frame = BuildSegment(static_cast<uint32_t>(iss_), ack, flags, {});
   snd_nxt_ = iss_ + 1;
-  output_(std::move(item));
+  owner_.Output(*this, std::move(item));
   ArmRto();
 }
 
@@ -472,7 +465,7 @@ void TcpConnection::EmitPureAcks(std::span<const uint32_t> ack_values) {
   // from an aggregated packet may leave a trailing odd segment still owed an ACK;
   // the callers reset the counter exactly where a cumulative ACK covers it.
   delack_timer_.Cancel();
-  output_(std::move(item));
+  owner_.Output(*this, std::move(item));
 }
 
 void TcpConnection::EmitDataSegment(uint64_t seq, uint32_t len, bool retransmit) {
@@ -495,7 +488,7 @@ void TcpConnection::EmitDataSegment(uint64_t seq, uint32_t len, bool retransmit)
   segs_since_ack_ = 0;
   delack_timer_.Cancel();
   data_sent_in_pass_ = true;
-  output_(std::move(item));
+  owner_.Output(*this, std::move(item));
 }
 
 void TcpConnection::TrySendData() {

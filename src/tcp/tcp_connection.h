@@ -25,8 +25,8 @@
 //
 // The connection deliberately contains no cost accounting: cycle charging happens in
 // the stack layers around it, so the same protocol code serves both the host under
-// test and the zero-cost traffic-generator peers. The owning stack learns the size of
-// each delivery through its own hook, apart from the application's data handler.
+// test and the zero-cost traffic-generator peers. Output items and the size of each
+// delivery go down to the connection's Owner, which charges what it must.
 
 #ifndef SRC_TCP_TCP_CONNECTION_H_
 #define SRC_TCP_TCP_CONNECTION_H_
@@ -88,8 +88,8 @@ struct TcpConnectionConfig {
 // frames it stands for.
 //
 // `extra_acks` views the connection's own ACK batch and is valid only during the
-// OutputFn call that receives the item: expand the item inside that call, or copy the
-// ack numbers out. The batch is reused by the connection's next receive pass.
+// Owner::Output call that receives the item: expand the item inside that call, or copy
+// the ack numbers out. The batch is reused by the connection's next receive pass.
 struct TcpOutputItem {
   std::vector<uint8_t> frame;
   std::span<const uint32_t> extra_acks;
@@ -103,11 +103,22 @@ enum class SyntheticPayload : uint8_t { kPatternBytes, kLengthOnly };
 
 class TcpConnection {
  public:
-  using OutputFn = std::function<void(TcpOutputItem&&)>;
-  using DataFn = std::function<void(std::span<const uint8_t>)>;
-  using DeliveredFn = std::function<void(size_t bytes)>;
+  // The stack or node that owns the connection. It must outlive the connection.
+  class Owner {
+   public:
+    // One unit of transmission from `conn` (see TcpOutputItem).
+    virtual void Output(TcpConnection& conn, TcpOutputItem&& item) = 0;
+    // The size of each delivery, an in-order segment's new bytes or a whole popped run,
+    // reported before on_data sees those bytes.
+    virtual void Delivered(size_t /*bytes*/) {}
 
-  TcpConnection(const TcpConnectionConfig& config, EventLoop& loop, OutputFn output);
+   protected:
+    ~Owner() = default;
+  };
+
+  using DataFn = std::function<void(std::span<const uint8_t>)>;
+
+  TcpConnection(const TcpConnectionConfig& config, EventLoop& loop, Owner& owner);
 
   // ---- Application interface ----------------------------------------------------
 
@@ -128,11 +139,7 @@ class TcpConnection {
   // one call, a popped reassembly run in one call per segment, each call seeing
   // rcv_nxt and bytes_received() already past the whole run.
   void set_on_data(DataFn fn) { on_data_ = std::move(fn); }
-  // The owning stack's hook: the size of each delivery, an in-order segment's new bytes
-  // or a whole popped run, reported before on_data sees those bytes.
-  void set_on_delivered(DeliveredFn fn) { on_delivered_ = std::move(fn); }
   void set_on_established(std::function<void()> fn) { on_established_ = std::move(fn); }
-  void set_on_closed(std::function<void()> fn) { on_closed_ = std::move(fn); }
 
   // ---- Stack interface ------------------------------------------------------------
 
@@ -214,11 +221,9 @@ class TcpConnection {
 
   TcpConnectionConfig config_;
   EventLoop& loop_;
-  OutputFn output_;
+  Owner& owner_;
   DataFn on_data_;
-  DeliveredFn on_delivered_;
   std::function<void()> on_established_;
-  std::function<void()> on_closed_;
 
   TcpState state_ = TcpState::kClosed;
 

@@ -85,6 +85,20 @@ bool ParseOptions(std::span<const uint8_t> options, TcpHeader& h) {
   return true;
 }
 
+// One pass of the TCP checksum: an accumulator holding the IPv4 pseudo-header of a
+// segment of `tcp_length` bytes, ready for the segment's own bytes.
+ChecksumAccumulator StartTcpChecksumPass(Ipv4Address src, Ipv4Address dst, size_t tcp_length) {
+  ++thread_harness_counters.tcp_checksum_passes;
+  ChecksumAccumulator acc;
+  acc.AddWord(static_cast<uint16_t>(src.value >> 16));
+  acc.AddWord(static_cast<uint16_t>(src.value & 0xffff));
+  acc.AddWord(static_cast<uint16_t>(dst.value >> 16));
+  acc.AddWord(static_cast<uint16_t>(dst.value & 0xffff));
+  acc.AddWord(kIpProtoTcp);
+  acc.AddWord(static_cast<uint16_t>(tcp_length));
+  return acc;
+}
+
 }  // namespace
 
 bool ParseTcp(std::span<const uint8_t> segment, TcpHeader& out) {
@@ -139,18 +153,11 @@ void SerializeTcp(const TcpHeader& header, std::span<uint8_t> out) {
 
 uint16_t TcpChecksum(Ipv4Address src, Ipv4Address dst, std::span<const uint8_t> tcp_header_bytes,
                      std::span<const std::span<const uint8_t>> payload_fragments) {
-  ++thread_harness_counters.tcp_checksum_passes;
   size_t tcp_length = tcp_header_bytes.size();
   for (const auto& frag : payload_fragments) {
     tcp_length += frag.size();
   }
-  ChecksumAccumulator acc;
-  acc.AddWord(static_cast<uint16_t>(src.value >> 16));
-  acc.AddWord(static_cast<uint16_t>(src.value & 0xffff));
-  acc.AddWord(static_cast<uint16_t>(dst.value >> 16));
-  acc.AddWord(static_cast<uint16_t>(dst.value & 0xffff));
-  acc.AddWord(kIpProtoTcp);
-  acc.AddWord(static_cast<uint16_t>(tcp_length));
+  ChecksumAccumulator acc = StartTcpChecksumPass(src, dst, tcp_length);
   acc.Add(tcp_header_bytes);
   for (const auto& frag : payload_fragments) {
     acc.Add(frag);
@@ -159,17 +166,10 @@ uint16_t TcpChecksum(Ipv4Address src, Ipv4Address dst, std::span<const uint8_t> 
 }
 
 bool VerifyTcpChecksum(Ipv4Address src, Ipv4Address dst, std::span<const uint8_t> segment) {
-  ++thread_harness_counters.tcp_checksum_passes;
+  ChecksumAccumulator acc = StartTcpChecksumPass(src, dst, segment.size());
   if (segment.size() < kTcpMinHeaderSize) {
     return false;
   }
-  ChecksumAccumulator acc;
-  acc.AddWord(static_cast<uint16_t>(src.value >> 16));
-  acc.AddWord(static_cast<uint16_t>(src.value & 0xffff));
-  acc.AddWord(static_cast<uint16_t>(dst.value >> 16));
-  acc.AddWord(static_cast<uint16_t>(dst.value & 0xffff));
-  acc.AddWord(kIpProtoTcp);
-  acc.AddWord(static_cast<uint16_t>(segment.size()));
   acc.Add(segment);
   return acc.FoldedSum() == 0xffff;
 }

@@ -429,6 +429,48 @@ TEST_F(StackTest, ClosedConnectionFreesFlowForReuse) {
   EXPECT_EQ(synack->tcp.ack, 50001u);
 }
 
+TEST_F(StackTest, UnacknowledgedSynAckGivesUpAndFreesTheFlow) {
+  Build(StackConfig::Baseline(SystemType::kNativeUp));
+  stack_->Listen(5001, [this](TcpConnection& conn) { accepted_ = &conn; });
+  FrameOptions syn;
+  syn.flags = kTcpSyn;
+  syn.seq = 999;
+  Feed(MakeFrame(syn, 0));
+  TcpConnection* first = accepted_;
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->state(), TcpState::kSynReceived);
+
+  // The client never acknowledges the SYN-ACK: it goes out again at each backed-off
+  // RTO (1 s doubling up to 60 s), ten times, and the eleventh timeout gives up.
+  loop_.RunUntil(SimTime::FromSeconds(600));
+  EXPECT_EQ(first->state(), TcpState::kClosed);
+  EXPECT_EQ(first->rto_events(), 11u);
+  EXPECT_EQ(first->segments_retransmitted(), 10u);
+  EXPECT_EQ(sent_.size(), 11u);
+
+  // The late handshake ACK matches no connection now: the stack resets it.
+  sent_.clear();
+  FrameOptions ack;
+  ack.seq = 1000;
+  ack.ack = static_cast<uint32_t>(first->snd_nxt_ext());
+  Feed(MakeFrame(ack, 0));
+  EXPECT_EQ(stack_->stats().rsts_sent, 1u);
+  EXPECT_EQ(first->state(), TcpState::kClosed);
+
+  // A new SYN on the same 4-tuple is accepted as a new connection.
+  sent_.clear();
+  syn.seq = 50000;
+  Feed(MakeFrame(syn, 0));
+  EXPECT_EQ(stack_->stats().connections_accepted, 2u);
+  ASSERT_NE(accepted_, first);
+  EXPECT_EQ(accepted_->state(), TcpState::kSynReceived);
+  ASSERT_EQ(sent_.size(), 1u);
+  auto synack = ParseTcpFrame(sent_.back().second);
+  ASSERT_TRUE(synack.has_value());
+  EXPECT_TRUE(synack->tcp.Has(kTcpSyn));
+  EXPECT_EQ(synack->tcp.ack, 50001u);
+}
+
 TEST_F(StackTest, FinClosesTheConnectionAndItsRetransmissionGetsARst) {
   Build(StackConfig::Baseline(SystemType::kNativeUp));
   TcpConnection* conn = Handshake();

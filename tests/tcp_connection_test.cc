@@ -252,11 +252,8 @@ TEST(TcpConnection, RstClosesImmediately) {
   PacketPtr p = pair.pool.AllocateMoved(testutil::MakeFrame(options, 0));
   p->nic_checksum_verified = true;
   SkBuffPtr skb = SkBuff::Wrap(std::move(p));
-  bool closed = false;
-  pair.server->set_on_closed([&] { closed = true; });
   pair.server->OnHostPacket(*skb);
   EXPECT_EQ(pair.server->state(), TcpState::kClosed);
-  EXPECT_TRUE(closed);
 }
 
 TEST(TcpConnection, CwndGrowsDuringTransfer) {
@@ -386,7 +383,7 @@ TEST(TcpConnection, OutOfOrderAggregateKeepsItsFramesUntilTheHoleFills) {
 
 TEST(TcpConnection, PoppedRunReachesTheApplicationFromItsFrames) {
   // Three segments land past a one-segment hole, each in its own frame. When the hole
-  // fills, the delivery hook reports the run once, with its total, and the data
+  // fills, the connection reports the run to its owner once, with its total, and the data
   // handler reads each segment's bytes inside the frame it arrived in, with the
   // connection already past the whole run.
   ConnectionPair pair;
@@ -402,8 +399,6 @@ TEST(TcpConnection, PoppedRunReachesTheApplicationFromItsFrames) {
     pair.server->OnHostPacket(*SkBuff::Wrap(std::move(frame)));
   }
 
-  std::vector<size_t> delivered;
-  pair.server->set_on_delivered([&](size_t bytes) { delivered.push_back(bytes); });
   std::vector<std::span<const uint8_t>> pieces;
   std::vector<uint64_t> received_at_call;
   std::vector<uint8_t> received;
@@ -417,7 +412,7 @@ TEST(TcpConnection, PoppedRunReachesTheApplicationFromItsFrames) {
   pair.server->OnHostPacket(
       *SkBuff::Wrap(testutil::ToPacket(pair.pool, testutil::MakeFrame(options, 100))));
 
-  EXPECT_EQ(delivered, (std::vector<size_t>{100, 300}));
+  EXPECT_EQ(pair.server_side.delivered, (std::vector<size_t>{100, 300}));
   EXPECT_EQ(received, testutil::ExpectedPayload(hole, 400));
   ASSERT_EQ(pieces.size(), 4u);  // the hole's own segment, then the run's three
   EXPECT_EQ(received_at_call, (std::vector<uint64_t>{100, 400, 400, 400}));

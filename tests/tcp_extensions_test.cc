@@ -247,7 +247,7 @@ TEST(SegmentShape, SynsAndSackAcksCarryTheirOptionsAndTheRestAreEstablished) {
 TEST(SegmentShape, APeerWithoutTimestampsGetsNoTimestampBlock) {
   EventLoop loop;
   PacketPool pool;
-  std::vector<std::vector<uint8_t>> sent;
+  testutil::FrameLog sent;
   TcpConnectionConfig config;
   config.local_ip = testutil::ServerIp();
   config.remote_ip = testutil::ClientIp();
@@ -255,9 +255,7 @@ TEST(SegmentShape, APeerWithoutTimestampsGetsNoTimestampBlock) {
   config.remote_port = 10000;
   config.local_mac = testutil::ServerMac();
   config.remote_mac = testutil::ClientMac();
-  TcpConnection server(config, loop, [&](TcpOutputItem item) {
-    sent.push_back(std::move(item.frame));
-  });
+  TcpConnection server(config, loop, sent);
   server.Listen();
   const auto deliver = [&](const FrameOptions& options, size_t payload_size) {
     server.OnHostPacket(
@@ -271,8 +269,8 @@ TEST(SegmentShape, APeerWithoutTimestampsGetsNoTimestampBlock) {
   syn.ack = 0;
   syn.with_timestamp = false;
   deliver(syn, 0);
-  ASSERT_EQ(sent.size(), 1u);
-  const auto syn_ack = ParseTcpFrame(sent[0]);
+  ASSERT_EQ(sent.frames.size(), 1u);
+  const auto syn_ack = ParseTcpFrame(sent.frames[0]);
   ASSERT_TRUE(syn_ack.has_value());
   EXPECT_TRUE(syn_ack->tcp.mss.has_value());
   EXPECT_TRUE(syn_ack->tcp.timestamp.has_value());
@@ -287,8 +285,8 @@ TEST(SegmentShape, APeerWithoutTimestampsGetsNoTimestampBlock) {
   deliver(segment, 1448);
   segment.seq += 1448;
   deliver(segment, 1448);
-  ASSERT_EQ(sent.size(), 2u);
-  const auto ack = ParseTcpFrame(sent[1]);
+  ASSERT_EQ(sent.frames.size(), 2u);
+  const auto ack = ParseTcpFrame(sent.frames[1]);
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->tcp.ack, 1001u + 2 * 1448);
   EXPECT_EQ(ack->tcp.HeaderSize(), kTcpMinHeaderSize);
@@ -300,7 +298,7 @@ TEST(WindowScale, PeerOfferGetsAnUnscaledAnswer) {
   // without the option, and neither side scales its window field (RFC 7323).
   EventLoop loop;
   PacketPool pool;
-  std::vector<std::vector<uint8_t>> sent;
+  testutil::FrameLog sent;
   TcpConnectionConfig config;
   config.local_ip = testutil::ServerIp();
   config.remote_ip = testutil::ClientIp();
@@ -308,9 +306,7 @@ TEST(WindowScale, PeerOfferGetsAnUnscaledAnswer) {
   config.remote_port = 10000;
   config.local_mac = testutil::ServerMac();
   config.remote_mac = testutil::ClientMac();
-  TcpConnection server(config, loop, [&](TcpOutputItem item) {
-    sent.push_back(std::move(item.frame));
-  });
+  TcpConnection server(config, loop, sent);
   server.Listen();
   const auto deliver = [&](const FrameOptions& options) {
     server.OnHostPacket(*SkBuff::Wrap(testutil::ToPacket(pool, MakeFrame(options, 0))));
@@ -322,8 +318,8 @@ TEST(WindowScale, PeerOfferGetsAnUnscaledAnswer) {
   syn.ack = 0;
   syn.extra_options = {kTcpOptNop, kTcpOptWindowScale, 3, 7};
   deliver(syn);
-  ASSERT_EQ(sent.size(), 1u);
-  const auto syn_ack = ParseTcpFrame(sent[0]);
+  ASSERT_EQ(sent.frames.size(), 1u);
+  const auto syn_ack = ParseTcpFrame(sent.frames[0]);
   ASSERT_TRUE(syn_ack.has_value());
   EXPECT_TRUE(syn_ack->tcp.Has(kTcpSyn));
   EXPECT_TRUE(syn_ack->tcp.Has(kTcpAck));

@@ -52,11 +52,10 @@ std::vector<std::vector<uint8_t>> ExpandTemplate(uint32_t first_ack,
   return Expand(std::move(item));
 }
 
-// A server connection past its handshake, fed host packets directly. Its output items
-// go to `on_output`.
-struct EstablishedServer {
-  EstablishedServer()
-      : server(Config(), loop, [this](TcpOutputItem item) { on_output(std::move(item)); }) {
+// A server connection past its handshake, fed host packets directly. It owns the
+// connection, whose output items go to `on_output`.
+struct EstablishedServer final : TcpConnection::Owner {
+  EstablishedServer() : server(Config(), loop, *this) {
     server.Listen();
     FrameOptions syn;
     syn.seq = 999;
@@ -98,6 +97,10 @@ struct EstablishedServer {
       aggregator.Push(ToPacket(pool, MakeFrame(Data(i), 1448)));
     }
     aggregator.FlushAll();
+  }
+
+  void Output(TcpConnection& /*conn*/, TcpOutputItem&& item) override {
+    on_output(std::move(item));
   }
 
   EventLoop loop;

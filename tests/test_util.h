@@ -107,9 +107,19 @@ inline std::vector<uint8_t> ExpectedPayload(uint32_t seq, size_t len) {
   return out;
 }
 
+// A connection's owner that keeps the frame of every output item, in order.
+struct FrameLog final : TcpConnection::Owner {
+  void Output(TcpConnection& /*conn*/, TcpOutputItem&& item) override {
+    frames.push_back(std::move(item.frame));
+  }
+
+  std::vector<std::vector<uint8_t>> frames;
+};
+
 // Two directly wired connections: client 10.0.0.2:10000 (initial seq 1000) and
 // server 10.0.0.1:5001 (initial seq 77000). Every frame a side emits is logged, then
-// offered to `filter`, and if kept it reaches the other side 10 us later.
+// offered to `filter`, and if kept it reaches the other side 10 us later. Each side's
+// owner keeps the size of every delivery that side reports.
 class ConnectionPair {
  public:
   // Adjusts a side's config before its connection is built.
@@ -140,10 +150,8 @@ class ConnectionPair {
       hook(client_config, true);
       hook(server_config, false);
     }
-    client = std::make_unique<TcpConnection>(
-        client_config, loop, [this](TcpOutputItem item) { Cross(true, std::move(item)); });
-    server = std::make_unique<TcpConnection>(
-        server_config, loop, [this](TcpOutputItem item) { Cross(false, std::move(item)); });
+    client = std::make_unique<TcpConnection>(client_config, loop, client_side);
+    server = std::make_unique<TcpConnection>(server_config, loop, server_side);
   }
   ConnectionPair(const ConnectionPair&) = delete;
   ConnectionPair& operator=(const ConnectionPair&) = delete;
@@ -158,8 +166,24 @@ class ConnectionPair {
 
   void Run(uint64_t millis) { loop.RunUntil(loop.Now() + SimDuration::FromMillis(millis)); }
 
+  // One side's owner: what the side emits crosses to the other side, and `delivered`
+  // lists the size of each delivery it reported.
+  struct Side final : TcpConnection::Owner {
+    Side(ConnectionPair& owner_pair, bool is_client) : pair(owner_pair), client(is_client) {}
+    void Output(TcpConnection& /*conn*/, TcpOutputItem&& item) override {
+      pair.Cross(client, std::move(item));
+    }
+    void Delivered(size_t bytes) override { delivered.push_back(bytes); }
+
+    ConnectionPair& pair;
+    const bool client;
+    std::vector<size_t> delivered;
+  };
+
   EventLoop loop;
   PacketPool pool;
+  Side client_side{*this, true};
+  Side server_side{*this, false};
   std::unique_ptr<TcpConnection> client;
   std::unique_ptr<TcpConnection> server;
   Filter filter;
@@ -168,7 +192,7 @@ class ConnectionPair {
   std::vector<std::pair<bool, std::vector<uint8_t>>> wire_log;
 
  private:
-  void Cross(bool from_client, TcpOutputItem item) {
+  void Cross(bool from_client, TcpOutputItem&& item) {
     ExpandTemplateAck(std::move(item), [this, from_client](std::vector<uint8_t> frame) {
       wire_log.emplace_back(from_client, frame);
       if (filter && !filter(from_client, frame)) {

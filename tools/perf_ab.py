@@ -8,6 +8,9 @@ Run from the root of a tcprx git checkout. Each side is a git revision, or "." f
 working tree as it stands (tracked and untracked files, ignored ones left out). Both
 sides are copied into --scratch, a directory outside the checkout, and each builds its
 own perfbench there (perfbench/run.py with CARGO_TARGET_DIR pointing into --scratch).
+The base goes to side-a/ and the change to side-b/: both sides' paths and environments
+have the same length, so neither side's launcher is larger (perfbench's peak_rss_mb
+reads the launching Python process). The JSON records which revision each side holds.
 
 One invocation is one batch: N pairs per workload. Each pair runs the base and the change once each,
 with the order alternating from pair to pair, so that drift in the host's speed falls
@@ -70,8 +73,8 @@ def export_tree(side, dest):
 
 def prepare(scratch, label, side):
     """Exports one side into --scratch; returns (tree, build dir). The first run builds."""
-    tree = os.path.join(scratch, label + "-src")
-    build = os.path.join(scratch, label + "-build")
+    tree = os.path.join(scratch, label, "src")
+    build = os.path.join(scratch, label, "build")
     # A fresh build: exported files keep their commit or working-tree times, which may
     # be older than the objects a previous export left, so make would reuse those.
     for path in (tree, build):
@@ -80,6 +83,13 @@ def prepare(scratch, label, side):
     export_tree(side, tree)
     print("perf_ab: %s is %s, in %s" % (label, side, tree), file=sys.stderr)
     return tree, build
+
+
+def side_record(role, side):
+    """What one side directory holds: its role, the revision given and the commit."""
+    commit = git("rev-parse", "HEAD" if side == "." else side + "^{commit}").strip()
+    return {"role": role, "revision": side, "commit": commit,
+            "working_tree": side == "."}
 
 
 def run_once(tree, build, workload, seed, seconds):
@@ -157,13 +167,17 @@ def main():
     metrics = bench["end_to_end"]
 
     os.makedirs(scratch, exist_ok=True)
-    sides = [prepare(scratch, "base", opts.base), prepare(scratch, "change", opts.change)]
+    labels = ("side-a", "side-b")
+    sides = [prepare(scratch, labels[0], opts.base), prepare(scratch, labels[1], opts.change)]
     # One short run per side builds it before any timed run.
     for tree, build in sides:
         run_once(tree, build, workloads[0], opts.seed, 1)
 
     result = {"seconds": opts.seconds, "pairs": opts.pairs, "seed": opts.seed,
-              "base": opts.base, "change": opts.change, "workloads": {}}
+              "base": opts.base, "change": opts.change,
+              "sides": {labels[0]: side_record("base", opts.base),
+                        labels[1]: side_record("change", opts.change)},
+              "workloads": {}}
     for workload in workloads:
         runs = ([], [])
         for pair in range(opts.pairs):
