@@ -19,6 +19,7 @@
 #include "src/core/template_ack.h"
 #include "src/util/checksum.h"
 #include "src/util/event_loop.h"
+#include "src/util/logging.h"
 #include "src/cpu/cache_model.h"
 #include "src/sim/trace.h"
 #include "src/tcp/reassembly.h"
@@ -87,18 +88,25 @@ void BM_AggregatorPushChain(benchmark::State& state) {
   const size_t limit = static_cast<size_t>(state.range(0));
   PacketPool pool;
   uint64_t delivered = 0;
-  Aggregator aggregator(limit, [&](SkBuffPtr skb) {
-    delivered += skb->SegmentCount();
-  });
+  Aggregator aggregator(limit);
+  Aggregator::HostPackets finished;
+  const auto consume = [&] {
+    for (const SkBuffPtr& skb : finished) {
+      delivered += skb->SegmentCount();
+    }
+    finished.clear();
+  };
   uint32_t seq = 1;
   for (auto _ : state) {
     auto frame = MakeDataFrame(seq, 99, kMssWithTimestamps);
     PacketPtr p = pool.AllocateMoved(std::move(frame));
     p->nic_checksum_verified = true;
-    aggregator.Push(std::move(p));
+    TCPRX_CHECK(aggregator.Push(std::move(p), finished) == nullptr);
+    consume();
     seq += kMssWithTimestamps;
   }
-  aggregator.FlushAll();
+  aggregator.FlushAll(finished);
+  consume();
   state.SetItemsProcessed(static_cast<int64_t>(delivered));
 }
 BENCHMARK(BM_AggregatorPushChain)->Arg(1)->Arg(4)->Arg(20);

@@ -4,8 +4,10 @@
 // custom stack) would embed them.
 //
 // The example synthesizes an interleaved two-flow packet stream with an occasional
-// pure ACK, runs it through an Aggregator, and prints what comes out the other side;
-// then it builds a template ACK and expands it the way the driver would.
+// pure ACK and pushes it frame by frame through an Aggregator: frames in, host packets
+// out. Each Push (and the closing FlushAll) appends the host packets it finished to a
+// list the pipeline owns, which prints them and reuses the list. Then it builds a
+// template ACK and expands it the way the driver would.
 
 #include <cstdio>
 #include <vector>
@@ -49,14 +51,28 @@ int main() {
 
   std::printf("=== Receive Aggregation as a standalone library ===\n\n");
 
+  Aggregator aggregator(8);
+  Aggregator::HostPackets out;
   size_t host_packets = 0;
-  Aggregator aggregator(8, [&](SkBuffPtr skb) {
-    ++host_packets;
-    std::printf("  out[%zu]: %zu segment(s), %5zu payload bytes, flow :%u  %s\n",
-                host_packets, skb->SegmentCount(), skb->PayloadSize(),
-                skb->view().tcp.src_port,
-                skb->frames.size() == 1 ? "(passthrough)" : "(aggregated)");
-  });
+  // Prints the host packets the last call finished and empties the list for the next.
+  const auto drain = [&] {
+    for (const SkBuffPtr& skb : out) {
+      ++host_packets;
+      std::printf("  out[%zu]: %zu segment(s), %5zu payload bytes, flow :%u  %s\n",
+                  host_packets, skb->SegmentCount(), skb->PayloadSize(),
+                  skb->view().tcp.src_port,
+                  skb->frames.size() == 1 ? "(passthrough)" : "(aggregated)");
+    }
+    out.clear();
+  };
+  // A frame that is not TCP/IPv4 comes back untouched, for another protocol's handler;
+  // this stream has none.
+  const auto push = [&](PacketPtr frame) {
+    if (aggregator.Push(std::move(frame), out) != nullptr) {
+      std::printf("  handed back: not TCP/IPv4\n");
+    }
+    drain();
+  };
 
   // Two interleaved flows, five MTU segments each, plus one pure ACK that must
   // overtake nothing.
@@ -68,14 +84,15 @@ int main() {
       uint32_t& seq = port == 7001 ? seq_a : seq_b;
       PacketPtr p = packets.AllocateMoved(MakeSegment(port, seq, 100, 1448));
       p->nic_checksum_verified = true;  // rx checksum offload verdict
-      aggregator.Push(std::move(p));
+      push(std::move(p));
       seq += 1448;
     }
   }
   PacketPtr ack = packets.AllocateMoved(MakeSegment(7001, seq_a, 100, 0));
   ack->nic_checksum_verified = true;
-  aggregator.Push(std::move(ack));  // flushes flow 7001 first, then passes through
-  aggregator.FlushAll();            // work-conserving flush of flow 7002
+  push(std::move(ack));        // flushes flow 7001 first, then passes through
+  aggregator.FlushAll(out);    // work-conserving flush of flow 7002
+  drain();
 
   const auto& stats = aggregator.stats();
   std::printf("\nstats: pushed=%llu aggregated_segments=%llu aggregates=%llu "

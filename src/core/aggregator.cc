@@ -18,8 +18,7 @@ constexpr size_t kMaxMssSegmentsPerDatagram = kMaxAggregateDatagram / kMssWithTi
 
 }  // namespace
 
-Aggregator::Aggregator(size_t aggregation_limit, DeliverFn deliver)
-    : aggregation_limit_(aggregation_limit), deliver_(std::move(deliver)) {
+Aggregator::Aggregator(size_t aggregation_limit) : aggregation_limit_(aggregation_limit) {
   TCPRX_CHECK(aggregation_limit_ >= 1);
 }
 
@@ -53,17 +52,12 @@ Aggregator::Eligibility Aggregator::CheckEligibility(const Packet& frame) const 
   return {true, AggrBypassReason::kCount};
 }
 
-void Aggregator::Push(PacketPtr frame) {
+PacketPtr Aggregator::Push(PacketPtr frame, HostPackets& out) {
   ++stats_.pushed;
   if (!frame->view.has_value()) {
     ++stats_.bypass[static_cast<size_t>(AggrBypassReason::kNotTcp)];
-    if (deliver_raw_) {
-      ++stats_.raw_delivered;
-      deliver_raw_(std::move(frame));
-    } else {
-      ++stats_.raw_dropped;
-    }
-    return;
+    ++stats_.raw_delivered;
+    return frame;
   }
   const TcpFrameView& view = *frame->view;
   const FlowKey key = view.flow();
@@ -72,10 +66,11 @@ void Aggregator::Push(PacketPtr frame) {
   if (!elig.eligible) {
     ++stats_.bypass[static_cast<size_t>(elig.reason)];
     // Never let a bypassing packet overtake its flow's partial aggregate.
-    FlushFlow(key);
+    FlushFlow(key, out);
     ++stats_.passthrough;
-    DeliverSkb(SkBuff::Wrap(std::move(frame)));
-    return;
+    ++stats_.host_packets;
+    out.push_back(SkBuff::Wrap(std::move(frame)));
+    return nullptr;
   }
 
   const size_t at = Find(key);
@@ -84,19 +79,20 @@ void Aggregator::Push(PacketPtr frame) {
     if (TryAppend(partial, frame)) {
       if (partial.skb->fragment_info.size() >= aggregation_limit_) {
         ++stats_.limit_flushes;
-        Finalize(at);
+        Finalize(at, out);
       }
-      return;
+      return nullptr;
     }
     // Doesn't chain: deliver the partial, then start fresh with this packet.
     ++stats_.mismatch_flushes;
-    Finalize(at);
+    Finalize(at, out);
   }
   StartPartial(key, std::move(frame));
   if (aggregation_limit_ == 1) {
     ++stats_.limit_flushes;
-    Finalize(table_.size() - 1);
+    Finalize(table_.size() - 1, out);
   }
+  return nullptr;
 }
 
 size_t Aggregator::Find(const FlowKey& key) const {
@@ -177,7 +173,7 @@ void Aggregator::RewriteAggregateHeader(Partial& partial) {
   StoreBe16(bytes.data() + ip_off + 2, head.ip.total_length);
   StoreBe16(bytes.data() + ip_off + 10, 0);
   // tcprx-check: allow(charge) -- 20-byte IP header re-checksum of the aggregate;
-  // priced into aggr_flush_per_host_packet, charged by the stack's deliver hook.
+  // priced into aggr_flush_per_host_packet, charged when the stack delivers it.
   head.ip.checksum = InternetChecksum(bytes.subspan(ip_off, ip_hsize));
   StoreBe16(bytes.data() + ip_off + 10, head.ip.checksum);
 
@@ -205,7 +201,7 @@ void Aggregator::RewriteAggregateHeader(Partial& partial) {
   // head included, and the stack reads the head's verdict (section 3.2).
 }
 
-void Aggregator::Finalize(size_t at) {
+void Aggregator::Finalize(size_t at, HostPackets& out) {
   Partial partial = std::move(table_[at].second);
   table_.erase(table_.begin() + static_cast<std::ptrdiff_t>(at));
 
@@ -215,26 +211,22 @@ void Aggregator::Finalize(size_t at) {
     RewriteAggregateHeader(partial);
     ++stats_.aggregates_delivered;
   }
-  DeliverSkb(std::move(partial.skb));
-}
-
-void Aggregator::DeliverSkb(SkBuffPtr skb) {
   ++stats_.host_packets;
-  deliver_(std::move(skb));
+  out.push_back(std::move(partial.skb));
 }
 
-void Aggregator::FlushFlow(const FlowKey& key) {
+void Aggregator::FlushFlow(const FlowKey& key, HostPackets& out) {
   const size_t at = Find(key);
   if (at < table_.size()) {
-    ++stats_.idle_flushes;
-    Finalize(at);
+    ++stats_.bypass_flushes;
+    Finalize(at, out);
   }
 }
 
-void Aggregator::FlushAll() {
+void Aggregator::FlushAll(HostPackets& out) {
   while (!table_.empty()) {
     ++stats_.idle_flushes;
-    Finalize(0);
+    Finalize(0, out);
   }
 }
 

@@ -26,7 +26,6 @@
 #define SRC_CORE_AGGREGATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -51,25 +50,22 @@ enum class AggrBypassReason {
 
 class Aggregator {
  public:
-  // Host packets (aggregated or passthrough) leave through `deliver`, in per-flow
-  // order. Frames that are not TCP/IPv4 at all leave through `deliver_raw` (e.g. to a
-  // non-IP protocol handler); if unset they are dropped and counted.
-  using DeliverFn = std::function<void(SkBuffPtr)>;
-  using DeliverRawFn = std::function<void(PacketPtr)>;
+  // Host packets (aggregated or passthrough) a call finished, in per-flow order. The
+  // caller owns the list and reuses it: a call only appends.
+  using HostPackets = std::vector<SkBuffPtr>;
 
   // `aggregation_limit` is the most network packets coalesced into one host packet (the
   // paper settles on 20, section 5.2). A limit of 1 must behave identically to no
   // aggregation (section 5.5).
-  Aggregator(size_t aggregation_limit, DeliverFn deliver);
+  explicit Aggregator(size_t aggregation_limit);
 
-  void set_deliver_raw(DeliverRawFn fn) { deliver_raw_ = std::move(fn); }
+  // Consumes one raw frame and appends to `out` the host packets it finishes. Hands back
+  // a frame that is not TCP/IPv4 at all (e.g. for a non-IP handler), else nullptr.
+  [[nodiscard]] PacketPtr Push(PacketPtr frame, HostPackets& out);
 
-  // Consumes one raw frame from the aggregation queue.
-  void Push(PacketPtr frame);
-
-  // Work-conserving flush: delivers every partial aggregate immediately. Called by the
+  // Work-conserving flush: appends every partial aggregate to `out`. Called by the
   // driver loop when it runs out of packets to feed.
-  void FlushAll();
+  void FlushAll(HostPackets& out);
 
   struct Stats {
     uint64_t pushed = 0;                // frames consumed
@@ -79,9 +75,10 @@ class Aggregator {
     uint64_t passthrough = 0;           // ineligible frames delivered unmodified
     uint64_t limit_flushes = 0;         // aggregates closed by the aggregation limit
     uint64_t idle_flushes = 0;          // aggregates closed by FlushAll (queue empty)
+    uint64_t bypass_flushes = 0;        // closed ahead of a bypassing packet of the flow
     uint64_t mismatch_flushes = 0;      // closed because the next packet didn't chain
-    uint64_t raw_delivered = 0;         // non-TCP frames handed to deliver_raw
-    uint64_t raw_dropped = 0;
+    uint64_t raw_delivered = 0;         // non-TCP frames Push handed back
+    uint64_t raw_dropped = 0;           // no longer written
     uint64_t bypass[static_cast<size_t>(AggrBypassReason::kCount)] = {};
   };
   const Stats& stats() const { return stats_; }
@@ -106,18 +103,15 @@ class Aggregator {
   size_t Find(const FlowKey& key) const;
   // Flushes only the given flow (used when a bypassing packet of that flow must not
   // overtake its partial aggregate).
-  void FlushFlow(const FlowKey& key);
+  void FlushFlow(const FlowKey& key, HostPackets& out);
   void StartPartial(const FlowKey& key, PacketPtr frame);
   bool TryAppend(Partial& partial, PacketPtr& frame);
-  // Removes the partial at table index `at` and delivers it.
-  void Finalize(size_t at);
+  // Removes the partial at table index `at` and appends it to `out`.
+  void Finalize(size_t at, HostPackets& out);
   // Writes the aggregate's header into the head frame and the head's view alike.
   void RewriteAggregateHeader(Partial& partial);
-  void DeliverSkb(SkBuffPtr skb);
 
   size_t aggregation_limit_;
-  DeliverFn deliver_;
-  DeliverRawFn deliver_raw_;
   // One entry per flow with a partial aggregate, in insertion order, so flushes are
   // deterministic. Only flows seen since the last flush are here, a handful at a time:
   // a linear search beats hashing, and the table's storage is reused from flush to flush.

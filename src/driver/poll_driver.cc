@@ -149,8 +149,8 @@ bool PollDriver::Poll(SimTime& next) {
   }
 
   stack_.BeginDriverBatch();
-  if (steer_ && !from_backlog) {
-    PollDriver* owner = steer_(*frame, stack_.charger());
+  if (steering_ != nullptr && !from_backlog) {
+    PollDriver* owner = steering_->SteerFrame(core_, *frame, stack_.charger());
     if (owner != nullptr && owner != this) {
       // Misdirected flow: this core only pays the steering cost (already charged by
       // the hook), then hands the frame to the owning core once that work retires.

@@ -9,10 +9,10 @@
 // immediately clears out all partially aggregated packets") and re-enables interrupts.
 //
 // In the multi-core receive subsystem (src/smp/) each core owns one PollDriver
-// attached to its RSS queue on every NIC. A steering hook supports the software
-// (RPS-style) path for misdirected flows: a frame whose flow is owned by another core
-// is charged a cross-core enqueue on the polling core, then handed to the owner's
-// backlog, which drains ahead of the hardware rings.
+// attached to its RSS queue on every NIC. A steering hook (PollDriver::Steering)
+// supports the software (RPS-style) path for misdirected flows: a frame whose flow is
+// owned by another core is charged a cross-core enqueue on the polling core, then
+// handed to the owner's backlog, which drains ahead of the hardware rings.
 //
 // The driver is the event target of its own poll steps (one queued at a time) and of
 // the frames handed to it, which wait in a slot-sorted queue until their hand-off
@@ -32,7 +32,6 @@
 #define SRC_DRIVER_POLL_DRIVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/cpu/cpu_clock.h"
@@ -55,11 +54,18 @@ class PollDriver final : public EventLoop::Target {
   void AttachNic(SimulatedNic* nic) { AttachNicQueue(nic, 0); }
   void AttachNicQueue(SimulatedNic* nic, size_t queue);
 
-  // Cross-core flow steering. Called for every frame popped from a hardware ring;
-  // returns the driver owning the frame's flow (nullptr or this = process locally)
-  // and charges any steering costs into `charger` (the polling core's account).
-  using SteerFn = std::function<PollDriver*(const Packet& frame, Charger& charger)>;
-  void set_steer(SteerFn fn) { steer_ = std::move(fn); }
+  // Cross-core flow steering, asked about every frame popped from a hardware ring: it
+  // returns the driver owning the frame's flow (nullptr or the polling driver: process
+  // locally) and charges any steering costs into `charger`, the polling `core`'s.
+  class Steering {
+   public:
+    virtual PollDriver* SteerFrame(size_t core, const Packet& frame, Charger& charger) = 0;
+
+   protected:
+    ~Steering() = default;
+  };
+  // `steering` must outlive the driver, which polls as `core`.
+  void set_steering(Steering& steering, size_t core) { steering_ = &steering; core_ = core; }
 
   // Hands a frame steered from another core to this driver at time `when` (once the
   // remote core's enqueue work has completed). Bounded like Linux's per-core backlog;
@@ -109,7 +115,8 @@ class PollDriver final : public EventLoop::Target {
   SlotQueue<PacketPtr> handoffs_;   // handed to this core, each in its hand-off time's slot
   std::vector<PacketPtr> backlog_;  // accepted, FIFO from backlog_head_
   size_t backlog_head_ = 0;
-  SteerFn steer_;
+  Steering* steering_ = nullptr;
+  size_t core_ = 0;
   size_t rr_next_ = 0;
   bool polling_ = false;
   // The last step's transmit batch until it is sent; kept across a queued step whose

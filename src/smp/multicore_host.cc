@@ -19,9 +19,7 @@ MulticoreHost::MulticoreHost(const StackConfig& stack_config, const SmpHostConfi
   // so the steering hook could only add host time per frame.
   if (config.num_cores >= 2) {
     for (size_t c = 0; c < config.num_cores; ++c) {
-      drivers_[c]->set_steer([this, c](const Packet& frame, Charger& charger) {
-        return SteerFrame(c, frame, charger);
-      });
+      drivers_[c]->set_steering(*this, c);
     }
   }
 }

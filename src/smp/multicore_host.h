@@ -43,7 +43,7 @@ struct SmpHostConfig {
   bool operator==(const SmpHostConfig&) const = default;
 };
 
-class MulticoreHost {
+class MulticoreHost : private PollDriver::Steering {
  public:
   MulticoreHost(const StackConfig& stack_config, const SmpHostConfig& config,
                 EventLoop& loop, NetworkStack::TransmitFn transmit);
@@ -80,7 +80,8 @@ class MulticoreHost {
   uint64_t backlog_drops() const;
 
  private:
-  PollDriver* SteerFrame(size_t core, const Packet& frame, Charger& charger);
+  // PollDriver::Steering.
+  PollDriver* SteerFrame(size_t core, const Packet& frame, Charger& charger) override;
   void ChargeSharedLine(Charger& charger, size_t core, InterCoreModel::SharedLine line,
                         Routine routine);
 

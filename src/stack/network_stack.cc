@@ -25,36 +25,7 @@ NetworkStack::NetworkStack(const StackConfig& config, EventLoop& loop, TransmitF
       charger_(account_, config_.smp()),
       xen_path_(cache_) {
   if (config_.receive_aggregation) {
-    aggregator_ = std::make_unique<Aggregator>(
-        config_.aggregation_limit, [this](SkBuffPtr skb) {
-          if (config_.hardware_lro) {
-            ChargeLroHostPacket();
-            DeliverHostPacket(std::move(skb));
-            return;
-          }
-          // Per-host-packet aggregation epilogue: the sk_buff allocation that
-          // happened in the aggregator, plus — for genuine aggregates — the header
-          // rewrite with incremental checksums and the fragment-chain attachment.
-          charger_.Charge(Routine::kAllocSkb, kCosts.skb_alloc);
-          if (skb->frames.size() > 1) {
-            charger_.Charge(Routine::kAggrFlush, kCosts.aggr_flush_per_host_packet);
-            charger_.Charge(Routine::kSkbFillPageDesc,
-                            (skb->frames.size() - 1) * kCosts.skb_frag_attach);
-          }
-          DeliverHostPacket(std::move(skb));
-        });
-    // A frame the host cannot parse is dropped and its buffer freed, as on the
-    // baseline path. The optimized path built no sk_buff for it; hardware LRO hands it
-    // up as a host packet of its own.
-    aggregator_->set_deliver_raw([this](PacketPtr /*frame*/) {
-      ++stats_.frames_dropped_unparseable;
-      if (config_.hardware_lro) {
-        ChargeLroHostPacket();
-        charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + kCosts.pkt_buf_free);
-      } else {
-        charger_.Charge(Routine::kKfreeSkb, kCosts.pkt_buf_free);
-      }
-    });
+    aggregator_ = std::make_unique<Aggregator>(config_.aggregation_limit);
   }
 }
 
@@ -89,9 +60,8 @@ void NetworkStack::ReceiveFrame(PacketPtr frame) {
 
   if (config_.hardware_lro && aggregator_ != nullptr) {
     // Hardware LRO: the coalescing happens on the NIC; nothing is charged per wire
-    // packet. Host costs accrue per delivered host packet or dropped frame (see the
-    // aggregator's callbacks in the constructor).
-    aggregator_->Push(std::move(frame));
+    // packet. Host costs accrue per delivered host packet or dropped frame.
+    DeliverFinished(aggregator_->Push(std::move(frame), finished_));
     return;
   }
 
@@ -112,7 +82,7 @@ void NetworkStack::ReceiveFrame(PacketPtr frame) {
     // aggregation routine; the early demux pays the compulsory header cache miss).
     charger_.Charge(Routine::kAggrEarlyDemux, kCosts.aggr_demux_per_packet);
     charger_.Charge(Routine::kAggrMatch, kCosts.aggr_match_per_packet);
-    aggregator_->Push(std::move(frame));
+    DeliverFinished(aggregator_->Push(std::move(frame), finished_));
     return;
   }
 
@@ -131,8 +101,41 @@ void NetworkStack::ReceiveFrame(PacketPtr frame) {
 
 void NetworkStack::OnReceiveQueueEmpty() {
   if (aggregator_ != nullptr) {
-    aggregator_->FlushAll();
+    aggregator_->FlushAll(finished_);
+    DeliverFinished(nullptr);
   }
+}
+
+void NetworkStack::DeliverFinished(PacketPtr unparsed) {
+  if (unparsed != nullptr) {
+    // A frame the host cannot parse is dropped and its buffer freed, as on the
+    // baseline path. The optimized path built no sk_buff for it; hardware LRO hands it
+    // up as a host packet of its own.
+    ++stats_.frames_dropped_unparseable;
+    if (config_.hardware_lro) {
+      ChargeLroHostPacket();
+      charger_.Charge(Routine::kKfreeSkb, kCosts.skb_free + kCosts.pkt_buf_free);
+    } else {
+      charger_.Charge(Routine::kKfreeSkb, kCosts.pkt_buf_free);
+    }
+  }
+  for (SkBuffPtr& skb : finished_) {
+    if (config_.hardware_lro) {
+      ChargeLroHostPacket();
+    } else {
+      // Per-host-packet aggregation epilogue: the sk_buff allocation that happened in
+      // the aggregator, plus — for genuine aggregates — the header rewrite with
+      // incremental checksums and the fragment-chain attachment.
+      charger_.Charge(Routine::kAllocSkb, kCosts.skb_alloc);
+      if (skb->frames.size() > 1) {
+        charger_.Charge(Routine::kAggrFlush, kCosts.aggr_flush_per_host_packet);
+        charger_.Charge(Routine::kSkbFillPageDesc,
+                        (skb->frames.size() - 1) * kCosts.skb_frag_attach);
+      }
+    }
+    DeliverHostPacket(std::move(skb));
+  }
+  finished_.clear();
 }
 
 void NetworkStack::DeliverHostPacket(SkBuffPtr skb) {

@@ -6,7 +6,7 @@
 //
 //   NIC ring -> ReceiveFrame (driver cycles)
 //     baseline:  wrap SkBuff (+MAC processing) ------------------+
-//     optimized: Aggregator::Push (early demux, chaining) ---+   |
+//     optimized: Aggregator::Push -> DeliverFinished --------+   |
 //                                                            v   v
 //                                  DeliverHostPacket (non-proto, IP, TCP, copy)
 //                                                            |
@@ -146,6 +146,9 @@ class NetworkStack : public RxSink, private TcpConnection::Owner {
  private:
   // Hardware LRO's driver, sk_buff and softirq work for one host packet.
   void ChargeLroHostPacket();
+  // Drops `unparsed` (a frame the aggregator handed back), then delivers finished_ in
+  // order, each host packet after its epilogue (aggregation's or LRO's), and empties it.
+  void DeliverFinished(PacketPtr unparsed);
   void DeliverHostPacket(SkBuffPtr skb);
   void SendReset(const SkBuff& skb);
   // TcpConnection::Owner.
@@ -169,6 +172,7 @@ class NetworkStack : public RxSink, private TcpConnection::Owner {
   Ipv4Layer ip_;
   RoutingTable routes_;
   std::unique_ptr<Aggregator> aggregator_;
+  Aggregator::HostPackets finished_;  // what the aggregator just finished; reused
 
   FlatMap<FlowKey, TcpConnection*, FlowKeyHash> demux_;
   std::vector<std::unique_ptr<TcpConnection>> connections_;

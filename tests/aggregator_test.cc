@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
-
 #include "src/core/aggregator.h"
 #include "src/util/byte_order.h"
 #include "src/util/checksum.h"
@@ -29,11 +27,11 @@ void AppendPayload(const SkBuff& skb, std::vector<uint8_t>& out) {
 
 class AggregatorTest : public ::testing::Test {
  protected:
-  explicit AggregatorTest(size_t limit = 20) : aggregator_(limit, Sink()) {}
+  explicit AggregatorTest(size_t limit = 20) : aggregator_(limit) {}
 
-  Aggregator::DeliverFn Sink() {
-    return [this](SkBuffPtr skb) { delivered_.push_back(std::move(skb)); };
-  }
+  // Pushes a frame; every host packet the push finishes is appended to delivered_.
+  PacketPtr Push(PacketPtr frame) { return aggregator_.Push(std::move(frame), delivered_); }
+  void FlushAll() { aggregator_.FlushAll(delivered_); }
 
   // Pushes an in-sequence MTU data segment for the default flow.
   void PushData(uint32_t seq, uint32_t ack = 1, size_t len = 1448, uint16_t window = 65535,
@@ -43,11 +41,11 @@ class AggregatorTest : public ::testing::Test {
     options.ack = ack;
     options.window = window;
     options.ts_value = ts;
-    aggregator_.Push(ToPacket(pool_, MakeFrame(options, len)));
+    EXPECT_EQ(Push(ToPacket(pool_, MakeFrame(options, len))), nullptr);
   }
 
   PacketPool pool_;
-  std::deque<SkBuffPtr> delivered_;
+  Aggregator::HostPackets delivered_;
   Aggregator aggregator_;
 };
 
@@ -60,7 +58,7 @@ TEST_F(AggregatorTest, ChainsInSequencePackets) {
   PushData(1000 + 1448);
   PushData(1000 + 2 * 1448);
   EXPECT_TRUE(delivered_.empty());  // still accumulating
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
   const SkBuff& skb = *delivered_.front();
   EXPECT_EQ(skb.SegmentCount(), 3u);
@@ -78,7 +76,7 @@ TEST_F(AggregatorTest, LimitClosesAggregate) {
   EXPECT_EQ(delivered_[0]->SegmentCount(), 20u);
   EXPECT_EQ(delivered_[1]->SegmentCount(), 20u);
   EXPECT_EQ(aggregator_.PendingFlows(), 1u);
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 3u);
   EXPECT_EQ(delivered_[2]->SegmentCount(), 1u);
   EXPECT_EQ(aggregator_.stats().limit_flushes, 2u);
@@ -88,8 +86,8 @@ TEST_F(AggregatorTest, SingletonFlushDeliversUnmodified) {
   FrameOptions options;
   options.seq = 500;
   const auto original = MakeFrame(options, 100);
-  aggregator_.Push(ToPacket(pool_, original));
-  aggregator_.FlushAll();
+  Push(ToPacket(pool_, original));
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
   // Byte-identical frame, listed as its own one segment.
   EXPECT_TRUE(std::equal(original.begin(), original.end(),
@@ -107,7 +105,7 @@ TEST_F(AggregatorTest, PayloadBytesPreservedExactly) {
     const auto part = testutil::ExpectedPayload(seq, 1448);
     expected.insert(expected.end(), part.begin(), part.end());
   }
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
   std::vector<uint8_t> actual;
   AppendPayload(*delivered_.front(), actual);
@@ -122,7 +120,7 @@ TEST_F(AggregatorTest, RewritesHeaderFromLastFragment) {
   PushData(1, /*ack=*/100, 1448, /*window=*/5000, /*ts=*/77);
   PushData(1 + 1448, /*ack=*/200, 1448, /*window=*/6000, /*ts=*/78);
   PushData(1 + 2 * 1448, /*ack=*/300, 1448, /*window=*/7000, /*ts=*/79);
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
   const SkBuff& skb = *delivered_.front();
   EXPECT_EQ(skb.view().tcp.seq, 1u);            // first fragment's seq
@@ -142,9 +140,9 @@ TEST_F(AggregatorTest, TimestampRewrittenWhereTheHeadCarriesIt) {
     options.with_timestamp = false;
     options.extra_options = {kTcpOptTimestamp, 10, 0, 0, 0, static_cast<uint8_t>(60 + i),
                              0, 0, 0, 9, kTcpOptNop, kTcpOptNop};
-    aggregator_.Push(ToPacket(pool_, MakeFrame(options, 1000)));
+    Push(ToPacket(pool_, MakeFrame(options, 1000)));
   }
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
   const SkBuff& skb = *delivered_.front();
   ASSERT_EQ(skb.SegmentCount(), 2u);
@@ -159,7 +157,7 @@ TEST_F(AggregatorTest, TimestampRewrittenWhereTheHeadCarriesIt) {
 TEST_F(AggregatorTest, AggregateIpChecksumIsValid) {
   PushData(1);
   PushData(1 + 1448);
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
   const SkBuff& skb = *delivered_.front();
   EXPECT_TRUE(VerifyIpv4Checksum(
@@ -169,7 +167,7 @@ TEST_F(AggregatorTest, AggregateIpChecksumIsValid) {
 TEST_F(AggregatorTest, AggregateMarkedChecksumVerified) {
   PushData(1);
   PushData(1 + 1448);
-  aggregator_.FlushAll();
+  FlushAll();
   EXPECT_TRUE(delivered_.front()->head().nic_checksum_verified);
 }
 
@@ -177,7 +175,7 @@ TEST_F(AggregatorTest, FragmentMetadataRecordsEachSegment) {
   PushData(1, 100, 1448, 5000);
   PushData(1 + 1448, 150, 700, 5001);
   PushData(1 + 1448 + 700, 200, 1448, 5002);
-  aggregator_.FlushAll();
+  FlushAll();
   const SkBuff& skb = *delivered_.front();
   ASSERT_EQ(skb.fragment_info.size(), 3u);
   EXPECT_EQ(skb.fragment_info[0].seq, 1u);
@@ -244,7 +242,7 @@ TEST_F(AggregatorTest, HeadViewMatchesTheFlattenedAggregate) {
     options.with_timestamp = false;
     options.extra_options = {kTcpOptTimestamp, 10, 0, 0, 0, static_cast<uint8_t>(60 + i),
                              0, 0, 0, static_cast<uint8_t>(i), kTcpOptNop, kTcpOptNop};
-    aggregator_.Push(ToPacket(pool_, MakeFrame(options, 1000)));
+    Push(ToPacket(pool_, MakeFrame(options, 1000)));
   };
   uint32_t seq = 1;
   uint32_t i = 0;
@@ -258,7 +256,7 @@ TEST_F(AggregatorTest, HeadViewMatchesTheFlattenedAggregate) {
   for (; i < 26; ++i, seq += 1000) {  // closed by FlushAll
     push(seq, i, /*psh=*/i == 25);
   }
-  aggregator_.FlushAll();
+  FlushAll();
   EXPECT_EQ(aggregator_.stats().limit_flushes, 1u);
   EXPECT_EQ(aggregator_.stats().mismatch_flushes, 1u);
   EXPECT_EQ(aggregator_.stats().idle_flushes, 1u);
@@ -281,8 +279,8 @@ TEST_F(AggregatorTest, PshOfLastFragmentPropagates) {
   FrameOptions options;
   options.seq = 1 + 1448;
   options.flags = kTcpAck | kTcpPsh;
-  aggregator_.Push(ToPacket(pool_, MakeFrame(options, 1448)));
-  aggregator_.FlushAll();
+  Push(ToPacket(pool_, MakeFrame(options, 1448)));
+  FlushAll();
   EXPECT_TRUE(delivered_.front()->view().tcp.Has(kTcpPsh));
 }
 
@@ -294,7 +292,7 @@ TEST_F(AggregatorTest, PureAckBypasses) {
   PushData(1);
   FrameOptions ack_options;
   ack_options.seq = 1 + 1448;
-  aggregator_.Push(ToPacket(pool_, MakeFrame(ack_options, 0)));
+  Push(ToPacket(pool_, MakeFrame(ack_options, 0)));
   // The pure ACK flushed the partial (order!) and then passed through.
   ASSERT_EQ(delivered_.size(), 2u);
   EXPECT_EQ(delivered_[0]->PayloadSize(), 1448u);  // the partial, first
@@ -304,7 +302,7 @@ TEST_F(AggregatorTest, PureAckBypasses) {
 }
 
 TEST_F(AggregatorTest, MissingNicChecksumBypasses) {
-  aggregator_.Push(ToPacket(pool_, MakeFrame(FrameOptions{}, 1448), /*csum_verified=*/false));
+  Push(ToPacket(pool_, MakeFrame(FrameOptions{}, 1448), /*csum_verified=*/false));
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(aggregator_.stats().bypass[static_cast<size_t>(AggrBypassReason::kNoNicChecksum)],
             1u);
@@ -316,7 +314,7 @@ TEST_F(AggregatorTest, SynFinRstUrgBypass) {
     FrameOptions options;
     options.flags = static_cast<uint8_t>(kTcpAck | flag);
     options.seq = 1;
-    aggregator_.Push(ToPacket(pool_, MakeFrame(options, flag == kTcpSyn ? 0 : 10)));
+    Push(ToPacket(pool_, MakeFrame(options, flag == kTcpSyn ? 0 : 10)));
   }
   EXPECT_EQ(delivered_.size(), 4u);
   EXPECT_EQ(aggregator_.stats().bypass[static_cast<size_t>(AggrBypassReason::kSpecialFlags)] +
@@ -328,7 +326,7 @@ TEST_F(AggregatorTest, SackBlockOptionBypasses) {
   FrameOptions options;
   options.seq = 1;
   options.extra_options = {kTcpOptSack, 10, 0, 0, 0, 10, 0, 0, 0, 20, kTcpOptNop, kTcpOptNop};
-  aggregator_.Push(ToPacket(pool_, MakeFrame(options, 1448)));
+  Push(ToPacket(pool_, MakeFrame(options, 1448)));
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(aggregator_.stats().bypass[static_cast<size_t>(AggrBypassReason::kBadOptions)], 1u);
 }
@@ -336,14 +334,14 @@ TEST_F(AggregatorTest, SackBlockOptionBypasses) {
 TEST_F(AggregatorTest, UnknownOptionBypasses) {
   FrameOptions options;
   options.extra_options = {42, 4, 1, 2};
-  aggregator_.Push(ToPacket(pool_, MakeFrame(options, 100)));
+  Push(ToPacket(pool_, MakeFrame(options, 100)));
   EXPECT_EQ(aggregator_.stats().bypass[static_cast<size_t>(AggrBypassReason::kBadOptions)], 1u);
 }
 
 TEST_F(AggregatorTest, BadIpChecksumBypasses) {
   auto frame = MakeFrame(FrameOptions{}, 100);
   frame[14 + 8] ^= 0x40;  // corrupt TTL -> IP checksum now wrong
-  aggregator_.Push(ToPacket(pool_, std::move(frame)));
+  Push(ToPacket(pool_, std::move(frame)));
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(aggregator_.stats().bypass[static_cast<size_t>(AggrBypassReason::kBadIpChecksum)],
             1u);
@@ -356,27 +354,24 @@ TEST_F(AggregatorTest, IpFragmentBypasses) {
   StoreBe16(frame.data() + 14 + 10, 0);
   const uint16_t csum = InternetChecksum(std::span<const uint8_t>(frame).subspan(14, 20));
   StoreBe16(frame.data() + 14 + 10, csum);
-  aggregator_.Push(ToPacket(pool_, std::move(frame)));
+  Push(ToPacket(pool_, std::move(frame)));
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(aggregator_.stats().bypass[static_cast<size_t>(AggrBypassReason::kIpFragment)], 1u);
 }
 
-TEST_F(AggregatorTest, NonTcpFrameGoesToRawPath) {
-  std::vector<PacketPtr> raw;
-  aggregator_.set_deliver_raw([&](PacketPtr p) { raw.push_back(std::move(p)); });
+TEST_F(AggregatorTest, NonTcpFrameIsHandedBackAndCounted) {
+  PushData(1);  // a partial the handed-back frame must leave alone
   auto frame = MakeFrame(FrameOptions{}, 10);
   StoreBe16(frame.data() + 12, 0x0806);  // ARP ethertype
-  aggregator_.Push(ToPacket(pool_, std::move(frame)));
-  EXPECT_EQ(raw.size(), 1u);
+  PacketPtr arp = ToPacket(pool_, std::move(frame));
+  const Packet* const sent = arp.get();
+  EXPECT_EQ(Push(std::move(arp)).get(), sent);
   EXPECT_TRUE(delivered_.empty());
+  EXPECT_EQ(aggregator_.PendingFlows(), 1u);
+  EXPECT_EQ(aggregator_.stats().bypass[static_cast<size_t>(AggrBypassReason::kNotTcp)], 1u);
   EXPECT_EQ(aggregator_.stats().raw_delivered, 1u);
-}
-
-TEST_F(AggregatorTest, NonTcpFrameDroppedWithoutRawHandler) {
-  auto frame = MakeFrame(FrameOptions{}, 10);
-  frame.resize(10);  // hopelessly truncated
-  aggregator_.Push(ToPacket(pool_, std::move(frame)));
-  EXPECT_EQ(aggregator_.stats().raw_dropped, 1u);
+  EXPECT_EQ(aggregator_.stats().pushed, 2u);
+  EXPECT_EQ(aggregator_.stats().host_packets, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,7 +385,7 @@ TEST_F(AggregatorTest, OutOfSequenceStartsNewAggregate) {
   ASSERT_EQ(delivered_.size(), 1u);  // first aggregate delivered on mismatch
   EXPECT_EQ(delivered_[0]->SegmentCount(), 2u);
   EXPECT_EQ(aggregator_.stats().mismatch_flushes, 1u);
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 2u);
   EXPECT_EQ(delivered_[1]->view().tcp.seq, 1u + 5 * 1448);
 }
@@ -400,14 +395,14 @@ TEST_F(AggregatorTest, DecreasingAckBreaksChain) {
   PushData(1 + 1448, /*ack=*/500);  // ack went backwards
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(delivered_[0]->SegmentCount(), 1u);
-  aggregator_.FlushAll();
+  FlushAll();
   EXPECT_EQ(delivered_.size(), 2u);
 }
 
 TEST_F(AggregatorTest, EqualAckChains) {
   PushData(1, /*ack=*/1000);
   PushData(1 + 1448, /*ack=*/1000);
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(delivered_[0]->SegmentCount(), 2u);
 }
@@ -417,10 +412,10 @@ TEST_F(AggregatorTest, TimestampPresenceMustMatch) {
   FrameOptions no_ts;
   no_ts.seq = 1 + 1448;
   no_ts.with_timestamp = false;
-  aggregator_.Push(ToPacket(pool_, MakeFrame(no_ts, 1448)));
+  Push(ToPacket(pool_, MakeFrame(no_ts, 1448)));
   // Chain broken: first delivered, second becomes a new partial.
   ASSERT_EQ(delivered_.size(), 1u);
-  aggregator_.FlushAll();
+  FlushAll();
   EXPECT_EQ(delivered_.size(), 2u);
 }
 
@@ -429,9 +424,9 @@ TEST_F(AggregatorTest, TtlChangeBreaksChain) {
   FrameOptions rerouted;
   rerouted.seq = 1 + 1448;
   rerouted.ttl = 63;  // took a different path
-  aggregator_.Push(ToPacket(pool_, MakeFrame(rerouted, 1448)));
+  Push(ToPacket(pool_, MakeFrame(rerouted, 1448)));
   ASSERT_EQ(delivered_.size(), 1u);  // chain broken, first aggregate delivered
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 2u);
   EXPECT_EQ(delivered_[1]->view().ip.ttl, 63);
 }
@@ -452,12 +447,12 @@ TEST_F(AggregatorTest, FlowsAggregateIndependently) {
   FrameOptions other;
   other.src_port = 2222;  // different flow
   other.seq = 9000;
-  aggregator_.Push(ToPacket(pool_, MakeFrame(other, 1448)));
+  Push(ToPacket(pool_, MakeFrame(other, 1448)));
   PushData(1 + 1448);
   other.seq = 9000 + 1448;
-  aggregator_.Push(ToPacket(pool_, MakeFrame(other, 1448)));
+  Push(ToPacket(pool_, MakeFrame(other, 1448)));
   EXPECT_EQ(aggregator_.PendingFlows(), 2u);
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 2u);
   EXPECT_EQ(delivered_[0]->SegmentCount(), 2u);
   EXPECT_EQ(delivered_[1]->SegmentCount(), 2u);
@@ -473,7 +468,7 @@ TEST_F(AggregatorTest, BypassingPacketNeverOvertakesItsFlow) {
   FrameOptions fin;
   fin.seq = 1 + 2 * 1448;
   fin.flags = kTcpAck | kTcpFin;
-  aggregator_.Push(ToPacket(pool_, MakeFrame(fin, 5)));
+  Push(ToPacket(pool_, MakeFrame(fin, 5)));
   ASSERT_EQ(delivered_.size(), 2u);
   EXPECT_EQ(delivered_[0]->SegmentCount(), 2u);            // partial first
   EXPECT_TRUE(delivered_[1]->view().tcp.Has(kTcpFin));        // then the FIN
@@ -485,7 +480,7 @@ TEST_F(AggregatorTest, BypassingPacketLeavesOtherFlowsPending) {
   other.src_port = 2222;
   other.flags = kTcpAck | kTcpRst;
   other.seq = 1;
-  aggregator_.Push(ToPacket(pool_, MakeFrame(other, 0)));  // flow B RST
+  Push(ToPacket(pool_, MakeFrame(other, 0)));  // flow B RST
   // Flow A's partial must NOT be flushed by flow B's bypass.
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_TRUE(delivered_[0]->view().tcp.Has(kTcpRst));
@@ -505,7 +500,7 @@ TEST_F(AggregatorLimit1Test, LimitOneDeliversImmediatelyUnmodified) {
   FrameOptions options;
   options.seq = 77;
   const auto original = MakeFrame(options, 512);
-  aggregator_.Push(ToPacket(pool_, original));
+  Push(ToPacket(pool_, original));
   ASSERT_EQ(delivered_.size(), 1u);  // no waiting at limit 1
   ASSERT_EQ(delivered_[0]->fragment_info.size(), 1u);
   EXPECT_EQ(delivered_[0]->fragment_info[0].seq, 77u);
@@ -515,13 +510,13 @@ TEST_F(AggregatorLimit1Test, LimitOneDeliversImmediatelyUnmodified) {
 
 TEST_F(AggregatorTest, AggregateStopsBeforeIpLengthOverflow) {
   // 45 * 1448 + 52 would exceed the 16-bit IP total length; chain must break first.
-  Aggregator big(64, Sink());
+  Aggregator big(64);
   for (uint32_t i = 0; i < 50; ++i) {
     FrameOptions options;
     options.seq = 1 + i * 1448;
-    big.Push(ToPacket(pool_, MakeFrame(options, 1448)));
+    EXPECT_EQ(big.Push(ToPacket(pool_, MakeFrame(options, 1448)), delivered_), nullptr);
   }
-  big.FlushAll();
+  big.FlushAll(delivered_);
   for (const auto& skb : delivered_) {
     EXPECT_LE(skb->PayloadSize() + 52, 0xffffu);
     // The rewritten header must still parse with a valid length.
@@ -533,7 +528,7 @@ TEST_F(AggregatorTest, VaryingSegmentSizesChainBySeq) {
   PushData(1, 1, 100);
   PushData(101, 1, 700);
   PushData(801, 1, 1448);
-  aggregator_.FlushAll();
+  FlushAll();
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(delivered_[0]->PayloadSize(), 100u + 700 + 1448);
 }
@@ -544,8 +539,8 @@ TEST_F(AggregatorTest, StatsAddUp) {
   }
   FrameOptions ack;
   ack.seq = 1 + 25 * 1448;
-  aggregator_.Push(ToPacket(pool_, MakeFrame(ack, 0)));
-  aggregator_.FlushAll();
+  Push(ToPacket(pool_, MakeFrame(ack, 0)));
+  FlushAll();
   const auto& stats = aggregator_.stats();
   EXPECT_EQ(stats.pushed, 26u);
   EXPECT_EQ(stats.host_packets, delivered_.size());
@@ -554,6 +549,11 @@ TEST_F(AggregatorTest, StatsAddUp) {
   EXPECT_EQ(delivered_[0]->SegmentCount() + delivered_[1]->SegmentCount(), 25u);
   EXPECT_EQ(stats.aggregates_delivered, 2u);
   EXPECT_EQ(stats.passthrough, 1u);
+  // The 20-aggregate closed at the limit; the pure ACK closed the 5-aggregate ahead of
+  // itself, which leaves FlushAll nothing to close.
+  EXPECT_EQ(stats.limit_flushes, 1u);
+  EXPECT_EQ(stats.bypass_flushes, 1u);
+  EXPECT_EQ(stats.idle_flushes, 0u);
 }
 
 TEST_F(AggregatorTest, DatagramBoundedAtExactly16BitTotalLength) {
@@ -605,15 +605,15 @@ TEST_F(AggregatorTest, RandomizedPerFlowStreamIntegrity) {
     if (ineligible) {
       options.extra_options = {42, 4, 0, 0};  // unknown option: bypasses
     }
-    aggregator_.Push(ToPacket(pool_, MakeFrame(options, len)));
+    Push(ToPacket(pool_, MakeFrame(options, len)));
     const auto payload = testutil::ExpectedPayload(options.seq, len);
     expected[f].insert(expected[f].end(), payload.begin(), payload.end());
     next_seq[f] += static_cast<uint32_t>(len);
     if (rng.NextBool(0.1)) {
-      aggregator_.FlushAll();  // random idle points
+      FlushAll();  // random idle points
     }
   }
-  aggregator_.FlushAll();
+  FlushAll();
 
   std::vector<uint8_t> actual[kFlows];
   for (const auto& skb : delivered_) {

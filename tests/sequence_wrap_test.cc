@@ -77,20 +77,18 @@ TEST(SequenceWrap, WrapWithLossRecovers) {
 
 TEST(SequenceWrap, AggregatorChainsAcrossWrap) {
   PacketPool pool;
-  std::vector<SkBuffPtr> delivered;
-  Aggregator aggregator(8, [&](SkBuffPtr skb) {
-    delivered.push_back(std::move(skb));
-  });
+  Aggregator::HostPackets delivered;
+  Aggregator aggregator(8);
 
   // Four in-sequence segments whose wire sequence numbers straddle 2^32.
   uint32_t seq = 0xffffffffu - 2 * 1448 + 1;
   for (int i = 0; i < 4; ++i) {
     FrameOptions options;
     options.seq = seq;
-    aggregator.Push(ToPacket(pool, MakeFrame(options, 1448)));
+    ASSERT_EQ(aggregator.Push(ToPacket(pool, MakeFrame(options, 1448)), delivered), nullptr);
     seq += 1448;  // wraps naturally in uint32 arithmetic
   }
-  aggregator.FlushAll();
+  aggregator.FlushAll(delivered);
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0]->SegmentCount(), 4u);
   EXPECT_EQ(delivered[0]->PayloadSize(), 4u * 1448);

@@ -62,6 +62,24 @@ class StackTest : public ::testing::Test {
     return accepted_;
   }
 
+  // After the handshake: four in-sequence data segments, then one past a gap, then the
+  // idle flush. The gap closes a 4-frame aggregate; the flush delivers the fifth as a
+  // lone packet. Returns the cycles each routine was charged for those five frames.
+  RoutineCycles ChargesOfAnAggregateAndALonePacket() {
+    const RoutineCycles before = stack_->account().routine_cycles();
+    for (uint32_t i = 0; i < 5; ++i) {
+      FrameOptions data;
+      data.seq = 1000 + (i < 4 ? i : i + 1) * 1448;
+      Feed(MakeFrame(data, 1448));
+    }
+    stack_->OnReceiveQueueEmpty();
+    RoutineCycles charged = stack_->account().routine_cycles();
+    for (size_t r = 0; r < kRoutineCount; ++r) {
+      charged[r] -= before[r];
+    }
+    return charged;
+  }
+
   EventLoop loop_;
   std::unique_ptr<NetworkStack> stack_;
   std::vector<std::pair<int, std::vector<uint8_t>>> sent_;
@@ -146,6 +164,51 @@ TEST_F(StackTest, GarbageFrameDroppedUnderHardwareLro) {
   EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kAllocSkb), kCosts.skb_alloc + kCosts.pkt_buf_alloc);
   EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kDoSoftirq), kCosts.misc_rx_per_packet);
   EXPECT_EQ(RoutineCyclesOf(*stack_, Routine::kKfreeSkb), kCosts.skb_free + kCosts.pkt_buf_free);
+}
+
+uint64_t Of(const RoutineCycles& cycles, Routine routine) {
+  return cycles[static_cast<size_t>(routine)];
+}
+
+TEST_F(StackTest, AggregationChargesItsEpiloguePerHostPacket) {
+  Build(StackConfig::Optimized(SystemType::kNativeUp));
+  Handshake();
+  const RoutineCycles c = ChargesOfAnAggregateAndALonePacket();
+  EXPECT_EQ(stack_->aggregator()->stats().host_packets, 2u + 2u);  // after the handshake's
+  // Per host packet: the sk_buff; per aggregate: the flush and the three attached
+  // fragments.
+  EXPECT_EQ(Of(c, Routine::kAllocSkb), 2 * kCosts.skb_alloc);
+  EXPECT_EQ(Of(c, Routine::kAggrFlush), kCosts.aggr_flush_per_host_packet);
+  EXPECT_EQ(Of(c, Routine::kSkbFillPageDesc), 3 * kCosts.skb_frag_attach);
+  // Per frame: the driver, the early demux and the match.
+  EXPECT_EQ(Of(c, Routine::kE1000CleanRxIrq), 5 * kCosts.driver_rx_per_packet);
+  EXPECT_EQ(Of(c, Routine::kE1000AllocRxBuffers), 5 * kCosts.pkt_buf_alloc);
+  EXPECT_EQ(Of(c, Routine::kDoSoftirq), 5 * kCosts.misc_rx_per_packet);
+  EXPECT_EQ(Of(c, Routine::kAggrEarlyDemux), 5 * kCosts.aggr_demux_per_packet);
+  EXPECT_EQ(Of(c, Routine::kAggrMatch), 5 * kCosts.aggr_match_per_packet);
+  EXPECT_EQ(Of(c, Routine::kS2ioLroRx), 0u);
+}
+
+TEST_F(StackTest, HardwareLroChargesItsDriverWorkPerHostPacket) {
+  StackConfig config = StackConfig::Optimized(SystemType::kNativeUp);
+  config.hardware_lro = true;
+  Build(config);
+  Handshake();
+  const RoutineCycles c = ChargesOfAnAggregateAndALonePacket();
+  EXPECT_EQ(stack_->aggregator()->stats().host_packets, 2u + 2u);
+  // The NIC coalesced: driver, sk_buff and softirq work once per host packet.
+  EXPECT_EQ(Of(c, Routine::kS2ioLroRx),
+            2 * (kCosts.driver_rx_per_packet + kCosts.driver_mac_processing));
+  EXPECT_EQ(Of(c, Routine::kAllocSkb), 2 * (kCosts.skb_alloc + kCosts.pkt_buf_alloc));
+  EXPECT_EQ(Of(c, Routine::kDoSoftirq), 2 * kCosts.misc_rx_per_packet);
+  // Nothing of the per-frame driver or of software aggregation.
+  EXPECT_EQ(Of(c, Routine::kE1000CleanRxIrq), 0u);
+  EXPECT_EQ(Of(c, Routine::kSkbFillPageDesc), 0u);
+  for (const RoutineInfo& row : kRoutineTable) {
+    if (row.category == CostCategory::kAggr) {
+      EXPECT_EQ(Of(c, row.routine), 0u) << row.name;
+    }
+  }
 }
 
 TEST_F(StackTest, TransmitRoutedToConfiguredNic) {

@@ -92,11 +92,14 @@ struct EstablishedServer final : TcpConnection::Owner {
 
   // Four in-sequence segments as one aggregate: the connection owes two ACKs.
   void DeliverAggregateOfFour() {
-    Aggregator aggregator(20, [this](SkBuffPtr skb) { server.OnHostPacket(*skb); });
+    Aggregator aggregator(20);
+    Aggregator::HostPackets finished;
     for (uint32_t i = 0; i < 4; ++i) {
-      aggregator.Push(ToPacket(pool, MakeFrame(Data(i), 1448)));
+      TCPRX_CHECK(aggregator.Push(ToPacket(pool, MakeFrame(Data(i), 1448)), finished) == nullptr);
     }
-    aggregator.FlushAll();
+    aggregator.FlushAll(finished);
+    TCPRX_CHECK(finished.size() == 1);
+    server.OnHostPacket(*finished.front());
   }
 
   void Output(TcpConnection& /*conn*/, TcpOutputItem&& item) override {
